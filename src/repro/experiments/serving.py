@@ -75,6 +75,28 @@ def mixture_embeddings(
     return centers[which] + spread * rng.standard_normal((num_vertices, dim))
 
 
+def _report(
+    rows: list[dict], latency_samples: dict, key: str, replay, **labels
+) -> None:
+    """Record one replay — single server or cluster, the loop leaves the
+    same shape behind: its raw latencies under ``key`` (what bench-record
+    appends to the history store and bench-gate tests against) and one
+    flat report row."""
+    latency_samples[key] = [float(v) for v in replay.metrics.latency.samples]
+    stats = replay.stats
+    rows.append(
+        {
+            **labels,
+            **replay.metrics.as_dict(),
+            "mean_fanout": stats["mean_fanout"],
+            "hedges": stats["hedges"],
+            "hedge_wins": stats["hedge_wins"],
+            "upserts": stats["upserts_applied"],
+            "max_staleness_ms": stats["max_staleness_s"] * 1e3,
+        }
+    )
+
+
 def _calibrate_naive_qps(embeddings: np.ndarray, k: int, samples: int = 64) -> float:
     """Measured single-request brute-force rate (requests/second)."""
     index = BruteForceIndex(embeddings)
@@ -168,29 +190,24 @@ def run(
             },
         ),
     ]
-    rows = []
+    rows: list[dict] = []
     latency_samples: dict[str, list[float]] = {}
     for name, cfg, kind, kwargs in configs:
         server = EmbeddingServer(
             emb, config=cfg, index=kind, index_kwargs=kwargs
         )
         replay = server.serve_trace(trace, collect_results=True)
-        m = replay.metrics
-        latency_samples[name] = [float(v) for v in m.latency.samples]
         served_seqs = sorted(replay.results)
-        m.recall_at_k = recall_at_k(
+        replay.metrics.recall_at_k = recall_at_k(
             np.array([replay.results[s] for s in served_seqs]),
             exact_idx[served_seqs],
         )
-        row = {"config": name, **m.as_dict()}
-        rows.append(row)
+        _report(rows, latency_samples, name, replay, config=name)
     base = rows[0]["throughput_qps"]
     for row in rows:
         row["speedup_vs_naive"] = row["throughput_qps"] / base if base else 0.0
     return {
         "rows": rows,
-        # Raw per-request latencies per configuration: what bench-record
-        # appends to the history store and bench-gate tests against.
         "latency_samples": latency_samples,
         "meta": {
             "num_vertices": num_vertices,
@@ -263,19 +280,6 @@ def _calibrate_batched_qps(
         index.search_ids(qids, k)
         times.append(time.perf_counter() - t0)
     return batch / max(float(np.median(times)), 1e-9)
-
-
-def _cluster_row(phase: str, config: str, replay) -> dict:
-    """Flatten one cluster replay into a report row."""
-    row = {"phase": phase, "config": config, **replay.metrics.as_dict()}
-    stats = getattr(replay, "stats", None)
-    if stats:
-        row["mean_fanout"] = stats.get("mean_fanout", 0.0)
-        row["hedges"] = stats.get("hedges", 0.0)
-        row["hedge_wins"] = stats.get("hedge_wins", 0.0)
-        row["upserts"] = stats.get("upserts_applied", 0.0)
-        row["max_staleness_ms"] = stats.get("max_staleness_s", 0.0) * 1e3
-    return row
 
 
 def _straggler_model(replicas: int, *, slow_factor: float = 12.0):
@@ -359,15 +363,9 @@ def run_cluster(
         index_kwargs={"dtype": dtype},
     )
     base_replay = single.serve_trace(trace, collect_results=True)
-    latency_samples["single"] = [
-        float(v) for v in base_replay.metrics.latency.samples
-    ]
-    rows.append(
-        {
-            "phase": CLUSTER_PHASES[0],
-            "config": "single-batched",
-            **base_replay.metrics.as_dict(),
-        }
+    _report(
+        rows, latency_samples, "single", base_replay,
+        phase=CLUSTER_PHASES[0], config="single-batched",
     )
 
     cluster = ClusterServer(
@@ -385,10 +383,6 @@ def run_cluster(
         dtype=dtype,
     )
     cluster_replay = cluster.serve_trace(trace, collect_results=True)
-    cluster_name = f"cluster-{num_shards}x{replicas}"
-    latency_samples["cluster"] = [
-        float(v) for v in cluster_replay.metrics.latency.samples
-    ]
     # Recall oracle: the single brute-force server is exact, so score
     # the cluster's pruned answers against the requests both served.
     common = sorted(set(base_replay.results) & set(cluster_replay.results))
@@ -399,12 +393,15 @@ def run_cluster(
             np.array([base_replay.results[s] for s in common]),
         )
     cluster_replay.metrics.recall_at_k = recall
-    rows.append(_cluster_row(CLUSTER_PHASES[0], cluster_name, cluster_replay))
     single_tp = base_replay.metrics.throughput
     speedup = (
         cluster_replay.metrics.throughput / single_tp if single_tp else 0.0
     )
-    rows[-1]["speedup_vs_single"] = speedup
+    _report(
+        rows, latency_samples, "cluster", cluster_replay,
+        phase=CLUSTER_PHASES[0], config=f"cluster-{num_shards}x{replicas}",
+        speedup_vs_single=speedup,
+    )
 
     # ---- phase 2: bursty trace, hedging off vs on -------------------
     emb2 = mixture_embeddings(
@@ -460,10 +457,10 @@ def run_cluster(
             replay = server.serve_trace(btrace)
         name = "bursty+hedge" if hedged else "bursty-nohedge"
         hedge_results[hedged] = replay
-        latency_samples[name] = [
-            float(v) for v in replay.metrics.latency.samples
-        ]
-        rows.append(_cluster_row(CLUSTER_PHASES[1], name, replay))
+        _report(
+            rows, latency_samples, name, replay,
+            phase=CLUSTER_PHASES[1], config=name,
+        )
     p99_nohedge = hedge_results[False].metrics.latency.percentile(99.0)
     p99_hedge = hedge_results[True].metrics.latency.percentile(99.0)
 
@@ -513,16 +510,14 @@ def run_cluster(
             ),
             SLOContext(),
         )
-    latency_samples["upsert-soak"] = [
-        float(v) for v in soak_replay.metrics.latency.samples
-    ]
-    rows.append(_cluster_row(CLUSTER_PHASES[2], "upsert-soak", soak_replay))
+    _report(
+        rows, latency_samples, "upsert-soak", soak_replay,
+        phase=CLUSTER_PHASES[2], config="upsert-soak",
+    )
     slo_rows = [r.as_row() for r in slo_results]
 
     return {
         "rows": rows,
-        # Raw per-request latencies per configuration: what bench-record
-        # appends to the history store and bench-gate tests against.
         "latency_samples": latency_samples,
         "slo": slo_rows,
         # Request span forest + tail exemplars of the hedged replay
@@ -547,10 +542,10 @@ def run_cluster(
             "recall_at_k_cluster": recall,
             "p99_ms_nohedge": p99_nohedge * 1e3,
             "p99_ms_hedge": p99_hedge * 1e3,
-            "hedges": hedge_results[True].stats.get("hedges", 0),
-            "hedge_wins": hedge_results[True].stats.get("hedge_wins", 0),
-            "upserts_applied": soak_replay.stats.get("upserts_applied", 0),
-            "max_staleness_s": soak_replay.stats.get("max_staleness_s", 0.0),
+            "hedges": hedge_results[True].stats["hedges"],
+            "hedge_wins": hedge_results[True].stats["hedge_wins"],
+            "upserts_applied": soak_replay.stats["upserts_applied"],
+            "max_staleness_s": soak_replay.stats["max_staleness_s"],
             "staleness_bound_s": float(staleness_bound),
             "slo_ok": all(r["status"] == "ok" for r in slo_rows),
         },

@@ -18,11 +18,8 @@ answers exact percentiles with ``np.percentile``'s default linear
 interpolation, so p50/p95/p99 columns are testable against the numpy
 oracle rather than approximations from fixed buckets.
 
-:class:`LatencyHistogram` (the non-negative-samples variant) originated in
-``repro.serving.metrics`` and now lives here; the serving module re-exports
-it, so ``from repro.serving.metrics import LatencyHistogram`` keeps
-working unchanged — as does ``ServingMetrics``, which this module
-re-exports in the other direction.
+:class:`LatencyHistogram` is the non-negative-samples variant the serving
+layer records request latencies in.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ __all__ = [
     "observe",
     "snapshot",
     "reset",
-    "ServingMetrics",
 ]
 
 
@@ -381,14 +377,3 @@ def snapshot() -> dict[str, dict[str, float]]:
 def reset() -> None:
     """Clear the process-wide registry."""
     REGISTRY.reset()
-
-
-def __getattr__(name: str):
-    # Lazy re-export so `repro.obs.metrics` subsumes the serving metrics
-    # namespace without a circular import (serving.metrics imports the
-    # histogram classes from here at module load).
-    if name == "ServingMetrics":
-        from ..serving.metrics import ServingMetrics
-
-        return ServingMetrics
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

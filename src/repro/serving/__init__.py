@@ -10,8 +10,10 @@ vertex-embedding requests under a simulated request stream, with
   the recall@k evaluation helper;
 * :mod:`repro.serving.batcher` — the micro-batching admission queue;
 * :mod:`repro.serving.cache` — the generation-stamped LRU result cache;
-* :mod:`repro.serving.server` — the orchestrator with load shedding and
-  deadline-based ANN degradation;
+* :mod:`repro.serving.replay` — the one discrete-event loop every trace
+  replay runs on;
+* :mod:`repro.serving.server` — the single-index front-end with load
+  shedding and deadline-based ANN degradation;
 * :mod:`repro.serving.metrics` — latency percentiles, throughput,
   hit-rate, recall;
 * :mod:`repro.serving.workload` — Zipf-skewed Poisson query traces,
@@ -20,18 +22,15 @@ vertex-embedding requests under a simulated request stream, with
   outstanding replica dispatch, hedged-request policy;
 * :mod:`repro.serving.upsert` — streaming embedding-slab producer;
 * :mod:`repro.serving.cluster` — the sharded, replicated
-  :class:`~repro.serving.cluster.ClusterServer` composing all of the
-  above on the same simulated clock.
+  :class:`~repro.serving.cluster.ClusterServer` front-end on the same
+  loop.
 
-``python -m repro.cli serve-bench`` and ``benchmarks/bench_serving.py``
-replay the same trace through naive / batched / batched+cached+ANN
-configurations and print a paper-style comparison table;
-``serve-bench --cluster`` runs the sharded cluster benchmark
-(``benchmarks/bench_serving_cluster.py``).
+``python -m repro.cli serve-bench [--cluster]`` benchmarks both
+front-ends (see the README's Serving section).
 """
 
-from .batcher import MicroBatcher, Request
-from .cache import GenerationalCache, LRUCache
+from .batcher import MicroBatcher
+from .cache import GenerationalCache
 from .cluster import (
     ClusterConfig,
     ClusterReplay,
@@ -47,7 +46,7 @@ from .index import (
     merge_topk,
     recall_at_k,
 )
-from .metrics import LatencyHistogram, ServingMetrics
+from .metrics import ServingMetrics
 from .router import CentroidRouter, HedgePolicy, LeastOutstandingDispatcher
 from .server import EmbeddingServer, ServerConfig, TraceReplay
 from .upsert import SlabUpsertProducer, UpsertSlab, drift_refresh
@@ -67,10 +66,7 @@ __all__ = [
     "merge_topk",
     "recall_at_k",
     "MicroBatcher",
-    "Request",
     "GenerationalCache",
-    "LRUCache",
-    "LatencyHistogram",
     "ServingMetrics",
     "EmbeddingServer",
     "ServerConfig",

@@ -7,9 +7,11 @@ The batcher owns the admission queue (bounded — the overload backstop)
 and the batch-formation policy (dispatch when full, or when the head
 request has waited ``max_wait``).
 
-Time is whatever clock the caller advances — the server replays traces
-on a virtual clock with measured service times, tests drive it with
-explicit timestamps.
+Time is whatever clock the caller advances — the replay loop runs on a
+virtual clock with measured service times, tests drive it with explicit
+timestamps. A queued item is whatever the caller offers (the loop queues
+its per-replica dispatch records); the batcher reads its ``arrival``
+attribute and nothing else.
 """
 
 from __future__ import annotations
@@ -17,24 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["Request", "MicroBatcher"]
-
-
-@dataclass(frozen=True)
-class Request:
-    """One k-NN query: vertex id, neighbor count, arrival time, sequence.
-
-    ``ctx`` optionally carries a :class:`repro.obs.context.RequestContext`
-    attached at admission, so every later hop (batch, shard, hedge) can
-    hang spans off the same per-request tree. ``compare=False`` keeps
-    request equality/ordering purely about the query itself.
-    """
-
-    query_id: int
-    k: int
-    arrival: float
-    seq: int = 0
-    ctx: object | None = field(default=None, compare=False)
+__all__ = ["MicroBatcher"]
 
 
 @dataclass
@@ -84,7 +69,7 @@ class MicroBatcher:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def offer(self, request: Request) -> bool:
+    def offer(self, request) -> bool:
         """Admit ``request``, or shed it (return ``False``) when full."""
         if len(self._queue) >= self.capacity:
             self.stats.shed += 1
@@ -107,7 +92,7 @@ class MicroBatcher:
             return max(busy_until, head.arrival)
         return max(busy_until, head.arrival + self.max_wait)
 
-    def take(self) -> list[Request]:
+    def take(self) -> list:
         """Pop the next batch (up to ``max_batch`` head requests)."""
         batch = []
         while self._queue and len(batch) < self.max_batch:
@@ -120,8 +105,3 @@ class MicroBatcher:
                 self.stats.max_batch_seen, len(batch)
             )
         return batch
-
-    @property
-    def head_arrival(self) -> float | None:
-        """Arrival time of the oldest pending request (None when idle)."""
-        return self._queue[0].arrival if self._queue else None

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Hashable, Iterable
 
-__all__ = ["GenerationalCache", "LRUCache"]
+__all__ = ["GenerationalCache"]
 
 
 class GenerationalCache:
@@ -62,7 +62,7 @@ class GenerationalCache:
         gen, groups, _ = entry
         if gen != self.generation:
             return False
-        return all(self.group_generation(g) == g_gen for g, g_gen in groups)
+        return all(self._group_gens.get(g, 0) == g_gen for g, g_gen in groups)
 
     def __contains__(self, key: Hashable) -> bool:
         entry = self._data.get(key)
@@ -102,7 +102,7 @@ class GenerationalCache:
         """
         if key in self._data:
             self._data.move_to_end(key)
-        stamp = tuple((g, self.group_generation(g)) for g in groups)
+        stamp = tuple([(g, self._group_gens.get(g, 0)) for g in groups])
         self._data[key] = (self.generation, stamp, value)
         if len(self._data) > self.capacity:
             self._data.popitem(last=False)
@@ -143,7 +143,3 @@ class GenerationalCache:
             "invalidations": float(self.invalidations),
             "group_invalidations": float(self.group_invalidations),
         }
-
-
-#: Historical name: the single-node server predates keyed generations.
-LRUCache = GenerationalCache

@@ -9,30 +9,20 @@ behind a small replica set, and a query fans out only to the
 ``fanout`` shards whose centroids rank highest
 (:class:`~repro.serving.router.CentroidRouter`).
 
-:class:`ClusterServer` composes per-replica micro-batchers on the same
-discrete-event virtual clock the single server replays on, so the whole
-cluster stays deterministic and unit-testable:
-
-* **admission** — each arrival is routed, then one sub-request per
-  fan-out shard is enqueued on that shard's least-outstanding replica
-  (:class:`~repro.serving.router.LeastOutstandingDispatcher`); if any
-  replica queue is full the whole query is shed.
-* **service** — replica batches run exactly like the single server's:
-  measured around the real kernels, or priced by a deterministic
-  ``service_model(shard, replica, batch_size, rows)``.
-* **hedging** — a sub-request still unresolved after the
-  :class:`~repro.serving.router.HedgePolicy` threshold is duplicated on
-  a sibling replica; the first completion wins (duplicates still pay
-  their service cost — hedging buys tail latency with extra work).
-* **upserts** — before every event, slabs from a
-  :class:`~repro.serving.upsert.SlabUpsertProducer` whose production
-  time has passed are swapped in: shard index rebuilt, centroid
-  refreshed, and the shard's cache *group* generation bumped so only
-  results that touched that shard are invalidated.
-* **merge** — per-shard candidates merge via
-  :func:`~repro.serving.index.merge_topk`; a full fan-out reproduces
-  the unsharded :class:`~repro.serving.index.BruteForceIndex` top-k
-  bit-identically (property-tested).
+:class:`ClusterServer` replays traces on the shared discrete-event loop
+(:mod:`repro.serving.replay` — admission, per-replica micro-batching,
+least-outstanding replica choice, shedding, hedge timers, slab timing),
+the one the single server runs as its 1-shard x 1-replica case, so the
+whole cluster stays deterministic and unit-testable. This module
+supplies what is the cluster's own: centroid **routing**, the
+shard-local **scan** (measured, or priced by a deterministic
+``service_model(shard, replica, batch_size, rows)``), the
+:class:`~repro.serving.router.HedgePolicy`, the **upsert** swap (shard
+index rebuilt, centroid refreshed, and only the refreshed shard's cache
+*group* invalidated) and the **merge** via
+:func:`~repro.serving.index.merge_topk` — over a full fan-out,
+bit-identical to the unsharded
+:class:`~repro.serving.index.BruteForceIndex` top-k (property-tested).
 
 Obs: ``cluster.*`` counters/histograms (fan-out width, hedge rate,
 replica queue depth, upsert lag, staleness, per-shard latency) feed the
@@ -42,8 +32,6 @@ replica queue depth, upsert lag, staleness, per-shard latency) feed the
 
 from __future__ import annotations
 
-import heapq
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,20 +39,12 @@ import numpy as np
 
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
-from ..obs import context as obs_context
 from ..obs.flight import flight_event
-from ..obs.trace import span
-from .batcher import MicroBatcher, Request
 from .cache import GenerationalCache
-from .index import (
-    BruteForceIndex,
-    ClusterIndex,
-    l2_normalize_rows,
-    merge_topk,
-    _spherical_kmeans,
-)
+from .index import _spherical_kmeans, build_index, l2_normalize_rows, merge_topk
 from .metrics import ServingMetrics
-from .router import CentroidRouter, HedgePolicy, LeastOutstandingDispatcher
+from .replay import ReplayLoop
+from .router import CentroidRouter, HedgePolicy
 from .upsert import SlabUpsertProducer
 from .workload import QueryTrace
 
@@ -114,7 +94,8 @@ class ShardedIndex:
     """Shard-partitioned index with centroid routing and top-k merge.
 
     The query-plane core of the cluster, without replicas or queueing:
-    per-shard :class:`BruteForceIndex`/:class:`ClusterIndex` instances
+    per-shard :class:`~repro.serving.index.BruteForceIndex` /
+    :class:`~repro.serving.index.ClusterIndex` instances
     over member rows, a :class:`CentroidRouter` over the partition, and
     :func:`merge_topk` across the fan-out. ``fanout=None`` scans every
     shard — bit-identical to the unsharded brute-force scan.
@@ -145,12 +126,9 @@ class ShardedIndex:
 
     def _build(self, member_rows: np.ndarray, shard: int):
         kwargs = dict(self.index_kwargs)
-        if self.index_kind == "brute":
-            return BruteForceIndex(member_rows, dtype=self.dtype, **kwargs)
         if self.index_kind == "cluster":
             kwargs.setdefault("rng", np.random.default_rng(7_000 + shard))
-            return ClusterIndex(member_rows, dtype=self.dtype, **kwargs)
-        raise ValueError(f"unknown shard index kind {self.index_kind!r}")
+        return build_index(member_rows, self.index_kind, dtype=self.dtype, **kwargs)
 
     @property
     def num_shards(self) -> int:
@@ -159,11 +137,6 @@ class ShardedIndex:
     @property
     def num_vectors(self) -> int:
         return self._normed.shape[0]
-
-    @property
-    def normed(self) -> np.ndarray:
-        """The live row-normalized embedding matrix (upserts land here)."""
-        return self._normed
 
     @property
     def assignment(self) -> np.ndarray:
@@ -176,6 +149,25 @@ class ShardedIndex:
         self._normed[vertex_ids] = normed_rows
         self.indexes[shard] = self._build(vectors, shard)
         self.router.refresh_centroid(shard, normed_rows)
+
+    def route(self, query_ids: np.ndarray, fanout: int) -> np.ndarray:
+        """Top-``fanout`` shards per indexed vertex, best centroid first
+        (the vertex's own shard forced in under ``include_owner``)."""
+        owners = self.router.assignment[query_ids] if self.include_owner else None
+        return self.router.route(self._normed[query_ids], fanout, owners=owners)
+
+    def search_shard(
+        self, shard: int, query_ids: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One shard's top-``k + 1`` candidates for indexed vertices, as
+        global ids (``-1`` padded); the vertices themselves are still in
+        — :func:`merge_topk` drops them."""
+        index = self.indexes[shard]
+        idx_local, sims = index.search(
+            self._normed[query_ids], min(k + 1, index.num_vectors), normalized=True
+        )
+        members = self.router.members(shard)
+        return np.where(idx_local >= 0, members[idx_local], -1), sims
 
     def search_ids(
         self,
@@ -191,15 +183,7 @@ class ShardedIndex:
         """
         query_ids = np.asarray(query_ids, dtype=np.int64).ravel()
         k = max(1, min(k, self.num_vectors - 1))
-        if fanout is None:
-            fanout = self.num_shards
-        routed = self.router.route(
-            self._normed[query_ids],
-            fanout,
-            owners=self.router.assignment[query_ids]
-            if self.include_owner
-            else None,
-        )
+        routed = self.route(query_ids, self.num_shards if fanout is None else fanout)
         num_q = query_ids.shape[0]
         parts_ids: list[list[np.ndarray]] = [[] for _ in range(num_q)]
         parts_sims: list[list[np.ndarray]] = [[] for _ in range(num_q)]
@@ -209,16 +193,10 @@ class ShardedIndex:
         # per-request, collapsed into one pass).
         for s in range(self.num_shards):
             qsel = np.flatnonzero((routed == s).any(axis=1))
-            members = self.router.members(s)
-            if qsel.size == 0 or members.size == 0:
+            if qsel.size == 0 or self.router.members(s).size == 0:
                 continue
-            index = self.indexes[s]
-            k_eff = min(k + 1, index.num_vectors)
-            idx_local, sims = index.search(
-                self._normed[query_ids[qsel]], k_eff, normalized=True
-            )
-            scanned += index.last_rows_scanned
-            gids = np.where(idx_local >= 0, members[idx_local], -1)
+            gids, sims = self.search_shard(s, query_ids[qsel], k)
+            scanned += self.indexes[s].last_rows_scanned
             for row, q in enumerate(qsel):
                 parts_ids[q].append(gids[row])
                 parts_sims[q].append(sims[row])
@@ -276,92 +254,6 @@ class ClusterReplay:
     stats: dict[str, float] = field(default_factory=dict)
 
 
-class _Replica:
-    """One shard replica: its queue and busy horizon on the virtual clock."""
-
-    __slots__ = ("shard", "idx", "batcher", "busy_until")
-
-    def __init__(self, shard: int, idx: int, batcher: MicroBatcher):
-        self.shard = shard
-        self.idx = idx
-        self.batcher = batcher
-        self.busy_until = 0.0
-
-    def outstanding(self, now: float) -> int:
-        return len(self.batcher) + (1 if self.busy_until > now else 0)
-
-
-class _Query:
-    """One trace request fanned out over shards.
-
-    ``ctx`` is the request's :class:`~repro.obs.context.RequestContext`
-    (``None`` with obs disabled): sub-request and dispatch spans hang
-    off it so the whole fan-out is reconstructable from the request id.
-    """
-
-    __slots__ = ("qid", "k", "seq", "arrival", "subs", "dead", "ctx")
-
-    def __init__(self, qid: int, k: int, seq: int, arrival: float, ctx=None):
-        self.qid = qid
-        self.k = k
-        self.seq = seq
-        self.arrival = arrival
-        self.subs: list[_SubQuery] = []
-        self.dead = False
-        self.ctx = ctx
-
-
-class _SubQuery:
-    """The logical (query, shard) unit; may be dispatched more than once.
-
-    ``span`` is the sub-request's span under the query's context root
-    (closed at the winning completion); ``dspans`` collects one dispatch
-    span per enqueued copy so winner/lost marking can run at settle time.
-    """
-
-    __slots__ = (
-        "query", "shard", "unserviced", "best", "winner_is_hedge",
-        "ids", "sims", "data_ts", "hedge_pending", "done",
-        "span", "winner_span", "dspans",
-    )
-
-    def __init__(self, query: _Query, shard: int):
-        self.query = query
-        self.shard = shard
-        self.unserviced = 0
-        self.best: float | None = None  # earliest completion so far
-        self.winner_is_hedge = False
-        self.ids: np.ndarray | None = None
-        self.sims: np.ndarray | None = None
-        self.data_ts = 0.0  # produced_at of the slab the winner served
-        self.hedge_pending = False  # an unfired hedge trigger exists
-        self.done = False
-        self.span = None
-        self.winner_span = None
-        self.dspans: list = []
-
-    @property
-    def resolved(self) -> bool:
-        """Final: every dispatched copy serviced, no hedge still armed."""
-        return (
-            self.best is not None
-            and self.unserviced == 0
-            and not self.hedge_pending
-        )
-
-
-class _Dispatch:
-    """One enqueued copy of a sub-query on a specific replica."""
-
-    __slots__ = ("sub", "replica", "is_hedge", "span")
-
-    def __init__(self, sub: _SubQuery, replica: _Replica, is_hedge: bool):
-        self.sub = sub
-        self.replica = replica
-        self.is_hedge = is_hedge
-        self.span = None
-
-
 class ClusterServer:
     """Discrete-event sharded serving cluster (see module docstring)."""
 
@@ -397,7 +289,6 @@ class ClusterServer:
             include_owner=cfg.include_owner,
             dtype=dtype,
         )
-        self.router = self.sharded.router
         self.cache = (
             GenerationalCache(cfg.cache_capacity)
             if cfg.cache_capacity > 0
@@ -414,6 +305,10 @@ class ClusterServer:
     def num_shards(self) -> int:
         return self.sharded.num_shards
 
+    def route(self, query_id: int) -> np.ndarray:
+        """The shards one vertex's query fans out to, best centroid first."""
+        return self.sharded.route(np.array([query_id]), self.config.fanout)[0]
+
     # ------------------------------------------------------------------
     # Single-request convenience path (no queueing).
     def query(self, query_id: int, k: int = 10) -> np.ndarray:
@@ -428,14 +323,8 @@ class ClusterServer:
         )
         result = idx[0].copy()
         if self.cache is not None:
-            routed = self.router.route(
-                self.sharded.normed[[query_id]],
-                self.config.fanout,
-                owners=np.array([self.router.owner(query_id)])
-                if self.config.include_owner
-                else None,
-            )
-            self.cache.put(key, result, groups=tuple(int(s) for s in routed[0]))
+            groups = tuple(self.route(query_id).tolist())
+            self.cache.put(key, result, groups=groups)
         return result
 
     # ------------------------------------------------------------------
@@ -449,398 +338,103 @@ class ClusterServer:
         histograms (fan-out width, hedge rate, replica queue depth,
         per-shard latency, staleness, upsert lag) on the shared registry.
         """
-        from ..kernels import autotune
-
-        with autotune.planning(self.config.kernel_plan), span("cluster.trace") as sp:
-            replay = self._serve_trace(trace, collect_results=collect_results)
+        loop = _ClusterReplayLoop(self, trace, collect_results).run()
         if obs_enabled():
-            sp.set(requests=len(trace), served=replay.metrics.served)
-            obs_metrics.inc("cluster.requests", len(trace))
-            obs_metrics.inc("cluster.served", replay.metrics.served)
-            obs_metrics.inc("cluster.shed", replay.metrics.shed)
-            obs_metrics.inc("cluster.cache_hits", replay.metrics.cache_hits)
-            obs_metrics.inc("cluster.cache_misses", replay.metrics.cache_misses)
-            obs_metrics.inc("cluster.hedges", int(replay.stats["hedges"]))
-            obs_metrics.inc("cluster.hedge_wins", int(replay.stats["hedge_wins"]))
-            obs_metrics.inc("cluster.upserts", int(replay.stats["upserts_applied"]))
-        return replay
+            obs_metrics.inc("cluster.hedges", int(loop.stats["hedges"]))
+            obs_metrics.inc("cluster.hedge_wins", int(loop.stats["hedge_wins"]))
+            obs_metrics.inc("cluster.upserts", int(loop.stats["upserts_applied"]))
+        return ClusterReplay(loop.metrics, loop.shard_metrics, loop.results, loop.stats)
 
-    def _serve_trace(
-        self, trace: QueryTrace, *, collect_results: bool
-    ) -> ClusterReplay:
-        cfg = self.config
-        metrics = ServingMetrics()
-        shard_metrics = [ServingMetrics() for _ in range(self.num_shards)]
-        replicas: list[_Replica] = []
-        by_shard: list[list[_Replica]] = []
-        for s in range(self.num_shards):
-            group = [
-                _Replica(
-                    s,
-                    r,
-                    MicroBatcher(
-                        max_batch=cfg.max_batch,
-                        max_wait=cfg.max_wait,
-                        capacity=cfg.queue_capacity,
-                    ),
-                )
-                for r in range(cfg.replicas)
-            ]
-            by_shard.append(group)
-            replicas.extend(group)
-        policy = HedgePolicy(
+
+class _ClusterReplayLoop(ReplayLoop):
+    """The loop over shards x replicas, with the cluster's hooks."""
+
+    prefix = "cluster"
+
+    def __init__(self, server: ClusterServer, trace, collect_results: bool):
+        cfg = server.config
+        hedge = HedgePolicy(
             percentile=cfg.hedge_percentile,
             min_samples=cfg.hedge_min_samples,
             fallback=cfg.hedge_fallback,
-        )
-        dispatches: list[_Dispatch] = []  # Request.seq indexes this
-        hedge_heap: list[tuple[float, int, int]] = []  # (fire, tiebreak, dispatch)
-        results: dict[int, np.ndarray] | None = {} if collect_results else None
-        stats = {
-            "hedges": 0.0,
-            "hedge_wins": 0.0,
-            "hedge_dropped": 0.0,
-            "subqueries": 0.0,
-            "routed_queries": 0.0,
-            "fanout_total": 0.0,
-            "upserts_applied": 0.0,
-            "max_staleness_s": 0.0,
-        }
-        INF = float("inf")
-        i, n = 0, len(trace)
-        ids, arrivals = trace.query_ids, trace.arrivals
-        # Request-scoped tracing: one deterministic id namespace per
-        # replay, one RequestContext per admitted query while obs is on.
-        tracing = obs_enabled()
-        id_prefix = f"{obs_context.new_trace_id()}.req" if tracing else ""
-
-        def _enqueue(sub: _SubQuery, replica: _Replica, t: float, is_hedge: bool) -> bool:
-            d = _Dispatch(sub, replica, is_hedge)
-            seq = len(dispatches)
-            if not replica.batcher.offer(Request(sub.query.qid, sub.query.k, t, seq)):
-                return False
-            dispatches.append(d)
-            sub.unserviced += 1
-            ctx = sub.query.ctx
-            if ctx is not None:
-                d.span = ctx.child(
-                    "cluster.dispatch",
-                    t,
-                    parent=sub.span,
-                    shard=sub.shard,
-                    replica=replica.idx,
-                    hedge=is_hedge,
-                )
-                sub.dspans.append(d.span)
-            if obs_enabled():
-                obs_metrics.observe(
-                    "cluster.replica_queue_depth", replica.outstanding(t)
-                )
-            return True
-
-        def _finalize(q: _Query) -> None:
-            idx, _ = merge_topk(
-                [s.ids for s in q.subs],
-                [s.sims for s in q.subs],
-                q.k,
-                exclude=q.qid,
-                dtype=self.sharded.dtype,
-            )
-            completion = max(s.best for s in q.subs)
-            metrics.observe_completion(q.arrival, completion)
-            if obs_enabled():
-                obs_metrics.observe(
-                    "cluster.latency_seconds",
-                    max(completion - q.arrival, 0.0),
-                    request_id=q.ctx.request_id if q.ctx is not None else None,
-                )
-            if q.ctx is not None:
-                q.ctx.finish(completion, fanout=len(q.subs))
-            if self.cache is not None:
-                self.cache.put(
-                    (q.qid, q.k),
-                    idx,
-                    groups=tuple(s.shard for s in q.subs),
-                )
-            if results is not None:
-                results[q.seq] = idx
-
-        def _run_batch(replica: _Replica, t_start: float) -> None:
-            batch = replica.batcher.take()
-            alive = [dispatches[r.seq] for r in batch if not dispatches[r.seq].sub.query.dead]
-            for r in batch:
-                d = dispatches[r.seq]
-                if d.sub.query.dead and d.span is not None:
-                    # The query was shed after this copy was enqueued: the
-                    # copy never runs, matching a real cancellation signal.
-                    d.span.attrs["cancelled"] = True
-            if not alive:
-                return  # shed queries only: no work, no time
-            shard = replica.shard
-            index = self.sharded.indexes[shard]
-            qids = np.fromiter(
-                (d.sub.query.qid for d in alive), dtype=np.int64, count=len(alive)
-            )
-            kmax = max(d.sub.query.k for d in alive)
-            k_eff = min(kmax + 1, index.num_vectors)
-            with span("cluster.batch") as batch_sp:
-                t0 = time.perf_counter()
-                idx_local, sims = index.search(
-                    self.sharded.normed[qids], k_eff, normalized=True
-                )
-                measured = time.perf_counter() - t0
-                rows = getattr(index, "last_rows_scanned", 0)
-                if obs_enabled():
-                    batch_sp.set(shard=shard, size=len(alive), rows=rows)
-                    obs_metrics.inc("cluster.batches")
-                    obs_metrics.inc("cluster.rows_scanned", rows)
-                    obs_metrics.observe("cluster.batch_size", len(alive))
-            duration = (
-                measured
-                if self.service_model is None
-                else self.service_model(shard, replica.idx, len(alive), rows)
-            )
-            completion = t_start + duration
-            replica.busy_until = completion
-            shard_metrics[shard].batches += 1
-            shard_metrics[shard].rows_scanned += rows
-            shard_metrics[shard].service_time_total += duration
-            members = self.router.members(shard)
-            gids = np.where(idx_local >= 0, members[idx_local], -1)
-            data_ts = self.shard_loaded_at[shard]
-            for row, d in enumerate(alive):
-                sub = d.sub
-                sub.unserviced -= 1
-                if d.span is not None:
-                    d.span.t_end = completion
-                    d.span.set(
-                        queue_s=max(t_start - d.span.t_start, 0.0),
-                        service_s=duration,
-                        batch_size=len(alive),
-                    )
-                if sub.best is None or completion < sub.best:
-                    sub.best = completion
-                    sub.winner_is_hedge = d.is_hedge
-                    sub.winner_span = d.span
-                    sub.ids = gids[row]
-                    sub.sims = sims[row]
-                    sub.data_ts = data_ts
-                _settle(sub)
-
-        def _admit(qid: int, t: float, seq: int) -> None:
-            metrics.observe_arrival(t)
-            ctx = (
-                obs_context.RequestContext(
-                    obs_context.new_request_id(id_prefix), t, qid=qid, k=trace.k
-                )
-                if tracing
-                else None
-            )
-            if self.cache is not None:
-                t0 = time.perf_counter()
-                hit = self.cache.get((qid, trace.k))
-                lookup = time.perf_counter() - t0
-                if hit is not None:
-                    metrics.cache_hits += 1
-                    cost = lookup if self.service_model is None else 0.0
-                    metrics.observe_completion(t, t + cost)
-                    if ctx is not None:
-                        ctx.child("cluster.cache_hit", t, t_end=t + cost)
-                        ctx.finish(t + cost)
-                        obs_metrics.observe(
-                            "cluster.latency_seconds", cost,
-                            request_id=ctx.request_id,
-                        )
-                    elif obs_enabled():
-                        obs_metrics.observe("cluster.latency_seconds", cost)
-                    if results is not None:
-                        results[seq] = hit
-                    return
-                metrics.cache_misses += 1
-            routed = self.router.route(
-                self.sharded.normed[[qid]],
-                cfg.fanout,
-                owners=np.array([self.router.owner(qid)])
-                if cfg.include_owner
-                else None,
-            )[0]
-            if obs_enabled():
-                obs_metrics.observe("cluster.fanout_width", routed.size)
-            stats["fanout_total"] += routed.size
-            stats["routed_queries"] += 1
-            q = _Query(qid, trace.k, seq, t, ctx=ctx)
-            if ctx is not None:
-                ctx.child(
-                    "cluster.route", t, t_end=t,
-                    shards=[int(s) for s in routed],
-                )
-            for s in routed:
-                s = int(s)
-                group = by_shard[s]
-                pick = LeastOutstandingDispatcher.pick(
-                    [r.outstanding(t) for r in group]
-                )
-                sub = _SubQuery(q, s)
-                if ctx is not None:
-                    sub.span = ctx.child("cluster.subrequest", t, shard=s)
-                if not _enqueue(sub, group[pick], t, is_hedge=False):
-                    q.dead = True
-                    metrics.shed += 1
-                    if ctx is not None:
-                        ctx.finish(t, shed=True)
-                    flight_event(
-                        "cluster.shed",
-                        qid=qid,
-                        shard=s,
-                        virtual_t=t,
-                        request_id=ctx.request_id if ctx is not None else None,
-                    )
-                    return
-                q.subs.append(sub)
-                stats["subqueries"] += 1
-                if cfg.hedge and len(group) > 1:
-                    sub.hedge_pending = True
-                    heapq.heappush(
-                        hedge_heap,
-                        (
-                            t + policy.threshold(),
-                            len(dispatches) - 1,
-                            len(dispatches) - 1,
-                        ),
-                    )
-
-        def _settle(sub: _SubQuery) -> None:
-            """Resolve the sub (and maybe its query) exactly once."""
-            if sub.done or not sub.resolved:
-                return
-            sub.done = True
-            self._resolve_sub(sub, policy, shard_metrics[sub.shard], stats)
-            q = sub.query
-            if not q.dead and all(s.done for s in q.subs):
-                _finalize(q)
-
-        def _fire_hedge(t: float, d_idx: int) -> None:
-            primary = dispatches[d_idx]
-            sub = primary.sub
-            sub.hedge_pending = False
-            if sub.query.dead:
-                return
-            if sub.best is not None and sub.best <= t:
-                _settle(sub)  # answered before the trigger: no duplicate
-                return
-            group = by_shard[sub.shard]
-            others = [r for r in group if r is not primary.replica]
-            pick = LeastOutstandingDispatcher.pick(
-                [r.outstanding(t) for r in others]
-            )
-            rid = (
-                sub.query.ctx.request_id if sub.query.ctx is not None else None
-            )
-            if _enqueue(sub, others[pick], t, is_hedge=True):
-                stats["hedges"] += 1
-                flight_event(
-                    "cluster.hedge_fired",
-                    shard=sub.shard,
-                    virtual_t=t,
-                    request_id=rid,
-                    **policy.describe(),
-                )
-            else:
-                stats["hedge_dropped"] += 1
-                flight_event(
-                    "cluster.hedge_dropped",
-                    shard=sub.shard,
-                    virtual_t=t,
-                    request_id=rid,
-                )
-                _settle(sub)
-
-        while True:
-            t_arr = float(arrivals[i]) if i < n else INF
-            t_batch, batch_replica = INF, None
-            for r in replicas:
-                if len(r.batcher):
-                    tr = r.batcher.ready_time(r.busy_until)
-                    if tr < t_batch:
-                        t_batch, batch_replica = tr, r
-            t_hedge = hedge_heap[0][0] if hedge_heap else INF
-            t_next = min(t_arr, t_batch, t_hedge)
-            if t_next == INF:
-                break
-            self._apply_upserts(t_next, stats)
-            # Tie priority: batch dispatch, then hedge trigger, then
-            # arrival — matching the single server's dispatch-wins rule.
-            if t_batch <= t_hedge and t_batch <= t_arr:
-                _run_batch(batch_replica, t_batch)
-            elif t_hedge <= t_arr:
-                _, _, d_idx = heapq.heappop(hedge_heap)
-                _fire_hedge(t_hedge, d_idx)
-            else:
-                _admit(int(ids[i]), t_arr, i)
-                i += 1
-        metrics.last_completion = max(
-            [metrics.last_completion] + [r.busy_until for r in replicas]
-        )
-        stats["mean_fanout"] = (
-            stats["fanout_total"] / stats["routed_queries"]
-            if stats["routed_queries"]
-            else 0.0
-        )
-        return ClusterReplay(
-            metrics=metrics,
-            shard_metrics=shard_metrics,
-            results=results,
-            stats=stats,
+        ) if cfg.hedge else None
+        super().__init__(
+            server, trace, collect_results, num_shards=server.num_shards,
+            replicas=cfg.replicas, hedge=hedge, upserts=server.upserts,
+            loaded_at=server.shard_loaded_at,
         )
 
-    def _resolve_sub(
-        self,
-        sub: _SubQuery,
-        policy: HedgePolicy,
-        sm: ServingMetrics,
-        stats: dict[str, float],
-    ) -> None:
-        """Bookkeeping when a sub-query's fastest copy is known final."""
-        latency = max(sub.best - sub.query.arrival, 0.0)
-        policy.observe(latency)
-        sm.observe_completion(sub.query.arrival, sub.best)
-        staleness = max(sub.best - sub.data_ts, 0.0)
-        stats["max_staleness_s"] = max(stats["max_staleness_s"], staleness)
-        if sub.winner_is_hedge:
-            stats["hedge_wins"] += 1
-        # Close the sub-request span at the winning completion and mark
-        # every dispatched copy's outcome on its span.
-        if sub.span is not None:
-            sub.span.t_end = sub.best
-            for dspan in sub.dspans:
-                if dspan is sub.winner_span:
-                    dspan.attrs["winner"] = True
-                elif "cancelled" not in dspan.attrs:
-                    dspan.attrs["lost"] = True
-        if obs_enabled():
-            obs_metrics.observe(
-                f"cluster.shard.{sub.shard}.latency_seconds",
-                latency,
-                request_id=(
-                    sub.query.ctx.request_id
-                    if sub.query.ctx is not None
-                    else None
-                ),
-            )
-            obs_metrics.observe("cluster.staleness_seconds", staleness)
+    def route(self, qid):
+        shards = tuple(self.server.route(qid).tolist())
+        if self.tracing:
+            obs_metrics.observe("cluster.fanout_width", len(shards))
+        return shards
 
-    def _apply_upserts(self, now: float, stats: dict[str, float]) -> None:
-        """Swap in every slab produced at or before virtual ``now``."""
-        if self.upserts is None:
+    def search(self, shard, qids, lateness):
+        sharded = self.server.sharded
+        gids, sims = sharded.search_shard(shard, qids, self.k)
+        return gids, sims, getattr(sharded.indexes[shard], "last_rows_scanned", 0)
+
+    def model_seconds(self, replica, size, rows):
+        return self.server.service_model(replica.shard, replica.idx, size, rows)
+
+    def merge(self, query):
+        won = [s.winner for s in query.subs]
+        return merge_topk(
+            [d.run.ids[d.row] for d in won],
+            [d.run.sims[d.row] for d in won],
+            self.k,
+            exclude=query.qid,
+            dtype=self.server.sharded.dtype,
+        )[0]
+
+    def swap_shard(self, slab):
+        self.server.sharded.replace_shard(slab.shard, slab.vertex_ids, slab.vectors)
+        self.server.upserts_applied += 1
+
+    def observe_dispatch(self, replica, t):
+        obs_metrics.observe("cluster.replica_queue_depth", replica.outstanding(t))
+
+    def observe_sub(self, sub, latency, staleness):
+        obs_metrics.observe(
+            f"cluster.shard.{sub.shard}.latency_seconds",
+            latency,
+            request_id=sub.query.ctx.request_id,
+        )
+        obs_metrics.observe("cluster.staleness_seconds", staleness)
+
+    def observe_request(self, query, t_end, *, shed):
+        """The fan-out as spans: route, then one sub-request per shard
+        with one dispatch per queued copy — hedged duplicates marked
+        ``winner`` / ``lost``, copies of a shed query ``cancelled``."""
+        ctx, t = query.ctx, query.arrival
+        ctx.child("cluster.route", t, t_end=t, shards=list(query.shards))
+        for sub in query.subs:
+            sub_sp = ctx.child("cluster.subrequest", t, shard=sub.shard)
+            if sub.winner is not None:
+                sub_sp.t_end = sub.winner.run.completion
+            for d in sub.dispatches:
+                sp = ctx.child(
+                    "cluster.dispatch", d.arrival, parent=sub_sp,
+                    shard=sub.shard, replica=d.replica.idx, hedge=d.is_hedge,
+                )
+                if d.run is None:
+                    sp.attrs["cancelled"] = True
+                    continue
+                sp.t_end = d.run.completion
+                sp.set(
+                    queue_s=max(d.run.t_start - d.arrival, 0.0),
+                    service_s=d.run.duration,
+                    batch_size=d.run.size,
+                )
+                sp.attrs["winner" if d is sub.winner else "lost"] = True
+            if not sub.dispatches:
+                break  # the full queue that shed the query
+        if not shed:
+            ctx.finish(t_end, fanout=len(query.subs))
             return
-        for slab in self.upserts.pending(now):
-            self.sharded.replace_shard(slab.shard, slab.vertex_ids, slab.vectors)
-            if self.cache is not None:
-                self.cache.invalidate(group=slab.shard)
-            self.shard_loaded_at[slab.shard] = slab.produced_at
-            self.upserts_applied += 1
-            stats["upserts_applied"] += 1
-            lag = max(now - slab.produced_at, 0.0)
-            if obs_enabled():
-                obs_metrics.inc("cluster.upserts_applied")
-                obs_metrics.observe("cluster.upsert_lag_seconds", lag)
+        ctx.finish(t_end, shed=True)
+        flight_event(  # `sub` is the sub-request the loop above broke on
+            "cluster.shed", qid=query.qid, shard=sub.shard, virtual_t=t_end,
+            request_id=ctx.request_id,
+        )

@@ -1,19 +1,16 @@
 """Serving metrics: latency percentiles, throughput, hit-rate, recall.
 
 The paper reports its systems results as tables of measured quantities;
-the serving layer does the same. :class:`LatencyHistogram` keeps raw
-samples and computes exact percentiles (linear interpolation, matching
-``np.percentile``'s default), so the p50/p95/p99 columns are testable
+the serving layer does the same. Latencies are kept as raw samples in a
+:class:`repro.obs.metrics.LatencyHistogram` (exact percentiles, linear
+interpolation, matching ``np.percentile``'s default — the one histogram
+implementation in the repo), so the p50/p95/p99 columns are testable
 against the numpy oracle rather than approximations from fixed buckets.
-
-The histogram implementation lives in :mod:`repro.obs.metrics` (the
-cross-cutting observability layer grew out of it); it is re-exported
-here so the serving API is unchanged. Per-request latencies are also
-mirrored into the obs registry (``serve.latency_seconds`` for the
-single server, ``cluster.latency_seconds`` and
-``cluster.shard.<s>.latency_seconds`` for the cluster) so SLO rules and
-bench records read the same samples this report summarizes — there is
-exactly one histogram implementation in the repo.
+Per-request latencies are also mirrored into the obs registry
+(``serve.latency_seconds`` for the single server,
+``cluster.latency_seconds`` and ``cluster.shard.<s>.latency_seconds``
+for the cluster) so SLO rules and bench records read the same samples
+this report summarizes.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass, field
 
 from ..obs.metrics import LatencyHistogram
 
-__all__ = ["LatencyHistogram", "ServingMetrics"]
+__all__ = ["ServingMetrics"]
 
 
 @dataclass

@@ -52,10 +52,6 @@ class CentroidRouter:
         """Global vertex ids owned by ``shard`` (sorted)."""
         return self._members[shard]
 
-    def owner(self, vertex: int) -> int:
-        """The shard that owns ``vertex``."""
-        return int(self.assignment[vertex])
-
     @property
     def nonempty_shards(self) -> int:
         """Shards that actually own vertices (routable)."""

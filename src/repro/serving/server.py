@@ -1,12 +1,14 @@
 """The embedding query server: index + micro-batcher + cache + metrics.
 
-:class:`EmbeddingServer` replays a request trace through a discrete-event
-loop: arrivals come from the trace's (virtual) clock, service times are
-either *measured* around the real index kernels (honest wall-clock cost,
-the benchmark mode) or supplied by a deterministic ``service_model``
-(the unit-test mode). Queueing, micro-batch formation, load shedding and
-deadline-based degradation all happen on the virtual clock, so overload
-behavior is reproducible while compute cost stays real.
+:class:`EmbeddingServer` replays a request trace on the shared
+discrete-event loop (:mod:`repro.serving.replay`) as its smallest
+topology: one shard wrapping the prebuilt index, one replica, fan-out 1.
+Service times are either *measured* around the real index kernels
+(honest wall-clock cost, the benchmark mode) or supplied by a
+deterministic ``service_model`` (the unit-test mode). Queueing,
+micro-batch formation, load shedding and deadline-based degradation all
+happen on the replay clock, so overload behavior is reproducible while
+compute cost stays real.
 
 Overload handling, in order of escalation:
 
@@ -22,20 +24,16 @@ Overload handling, in order of escalation:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ..obs import is_enabled as obs_enabled
-from ..obs import metrics as obs_metrics
-from ..obs import context as obs_context
 from ..obs.trace import span
-from .batcher import MicroBatcher, Request
 from .cache import GenerationalCache
 from .index import BruteForceIndex, ClusterIndex, build_index
 from .metrics import ServingMetrics
+from .replay import ReplayLoop
 from .workload import QueryTrace
 
 __all__ = ["ServerConfig", "TraceReplay", "EmbeddingServer"]
@@ -63,6 +61,7 @@ class TraceReplay:
     metrics: ServingMetrics
     results: dict[int, np.ndarray] | None = None  # trace seq -> top-k ids
     batch_stats: dict[str, float] = field(default_factory=dict)
+    stats: dict[str, float] = field(default_factory=dict)  # the loop's
 
 
 class EmbeddingServer:
@@ -116,10 +115,13 @@ class EmbeddingServer:
                 num_clusters=self.index.num_clusters,
                 probes=self.index.default_probes,
                 rng=np.random.default_rng(0),
+                dtype=self.index.dtype,
             )
         else:
             self.index = BruteForceIndex(
-                embeddings, chunk_size=self.index.chunk_size
+                embeddings,
+                chunk_size=self.index.chunk_size,
+                dtype=self.index.dtype,
             )
         if self.cache is not None:
             self.cache.invalidate()
@@ -133,180 +135,73 @@ class EmbeddingServer:
         """Replay ``trace`` through the event loop; return metrics.
 
         With :mod:`repro.obs` enabled, the replay records one
-        ``serve.trace`` span with a ``serve.batch`` child per dispatched
-        batch (the index scan itself under ``serve.search``), plus
-        admission/cache/shed counters on the shared registry. Every
-        request additionally gets its own
-        :class:`~repro.obs.context.RequestContext` span tree (queue wait
-        then batch service on the virtual clock), and its latency sample
-        carries the request id into the tail-exemplar reservoir — so any
-        slow request in the exported document is reconstructable by id.
+        ``serve.trace`` span with a ``serve.batch`` child per batch (the
+        scan under ``serve.search``), the ``serve.*`` counters, and per
+        request a :class:`~repro.obs.context.RequestContext` tree (queue
+        wait, then batch service, on the replay clock) whose id rides its
+        latency sample into the tail-exemplar reservoir.
         """
-        # Scope the kernel plan mode to this replay's compute (the
-        # index's similarity gemms resolve through the plan cache when
-        # kernel_plan="auto"); concurrent code keeps its own mode.
-        from ..kernels import autotune
-
-        with autotune.planning(self.config.kernel_plan), span("serve.trace") as sp:
-            replay = self._serve_trace(trace, collect_results=collect_results)
-        if obs_enabled():
-            sp.set(requests=len(trace), served=replay.metrics.served)
-            obs_metrics.inc("serve.requests", len(trace))
-            obs_metrics.inc("serve.served", replay.metrics.served)
-            obs_metrics.inc("serve.shed", replay.metrics.shed)
-            obs_metrics.inc("serve.cache_hits", replay.metrics.cache_hits)
-            obs_metrics.inc("serve.cache_misses", replay.metrics.cache_misses)
-        return replay
-
-    def _serve_trace(
-        self, trace: QueryTrace, *, collect_results: bool = False
-    ) -> TraceReplay:
-        cfg = self.config
-        metrics = ServingMetrics()
-        batcher = MicroBatcher(
-            max_batch=cfg.max_batch,
-            max_wait=cfg.max_wait,
-            capacity=cfg.queue_capacity,
-        )
-        results: dict[int, np.ndarray] | None = (
-            {} if collect_results else None
-        )
-        # Request-scoped tracing: one deterministic id namespace per
-        # replay, one RequestContext per arrival while obs is enabled.
-        tracing = obs_enabled()
-        id_prefix = f"{obs_context.new_trace_id()}.req" if tracing else ""
-        busy_until = 0.0
-        i, n = 0, len(trace)
-        ids, arrivals = trace.query_ids, trace.arrivals
-        while i < n or len(batcher):
-            if len(batcher):
-                t_start = batcher.ready_time(busy_until)
-                # Dispatch if no future arrival precedes the batch start.
-                if i >= n or t_start <= arrivals[i]:
-                    busy_until = self._run_batch(
-                        batcher, t_start, metrics, results
-                    )
-                    continue
-            qid, t = int(ids[i]), float(arrivals[i])
-            seq = i
-            i += 1
-            metrics.observe_arrival(t)
-            ctx = (
-                obs_context.RequestContext(
-                    obs_context.new_request_id(id_prefix), t, qid=qid, k=trace.k
-                )
-                if tracing
-                else None
-            )
-            if self.cache is not None:
-                t0 = time.perf_counter()
-                hit = self.cache.get((qid, trace.k))
-                lookup = time.perf_counter() - t0
-                if hit is not None:
-                    metrics.cache_hits += 1
-                    cost = (
-                        lookup if self.service_model is None else 0.0
-                    )
-                    metrics.observe_completion(t, t + cost)
-                    if ctx is not None:
-                        ctx.child("serve.cache_hit", t, t_end=t + cost)
-                        ctx.finish(t + cost)
-                        obs_metrics.observe(
-                            "serve.latency_seconds", cost,
-                            request_id=ctx.request_id,
-                        )
-                    if results is not None:
-                        results[seq] = hit
-                    continue
-                metrics.cache_misses += 1
-            if not batcher.offer(Request(qid, trace.k, t, seq, ctx=ctx)):
-                metrics.shed += 1
-                if ctx is not None:
-                    ctx.finish(t, shed=True)
-        metrics.last_completion = max(metrics.last_completion, busy_until)
+        loop = _ServerReplay(self, trace, collect_results).run()
+        # The one shard is the server: its batch counters are the run's.
+        metrics, shard = loop.metrics, loop.shard_metrics[0]
+        metrics.batches = shard.batches
+        metrics.degraded_batches = shard.degraded_batches
+        metrics.rows_scanned = shard.rows_scanned
+        metrics.service_time_total = shard.service_time_total
         return TraceReplay(
             metrics=metrics,
-            results=results,
-            batch_stats=batcher.stats.as_dict(),
+            results=loop.results,
+            batch_stats=loop.replicas[0].batcher.stats.as_dict(),
+            stats=loop.stats,
         )
 
-    def _effective_probes(
-        self, lateness: float, metrics: ServingMetrics
-    ) -> int | None:
-        """Degraded probe count for a late batch (ANN indexes only)."""
+    def _effective_probes(self, lateness: float) -> int | None:
+        """Probe count for a batch whose head waited ``lateness`` seconds
+        (``None`` for an exact index): halved per deadline overrun."""
         if not isinstance(self.index, ClusterIndex):
             return None
         base = self.index.default_probes
         if self.config.deadline is None or lateness <= self.config.deadline:
             return base
         halvings = min(int(lateness / self.config.deadline), 16)
-        effective = max(self.config.min_probes, base >> halvings)
-        if effective < base:
-            metrics.degraded_batches += 1
-        return effective
+        return max(self.config.min_probes, base >> halvings)
 
-    def _run_batch(
-        self,
-        batcher: MicroBatcher,
-        t_start: float,
-        metrics: ServingMetrics,
-        results: dict[int, np.ndarray] | None,
-    ) -> float:
-        """Serve one batch at virtual time ``t_start``; return busy-until."""
-        batch = batcher.take()
-        metrics.batches += 1
-        lateness = t_start - batch[0].arrival
-        probes = self._effective_probes(lateness, metrics)
-        qids = np.fromiter(
-            (r.query_id for r in batch), dtype=np.int64, count=len(batch)
+
+class _ServerReplay(ReplayLoop):
+    """The loop's smallest topology, with the single server's hooks."""
+
+    prefix = "serve"
+
+    def search(self, shard, qids, lateness):
+        index = self.server.index
+        probes = self.server._effective_probes(lateness)
+        with span("serve.search"):
+            if probes is None:
+                idx, sims = index.search_ids(qids, self.k)
+            else:
+                idx, sims = index.search_ids(qids, self.k, probes=probes)
+                if probes < index.default_probes:
+                    self.shard_metrics[shard].degraded_batches += 1
+        return idx, sims, getattr(index, "last_rows_scanned", 0)
+
+    def model_seconds(self, replica, size, rows):
+        return self.server.service_model(size, rows)
+
+    def merge(self, query):
+        # search_ids already left the query vertex out: nothing to merge.
+        won = query.subs[0].winner
+        return won.run.ids[won.row, : self.k].copy()
+
+    def observe_request(self, query, t_end, *, shed):
+        ctx = query.ctx
+        if shed:
+            ctx.finish(t_end, shed=True)
+            return
+        run = query.subs[0].winner.run
+        if run.t_start > query.arrival:
+            ctx.child("serve.queue", query.arrival, t_end=run.t_start)
+        ctx.child(
+            "serve.service", run.t_start, t_end=run.completion,
+            size=run.size, rows=run.rows,
         )
-        kmax = max(r.k for r in batch)
-        with span("serve.batch") as batch_sp:
-            with span("serve.search"):
-                t0 = time.perf_counter()
-                if probes is None:
-                    idx, _ = self.index.search_ids(qids, kmax)
-                else:
-                    idx, _ = self.index.search_ids(qids, kmax, probes=probes)
-                measured = time.perf_counter() - t0
-            rows = getattr(self.index, "last_rows_scanned", 0)
-            if obs_enabled():
-                batch_sp.set(size=len(batch), rows=rows, lateness=lateness)
-                obs_metrics.inc("serve.batches")
-                obs_metrics.inc("serve.rows_scanned", rows)
-                obs_metrics.observe("serve.batch_size", len(batch))
-        duration = (
-            measured
-            if self.service_model is None
-            else self.service_model(len(batch), rows)
-        )
-        completion = t_start + duration
-        metrics.rows_scanned += rows
-        metrics.service_time_total += duration
-        # Hoisted out of the per-request loop: one histogram lookup per
-        # batch instead of one guarded observe() per request.
-        latency_hist = (
-            obs_metrics.get_registry().histogram("serve.latency_seconds")
-            if obs_enabled()
-            else None
-        )
-        for row, req in zip(idx, batch):
-            answer = row[: req.k].copy()
-            metrics.observe_completion(req.arrival, completion)
-            if req.ctx is not None:
-                if t_start > req.arrival:
-                    req.ctx.child("serve.queue", req.arrival, t_end=t_start)
-                req.ctx.child(
-                    "serve.service", t_start, t_end=completion,
-                    size=len(batch), rows=rows,
-                )
-                req.ctx.finish(completion)
-                if latency_hist is not None:
-                    latency = completion - req.arrival
-                    latency_hist.record(latency)
-                    latency_hist.record_exemplar(latency, req.ctx.request_id)
-            if results is not None:
-                results[req.seq] = answer
-            if self.cache is not None:
-                self.cache.put((req.query_id, req.k), answer)
-        return completion
+        ctx.finish(t_end)

@@ -195,23 +195,17 @@ class TestGuardedHelpers:
 
 class TestServingCompat:
     def test_latency_histogram_is_shared_implementation(self):
-        from repro.obs.metrics import LatencyHistogram as obs_lh
-        from repro.serving.metrics import LatencyHistogram as serving_lh
+        from repro.obs.metrics import LatencyHistogram
+        from repro.serving.metrics import ServingMetrics
 
-        assert obs_lh is serving_lh
-        assert issubclass(obs_lh, Histogram)
+        assert type(ServingMetrics().latency) is LatencyHistogram
+        assert issubclass(LatencyHistogram, Histogram)
 
     def test_latency_rejects_negative(self):
         from repro.obs.metrics import LatencyHistogram
 
         with pytest.raises(ValueError):
             LatencyHistogram().record(-0.001)
-
-    def test_serving_metrics_reexported_both_ways(self):
-        from repro.obs.metrics import ServingMetrics as via_obs
-        from repro.serving.metrics import ServingMetrics as via_serving
-
-        assert via_obs is via_serving
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
-from repro.serving.batcher import MicroBatcher, Request
+from repro.serving.batcher import MicroBatcher
 
 
-def req(seq, arrival=0.0, k=10):
-    return Request(query_id=seq, k=k, arrival=arrival, seq=seq)
+def req(seq, arrival=0.0):
+    # The batcher reads `arrival` only; `seq` is for the assertions.
+    return types.SimpleNamespace(seq=seq, arrival=arrival)
 
 
 class TestMicroBatcher:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serving.cache import GenerationalCache, LRUCache
+from repro.serving.cache import GenerationalCache
 
 
 class TestLRUCache:
     def test_basic_put_get(self):
-        cache = LRUCache(4)
+        cache = GenerationalCache(4)
         cache.put(("q", 10), "value")
         assert cache.get(("q", 10)) == "value"
         assert cache.get(("other", 10)) is None
@@ -17,7 +17,7 @@ class TestLRUCache:
         assert cache.misses == 1
 
     def test_lru_eviction_order(self):
-        cache = LRUCache(2)
+        cache = GenerationalCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh "a" — "b" is now LRU
@@ -28,7 +28,7 @@ class TestLRUCache:
         assert len(cache) == 2
 
     def test_put_refreshes_recency(self):
-        cache = LRUCache(2)
+        cache = GenerationalCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)  # overwrite refreshes "a"
@@ -37,7 +37,7 @@ class TestLRUCache:
         assert cache.get("a") == 10
 
     def test_invalidate_clears_and_bumps_generation(self):
-        cache = LRUCache(4)
+        cache = GenerationalCache(4)
         cache.put("a", 1)
         cache.invalidate()
         assert cache.get("a") is None
@@ -46,7 +46,7 @@ class TestLRUCache:
         assert cache.get("a") == 2
 
     def test_hit_rate(self):
-        cache = LRUCache(4)
+        cache = GenerationalCache(4)
         assert cache.hit_rate == 0.0
         cache.put("a", 1)
         cache.get("a")
@@ -56,10 +56,10 @@ class TestLRUCache:
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            LRUCache(0)
+            GenerationalCache(0)
 
     def test_stats_dict(self):
-        cache = LRUCache(2)
+        cache = GenerationalCache(2)
         cache.put("a", 1)
         cache.get("a")
         cache.get("b")
@@ -71,10 +71,6 @@ class TestLRUCache:
 
 
 class TestKeyedGenerations:
-    def test_lrucache_is_generational_cache(self):
-        # The single-node server's import keeps working.
-        assert LRUCache is GenerationalCache
-
     def test_group_invalidation_kills_only_stamped_entries(self):
         cache = GenerationalCache(8)
         cache.put("a", 1, groups=(0,))

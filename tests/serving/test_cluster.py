@@ -273,7 +273,15 @@ class TestStreamingUpserts:
         cache = server.cache
         cache.put("a", 1, groups=(0,))
         cache.put("b", 2, groups=(3,))
-        server._apply_upserts(now=0.0, stats={"upserts_applied": 0})
+        # One request at t=0.5: shard 0's slab (produced at t=0) is due
+        # before it, shard 1's (t=1.0) and the later ones are not.
+        trace = QueryTrace(
+            query_ids=np.array([7]), arrivals=np.array([0.5]), k=8, skew=0.0
+        )
+        replay = server.serve_trace(trace)
+        assert replay.stats["upserts_applied"] == 1
+        assert server.shard_loaded_at == [0.0, 0.0, 0.0, 0.0]
+        assert cache.group_generation(0) == 1
         assert cache.get("a") is None  # shard 0 slab landed at t=0
         assert cache.get("b") == 2
 

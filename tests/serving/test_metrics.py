@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serving.metrics import LatencyHistogram, ServingMetrics
+from repro.obs.metrics import LatencyHistogram
+from repro.serving.metrics import ServingMetrics
 
 
 class TestLatencyHistogram:

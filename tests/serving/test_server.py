@@ -178,6 +178,26 @@ class TestCacheIntegration:
         assert server.index.num_clusters == 6
         assert server.index.default_probes == 3
 
+    @pytest.mark.parametrize(
+        "kind, kwargs",
+        [("brute", {}), ("cluster", {"num_clusters": 6, "probes": 3})],
+    )
+    def test_refresh_keeps_index_dtype(self, rng, kind, kwargs):
+        # A float32 index used to come back float64 from the first
+        # refresh: twice the memory and another kernel shape class.
+        server = EmbeddingServer(
+            rng.standard_normal((60, 6)),
+            index=kind,
+            index_kwargs={"dtype": np.float32, **kwargs},
+        )
+        server.refresh_embeddings(rng.standard_normal((60, 6)))
+        assert server.index.dtype == np.float32
+        assert server.index._normed.dtype == np.float32
+        assert server.refreshes == 1
+        if kind == "cluster":
+            assert server.index.num_clusters == 6
+            assert server.index.default_probes == 3
+
 
 class TestResultsAndRecall:
     def test_collect_results_matches_exact(self, embeddings):
