@@ -3,8 +3,8 @@
 Section VII: "We will extend the parallel sampler implementation to
 support a wider class of sampling algorithms, so as to make our model more
 generic." This example implements a *custom* sampler — degree-weighted
-node sampling with a locality boost — against the public
-:class:`~repro.sampling.GraphSampler` interface and plugs it into the
+node sampling with a locality boost — on the public
+:class:`~repro.sampling.GraphSampler` draw hook and plugs it into the
 unmodified trainer, then compares it with the built-in frontier sampler.
 
 Usage::
@@ -17,13 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro import GraphSamplingTrainer, TrainConfig, make_dataset
-from repro.sampling import GraphSampler, SampledSubgraph
+from repro.sampling import GraphSampler
 
 
 class DegreeWeightedNodeSampler(GraphSampler):
     """Sample seed vertices proportional to degree, then add one random
     neighbor per seed (a cheap locality boost so the induced subgraph is
     not edge-starved)."""
+
+    tag = "degree_weighted"
 
     def __init__(self, graph, *, budget: int) -> None:
         super().__init__(graph)
@@ -33,7 +35,7 @@ class DegreeWeightedNodeSampler(GraphSampler):
         deg = graph.degrees.astype(np.float64)
         self._probs = deg / deg.sum()
 
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
+    def _draw(self, rng: np.random.Generator):
         seeds = rng.choice(
             self.graph.num_vertices,
             size=self.budget // 2,
@@ -41,13 +43,9 @@ class DegreeWeightedNodeSampler(GraphSampler):
             p=self._probs,
         )
         companions = self.graph.random_neighbors(seeds, rng)
-        vertices = np.concatenate([seeds, companions])
-        subgraph, vertex_map = self.graph.induced_subgraph(vertices)
-        return SampledSubgraph(
-            graph=subgraph,
-            vertex_map=vertex_map,
-            stats={"unique_vertices": float(vertex_map.size)},
-        )
+        # Visited vertices, no extra stats, no metering: the base class
+        # induces the subgraph and the pool prices it by its size.
+        return np.concatenate([seeds, companions]), {}, None
 
 
 def train_with(name: str, dataset, sampler=None) -> None:
@@ -81,8 +79,8 @@ def main() -> None:
         sampler=lambda g: DegreeWeightedNodeSampler(g, budget=240),
     )
     print(
-        "\nAny object with `.sample(rng) -> SampledSubgraph` drops into the"
-        "\ntrainer; the scheduler, cost accounting and evaluation are reused."
+        "\nA GraphSampler subclass with a `_draw(rng)` hook drops into the"
+        "\ntrainer; the pool, cost accounting and evaluation are reused."
     )
 
 

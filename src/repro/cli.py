@@ -1045,14 +1045,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="train-bench: subgraphs kept sampled ahead of the trainer "
-        "(0 disables the pipeline)",
+        "(0 samples inline; same subgraphs either way)",
     )
     parser.add_argument(
         "--prefetch-workers",
         type=int,
         default=1,
-        help="train-bench: prefetch producers (1 = background thread, "
-        ">1 = process pool)",
+        help="train-bench: sampler instances filling the pool "
+        "(1 = background thread, >1 = process pool)",
     )
     parser.add_argument(
         "--repeats",

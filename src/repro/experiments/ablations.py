@@ -38,11 +38,10 @@ from ..sampling.dashboard import DashboardFrontierSampler
 from ..sampling.extra import (
     ForestFireSampler,
     MetropolisHastingsWalkSampler,
-    RandomEdgeSampler,
     RandomNodeSampler,
-    RandomWalkSampler,
     SnowballSampler,
 )
+from ..sampling.zoo import make_sampler
 from ..train.config import TrainConfig
 from ..train.trainer import GraphSamplingTrainer
 from .common import EXPERIMENT_SCALES, format_table
@@ -318,10 +317,8 @@ def run_sampler_comparison(
             engine="reference",
         ),
         "random_node": RandomNodeSampler(g, budget=budget),
-        "random_edge": RandomEdgeSampler(g, budget=budget),
-        "random_walk": RandomWalkSampler(
-            g, num_roots=max(budget // 8, 4), walk_length=7
-        ),
+        "random_edge": make_sampler("edge", g, budget=budget),
+        "random_walk": make_sampler("rw", g, budget=budget, walk_depth=7),
         "mh_walk": MetropolisHastingsWalkSampler(
             g, num_roots=max(budget // 8, 4), walk_length=7
         ),

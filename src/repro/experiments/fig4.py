@@ -15,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.datasets import make_dataset
-from ..parallel.costmodel import parallel_time
 from ..parallel.machine import MachineSpec, xeon_40core
-from ..sampling.cost import simulated_sampler_time
+from ..sampling.cost import pool_fill_times, simulated_sampler_time
 from ..sampling.dashboard import DashboardFrontierSampler
 from .common import EXPERIMENT_SCALES, format_table
 
@@ -68,28 +67,14 @@ def run(
 
         # Panel A: throughput speedup of p_inter concurrent instances
         # (AVX on) vs one instance (AVX on).
-        base_costs = [
-            simulated_sampler_time(s, machine, p_intra=8, contention_factor=1.0)
-            for s in stats
-        ]
-        serial_rate = len(base_costs) / sum(base_costs)
+        serial_rate = len(stats) / sum(
+            pool_fill_times(stats, machine, instances=1, p_intra=8)
+        )
         for p in p_inter_list:
-            contention = machine.sampler_contention_factor(p)
-            costs = [
-                simulated_sampler_time(s, machine, p_intra=8, contention_factor=contention)
-                for s in stats
-            ]
-            # Steady-state throughput: full refill batches of exactly
-            # p_inter instances (subgraphs are i.i.d., so cycling the
-            # measured costs to fill a batch is unbiased).
-            fills = 3
-            makespan = 0.0
-            produced = 0
-            for fill in range(fills):
-                batch = [costs[(fill * p + i) % len(costs)] for i in range(p)]
-                makespan += parallel_time(batch, min(p, machine.num_cores))
-                produced += p
-            rate = produced / makespan
+            # Steady-state throughput: three full refill batches of
+            # exactly p_inter instances.
+            fills = pool_fill_times(stats, machine, instances=p, p_intra=8, fills=3)
+            rate = len(fills) * p / sum(fills)
             rows_a.append(
                 {
                     "dataset": name,

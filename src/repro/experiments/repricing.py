@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.speedup import gemm_simulated_time
-from ..parallel.costmodel import parallel_time
 from ..parallel.machine import MachineSpec
-from ..sampling.cost import simulated_sampler_time
+from ..sampling.cost import pool_fill_times
 from ..train.trainer import IterationMetrics
 
 __all__ = ["phase_times_per_iteration", "iteration_time", "speedup_table"]
@@ -40,29 +39,12 @@ def phase_times_per_iteration(
         raise ValueError("no iteration metrics to price")
     if cores <= 0:
         raise ValueError("cores must be positive")
-    contention = machine.sampler_contention_factor(cores)
-    samp_costs = [
-        simulated_sampler_time(
-            m.sampler_stats, machine, p_intra=p_intra, contention_factor=contention
-        )
-        for m in metrics
-    ]
     # Pool fills of exactly `cores` subgraphs (Algorithm 5: one sampler
     # instance per core); per-iteration time = fill makespan / batch size.
-    # Batches are built cyclically from the measured costs so the steady
-    # state is priced even when fewer iterations than cores were metered
-    # (subgraphs are i.i.d., so cycling is unbiased).
-    fill_size = max(cores, 1)
-    fills = max(1, -(-len(samp_costs) // fill_size))
-    per_fill: list[float] = []
-    for fill in range(fills):
-        batch = [
-            samp_costs[(fill * fill_size + i) % len(samp_costs)]
-            for i in range(fill_size)
-        ]
-        makespan = parallel_time(batch, min(cores, machine.num_cores))
-        per_fill.append(makespan / fill_size)
-    sampling = float(np.mean(per_fill))
+    fill_times = pool_fill_times(
+        [m.sampler_stats for m in metrics], machine, instances=cores, p_intra=p_intra
+    )
+    sampling = float(np.mean([t / cores for t in fill_times]))
 
     featprop = float(
         np.mean(

@@ -1,9 +1,9 @@
 """Graph samplers: frontier (serial + Dashboard), the GraphSAINT zoo
 (random-walk / edge / independent-edge with normalization coefficients),
-scheduler, prefetch pipeline, extensions."""
+the subgraph pool, extensions."""
 
 from .alias import AliasTable, dynamic_sampling_cost
-from .base import GraphSampler, SampledSubgraph
+from .base import ENGINES, GraphSampler, SampledSubgraph
 from .estimators import (
     degree_biased_visits,
     estimate_degree_distribution,
@@ -11,6 +11,7 @@ from .estimators import (
     estimate_vertex_mean,
 )
 from .cost import (
+    pool_fill_times,
     probe_rounds_expected,
     sampler_cost_eq2,
     serial_sampler_cost,
@@ -18,22 +19,14 @@ from .cost import (
     theorem1_max_processors,
     theorem1_speedup_bound,
 )
-from .dashboard import ENGINES, Dashboard, DashboardFrontierSampler
+from .dashboard import Dashboard, DashboardFrontierSampler
 from .edge import DegreeWeightedEdgeSampler
 from .edge_indp import IndependentEdgeSampler
 from .extra import (
     ForestFireSampler,
     MetropolisHastingsWalkSampler,
-    RandomEdgeSampler,
     RandomNodeSampler,
-    RandomWalkSampler,
     SnowballSampler,
-)
-from .mp_pool import ParallelSamplerPool, sample_batch_parallel
-from .pipeline import (
-    PrefetchingSubgraphPool,
-    PrefetchStats,
-    SubgraphPrefetcher,
 )
 from .parallel_sim import (
     CleanupEvent,
@@ -52,15 +45,13 @@ from .norm import (
     loss_weights_from_probs,
 )
 from .rw import RandomWalkBatchSampler
-from .scheduler import PoolFill, SubgraphPool
+from .scheduler import PrefetchStats, SubgraphPool
 from .zoo import FAMILIES, make_sampler, norm_coefficients
 
 __all__ = [
     "GraphSampler",
     "ENGINES",
     "PrefetchStats",
-    "SubgraphPrefetcher",
-    "PrefetchingSubgraphPool",
     "AliasTable",
     "dynamic_sampling_cost",
     "degree_biased_visits",
@@ -84,10 +75,7 @@ __all__ = [
     "empirical_coefficients",
     "loss_weights_from_probs",
     "SubgraphPool",
-    "PoolFill",
     "RandomNodeSampler",
-    "RandomEdgeSampler",
-    "RandomWalkSampler",
     "ForestFireSampler",
     "MetropolisHastingsWalkSampler",
     "SnowballSampler",
@@ -96,8 +84,7 @@ __all__ = [
     "SamplerReplay",
     "record_replay",
     "simulate_replay",
-    "ParallelSamplerPool",
-    "sample_batch_parallel",
+    "pool_fill_times",
     "sampler_cost_eq2",
     "serial_sampler_cost",
     "simulated_sampler_time",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..parallel.costmodel import parallel_time
 from ..parallel.machine import MachineSpec
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "theorem1_max_processors",
     "probe_rounds_expected",
     "simulated_sampler_time",
+    "pool_fill_times",
 ]
 
 
@@ -152,6 +154,54 @@ def simulated_sampler_time(
     private_time = stats.get("private_mem_ops", 0.0) * machine.cost_mem
     rand_time = (stats.get("rand_ops", 0.0) - probes) * machine.cost_rand
     return probe_time + update_time + shared_time + private_time + max(rand_time, 0.0)
+
+
+def pool_fill_times(
+    stats: list[dict[str, float]],
+    machine: MachineSpec,
+    *,
+    instances: int,
+    p_intra: int = 1,
+    fills: int | None = None,
+) -> list[float]:
+    """Modeled makespan of each pool fill by ``instances`` sampler instances.
+
+    Algorithm 5 refills the pool with ``instances`` sampler instances
+    running together, one subgraph each: every instance pays the
+    machine's memory-contention factor at that occupancy, and a fill
+    takes the LPT makespan of its batch on ``min(instances, num_cores)``
+    cores. Divide a fill's makespan by ``instances`` for the amortized
+    per-subgraph sampling time a training iteration sees.
+
+    ``stats`` are the ``SampledSubgraph.stats`` dicts of the subgraphs
+    drawn so far; fill ``k`` takes subgraphs ``k * instances`` onward,
+    cycling through ``stats`` — subgraphs are i.i.d., so cycling is
+    unbiased and prices the steady state even from fewer metered
+    subgraphs than instances. Unmetered samplers (no counter keys) are
+    charged their reported ``distribution_work``, else their subgraph
+    size. ``fills`` defaults to one pass over ``stats``.
+    """
+    if not stats:
+        raise ValueError("no sampler stats to price")
+    contention = machine.sampler_contention_factor(instances)
+    costs = [
+        simulated_sampler_time(
+            s, machine, p_intra=p_intra, contention_factor=contention
+        )
+        if "vector_elements" in s
+        else s.get("distribution_work", s["unique_vertices"])
+        for s in stats
+    ]
+    if fills is None:
+        fills = -(-len(costs) // instances)
+    cores = min(instances, machine.num_cores)
+    return [
+        parallel_time(
+            [costs[(k * instances + i) % len(costs)] for i in range(instances)],
+            cores,
+        )
+        for k in range(fills)
+    ]
 
 
 def _rescale_chunks(

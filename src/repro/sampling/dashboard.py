@@ -65,18 +65,14 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
-from ..obs.trace import span
 from ..parallel.costmodel import CostCounter
-from .base import GraphSampler, SampledSubgraph
+from .base import ENGINES, GraphSampler
 
 __all__ = ["ENGINES", "Dashboard", "DashboardFrontierSampler"]
 
 INV = -1  # INValid marker for DB slot 0 and IA entries
 _PROBE_BATCH = 16  # reference-engine probe draws per buffer refill
 _FAST_MIN_BLOCK = 64  # smallest vectorized probe block of the fast engine
-
-#: Valid values of ``DashboardFrontierSampler(engine=...)``.
-ENGINES = ("fast", "reference")
 
 
 class Dashboard:
@@ -454,6 +450,8 @@ class DashboardFrontierSampler(GraphSampler):
         negligible distributional effect.
     """
 
+    tag = "dashboard"
+
     def __init__(
         self,
         graph: CSRGraph,
@@ -466,7 +464,7 @@ class DashboardFrontierSampler(GraphSampler):
         engine: str = "fast",
         round_pops: int | None = None,
     ) -> None:
-        super().__init__(graph)
+        super().__init__(graph, engine=engine, vector_lanes=vector_lanes)
         if frontier_size <= 0:
             raise ValueError("frontier_size must be positive")
         if budget < frontier_size:
@@ -477,21 +475,13 @@ class DashboardFrontierSampler(GraphSampler):
             raise ValueError("eta must exceed 1")
         if max_entries_per_vertex is not None and max_entries_per_vertex < 1:
             raise ValueError("max_entries_per_vertex must be >= 1")
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         if round_pops is not None and round_pops < 1:
             raise ValueError("round_pops must be >= 1 when set")
-        if np.any(graph.degrees == 0):
-            raise ValueError(
-                "frontier sampling requires min degree >= 1; "
-                "preprocess with ensure_min_degree"
-            )
+        self._require_min_degree()
         self.frontier_size = frontier_size
         self.budget = budget
         self.eta = eta
         self.max_entries_per_vertex = max_entries_per_vertex
-        self.vector_lanes = vector_lanes
-        self.engine = engine
         self.round_pops = round_pops
 
     def _entries_for(self, vertex: int) -> int:
@@ -521,15 +511,15 @@ class DashboardFrontierSampler(GraphSampler):
         # maximal append, else the very first add() could overflow.
         return max(cap, initial_entries + max_alloc)
 
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
-        with span("sampler.dashboard") as sp:
-            return self._sample(rng, sp)
+    def _draw_fast(self, rng: np.random.Generator):
+        return self._draw_with(self._run_fast, rng)
 
-    def _sample(self, rng: np.random.Generator, sp) -> SampledSubgraph:
-        graph = self.graph
+    def _draw_reference(self, rng: np.random.Generator):
+        return self._draw_with(self._run_reference, rng)
+
+    def _draw_with(self, run, rng: np.random.Generator):
         m = self.frontier_size
-
-        frontier = rng.choice(graph.num_vertices, size=m, replace=False)
+        frontier = rng.choice(self.graph.num_vertices, size=m, replace=False)
         entry_counts = self._entry_counts(frontier)
         board = Dashboard(
             self._capacity(int(entry_counts.sum())),
@@ -538,11 +528,7 @@ class DashboardFrontierSampler(GraphSampler):
         sampled = np.empty(self.budget, dtype=np.int64)
         sampled[:m] = frontier
         board.add_many(frontier, entry_counts)
-
-        if self.engine == "reference":
-            self._run_reference(board, sampled, rng)
-        else:
-            self._run_fast(board, sampled, rng)
+        run(board, sampled, rng)
 
         if obs_enabled():
             # Regenerate/occupancy telemetry: one guarded batch per sampled
@@ -551,32 +537,16 @@ class DashboardFrontierSampler(GraphSampler):
             obs_metrics.inc("sampler.probes", board.num_probes)
             obs_metrics.inc("sampler.cleanups", board.num_cleanups)
             obs_metrics.inc("sampler.grows", board.num_grows)
-            obs_metrics.inc("sampler.subgraphs")
             obs_metrics.observe("sampler.frontier_occupancy", board.valid_ratio)
             obs_metrics.set_gauge("sampler.valid_ratio", board.valid_ratio)
-            sp.set(
-                pops=board.num_pops,
-                probes=board.num_probes,
-                cleanups=board.num_cleanups,
-                capacity=board.capacity,
-                engine=self.engine,
-            )
-
-        subgraph, vertex_map = graph.induced_subgraph(sampled)
         stats = {
             "pops": float(board.num_pops),
             "probes": float(board.num_probes),
             "cleanups": float(board.num_cleanups),
             "capacity": float(board.capacity),
-            "unique_vertices": float(vertex_map.shape[0]),
             "modeled_bytes": float(board.modeled_bytes),
-            "rand_ops": board.counter.rand_ops,
-            "mem_ops": board.counter.mem_ops,
-            "private_mem_ops": board.counter.private_mem_ops,
-            "vector_elements": board.counter.vector_elements,
-            "vector_chunks": board.counter.vector_chunks,
         }
-        return SampledSubgraph(graph=subgraph, vertex_map=vertex_map, stats=stats)
+        return sampled, stats, board.counter
 
     # ------------------------------------------------------------------
     # Engines
@@ -639,19 +609,11 @@ def _exclusive_cumsum(lengths: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _flat_aranges(lengths: np.ndarray) -> np.ndarray:
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    return np.arange(total, dtype=np.int64) - np.repeat(
-        _exclusive_cumsum(lengths), lengths
-    )
-
-
 def _flat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ``[arange(s, s + l) for s, l in zip(starts, lengths)]``.
 
-    Equivalent to ``np.repeat(starts, lengths) + _flat_aranges(lengths)``
-    in a single repeat pass.
+    One repeat pass: each element is its global position shifted by its
+    range's ``start - offset``.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     total = int(lengths.sum())

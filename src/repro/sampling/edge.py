@@ -38,11 +38,9 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
-from ..obs.trace import span
 from ..parallel.costmodel import CostCounter
 from .alias import AliasTable
-from .base import GraphSampler, SampledSubgraph
-from .dashboard import ENGINES
+from .base import GraphSampler
 from .norm import edge_sampling_weights
 
 __all__ = ["DegreeWeightedEdgeSampler"]
@@ -66,6 +64,8 @@ class DegreeWeightedEdgeSampler(GraphSampler):
         ``"reference"`` (scalar draws).
     """
 
+    tag = "edge"
+
     def __init__(
         self,
         graph: CSRGraph,
@@ -74,14 +74,10 @@ class DegreeWeightedEdgeSampler(GraphSampler):
         vector_lanes: int = 8,
         engine: str = "fast",
     ) -> None:
-        super().__init__(graph)
+        super().__init__(graph, engine=engine, vector_lanes=vector_lanes)
         if num_draws <= 0:
             raise ValueError("num_draws must be positive")
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.num_draws = num_draws
-        self.vector_lanes = vector_lanes
-        self.engine = engine
         self._src, self._dst, self._weights = edge_sampling_weights(graph)
         self._alias = AliasTable(self._weights)
 
@@ -95,49 +91,27 @@ class DegreeWeightedEdgeSampler(GraphSampler):
         """The per-undirected-edge weights ``1/deg(u) + 1/deg(v)``."""
         return self._weights
 
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
-        """Draw ``num_draws`` weighted edges and induce on their endpoints."""
-        with span("sampler.edge") as sp:
-            return self._sample(rng, sp)
+    def _draw_fast(self, rng: np.random.Generator):
+        """One batched alias draw."""
+        return self._metered(self._alias.sample(rng, self.num_draws))
 
-    def _sample(self, rng: np.random.Generator, sp) -> SampledSubgraph:
+    def _draw_reference(self, rng: np.random.Generator):
+        """Scalar alias draws, one edge at a time."""
+        picks = np.empty(self.num_draws, dtype=np.int64)
+        for j in range(self.num_draws):
+            picks[j] = self._alias.sample(rng)
+        return self._metered(picks)
+
+    def _metered(self, picks: np.ndarray):
         d = self.num_draws
-        counter = CostCounter()
-
-        if self.engine == "reference":
-            picks = np.empty(d, dtype=np.int64)
-            for j in range(d):
-                picks[j] = self._alias.sample(rng)
-        else:
-            picks = self._alias.sample(rng, d)
-
         # Identical metering for both engines (see module docstring).
+        counter = CostCounter()
         counter.rand_ops += 2 * d  # uniform column + coin per draw
         counter.mem_ops += 2 * d  # shared prob + alias table reads
         counter.private_mem_ops += 2 * d  # two endpoint-buffer writes
         counter.count_vector_op(d, self.vector_lanes)  # src endpoint slab
         counter.count_vector_op(d, self.vector_lanes)  # dst endpoint slab
-
-        endpoints = np.concatenate((self._src[picks], self._dst[picks]))
-
         if obs_enabled():
-            obs_metrics.inc("sampler.subgraphs")
             obs_metrics.inc("sampler.edge_draws", d)
-            sp.set(draws=d, engine=self.engine)
-
-        subgraph, vertex_map = self.graph.induced_subgraph(endpoints)
-        stats = {
-            # Probe-model keys (zero: alias draws never probe) keep the
-            # stats dict compatible with simulated_sampler_time / the
-            # prefetch pool's pricing path.
-            "pops": 0.0,
-            "probes": 0.0,
-            "edge_draws": float(d),
-            "unique_vertices": float(vertex_map.shape[0]),
-            "rand_ops": counter.rand_ops,
-            "mem_ops": counter.mem_ops,
-            "private_mem_ops": counter.private_mem_ops,
-            "vector_elements": counter.vector_elements,
-            "vector_chunks": counter.vector_chunks,
-        }
-        return SampledSubgraph(graph=subgraph, vertex_map=vertex_map, stats=stats)
+        endpoints = np.concatenate((self._src[picks], self._dst[picks]))
+        return endpoints, {"edge_draws": float(d)}, counter

@@ -37,10 +37,8 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
-from ..obs.trace import span
 from ..parallel.costmodel import CostCounter
-from .base import GraphSampler, SampledSubgraph
-from .dashboard import ENGINES
+from .base import GraphSampler
 from .norm import edge_sampling_weights
 
 __all__ = ["IndependentEdgeSampler"]
@@ -65,6 +63,8 @@ class IndependentEdgeSampler(GraphSampler):
         ``"reference"`` (scalar per-edge coins).
     """
 
+    tag = "edge_indp"
+
     def __init__(
         self,
         graph: CSRGraph,
@@ -73,14 +73,10 @@ class IndependentEdgeSampler(GraphSampler):
         vector_lanes: int = 8,
         engine: str = "fast",
     ) -> None:
-        super().__init__(graph)
+        super().__init__(graph, engine=engine, vector_lanes=vector_lanes)
         if edge_budget <= 0:
             raise ValueError("edge_budget must be positive")
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.edge_budget = edge_budget
-        self.vector_lanes = vector_lanes
-        self.engine = engine
         self._src, self._dst, weights = edge_sampling_weights(graph)
         self._edge_prob = np.minimum(1.0, edge_budget * weights / weights.sum())
 
@@ -94,24 +90,31 @@ class IndependentEdgeSampler(GraphSampler):
         """Per-undirected-edge keep probability ``min(1, B * w_e / sum w)``."""
         return self._edge_prob
 
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
-        """Flip every edge's coin and induce on the kept endpoints."""
-        with span("sampler.edge_indp") as sp:
-            return self._sample(rng, sp)
+    def _draw_fast(self, rng: np.random.Generator):
+        return self._until_kept(self._flip_fast, rng)
 
-    def _sample(self, rng: np.random.Generator, sp) -> SampledSubgraph:
+    def _draw_reference(self, rng: np.random.Generator):
+        return self._until_kept(self._flip_reference, rng)
+
+    def _flip_fast(self, rng: np.random.Generator) -> np.ndarray:
+        """One vectorized comparison over all undirected edges."""
+        return rng.random(self._edge_prob.shape[0]) < self._edge_prob
+
+    def _flip_reference(self, rng: np.random.Generator) -> np.ndarray:
+        """One scalar coin per undirected edge, in edge order."""
+        keep = np.empty(self._edge_prob.shape[0], dtype=bool)
+        for e in range(keep.shape[0]):
+            keep[e] = rng.random() < self._edge_prob[e]
+        return keep
+
+    def _until_kept(self, flip, rng: np.random.Generator):
+        """Flip rounds until an edge survives (see module docstring)."""
         m = self._edge_prob.shape[0]
         counter = CostCounter()
-
         rounds = 0
         while True:
             rounds += 1
-            if self.engine == "reference":
-                keep = np.empty(m, dtype=bool)
-                for e in range(m):
-                    keep[e] = rng.random() < self._edge_prob[e]
-            else:
-                keep = rng.random(m) < self._edge_prob
+            keep = flip(rng)
             # Identical metering for both engines, charged per round (see
             # module docstring).
             counter.rand_ops += m  # one coin per undirected edge
@@ -121,28 +124,8 @@ class IndependentEdgeSampler(GraphSampler):
             if kept:
                 break
         counter.private_mem_ops += 2 * kept  # endpoint-buffer writes
-
-        endpoints = np.concatenate((self._src[keep], self._dst[keep]))
-
         if obs_enabled():
-            obs_metrics.inc("sampler.subgraphs")
             obs_metrics.inc("sampler.edges_kept", kept)
-            sp.set(kept=kept, rounds=rounds, engine=self.engine)
-
-        subgraph, vertex_map = self.graph.induced_subgraph(endpoints)
-        stats = {
-            # Probe-model keys (zero: coin flips never probe) keep the
-            # stats dict compatible with simulated_sampler_time / the
-            # prefetch pool's pricing path.
-            "pops": 0.0,
-            "probes": 0.0,
-            "edges_kept": float(kept),
-            "coin_rounds": float(rounds),
-            "unique_vertices": float(vertex_map.shape[0]),
-            "rand_ops": counter.rand_ops,
-            "mem_ops": counter.mem_ops,
-            "private_mem_ops": counter.private_mem_ops,
-            "vector_elements": counter.vector_elements,
-            "vector_chunks": counter.vector_chunks,
-        }
-        return SampledSubgraph(graph=subgraph, vertex_map=vertex_map, stats=stats)
+        endpoints = np.concatenate((self._src[keep], self._dst[keep]))
+        stats = {"edges_kept": float(kept), "coin_rounds": float(rounds)}
+        return endpoints, stats, counter

@@ -3,14 +3,17 @@
 Section VII announces "extend[ing] the parallel sampler implementation to
 support a wider class of sampling algorithms". These samplers implement
 that extension behind the same :class:`GraphSampler` interface so they are
-drop-in replacements in the trainer, and the X4 ablation compares them to
-frontier sampling on connectivity preservation and downstream accuracy:
+drop-in replacements in the trainer, and the X4 ablation compares them —
+next to the zoo's ``rw`` and ``edge`` families — to frontier sampling on
+connectivity preservation and downstream accuracy:
 
 * :class:`RandomNodeSampler` — uniform vertex sample (no connectivity bias).
-* :class:`RandomEdgeSampler` — uniform edge sample, keep endpoints.
-* :class:`RandomWalkSampler` — multiple fixed-length random walks
-  (GraphSAINT's RW sampler, which this paper grew into).
 * :class:`ForestFireSampler` — probabilistic BFS burn (Leskovec et al.).
+* :class:`MetropolisHastingsWalkSampler` — degree-unbiased walks.
+* :class:`SnowballSampler` — bounded-fanout BFS.
+
+None of them meters its work: each supplies only the
+:meth:`GraphSampler._draw` hook and is priced by subgraph size.
 """
 
 from __future__ import annotations
@@ -18,12 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from .base import GraphSampler, SampledSubgraph
+from .base import GraphSampler
 
 __all__ = [
     "RandomNodeSampler",
-    "RandomEdgeSampler",
-    "RandomWalkSampler",
     "ForestFireSampler",
     "MetropolisHastingsWalkSampler",
     "SnowballSampler",
@@ -33,79 +34,17 @@ __all__ = [
 class RandomNodeSampler(GraphSampler):
     """Uniformly sample ``budget`` distinct vertices."""
 
+    tag = "node"
+
     def __init__(self, graph: CSRGraph, *, budget: int) -> None:
         super().__init__(graph)
         if not (0 < budget <= graph.num_vertices):
             raise ValueError("budget must lie in [1, num_vertices]")
         self.budget = budget
 
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
+    def _draw(self, rng: np.random.Generator):
         vertices = rng.choice(self.graph.num_vertices, size=self.budget, replace=False)
-        sub, vmap = self.graph.induced_subgraph(vertices)
-        return SampledSubgraph(sub, vmap, stats={"unique_vertices": float(vmap.size)})
-
-
-class RandomEdgeSampler(GraphSampler):
-    """Sample edges uniformly until ~``budget`` endpoint vertices collected."""
-
-    def __init__(self, graph: CSRGraph, *, budget: int) -> None:
-        super().__init__(graph)
-        if not (0 < budget <= graph.num_vertices):
-            raise ValueError("budget must lie in [1, num_vertices]")
-        if graph.num_edges_directed == 0:
-            raise ValueError("graph has no edges")
-        self.budget = budget
-
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
-        graph = self.graph
-        src_all = graph.edge_sources()
-        chosen: list[np.ndarray] = []
-        count = 0
-        # Draw edges in budget-sized batches until enough unique endpoints.
-        seen = np.zeros(graph.num_vertices, dtype=bool)
-        while count < self.budget:
-            eids = rng.integers(0, graph.num_edges_directed, size=self.budget)
-            endpoints = np.concatenate([src_all[eids], graph.indices[eids]])
-            new = endpoints[~seen[endpoints]]
-            if new.size:
-                seen[new] = True
-                chosen.append(np.unique(new))
-                count = int(seen.sum())
-        vertices = np.flatnonzero(seen)[: self.budget]
-        sub, vmap = graph.induced_subgraph(vertices)
-        return SampledSubgraph(sub, vmap, stats={"unique_vertices": float(vmap.size)})
-
-
-class RandomWalkSampler(GraphSampler):
-    """``num_roots`` simple random walks of length ``walk_length``.
-
-    The multi-dimensional random-walk family frontier sampling generalizes;
-    root vertices are uniform, every visited vertex joins the sample.
-    """
-
-    def __init__(
-        self, graph: CSRGraph, *, num_roots: int, walk_length: int
-    ) -> None:
-        super().__init__(graph)
-        if num_roots <= 0 or walk_length <= 0:
-            raise ValueError("num_roots and walk_length must be positive")
-        if np.any(graph.degrees == 0):
-            raise ValueError("random walks require min degree >= 1")
-        self.num_roots = num_roots
-        self.walk_length = walk_length
-
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
-        graph = self.graph
-        current = rng.choice(
-            graph.num_vertices, size=self.num_roots, replace=self.num_roots > graph.num_vertices
-        )
-        visited = [current.copy()]
-        for _ in range(self.walk_length):
-            current = graph.random_neighbors(current, rng)
-            visited.append(current.copy())
-        vertices = np.concatenate(visited)
-        sub, vmap = graph.induced_subgraph(vertices)
-        return SampledSubgraph(sub, vmap, stats={"unique_vertices": float(vmap.size)})
+        return vertices, {}, None
 
 
 class ForestFireSampler(GraphSampler):
@@ -113,6 +52,8 @@ class ForestFireSampler(GraphSampler):
     geometric number of unburned neighbors (mean ``burn_ratio / (1 -
     burn_ratio)``), restarted from fresh uniform roots until ``budget``
     vertices burned."""
+
+    tag = "forest_fire"
 
     def __init__(
         self, graph: CSRGraph, *, budget: int, burn_ratio: float = 0.7
@@ -125,7 +66,7 @@ class ForestFireSampler(GraphSampler):
         self.budget = budget
         self.burn_ratio = burn_ratio
 
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
+    def _draw(self, rng: np.random.Generator):
         graph = self.graph
         burned = np.zeros(graph.num_vertices, dtype=bool)
         count = 0
@@ -148,8 +89,7 @@ class ForestFireSampler(GraphSampler):
                 count += k
                 frontier.extend(int(p) for p in picks)
         vertices = np.flatnonzero(burned)[: self.budget]
-        sub, vmap = graph.induced_subgraph(vertices)
-        return SampledSubgraph(sub, vmap, stats={"unique_vertices": float(vmap.size)})
+        return vertices, {}, None
 
 
 class MetropolisHastingsWalkSampler(GraphSampler):
@@ -161,18 +101,19 @@ class MetropolisHastingsWalkSampler(GraphSampler):
     the classic contrast to frontier sampling for the X4 ablation.
     """
 
+    tag = "mh_walk"
+
     def __init__(
         self, graph: CSRGraph, *, num_roots: int, walk_length: int
     ) -> None:
         super().__init__(graph)
         if num_roots <= 0 or walk_length <= 0:
             raise ValueError("num_roots and walk_length must be positive")
-        if np.any(graph.degrees == 0):
-            raise ValueError("random walks require min degree >= 1")
+        self._require_min_degree()
         self.num_roots = num_roots
         self.walk_length = walk_length
 
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
+    def _draw(self, rng: np.random.Generator):
         graph = self.graph
         current = rng.choice(
             graph.num_vertices,
@@ -190,14 +131,15 @@ class MetropolisHastingsWalkSampler(GraphSampler):
             current = np.where(accept, proposal, current).astype(np.int64)
             visited.append(current.copy())
         vertices = np.concatenate(visited)
-        sub, vmap = graph.induced_subgraph(vertices)
-        return SampledSubgraph(sub, vmap, stats={"unique_vertices": float(vmap.size)})
+        return vertices, {}, None
 
 
 class SnowballSampler(GraphSampler):
     """Snowball sampling: BFS from ``num_seeds`` roots keeping at most
     ``fanout`` fresh neighbors per expanded vertex, until ``budget``
     vertices are collected. A bounded-breadth contrast to forest fire."""
+
+    tag = "snowball"
 
     def __init__(
         self,
@@ -216,7 +158,7 @@ class SnowballSampler(GraphSampler):
         self.num_seeds = num_seeds
         self.fanout = fanout
 
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
+    def _draw(self, rng: np.random.Generator):
         graph = self.graph
         taken = np.zeros(graph.num_vertices, dtype=bool)
         seeds = rng.choice(
@@ -252,5 +194,4 @@ class SnowballSampler(GraphSampler):
                 count += 1
                 frontier = [seed]
         vertices = np.flatnonzero(taken)[: self.budget]
-        sub, vmap = graph.induced_subgraph(vertices)
-        return SampledSubgraph(sub, vmap, stats={"unique_vertices": float(vmap.size)})
+        return vertices, {}, None

@@ -17,8 +17,7 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
-from ..obs.trace import span
-from .base import GraphSampler, SampledSubgraph
+from .base import GraphSampler
 
 __all__ = ["FrontierSampler"]
 
@@ -40,6 +39,8 @@ class FrontierSampler(GraphSampler):
         (unique) vertices.
     """
 
+    tag = "frontier"
+
     def __init__(
         self, graph: CSRGraph, *, frontier_size: int, budget: int
     ) -> None:
@@ -52,19 +53,11 @@ class FrontierSampler(GraphSampler):
             raise ValueError(
                 f"frontier_size {frontier_size} exceeds graph size {graph.num_vertices}"
             )
-        if np.any(graph.degrees == 0):
-            raise ValueError(
-                "frontier sampling requires min degree >= 1; "
-                "preprocess with ensure_min_degree"
-            )
+        self._require_min_degree()
         self.frontier_size = frontier_size
         self.budget = budget
 
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
-        with span("sampler.frontier") as sp:
-            return self._sample(rng, sp)
-
-    def _sample(self, rng: np.random.Generator, sp) -> SampledSubgraph:
+    def _draw(self, rng: np.random.Generator):
         graph = self.graph
         m = self.frontier_size
         frontier = rng.choice(graph.num_vertices, size=m, replace=False)
@@ -92,18 +85,10 @@ class FrontierSampler(GraphSampler):
 
         if obs_enabled():
             obs_metrics.inc("sampler.pops", pops)
-            obs_metrics.inc("sampler.subgraphs")
-            sp.set(pops=pops, budget=self.budget)
-
-        subgraph, vertex_map = graph.induced_subgraph(sampled)
-        return SampledSubgraph(
-            graph=subgraph,
-            vertex_map=vertex_map,
-            stats={
-                "pops": float(pops),
-                "unique_vertices": float(vertex_map.shape[0]),
-                # O(m) distribution rebuild per pop — the serial complexity
-                # the Dashboard structure removes.
-                "distribution_work": float(pops * m),
-            },
-        )
+        stats = {
+            "pops": float(pops),
+            # O(m) distribution rebuild per pop — the serial complexity
+            # the Dashboard structure removes.
+            "distribution_work": float(pops * m),
+        }
+        return sampled, stats, None

@@ -59,7 +59,7 @@ DEFAULT_AGG_CLIP = 10.0
 
 #: Stream tag mixed into the empirical pre-sampling SeedSequence so its
 #: subgraphs are decorrelated from training subgraphs drawn at the same
-#: user seed (the prefetcher uses ``SeedSequence(seed, spawn_key=(i,))``;
+#: user seed (the pool uses ``SeedSequence(seed, spawn_key=(i,))``;
 #: estimating probabilities from the very subgraphs later trained on
 #: would bias the correction).
 _NORM_STREAM = 0x5A17

@@ -1,307 +1,12 @@
-"""Sampler-ahead subgraph pipeline: bounded prefetch feeding the trainer.
+"""Import path of the pool from when prefetching was a separate class.
 
-The paper's training loop (Algorithm 5) never samples on the critical
-path: subgraphs are produced by dedicated sampler instances ahead of the
-optimizer, so the trainer only ever *takes* a finished subgraph. The
-:class:`~repro.sampling.scheduler.SubgraphPool` models that overlap on
-the simulated clock; this module implements it for real wall-clock time —
-a bounded prefetch queue that keeps up to ``depth`` subgraphs in flight
-while the trainer computes, in the spirit of GraphVite's pipelined CPU
-sampling and the GraphSAINT pre-sampled subgraph pools.
-
-Producers are either one background thread (``workers=1``, the default:
-the Dashboard sampler spends its time in numpy ops that release the GIL,
-so sampling genuinely overlaps the trainer's numpy compute) or a
-persistent process pool reusing :mod:`repro.sampling.mp_pool`'s worker
-initialization (``workers > 1``). Seeding is deterministic regardless of
-completion order: submission ``i`` always samples from the ``i``-th child
-of one :class:`numpy.random.SeedSequence`, exactly like
-:func:`~repro.sampling.mp_pool.sample_batch_parallel`.
-
-Observability (all under the ``pipeline.`` prefix, emitted only when
-:mod:`repro.obs` is enabled):
-
-* ``pipeline.gets`` / ``pipeline.submitted`` — counters;
-* ``pipeline.queue_depth`` — gauge: finished subgraphs ready at the last
-  :meth:`~SubgraphPrefetcher.get`;
-* ``pipeline.consumer_stall_seconds`` — histogram: time the trainer
-  blocked waiting for an unfinished subgraph (the quantity the paper
-  claims is ~zero when sampling is cheap enough);
-* ``pipeline.producer_stall_seconds`` — histogram: time the *oldest
-  ready* subgraph sat finished before being consumed while every slot was
-  already done (the producers had nothing left to do — the queue bound,
-  not sampler speed, was the limit);
-* ``pipeline.staleness_seconds`` — histogram: age of each consumed
-  subgraph (finish → consume); high staleness with zero consumer stall
-  means ``depth`` can be lowered.
+There is one pool, :class:`repro.sampling.scheduler.SubgraphPool`;
+``PrefetchingSubgraphPool`` is the same class under the name the
+end-to-end benchmark's tracer (``benchmarks/e2e/tracing.py``) resolves.
 """
 
-from __future__ import annotations
+from .scheduler import PrefetchStats, SubgraphPool
 
-import collections
-import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+__all__ = ["PrefetchStats", "PrefetchingSubgraphPool"]
 
-import numpy as np
-
-from ..obs import is_enabled as obs_enabled
-from ..obs import metrics as obs_metrics
-from ..obs.flight import flight_event
-from ..obs.trace import span
-from ..parallel.machine import MachineSpec
-from .base import GraphSampler, SampledSubgraph
-from .cost import simulated_sampler_time
-from .mp_pool import _init_worker, _sample_one
-
-__all__ = ["PrefetchStats", "SubgraphPrefetcher", "PrefetchingSubgraphPool"]
-
-
-@dataclass
-class PrefetchStats:
-    """Aggregate pipeline telemetry (also exported via obs metrics)."""
-
-    gets: int = 0
-    submitted: int = 0
-    consumer_stall_seconds: float = 0.0
-    producer_stall_seconds: float = 0.0
-    staleness_seconds: float = 0.0
-
-    @property
-    def mean_staleness(self) -> float:
-        return self.staleness_seconds / self.gets if self.gets else 0.0
-
-
-class _Slot:
-    """One in-flight subgraph: its future plus a completion timestamp."""
-
-    __slots__ = ("future", "done_at")
-
-    def __init__(self, future: Future) -> None:
-        self.future = future
-        self.done_at: float | None = None
-        future.add_done_callback(self._mark)
-
-    def _mark(self, _fut: Future) -> None:
-        self.done_at = time.perf_counter()
-
-
-class SubgraphPrefetcher:
-    """Bounded sampler-ahead queue of :class:`SampledSubgraph` futures.
-
-    Parameters
-    ----------
-    sampler:
-        Any :class:`GraphSampler`; shipped to workers once at pool start.
-    depth:
-        Number of subgraphs kept in flight ahead of the consumer (>= 1).
-    workers:
-        1 = one background thread (in-process sampler, zero pickling);
-        > 1 = a persistent :class:`ProcessPoolExecutor`.
-    seed:
-        Root of the deterministic per-submission seed stream.
-
-    Use as a context manager, or call :meth:`close` — a process pool left
-    open keeps worker processes alive.
-    """
-
-    def __init__(
-        self,
-        sampler: GraphSampler,
-        *,
-        depth: int,
-        workers: int = 1,
-        seed: int = 0,
-    ) -> None:
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.sampler = sampler
-        self.depth = depth
-        self.workers = workers
-        self.stats = PrefetchStats()
-        self._seed = seed
-        self._slots: collections.deque[_Slot] = collections.deque()
-        self._executor: Executor
-        if workers == 1:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="subgraph-prefetch"
-            )
-            self._submit = self._submit_inline
-        else:
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(sampler,),
-            )
-            self._submit = self._submit_worker
-        self._closed = False
-        for _ in range(depth):
-            self._enqueue()
-
-    # -- producers -----------------------------------------------------
-    def _entropy_at(self, index: int) -> int:
-        """Entropy of submission ``index`` — stateless, order-independent.
-
-        ``SeedSequence(seed, spawn_key=(index,))`` is bit-identical to the
-        ``index``-th child of sequential ``SeedSequence(seed).spawn()``
-        (numpy's documented spawn-key construction), but depends only on
-        ``(seed, index)``: no shared mutable spawn counter, so two
-        prefetchers over different sampler families can never perturb
-        each other's streams, and submission ``i`` of a given config
-        draws the same subgraph in every process, forever.
-        """
-        child = np.random.SeedSequence(self._seed, spawn_key=(index,))
-        return int(child.generate_state(1)[0])
-
-    def _submit_inline(self, entropy: int) -> Future:
-        return self._executor.submit(
-            self.sampler.sample, np.random.default_rng(entropy)
-        )
-
-    def _submit_worker(self, entropy: int) -> Future:
-        return self._executor.submit(_sample_one, entropy)
-
-    def _enqueue(self) -> None:
-        entropy = self._entropy_at(self.stats.submitted)
-        self._slots.append(_Slot(self._submit(entropy)))
-        self.stats.submitted += 1
-
-    # -- consumer ------------------------------------------------------
-    def ready(self) -> int:
-        """Finished (not yet consumed) subgraphs currently queued."""
-        return sum(1 for s in self._slots if s.future.done())
-
-    def get(self) -> SampledSubgraph:
-        """Take the oldest subgraph, blocking if it is not finished.
-
-        Immediately tops the queue back up to ``depth``, so the producers
-        keep running while the caller works on the returned subgraph.
-        """
-        if self._closed:
-            raise RuntimeError("prefetcher is closed")
-        slot = self._slots.popleft()
-        all_done = slot.future.done() and not any(
-            not s.future.done() for s in self._slots
-        )
-        t0 = time.perf_counter()
-        sub = slot.future.result()
-        now = time.perf_counter()
-        consumer_stall = now - t0
-        staleness = max(0.0, now - slot.done_at) if slot.done_at else 0.0
-        # Producer-side stall: every slot was already finished when the
-        # consumer arrived — the bounded queue idled the producers for (at
-        # least) the time the oldest result sat ready.
-        producer_stall = staleness if all_done else 0.0
-        self._enqueue()
-
-        st = self.stats
-        st.gets += 1
-        st.consumer_stall_seconds += consumer_stall
-        st.producer_stall_seconds += producer_stall
-        st.staleness_seconds += staleness
-        if obs_enabled():
-            obs_metrics.inc("pipeline.gets")
-            obs_metrics.inc("pipeline.submitted")
-            obs_metrics.set_gauge("pipeline.queue_depth", self.ready())
-            obs_metrics.observe("pipeline.consumer_stall_seconds", consumer_stall)
-            obs_metrics.observe("pipeline.staleness_seconds", staleness)
-            if producer_stall:
-                obs_metrics.observe(
-                    "pipeline.producer_stall_seconds", producer_stall
-                )
-                # Producer stalls are exactly the "synchronization
-                # wins/regressions" signal later perf PRs hunt for, so
-                # they also land in the flight recorder's event ring.
-                flight_event(
-                    "pipeline.producer_stall",
-                    stall_seconds=producer_stall,
-                    queue_depth=self.ready(),
-                )
-        return sub
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self) -> None:
-        """Cancel pending work and shut the executor down (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for slot in self._slots:
-            slot.future.cancel()
-        self._slots.clear()
-        self._executor.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "SubgraphPrefetcher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class PrefetchingSubgraphPool:
-    """Drop-in for :class:`~repro.sampling.scheduler.SubgraphPool`.
-
-    Serves subgraphs from a :class:`SubgraphPrefetcher` while reporting
-    the same ``(subgraph, amortized_sim_time)`` contract the trainer
-    expects. On the simulated clock, ``workers`` prefetch producers are
-    ``p_inter`` concurrent sampler instances: each subgraph's metered cost
-    is priced with the machine's contention factor at that core count and
-    amortized across the instances, matching how
-    :meth:`SubgraphPool.refill` spreads its batch makespan.
-    """
-
-    def __init__(
-        self,
-        sampler: GraphSampler,
-        machine: MachineSpec,
-        *,
-        depth: int,
-        workers: int = 1,
-        p_intra: int = 1,
-        seed: int = 0,
-    ) -> None:
-        if p_intra <= 0:
-            raise ValueError("p_intra must be positive")
-        self.machine = machine
-        self.workers = workers
-        self.p_intra = p_intra
-        self.prefetcher = SubgraphPrefetcher(
-            sampler, depth=depth, workers=workers, seed=seed
-        )
-
-    @property
-    def stats(self) -> PrefetchStats:
-        return self.prefetcher.stats
-
-    def get(self) -> tuple[SampledSubgraph, float]:
-        """Take one prefetched subgraph and its amortized simulated cost."""
-        with span("sampler.pipeline.get") as sp:
-            sub = self.prefetcher.get()
-            if sub.stats and "vector_elements" in sub.stats:
-                contention = self.machine.sampler_contention_factor(self.workers)
-                cost = simulated_sampler_time(
-                    sub.stats,
-                    self.machine,
-                    p_intra=self.p_intra,
-                    contention_factor=contention,
-                )
-            else:
-                cost = sub.stats.get(
-                    "distribution_work", float(sub.num_vertices)
-                )
-            amortized = cost / min(self.workers, self.machine.num_cores)
-            if obs_enabled():
-                sp.set(vertices=sub.num_vertices)
-                sp.add_sim_time(amortized)
-        return sub, amortized
-
-    def close(self) -> None:
-        """Shut down the underlying prefetcher."""
-        self.prefetcher.close()
-
-    def __enter__(self) -> "PrefetchingSubgraphPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+PrefetchingSubgraphPool = SubgraphPool

@@ -37,10 +37,8 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
-from ..obs.trace import span
 from ..parallel.costmodel import CostCounter
-from .base import GraphSampler, SampledSubgraph
-from .dashboard import ENGINES
+from .base import GraphSampler
 
 __all__ = ["RandomWalkBatchSampler"]
 
@@ -66,6 +64,8 @@ class RandomWalkBatchSampler(GraphSampler):
         ``"reference"`` (one scalar walk at a time).
     """
 
+    tag = "rw"
+
     def __init__(
         self,
         graph: CSRGraph,
@@ -75,86 +75,58 @@ class RandomWalkBatchSampler(GraphSampler):
         vector_lanes: int = 8,
         engine: str = "fast",
     ) -> None:
-        super().__init__(graph)
+        super().__init__(graph, engine=engine, vector_lanes=vector_lanes)
         if num_roots <= 0:
             raise ValueError("num_roots must be positive")
         if walk_depth < 1:
             raise ValueError("walk_depth must be >= 1")
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        if np.any(graph.degrees == 0):
-            raise ValueError(
-                "random-walk sampling requires min degree >= 1; "
-                "preprocess with ensure_min_degree"
-            )
+        self._require_min_degree()
         self.num_roots = num_roots
         self.walk_depth = walk_depth
-        self.vector_lanes = vector_lanes
-        self.engine = engine
 
     @property
     def budget(self) -> int:
         """Visits per subgraph: ``num_roots * (walk_depth + 1)``."""
         return self.num_roots * (self.walk_depth + 1)
 
-    def sample(self, rng: np.random.Generator) -> SampledSubgraph:
-        """Walk ``num_roots`` trajectories and induce on their union."""
-        with span("sampler.rw") as sp:
-            return self._sample(rng, sp)
+    def _draw_fast(self, rng: np.random.Generator):
+        """Level-synchronous: all walkers advance one step per level."""
+        visited = self._roots(rng)
+        for step in range(self.walk_depth):
+            visited[step + 1] = self.graph.random_neighbors(visited[step], rng)
+        return self._metered(visited)
 
-    def _sample(self, rng: np.random.Generator, sp) -> SampledSubgraph:
-        graph = self.graph
+    def _draw_reference(self, rng: np.random.Generator):
+        """One scalar walk at a time."""
+        visited = self._roots(rng)
+        for j in range(self.num_roots):
+            cur = int(visited[0, j])
+            for step in range(self.walk_depth):
+                cur = self.graph.random_neighbor(cur, rng)
+                visited[step + 1, j] = cur
+        return self._metered(visited)
+
+    def _roots(self, rng: np.random.Generator) -> np.ndarray:
+        """Visit buffer with row 0 drawn: one batched uniform draw in both
+        engines (with replacement, as in the GraphSAINT reference
+        implementation)."""
+        visited = np.empty((self.walk_depth + 1, self.num_roots), dtype=np.int64)
+        visited[0] = rng.integers(0, self.graph.num_vertices, size=self.num_roots)
+        return visited
+
+    def _metered(self, visited: np.ndarray):
         r, h = self.num_roots, self.walk_depth
-        counter = CostCounter()
-
-        # Roots: one batched uniform draw in both engines (with
-        # replacement, as in the GraphSAINT reference implementation).
-        roots = rng.integers(0, graph.num_vertices, size=r)
-        counter.rand_ops += r
-
-        visited = np.empty((h + 1, r), dtype=np.int64)
-        visited[0] = roots
-        if self.engine == "reference":
-            for j in range(r):
-                cur = int(roots[j])
-                for step in range(h):
-                    cur = graph.random_neighbor(cur, rng)
-                    visited[step + 1, j] = cur
-        else:
-            cur = roots
-            for step in range(h):
-                cur = graph.random_neighbors(cur, rng)
-                visited[step + 1] = cur
-
         steps = r * h
         # Identical metering for both engines (see module docstring): the
         # reference oracle performs the same logical work the fast engine
         # batches, so it reports the same parallelizable structure.
-        counter.rand_ops += steps  # one neighbor-offset draw per step
+        counter = CostCounter()
+        counter.rand_ops += r + steps  # roots + one neighbor-offset draw per step
         counter.mem_ops += 2 * steps  # shared indptr + indices reads
         counter.private_mem_ops += r * (h + 1)  # visit-buffer writes
         for _ in range(h):
             counter.count_vector_op(r, self.vector_lanes)
-
         if obs_enabled():
-            obs_metrics.inc("sampler.subgraphs")
             obs_metrics.inc("sampler.walk_steps", steps)
-            sp.set(roots=r, depth=h, engine=self.engine)
-
-        subgraph, vertex_map = graph.induced_subgraph(visited.ravel())
-        stats = {
-            # Probe-model keys (zero: walks never probe) keep the stats
-            # dict compatible with simulated_sampler_time / the prefetch
-            # pool's pricing path.
-            "pops": 0.0,
-            "probes": 0.0,
-            "num_roots": float(r),
-            "walk_steps": float(steps),
-            "unique_vertices": float(vertex_map.shape[0]),
-            "rand_ops": counter.rand_ops,
-            "mem_ops": counter.mem_ops,
-            "private_mem_ops": counter.private_mem_ops,
-            "vector_elements": counter.vector_elements,
-            "vector_chunks": counter.vector_chunks,
-        }
-        return SampledSubgraph(graph=subgraph, vertex_map=vertex_map, stats=stats)
+        stats = {"num_roots": float(r), "walk_steps": float(steps)}
+        return visited.ravel(), stats, counter

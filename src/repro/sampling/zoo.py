@@ -2,7 +2,7 @@
 
 Four families share the :class:`~repro.sampling.base.GraphSampler`
 interface and therefore compose identically with
-:class:`~repro.sampling.pipeline.SubgraphPrefetcher`, ``TrainConfig``
+:class:`~repro.sampling.scheduler.SubgraphPool`, ``TrainConfig``
 and the bench CLIs:
 
 ========== ============================================== ==============

@@ -15,9 +15,9 @@ results that touched the refreshed shard.
 
 Slab content is deterministic — submission ``i`` always derives its
 noise from the ``i``-th child of one :class:`numpy.random.SeedSequence`,
-the same scheme as :class:`repro.sampling.pipeline.SubgraphPrefetcher` —
+the same scheme as :class:`repro.sampling.scheduler.SubgraphPool` —
 so the optional compute-ahead thread (``prefetch=True``, again the
-prefetcher pattern: a bounded queue of futures computed ahead of the
+pool's pattern: a bounded queue of futures computed ahead of the
 consumer) changes wall-clock overlap but never results. The default
 ``refresh_fn`` is a drift random walk standing in for continued
 training; pass your own (e.g. one that re-runs
@@ -89,7 +89,7 @@ class SlabUpsertProducer:
         :func:`drift_refresh`.
     prefetch, depth:
         Compute slabs ahead on one background thread with a bounded
-        in-flight queue (the :class:`SubgraphPrefetcher` pattern).
+        in-flight queue (the :class:`SubgraphPool` pattern).
         Results are identical either way.
     """
 

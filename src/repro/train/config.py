@@ -31,9 +31,10 @@ class TrainConfig:
     frontier_size, budget, eta, max_entries_per_vertex:
         Frontier-sampler parameters (``m``, ``n``, enlargement factor and
         the skew cap of Section VI-C2).
-    p_inter, p_intra:
-        Scheduler parallelism: sampler instances and AVX lanes per
-        instance (Section IV-C; the paper's platform uses 40 x 8).
+    p_intra:
+        AVX lanes per sampler instance on the modeled clock (Section
+        IV-C; the paper's platform runs 40 instances x 8 lanes). The
+        number of concurrent instances is ``prefetch_workers``.
     cores:
         Worker count used for training-phase cost simulation.
     dtype_policy:
@@ -75,13 +76,14 @@ class TrainConfig:
         probabilities when ``loss_norm="saint"`` and the family has no
         closed form (dashboard, rw).
     prefetch_depth:
-        When > 0, subgraphs are sampled ahead of the trainer through
-        :class:`repro.sampling.pipeline.PrefetchingSubgraphPool` with
-        this many subgraphs in flight; 0 keeps the simulated-clock
-        :class:`~repro.sampling.scheduler.SubgraphPool`.
+        Subgraphs the :class:`~repro.sampling.scheduler.SubgraphPool`
+        keeps sampled ahead of the trainer; 0 samples inline. An
+        execution knob only: the subgraph sequence, and so the trained
+        weights, depend on ``seed`` alone.
     prefetch_workers:
-        Producer parallelism of the prefetch pipeline (1 = one
-        background thread, > 1 = a process pool).
+        Concurrent sampler instances filling the pool (1 = one
+        background thread, > 1 = a process pool); at most
+        ``prefetch_depth`` of them are ever busy.
     epochs:
         One epoch processes ``ceil(|V_train| / budget)`` subgraph batches
         (the paper's definition of an epoch as one full traversal).
@@ -104,7 +106,6 @@ class TrainConfig:
     # When True, the model is restored to the weights of its best
     # validation evaluation at the end of train().
     restore_best: bool = False
-    p_inter: int = 1
     p_intra: int = 1
     cores: int = 1
     seed: int = 0
@@ -127,7 +128,7 @@ class TrainConfig:
             raise ValueError("invalid sampler sizes")
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
-        if min(self.p_inter, self.p_intra, self.cores) <= 0:
+        if min(self.p_intra, self.cores) <= 0:
             raise ValueError("parallelism parameters must be positive")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1 when set")

@@ -1,11 +1,11 @@
 """The graph-sampling GCN trainer (Algorithms 1 & 5).
 
-Every iteration: pop a subgraph from the pool (refilling with ``p_inter``
-parallel sampler instances when empty), build a *complete* GCN on it, run
-forward + backward, and take an Adam step. Per the paper, training
-restricts to the training graph — the subgraph sampler never sees
-validation or test vertices — while evaluation runs a full-graph forward
-pass with the shared weights.
+Every iteration: take a subgraph from the pool (sampled inline, or ahead of
+the optimizer by ``prefetch_workers`` sampler instances), build a
+*complete* GCN on it, run forward + backward, and take an Adam step. Per
+the paper, training restricts to the training graph — the subgraph sampler
+never sees validation or test vertices — while evaluation runs a
+full-graph forward pass with the shared weights.
 
 Timing is tracked on two clocks:
 
@@ -13,9 +13,9 @@ Timing is tracked on two clocks:
   time-accuracy comparison (every method in this repo runs in the same
   numpy framework, so wall-clock ratios are meaningful);
 * **simulated time** — the cost-model clock: sampling from the pool's
-  metered fills, feature propagation from the partitioned propagator's
-  reports, and weight application from the GEMM flop count under the
-  MKL-like Amdahl model. These regenerate Figures 3 and 4.
+  modeled fill price, feature propagation from the partitioned
+  propagator's reports, and weight application from the GEMM flop count
+  under the MKL-like Amdahl model. These regenerate Figures 3 and 4.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from ..nn.optim import Adam
 from ..parallel.trace import ExecutionTrace
 from ..propagation.feature_prop import PartitionedPropagator
 from ..sampling.zoo import make_sampler, norm_coefficients
-from ..sampling.pipeline import PrefetchingSubgraphPool
 from ..sampling.scheduler import SubgraphPool
 from .config import TrainConfig
 from .evaluation import EvalResult, Evaluator
@@ -182,26 +181,18 @@ class GraphSamplingTrainer:
                 seed=config.seed,
             )
             self._loss_weights = self.norm.loss_weight
-        if config.prefetch_depth > 0:
-            # Sampler-ahead pipeline: subgraphs are produced in the
-            # background while the trainer computes (real overlap), and
-            # stall/staleness telemetry flows through obs counters.
-            self.pool = PrefetchingSubgraphPool(
-                self.sampler,
-                config.machine,
-                depth=config.prefetch_depth,
-                workers=config.prefetch_workers,
-                p_intra=config.p_intra,
-                seed=config.seed,
-            )
-        else:
-            self.pool = SubgraphPool(
-                self.sampler,
-                config.machine,
-                p_inter=config.p_inter,
-                p_intra=config.p_intra,
-                rng=self.rng,
-            )
+        # One pool for every run: prefetch_depth subgraphs in flight from
+        # prefetch_workers sampler instances, depth 0 sampling inline. The
+        # knobs move work off the critical path; the subgraph sequence is
+        # a function of the seed alone.
+        self.pool = SubgraphPool(
+            self.sampler,
+            config.machine,
+            depth=config.prefetch_depth,
+            workers=config.prefetch_workers,
+            p_intra=config.p_intra,
+            seed=config.seed,
+        )
         self.model = GCN(
             dataset.features.shape[1],
             list(config.hidden_dims),
@@ -223,15 +214,9 @@ class GraphSamplingTrainer:
         )
 
     def close(self) -> None:
-        """Release sampler-pipeline resources (idempotent).
-
-        Only meaningful with ``prefetch_depth > 0``, where the pool owns a
-        background executor; the simulated-clock pool has nothing to
-        release. Training remains usable as a context manager either way.
-        """
-        closer = getattr(self.pool, "close", None)
-        if closer is not None:
-            closer()
+        """Shut the subgraph pool down (idempotent): with
+        ``prefetch_depth > 0`` it owns a background executor."""
+        self.pool.close()
 
     def __enter__(self) -> "GraphSamplingTrainer":
         return self

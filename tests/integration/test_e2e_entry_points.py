@@ -19,11 +19,15 @@ import pytest
 E2E = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("e2e_tracing", E2E / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _tracing().TARGETS
 
 
 def _pipeline_imports():
@@ -46,6 +50,28 @@ def test_traced_entry_point_resolves(module, path, span_name):
         owner = getattr(owner, holder)
     assert attr in owner.__dict__, f"{module}:{path} ({span_name}) moved"
     assert callable(owner.__dict__[attr])
+
+
+def test_one_pool_get_is_one_span_under_both_target_names(medium_graph):
+    # Two TARGETS rows name the one pool class, so install() wraps its
+    # get twice; the inner wrapper sees the name open and calls through.
+    from repro.parallel.machine import MachineSpec
+    from repro.sampling.pipeline import PrefetchingSubgraphPool
+    from repro.sampling.scheduler import SubgraphPool
+    from repro.sampling.zoo import make_sampler
+
+    assert PrefetchingSubgraphPool is SubgraphPool
+    original = SubgraphPool.__dict__["get"]
+    recorder = _tracing().Recorder(enabled=True)
+    recorder.install()
+    try:
+        pool = SubgraphPool(make_sampler("rw", medium_graph, budget=60), MachineSpec())
+        with recorder.stage("train") as timing:
+            pool.get()
+    finally:
+        recorder.uninstall()
+    assert timing.names["sampling.pool_get"][0] == 1
+    assert SubgraphPool.__dict__["get"] is original
 
 
 def test_targets_cover_the_serving_layer():

@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphs.csr import edges_to_csr
 from repro.sampling.extra import (
     ForestFireSampler,
-    RandomEdgeSampler,
+    MetropolisHastingsWalkSampler,
     RandomNodeSampler,
-    RandomWalkSampler,
+    SnowballSampler,
 )
 
 
@@ -29,45 +28,6 @@ class TestRandomNode:
             RandomNodeSampler(medium_graph, budget=0)
         with pytest.raises(ValueError):
             RandomNodeSampler(medium_graph, budget=medium_graph.num_vertices + 1)
-
-
-class TestRandomEdge:
-    def test_budget_respected(self, medium_graph, rng):
-        sub = RandomEdgeSampler(medium_graph, budget=60).sample(rng)
-        assert sub.num_vertices == 60
-
-    def test_endpoints_biased_to_degree(self, rng):
-        """Edge sampling finds the hub of a star almost surely."""
-        edges = [[0, i] for i in range(1, 40)]
-        g = edges_to_csr(np.array(edges), 40)
-        sub = RandomEdgeSampler(g, budget=10).sample(rng)
-        assert 0 in sub.vertex_map
-
-    def test_edgeless_graph_rejected(self):
-        g = edges_to_csr(np.empty((0, 2)), 5)
-        with pytest.raises(ValueError, match="no edges"):
-            RandomEdgeSampler(g, budget=2)
-
-
-class TestRandomWalk:
-    def test_size_bounds(self, medium_graph, rng):
-        s = RandomWalkSampler(medium_graph, num_roots=10, walk_length=5)
-        sub = s.sample(rng)
-        assert 1 <= sub.num_vertices <= 10 * 6
-
-    def test_walk_stays_in_graph(self, clique_ring, rng):
-        s = RandomWalkSampler(clique_ring, num_roots=3, walk_length=10)
-        sub = s.sample(rng)
-        assert sub.vertex_map.max() < clique_ring.num_vertices
-
-    def test_zero_degree_rejected(self, rng):
-        g = edges_to_csr(np.array([[0, 1]]), 3)
-        with pytest.raises(ValueError, match="min degree"):
-            RandomWalkSampler(g, num_roots=2, walk_length=3)
-
-    def test_validation(self, medium_graph):
-        with pytest.raises(ValueError):
-            RandomWalkSampler(medium_graph, num_roots=0, walk_length=5)
 
 
 class TestForestFire:
@@ -95,13 +55,17 @@ class TestCommonInterface:
     def test_all_samplers_produce_induced_subgraphs(self, medium_graph, rng, budget):
         samplers = [
             RandomNodeSampler(medium_graph, budget=budget),
-            RandomEdgeSampler(medium_graph, budget=budget),
-            RandomWalkSampler(medium_graph, num_roots=budget // 4, walk_length=4),
             ForestFireSampler(medium_graph, budget=budget),
+            MetropolisHastingsWalkSampler(
+                medium_graph, num_roots=budget // 4, walk_length=3
+            ),
+            SnowballSampler(medium_graph, budget=budget),
         ]
         for s in samplers:
             sub = s.sample(rng)
             assert np.all(np.diff(sub.vertex_map) > 0)
+            # Unmetered: size only, so the pool prices them by it.
+            assert sub.stats == {"unique_vertices": float(sub.num_vertices)}
             # Spot-check edge induction.
             for u in range(min(5, sub.num_vertices)):
                 for v in sub.graph.neighbors(u):

@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from repro.graphs.csr import edges_to_csr
-from repro.sampling.extra import (
-    MetropolisHastingsWalkSampler,
-    RandomWalkSampler,
-    SnowballSampler,
-)
+from repro.sampling.extra import MetropolisHastingsWalkSampler, SnowballSampler
+from repro.sampling.rw import RandomWalkBatchSampler
 
 
 class TestMetropolisHastings:
@@ -21,23 +18,21 @@ class TestMetropolisHastings:
 
     def test_less_degree_biased_than_simple_walk(self):
         """MH walks visit high-degree hubs less than simple random walks:
-        mean sampled degree must be lower."""
+        a step from a degree-2 spoke onto the degree-40 hub is accepted
+        with probability 1/20, so far fewer subgraphs contain the hub."""
         # Star-of-chains graph: one big hub.
         edges = [[0, i] for i in range(1, 41)]
         edges += [[i, 40 + i] for i in range(1, 41)]
         g = edges_to_csr(np.array(edges), 81)
 
-        def mean_deg(sampler_cls, seeds):
-            vals = []
-            for i in seeds:
-                s = sampler_cls(g, num_roots=6, walk_length=10)
-                sub = s.sample(np.random.default_rng(i))
-                vals.append(float(g.degrees[sub.vertex_map].mean()))
-            return float(np.mean(vals))
+        def hub_rate(sampler):
+            return np.mean(
+                [0 in sampler.sample(np.random.default_rng(i)).vertex_map for i in range(20)]
+            )
 
-        mh = mean_deg(MetropolisHastingsWalkSampler, range(10))
-        rw = mean_deg(RandomWalkSampler, range(10))
-        assert mh <= rw
+        mh = hub_rate(MetropolisHastingsWalkSampler(g, num_roots=6, walk_length=10))
+        rw = hub_rate(RandomWalkBatchSampler(g, num_roots=6, walk_depth=10))
+        assert mh < 0.8 < rw
 
     def test_zero_degree_rejected(self, rng):
         g = edges_to_csr(np.array([[0, 1]]), 3)

@@ -1,12 +1,14 @@
-"""Tests for the real multi-process sampler pool."""
+"""The subgraph pool filled by worker processes (``workers > 1``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.parallel.machine import MachineSpec
+from repro.sampling.base import GraphSampler
 from repro.sampling.dashboard import DashboardFrontierSampler
-from repro.sampling.mp_pool import ParallelSamplerPool, sample_batch_parallel
+from repro.sampling.scheduler import SubgraphPool
 
 
 @pytest.fixture(scope="module")
@@ -14,53 +16,70 @@ def sampler(medium_graph):
     return DashboardFrontierSampler(medium_graph, frontier_size=20, budget=100)
 
 
+def _batch(sampler, count, *, workers, seed=0):
+    depth = 0 if workers == 1 else workers
+    with SubgraphPool(
+        sampler, MachineSpec(), depth=depth, workers=workers, seed=seed
+    ) as pool:
+        return [pool.get()[0] for _ in range(count)]
+
+
 class TestSampleBatchParallel:
     def test_inline_path(self, sampler):
-        subs = sample_batch_parallel(sampler, 3, workers=1, seed=0)
+        subs = _batch(sampler, 3, workers=1)
         assert len(subs) == 3
         assert all(s.num_vertices > 0 for s in subs)
 
     def test_multiprocess_path(self, sampler):
-        subs = sample_batch_parallel(sampler, 4, workers=2, seed=0)
+        subs = _batch(sampler, 4, workers=2)
         assert len(subs) == 4
         assert all(s.num_vertices > 0 for s in subs)
 
     def test_deterministic_across_worker_counts(self, sampler):
         """Subgraph i depends only on (seed, i), not on scheduling."""
-        a = sample_batch_parallel(sampler, 4, workers=1, seed=7)
-        b = sample_batch_parallel(sampler, 4, workers=2, seed=7)
+        a = _batch(sampler, 4, workers=1, seed=7)
+        b = _batch(sampler, 4, workers=2, seed=7)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.vertex_map, sb.vertex_map)
 
     def test_batches_are_independent_draws(self, sampler):
-        subs = sample_batch_parallel(sampler, 3, workers=1, seed=1)
+        subs = _batch(sampler, 3, workers=1, seed=1)
         assert not np.array_equal(subs[0].vertex_map, subs[1].vertex_map)
 
     def test_validation(self, sampler):
         with pytest.raises(ValueError):
-            sample_batch_parallel(sampler, -1, workers=1)
+            SubgraphPool(sampler, MachineSpec(), depth=-1)
         with pytest.raises(ValueError):
-            sample_batch_parallel(sampler, 1, workers=0)
+            SubgraphPool(sampler, MachineSpec(), depth=1, workers=0)
 
-    def test_zero_count(self, sampler):
-        assert sample_batch_parallel(sampler, 0, workers=2) == []
+    def test_zero_count(self, medium_graph):
+        """An inline pool that is never asked never samples."""
+
+        class Untouchable(GraphSampler):
+            def _draw(self, rng):
+                raise AssertionError("sampled ahead of the consumer")
+
+        assert _batch(Untouchable(medium_graph), 0, workers=1) == []
 
 
 class TestParallelSamplerPool:
     def test_context_manager_batches(self, sampler):
-        with ParallelSamplerPool(sampler, workers=2, seed=0) as pool:
-            first = pool.next_batch(2)
-            second = pool.next_batch(2)
-        assert len(first) == 2 and len(second) == 2
-        # Sequential batches continue the seed stream (no repeats).
+        with SubgraphPool(
+            sampler, MachineSpec(), depth=2, workers=2, seed=0
+        ) as pool:
+            first = [pool.get()[0] for _ in range(2)]
+            second = [pool.get()[0] for _ in range(2)]
+        # Later takes continue the seed stream (no repeats).
         assert not np.array_equal(first[0].vertex_map, second[0].vertex_map)
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.get()
 
     def test_single_worker_inline(self, sampler):
-        with ParallelSamplerPool(sampler, workers=1, seed=0) as pool:
-            batch = pool.next_batch(3)
-        assert len(batch) == 3
+        pool = SubgraphPool(sampler, MachineSpec(), depth=0, workers=4, seed=0)
+        assert pool._executor is None
+        assert len([pool.get() for _ in range(3)]) == 3
 
     def test_close_idempotent(self, sampler):
-        pool = ParallelSamplerPool(sampler, workers=1, seed=0)
+        pool = SubgraphPool(sampler, MachineSpec(), depth=2, workers=2, seed=0)
         pool.close()
         pool.close()

@@ -1,14 +1,28 @@
-"""Tests for the subgraph pool scheduler (Algorithm 5)."""
+"""The subgraph pool (Algorithm 5): one seed stream whatever the execution
+mode, and the one modeled price of a pool fill."""
 
 from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from repro.parallel.machine import xeon_40core
+from repro.parallel.machine import MachineSpec, xeon_40core
+from repro.sampling.cost import pool_fill_times
 from repro.sampling.dashboard import DashboardFrontierSampler
 from repro.sampling.extra import RandomNodeSampler
-from repro.sampling.scheduler import SubgraphPool
+from repro.sampling.scheduler import PrefetchStats, SubgraphPool
+from repro.sampling.zoo import FAMILIES, make_sampler
+
+# Generated at the parent of the one-pool change (commit 1294a97):
+# ``PoolFill.simulated_makespan`` of the old batch-refilling pool and
+# digests of the old ``PrefetchingSubgraphPool`` stream.
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "pool_golden.json").read_text()
+)
 
 
 @pytest.fixture
@@ -16,68 +30,135 @@ def sampler(medium_graph):
     return DashboardFrontierSampler(medium_graph, frontier_size=20, budget=100)
 
 
+@pytest.fixture
+def eight_stats(sampler):
+    rng = np.random.default_rng(0)
+    return [sampler.sample(rng).stats for _ in range(8)]
+
+
+def _digest(pairs) -> str:
+    h = hashlib.sha256()
+    for sub, sim in pairs:
+        h.update(np.ascontiguousarray(sub.vertex_map, dtype=np.int64).tobytes())
+        h.update(json.dumps(sorted(sub.stats.items())).encode())
+        h.update(float(sim).hex().encode())
+    return h.hexdigest()
+
+
 class TestPool:
     def test_validation(self, sampler):
-        with pytest.raises(ValueError):
-            SubgraphPool(sampler, xeon_40core(), p_inter=0)
+        for bad in ({"depth": -1}, {"workers": 0}, {"p_intra": 0}):
+            with pytest.raises(ValueError):
+                SubgraphPool(sampler, xeon_40core(), **bad)
 
     def test_get_refills_when_empty(self, sampler):
-        pool = SubgraphPool(
-            sampler, xeon_40core(), p_inter=4, rng=np.random.default_rng(0)
-        )
-        assert len(pool) == 0
-        sub, t = pool.get()
-        assert sub.num_vertices > 0
-        assert t > 0
-        assert len(pool) == 3  # 4 sampled, 1 consumed
-        assert len(pool.fills) == 1
+        """Taking a subgraph empties a slot and get() fills it again."""
+        with SubgraphPool(sampler, xeon_40core(), depth=4, seed=0) as pool:
+            assert len(pool._slots) == 4
+            sub, t = pool.get()
+            assert sub.num_vertices > 0 and t > 0
+            assert len(pool._slots) == 4
+            assert pool.stats.submitted == 5
 
     def test_no_refill_while_warm(self, sampler):
-        pool = SubgraphPool(
-            sampler, xeon_40core(), p_inter=4, rng=np.random.default_rng(0)
-        )
-        for _ in range(4):
-            pool.get()
-        assert len(pool.fills) == 1
-        pool.get()  # triggers second fill
-        assert len(pool.fills) == 2
+        """The pool never runs further ahead than depth: k gets cost
+        exactly k submissions beyond the initial window."""
+        for depth in (0, 3):
+            with SubgraphPool(sampler, xeon_40core(), depth=depth, seed=0) as pool:
+                for k in range(1, 5):
+                    pool.get()
+                    assert pool._next == depth + k
 
-    def test_amortized_time_is_makespan_fraction(self, sampler):
-        pool = SubgraphPool(
-            sampler, xeon_40core(), p_inter=8, rng=np.random.default_rng(1)
-        )
-        _, t = pool.get()
-        fill = pool.fills[-1]
-        assert t == pytest.approx(fill.simulated_makespan / 8)
+    def test_depth_zero_samples_inline(self, sampler):
+        """Nothing is sampled before it is asked for, no executor exists,
+        and the in-flight telemetry stays all zero."""
+        pool = SubgraphPool(sampler, xeon_40core(), seed=3)
+        assert pool._executor is None and pool._next == 0
+        sub, t = pool.get()
+        assert sub.num_vertices > 0 and t > 0
+        assert pool._next == 1
+        assert pool.stats == PrefetchStats()
 
-    def test_inter_parallel_speedup_near_linear(self, sampler):
+    def test_amortized_time_is_makespan_fraction(self, sampler, eight_stats):
+        """A fill's makespan is shared by the subgraphs it produced; the
+        pool reports exactly that share."""
+        machine = xeon_40core()
+        (makespan,) = pool_fill_times(eight_stats, machine, instances=8)
+        assert max(pool_fill_times(eight_stats, machine, instances=1)) < makespan
+        with SubgraphPool(sampler, machine, depth=2, workers=2, seed=1) as pool:
+            sub, t = pool.get()
+        (pair,) = pool_fill_times([sub.stats], machine, instances=2)
+        assert t == pair / 2
+
+    def test_inter_parallel_speedup_near_linear(self, eight_stats):
         """Filling with 8 instances on 8 cores beats serial by ~8x (LPT of
-        homogeneous tasks)."""
-        pool = SubgraphPool(
-            sampler, xeon_40core(), p_inter=8, rng=np.random.default_rng(2)
-        )
-        pool.refill()
-        fill = pool.fills[-1]
-        assert 5.0 <= fill.simulated_speedup <= 8.0
+        homogeneous tasks, less the memory contention of 8 instances)."""
+        machine = xeon_40core()
+        serial = sum(pool_fill_times(eight_stats, machine, instances=1))
+        (parallel,) = pool_fill_times(eight_stats, machine, instances=8)
+        assert 5.0 <= serial / parallel <= 8.0
 
-    def test_avx_reduces_fill_time(self, sampler):
-        scalar = SubgraphPool(
-            sampler, xeon_40core(), p_inter=4, p_intra=1, rng=np.random.default_rng(3)
-        )
-        vector = SubgraphPool(
-            sampler, xeon_40core(), p_inter=4, p_intra=8, rng=np.random.default_rng(3)
-        )
-        t_scalar = scalar.refill().simulated_makespan
-        t_vector = vector.refill().simulated_makespan
-        assert t_vector < t_scalar
+    def test_avx_reduces_fill_time(self, eight_stats):
+        machine = xeon_40core()
+        (scalar,) = pool_fill_times(eight_stats[:4], machine, instances=4, p_intra=1)
+        (vector,) = pool_fill_times(eight_stats[:4], machine, instances=4, p_intra=8)
+        assert vector < scalar
 
     def test_unmetered_sampler_uses_fallback_cost(self, medium_graph):
-        pool = SubgraphPool(
-            RandomNodeSampler(medium_graph, budget=50),
-            xeon_40core(),
-            p_inter=2,
-            rng=np.random.default_rng(4),
-        )
+        pool = SubgraphPool(RandomNodeSampler(medium_graph, budget=50), xeon_40core())
         sub, t = pool.get()
         assert sub.num_vertices == 50
-        assert t > 0
+        assert t == 50.0
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN["fill_makespans_hex"]))
+    def test_fill_price_pinned(self, eight_stats, key):
+        """Bit-identical to the old pool's refill makespans at
+        ``p_inter x p_intra``, 8 subgraphs from ``default_rng(0)``."""
+        instances, p_intra = map(int, key.split("x"))
+        fills = pool_fill_times(
+            eight_stats, xeon_40core(), instances=instances, p_intra=p_intra
+        )
+        assert [t.hex() for t in fills] == GOLDEN["fill_makespans_hex"][key]
+
+    def test_fills_cycle_through_few_subgraphs(self, eight_stats):
+        """More instances than metered subgraphs: the batch cycles them."""
+        machine = xeon_40core()
+        (two,) = pool_fill_times(eight_stats[:1], machine, instances=2)
+        (one,) = pool_fill_times(eight_stats[:1] * 2, machine, instances=2)
+        assert two == one
+        assert len(pool_fill_times(eight_stats, machine, instances=3, fills=5)) == 5
+        with pytest.raises(ValueError):
+            pool_fill_times([], machine, instances=1)
+
+
+class TestExecutionModeInvariance:
+    """depth / workers change when a subgraph is sampled, never which."""
+
+    MODES = [(0, 1), (1, 1), (3, 1), (2, 2)]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_same_subgraphs_in_every_mode(self, medium_graph, family):
+        runs = []
+        for depth, workers in self.MODES:
+            sampler = make_sampler(family, medium_graph, budget=100)
+            with SubgraphPool(
+                sampler, MachineSpec(), depth=depth, workers=workers, seed=5
+            ) as pool:
+                runs.append([pool.get()[0] for _ in range(12)])
+        for run in runs[1:]:
+            for a, b in zip(runs[0], run):
+                assert np.array_equal(a.vertex_map, b.vertex_map)
+                assert a.stats == b.stats
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN["prefetch_stream_sha256"]))
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_stream_did_not_move(self, medium_graph, key, depth):
+        """The depth>0 stream is the old prefetching pool's, bit for bit
+        (subgraphs, stats and modeled times), and depth 0 now shares it."""
+        family, seed = key.split("/")
+        sampler = make_sampler(family, medium_graph, budget=100)
+        with SubgraphPool(
+            sampler, MachineSpec(), depth=depth, seed=int(seed)
+        ) as pool:
+            got = _digest([pool.get() for _ in range(12)])
+        assert got == GOLDEN["prefetch_stream_sha256"][key]

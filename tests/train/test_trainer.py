@@ -39,7 +39,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(p_inter=0)
+            TrainConfig(p_intra=0)
 
 
 class TestTrainer:
