@@ -48,6 +48,18 @@ class TestGemmKernels:
         out = np.empty((2000, 256), dtype=dtype)
         benchmark(kernel_ops.gemm, a, b, out=out)
 
+    def test_gemm_dispatch_small(self, benchmark):
+        """One probed IVF cell for one query: ~4 us of BLAS, so the
+        series is the dispatch cost of ``ops.gemm`` itself."""
+        rng = np.random.default_rng(0)
+        query = rng.standard_normal((1, 256))
+        cell = rng.standard_normal((64, 256))
+        # Microsecond calls: 20 per timed round, a bounded 500-sample series.
+        benchmark.pedantic(
+            kernel_ops.gemm, args=(query, cell.T), rounds=500, iterations=20,
+            warmup_rounds=5,
+        )
+
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_spmm(self, benchmark, dataset, dtype):
         x = (

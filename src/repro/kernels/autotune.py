@@ -58,6 +58,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
@@ -135,6 +136,11 @@ class ShapeClass:
     winning plan genuinely differs between them: the arena strategy only
     exists for transient calls, and blocking pays off mainly when the
     result memory is warm.
+
+    :meth:`for_gemm` / :meth:`for_spmm` hand out one shared instance per
+    class (a memo on the buckets, dtype and variant), so a dispatch pays
+    for the dtype name and the ``key`` string once per class, not once
+    per call.
     """
 
     op: str
@@ -142,36 +148,37 @@ class ShapeClass:
     dtype: str
     variant: str = "alloc"
 
-    @property
+    @cached_property
     def key(self) -> str:
         dims = ".".join(str(b) for b in self.buckets)
         return f"{self.op}[{dims}|{self.dtype}|{self.variant}]"
 
     @classmethod
+    def _shared(cls, op: str, buckets: tuple[int, ...], dtype, variant: str) -> "ShapeClass":
+        memo = (op, buckets, dtype, variant)
+        sc = _SHAPE_CLASSES.get(memo)
+        if sc is None:
+            sc = _SHAPE_CLASSES[memo] = cls(op, buckets, np.dtype(dtype).name, variant)
+        return sc
+
+    @classmethod
     def for_gemm(
         cls, m: int, k: int, n: int, dtype: np.dtype, *, variant: str = "alloc"
     ) -> "ShapeClass":
-        return cls(
-            op="gemm",
-            buckets=(_log2_bucket(m), _log2_bucket(k), _log2_bucket(n)),
-            dtype=np.dtype(dtype).name,
-            variant=variant,
-        )
+        buckets = (_log2_bucket(m), _log2_bucket(k), _log2_bucket(n))
+        return cls._shared("gemm", buckets, dtype, variant)
 
     @classmethod
     def for_spmm(
         cls, rows: int, nnz: int, cols: int, dtype: np.dtype, *, variant: str = "alloc"
     ) -> "ShapeClass":
-        return cls(
-            op="spmm",
-            buckets=(
-                _log2_bucket(rows),
-                _log2_bucket(cols),
-                _density_bucket(nnz, rows),
-            ),
-            dtype=np.dtype(dtype).name,
-            variant=variant,
-        )
+        buckets = (_log2_bucket(rows), _log2_bucket(cols), _density_bucket(nnz, rows))
+        return cls._shared("spmm", buckets, dtype, variant)
+
+
+#: (op, buckets, dtype as passed, variant) -> the class's one instance.
+#: Pure memo of immutable values: independent of plan mode and plan cache.
+_SHAPE_CLASSES: dict[tuple, ShapeClass] = {}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ and the serving indexes. Each call:
    explicit ``plan=`` or ``backend=`` argument wins outright; otherwise
    the process-wide plan mode decides (``"fast"``/``"reference"`` →
    static default-backend dispatch, ``"auto"`` → the
-   :class:`~repro.kernels.autotune.PlanCache`, tuning at first use),
+   :class:`~repro.kernels.autotune.PlanCache`, tuning at first use) and
+   the call's :class:`~repro.kernels.autotune.ShapeClass` — the shared
+   instance of a memo on ``(log2 buckets, dtype, variant)``, so the
+   dtype name and the accounting key string are built once per class,
+   not once per call (a 1x256 @ 256x64 product is ~4 us of BLAS; the
+   per-call string work used to cost several times that),
 3. executes the plan against the selected
    :class:`~repro.kernels.backends.KernelBackend`, optionally writing a
    caller-provided ``out=`` buffer (the
@@ -39,7 +44,7 @@ from . import accounting, autotune
 if TYPE_CHECKING:  # annotation-only: see backends.py on the import cycle.
     from ..graphs.csr import CSRGraph
 from .autotune import ExecutionPlan, ShapeClass
-from .backends import get_backend, segment_sum
+from .backends import KernelBackend, get_backend, segment_sum
 
 __all__ = [
     "gemm",
@@ -63,20 +68,27 @@ def _check_2d(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"gemm shape mismatch: {a.shape} @ {b.shape}")
 
 
-def _resolve_gemm_plan(
+def _dispatch_gemm(
     a: np.ndarray,
     b: np.ndarray,
     out: Optional[np.ndarray],
     backend: Optional[str],
     plan: Optional[ExecutionPlan],
     transient: bool,
-) -> ExecutionPlan:
-    """Plan for one gemm call: explicit plan > explicit backend > mode."""
-    if plan is not None:
-        return plan
-    if backend is not None:
-        return ExecutionPlan(backend=backend, source="explicit")
-    return autotune.resolve_gemm(a, b, out, transient=transient)
+) -> tuple[KernelBackend, ExecutionPlan, str]:
+    """What one gemm call runs on and is accounted under: the backend,
+    the plan (explicit plan > explicit backend > mode) and the class key."""
+    _check_2d(a, b)
+    if plan is None:
+        if backend is not None:
+            plan = ExecutionPlan(backend=backend, source="explicit")
+        else:
+            plan = autotune.resolve_gemm(a, b, out, transient=transient)
+    variant = "out" if out is not None else ("transient" if transient else "alloc")
+    sc = ShapeClass.for_gemm(
+        a.shape[0], a.shape[1], b.shape[1], a.dtype, variant=variant
+    )
+    return get_backend(plan.backend), plan, sc.key
 
 
 def gemm(
@@ -95,21 +107,15 @@ def gemm(
     in the shared arena (the buffer is *reused* by the next transient
     call of the same shape class — never pass it somewhere long-lived).
     """
-    _check_2d(a, b)
-    resolved = _resolve_gemm_plan(a, b, out, backend, plan, transient)
-    impl = get_backend(resolved.backend)
-    variant = "out" if out is not None else ("transient" if transient else "alloc")
-    sc = ShapeClass.for_gemm(
-        a.shape[0], a.shape[1], b.shape[1], a.dtype, variant=variant
-    )
+    impl, plan, class_key = _dispatch_gemm(a, b, out, backend, plan, transient)
     t0 = _perf_counter()
-    result = autotune.execute_gemm(impl, resolved, a, b, out, transient=transient)
+    result = autotune.execute_gemm(impl, plan, a, b, out, transient=transient)
     accounting.record_gemm(
         a.shape[0],
         a.shape[1],
         b.shape[1],
         _perf_counter() - t0,
-        class_key=sc.key,
+        class_key=class_key,
         itemsize=result.dtype.itemsize,
     )
     return result
@@ -131,30 +137,17 @@ def gemm_accumulate(
     product lands in the reusable buffer first, so steady-state training
     allocates nothing here.
     """
-    _check_2d(a, b)
+    impl, plan, class_key = _dispatch_gemm(a, b, scratch, backend, plan, False)
     if acc.shape != (a.shape[0], b.shape[1]):
         raise ValueError(f"acc shape {acc.shape} != product shape ({a.shape[0]}, {b.shape[1]})")
-    resolved = _resolve_gemm_plan(a, b, scratch, backend, plan, False)
-    impl = get_backend(resolved.backend)
-    sc = ShapeClass.for_gemm(
-        a.shape[0],
-        a.shape[1],
-        b.shape[1],
-        a.dtype,
-        variant="out" if scratch is not None else "alloc",
-    )
     t0 = _perf_counter()
-    if scratch is None:
-        acc += autotune.execute_gemm(impl, resolved, a, b, None)
-    else:
-        autotune.execute_gemm(impl, resolved, a, b, scratch)
-        acc += scratch
+    acc += autotune.execute_gemm(impl, plan, a, b, scratch)
     accounting.record_gemm(
         a.shape[0],
         a.shape[1],
         b.shape[1],
         _perf_counter() - t0,
-        class_key=sc.key,
+        class_key=class_key,
         itemsize=acc.dtype.itemsize,
     )
     return acc

@@ -112,14 +112,14 @@ class ShardedIndex:
         dtype=np.float64,
     ):
         self.dtype = np.dtype(dtype)
-        self._raw = np.asarray(embeddings)
+        embeddings = np.asarray(embeddings)
         self._normed = l2_normalize_rows(embeddings, dtype=self.dtype)
         self.router = CentroidRouter(self._normed, assignment)
         self.include_owner = include_owner
         self.index_kind = index
         self.index_kwargs = dict(index_kwargs or {})
         self.indexes = [
-            self._build(self._raw[self.router.members(s)], s)
+            self._build(embeddings[self.router.members(s)], s)
             for s in range(self.num_shards)
         ]
         self.last_rows_scanned = 0

@@ -241,6 +241,21 @@ class BruteForceIndex:
         )
 
 
+def _cell_layout(
+    assignments: np.ndarray, num_cells: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by cell: ``(order, ptr)`` of one stable sort.
+
+    ``order[ptr[c]:ptr[c + 1]]`` are cell ``c``'s row ids, ascending —
+    the CSR layout of the assignment, and the order a boolean mask
+    ``assignments == c`` would select them in.
+    """
+    order = np.argsort(assignments, kind="stable")
+    ptr = np.zeros(num_cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(assignments, minlength=num_cells), out=ptr[1:])
+    return order, ptr
+
+
 def _spherical_kmeans(
     normed: np.ndarray,
     num_clusters: int,
@@ -250,7 +265,9 @@ def _spherical_kmeans(
     """Lloyd's iterations with cosine assignment on unit vectors.
 
     Returns ``(centroids, assignments)``; empty clusters are reseeded to
-    the point currently worst-served by its centroid.
+    the point currently worst-served by its centroid. Each iteration
+    sorts the rows by cell once; a centroid is the mean over one
+    contiguous segment of that order.
     """
     n = normed.shape[0]
     start = rng.choice(n, size=num_clusters, replace=False)
@@ -262,17 +279,23 @@ def _spherical_kmeans(
         sims = kernel_ops.gemm(normed, centroids.T, transient=True)
         assignments = sims.argmax(axis=1)
         best = sims[np.arange(n), assignments]
+        order, ptr = _cell_layout(assignments, num_clusters)
         for c in range(num_clusters):
-            members = assignments == c
-            if not members.any():
+            # One cell's rows at a time: the gathered block is still in
+            # cache when the mean reads it.
+            members = normed.take(order[ptr[c] : ptr[c + 1]], axis=0)
+            if members.shape[0] == 0:
                 worst = int(np.argmin(best))
+                home = assignments[worst]
                 centroids[c] = normed[worst]
                 assignments[worst] = c
                 best[worst] = 1.0
+                if home > c:  # a cell still to come lost a row
+                    order, ptr = _cell_layout(assignments, num_clusters)
                 continue
-            mean = normed[members].mean(axis=0)
+            mean = members.mean(axis=0)
             norm = np.linalg.norm(mean)
-            centroids[c] = mean / norm if norm > 0 else normed[members][0]
+            centroids[c] = mean / norm if norm > 0 else members[0]
     return centroids, assignments
 
 
@@ -283,6 +306,12 @@ class ClusterIndex:
     scans only the members of the top-``probes`` cells. ``probes`` is the
     recall/latency dial: ``probes == num_clusters`` degenerates to an
     exact scan (plus the centroid pass).
+
+    Rows are stored cell-contiguously, the way a Dashboard vertex owns
+    contiguous entries (Section IV-B): ``_slab[_ptr[c]:_ptr[c + 1]]`` are
+    cell ``c``'s unit rows, ``_order`` their vertex ids (ascending inside
+    a cell) and ``_slot`` the inverse permutation. Scanning a cell is a
+    GEMM on a slab view, with no gather.
     """
 
     def __init__(
@@ -297,21 +326,16 @@ class ClusterIndex:
         dtype=np.float64,
     ):
         self.dtype = np.dtype(dtype)
-        self._normed = l2_normalize_rows(embeddings, dtype=self.dtype)
-        n = self._normed.shape[0]
+        normed = l2_normalize_rows(embeddings, dtype=self.dtype)
+        n = normed.shape[0]
         if n == 0:
             raise ValueError("cannot index an empty embedding matrix")
+        centroids = None
         if assignments is not None:
             assignments = np.asarray(assignments, dtype=np.int64).ravel()
             if assignments.shape[0] != n:
                 raise ValueError("assignments length != number of rows")
             num_clusters = int(assignments.max()) + 1
-            centroids = np.zeros((num_clusters, self._normed.shape[1]), dtype=self.dtype)
-            for c in range(num_clusters):
-                members = assignments == c
-                if members.any():
-                    centroids[c] = self._normed[members].mean(axis=0)
-            centroids = l2_normalize_rows(centroids, dtype=self.dtype)
         else:
             if num_clusters is None:
                 num_clusters = max(1, min(n, int(round(np.sqrt(n)))))
@@ -319,26 +343,32 @@ class ClusterIndex:
                 raise ValueError("num_clusters must be in [1, n]")
             rng = rng or np.random.default_rng(0)
             centroids, assignments = _spherical_kmeans(
-                self._normed, num_clusters, rng, iters=kmeans_iters
+                normed, num_clusters, rng, iters=kmeans_iters
             )
+        self._order, self._ptr = _cell_layout(assignments, num_clusters)
+        self._slab = normed[self._order]
+        self._slot = np.empty(n, dtype=np.int64)
+        self._slot[self._order] = np.arange(n)
+        if centroids is None:
+            centroids = np.zeros((num_clusters, normed.shape[1]), dtype=self.dtype)
+            for c in np.flatnonzero(np.diff(self._ptr)):
+                centroids[c] = self._slab[self._ptr[c] : self._ptr[c + 1]].mean(axis=0)
+            centroids = l2_normalize_rows(centroids, dtype=self.dtype)
         self.centroids = centroids
         self.assignments = assignments
         self.num_clusters = num_clusters
         self.default_probes = int(np.clip(probes, 1, num_clusters))
-        self._members = [
-            np.flatnonzero(assignments == c) for c in range(num_clusters)
-        ]
         self.last_rows_scanned = 0
 
     @property
     def num_vectors(self) -> int:
         """Number of indexed rows."""
-        return self._normed.shape[0]
+        return self._slab.shape[0]
 
     @property
     def dim(self) -> int:
         """Embedding dimensionality."""
-        return self._normed.shape[1]
+        return self._slab.shape[1]
 
     def search(
         self,
@@ -353,57 +383,84 @@ class ClusterIndex:
 
         One matmul per *probed cell* over all queries probing it, so a
         micro-batch of queries amortizes the cell scans the same way
-        Algorithm 1 amortizes aggregation over a sampled subgraph.
-        Queries with fewer than ``k`` candidates pad ``indices`` with
-        ``-1`` and ``similarities`` with ``-inf``.
+        Algorithm 1 amortizes aggregation over a sampled subgraph; then
+        one top-``k`` per *batch* over a padded ``(queries, width)``
+        candidate buffer. Queries with fewer than ``k`` candidates pad
+        ``indices`` with ``-1`` and ``similarities`` with ``-inf``.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        if probes is None:
+            probes = self.default_probes
+        elif probes < 1:
+            raise ValueError("probes must be >= 1")
         query_vecs = np.atleast_2d(np.asarray(query_vecs, dtype=self.dtype))
         qn = query_vecs if normalized else l2_normalize_rows(query_vecs, dtype=self.dtype)
         num_q = qn.shape[0]
-        p = int(np.clip(probes or self.default_probes, 1, self.num_clusters))
+        p = min(int(probes), self.num_clusters)
         # transient: consumed into probe_sets right here. The per-cell
-        # `block` gemm below must NOT be transient — its rows are kept
-        # as views in cand_sims across later gemm calls.
+        # block gemm below must NOT be transient: its rows are kept as
+        # views in `blocks` across later gemm calls.
         cent_sims = kernel_ops.gemm(qn, self.centroids.T, transient=True)
         if p < self.num_clusters:
             probe_sets = np.argpartition(-cent_sims, kth=p - 1, axis=1)[:, :p]
+            probe_sets.sort(axis=1)
         else:
             probe_sets = np.tile(np.arange(self.num_clusters), (num_q, 1))
-        # Invert: for each cell, which queries probe it → one gemm/cell.
-        cand_ids: list[list[np.ndarray]] = [[] for _ in range(num_q)]
-        cand_sims: list[list[np.ndarray]] = [[] for _ in range(num_q)]
-        scanned = 0
-        for c in range(self.num_clusters):
-            querying = np.flatnonzero((probe_sets == c).any(axis=1))
-            members = self._members[c]
-            if querying.size == 0 or members.size == 0:
-                continue
-            block = kernel_ops.gemm(qn[querying], self._normed[members].T)
-            scanned += querying.size * members.size
-            for row, q in enumerate(querying):
-                cand_ids[q].append(members)
-                cand_sims[q].append(block[row])
-        self.last_rows_scanned = scanned
+        # A query's candidates sit side by side in its buffer row, cell
+        # after cell in ascending cell order: columns starts..ends of a
+        # probed cell are ascending slab rows, column + shift = slab row.
+        lens = self._ptr[probe_sets + 1] - self._ptr[probe_sets]
+        ends = np.cumsum(lens, axis=1)
+        starts = ends - lens
+        shift = self._ptr[probe_sets] - starts
+        width = int(ends[:, -1].max(initial=1))
+        self.last_rows_scanned = scanned = int(ends[:, -1].sum())
+        # One sort groups the (query, cell) pairs by cell, queries
+        # ascending inside a cell: one gemm per probed cell.
+        by_cell = np.argsort(probe_sets, axis=None, kind="stable")
+        pair_q = by_cell // p
+        pair_cell = probe_sets.ravel()[by_cell]
+        first = np.flatnonzero(np.diff(pair_cell, prepend=-1))  # pair of each cell
+        cells = pair_cell[first]
+        q_rows = qn[pair_q]
+        blocks = []
+        for a, b, lo, hi in zip(
+            first.tolist(),
+            first[1:].tolist() + [pair_cell.size],
+            self._ptr[cells].tolist(),
+            self._ptr[cells + 1].tolist(),
+        ):
+            if lo < hi:
+                block = kernel_ops.gemm(q_rows[a:b], self._slab[lo:hi].T)
+                blocks.append(block.ravel())
+        cand = np.full(num_q * width, -np.inf, dtype=self.dtype)
+        if blocks:
+            # Pair i's similarities are flat[src[i] : src[i] + len[i]] of
+            # the concatenated blocks and go to cand[dst[i] : ...].
+            pair_len = lens.ravel()[by_cell]
+            pair_src = np.cumsum(pair_len) - pair_len
+            pair_dst = pair_q * width + starts.ravel()[by_cell]
+            into = np.repeat(pair_dst - pair_src, pair_len) + np.arange(scanned)
+            cand[into] = np.concatenate(blocks)
+        cand = cand.reshape(num_q, width)
+        if exclude is not None:
+            # The query's own row, where one of its probed cells holds it.
+            own = np.asarray(exclude, dtype=np.int64).ravel()
+            q_hit, cell_hit = np.nonzero(probe_sets == self.assignments[own][:, None])
+            cand[q_hit, self._slot[own[q_hit]] - shift[q_hit, cell_hit]] = -np.inf
         idx_out = np.full((num_q, k), -1, dtype=np.int64)
         sim_out = np.full((num_q, k), -np.inf, dtype=self.dtype)
-        exclude = None if exclude is None else np.asarray(exclude).ravel()
-        for q in range(num_q):
-            if not cand_ids[q]:
-                continue
-            ids = np.concatenate(cand_ids[q])
-            sims = np.concatenate(cand_sims[q])
-            if exclude is not None:
-                keep = ids != exclude[q]
-                ids, sims = ids[keep], sims[keep]
-            if ids.size == 0:
-                continue
-            kk = min(k, ids.size)
-            top = np.argpartition(-sims, kth=kk - 1)[:kk]
-            top = top[np.argsort(-sims[top])]
-            idx_out[q, :kk] = ids[top]
-            sim_out[q, :kk] = sims[top]
+        cols, top_sims = _topk_rows(cand, k)
+        # Column -> the probed cell it falls in -> slab row -> vertex id;
+        # -inf marks padding and the excluded row.
+        cell_of = (cols[:, :, None] >= ends[:, None, :]).sum(axis=2)
+        cell_of = np.minimum(cell_of, p - 1)
+        slab_rows = cols + np.take_along_axis(shift, cell_of, axis=1)
+        ids = self._order.take(slab_rows, mode="clip")
+        ids[np.isneginf(top_sims)] = -1
+        idx_out[:, : cols.shape[1]] = ids
+        sim_out[:, : cols.shape[1]] = top_sims
         return idx_out, sim_out
 
     def search_ids(
@@ -412,7 +469,7 @@ class ClusterIndex:
         """Top-``k`` neighbors of indexed vertices, excluding themselves."""
         query_ids = np.asarray(query_ids, dtype=np.int64).ravel()
         return self.search(
-            self._normed[query_ids],
+            self._slab[self._slot[query_ids]],
             k,
             probes=probes,
             exclude=query_ids,

@@ -42,6 +42,11 @@ class CentroidRouter:
         self._members = [
             np.flatnonzero(assignment == s) for s in range(self.num_shards)
         ]
+        # Membership never changes (upserts move embeddings, not
+        # vertices), so which shards are routable is fixed here.
+        self._empty = np.array([m.size == 0 for m in self._members])
+        #: Shards that actually own vertices (routable); at least one.
+        self.nonempty_shards = int(self.num_shards - self._empty.sum())
         self._centroids = np.zeros(
             (self.num_shards, normed.shape[1]), dtype=self.dtype
         )
@@ -51,11 +56,6 @@ class CentroidRouter:
     def members(self, shard: int) -> np.ndarray:
         """Global vertex ids owned by ``shard`` (sorted)."""
         return self._members[shard]
-
-    @property
-    def nonempty_shards(self) -> int:
-        """Shards that actually own vertices (routable)."""
-        return sum(1 for m in self._members if m.size)
 
     def refresh_centroid(self, shard: int, normed_rows: np.ndarray) -> None:
         """Recompute one shard's centroid after an embedding upsert."""
@@ -82,13 +82,11 @@ class CentroidRouter:
         ranking would miss it.
         """
         qn = np.atleast_2d(np.asarray(query_vecs, dtype=self.dtype))
-        fanout = int(np.clip(fanout, 1, max(self.nonempty_shards, 1)))
+        fanout = min(max(int(fanout), 1), self.nonempty_shards)
         # transient: fully consumed into `top` below before any later
         # same-shaped routing gemm.
         sims = kernel_ops.gemm(qn, self._centroids.T, transient=True)
-        for s, m in enumerate(self._members):
-            if m.size == 0:
-                sims[:, s] = -np.inf
+        sims[:, self._empty] = -np.inf
         if fanout < self.num_shards:
             top = np.argpartition(-sims, kth=fanout - 1, axis=1)[:, :fanout]
         else:

@@ -192,7 +192,9 @@ class TestCacheIntegration:
         )
         server.refresh_embeddings(rng.standard_normal((60, 6)))
         assert server.index.dtype == np.float32
-        assert server.index._normed.dtype == np.float32
+        # ... and so is the matrix it scans (read through the answers,
+        # not through a private attribute of either index class).
+        assert server.index.search_ids(np.array([0]), 1)[1].dtype == np.float32
         assert server.refreshes == 1
         if kind == "cluster":
             assert server.index.num_clusters == 6
