@@ -127,7 +127,6 @@ class TestTrainingIteration:
         loss = make_loss(dataset.task)
 
         def step():
-            model.zero_grad()
             logits = model.forward(feats, agg, train=True)
             value = loss.forward(logits, labels)
             model.backward(loss.backward(logits, labels))

@@ -79,7 +79,6 @@ class BatchedGCNTrainer:
 
     def train_iteration(self, batch: np.ndarray) -> float:
         """One update: full-graph propagation, loss masked to ``batch``."""
-        self.model.zero_grad()
         logits = self.model.forward(self.train_features, self.aggregator, train=True)
         batch_logits = logits[batch]
         batch_labels = self.train_labels[batch]

@@ -142,12 +142,6 @@ class FastGCNModel:
         groups.append((self.head.params, self.head.grads))
         return groups
 
-    def zero_grad(self) -> None:
-        """Reset accumulated gradients in every layer and the head."""
-        for layer in self.layers:
-            layer.zero_grad()
-        self.head.zero_grad()
-
     def forward(
         self, h: np.ndarray, blocks: list[SampledBlock], *, train: bool = True
     ) -> np.ndarray:
@@ -156,12 +150,13 @@ class FastGCNModel:
             h = layer.forward(h, block, train=train)
         return self.head.forward(h, train=train)
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        """Backprop through the blocks of the last training forward."""
+    def backward(self, grad_logits: np.ndarray) -> None:
+        """Backprop through the blocks of the last training forward, down
+        to the first layer's parameters (the input features train nothing)."""
         g = self.head.backward(grad_logits)
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
-        return g
+        self.layers[0].backward(g, input_grad=False)
 
 
 class FastGCNTrainer:
@@ -228,7 +223,6 @@ class FastGCNTrainer:
         src0, blocks = self._sample_blocks(batch)
         feats = self.train_features[np.sort(src0)]
         labels = self.train_labels[np.unique(batch)]
-        self.model.zero_grad()
         logits = self.model.forward(feats, blocks, train=True)
         batch_loss = self.loss.forward(logits, labels)
         self.model.backward(self.loss.backward(logits, labels))

@@ -133,12 +133,6 @@ class GraphSAGEModel:
         groups.append((self.head.params, self.head.grads))
         return groups
 
-    def zero_grad(self) -> None:
-        """Reset accumulated gradients in every layer and the head."""
-        for layer in self.layers:
-            layer.zero_grad()
-        self.head.zero_grad()
-
     def forward(
         self,
         h: np.ndarray,
@@ -153,12 +147,13 @@ class GraphSAGEModel:
             h = layer.forward(h, block, train=train)
         return self.head.forward(h, train=train)
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        """Backprop through the blocks of the last training forward."""
+    def backward(self, grad_logits: np.ndarray) -> None:
+        """Backprop through the blocks of the last training forward, down
+        to the first layer's parameters (the input features train nothing)."""
         g = self.head.backward(grad_logits)
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
-        return g
+        self.layers[0].backward(g, input_grad=False)
 
 
 @dataclass
@@ -222,7 +217,6 @@ class GraphSAGETrainer:
         self.support_stats.record(supports, blocks)
         feats = self.train_features[supports[0]]
         labels = self.train_labels[supports[-1]]
-        self.model.zero_grad()
         logits = self.model.forward(feats, blocks, train=True)
         batch_loss = self.loss.forward(logits, labels)
         self.model.backward(self.loss.backward(logits, labels))

@@ -76,8 +76,11 @@ class BipartiteGCNLayer:
         )
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate weight grads; return the source-support gradient."""
+    def backward(
+        self, grad_out: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Write weight grads; return the source-support gradient, or
+        ``None`` when ``input_grad`` says nobody consumes it."""
         if self._cache is None:
             raise RuntimeError("backward without cached forward(train=True)")
         h_agg: np.ndarray = self._cache["h_agg"]  # type: ignore[assignment]
@@ -90,10 +93,12 @@ class BipartiteGCNLayer:
             dz_neigh, dz_self = dz[:, : self.out_dim], dz[:, self.out_dim :]
         else:
             dz_neigh = dz_self = dz
-        kernel_ops.gemm_accumulate(self.grads["W_neigh"], h_agg.T, dz_neigh)
-        kernel_ops.gemm_accumulate(self.grads["W_self"], h_self.T, dz_self)
-        self.grads["b_neigh"] += dz_neigh.sum(axis=0)
-        self.grads["b_self"] += dz_self.sum(axis=0)
+        kernel_ops.gemm(h_agg.T, dz_neigh, out=self.grads["W_neigh"])
+        kernel_ops.gemm(h_self.T, dz_self, out=self.grads["W_self"])
+        dz_neigh.sum(axis=0, out=self.grads["b_neigh"])
+        dz_self.sum(axis=0, out=self.grads["b_self"])
+        if not input_grad:
+            return None
         d_src = block.aggregate_backward(
             kernel_ops.gemm(dz_neigh, self.params["W_neigh"].T)
         )
@@ -101,11 +106,6 @@ class BipartiteGCNLayer:
             kernel_ops.gemm(dz_self, self.params["W_self"].T)
         )
         return d_src
-
-    def zero_grad(self) -> None:
-        """Reset accumulated parameter gradients to zero."""
-        for g in self.grads.values():
-            g[...] = 0.0
 
 
 class ConvOnlyLayer:
@@ -149,21 +149,21 @@ class ConvOnlyLayer:
         self._cache = {"h_agg": h_agg, "z": z, "block": block} if train else None
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate weight grads; return the source-support gradient."""
+    def backward(
+        self, grad_out: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Write weight grads; return the source-support gradient, or
+        ``None`` when ``input_grad`` says nobody consumes it."""
         if self._cache is None:
             raise RuntimeError("backward without cached forward(train=True)")
         h_agg: np.ndarray = self._cache["h_agg"]  # type: ignore[assignment]
         z: np.ndarray = self._cache["z"]  # type: ignore[assignment]
         block: SampledBlock = self._cache["block"]  # type: ignore[assignment]
         dz = relu_grad(z, grad_out) if self.activation == "relu" else grad_out
-        kernel_ops.gemm_accumulate(self.grads["W"], h_agg.T, dz)
-        self.grads["b"] += dz.sum(axis=0)
+        kernel_ops.gemm(h_agg.T, dz, out=self.grads["W"])
+        dz.sum(axis=0, out=self.grads["b"])
+        if not input_grad:
+            return None
         return block.aggregate_backward(
             kernel_ops.gemm(dz, self.params["W"].T)
         )
-
-    def zero_grad(self) -> None:
-        """Reset accumulated parameter gradients to zero."""
-        for g in self.grads.values():
-            g[...] = 0.0

@@ -407,11 +407,15 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
     point is the *trace*, not the accuracy: the exported
     ``OBS_train_bench.json`` is the per-phase time breakdown the
     acceptance test checks (sample/forward/backward spans must cover
-    >= 95% of iteration wall time).
+    >= 95% of iteration wall time). ``BENCH_train_bench.json`` carries
+    the raw per-iteration wall seconds (``trainer.iteration_seconds``,
+    clock ``wall``) for bench-record / bench-gate — the training series
+    of ``benchmarks/history/``.
     """
     from . import obs
     from .experiments.common import EXPERIMENT_SCALES
     from .graphs.datasets import make_dataset
+    from .obs.record import BenchRecord, environment_fingerprint
     from .train.config import TrainConfig
     from .train.trainer import GraphSamplingTrainer
 
@@ -448,7 +452,19 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
 
         path.write_text(json.dumps(doc, indent=2) + "\n")
         chrome = obs.export.write_chrome_trace(out / "train_bench.chrome.json")
-        print(f"[written to {path}]\n[written to {chrome}]")
+        # The workload (dataset, width) and the clock are part of the
+        # series key: a history series never pools across either.
+        record = BenchRecord.from_registry(
+            "train_bench",
+            env=environment_fingerprint(
+                seed=args.seed,
+                extra={"clock": "wall", "dataset": name, "hidden": hidden},
+            ),
+        )
+        bench = write_bench_json(
+            out / "BENCH_train_bench.json", "train_bench", doc["meta"], record=record
+        )
+        print(f"[written to {path}]\n[written to {chrome}]\n[written to {bench}]")
 
 
 def _run_obs_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:

@@ -26,10 +26,33 @@ from ..graphs.csr import CSRGraph
 from ..parallel.machine import MachineSpec
 
 __all__ = [
+    "weight_application_flops",
     "gcn_iteration_cost",
     "batched_gcn_iteration_cost",
     "graphsage_iteration_cost",
 ]
+
+
+def weight_application_flops(
+    layers: list[tuple[int, int, int]], head: tuple[int, int, int]
+) -> float:
+    """GEMM flops of one training iteration (forward + backward).
+
+    ``layers[l] = (rows, in_dim, branch_dim)``: layer ``l`` applies its
+    two weight matrices (neighbor and self branch, ``in_dim x
+    branch_dim`` each) to ``rows`` rows; ``head`` is the classifier's
+    ``(rows, in_dim, num_classes)``. Every product costs its forward
+    flops three times — forward, ``dW`` and ``dX`` — except at the first
+    layer, where backward stops at the parameters (nothing trains the
+    input features), exactly what the trainers run and
+    :mod:`repro.kernels.accounting` meters.
+    """
+    flops = 0.0
+    for l, (rows, in_dim, branch_dim) in enumerate(layers):
+        passes = 3.0 if l > 0 else 2.0
+        flops += passes * 2 * 2.0 * rows * in_dim * branch_dim
+    rows, in_dim, num_classes = head
+    return flops + 3.0 * 2.0 * rows * in_dim * num_classes
 
 
 def gcn_iteration_cost(
@@ -48,27 +71,22 @@ def gcn_iteration_cost(
     n = graph.num_vertices
     d = graph.average_degree
     cost = 0.0
-    dim = feature_dims[0]
-    for layer_out in feature_dims[1:]:
-        # Aggregation fwd+bwd: 2 passes of n*d*dim gather-adds plus the
-        # streamed bytes of the Eq. 3 communication model (index stream +
-        # one cache-blocked feature read per round).
+    layers = []
+    for l, (dim, layer_out) in enumerate(zip(feature_dims, feature_dims[1:])):
+        # Aggregation: a forward pass, and an adjoint pass everywhere but
+        # at the first layer — n*d*dim gather-adds each plus the streamed
+        # bytes of the Eq. 3 communication model (index stream + one
+        # cache-blocked feature read per round).
         comm_bytes = 2.0 * n * d + 8.0 * n * dim
-        cost += 2.0 * (
+        cost += (2.0 if l > 0 else 1.0) * (
             n * d * dim * machine.cost_gather
             + comm_bytes * machine.dram_cost_per_byte
         )
-        # Weight application: W_self + W_neigh, each fwd + dW + dX; the
-        # per-branch output is half the (concatenated) layer output.
+        # The per-branch output is half the (concatenated) layer output.
         per_branch = layer_out // 2 if layer_out % 2 == 0 else layer_out
-        flops = 3.0 * 2.0 * 2.0 * n * dim * per_branch
-        cost += gemm_simulated_time(flops, machine, cores=1)
-        dim = layer_out
-    # Classifier head.
-    cost += gemm_simulated_time(
-        3.0 * 2.0 * n * dim * num_classes, machine, cores=1
-    )
-    return cost
+        layers.append((n, dim, per_branch))
+    flops = weight_application_flops(layers, (n, feature_dims[-1], num_classes))
+    return cost + gemm_simulated_time(flops, machine, cores=1)
 
 
 def layer_dims_of(in_dim: int, hidden_dims: tuple[int, ...], concat: bool = True) -> list[int]:
@@ -109,21 +127,17 @@ def graphsage_iteration_cost(
     for layer in trainer.model.layers:
         in_dims.append(dim)
         dim = layer.output_dim
+    out_dims = [layer.out_dim for layer in trainer.model.layers]
     costs = []
     for node_row, edge_row in zip(nodes, edges):
         cost = 0.0
         for l, (e_l, f_in) in enumerate(zip(edge_row, in_dims)):
-            dst = node_row[l + 1]
-            f_out = trainer.model.layers[l].out_dim
-            cost += 2.0 * e_l * f_in * machine.cost_gather  # agg fwd+bwd
+            # agg forward, plus its adjoint everywhere but at layer 0
+            cost += (2.0 if l > 0 else 1.0) * e_l * f_in * machine.cost_gather
             cost += e_l * f_in * 8.0 * machine.dram_cost_per_byte
-            cost += gemm_simulated_time(
-                3.0 * 2.0 * 2.0 * dst * f_in * f_out, machine, cores=1
-            )
-        cost += gemm_simulated_time(
-            3.0 * 2.0 * node_row[-1] * dim * trainer.model.num_classes,
-            machine,
-            cores=1,
+        flops = weight_application_flops(
+            list(zip(node_row[1:], in_dims, out_dims)),
+            (node_row[-1], dim, trainer.model.num_classes),
         )
-        costs.append(cost)
+        costs.append(cost + gemm_simulated_time(flops, machine, cores=1))
     return float(np.mean(costs))

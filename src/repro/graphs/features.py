@@ -117,14 +117,18 @@ def smooth_features(
     ``hops`` times. Makes attributes correlated along edges, which is what
     gives graph convolutions their edge over pure MLPs on real data.
     """
+    # Imported here: repro.kernels imports repro.graphs.csr.
+    from ..kernels import ops as kernel_ops
+
     if features.shape[0] != graph.num_vertices:
         raise ValueError("features row count must equal num_vertices")
     out = features.astype(np.float64, copy=True)
-    src = graph.edge_sources()
     deg = np.maximum(graph.degrees.astype(np.float64), 1.0)
     for _ in range(hops):
-        agg = np.zeros_like(out)
-        np.add.at(agg, src, out[graph.indices])
+        # Pinned backend: the corpus is a function of the seed alone, not
+        # of the process-wide default backend or plan mode (the CSR matvec
+        # sums each row's neighbors in index order).
+        agg = kernel_ops.spmm(graph, out, backend="scipy")
         agg /= deg[:, None]
         out = (1.0 - alpha) * out + alpha * agg
     return out

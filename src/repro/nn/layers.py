@@ -14,6 +14,16 @@ gradients explicitly, so the training loop is a plain loop over layers. All
 parameters and gradients live in per-layer dicts keyed by name, which is
 what the optimizers consume.
 
+``backward`` does what the parameter update needs and no more:
+
+* it *writes* every parameter gradient (``gemm(h^T, dz, out=grads[...])``,
+  ``sum(axis=0, out=...)``) — a second ``backward`` overwrites the first,
+  there is nothing to zero between steps;
+* ``input_grad=False`` says the caller has no consumer for the gradient
+  w.r.t. the layer input (the first layer of a network: nothing trains
+  the input features), so the two ``dz W^T`` products and the adjoint
+  propagation pass are not run and ``None`` is returned.
+
 Every matrix multiply dispatches through :mod:`repro.kernels`. Layers run
 in one of two regimes, chosen by the constructor arguments:
 
@@ -21,9 +31,10 @@ in one of two regimes, chosen by the constructor arguments:
   its result, exactly the seed-era computation sequence — float64 results
   are bit-identical to pre-kernel-layer code;
 * **workspace** (``workspace=`` a :class:`repro.kernels.Workspace`):
-  pre-activations, activations and gradient products land in named arena
-  buffers that persist across iterations, so steady-state training stops
-  allocating on the hot path. Buffer keys are prefixed with ``ws_prefix``
+  pre-activations, activations and input-gradient products land in named
+  arena buffers that persist across iterations (parameter gradients go
+  straight into ``grads`` in both regimes), so steady-state training
+  stops allocating on the hot path. Buffer keys are prefixed with ``ws_prefix``
   so one arena serves a whole network.
 """
 
@@ -187,8 +198,11 @@ class GCNLayer:
             self._cache = None
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads; return gradient w.r.t. the input."""
+    def backward(
+        self, grad_out: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Write parameter grads; return the gradient w.r.t. the input,
+        or ``None`` when ``input_grad`` says nobody consumes it."""
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward(train=True)")
         features: np.ndarray = self._cache["features"]  # type: ignore[assignment]
@@ -216,20 +230,13 @@ class GCNLayer:
             dz_neigh = dz
             dz_self = dz
 
-        dw_scratch = (
-            self._buf("dW_scratch", (self.in_dim, self.out_dim))
-            if ws is not None
-            else None
-        )
-        kernel_ops.gemm_accumulate(
-            self.grads["W_neigh"], h_agg.T, dz_neigh, scratch=dw_scratch
-        )
-        kernel_ops.gemm_accumulate(
-            self.grads["W_self"], features.T, dz_self, scratch=dw_scratch
-        )
+        kernel_ops.gemm(h_agg.T, dz_neigh, out=self.grads["W_neigh"])
+        kernel_ops.gemm(features.T, dz_self, out=self.grads["W_self"])
         if self.use_bias:
-            self.grads["b_neigh"] += dz_neigh.sum(axis=0)
-            self.grads["b_self"] += dz_self.sum(axis=0)
+            dz_neigh.sum(axis=0, out=self.grads["b_neigh"])
+            dz_self.sum(axis=0, out=self.grads["b_self"])
+        if not input_grad:
+            return None
 
         n = features.shape[0]
         d_h_agg = kernel_ops.gemm(
@@ -244,11 +251,6 @@ class GCNLayer:
         )
         d_features += aggregator.backward(d_h_agg)
         return d_features
-
-    def zero_grad(self) -> None:
-        """Reset accumulated parameter gradients to zero."""
-        for g in self.grads.values():
-            g[...] = 0.0
 
 
 class DenseLayer:
@@ -308,7 +310,7 @@ class DenseLayer:
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate dW/db; return the gradient w.r.t. the input."""
+        """Write dW/db; return the gradient w.r.t. the input."""
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward(train=True)")
         x, z = self._cache["x"], self._cache["z"]
@@ -319,15 +321,8 @@ class DenseLayer:
             dz = kernel_ops.relu_backward(z, grad_out, out=self._buf("dz", z.shape))
         else:
             dz = grad_out
-        kernel_ops.gemm_accumulate(
-            self.grads["W"],
-            x.T,
-            dz,
-            scratch=self._buf("dW_scratch", (self.in_dim, self.out_dim))
-            if ws is not None
-            else None,
-        )
-        self.grads["b"] += dz.sum(axis=0)
+        kernel_ops.gemm(x.T, dz, out=self.grads["W"])
+        dz.sum(axis=0, out=self.grads["b"])
         return kernel_ops.gemm(
             dz,
             self.params["W"].T,
@@ -335,11 +330,6 @@ class DenseLayer:
             if ws is not None
             else None,
         )
-
-    def zero_grad(self) -> None:
-        """Reset accumulated parameter gradients to zero."""
-        for g in self.grads.values():
-            g[...] = 0.0
 
 
 class Dropout:

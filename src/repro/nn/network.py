@@ -110,12 +110,6 @@ class GCN:
             p.size for params, _ in self.parameter_groups() for p in params.values()
         )
 
-    def zero_grad(self) -> None:
-        """Reset accumulated gradients in every layer and the head."""
-        for layer in self.layers:
-            layer.zero_grad()
-        self.head.zero_grad()
-
     # ------------------------------------------------------------------
     def forward(
         self, features: np.ndarray, aggregator: Aggregator, *, train: bool = True
@@ -127,13 +121,18 @@ class GCN:
             h = layer.forward(h, aggregator, train=train)
         return self.head.forward(h, train=train)
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        """Backprop from logits gradient; accumulates into layer grads."""
+    def backward(self, grad_logits: np.ndarray) -> None:
+        """Backprop from the logits gradient into every layer's ``grads``.
+
+        Stops at the first layer's parameters: the gradient w.r.t. the
+        input features has no consumer (nothing trains them), so layer 0
+        runs with ``input_grad=False`` and its dropout mask is not
+        applied backwards. Ask ``layers[0].backward`` for it directly.
+        """
         g = self.head.backward(grad_logits)
-        for drop, layer in zip(reversed(self.dropouts), reversed(self.layers)):
-            g = layer.backward(g)
-            g = drop.backward(g)
-        return g
+        for i in range(len(self.layers) - 1, 0, -1):
+            g = self.dropouts[i].backward(self.layers[i].backward(g))
+        self.layers[0].backward(g, input_grad=False)
 
     # ------------------------------------------------------------------
     def embeddings(

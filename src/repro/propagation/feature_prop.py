@@ -1,13 +1,21 @@
 """Feature-partitioned propagation driver (Algorithm 6) with metering.
 
-Executes the real mean-aggregation kernel in ``Q`` feature-dimension chunks
-— the paper's cache-aware schedule — and reports the modeled communication
-and computation of the run plus its simulated parallel time:
+Algorithm 6 splits the feature dimension into ``Q`` chunks so that each
+chunk's working set fits a core's cache and the chunks run in parallel.
+This driver *chooses* ``Q`` for the modeled machine (Theorem 2) and
+*prices* the pass under that schedule — the modeled communication and
+computation of the run plus its simulated parallel time:
 
 * computation parallelizes across cores (chunks are independent and equal-
   sized: "optimal load-balancing" per Section V-B);
 * communication (DRAM streaming of CSR indices + the cache-missing feature
   gathers) parallelizes only up to the machine's bandwidth saturation.
+
+On the host it runs the mean-aggregation kernel once over all columns:
+the ``Q`` chunks are the modeled machine's parallel schedule, and
+replaying them serially on the one thread that runs the pass costs
+``Q`` copies and kernel calls for a bit-identical result (the chunk loop
+is kept as the test oracle, ``tests/propagation/test_feature_prop.py``).
 
 Forward and backward propagation have identical cost structure (Section
 III-B), so the trainer charges this model once per direction.
@@ -65,12 +73,12 @@ class PropagationReport:
 
 
 class PartitionedPropagator:
-    """Mean aggregation over ``Q`` feature chunks (Algorithm 6).
+    """Mean aggregation priced as ``Q`` feature chunks (Algorithm 6).
 
     Drop-in replacement for :class:`~repro.propagation.spmm.MeanAggregator`
-    (same ``forward``/``backward`` interface, bitwise-equal results since
-    feature chunking commutes with the row-wise spmm) that additionally
-    records a :class:`PropagationReport` per pass in :attr:`reports`.
+    (same ``forward``/``backward`` interface, bitwise-equal results: it
+    runs the same kernel, once per pass) that additionally records a
+    :class:`PropagationReport` per pass in :attr:`reports`.
 
     Parameters
     ----------
@@ -130,20 +138,14 @@ class PartitionedPropagator:
         n, f = x.shape
         with span(span_name) as sp:
             q = self.choose_q(f)
-            if self.workspace is None:
-                out = np.empty_like(x)
-            else:
+            out = None
+            if self.workspace is not None:
                 call_idx = self._calls.get(span_name, 0)
                 self._calls[span_name] = call_idx + 1
                 out = self.workspace.buffer(
                     ("prop", span_name, call_idx), x.shape, x.dtype
                 )
-            bounds = np.linspace(0, f, q + 1).astype(int)
-            for j in range(q):
-                lo, hi = bounds[j], bounds[j + 1]
-                if lo == hi:
-                    continue
-                out[:, lo:hi] = op(np.ascontiguousarray(x[:, lo:hi]))
+            out = op(x, out=out)
             d = self.graph.average_degree
             report = PropagationReport(
                 n=n,
@@ -165,13 +167,13 @@ class PartitionedPropagator:
         return out
 
     def forward(self, features: np.ndarray) -> np.ndarray:
-        """Mean-aggregate features, chunked along the feature dimension."""
+        """Mean-aggregate features; one kernel call, priced as Q chunks."""
         if features.shape[0] != self.num_vertices:
             raise ValueError("features rows must equal subgraph vertices")
         return self._run(features, self._agg.forward, "prop.forward")
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Adjoint pass, same chunking and identical modeled cost."""
+        """Adjoint pass: one kernel call, identical modeled cost."""
         if grad.shape[0] != self.num_vertices:
             raise ValueError("grad rows must equal subgraph vertices")
         return self._run(grad, self._agg.backward, "prop.backward")

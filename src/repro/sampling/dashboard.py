@@ -39,7 +39,7 @@ distribution (verified statistically in the test suite):
   appends are applied as whole-round slab writes. Like the paper's
   parallel pops, the vertices appended within a round only become
   probe-able in the next round, so the round size is bounded to a small
-  fraction of the frontier (``round_pops``, default ``m // 8``).
+  fraction of the frontier (``round_pops``, default ``m // 4``).
 
 Operation metering: every probe, slot write, cleanup move and IA touch is
 tallied in a :class:`~repro.parallel.costmodel.CostCounter`; per-vertex
@@ -444,7 +444,7 @@ class DashboardFrontierSampler(GraphSampler):
         docstring.
     round_pops:
         Fast-engine round size (concurrent pops per round). Defaults to
-        ``max(1, frontier_size // 8)`` — a small fraction of the frontier,
+        ``max(1, frontier_size // 4)`` — a small fraction of the frontier,
         like the paper's ``p`` concurrent poppers, so replacements appended
         mid-round being invisible to the round's remaining probes has a
         negligible distributional effect.

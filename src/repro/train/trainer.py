@@ -269,11 +269,10 @@ class GraphSamplingTrainer:
                 )
             result.trace.record(PHASE_SAMPLING, samp_time, iteration)
 
-            self.model.zero_grad()
             # Meter the iteration's actual kernel dispatches; the captured
-            # gemm flop count prices the weight-application phase below
-            # (it equals the old analytic 3x-forward count, now measured
-            # at the one place that runs the kernels).
+            # gemm flop count prices the weight-application phase below:
+            # 3x the forward count minus the first layer's two input-
+            # gradient products, which backward does not run.
             with accounting.capture() as kernel_costs:
                 with span("trainer.forward"):
                     logits = self.model.forward(feats, propagator, train=True)

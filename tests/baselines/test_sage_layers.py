@@ -38,7 +38,6 @@ class TestBipartiteGCNLayer:
         def loss():
             return float(0.5 * np.sum(layer.forward(h, block, train=False) ** 2))
 
-        layer.zero_grad()
         out = layer.forward(h, block, train=True)
         dh = layer.backward(out)
         check_gradients(loss, layer.params, layer.grads, sample=8, tol=1e-4)
@@ -73,17 +72,20 @@ class TestConvOnlyLayer:
         def loss():
             return float(0.5 * np.sum(layer.forward(h, block, train=False) ** 2))
 
-        layer.zero_grad()
         out = layer.forward(h, block, train=True)
         dh = layer.backward(out)
         check_gradients(loss, layer.params, layer.grads, sample=8, tol=1e-4)
         idx, numeric = numerical_gradient(loss, h, sample=10, rng=rng)
         assert max_relative_error(dh.reshape(-1)[idx], numeric) < 1e-4
 
-    def test_zero_grad(self, block, rng):
+    def test_second_backward_overwrites(self, block, rng):
+        # Gradients are written, not accumulated (no zero_grad); without a
+        # consumer the source-support gradient is not computed at all.
         layer = ConvOnlyLayer(6, 3, rng=rng)
         h = rng.standard_normal((20, 6))
         out = layer.forward(h, block)
         layer.backward(np.ones_like(out))
-        layer.zero_grad()
-        assert np.all(layer.grads["W"] == 0)
+        g1 = {k: v.copy() for k, v in layer.grads.items()}
+        assert layer.backward(np.ones_like(out), input_grad=False) is None
+        for name, g in layer.grads.items():
+            assert np.array_equal(g, g1[name]), name

@@ -131,13 +131,18 @@ class TestMatchesComplexityModel:
         assert counters.gemm_flops == 2.0 * (analytic - agg_ops)
 
     def test_backward_gemm_flops_are_twice_forward(self, setup, rng):
-        # dW = h^T dz and dx = dz W^T per product: backward costs exactly
-        # 2x the forward gemm flops (the old trainer's analytic 3x-total).
+        # dW = h^T dz and dx = dz W^T per product: backward costs 2x the
+        # forward gemm flops — except at the first layer, whose input
+        # gradient nobody consumes: its two dx products (each as big as
+        # the matching forward product) are not run.
         graph, features, model, agg = setup
         with accounting.capture() as fwd:
             out = model.forward(features, agg, train=True)
         grad = rng.standard_normal(out.shape)
-        model.zero_grad()
         with accounting.capture() as bwd:
             model.backward(grad)
-        assert bwd.gemm_flops == 2.0 * fwd.gemm_flops
+        first = model.layers[0]
+        first_layer_dx = 2 * 2.0 * graph.num_vertices * first.in_dim * first.out_dim
+        assert bwd.gemm_flops == 2.0 * fwd.gemm_flops - first_layer_dx
+        # ... and one adjoint propagation pass per layer but the first.
+        assert bwd.spmm_calls == len(model.layers) - 1

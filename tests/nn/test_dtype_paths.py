@@ -85,7 +85,12 @@ class TestNetworkDtype:
         logits = model.forward(x, agg, train=True)
         assert logits.dtype == np.float32
         grad = np.ones_like(logits)
-        d_in = model.backward(grad)
+        assert model.backward(grad) is None
+        # The model stops at the first layer's parameters; the layer
+        # itself still yields the input gradient, in float32.
+        d_in = model.layers[0].backward(
+            model.head.backward(grad), input_grad=True
+        )
         assert d_in.dtype == np.float32
         for params, grads in model.parameter_groups():
             assert all(p.dtype == np.float32 for p in params.values())

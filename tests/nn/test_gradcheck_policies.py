@@ -116,7 +116,6 @@ def test_layer_gradients_under_policy(layer_kind, policy_name):
     assert out.dtype == policy.dtype
     coeff = rng.standard_normal(out.shape)
 
-    layer.zero_grad()
     forward(True)
     layer.backward(policy.cast(coeff))
     analytic = {k: v.copy() for k, v in layer.grads.items()}
@@ -145,7 +144,6 @@ def test_fast_policy_matches_reference_gradients(layer_kind):
         rng = np.random.default_rng(42)
         layer, forward = FACTORIES[layer_kind](policy, rng)
         coeff = rng.standard_normal(forward(True).shape)
-        layer.zero_grad()
         forward(True)
         layer.backward(policy.cast(coeff))
         grads[policy.name] = {

@@ -86,7 +86,6 @@ class TestGCNLayerGradients:
             out = layer.forward(x, agg, train=False)
             return float(0.5 * np.sum((out - target) ** 2))
 
-        layer.zero_grad()
         out = layer.forward(x, agg, train=True)
         layer.backward(out - target)
         check_gradients(loss, layer.params, layer.grads, sample=10, tol=1e-4)
@@ -104,7 +103,6 @@ class TestGCNLayerGradients:
             out = layer.forward(x, agg, train=False)
             return float(0.5 * np.sum((out - target) ** 2))
 
-        layer.zero_grad()
         out = layer.forward(x, agg, train=True)
         layer.backward(out - target)
         errs = []
@@ -132,7 +130,6 @@ class TestGCNLayerGradients:
             out = layer.forward(x_var, agg, train=False)
             return float(0.5 * np.sum(out**2))
 
-        layer.zero_grad()
         out = layer.forward(x_var, agg, train=True)
         dx = layer.backward(out)
         idx, numeric = numerical_gradient(
@@ -140,24 +137,31 @@ class TestGCNLayerGradients:
         )
         assert max_relative_error(dx.reshape(-1)[idx], numeric) < 1e-4
 
-    def test_grads_accumulate(self, small_setup):
+    def test_second_backward_overwrites(self, small_setup):
+        # Gradients are written, not accumulated: there is no zero_grad,
+        # and backpropagating twice leaves the second result.
         _, agg, x = small_setup
         rng = np.random.default_rng(3)
         layer = GCNLayer(6, 3, rng=rng)
         out = layer.forward(x, agg)
         layer.backward(np.ones_like(out))
-        g1 = layer.grads["W_neigh"].copy()
-        out = layer.forward(x, agg)
+        g1 = {k: v.copy() for k, v in layer.grads.items()}
         layer.backward(np.ones_like(out))
-        assert np.allclose(layer.grads["W_neigh"], 2 * g1)
+        for name, g in layer.grads.items():
+            assert np.array_equal(g, g1[name]), name
+        layer.backward(2 * np.ones_like(out))
+        assert np.allclose(layer.grads["W_neigh"], 2 * g1["W_neigh"])
+        assert np.allclose(layer.grads["b_self"], 2 * g1["b_self"])
 
-    def test_zero_grad(self, small_setup):
+    def test_no_input_gradient_when_unconsumed(self, small_setup):
         _, agg, x = small_setup
         layer = GCNLayer(6, 3, rng=np.random.default_rng(4))
         out = layer.forward(x, agg)
         layer.backward(np.ones_like(out))
-        layer.zero_grad()
-        assert np.all(layer.grads["W_neigh"] == 0)
+        full = {k: v.copy() for k, v in layer.grads.items()}
+        assert layer.backward(np.ones_like(out), input_grad=False) is None
+        for name, g in layer.grads.items():
+            assert np.array_equal(g, full[name]), name
 
 
 class TestDenseLayer:
@@ -174,7 +178,6 @@ class TestDenseLayer:
         def loss():
             return float(np.sum(layer.forward(x, train=False) ** 2))
 
-        layer.zero_grad()
         out = layer.forward(x, train=True)
         dx = layer.backward(2 * out)
         check_gradients(loss, layer.params, layer.grads, sample=8, tol=1e-4)
@@ -232,7 +235,6 @@ class TestL2Normalization:
             out = layer.forward(x, agg, train=False)
             return float(0.5 * np.sum((out - target) ** 2))
 
-        layer.zero_grad()
         out = layer.forward(x, agg, train=True)
         layer.backward(out - target)
         check_gradients(loss, layer.params, layer.grads, sample=10, tol=1e-4)
@@ -247,7 +249,6 @@ class TestL2Normalization:
             out = layer.forward(x_var, agg, train=False)
             return float(np.sum(out * np.arange(out.shape[1])))
 
-        layer.zero_grad()
         out = layer.forward(x_var, agg, train=True)
         dx = layer.backward(
             np.tile(np.arange(layer.output_dim, dtype=np.float64), (x.shape[0], 1))

@@ -71,7 +71,6 @@ class TestBackward:
         def f():
             return loss.forward(model.forward(x, agg, train=False), y)
 
-        model.zero_grad()
         logits = model.forward(x, agg, train=True)
         model.backward(loss.backward(logits, y))
 
@@ -94,7 +93,13 @@ class TestBackward:
         model = GCN(5, [4], 3, seed=2)
         loss = SoftmaxCrossEntropy()
         logits = model.forward(x, agg, train=True)
-        dx = model.backward(loss.backward(logits, y))
+        grad_logits = loss.backward(logits, y)
+        # Nothing trains the input features: the model stops at the first
+        # layer's parameters. The layer still yields the input gradient.
+        assert model.backward(grad_logits) is None
+        dx = model.layers[0].backward(
+            model.head.backward(grad_logits), input_grad=True
+        )
         assert dx.shape == x.shape
         assert np.any(dx != 0)
 

@@ -149,6 +149,20 @@ class TestTrainBench:
         covered = sum(c["duration"] for it in iters for c in it["children"])
         assert covered / total >= 0.95
 
+    def test_bench_record_holds_iteration_wall_seconds(self, bench_out):
+        """BENCH_train_bench.json is what bench-record appends to the
+        training history: one wall-clock sample per iteration, keyed by
+        workload and clock."""
+        payload = json.loads((bench_out / "BENCH_train_bench.json").read_text())
+        doc = json.loads((bench_out / "OBS_train_bench.json").read_text())
+        record = payload["record"]
+        assert record["env"]["clock"] == "wall"
+        assert (record["env"]["dataset"], record["env"]["hidden"]) == ("ppi", "32")
+        series = record["series"]["trainer.iteration_seconds"]
+        assert (series["unit"], series["direction"]) == ("s", "lower")
+        assert len(series["samples"]) == doc["meta"]["iterations"]
+        assert all(v > 0 for v in series["samples"])
+
     def test_chrome_trace_loads(self, bench_out):
         data = json.loads((bench_out / "train_bench.chrome.json").read_text())
         events = data["traceEvents"]
