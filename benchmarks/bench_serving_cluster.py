@@ -15,7 +15,15 @@ keep both cluster SLOs (worst per-shard p99, staleness bound) green.
 
 from __future__ import annotations
 
+from time import perf_counter
+
+import numpy as np
+
 from repro.experiments import serving
+from repro.obs.record import BenchRecord, environment_fingerprint
+from repro.serving.cluster import ShardedIndex
+from repro.serving.index import build_index
+from repro.serving.upsert import drift_refresh
 
 
 def test_cluster_serving(paper_bench):
@@ -62,3 +70,76 @@ def test_cluster_serving(paper_bench):
         assert r["p50_ms"] <= r["p95_ms"] <= r["p99_ms"]
     cluster_row = rows[("zipf-throughput", f"cluster-{meta['num_shards']}x{meta['replicas']}")]
     assert cluster_row["mean_fanout"] <= meta["fanout"]
+
+
+# One serve_mixed-sized shard: 7 168 vertices x 256 over 4 shards, 128
+# cells over 4 shards.
+REFRESH_ROWS, REFRESH_DIM, REFRESH_CELLS = 1792, 256, 32
+REFRESH_ROUNDS, REFRESH_SHARDS = 3, 4  # drift rounds per shard; shards timed
+
+
+def _shard_refresh_samples() -> dict:
+    """Wall seconds of the upsert path (``ShardedIndex.replace_shard``)
+    and of a cold ``build_index`` over the same slab, slab by slab."""
+    refresh = drift_refresh(0.01)
+    kwargs = dict(num_clusters=REFRESH_CELLS, probes=4)
+    refreshed_s, cold_s, lloyd = [], [], []
+    for seed in range(REFRESH_SHARDS):
+        rng = np.random.default_rng(seed)
+        # Low-rank plus noise, no discrete clusters: like trained
+        # embeddings, a cold build is still moving rows at iteration 12.
+        rows = rng.standard_normal((REFRESH_ROWS, 24)) @ rng.standard_normal((24, REFRESH_DIM))
+        rows = rows + 0.3 * rng.standard_normal(rows.shape)
+        ids = np.arange(REFRESH_ROWS)
+        shard = ShardedIndex(
+            rows, np.zeros(REFRESH_ROWS, dtype=np.int64), index="cluster", index_kwargs=kwargs
+        )
+        for rnd in range(REFRESH_ROUNDS):
+            rows = refresh(0, rnd, rows, rng)
+            t0 = perf_counter()
+            shard.replace_shard(0, ids, rows)
+            t1 = perf_counter()
+            build_index(rows, "cluster", rng=np.random.default_rng(7_000), **kwargs)
+            t2 = perf_counter()
+            refreshed_s.append(t1 - t0)
+            cold_s.append(t2 - t1)
+            lloyd.append(shard.indexes[0].lloyd_iterations)
+    return {
+        "samples": {
+            "serving.shard_refresh_seconds": refreshed_s,
+            "serving.shard_cold_build_seconds": cold_s,
+        },
+        "lloyd_iterations": lloyd,
+        "meta": {
+            "rows": REFRESH_ROWS, "dim": REFRESH_DIM, "cells": REFRESH_CELLS,
+            "refresh_ms_median": 1e3 * float(np.median(refreshed_s)),
+            "cold_ms_median": 1e3 * float(np.median(cold_s)),
+        },
+    }
+
+
+def test_shard_refresh(benchmark, reporter):
+    """What one upsert slab costs, on the wall clock (its own history
+    series, ``serve_refresh``: the ``serve_cluster`` series above is on
+    the replay's virtual clock and the two are never pooled)."""
+    results = benchmark.pedantic(_shard_refresh_samples, rounds=1, iterations=1)
+    record = BenchRecord(
+        "serve_refresh",
+        env=environment_fingerprint(
+            seed=0,
+            extra={
+                "clock": "wall",
+                "shard": f"{REFRESH_ROWS}x{REFRESH_DIM}",
+                "cells": REFRESH_CELLS,
+            },
+        ),
+    )
+    for metric, values in results["samples"].items():
+        record.add_samples(metric, values)
+    path = reporter.write_results("serve_refresh", results, record=record)
+    print(f"\n{results['meta']}\n[written to {path}]")
+    assert len(results["samples"]["serving.shard_refresh_seconds"]) == (
+        REFRESH_ROUNDS * REFRESH_SHARDS
+    )
+    # A 1% drift is refreshed, not rebuilt: it must not cost a cold build.
+    assert results["meta"]["refresh_ms_median"] < results["meta"]["cold_ms_median"]

@@ -18,8 +18,10 @@ supplies what is the cluster's own: centroid **routing**, the
 shard-local **scan** (measured, or priced by a deterministic
 ``service_model(shard, replica, batch_size, rows)``), the
 :class:`~repro.serving.router.HedgePolicy`, the **upsert** swap (shard
-index rebuilt, centroid refreshed, and only the refreshed shard's cache
-*group* invalidated) and the **merge** via
+index refreshed in place of a rebuild — see
+:meth:`~repro.serving.index.ClusterIndex.refreshed` — routing centroid
+recomputed, and only the refreshed shard's cache *group* invalidated)
+and the **merge** via
 :func:`~repro.serving.index.merge_topk` — over a full fan-out,
 bit-identical to the unsharded
 :class:`~repro.serving.index.BruteForceIndex` top-k (property-tested).
@@ -79,7 +81,7 @@ def partition_vertices(
         if embeddings is None:
             raise ValueError("kmeans partitioning needs embeddings")
         normed = l2_normalize_rows(embeddings)
-        _, assignment = _spherical_kmeans(normed, num_shards, rng)
+        _, assignment, _ = _spherical_kmeans(normed, num_shards, rng)
         return assignment
     if method == "graph":
         if graph is None:
@@ -144,10 +146,11 @@ class ShardedIndex:
         return self.router.assignment
 
     def replace_shard(self, shard: int, vertex_ids: np.ndarray, vectors: np.ndarray) -> None:
-        """Swap one shard's embeddings in (the upsert path)."""
+        """Swap one shard's embeddings in (the upsert path): the slab is
+        normalised once and the shard's index refreshed, not rebuilt."""
         normed_rows = l2_normalize_rows(vectors, dtype=self.dtype)
         self._normed[vertex_ids] = normed_rows
-        self.indexes[shard] = self._build(vectors, shard)
+        self.indexes[shard] = self.indexes[shard].refreshed(normed_rows)
         self.router.refresh_centroid(shard, normed_rows)
 
     def route(self, query_ids: np.ndarray, fanout: int) -> np.ndarray:
@@ -389,8 +392,10 @@ class _ClusterReplayLoop(ReplayLoop):
         )[0]
 
     def swap_shard(self, slab):
-        self.server.sharded.replace_shard(slab.shard, slab.vertex_ids, slab.vectors)
+        sharded = self.server.sharded
+        sharded.replace_shard(slab.shard, slab.vertex_ids, slab.vectors)
         self.server.upserts_applied += 1
+        return sharded.indexes[slab.shard]
 
     def observe_dispatch(self, replica, t):
         obs_metrics.observe("cluster.replica_queue_depth", replica.outstanding(t))

@@ -391,7 +391,7 @@ class ReplayLoop:
 
     def _on_due_slabs(self, event: DueSlabs) -> None:
         for slab in self.upserts.pending(event.t):
-            self.swap_shard(slab)
+            index = self.swap_shard(slab)
             if self.cache is not None:
                 # Only results that touched this shard go stale.
                 self.cache.invalidate(group=slab.shard)
@@ -403,6 +403,12 @@ class ReplayLoop:
                     f"{self.prefix}.upsert_lag_seconds",
                     max(event.t - slab.produced_at, 0.0),
                 )
+                # Why was this upsert slow: what the refresh paid in Lloyd
+                # iterations (an exact or fixed-cell index ran none).
+                if index.lloyd_iterations:
+                    obs_metrics.observe(
+                        f"{self.prefix}.upsert_lloyd_iterations", index.lloyd_iterations
+                    )
 
     # Plain functions, class-level: bound methods kept on the instance would
     # tie the loop (and the server's indexes) into a cycle only a full GC frees.
@@ -526,8 +532,9 @@ class ReplayLoop:
         """The request's top-k ids from its sub-queries' candidate rows."""
         raise NotImplementedError
 
-    def swap_shard(self, slab) -> None:
-        """Load one upsert slab into its shard's index."""
+    def swap_shard(self, slab):
+        """Load one upsert slab into its shard's index; returns the
+        refreshed index."""
         raise NotImplementedError
 
     def observe_dispatch(self, replica: Replica, t: float) -> None:

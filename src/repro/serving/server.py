@@ -31,7 +31,7 @@ import numpy as np
 
 from ..obs.trace import span
 from .cache import GenerationalCache
-from .index import BruteForceIndex, ClusterIndex, build_index
+from .index import BruteForceIndex, ClusterIndex, build_index, l2_normalize_rows
 from .metrics import ServingMetrics
 from .replay import ReplayLoop
 from .workload import QueryTrace
@@ -107,22 +107,13 @@ class EmbeddingServer:
         return result
 
     def refresh_embeddings(self, embeddings: np.ndarray) -> None:
-        """Swap in a new embedding matrix: rebuild the index with the
-        same structure and invalidate every cached result."""
-        if isinstance(self.index, ClusterIndex):
-            self.index = ClusterIndex(
-                embeddings,
-                num_clusters=self.index.num_clusters,
-                probes=self.index.default_probes,
-                rng=np.random.default_rng(0),
-                dtype=self.index.dtype,
-            )
-        else:
-            self.index = BruteForceIndex(
-                embeddings,
-                chunk_size=self.index.chunk_size,
-                dtype=self.index.dtype,
-            )
+        """Swap in a new embedding matrix: refresh the index (same
+        structure — cells, probes, ``kmeans_iters``, dtype; k-means cells
+        warm-started from where they are, caller-supplied cells kept) and
+        invalidate every cached result."""
+        self.index = self.index.refreshed(
+            l2_normalize_rows(embeddings, dtype=self.index.dtype)
+        )
         if self.cache is not None:
             self.cache.invalidate()
         self.refreshes += 1

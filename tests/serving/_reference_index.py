@@ -17,12 +17,16 @@ from repro.kernels import ops as kernel_ops
 from repro.serving.index import l2_normalize_rows
 
 
-def reference_kmeans(normed, num_clusters, rng, iters=12):
+def reference_kmeans(normed, num_clusters, rng, iters=12, init=None):
     """Spherical Lloyd iterations, centroids updated cell by cell from
-    ``assignments == c`` masks (empty cells reseeded in cell order)."""
+    ``assignments == c`` masks (empty cells reseeded in cell order).
+    Always runs all ``iters``; starts from ``init`` centroids if given."""
     n = normed.shape[0]
-    start = rng.choice(n, size=num_clusters, replace=False)
-    centroids = normed[start].copy()
+    if init is None:
+        start = rng.choice(n, size=num_clusters, replace=False)
+        centroids = normed[start].copy()
+    else:
+        centroids = np.array(init, dtype=normed.dtype)
     assignments = np.zeros(n, dtype=np.int64)
     for _ in range(iters):
         sims = kernel_ops.gemm(normed, centroids.T, transient=True)

@@ -13,8 +13,8 @@ from repro.serving.cluster import (
     ShardedIndex,
     partition_vertices,
 )
-from repro.serving.index import BruteForceIndex
-from repro.serving.upsert import SlabUpsertProducer
+from repro.serving.index import BruteForceIndex, ClusterIndex, l2_normalize_rows, recall_at_k
+from repro.serving.upsert import SlabUpsertProducer, drift_refresh
 from repro.serving.workload import QueryTrace, zipf_trace
 
 
@@ -303,6 +303,107 @@ class TestStreamingUpserts:
         )
 
 
+def _clustered(n=1200, d=16, seed=0):
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((n // 40, d))
+    return centers[rng.integers(0, centers.shape[0], size=n)] + 0.8 * rng.standard_normal((n, d))
+
+
+CELLS = dict(num_clusters=12, probes=3)
+
+
+class TestKMeansShardRefresh:
+    """Upserts into k-means shards: refreshed (warm-started Lloyd), not
+    rebuilt. The cells differ from a cold build's, so recall against the
+    exact scan of the post-upsert matrix is the oracle."""
+
+    def _server(self, emb):
+        server = ClusterServer(
+            emb,
+            config=ClusterConfig(
+                num_shards=3, replicas=2, cache_capacity=64, shard_index="cluster"
+            ),
+            index_kwargs=CELLS,
+            service_model=UNIFORM,
+            rng=np.random.default_rng(0),
+        )
+        server.upserts = SlabUpsertProducer(
+            emb, server.sharded.assignment, start=0.0, interval=0.02, rounds=2, seed=11
+        )
+        return server
+
+    def test_replay_beside_upserts_conserves_and_repeats(self):
+        emb = _clustered()
+        trace = _trace(n=400, vertices=len(emb), rate=2000.0, seed=5)
+        first = self._server(emb)
+        a = first.serve_trace(trace, collect_results=True)
+        b = self._server(emb).serve_trace(trace, collect_results=True)
+        assert a.metrics.served + a.metrics.shed == len(trace)
+        assert first.upserts_applied == a.stats["upserts_applied"] == 2 * 3
+        assert all(ix.lloyd_iterations >= 1 for ix in first.sharded.indexes)
+        assert a.results.keys() == b.results.keys()
+        assert all(np.array_equal(a.results[s], b.results[s]) for s in a.results)
+
+    @staticmethod
+    def _sharded(dtype):
+        emb = _clustered()
+        assignment = partition_vertices(emb, num_shards=3, rng=np.random.default_rng(0))
+        return emb, ShardedIndex(
+            emb, assignment, index="cluster", index_kwargs=CELLS, dtype=dtype
+        )
+
+    @staticmethod
+    def _recalls(sharded, matrix, dtype):
+        """recall@10 at fan-out 2 of ``sharded`` and of the same cluster
+        rebuilt cold on ``matrix``, against the exact scan."""
+        qids = np.arange(0, len(matrix), 3)
+        exact, _ = BruteForceIndex(matrix).search_ids(qids, 10)
+        cold = ShardedIndex(
+            matrix, sharded.assignment, index="cluster", index_kwargs=CELLS, dtype=dtype
+        )
+        return tuple(
+            recall_at_k(ix.search_ids(qids, 10, fanout=2)[0], exact) for ix in (sharded, cold)
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_recall_parity_after_drift(self, dtype):
+        emb, sharded = self._sharded(dtype)
+        current = emb.copy()
+        with SlabUpsertProducer(
+            emb, sharded.assignment, rounds=3, seed=4, refresh_fn=drift_refresh(0.01)
+        ) as producer:
+            for slab in producer.pending(np.inf):
+                sharded.replace_shard(slab.shard, slab.vertex_ids, slab.vectors)
+                current[slab.vertex_ids] = slab.vectors
+        refreshed, cold = self._recalls(sharded, current, dtype)
+        assert cold > 0.8  # the comparison is not between two broken indexes
+        assert abs(refreshed - cold) <= 0.01
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_recall_parity_when_the_geometry_is_torn_up(self, dtype):
+        # A slab of vectors unrelated to the ones it replaces: the warm
+        # start is worth nothing and the refresh degrades to a cold fit.
+        emb, sharded = self._sharded(dtype)
+        members = sharded.router.members(0)
+        current = emb.copy()
+        current[members] = _clustered(seed=9)[: len(members)]
+        sharded.replace_shard(0, members, current[members])
+        assert sharded.indexes[0].lloyd_iterations > 2
+        refreshed, cold = self._recalls(sharded, current, dtype)
+        assert abs(refreshed - cold) <= 0.02
+
+    def test_warm_start_reseeds_a_centroid_nothing_moved_to(self):
+        # Every new row sits in one tight bundle: only the old centroid
+        # nearest to it attracts rows, the others must be reseeded.
+        index = ClusterIndex(_clustered(n=300), **CELLS)
+        rng = np.random.default_rng(2)
+        bundle = l2_normalize_rows(np.ones(16) + 0.01 * rng.standard_normal((300, 16)))
+        fresh = index.refreshed(bundle)
+        assert np.diff(fresh._ptr).min() > 0
+        assert fresh.num_clusters == index.num_clusters
+        assert fresh.default_probes == index.default_probes
+
+
 class TestObsIntegration:
     def test_counters_and_histograms_emitted(self):
         emb = _embeddings()
@@ -343,6 +444,31 @@ class TestObsIntegration:
         snap = obs_metrics.snapshot()
         assert not snap["counters"]
         assert not snap["histograms"]
+
+    @pytest.mark.parametrize("shard_index, observed", [("cluster", 6), ("brute", 0)])
+    def test_upsert_lloyd_iterations_only_where_lloyd_ran(self, shard_index, observed):
+        # "Why was this upsert slow": one sample per refresh of a k-means
+        # shard; an exact shard runs no Lloyd and leaves no histogram.
+        emb = _clustered()
+        with obs.enabled():
+            obs_metrics.reset()
+            server = ClusterServer(
+                emb,
+                config=ClusterConfig(num_shards=3, replicas=1, shard_index=shard_index),
+                index_kwargs=CELLS if shard_index == "cluster" else None,
+                service_model=UNIFORM,
+                rng=np.random.default_rng(0),
+            )
+            server.upserts = SlabUpsertProducer(
+                emb, server.sharded.assignment, start=0.0, interval=0.02, rounds=2, seed=3
+            )
+            server.serve_trace(_trace(n=300, vertices=len(emb), rate=2000.0, seed=7))
+            snap = obs_metrics.snapshot()
+        assert snap["counters"]["cluster.upserts_applied"] == 6
+        hist = snap["histograms"].get("cluster.upsert_lloyd_iterations", {"count": 0})
+        assert hist["count"] == observed
+        if observed:
+            assert 1 <= hist["p50"] <= hist["max"] <= 12
 
 
 @pytest.mark.slow

@@ -154,6 +154,109 @@ class TestKMeansMatchesReference:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
+    @staticmethod
+    def _rows(rng, n, distinct, dtype):
+        base = l2_normalize_rows(rng.standard_normal((min(distinct, n), 5)), dtype=dtype)
+        return base[rng.integers(0, base.shape[0], size=n)]
+
+    @given(
+        n=st.integers(2, 150),
+        distinct=st.integers(1, 150),
+        cells=st.integers(1, 20),
+        iters=st.sampled_from([4, 12, 40]),
+        dtype=DTYPES,
+        seed=st.integers(0, 2**16),
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_cold_start_is_exact_and_pays_every_iteration(
+        self, n, distinct, cells, iters, dtype, seed
+    ):
+        # Lazy ``best`` and the copied arg-max must not be told apart from
+        # the reference, reseeds and duplicate rows included; a cold build
+        # costs ``iters`` whatever the rows are (only a warm start stops
+        # at its fixed point).
+        normed = self._rows(np.random.default_rng(seed), n, distinct, dtype)
+        cells = min(cells, n)
+        rng = np.random.default_rng(seed)
+        centroids, assignments, ran = _spherical_kmeans(normed, cells, rng, iters=iters)
+        want = reference_kmeans(normed, cells, np.random.default_rng(seed), iters=iters)
+        assert np.array_equal(centroids, want[0])
+        assert np.array_equal(assignments, want[1])
+        assert ran == iters
+        # The cold start draws its seeds exactly as before: one
+        # ``rng.choice``, nothing else (what keeps ShardedIndex's
+        # per-shard streams and partition_vertices where they were).
+        ref_rng = np.random.default_rng(seed)
+        ref_rng.choice(n, size=cells, replace=False)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(
+        n=st.integers(2, 150),
+        distinct=st.integers(1, 150),
+        cells=st.integers(1, 20),
+        iters=st.sampled_from([4, 12, 40]),
+        drift=st.sampled_from([0.0, 0.01, 0.5, None]),
+        dtype=DTYPES,
+        seed=st.integers(0, 2**16),
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_warm_start_matches_reference_from_the_same_centroids(
+        self, n, distinct, cells, iters, drift, dtype, seed
+    ):
+        # Centroids fitted to old rows, then Lloyd on rows that drifted
+        # (``None``: unrelated rows, so old centroids can attract nothing
+        # and the reseed runs from a warm start too).
+        rng = np.random.default_rng(seed)
+        old = self._rows(rng, n, distinct, dtype)
+        cells = min(cells, n)
+        init = _spherical_kmeans(old, cells, np.random.default_rng(seed), iters=3)[0]
+        if drift is None:
+            new = self._rows(rng, n, distinct, dtype)
+        else:
+            new = l2_normalize_rows(old + drift * rng.standard_normal(old.shape), dtype=dtype)
+        kept = init.copy()
+        got = _spherical_kmeans(new, cells, None, iters=iters, init=init)  # no rng needed
+        want = reference_kmeans(new, cells, None, iters=iters, init=init)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(init, kept)  # the caller's centroids are not written to
+
+    @pytest.mark.parametrize("seed, n, distinct", [(115, 8, 6), (320, 4, 4)])
+    def test_rows_moved_by_a_reseed_do_not_count_as_a_repeat(self, seed, n, distinct):
+        # An iteration reseeds cell 1 with a row of cell 0 (whose mean was
+        # already taken with that row in it); the next iteration's arg-max
+        # equals the *reseeded* assignments, which is not a repeat of the
+        # previous arg-max: stopping there returns the wrong centroids.
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 2, size=3)  # the search that found these inputs drew three sizes first
+        base = l2_normalize_rows(rng.standard_normal((distinct, 3)))
+        normed = base[rng.integers(0, distinct, size=n)]
+        got = _spherical_kmeans(normed, 2, np.random.default_rng(seed), iters=12)
+        want = reference_kmeans(normed, 2, np.random.default_rng(seed), iters=12)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_the_exit_fires_and_costs_what_the_drift_costs(self):
+        # Guard the properties above against going blind: a warm start
+        # far from the answer reaches its fixed point well inside the
+        # cap, an unmoved one pays the minimum (one pass to assign, one to
+        # see it repeat), a cold one pays the cap, and the GEMM count is
+        # the iteration count.
+        rng = np.random.default_rng(3)
+        normed = l2_normalize_rows(_points(rng, 400, 8, np.float64))
+        (rough, _, cold), (cold_gemms, _, _) = _metered(
+            lambda: _spherical_kmeans(normed, 6, np.random.default_rng(3), iters=1)
+        )
+        assert cold == cold_gemms == 1
+        (centroids, _, far), (far_gemms, _, _) = _metered(
+            lambda: _spherical_kmeans(normed, 6, None, iters=40, init=rough)
+        )
+        assert 2 < far < 40 and far_gemms == far
+        (_, _, warm), (warm_gemms, _, _) = _metered(
+            lambda: _spherical_kmeans(normed, 6, None, iters=40, init=centroids)
+        )
+        assert warm == warm_gemms == 2
+
 
 def test_empty_query_batch_returns_empty_answers():
     index = ClusterIndex(np.random.default_rng(0).standard_normal((30, 4)), num_clusters=5)
