@@ -25,12 +25,7 @@ from ..graphs.datasets import Dataset
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
-from ..nn.layers import DenseLayer
-from ..nn.loss import make_loss
-from ..nn.metrics import accuracy, f1_macro, f1_micro
-from ..nn.optim import Adam, ParamGroup
-from ..train.evaluation import EvalResult
-from ..train.trainer import EpochRecord, TrainResult
+from .base import BaselineConfig, BlockModel, MinibatchBaseline
 from .blocks import SampledBlock, positions_in
 from .sage_layers import ConvOnlyLayer
 
@@ -55,16 +50,10 @@ def importance_distribution(graph: CSRGraph) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FastGCNConfig:
+class FastGCNConfig(BaselineConfig):
     """FastGCN training hyperparameters."""
 
-    hidden_dims: tuple[int, ...] = (128, 128)
     layer_sizes: tuple[int, ...] = (400, 400)  # t_l per hidden layer
-    batch_size: int = 256
-    lr: float = 0.01
-    epochs: int = 10
-    eval_every: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if len(self.layer_sizes) != len(self.hidden_dims):
@@ -114,67 +103,18 @@ def _importance_block(
     )
 
 
-class FastGCNModel:
+class FastGCNModel(BlockModel):
     """Stack of single-weight convolution layers + dense head."""
 
-    def __init__(
-        self,
-        in_dim: int,
-        hidden_dims: tuple[int, ...],
-        num_classes: int,
-        *,
-        seed: int = 0,
-        dtype=np.float64,
-    ) -> None:
-        rng = np.random.default_rng(seed)
-        self.dtype = np.dtype(dtype)
-        self.layers: list[ConvOnlyLayer] = []
-        dim = in_dim
-        for h in hidden_dims:
-            layer = ConvOnlyLayer(dim, h, rng=rng, dtype=self.dtype)
-            self.layers.append(layer)
-            dim = h
-        self.head = DenseLayer(dim, num_classes, rng=rng, dtype=self.dtype)
-
-    def parameter_groups(self) -> list[ParamGroup]:
-        """(params, grads) dict pairs for every layer plus the head."""
-        groups: list[ParamGroup] = [(l.params, l.grads) for l in self.layers]
-        groups.append((self.head.params, self.head.grads))
-        return groups
-
-    def forward(
-        self, h: np.ndarray, blocks: list[SampledBlock], *, train: bool = True
-    ) -> np.ndarray:
-        """Forward through one importance-weighted block per layer."""
-        for layer, block in zip(self.layers, blocks):
-            h = layer.forward(h, block, train=train)
-        return self.head.forward(h, train=train)
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        """Backprop through the blocks of the last training forward, down
-        to the first layer's parameters (the input features train nothing)."""
-        g = self.head.backward(grad_logits)
-        for layer in reversed(self.layers[1:]):
-            g = layer.backward(g)
-        self.layers[0].backward(g, input_grad=False)
+    layer_class = ConvOnlyLayer
 
 
-class FastGCNTrainer:
-    """Minibatch FastGCN training on the training graph."""
+class FastGCNTrainer(MinibatchBaseline):
+    """Minibatch FastGCN training on the training graph; the wall clock
+    of :meth:`train` starts at the importance-distribution preprocessing."""
 
     def __init__(self, dataset: Dataset, config: FastGCNConfig) -> None:
-        self.dataset = dataset
-        self.config = config
-        self.rng = np.random.default_rng(config.seed)
-        self.train_graph, self.train_vmap = dataset.graph.induced_subgraph(
-            dataset.train_idx
-        )
-        if np.any(self.train_graph.degrees == 0):
-            from ..graphs.generators import ensure_min_degree
-
-            self.train_graph = ensure_min_degree(self.train_graph, 1, rng=self.rng)
-        self.train_features = dataset.features[self.train_vmap]
-        self.train_labels = dataset.labels[self.train_vmap]
+        super().__init__(dataset, config)
         with span("fastgcn.preprocess") as prep_sp:
             t0 = time.perf_counter()
             self.q = importance_distribution(self.train_graph)
@@ -190,10 +130,7 @@ class FastGCNTrainer:
             dataset.num_classes,
             seed=config.seed,
         )
-        self.loss = make_loss(dataset.task)
-        self.optimizer = Adam(lr=config.lr)
         self.starvation: list[float] = []
-        self._q_full = importance_distribution(dataset.graph)
 
     def _sample_blocks(
         self, batch: np.ndarray
@@ -221,7 +158,7 @@ class FastGCNTrainer:
     def train_iteration(self, batch: np.ndarray) -> float:
         """One two-phase-sampled update; returns the minibatch loss."""
         src0, blocks = self._sample_blocks(batch)
-        feats = self.train_features[np.sort(src0)]
+        feats = self.train_features[src0]
         labels = self.train_labels[np.unique(batch)]
         logits = self.model.forward(feats, blocks, train=True)
         batch_loss = self.loss.forward(logits, labels)
@@ -229,16 +166,10 @@ class FastGCNTrainer:
         self.optimizer.step(self.model.parameter_groups())
         return batch_loss
 
-    def evaluate(self, split: str = "val") -> EvalResult:
-        """Exact-convolution evaluation on a split (no sampling)."""
-        idx = {
-            "train": self.dataset.train_idx,
-            "val": self.dataset.val_idx,
-            "test": self.dataset.test_idx,
-        }[split]
+    def full_logits(self) -> np.ndarray:
+        """Exact convolution: every layer applies the full ``D^{-1} A``."""
         graph = self.dataset.graph
         n = graph.num_vertices
-        every = np.arange(n, dtype=np.int64)
         exact = SampledBlock(
             num_src=n,
             num_dst=n,
@@ -250,43 +181,5 @@ class FastGCNTrainer:
             ).astype(np.float64),
             mean_normalize=False,
         )
-        del every
         blocks = [exact] * len(self.model.layers)
-        logits = self.model.forward(self.dataset.features, blocks, train=False)[idx]
-        labels = self.dataset.labels[idx]
-        preds = self.loss.predict(logits)
-        return EvalResult(
-            loss=self.loss.forward(logits, labels),
-            f1_micro=f1_micro(labels, preds, self.dataset.num_classes),
-            f1_macro=f1_macro(labels, preds, self.dataset.num_classes),
-            accuracy=accuracy(labels, preds),
-            split=split,
-        )
-
-    def train(self, *, epochs: int | None = None) -> TrainResult:
-        """Run minibatch training; wall time includes preprocessing."""
-        cfg = self.config
-        total_epochs = epochs if epochs is not None else cfg.epochs
-        result = TrainResult()
-        n_train = self.train_graph.num_vertices
-        wall_total = self.preprocessing_seconds  # charged up front
-        for epoch in range(total_epochs):
-            t0 = time.perf_counter()
-            order = self.rng.permutation(n_train)
-            losses = []
-            for lo in range(0, n_train, cfg.batch_size):
-                batch = order[lo : lo + cfg.batch_size]
-                losses.append(self.train_iteration(batch))
-                result.iterations += 1
-            wall_total += time.perf_counter() - t0
-            val = self.evaluate("val") if (epoch + 1) % cfg.eval_every == 0 else None
-            result.epochs.append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=float(np.mean(losses)),
-                    wall_seconds_total=wall_total,
-                    sim_time_total=0.0,
-                    val=val,
-                )
-            )
-        return result
+        return self.model.forward(self.dataset.features, blocks, train=False)

@@ -13,20 +13,13 @@ with the same weights.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..graphs.datasets import Dataset
-from ..nn.init import xavier_uniform
-from ..nn.layers import DenseLayer
-from ..nn.loss import make_loss
-from ..nn.metrics import accuracy, f1_macro, f1_micro
-from ..nn.optim import Adam, ParamGroup
-from ..train.evaluation import EvalResult
-from ..train.trainer import EpochRecord, TrainResult
+from .base import BaselineConfig, BlockModel, MinibatchBaseline
 from .blocks import SampledBlock, positions_in
 from .sage_layers import BipartiteGCNLayer
 
@@ -34,17 +27,11 @@ __all__ = ["SageConfig", "GraphSAGEModel", "GraphSAGETrainer", "sample_supports"
 
 
 @dataclass(frozen=True)
-class SageConfig:
+class SageConfig(BaselineConfig):
     """GraphSAGE training hyperparameters."""
 
-    hidden_dims: tuple[int, ...] = (128, 128)
     fanouts: tuple[int, ...] = (25, 10)
-    batch_size: int = 256
-    lr: float = 0.01
-    epochs: int = 10
-    eval_every: int = 1
     concat: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if len(self.fanouts) != len(self.hidden_dims):
@@ -100,60 +87,10 @@ def full_block(graph: CSRGraph) -> SampledBlock:
     )
 
 
-class GraphSAGEModel:
-    """Stack of bipartite GCN layers + dense head."""
+class GraphSAGEModel(BlockModel):
+    """Stack of bipartite GCN layers + dense head (takes ``concat``)."""
 
-    def __init__(
-        self,
-        in_dim: int,
-        hidden_dims: tuple[int, ...],
-        num_classes: int,
-        *,
-        concat: bool = True,
-        seed: int = 0,
-        dtype=np.float64,
-    ) -> None:
-        rng = np.random.default_rng(seed)
-        self.dtype = np.dtype(dtype)
-        self.layers: list[BipartiteGCNLayer] = []
-        dim = in_dim
-        for h in hidden_dims:
-            layer = BipartiteGCNLayer(
-                dim, h, concat=concat, rng=rng, dtype=self.dtype
-            )
-            self.layers.append(layer)
-            dim = layer.output_dim
-        self.head = DenseLayer(dim, num_classes, rng=rng, dtype=self.dtype)
-        self.in_dim = in_dim
-        self.num_classes = num_classes
-
-    def parameter_groups(self) -> list[ParamGroup]:
-        """(params, grads) dict pairs for every layer plus the head."""
-        groups: list[ParamGroup] = [(l.params, l.grads) for l in self.layers]
-        groups.append((self.head.params, self.head.grads))
-        return groups
-
-    def forward(
-        self,
-        h: np.ndarray,
-        blocks: list[SampledBlock],
-        *,
-        train: bool = True,
-    ) -> np.ndarray:
-        """Forward through one block per layer; returns batch logits."""
-        if len(blocks) != len(self.layers):
-            raise ValueError("need one block per layer")
-        for layer, block in zip(self.layers, blocks):
-            h = layer.forward(h, block, train=train)
-        return self.head.forward(h, train=train)
-
-    def backward(self, grad_logits: np.ndarray) -> None:
-        """Backprop through the blocks of the last training forward, down
-        to the first layer's parameters (the input features train nothing)."""
-        g = self.head.backward(grad_logits)
-        for layer in reversed(self.layers[1:]):
-            g = layer.backward(g)
-        self.layers[0].backward(g, input_grad=False)
+    layer_class = BipartiteGCNLayer
 
 
 @dataclass
@@ -181,22 +118,11 @@ class SupportStats:
         return float(np.mean([row[0] for row in self.nodes_per_layer]))
 
 
-class GraphSAGETrainer:
+class GraphSAGETrainer(MinibatchBaseline):
     """Minibatch GraphSAGE training on the training graph."""
 
     def __init__(self, dataset: Dataset, config: SageConfig) -> None:
-        self.dataset = dataset
-        self.config = config
-        self.rng = np.random.default_rng(config.seed)
-        self.train_graph, self.train_vmap = dataset.graph.induced_subgraph(
-            dataset.train_idx
-        )
-        if np.any(self.train_graph.degrees == 0):
-            from ..graphs.generators import ensure_min_degree
-
-            self.train_graph = ensure_min_degree(self.train_graph, 1, rng=self.rng)
-        self.train_features = dataset.features[self.train_vmap]
-        self.train_labels = dataset.labels[self.train_vmap]
+        super().__init__(dataset, config)
         self.model = GraphSAGEModel(
             dataset.features.shape[1],
             config.hidden_dims,
@@ -204,8 +130,6 @@ class GraphSAGETrainer:
             concat=config.concat,
             seed=config.seed,
         )
-        self.loss = make_loss(dataset.task)
-        self.optimizer = Adam(lr=config.lr)
         self.support_stats = SupportStats()
         self._eval_block = full_block(dataset.graph)
 
@@ -223,53 +147,7 @@ class GraphSAGETrainer:
         self.optimizer.step(self.model.parameter_groups())
         return batch_loss
 
-    def evaluate(self, split: str = "val") -> EvalResult:
-        """Exact (un-sampled) full-neighborhood evaluation on a split."""
-        idx = {
-            "train": self.dataset.train_idx,
-            "val": self.dataset.val_idx,
-            "test": self.dataset.test_idx,
-        }[split]
+    def full_logits(self) -> np.ndarray:
+        """Exact forward: every layer aggregates the whole neighborhood."""
         blocks = [self._eval_block] * len(self.model.layers)
-        logits = self.model.forward(
-            self.dataset.features, blocks, train=False
-        )[idx]
-        labels = self.dataset.labels[idx]
-        preds = self.loss.predict(logits)
-        return EvalResult(
-            loss=self.loss.forward(logits, labels),
-            f1_micro=f1_micro(labels, preds, self.dataset.num_classes),
-            f1_macro=f1_macro(labels, preds, self.dataset.num_classes),
-            accuracy=accuracy(labels, preds),
-            split=split,
-        )
-
-    def train(self, *, epochs: int | None = None) -> TrainResult:
-        """Run minibatch training; returns per-epoch records."""
-        cfg = self.config
-        total_epochs = epochs if epochs is not None else cfg.epochs
-        result = TrainResult()
-        n_train = self.train_graph.num_vertices
-        wall_total = 0.0
-        for epoch in range(total_epochs):
-            t0 = time.perf_counter()
-            order = self.rng.permutation(n_train)
-            losses = []
-            for lo in range(0, n_train, cfg.batch_size):
-                batch = order[lo : lo + cfg.batch_size]
-                losses.append(self.train_iteration(batch))
-                result.iterations += 1
-            wall_total += time.perf_counter() - t0
-            val = (
-                self.evaluate("val") if (epoch + 1) % cfg.eval_every == 0 else None
-            )
-            result.epochs.append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=float(np.mean(losses)),
-                    wall_seconds_total=wall_total,
-                    sim_time_total=0.0,
-                    val=val,
-                )
-            )
-        return result
+        return self.model.forward(self.dataset.features, blocks, train=False)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graphs.datasets import make_dataset
+from ..graphs.datasets import make_dataset, training_view
 from ..graphs.stats import connectivity_summary, degree_ks_distance
 from ..parallel.machine import xeon_40core
 from ..propagation.partition_model import (
@@ -44,7 +44,7 @@ from ..sampling.extra import (
 from ..sampling.zoo import make_sampler
 from ..train.config import TrainConfig
 from ..train.trainer import GraphSamplingTrainer
-from .common import EXPERIMENT_SCALES, format_table
+from .common import EXPERIMENT_SCALES, format_table, paper_budget
 
 __all__ = [
     "run_partitioning",
@@ -125,8 +125,7 @@ def run_partitioner_gamma(
     from ..propagation.partition_model import gamma_of_partition
 
     ds = make_dataset(dataset, scale=EXPERIMENT_SCALES[dataset], seed=seed)
-    n = ds.graph.num_vertices
-    budget = max(min(n // 4, 1200), 64)
+    budget = paper_budget(ds.graph.num_vertices)
     # engine="reference" in the ablations: the committed modeled-cost
     # tables were produced with the scalar oracle's RNG stream.
     sampler = DashboardFrontierSampler(
@@ -163,8 +162,7 @@ def run_dashboard_eta(
     """X2: measured probe/cleanup trade-off across eta values."""
     ds = make_dataset(dataset, scale=EXPERIMENT_SCALES[dataset], seed=seed)
     machine = xeon_40core()
-    n = ds.graph.num_vertices
-    budget = max(min(n // 4, 1200), 64)
+    budget = paper_budget(ds.graph.num_vertices)
     m = max(budget // 6, 16)
     rows = []
     for eta in etas:
@@ -250,7 +248,7 @@ def run_degree_cap(
     ds = make_dataset(dataset, scale=EXPERIMENT_SCALES[dataset], seed=seed)
     graph = ds.graph
     n = graph.num_vertices
-    budget = max(min(n // 4, 1200), 64)
+    budget = paper_budget(n)
     m = max(budget // 6, 16)
     hubs = np.argsort(graph.degrees)[-max(n // 100, 5) :]
     rows = []
@@ -291,7 +289,6 @@ def run_sampler_comparison(
 ) -> dict[str, object]:
     """X4: frontier vs alternative samplers, connectivity + accuracy."""
     ds = make_dataset(dataset, scale=EXPERIMENT_SCALES[dataset], seed=seed)
-    n_train_graph_budget = None  # computed per sampler below
     base_summary = connectivity_summary(ds.graph)
 
     cfg = TrainConfig(
@@ -303,10 +300,9 @@ def run_sampler_comparison(
         eval_every=epochs,  # evaluate once at the end
         seed=seed,
     )
-    # Build a reference trainer to obtain the (patched) training graph all
-    # samplers share.
-    ref = GraphSamplingTrainer(ds, cfg)
-    g = ref.train_graph
+    # The (patched) training graph all samplers share: the view every
+    # trainer below derives from the same seed.
+    g, _ = training_view(ds, np.random.default_rng(seed))
     budget = min(cfg.budget, g.num_vertices)
     samplers = {
         "frontier": DashboardFrontierSampler(

@@ -11,9 +11,15 @@ from __future__ import annotations
 import pathlib
 from typing import Iterable, Mapping
 
+from ..graphs.datasets import Dataset
+from ..train.config import TrainConfig
+from ..train.trainer import GraphSamplingTrainer, IterationMetrics
+
 __all__ = [
     "EXPERIMENT_SCALES",
     "DATASET_NAMES",
+    "paper_budget",
+    "metered_run",
     "format_table",
     "format_float",
     "to_jsonable",
@@ -32,6 +38,39 @@ EXPERIMENT_SCALES: dict[str, float] = {
 }
 
 DATASET_NAMES = tuple(EXPERIMENT_SCALES)
+
+
+def paper_budget(n: int) -> int:
+    """Subgraph budget of the paper experiments on an ``n``-vertex graph: a
+    quarter of it, at most 1200 (the down-scaled stand-in for the paper's
+    8000-vertex subgraphs) and at least 64."""
+    return max(min(n // 4, 1200), 64)
+
+
+def metered_run(
+    dataset: Dataset, *, hidden_dims: tuple[int, ...], iterations: int, seed: int
+) -> tuple[list[IterationMetrics], int]:
+    """Train the proposed method just long enough to meter ``iterations``.
+
+    The scaling experiments (Figure 3, Table II) re-price one short run:
+    paper budget, ``frontier = budget / 6``, whole epochs until
+    ``iterations`` iterations ran, no evaluation. Returns the first
+    ``iterations`` :class:`IterationMetrics` and the batches per epoch.
+    """
+    budget = paper_budget(dataset.train_idx.shape[0])
+    config = TrainConfig(
+        hidden_dims=hidden_dims,
+        frontier_size=max(budget // 6, 16),
+        budget=budget,
+        epochs=1,
+        eval_every=10**9,
+        seed=seed,
+    )
+    metrics: list[IterationMetrics] = []
+    with GraphSamplingTrainer(dataset, config) as trainer:
+        while len(metrics) < iterations:
+            metrics.extend(trainer.train().iteration_metrics)
+    return metrics[:iterations], trainer.batches_per_epoch
 
 
 def format_float(x: object, digits: int = 3) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 from ..graphs.datasets import make_dataset
 from ..train.config import TrainConfig
 from ..train.trainer import GraphSamplingTrainer
-from .common import EXPERIMENT_SCALES, format_table
+from .common import EXPERIMENT_SCALES, format_table, paper_budget
 
 __all__ = ["run_depth_accuracy", "run_budget_scaling"]
 
@@ -37,8 +37,7 @@ def run_depth_accuracy(
 ) -> dict[str, object]:
     """X6: validation F1 and per-iteration cost of deeper GS-GCNs."""
     ds = make_dataset(dataset, scale=EXPERIMENT_SCALES[dataset], seed=seed)
-    n_train = ds.train_idx.shape[0]
-    budget = max(min(n_train // 4, 1200), 64)
+    budget = paper_budget(ds.train_idx.shape[0])
     rows = []
     for depth in depths:
         cfg = TrainConfig(

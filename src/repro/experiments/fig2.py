@@ -14,8 +14,6 @@ exceeds final accuracy on every dataset.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..baselines.batched_gcn import BatchedGCNConfig, BatchedGCNTrainer
 from ..baselines.fastgcn import FastGCNConfig, FastGCNTrainer
 from ..baselines.graphsage import GraphSAGETrainer, SageConfig
@@ -23,7 +21,7 @@ from ..graphs.datasets import Dataset, make_dataset
 from ..parallel.machine import xeon_40core
 from ..train.config import TrainConfig
 from ..train.trainer import GraphSamplingTrainer, TrainResult
-from .common import EXPERIMENT_SCALES, format_table
+from .common import EXPERIMENT_SCALES, format_table, paper_budget
 from .modelcosts import batched_gcn_iteration_cost, graphsage_iteration_cost
 
 __all__ = ["run", "run_dataset", "format_results", "ACCURACY_SLACK"]
@@ -45,12 +43,9 @@ RECIPES: dict[str, tuple[int, int, float, float, float]] = {
 }
 
 
-def _curve(result: TrainResult) -> list[tuple[float, float]]:
-    return [
-        (rec.wall_seconds_total, rec.val.f1_micro)
-        for rec in result.epochs
-        if rec.val is not None
-    ]
+def _curve(result: TrainResult, clock=lambda rec: rec.wall_seconds_total):
+    """(time on ``clock``, validation F1) at every evaluated epoch."""
+    return [(clock(rec), rec.val.f1_micro) for rec in result.epochs if rec.val is not None]
 
 
 def _time_to_threshold(
@@ -62,6 +57,19 @@ def _time_to_threshold(
     return None
 
 
+def _speedup(
+    curves: dict[str, list[tuple[float, float]]], threshold: float
+) -> tuple[float | None, float | None, float | None]:
+    """Times at which ``proposed`` and the fastest baseline first reach
+    ``threshold`` on the curves' clock, and their ratio (baseline over
+    proposed); ``None`` where a threshold is never reached."""
+    times = {name: _time_to_threshold(c, threshold) for name, c in curves.items()}
+    t_ours = times.pop("proposed")
+    t_base = min((t for t in times.values() if t is not None), default=None)
+    ratio = t_base / t_ours if (t_ours is not None and t_base is not None) else None
+    return t_ours, t_base, ratio
+
+
 def run_dataset(
     dataset: Dataset,
     *,
@@ -71,9 +79,7 @@ def run_dataset(
     include_fastgcn: bool = False,
 ) -> dict[str, object]:
     """Figure 2 for one dataset; returns curves and the speedup row."""
-    n_train = dataset.train_idx.shape[0]
-    budget = max(min(n_train // 4, 1200), 64)
-    frontier = max(budget // 12, 16)
+    budget = paper_budget(dataset.train_idx.shape[0])
     hidden_dims = (hidden, hidden)
     # Multi-label sigmoid heads train with larger steps than softmax heads
     # (the per-class gradients are sparse); applied uniformly to every
@@ -84,12 +90,13 @@ def run_dataset(
     )
     prop_epochs = max(int(round(prop_epochs * epoch_scale)), 2)
     base_epochs = max(int(round(base_epochs * epoch_scale)), 2)
+    machine = xeon_40core()
 
-    proposed = GraphSamplingTrainer(
+    with GraphSamplingTrainer(
         dataset,
         TrainConfig(
             hidden_dims=hidden_dims,
-            frontier_size=frontier,
+            frontier_size=max(budget // 12, 16),
             budget=budget,
             lr=lr_proposed,
             dropout=dropout,
@@ -98,109 +105,58 @@ def run_dataset(
             eval_every=1,
             seed=seed,
         ),
+    ) as proposed:
+        proposed_result = proposed.train()
+    curves = {"proposed": _curve(proposed_result)}
+    modeled = {"proposed": _curve(proposed_result, lambda rec: rec.sim_time_total)}
+
+    # name -> (trainer class, config, modeled per-iteration cost or None).
+    # Every baseline gets the same architecture, batch size, step size and
+    # epochs; FastGCN has no cost model, so it has no modeled curve.
+    shared = dict(
+        hidden_dims=hidden_dims,
+        batch_size=256,
+        lr=lr_baseline,
+        epochs=base_epochs,
+        eval_every=1,
+        seed=seed,
     )
-    curves: dict[str, list[tuple[float, float]]] = {}
-    modeled: dict[str, list[tuple[float, float]]] = {}
-    machine = xeon_40core()
-
-    proposed_result = proposed.train()
-    curves["proposed"] = _curve(proposed_result)
-    modeled["proposed"] = [
-        (rec.sim_time_total, rec.val.f1_micro)
-        for rec in proposed_result.epochs
-        if rec.val is not None
-    ]
-
-    sage = GraphSAGETrainer(
-        dataset,
-        SageConfig(
-            hidden_dims=hidden_dims,
-            fanouts=(25,) + (10,) * (len(hidden_dims) - 1),
-            batch_size=256,
-            lr=lr_baseline,
-            epochs=base_epochs,
-            eval_every=1,
-            seed=seed,
+    fanouts = (25,) + (10,) * (len(hidden_dims) - 1)
+    baselines = {
+        "graphsage": (
+            GraphSAGETrainer,
+            SageConfig(**shared, fanouts=fanouts),
+            graphsage_iteration_cost,
         ),
-    )
-    sage_result = sage.train()
-    curves["graphsage"] = _curve(sage_result)
-    sage_iter_cost = graphsage_iteration_cost(sage, machine)
-    sage_batches = -(-sage.train_graph.num_vertices // sage.config.batch_size)
-    modeled["graphsage"] = [
-        (sage_iter_cost * sage_batches * (rec.epoch + 1), rec.val.f1_micro)
-        for rec in sage_result.epochs
-        if rec.val is not None
-    ]
-
-    batched = BatchedGCNTrainer(
-        dataset,
-        BatchedGCNConfig(
-            hidden_dims=hidden_dims,
-            batch_size=256,
-            lr=lr_baseline,
-            epochs=base_epochs,
-            eval_every=1,
-            seed=seed,
+        "batched_gcn": (
+            BatchedGCNTrainer,
+            BatchedGCNConfig(**shared),
+            batched_gcn_iteration_cost,
         ),
-    )
-    batched_result = batched.train()
-    curves["batched_gcn"] = _curve(batched_result)
-    batched_iter_cost = batched_gcn_iteration_cost(batched, machine)
-    batched_batches = -(
-        -batched.train_graph.num_vertices // batched.config.batch_size
-    )
-    modeled["batched_gcn"] = [
-        (batched_iter_cost * batched_batches * (rec.epoch + 1), rec.val.f1_micro)
-        for rec in batched_result.epochs
-        if rec.val is not None
-    ]
-
+    }
     if include_fastgcn:
-        fast = FastGCNTrainer(
-            dataset,
-            FastGCNConfig(
-                hidden_dims=hidden_dims,
-                layer_sizes=(400,) * len(hidden_dims),
-                batch_size=256,
-                lr=lr_baseline,
-                epochs=base_epochs,
-                eval_every=1,
-                seed=seed,
-            ),
+        layer_sizes = (400,) * len(hidden_dims)
+        baselines["fastgcn"] = (
+            FastGCNTrainer,
+            FastGCNConfig(**shared, layer_sizes=layer_sizes),
+            None,
         )
-        curves["fastgcn"] = _curve(fast.train())
+    for name, (trainer_cls, config, iteration_cost) in baselines.items():
+        trainer = trainer_cls(dataset, config)
+        result = trainer.train()
+        curves[name] = _curve(result)
+        if iteration_cost is not None:
+            batches = -(-trainer.train_graph.num_vertices // config.batch_size)
+            epoch_cost = iteration_cost(trainer, machine) * batches
+            modeled[name] = _curve(result, lambda rec: epoch_cost * (rec.epoch + 1))
 
-    baselines = {k: v for k, v in curves.items() if k != "proposed"}
-    a0 = max(max(f1 for _, f1 in c) for c in baselines.values())
+    a0 = max(f1 for name, c in curves.items() if name != "proposed" for _, f1 in c)
     threshold = a0 - ACCURACY_SLACK
-    t_ours = _time_to_threshold(curves["proposed"], threshold)
-    t_base = min(
-        (
-            t
-            for c in baselines.values()
-            if (t := _time_to_threshold(c, threshold)) is not None
-        ),
-        default=None,
-    )
-    speedup = (t_base / t_ours) if (t_ours is not None and t_base is not None) else None
-
+    t_ours, t_base, speedup = _speedup(curves, threshold)
     # Modeled (work-based) speedup: same threshold, but the x-axis is the
     # machine cost model applied uniformly to every method — the quantity
     # that survives graph down-scaling (see modelcosts docstring).
-    m_ours = _time_to_threshold(modeled["proposed"], threshold)
-    m_base = min(
-        (
-            t
-            for k, c in modeled.items()
-            if k != "proposed"
-            and (t := _time_to_threshold(c, threshold)) is not None
-        ),
-        default=None,
-    )
-    modeled_speedup = (
-        (m_base / m_ours) if (m_ours is not None and m_base is not None) else None
-    )
+    _, _, modeled_speedup = _speedup(modeled, threshold)
     return {
         "dataset": dataset.name,
         "curves": curves,

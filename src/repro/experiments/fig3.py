@@ -13,10 +13,9 @@ core count, yielding the four panels of Figure 3:
 from __future__ import annotations
 
 from ..graphs.datasets import make_dataset
-from ..train.config import TrainConfig
-from ..train.trainer import GraphSamplingTrainer
-from .common import EXPERIMENT_SCALES, format_table
-from .repricing import phase_times_per_iteration
+from ..parallel.machine import xeon_40core
+from .common import EXPERIMENT_SCALES, format_table, metered_run
+from .repricing import speedup_table
 
 __all__ = ["run", "run_dataset", "format_results", "DEFAULT_CORES"]
 
@@ -35,32 +34,12 @@ def run_dataset(
 ) -> dict[str, object]:
     """Figure 3 for one (dataset, hidden-dim) configuration."""
     ds = make_dataset(name, scale=scale, seed=seed)
-    n_train = ds.train_idx.shape[0]
-    budget = max(min(n_train // 4, 1200), 64)
-    cfg = TrainConfig(
-        hidden_dims=(hidden, hidden),
-        frontier_size=max(budget // 6, 16),
-        budget=budget,
-        epochs=1,
-        eval_every=10**9,  # no eval needed for scaling
-        seed=seed,
+    metrics, _ = metered_run(
+        ds, hidden_dims=(hidden, hidden), iterations=iterations, seed=seed
     )
-    trainer = GraphSamplingTrainer(ds, cfg)
-    result = trainer.train()
-    while result.iterations < iterations:
-        result2 = trainer.train(epochs=1)
-        result.iteration_metrics.extend(result2.iteration_metrics)
-        result.iterations += result2.iterations
-    metrics = result.iteration_metrics[:iterations]
-
-    machine = cfg.machine
-    per_cores: dict[int, dict[str, float]] = {}
-    for cores in sorted(set(cores_list) | {1}):
-        phases = phase_times_per_iteration(
-            metrics, machine, cores=cores, p_intra=p_intra
-        )
-        total = sum(phases.values())
-        per_cores[cores] = {**phases, "total": total}
+    per_cores = speedup_table(
+        metrics, xeon_40core(), cores_list=list(cores_list), p_intra=p_intra
+    )
     base = per_cores[1]
     rows = []
     for cores in cores_list:
@@ -70,7 +49,7 @@ def run_dataset(
                 "dataset": name,
                 "hidden": hidden,
                 "cores": cores,
-                "iteration_speedup": base["total"] / entry["total"],
+                "iteration_speedup": entry["speedup"],
                 "featprop_speedup": base["feature_propagation"]
                 / entry["feature_propagation"],
                 "weight_speedup": base["weight_application"]

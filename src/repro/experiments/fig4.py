@@ -18,7 +18,7 @@ from ..graphs.datasets import make_dataset
 from ..parallel.machine import MachineSpec, xeon_40core
 from ..sampling.cost import pool_fill_times, simulated_sampler_time
 from ..sampling.dashboard import DashboardFrontierSampler
-from .common import EXPERIMENT_SCALES, format_table
+from .common import EXPERIMENT_SCALES, format_table, paper_budget
 
 __all__ = ["run", "format_results", "DEFAULT_P_INTER"]
 
@@ -26,8 +26,7 @@ DEFAULT_P_INTER = (1, 5, 10, 20, 30, 40)
 
 
 def _sampler_for(ds, *, eta: float, seed: int) -> DashboardFrontierSampler:
-    n = ds.graph.num_vertices
-    budget = max(min(n // 4, 1200), 64)
+    budget = paper_budget(ds.graph.num_vertices)
     cap = 30 if ds.name == "amazon" else None  # the paper's Amazon cap
     # Paper-figure regeneration pins the scalar oracle: its RNG stream is
     # the one the committed modeled-cost artifacts were produced with, so

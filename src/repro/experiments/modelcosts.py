@@ -11,8 +11,10 @@ wall-clock one:
 
 * proposed — the trainer's own metered simulated time (already exact);
 * Batched GCN — full-training-graph propagation + GEMM per update;
-* GraphSAGE — measured sampled-support sizes priced on aggregation +
-  weight flops + gather traffic (same pricing as Table II).
+* GraphSAGE — measured sampled-support sizes priced on aggregation
+  gathers (``cost_gather``), gather traffic and weight-application GEMM
+  time; :func:`graphsage_iteration_cost` is the only GraphSAGE pricer,
+  and Table II's per-epoch cost is this times the batches of an epoch.
 """
 
 from __future__ import annotations

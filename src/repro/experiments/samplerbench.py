@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 
+from ..graphs.csr import CSRGraph
 from ..graphs.datasets import make_dataset
 from ..sampling.dashboard import ENGINES, DashboardFrontierSampler
 from ..sampling.zoo import FAMILIES, make_sampler
@@ -47,6 +48,29 @@ DEFAULT_MIN_SPEEDUP = 3.0
 DEFAULT_ZOO_MIN_SPEEDUP = 2.0
 
 
+def _workload(
+    dataset: str,
+    scale: float | None,
+    seed: int,
+    budget: int | None,
+    frontier_size: int | None,
+) -> tuple[CSRGraph, int, int]:
+    """The graph to sample and the sizes the caller left unset: the
+    standard experiment scale, ``budget = 3n/4`` (at most 1750, where the
+    pop/replace loop rather than induction dominates) and ``frontier =
+    budget/6``."""
+    ds = make_dataset(
+        dataset,
+        scale=EXPERIMENT_SCALES[dataset] if scale is None else scale,
+        seed=seed,
+    )
+    if budget is None:
+        budget = max(min(3 * ds.graph.num_vertices // 4, 1750), 64)
+    if frontier_size is None:
+        frontier_size = max(budget // 6, 16)
+    return ds.graph, budget, frontier_size
+
+
 def run(
     *,
     dataset: str = "reddit",
@@ -68,17 +92,9 @@ def run(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    ds = make_dataset(
-        dataset,
-        scale=EXPERIMENT_SCALES[dataset] if scale is None else scale,
-        seed=seed,
+    graph, budget, frontier_size = _workload(
+        dataset, scale, seed, budget, frontier_size
     )
-    graph = ds.graph
-    n = graph.num_vertices
-    if budget is None:
-        budget = max(min(3 * n // 4, 1750), 64)
-    if frontier_size is None:
-        frontier_size = max(budget // 6, 16)
 
     samplers = {
         engine: DashboardFrontierSampler(
@@ -120,7 +136,7 @@ def run(
     speedup = med["reference"] / med["fast"]
     return {
         "dataset": dataset,
-        "num_vertices": n,
+        "num_vertices": graph.num_vertices,
         "budget": budget,
         "frontier_size": frontier_size,
         "repeats": repeats,
@@ -164,17 +180,9 @@ def run_zoo(
     for fam in fams:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}; choose from {FAMILIES}")
-    ds = make_dataset(
-        dataset,
-        scale=EXPERIMENT_SCALES[dataset] if scale is None else scale,
-        seed=seed,
+    graph, budget, frontier_size = _workload(
+        dataset, scale, seed, budget, frontier_size
     )
-    graph = ds.graph
-    n = graph.num_vertices
-    if budget is None:
-        budget = max(min(3 * n // 4, 1750), 64)
-    if frontier_size is None:
-        frontier_size = max(budget // 6, 16)
 
     samplers = {
         (fam, engine): make_sampler(
@@ -226,7 +234,7 @@ def run_zoo(
         )
     return {
         "dataset": dataset,
-        "num_vertices": n,
+        "num_vertices": graph.num_vertices,
         "budget": budget,
         "frontier_size": frontier_size,
         "walk_depth": walk_depth,

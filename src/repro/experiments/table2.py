@@ -29,10 +29,9 @@ from ..analysis.speedup import amdahl_speedup
 from ..baselines.graphsage import GraphSAGETrainer, SageConfig
 from ..graphs.datasets import make_dataset
 from ..parallel.machine import MachineSpec, xeon_40core
-from ..train.config import TrainConfig
-from ..train.trainer import GraphSamplingTrainer
-from .common import EXPERIMENT_SCALES, format_table
-from .repricing import iteration_time, phase_times_per_iteration
+from .common import EXPERIMENT_SCALES, format_table, metered_run
+from .modelcosts import graphsage_iteration_cost
+from .repricing import speedup_table
 
 __all__ = ["run", "format_results", "sage_epoch_cost"]
 
@@ -48,44 +47,19 @@ def sage_epoch_cost(
 ) -> float:
     """Measured per-epoch serial cost (cost units) of GraphSAGE.
 
-    Runs ``iterations`` real training iterations, reads the sampled
-    support sizes, and prices aggregation flops, weight flops (forward +
-    backward) and feature-gather traffic on the machine's cost parameters.
+    Runs ``iterations`` real training iterations, then prices the
+    trainer's recorded support sizes with :func:`graphsage_iteration_cost`
+    — the one GraphSAGE cost model, on the constants the proposed
+    method's side of the ratio is priced with — times the batches of an
+    epoch.
     """
     cfg = trainer.config
     n_train = trainer.train_graph.num_vertices
-    start = len(trainer.support_stats.nodes_per_layer)
     for _ in range(iterations):
         batch = rng.choice(n_train, size=min(cfg.batch_size, n_train), replace=False)
         trainer.train_iteration(batch)
-    nodes = trainer.support_stats.nodes_per_layer[start:]
-    edges = trainer.support_stats.edges_per_layer[start:]
-
-    # Per-layer feature dims of the model.
-    in_dims = []
-    dim = trainer.model.in_dim
-    for layer in trainer.model.layers:
-        in_dims.append(dim)
-        dim = layer.output_dim
-    head_in = dim
-
-    per_iter_costs = []
-    for node_row, edge_row in zip(nodes, edges):
-        flops = 0.0
-        comm_bytes = 0.0
-        for l, (e_l, f_in) in enumerate(zip(edge_row, in_dims)):
-            dst_nodes = node_row[l + 1]
-            f_out = trainer.model.layers[l].out_dim
-            flops += e_l * f_in  # aggregation
-            flops += 2.0 * 2.0 * dst_nodes * f_in * f_out  # W_self + W_neigh
-            comm_bytes += e_l * f_in * 8.0  # random feature gathers
-        flops += 2.0 * node_row[-1] * head_in * trainer.model.num_classes
-        flops *= 3.0  # forward + dW + dX
-        per_iter_costs.append(
-            flops * machine.cost_flop + comm_bytes * machine.dram_cost_per_byte
-        )
     batches_per_epoch = -(-n_train // cfg.batch_size)
-    return float(np.mean(per_iter_costs)) * batches_per_epoch
+    return graphsage_iteration_cost(trainer, machine) * batches_per_epoch
 
 
 def run(
@@ -108,30 +82,14 @@ def run(
     rows = []
     detail: dict[int, dict[str, float]] = {}
     for layers in layers_list:
-        n_train = ds.train_idx.shape[0]
-        budget = max(min(n_train // 4, 1200), 64)
-        cfg = TrainConfig(
-            hidden_dims=(hidden,) * layers,
-            frontier_size=max(budget // 6, 16),
-            budget=budget,
-            epochs=1,
-            eval_every=10**9,
-            seed=seed,
+        metrics, gs_batches = metered_run(
+            ds, hidden_dims=(hidden,) * layers, iterations=iterations, seed=seed
         )
-        gs_trainer = GraphSamplingTrainer(ds, cfg)
-        gs_result = gs_trainer.train()
-        while gs_result.iterations < iterations:
-            more = gs_trainer.train(epochs=1)
-            gs_result.iteration_metrics.extend(more.iteration_metrics)
-            gs_result.iterations += more.iterations
-        metrics = gs_result.iteration_metrics[:iterations]
-        gs_batches = gs_trainer.batches_per_epoch
-
         # The paper trains GraphSAGE with batch 512 on Reddit's 153k
         # training vertices (~0.33%); keep that ratio so the per-epoch
         # batch count — and with it the neighbor-explosion blow-up —
         # reproduces at reduced graph scale.
-        sage_batch = max(8, int(round(n_train * 512 / 153_000)))
+        sage_batch = max(8, int(round(ds.train_idx.shape[0] * 512 / 153_000)))
         sage_trainer = GraphSAGETrainer(
             ds,
             SageConfig(
@@ -146,22 +104,15 @@ def run(
             sage_trainer, iterations=iterations, machine=machine, rng=rng
         )
 
+        gs_times = speedup_table(metrics, machine, cores_list=list(cores_list))
         row: dict[str, object] = {"layers": layers}
         for cores in cores_list:
-            t_gs = (
-                iteration_time(
-                    phase_times_per_iteration(metrics, machine, cores=cores)
-                )
-                * gs_batches
-            )
+            t_gs = gs_times[cores]["total"] * gs_batches
             t_sage = sage_serial / amdahl_speedup(cores, sage_serial_fraction)
             row[f"{cores}-core"] = t_sage / t_gs
         rows.append(row)
         detail[layers] = {
-            "gs_epoch_1core": iteration_time(
-                phase_times_per_iteration(metrics, machine, cores=1)
-            )
-            * gs_batches,
+            "gs_epoch_1core": gs_times[1]["total"] * gs_batches,
             "sage_epoch_serial": sage_serial,
         }
     return {"rows": rows, "detail": detail}

@@ -1,7 +1,14 @@
 """Graph substrate: CSR topology, synthetic datasets, and statistics."""
 
 from .csr import CSRGraph, edges_to_csr, induced_subgraph
-from .datasets import PROFILES, Dataset, DatasetProfile, make_dataset, table1_rows
+from .datasets import (
+    PROFILES,
+    Dataset,
+    DatasetProfile,
+    make_dataset,
+    table1_rows,
+    training_view,
+)
 from .features import (
     gaussian_class_features,
     multi_label_from_blocks,
@@ -18,12 +25,6 @@ from .io import (
     write_edge_list,
 )
 from .partition import bfs_partition, greedy_edge_partition, random_partition
-from .spectral import (
-    estrada_index_proxy,
-    second_eigenvalue_normalized,
-    spectral_radius_normalized,
-    spectral_summary,
-)
 from .validate import ValidationError, validate_dataset, validate_graph
 from .generators import (
     DCSBMParams,
@@ -54,6 +55,7 @@ __all__ = [
     "PROFILES",
     "make_dataset",
     "table1_rows",
+    "training_view",
     "gaussian_class_features",
     "svd_compressed_features",
     "smooth_features",
@@ -75,10 +77,6 @@ __all__ = [
     "random_partition",
     "bfs_partition",
     "greedy_edge_partition",
-    "spectral_radius_normalized",
-    "second_eigenvalue_normalized",
-    "estrada_index_proxy",
-    "spectral_summary",
     "validate_graph",
     "validate_dataset",
     "ValidationError",

@@ -34,9 +34,16 @@ from .features import (
     smooth_features,
     svd_compressed_features,
 )
-from .generators import DCSBMParams, dcsbm_graph
+from .generators import DCSBMParams, dcsbm_graph, ensure_min_degree
 
-__all__ = ["DatasetProfile", "Dataset", "PROFILES", "make_dataset", "table1_rows"]
+__all__ = [
+    "DatasetProfile",
+    "Dataset",
+    "PROFILES",
+    "make_dataset",
+    "table1_rows",
+    "training_view",
+]
 
 TaskType = Literal["single", "multi"]
 
@@ -186,6 +193,23 @@ class Dataset:
     def training_subset(self) -> np.ndarray:
         """Indices of the training split (the sampler's vertex universe)."""
         return self.train_idx
+
+
+def training_view(
+    dataset: Dataset, rng: np.random.Generator
+) -> tuple[CSRGraph, np.ndarray]:
+    """The graph every training method sees, and its vertex map.
+
+    The subgraph induced on the training split (the sampler never sees
+    validation or test vertices) can strand vertices; each stranded one is
+    given one random training-graph neighbor drawn from ``rng``, so the
+    samplers' min-degree precondition holds (the same
+    :func:`ensure_min_degree` pass the generators apply to the full graph).
+    """
+    graph, vertex_map = dataset.graph.induced_subgraph(dataset.train_idx)
+    if np.any(graph.degrees == 0):
+        graph = ensure_min_degree(graph, 1, rng=rng)
+    return graph, vertex_map
 
 
 def make_dataset(

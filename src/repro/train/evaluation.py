@@ -20,7 +20,7 @@ from ..nn.metrics import accuracy, f1_macro, f1_micro
 from ..nn.network import GCN
 from ..propagation.spmm import MeanAggregator
 
-__all__ = ["EvalResult", "Evaluator"]
+__all__ = ["EvalResult", "Evaluator", "score_split"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,23 @@ class EvalResult:
     f1_macro: float
     accuracy: float
     split: str
+
+
+def score_split(dataset: Dataset, loss, full_logits: np.ndarray, split: str) -> EvalResult:
+    """Loss and F1 of full-graph ``full_logits`` on one split of ``dataset``."""
+    if split not in ("train", "val", "test"):
+        raise ValueError(f"unknown split {split!r}")
+    idx = getattr(dataset, f"{split}_idx")
+    logits = full_logits[idx]
+    labels = dataset.labels[idx]
+    preds = loss.predict(logits)
+    return EvalResult(
+        loss=loss.forward(logits, labels),
+        f1_micro=f1_micro(labels, preds, dataset.num_classes),
+        f1_macro=f1_macro(labels, preds, dataset.num_classes),
+        accuracy=accuracy(labels, preds),
+        split=split,
+    )
 
 
 class Evaluator:
@@ -69,16 +86,8 @@ class Evaluator:
         self._aggregator = MeanAggregator(dataset.graph)
         self._loss = make_loss(dataset.task)
 
-    def _split_indices(self, split: str) -> np.ndarray:
-        if split == "train":
-            return self.dataset.train_idx
-        if split == "val":
-            return self.dataset.val_idx
-        if split == "test":
-            return self.dataset.test_idx
-        raise ValueError(f"unknown split {split!r}")
-
-    def _forward(self, model: GCN) -> np.ndarray:
+    def full_logits(self, model: GCN) -> np.ndarray:
+        """Logits of every vertex from one full-graph forward pass."""
         if self.feature_chunk is None:
             return model.forward(self._features, self._aggregator, train=False)
         # Chunk only the first aggregation (the widest, and the memory
@@ -111,14 +120,4 @@ class Evaluator:
 
     def evaluate(self, model: GCN, split: str = "val") -> EvalResult:
         """Full-graph forward pass + metrics on the requested split."""
-        idx = self._split_indices(split)
-        logits = self._forward(model)[idx]
-        labels = self.dataset.labels[idx]
-        preds = self._loss.predict(logits)
-        return EvalResult(
-            loss=self._loss.forward(logits, labels),
-            f1_micro=f1_micro(labels, preds, self.dataset.num_classes),
-            f1_macro=f1_macro(labels, preds, self.dataset.num_classes),
-            accuracy=accuracy(labels, preds),
-            split=split,
-        )
+        return score_split(self.dataset, self._loss, self.full_logits(model), split)

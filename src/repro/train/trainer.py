@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.speedup import gemm_simulated_time
-from ..graphs.csr import CSRGraph
-from ..graphs.datasets import Dataset
+from ..graphs.datasets import Dataset, training_view
 from ..kernels import accounting, autotune
 from ..kernels.policy import resolve_policy
 from ..kernels.workspace import Workspace
@@ -134,12 +133,9 @@ class GraphSamplingTrainer:
         self.config = config
         self.rng = np.random.default_rng(config.seed)
 
-        # Training graph: the subgraph induced on the training split
-        # (standard transductive-restricted setup shared by the baselines).
-        self.train_graph, self.train_vmap = dataset.graph.induced_subgraph(
-            dataset.train_idx
-        )
-        self._patch_isolated_vertices()
+        # Training graph: the view of the training split every method in
+        # this repo trains on (shared with the baselines).
+        self.train_graph, self.train_vmap = training_view(dataset, self.rng)
         # Kernel regime: the reference policy keeps float64 and no
         # workspace (bit-identical to the seed implementation); the fast
         # policy casts once here and shares a buffer arena across layers.
@@ -223,16 +219,6 @@ class GraphSamplingTrainer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _patch_isolated_vertices(self) -> None:
-        """The induced training graph can strand vertices; give each a
-        random training-graph neighbor so the frontier sampler's min-degree
-        precondition holds (mirrors the ensure_min_degree preprocessing the
-        dataset generators apply to the full graph)."""
-        from ..graphs.generators import ensure_min_degree
-
-        if np.any(self.train_graph.degrees == 0):
-            self.train_graph = ensure_min_degree(self.train_graph, 1, rng=self.rng)
 
     # ------------------------------------------------------------------
     def train_iteration(self, iteration: int, result: TrainResult) -> float:

@@ -9,8 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments import ablations, fig3, fig4, table1, table2
+from repro.experiments import ablations, fig2, fig3, fig4, table1, table2
 from repro.experiments.common import format_float, format_table
+from repro.graphs import make_dataset
 
 
 TINY_SCALES = {"ppi": 0.04, "reddit": 0.005}
@@ -42,6 +43,82 @@ class TestTable1:
         assert len(generated) == 2
         out = table1.format_results(res)
         assert "Table I" in out
+
+
+class TestFig2:
+    @pytest.fixture(scope="class")
+    def results(self):
+        dataset = make_dataset("ppi", scale=TINY_SCALES["ppi"], seed=0)
+        return fig2.run_dataset(
+            dataset, hidden=32, epoch_scale=0.1, seed=0, include_fastgcn=True
+        )
+
+    def test_curves_are_time_ordered_f1(self, results):
+        assert set(results["curves"]) == {
+            "proposed", "graphsage", "batched_gcn", "fastgcn"
+        }
+        for curves in (results["curves"], results["modeled_curves"]):
+            for curve in curves.values():
+                times = [t for t, _ in curve]
+                assert curve and times == sorted(times)
+                assert all(0.0 <= f1 <= 1.0 for _, f1 in curve)
+
+    def test_threshold_is_best_baseline_minus_slack(self, results):
+        best = max(
+            f1
+            for name, curve in results["curves"].items()
+            if name != "proposed"
+            for _, f1 in curve
+        )
+        assert results["best_baseline_f1"] == best
+        assert results["threshold"] == best - fig2.ACCURACY_SLACK
+
+    def test_modeled_curves_only_for_priced_methods(self, results):
+        """FastGCN has no cost model, so no modeled curve."""
+        assert set(results["modeled_curves"]) == {
+            "proposed", "graphsage", "batched_gcn"
+        }
+
+    @pytest.mark.parametrize(
+        "curves_key, speedup_key",
+        [("curves", "serial_speedup"), ("modeled_curves", "modeled_speedup")],
+    )
+    def test_speedup_recomputed_from_curves(self, results, curves_key, speedup_key):
+        def first_reach(curve):
+            return next((t for t, f1 in curve if f1 >= results["threshold"]), None)
+
+        curves = results[curves_key]
+        ours = first_reach(curves["proposed"])
+        reached = [
+            t
+            for name, curve in curves.items()
+            if name != "proposed" and (t := first_reach(curve)) is not None
+        ]
+        assert reached  # the best baseline reaches its own threshold
+        if ours is None:
+            assert results[speedup_key] is None
+        else:
+            assert results[speedup_key] == min(reached) / ours
+        if curves_key == "curves":
+            assert results["time_proposed"] == ours
+            assert results["time_best_baseline"] == min(reached)
+
+    def test_fastgcn_curve_starts_after_preprocessing(self, monkeypatch):
+        """FastGCN's importance distribution is charged before epoch 0."""
+        built = []
+
+        class Recorded(fig2.FastGCNTrainer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(fig2, "FastGCNTrainer", Recorded)
+        dataset = make_dataset("ppi", scale=TINY_SCALES["ppi"], seed=0)
+        res = fig2.run_dataset(
+            dataset, hidden=8, epoch_scale=0.01, seed=0, include_fastgcn=True
+        )
+        (trainer,) = built
+        assert res["curves"]["fastgcn"][0][0] >= trainer.preprocessing_seconds > 0.0
 
 
 class TestFig3:

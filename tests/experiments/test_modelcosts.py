@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines.batched_gcn import BatchedGCNConfig, BatchedGCNTrainer
@@ -12,6 +13,7 @@ from repro.experiments.modelcosts import (
     graphsage_iteration_cost,
     layer_dims_of,
 )
+from repro.experiments.table2 import sage_epoch_cost
 from repro.parallel.machine import xeon_40core
 
 
@@ -86,3 +88,19 @@ class TestCrossMethodPricing:
             trainer.train_iteration(np.arange(32))
             costs[layers] = graphsage_iteration_cost(trainer, m)
         assert costs[3] > 3 * costs[1]
+
+
+def test_table2_prices_with_the_fig2_model(reddit_small):
+    """Table II and Figure 2 price GraphSAGE with one cost model: the
+    per-epoch cost is the per-iteration cost times the batches of an epoch."""
+    m = xeon_40core()
+    trainer = GraphSAGETrainer(
+        reddit_small,
+        SageConfig(hidden_dims=(32, 32), fanouts=(5, 3), batch_size=48, seed=0),
+    )
+    epoch_cost = sage_epoch_cost(
+        trainer, iterations=2, machine=m, rng=np.random.default_rng(0)
+    )
+    assert len(trainer.support_stats.nodes_per_layer) == 2
+    batches = -(-trainer.train_graph.num_vertices // 48)
+    assert epoch_cost == graphsage_iteration_cost(trainer, m) * batches

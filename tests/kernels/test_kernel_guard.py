@@ -19,9 +19,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 ALLOWLIST = {
     # The kernel layer itself: raw multiplies live here by design.
     "kernels",
-    # Spectral diagnostics: power iteration over small dense vectors,
-    # one-shot graph statistics — never on a training/serving path.
-    "graphs/spectral.py",
     # Synthetic dataset synthesis (feature sketching): runs once at
     # dataset build time, not per-iteration.
     "graphs/features.py",
