@@ -20,9 +20,10 @@ from time import perf_counter
 import numpy as np
 
 from repro.experiments import serving
+from repro.kernels import accounting
 from repro.obs.record import BenchRecord, environment_fingerprint
 from repro.serving.cluster import ShardedIndex
-from repro.serving.index import build_index
+from repro.serving.index import build_index, l2_normalize_rows
 from repro.serving.upsert import drift_refresh
 
 
@@ -143,3 +144,79 @@ def test_shard_refresh(benchmark, reporter):
     )
     # A 1% drift is refreshed, not rebuilt: it must not cost a cold build.
     assert results["meta"]["refresh_ms_median"] < results["meta"]["cold_ms_median"]
+
+
+# rows / cells / probes: a ppi_small shard (every cell probed), a
+# serve_mixed shard, the serve_mixed single server. Phase a batches ~60
+# queries a call, phases b and c 1.2-1.5.
+SEARCH_SHAPES = ((295, 4, 4), (1792, 32, 8), (7168, 128, 16))
+SEARCH_BATCHES = (1, 2, 64)
+SEARCH_ROUNDS, SEARCH_WARMUP = 60, 5
+
+
+def _small_batch_search_samples() -> dict:
+    """Per-call wall seconds of ``ClusterIndex.search`` as a shard serves
+    it (unit rows in, top-11 out), and beside each call its glue ratio:
+    (call - the call's GEMM seconds) / the call's GEMM seconds, both read
+    in the same call, so the ratio means the same on any host. The nine
+    configurations take turns, one call each per round: a slow spell of
+    the host lands on all of them."""
+    rng = np.random.default_rng(0)
+    configs = []
+    for rows, cells, probes in SEARCH_SHAPES:
+        corpus = rng.standard_normal((rows, 24)) @ rng.standard_normal((24, REFRESH_DIM))
+        corpus = corpus + 0.3 * rng.standard_normal(corpus.shape)
+        index = build_index(
+            corpus, "cluster", num_clusters=cells, probes=probes,
+            rng=np.random.default_rng(7_000),
+        )
+        unit = l2_normalize_rows(corpus)
+        for batch in SEARCH_BATCHES:
+            configs.append((f"{rows}x{cells}x{probes}.q{batch}", index, unit, batch))
+    seconds = {name: [] for name, *_ in configs}
+    glue = {name: [] for name, *_ in configs}
+    for rnd in range(SEARCH_WARMUP + SEARCH_ROUNDS):
+        for name, index, unit, batch in configs:
+            queries = unit[rng.integers(0, unit.shape[0], size=batch)]
+            gemm0 = accounting.TOTALS.gemm_seconds
+            t0 = perf_counter()
+            index.search(queries, 11, normalized=True)
+            call = perf_counter() - t0
+            gemm = accounting.TOTALS.gemm_seconds - gemm0
+            if rnd >= SEARCH_WARMUP:
+                seconds[name].append(call)
+                glue[name].append((call - gemm) / gemm)
+    return {
+        "samples": {
+            **{f"serving.search_seconds.{name}": v for name, v in seconds.items()},
+            **{f"serving.search_glue_ratio.{name}": v for name, v in glue.items()},
+        },
+        "meta": {
+            "dim": REFRESH_DIM,
+            "search_us_median": {n: 1e6 * float(np.median(v)) for n, v in seconds.items()},
+            "glue_ratio_median": {n: float(np.median(v)) for n, v in glue.items()},
+        },
+    }
+
+
+def test_small_batch_search(benchmark, reporter):
+    """What one ``search`` call costs at the batch sizes the replays
+    issue, on the wall clock (its own history series, ``serve_search``,
+    never pooled with the virtual-clock ``serve_cluster`` series)."""
+    results = benchmark.pedantic(_small_batch_search_samples, rounds=1, iterations=1)
+    record = BenchRecord(
+        "serve_search",
+        env=environment_fingerprint(seed=0, extra={"clock": "wall", "dim": REFRESH_DIM}),
+    )
+    for metric, values in results["samples"].items():
+        ratio = "glue_ratio" in metric
+        record.add_samples(metric, values, unit="ratio" if ratio else "s")
+    path = reporter.write_results("serve_search", results, record=record)
+    print(f"\n{results['meta']}\n[written to {path}]")
+    assert all(len(v) == SEARCH_ROUNDS for v in results["samples"].values())
+    # A batch amortizes the per-call glue: a call of 64 queries spends a
+    # smaller part of itself outside its GEMMs than a call of one.
+    glue = results["meta"]["glue_ratio_median"]
+    for rows, cells, probes in SEARCH_SHAPES:
+        shape = f"{rows}x{cells}x{probes}"
+        assert glue[f"{shape}.q64"] < glue[f"{shape}.q1"]

@@ -237,6 +237,18 @@ def render_report(doc: dict) -> str:
             {"counter": k, "value": v} for k, v in sorted(counters.items())
         ]
         table += "\n\n" + format_table(counter_rows, title="counters")
+    # What each upsert cost, side by side: how late it landed, what the
+    # producer spent making the slab, what the refresh paid in Lloyd.
+    upsert_rows = []
+    for name, h in sorted(doc.get("metrics", {}).get("histograms", {}).items()):
+        if "upsert" in name:
+            scale, unit = (1e3, "ms") if name.endswith("_seconds") else (1.0, "-")
+            stats = {f: scale * h.get(f, 0.0) for f in ("mean", "p50", "p95", "max")}
+            upsert_rows.append(
+                {"histogram": name, "count": int(h.get("count", 0)), "unit": unit, **stats}
+            )
+    if upsert_rows:
+        table += "\n\n" + format_table(upsert_rows, title="upserts")
     return table
 
 

@@ -70,18 +70,29 @@ def _query_chunks(num_queries: int, chunk_size: int | None) -> list[range]:
     return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _topk_rows(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise top-k (descending) of a similarity block.
+def _topk_desc(sims: np.ndarray, k: int, *, ranked: bool = True) -> np.ndarray:
+    """Columns of each row's ``k`` largest entries, largest first.
 
-    Same argpartition-then-argsort scheme the original
-    ``cosine_nearest_neighbors`` used, so tie ordering is preserved.
+    The one top-k of the serving package: negate once, ``argpartition``,
+    then ``argsort`` the ``k`` survivors. Tie order is whatever that pair
+    of calls leaves — the scheme the original ``cosine_nearest_neighbors``
+    used, so every ranking built on it stays where it was.
+    ``ranked=False`` stops after the partition: the same ``k`` columns,
+    in no particular order.
     """
-    k = min(k, sims.shape[1])
-    idx = np.argpartition(-sims, kth=k - 1, axis=1)[:, :k]
+    neg = -sims
+    idx = np.argpartition(neg, kth=k - 1, axis=1)[:, :k]
+    if not ranked:
+        return idx
     row = np.arange(sims.shape[0])[:, None]
-    order = np.argsort(-sims[row, idx], axis=1)
-    idx = idx[row, order]
-    return idx, sims[row, idx]
+    return idx[row, np.argsort(neg[row, idx], axis=1)]
+
+
+def _topk_rows(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise top-k (descending) of a similarity block, as ``(columns,
+    values)``; ``k`` is clamped to the block's width."""
+    idx = _topk_desc(sims, min(k, sims.shape[1]))
+    return idx, sims[np.arange(sims.shape[0])[:, None], idx]
 
 
 def merge_topk(
@@ -107,20 +118,17 @@ def merge_topk(
         raise ValueError("k must be >= 1")
     idx_out = np.full(k, -1, dtype=np.int64)
     sim_out = np.full(k, -np.inf, dtype=dtype)
-    if candidate_ids:
-        ids = np.concatenate([np.asarray(a).ravel() for a in candidate_ids])
-        sims = np.concatenate([np.asarray(a).ravel() for a in candidate_sims])
-    else:
-        ids = np.empty(0, dtype=np.int64)
-        sims = np.empty(0, dtype=dtype)
+    if not len(candidate_ids):
+        return idx_out, sim_out
+    ids = np.concatenate(candidate_ids, axis=None)
+    sims = np.concatenate(candidate_sims, axis=None)
     keep = ids >= 0
     if exclude is not None:
         keep &= ids != exclude
     ids, sims = ids[keep], sims[keep]
     if ids.size:
         kk = min(k, ids.size)
-        top = np.argpartition(-sims, kth=kk - 1)[:kk]
-        top = top[np.argsort(-sims[top])]
+        top = _topk_desc(sims[None, :], kk)[0]
         idx_out[:kk] = ids[top]
         sim_out[:kk] = sims[top]
     return idx_out, sim_out
@@ -233,15 +241,19 @@ class BruteForceIndex:
                     np.arange(chunk.stop - chunk.start),
                     np.asarray(exclude)[rows],
                 ] = -np.inf
-            idx_out[rows], _ = _topk_rows(sims, k)
+            idx, scanned = _topk_rows(sims, k)
             # Recompute the returned similarities as independent per-pair
             # dots: unlike the GEMM block (whose accumulation order — and
             # last ulp — depends on the chunk's row count), each pair's
             # reduction is fixed, so results are bit-identical under any
             # chunking.
-            sim_out[rows] = np.einsum(
-                "qd,qkd->qk", qn[rows], self._normed[idx_out[rows]]
-            )
+            sim = np.einsum("qd,qkd->qk", qn[rows], self._normed[idx])
+            if exclude is not None:
+                # An excluded row that still made the top-k (a one-row
+                # index has nothing else) is padding, not an answer.
+                hole = scanned == -np.inf
+                idx[hole], sim[hole] = -1, -np.inf
+            idx_out[rows], sim_out[rows] = idx, sim
         self.last_rows_scanned = num_q * self.num_vectors
         return idx_out, sim_out
 
@@ -407,12 +419,13 @@ class ClusterIndex:
         cells' normalised means (empty cells keep a zero centroid)."""
         n = normed.shape[0]
         self._order, self._ptr = _cell_layout(assignments, self.num_clusters)
+        self._cell_lo, self._cell_len = self._ptr[:-1], np.diff(self._ptr)
         self._slab = normed[self._order]
         self._slot = np.empty(n, dtype=np.int64)
         self._slot[self._order] = np.arange(n)
         if centroids is None:
             centroids = np.zeros((self.num_clusters, normed.shape[1]), dtype=self.dtype)
-            for c in np.flatnonzero(np.diff(self._ptr)):
+            for c in np.flatnonzero(self._cell_len):
                 centroids[c] = self._slab[self._ptr[c] : self._ptr[c + 1]].mean(axis=0)
             centroids = l2_normalize_rows(centroids, dtype=self.dtype)
         self.centroids = centroids
@@ -478,9 +491,9 @@ class ClusterIndex:
         One matmul per *probed cell* over all queries probing it, so a
         micro-batch of queries amortizes the cell scans the same way
         Algorithm 1 amortizes aggregation over a sampled subgraph; then
-        one top-``k`` per *batch* over a padded ``(queries, width)``
-        candidate buffer. Queries with fewer than ``k`` candidates pad
-        ``indices`` with ``-1`` and ``similarities`` with ``-inf``.
+        one top-``k`` per *batch* over a ``(queries, width)`` candidate
+        buffer. Queries with fewer than ``k`` candidates pad ``indices``
+        with ``-1`` and ``similarities`` with ``-inf``.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -497,62 +510,74 @@ class ClusterIndex:
         # views in `blocks` across later gemm calls.
         cent_sims = kernel_ops.gemm(qn, self.centroids.T, transient=True)
         if p < self.num_clusters:
-            probe_sets = np.argpartition(-cent_sims, kth=p - 1, axis=1)[:, :p]
+            probe_sets = _topk_desc(cent_sims, p, ranked=False)
             probe_sets.sort(axis=1)
         else:
             probe_sets = np.tile(np.arange(self.num_clusters), (num_q, 1))
         # A query's candidates sit side by side in its buffer row, cell
         # after cell in ascending cell order: columns starts..ends of a
         # probed cell are ascending slab rows, column + shift = slab row.
-        lens = self._ptr[probe_sets + 1] - self._ptr[probe_sets]
+        lens = self._cell_len[probe_sets]
+        cell_lo = self._cell_lo[probe_sets]
         ends = np.cumsum(lens, axis=1)
         starts = ends - lens
-        shift = self._ptr[probe_sets] - starts
+        shift = cell_lo - starts
         width = int(ends[:, -1].max(initial=1))
         self.last_rows_scanned = scanned = int(ends[:, -1].sum())
-        # One sort groups the (query, cell) pairs by cell, queries
-        # ascending inside a cell: one gemm per probed cell.
-        by_cell = np.argsort(probe_sets, axis=None, kind="stable")
-        pair_q = by_cell // p
-        pair_cell = probe_sets.ravel()[by_cell]
-        first = np.flatnonzero(np.diff(pair_cell, prepend=-1))  # pair of each cell
-        cells = pair_cell[first]
-        q_rows = qn[pair_q]
-        blocks = []
-        for a, b, lo, hi in zip(
-            first.tolist(),
-            first[1:].tolist() + [pair_cell.size],
-            self._ptr[cells].tolist(),
-            self._ptr[cells + 1].tolist(),
-        ):
-            if lo < hi:
-                block = kernel_ops.gemm(q_rows[a:b], self._slab[lo:hi].T)
-                blocks.append(block.ravel())
-        cand = np.full(num_q * width, -np.inf, dtype=self.dtype)
-        if blocks:
-            # Pair i's similarities are flat[src[i] : src[i] + len[i]] of
-            # the concatenated blocks and go to cand[dst[i] : ...].
-            pair_len = lens.ravel()[by_cell]
-            pair_src = np.cumsum(pair_len) - pair_len
-            pair_dst = pair_q * width + starts.ravel()[by_cell]
-            into = np.repeat(pair_dst - pair_src, pair_len) + np.arange(scanned)
-            cand[into] = np.concatenate(blocks)
-        cand = cand.reshape(num_q, width)
+        if num_q == 1:
+            # Its probed cells are sorted, so one query's pairs are already
+            # grouped by cell *and* in buffer order: the blocks side by
+            # side are the buffer row, with nothing to sort or scatter.
+            bounds = zip(cell_lo[0].tolist(), (cell_lo[0] + lens[0]).tolist())
+            blocks = [kernel_ops.gemm(qn, self._slab[lo:hi].T) for lo, hi in bounds if lo < hi]
+            if not blocks:  # every probed cell is empty: width is 1
+                blocks = [np.full((1, width), -np.inf, dtype=self.dtype)]
+            cand = np.concatenate(blocks, axis=1)
+        else:
+            # One sort groups the (query, cell) pairs by cell, queries
+            # ascending inside a cell: one gemm per probed cell.
+            by_cell = np.argsort(probe_sets, axis=None, kind="stable")
+            pair_q = by_cell // p
+            pair_cell = probe_sets.ravel()[by_cell]
+            first = np.flatnonzero(np.diff(pair_cell, prepend=-1))  # pair of each cell
+            cells = pair_cell[first]
+            q_rows = qn[pair_q]
+            blocks = []
+            for a, b, lo, n in zip(
+                first.tolist(),
+                first[1:].tolist() + [pair_cell.size],
+                self._cell_lo[cells].tolist(),
+                self._cell_len[cells].tolist(),
+            ):
+                if n:
+                    block = kernel_ops.gemm(q_rows[a:b], self._slab[lo : lo + n].T)
+                    blocks.append(block.ravel())
+            cand = np.full(num_q * width, -np.inf, dtype=self.dtype)
+            if blocks:
+                # Pair i's similarities are flat[src[i] : src[i] + len[i]] of
+                # the concatenated blocks and go to cand[dst[i] : ...].
+                pair_len = lens.ravel()[by_cell]
+                pair_src = np.cumsum(pair_len) - pair_len
+                pair_dst = pair_q * width + starts.ravel()[by_cell]
+                into = np.repeat(pair_dst - pair_src, pair_len) + np.arange(scanned)
+                cand[into] = np.concatenate(blocks)
+            cand = cand.reshape(num_q, width)
         if exclude is not None:
             # The query's own row, where one of its probed cells holds it.
             own = np.asarray(exclude, dtype=np.int64).ravel()
             q_hit, cell_hit = np.nonzero(probe_sets == self.assignments[own][:, None])
             cand[q_hit, self._slot[own[q_hit]] - shift[q_hit, cell_hit]] = -np.inf
+        cols, top_sims = _topk_rows(cand, k)
+        # Column -> the (query, probed cell) pair it falls in -> slab row
+        # -> vertex id; -inf marks padding and the excluded row.
+        base = (np.arange(num_q) * width)[:, None]
+        pair = (ends + base).ravel().searchsorted(cols + base, side="right")
+        ids = self._order.take(cols + shift.take(pair, mode="clip"), mode="clip")
+        ids[top_sims == -np.inf] = -1
+        if cols.shape[1] == k:
+            return ids, top_sims
         idx_out = np.full((num_q, k), -1, dtype=np.int64)
         sim_out = np.full((num_q, k), -np.inf, dtype=self.dtype)
-        cols, top_sims = _topk_rows(cand, k)
-        # Column -> the probed cell it falls in -> slab row -> vertex id;
-        # -inf marks padding and the excluded row.
-        cell_of = (cols[:, :, None] >= ends[:, None, :]).sum(axis=2)
-        cell_of = np.minimum(cell_of, p - 1)
-        slab_rows = cols + np.take_along_axis(shift, cell_of, axis=1)
-        ids = self._order.take(slab_rows, mode="clip")
-        ids[np.isneginf(top_sims)] = -1
         idx_out[:, : cols.shape[1]] = ids
         sim_out[:, : cols.shape[1]] = top_sims
         return idx_out, sim_out

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..kernels import ops as kernel_ops
 from ..obs.metrics import LatencyHistogram
+from .index import _topk_desc
 
 __all__ = ["CentroidRouter", "LeastOutstandingDispatcher", "HedgePolicy"]
 
@@ -86,19 +87,14 @@ class CentroidRouter:
         # transient: fully consumed into `top` below before any later
         # same-shaped routing gemm.
         sims = kernel_ops.gemm(qn, self._centroids.T, transient=True)
-        sims[:, self._empty] = -np.inf
-        if fanout < self.num_shards:
-            top = np.argpartition(-sims, kth=fanout - 1, axis=1)[:, :fanout]
-        else:
-            top = np.tile(np.arange(self.num_shards), (qn.shape[0], 1))
-        row = np.arange(qn.shape[0])[:, None]
-        order = np.argsort(-sims[row, top], axis=1)
-        top = top[row, order]
+        if self.nonempty_shards < self.num_shards:
+            sims[:, self._empty] = -np.inf
+        top = _topk_desc(sims, fanout)
         if owners is not None:
             owners = np.asarray(owners, dtype=np.int64).ravel()
             missing = ~(top == owners[:, None]).any(axis=1)
             top[missing, -1] = owners[missing]
-        return top.astype(np.int64)
+        return top
 
 
 class LeastOutstandingDispatcher:

@@ -30,9 +30,13 @@ from __future__ import annotations
 import collections
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
+
+from ..obs import is_enabled as obs_enabled
+from ..obs import metrics as obs_metrics
 
 __all__ = ["UpsertSlab", "SlabUpsertProducer", "drift_refresh"]
 
@@ -139,6 +143,10 @@ class SlabUpsertProducer:
 
     # -- producers -----------------------------------------------------
     def _compute(self, j: int) -> UpsertSlab:
+        # Wall seconds of producing one slab (on the replay's thread unless
+        # ``prefetch``): otherwise it hides in the replay's self time. Not a
+        # ``cluster.*`` name: those are the replay's, on the replay clock.
+        t0 = perf_counter() if obs_enabled() else None
         shard = j % self.num_shards
         members = self._members[shard]
         rng = np.random.default_rng(self._seeds[j])
@@ -147,13 +155,16 @@ class SlabUpsertProducer:
         )
         rows = np.asarray(rows, dtype=self._current.dtype)
         self._current[members] = rows
-        return UpsertSlab(
+        slab = UpsertSlab(
             shard=shard,
             vertex_ids=members,
             vectors=rows.copy(),
             produced_at=self.start + j * self.interval,
             round=j // self.num_shards,
         )
+        if t0 is not None:
+            obs_metrics.observe("upsert.produce_seconds", perf_counter() - t0)
+        return slab
 
     def _fill(self) -> None:
         depth = self._depth if self._executor is not None else 1

@@ -221,6 +221,20 @@ class TestRenderReport:
         assert "wall_%" in text
         assert "sampler.pops" in text
 
+    def test_upsert_histograms_side_by_side(self):
+        reg = MetricsRegistry()
+        for name, v in (("cluster.upsert_lag_seconds", 0.25), ("upsert.produce_seconds", 0.5)):
+            reg.histogram(name).record(v)
+        reg.histogram("cluster.latency_seconds").record(0.125)
+        text = render_report(trace_document("demo", _small_trace(), reg))
+        upserts = text[text.index("upserts") :]
+        assert "cluster.upsert_lag_seconds" in upserts
+        assert "upsert.produce_seconds" in upserts and "500.000" in upserts  # ms
+        assert "cluster.latency_seconds" not in text
+        assert "upserts" not in render_report(
+            trace_document("demo", _small_trace(), MetricsRegistry())
+        )
+
     def test_self_time_percentages_sum_to_100(self):
         tr = _small_trace()
         doc = trace_document("demo", tr, MetricsRegistry())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.serving.cluster import ShardedIndex
 from repro.serving.index import (
     BruteForceIndex,
     ClusterIndex,
@@ -78,6 +79,21 @@ class TestBruteForce:
         index = BruteForceIndex(e)
         index.search_ids(np.arange(6), 3)
         assert index.last_rows_scanned == 6 * 30
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_index_excluding_its_row_pads(self, rng, dtype):
+        # Nothing is left to return: the excluded row's -inf column is
+        # padding (-1 / -inf, as ClusterIndex pads), not an answer whose
+        # similarity gets recomputed to 1.0.
+        e = rng.standard_normal((1, 6))
+        for index in (BruteForceIndex(e, dtype=dtype), ClusterIndex(e, dtype=dtype)):
+            idx, sims = index.search_ids(np.array([0, 0]), 3)
+            assert np.all(idx == -1)
+            assert np.all(np.isneginf(sims))
+            assert sims.dtype == dtype
+        # By vector nothing is excluded and the row is the answer.
+        idx, sims = BruteForceIndex(e).search(e[0], 3)
+        assert idx.tolist() == [[0]] and sims[0, 0] == pytest.approx(1.0)
 
 
 class TestClusterIndex:
@@ -176,3 +192,17 @@ class TestFactory:
         )
         with pytest.raises(ValueError):
             build_index(e, "kdtree")
+
+
+@pytest.mark.parametrize("kind", ["brute", "cluster"])
+def test_one_member_shard_behind_sharded_index(rng, kind):
+    e = rng.standard_normal((9, 4))
+    assignment = np.array([0, 1, 1, 1, 1, 2, 2, 2, 2])  # vertex 0 alone
+    kwargs = dict(index_kwargs=dict(num_clusters=1)) if kind == "cluster" else {}
+    sharded = ShardedIndex(e, assignment, index=kind, **kwargs)
+    want = BruteForceIndex(e).search_ids(np.array([0, 3]), 3)
+    got = sharded.search_ids(np.array([0, 3]), 3)
+    assert np.array_equal(got[0], want[0]) and np.allclose(got[1], want[1])
+    # Routed to its own shard only, vertex 0 has no neighbour there.
+    idx, sims = sharded.search_ids(np.array([0]), 3, fanout=1)
+    assert np.all(idx == -1) and np.all(np.isneginf(sims))

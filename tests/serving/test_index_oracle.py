@@ -52,6 +52,24 @@ def _assert_same_answers(new, ref, run):
     assert got_cost == want_cost
 
 
+def _pinned(dtype, **overrides):
+    """One fixed corpus under the slab index and its oracle."""
+    points = _points(np.random.default_rng(5), 160, 8, dtype)
+    kwargs = dict(num_clusters=8, probes=2, kmeans_iters=3, dtype=dtype) | overrides
+    new = ClusterIndex(points, rng=np.random.default_rng(5), **kwargs)
+    ref = ReferenceClusterIndex(points, rng=np.random.default_rng(5), **kwargs)
+    return points, new, ref
+
+
+def _probed(index, qids, probes):
+    """Each indexed query's probed cells, from the index's own centroids."""
+    sims = index._slab[index._slot[qids]] @ index.centroids.T
+    return [frozenset(row.tolist()) for row in np.argsort(-sims, axis=1)[:, :probes]]
+
+
+BOTH_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+
 class TestSearchMatchesReference:
     @given(
         n=st.integers(1, 160),
@@ -110,6 +128,74 @@ class TestSearchMatchesReference:
         centroid_sims = l2_normalize_rows(points)[qids] @ new.centroids.T
         probed = np.unique(np.argsort(-centroid_sims, axis=1)[:, :3])
         assert calls == 1 + probed.size  # the centroid pass + one per cell
+
+    # The batches the e2e replays actually issue (one or two queries a
+    # call, every cell probed on a small shard), which hypothesis above
+    # reaches only now and then: pinned, same bits and same kernel cost.
+    @BOTH_DTYPES
+    @pytest.mark.parametrize("by_id", [True, False])
+    def test_one_query(self, dtype, by_id):
+        points, new, ref = _pinned(dtype)
+        for q in (0, 17, 159):
+            if by_id:
+                _assert_same_answers(new, ref, lambda ix: ix.search_ids([q], 10))
+            else:
+                _assert_same_answers(new, ref, lambda ix: ix.search(points[q] * 2.5, 11))
+
+    @BOTH_DTYPES
+    @pytest.mark.parametrize("overlap", ["disjoint", "same"])
+    def test_two_queries(self, dtype, overlap):
+        _, new, ref = _pinned(dtype)
+        probed = _probed(new, np.arange(160), 2)
+        wanted = (lambda a, b: not a & b) if overlap == "disjoint" else (lambda a, b: a == b)
+        qids = next([0, j] for j in range(1, 160) if wanted(probed[0], probed[j]))
+        _assert_same_answers(new, ref, lambda ix: ix.search_ids(qids, 10))
+
+    @BOTH_DTYPES
+    def test_duplicate_ids_in_a_batch(self, dtype):
+        _, new, ref = _pinned(dtype)
+        _assert_same_answers(new, ref, lambda ix: ix.search_ids([7, 7, 30, 7], 10))
+
+    @BOTH_DTYPES
+    @pytest.mark.parametrize("num_q", [1, 2])
+    @pytest.mark.parametrize("probes", [8, 50])
+    def test_every_cell_probed(self, dtype, probes, num_q):
+        _, new, ref = _pinned(dtype)
+        qids = np.arange(3, 3 + num_q)
+        _assert_same_answers(new, ref, lambda ix: ix.search_ids(qids, 10, probes=probes))
+        assert new.last_rows_scanned == num_q * 160
+
+    @BOTH_DTYPES
+    @pytest.mark.parametrize("num_q", [1, 3])
+    def test_k_beyond_the_scanned_rows_pads_both_outputs(self, dtype, num_q):
+        _, new, ref = _pinned(dtype)
+        qids = np.arange(num_q)
+        _assert_same_answers(new, ref, lambda ix: ix.search_ids(qids, 200, probes=1))
+        idx, sims = new.search_ids(qids, 200, probes=1)
+        assert idx.shape == sims.shape == (num_q, 200)
+        assert np.array_equal(idx == -1, np.isneginf(sims)) and (idx[:, -1] == -1).all()
+
+    @BOTH_DTYPES
+    @pytest.mark.parametrize("num_q", [1, 2])
+    def test_probed_cells_all_empty(self, dtype, num_q):
+        # Cells 0 and 5 own the rows; a query pointing away from both
+        # ranks the four zero centroids first and scans nothing.
+        points = _points(np.random.default_rng(5), 40, 6, dtype)
+        assignments = np.where(np.arange(40) < 20, 0, 5)
+        new = ClusterIndex(points, assignments=assignments, probes=2, dtype=dtype)
+        ref = ReferenceClusterIndex(points, assignments=assignments, probes=2, dtype=dtype)
+        away = np.tile(-(new.centroids[0] + new.centroids[5]), (num_q, 1))
+        assert (away @ new.centroids.T)[:, [0, 5]].max() < 0
+        _assert_same_answers(new, ref, lambda ix: ix.search(away, 4))
+        idx, sims = new.search(away, 4)
+        assert new.last_rows_scanned == 0
+        assert (idx == -1).all() and np.isneginf(sims).all()
+
+    @BOTH_DTYPES
+    def test_no_queries(self, dtype):
+        _, new, ref = _pinned(dtype)
+        _assert_same_answers(new, ref, lambda ix: ix.search(np.empty((0, 8)), 10))
+        _assert_same_answers(new, ref, lambda ix: ix.search_ids(np.empty(0, dtype=np.int64), 10))
 
 
 class TestKMeansMatchesReference:

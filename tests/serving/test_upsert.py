@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.obs as obs
+from repro.obs import metrics as obs_metrics
 from repro.serving.upsert import SlabUpsertProducer, UpsertSlab, drift_refresh
 
 
@@ -135,3 +137,22 @@ class TestValidation:
         prod = SlabUpsertProducer(emb, assignment, prefetch=True)
         prod.close()
         prod.close()
+
+
+class TestObs:
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_produce_seconds_observed_per_slab(self, prefetch):
+        emb, assign = _setup()
+        with obs.enabled():
+            obs_metrics.reset()
+            with SlabUpsertProducer(emb, assign, rounds=2, prefetch=prefetch) as prod:
+                assert len(prod.pending(1e9)) == prod.total
+            hist = obs_metrics.snapshot()["histograms"]["upsert.produce_seconds"]
+        assert hist["count"] == prod.total
+        assert 0.0 < hist["p50"] <= hist["max"] < 1.0
+
+    def test_nothing_recorded_while_obs_is_off(self):
+        emb, assign = _setup()
+        obs_metrics.reset()
+        SlabUpsertProducer(emb, assign, rounds=2).pending(1e9)
+        assert not obs_metrics.snapshot()["histograms"]
