@@ -19,7 +19,6 @@ import numpy as np
 
 from ..graphs.datasets import Dataset
 from ..nn.network import GCN
-from ..kernels.backends import get_backend
 from ..propagation.spmm import MeanAggregator
 from ..train.evaluation import Evaluator
 from .base import BaselineConfig, MinibatchBaseline
@@ -32,14 +31,10 @@ class BatchedGCNConfig(BaselineConfig):
     """Batched-GCN training hyperparameters."""
 
     concat: bool = True
-    # Kernel-registry SpMM backend for the full-graph propagation
-    # ("scipy" or "numpy"); the dispatch seam of repro.kernels.backends.
-    spmm_backend: str = "scipy"
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
-        get_backend(self.spmm_backend)
 
 
 class BatchedGCNTrainer(MinibatchBaseline):
@@ -47,9 +42,7 @@ class BatchedGCNTrainer(MinibatchBaseline):
 
     def __init__(self, dataset: Dataset, config: BatchedGCNConfig) -> None:
         super().__init__(dataset, config)
-        self.aggregator = MeanAggregator(
-            self.train_graph, backend=config.spmm_backend
-        )
+        self.aggregator = MeanAggregator(self.train_graph)
         self.model = GCN(
             dataset.features.shape[1],
             list(config.hidden_dims),

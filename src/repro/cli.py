@@ -56,7 +56,7 @@ Kernel dispatch tooling (see ``docs/kernels.md``)::
     python -m repro.cli kernel-tune show
     python -m repro.cli kernel-tune clear
     python -m repro.cli kernel-bench --min-speedup 1.1 --out results/
-    python -m repro.cli roofline-report --kernel-plan auto --out results/
+    python -m repro.cli roofline-report --out results/
 
 ``kernel-tune`` manages the persisted autotuned plan table (warm tunes
 the standard shape classes, show prints the table, clear deletes it);
@@ -431,7 +431,6 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
         loss_norm=args.loss_norm,
         prefetch_depth=args.prefetch_depth,
         prefetch_workers=args.prefetch_workers,
-        kernel_plan=args.kernel_plan,
     )
     obs.reset()
     with obs.enabled(), GraphSamplingTrainer(dataset, config) as trainer:
@@ -871,16 +870,17 @@ def _run_roofline_report(
 ) -> None:
     """Place a real training run's kernel classes on the roofline.
 
-    One small training run under ``--kernel-plan`` provides the
-    per-class accounting; the machine's compute and bandwidth ceilings
-    are calibrated in-process; and the plan cache's tuned table (if
-    any) supplies the achieved-vs-tuned fractions the
+    One small training run (static dispatch, the default dtype policy)
+    provides the per-class accounting; the machine's compute and
+    bandwidth ceilings are calibrated in-process, in the dtype the run
+    computed in; and the tuned table at ``--plan-cache`` (if any)
+    supplies the achieved-vs-tuned fractions the
     ``kernel-roofline-fraction`` SLO rule gates on. ``--out`` writes the
     ``OBS_roofline.json`` artifact next to the rendered table.
     """
     from .experiments.common import EXPERIMENT_SCALES
     from .graphs.datasets import make_dataset
-    from .kernels import accounting, autotune, roofline
+    from .kernels import accounting, roofline
     from .train.config import TrainConfig
     from .train.trainer import GraphSamplingTrainer
 
@@ -891,21 +891,14 @@ def _run_roofline_report(
         hidden_dims=(hidden, hidden),
         epochs=max(1, int(round(2 * args.epoch_scale))),
         seed=args.seed,
-        kernel_plan=args.kernel_plan,
     )
-    cache = _plan_cache(args)
-    previous = autotune.set_plan_cache(cache)
     accounting.reset_totals()
-    try:
-        with GraphSamplingTrainer(dataset, config) as trainer:
-            trainer.train()
-    finally:
-        autotune.set_plan_cache(previous)
-    peaks = roofline.calibrate_peaks(np.float32)
+    with GraphSamplingTrainer(dataset, config) as trainer:
+        trainer.train()
     report = roofline.roofline_report(
         accounting.per_class_snapshot(),
-        peaks=peaks,
-        plan_entries=cache.tuned_entries(),
+        peaks=roofline.calibrate_peaks(trainer.policy.dtype),
+        plan_entries=_plan_cache(args).tuned_entries(),
     )
     _emit("roofline_report", roofline.render_roofline(report), out)
     if out is not None:
@@ -1142,13 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="bench-gate: history entries pooled into the baseline",
-    )
-    parser.add_argument(
-        "--kernel-plan",
-        choices=["auto", "fast", "reference"],
-        default="fast",
-        help="train-bench/roofline-report: kernel plan policy "
-        "(auto = per-shape-class autotuned dispatch)",
     )
     parser.add_argument(
         "--plan-cache",

@@ -8,12 +8,13 @@ story; GraphVite/GOSH make the same architectural bet). The pieces:
   ``spmm_adjoint`` / block gather-scatter / elementwise helpers, all with
   optional ``out=`` buffers, all metered;
 * :mod:`repro.kernels.backends` — the named backend registry (``"scipy"``
-  CSR vs pure-``"numpy"`` reduceat SpMM vs row-paneled ``"blocked"``
-  gemm) plus the weak-ref-memoized scipy adjacency cache;
+  CSR vs pure-``"numpy"`` reduceat SpMM) plus the weak-ref-memoized
+  scipy adjacency cache;
 * :mod:`repro.kernels.autotune` — plan-based dispatch: log-bucketed
   :class:`~repro.kernels.autotune.ShapeClass` keys, per-class
-  :class:`~repro.kernels.autotune.ExecutionPlan` microbenchmark-tuned at
-  first use, persisted per environment fingerprint;
+  :class:`~repro.kernels.autotune.ExecutionPlan` (backend, row
+  blocking, workspace) microbenchmark-tuned at first use inside
+  ``planning("auto")``, persisted per environment fingerprint;
 * :mod:`repro.kernels.roofline` — achieved flops/s and bytes/s per shape
   class vs calibrated machine peaks, for the ``roofline-report`` CLI;
 * :mod:`repro.kernels.policy` — :data:`~repro.kernels.policy.REFERENCE`
@@ -38,7 +39,6 @@ from .autotune import (
     Tuner,
     plan_mode,
     planning,
-    set_plan_mode,
 )
 from .backends import (
     KernelBackend,
@@ -48,7 +48,6 @@ from .backends import (
     default_backend,
     get_backend,
     register_backend,
-    set_default_backend,
 )
 from .ops import (
     add_bias,
@@ -80,7 +79,6 @@ __all__ = [
     "Tuner",
     "plan_mode",
     "planning",
-    "set_plan_mode",
     "KernelBackend",
     "adjacency_cache_stats",
     "adjacency_matrix",
@@ -88,7 +86,6 @@ __all__ = [
     "default_backend",
     "get_backend",
     "register_backend",
-    "set_default_backend",
     "gemm",
     "gemm_accumulate",
     "spmm",

@@ -20,24 +20,24 @@ dispatch of :mod:`repro.kernels.ops` into *plan-based* dispatch:
   keyed by :func:`repro.obs.record.fingerprint_key` so later runs on
   the same environment skip tuning entirely.
 
-Three process-wide **plan modes** govern resolution (see
-:func:`set_plan_mode` / :func:`planning`):
+One ambient **plan mode** with two states governs resolution:
 
-* ``"fast"`` (default) — static dispatch: the registry default backend,
+* ``"fast"`` (the default) — static dispatch: the default backend,
   unblocked, fresh allocations. Bit-for-bit the pre-autotune behavior.
-* ``"reference"`` — same dispatch as ``"fast"`` but semantically pinned:
-  never tunes, never blocks, regardless of any cached plan.
-* ``"auto"`` — resolve through the :class:`PlanCache`, tuning at first
-  use. **float64 inputs always pin the reference plan** even in auto
+* ``"auto"`` — entered only through the :func:`planning` scope: resolve
+  through the :class:`PlanCache`, tuning at first use. **Only float32
+  calls are tuned; float64 always pins the static plan**, even in auto
   mode: the reference dtype policy's bit-identity guarantee is
   structural, not best-effort (blocked BLAS and the numpy SpMM are not
   bit-identical to the defaults — measured, not assumed).
 
-Explicit ``backend=`` or ``plan=`` arguments at a call site always win
-over the mode. Tuning microbenchmarks run on raw backend
-implementations and are **never** recorded by
-:mod:`repro.kernels.accounting` — the flop account only ever sees real
-work.
+So a run's kernel regime is its ``dtype_policy`` plus whether it ran
+inside ``planning("auto")``; autotuned float32 training is
+``with planning("auto"): trainer.train()``. Explicit ``backend=`` or
+``plan=`` arguments at a call site always win over the mode. Tuning
+microbenchmarks run on raw backend implementations and are **never**
+recorded by :mod:`repro.kernels.accounting` — the flop account only
+ever sees real work.
 
 The **arena** workspace strategy returns memory owned by a shared
 :class:`~repro.kernels.workspace.Workspace`, which the *next* call of
@@ -59,7 +59,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -69,29 +69,26 @@ from ..obs.record import environment_fingerprint, fingerprint_key
 from .backends import KernelBackend, available_backends, get_backend
 from .workspace import Workspace
 
-if TYPE_CHECKING:  # annotation-only; avoids the graphs init cycle.
-    from ..graphs.csr import CSRGraph
-
 __all__ = [
     "PLAN_MODES",
     "PLAN_SCHEMA_VERSION",
     "ShapeClass",
     "ExecutionPlan",
-    "REFERENCE_PLAN",
     "STATIC_PLAN",
     "Tuner",
     "PlanCache",
+    "gemm_recipe",
+    "spmm_recipe",
     "plan_mode",
-    "set_plan_mode",
     "planning",
     "get_plan_cache",
     "set_plan_cache",
     "default_cache_dir",
 ]
 
-#: Valid values of the process-wide plan mode and of
-#: ``TrainConfig.kernel_plan`` / ``ServerConfig.kernel_plan``.
-PLAN_MODES = ("auto", "fast", "reference")
+#: The two states of the ambient plan mode: static dispatch (``"fast"``,
+#: the default) and ``"auto"``, which only :func:`planning` enters.
+PLAN_MODES = ("auto", "fast")
 
 #: Bumped when the persisted plan-table shape changes incompatibly.
 PLAN_SCHEMA_VERSION = 1
@@ -200,6 +197,13 @@ class ExecutionPlan:
     workspace: str = "fresh"
     source: str = "static"
 
+    def __post_init__(self) -> None:
+        # A negative panel height would step the row loop backwards over
+        # nothing and hand back an unwritten buffer; a plan table on disk
+        # is outside input (PlanCache drops the entry as malformed).
+        if self.block_rows < 0:
+            raise ValueError(f"block_rows must be >= 0, got {self.block_rows}")
+
     def as_dict(self) -> dict:
         """JSON-ready form, inverse of :meth:`from_dict`."""
         return {
@@ -230,11 +234,8 @@ class ExecutionPlan:
 
 
 #: The bit-identical plan: default backend, unblocked, fresh memory —
-#: literally the pre-autotune dispatch sequence.
-REFERENCE_PLAN = ExecutionPlan(source="reference")
-
-#: The static fast-path plan (same dispatch as the reference plan; kept
-#: distinct so diagnostics can tell "pinned" from "never tuned").
+#: literally the pre-autotune dispatch sequence. What static mode runs,
+#: and what float64 is pinned to under ``"auto"``.
 STATIC_PLAN = ExecutionPlan(source="static")
 
 
@@ -255,12 +256,6 @@ def _gemm_candidates(variant: str) -> list[ExecutionPlan]:
         # but let the tuner check one blocked variant anyway.
         plans.append(ExecutionPlan(block_rows=1024, source="tuned"))
     return plans
-
-
-def _spmm_candidates(variant: str) -> list[ExecutionPlan]:
-    """Candidate plans for one float32 SpMM shape class."""
-    names = [n for n in ("scipy", "numpy") if n in available_backends()]
-    return [ExecutionPlan(backend=n, source="tuned") for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +294,32 @@ def execute_gemm(
     return impl.gemm(a, b, out)
 
 
-def execute_spmm(
-    impl: KernelBackend,
-    plan: ExecutionPlan,
-    graph: "CSRGraph",
-    x: np.ndarray,
-    out: Optional[np.ndarray],
-) -> np.ndarray:
-    """Run ``A @ x`` under ``plan`` (backend choice only, today)."""
-    return impl.spmm(graph, x, out)
+def gemm_recipe(a: np.ndarray, b: np.ndarray, variant: str):
+    """What tuning one GEMM class takes: ``(candidates, run, flops, shape)``."""
+    m, k, n = a.shape[0], a.shape[1], b.shape[1]
+    # An "out" call's candidates write a probe scratch standing in for
+    # the caller's buffer: the tuner never touches real caller memory.
+    out = np.empty((m, n), dtype=a.dtype) if variant == "out" else None
+
+    def run(p: ExecutionPlan) -> np.ndarray:
+        # Timed exactly as dispatch would run it: arena plans land in the
+        # shared arena buffer, fresh-workspace plans pay the allocation.
+        return execute_gemm(
+            get_backend(p.backend), p, a, b, out, transient=variant == "transient"
+        )
+
+    return _gemm_candidates(variant), run, 2.0 * m * k * n, (m, k, n)
+
+
+def spmm_recipe(graph, x: np.ndarray):
+    """What tuning one SpMM class takes: the backend is the only axis."""
+    candidates = [ExecutionPlan(backend=n, source="tuned") for n in ("scipy", "numpy")]
+    nnz, cols = graph.num_edges_directed, x.shape[1]
+
+    def run(p: ExecutionPlan) -> np.ndarray:
+        return get_backend(p.backend).spmm(graph, x, None)
+
+    return candidates, run, 2.0 * nnz * cols, (graph.num_vertices, nnz, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -558,89 +570,28 @@ class PlanCache:
                 stacklevel=3,
             )
 
-    def resolve_gemm(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        out: Optional[np.ndarray],
-        *,
-        transient: bool = False,
-    ) -> ExecutionPlan:
-        """Plan for this GEMM call, tuning on first use of its class."""
-        if a.dtype != b.dtype or a.dtype.kind != "f" or a.dtype == np.float64:
-            # The reference (float64) regime is pinned bit-identical; a
-            # mixed-dtype call is on nobody's hot path — don't tune it.
-            return REFERENCE_PLAN
+    def resolve(self, sc: ShapeClass, recipe, *operands) -> ExecutionPlan:
+        """Plan for one call of class ``sc``, tuning on first use.
+
+        ``recipe(*operands)`` — :func:`gemm_recipe` or
+        :func:`spmm_recipe`, run only on a miss — returns the candidate
+        plans, ``run(plan) -> result`` on the live operands, the call's
+        flops and its exact shape.
+        """
+        if sc.dtype != "float32":
+            # The reference (float64) regime is pinned bit-identical, and
+            # no other dtype is on anybody's hot path — don't tune it.
+            return STATIC_PLAN
         self._ensure_loaded()  # the latch below must see the load result
         if self.load_failed:
             return STATIC_PLAN
-        variant = (
-            "out" if out is not None else ("transient" if transient else "alloc")
-        )
-        sc = ShapeClass.for_gemm(
-            a.shape[0], a.shape[1], b.shape[1], a.dtype, variant=variant
-        )
         plan = self._lookup(sc)
         if plan is not None:
             return plan
-        scratch = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
-        impl_of = get_backend
-
-        def run(p: ExecutionPlan) -> np.ndarray:
-            # Each candidate is timed exactly as dispatch would run it —
-            # arena plans land in the shared arena buffer, "out" calls in
-            # the probe scratch (standing in for the caller's buffer, so
-            # the tuner never touches real caller memory), and
-            # alloc/transient fresh-workspace plans pay the allocation.
-            if p.workspace == "arena":
-                arena_out = _ARENA.buffer(
-                    ("gemm", b.shape[1], a.dtype.str), scratch.shape, a.dtype
-                )
-                return execute_gemm(
-                    impl_of(p.backend),
-                    ExecutionPlan(p.backend, p.block_rows, "fresh", p.source),
-                    a,
-                    b,
-                    arena_out,
-                )
-            if variant == "out":
-                return execute_gemm(impl_of(p.backend), p, a, b, scratch)
-            return execute_gemm(impl_of(p.backend), p, a, b, None)
-
-        flops = 2.0 * a.shape[0] * a.shape[1] * b.shape[1]
-        plan, entry = self.tuner.pick(_gemm_candidates(variant), run, flops=flops)
-        entry["shape"] = [int(a.shape[0]), int(a.shape[1]), int(b.shape[1])]
-        entry["op"] = "gemm"
-        self._store(sc, plan, entry)
-        return plan
-
-    def resolve_spmm(self, graph: "CSRGraph", x: np.ndarray) -> ExecutionPlan:
-        """Plan for this SpMM call, tuning on first use of its class."""
-        if x.dtype == np.float64 or x.dtype.kind != "f":
-            return REFERENCE_PLAN
-        self._ensure_loaded()  # the latch below must see the load result
-        if self.load_failed:
-            return STATIC_PLAN
-        sc = ShapeClass.for_spmm(
-            graph.num_vertices, graph.num_edges_directed, x.shape[1], x.dtype
-        )
-        plan = self._lookup(sc)
-        if plan is not None:
-            return plan
-
-        def run(p: ExecutionPlan) -> np.ndarray:
-            return execute_spmm(get_backend(p.backend), p, graph, x, None)
-
-        flops = 2.0 * graph.num_edges_directed * x.shape[1]
-        plan, entry = self.tuner.pick(
-            _spmm_candidates("alloc"), run, flops=flops
-        )
-        entry["shape"] = [
-            int(graph.num_vertices),
-            int(graph.num_edges_directed),
-            int(x.shape[1]),
-        ]
-        entry["op"] = "spmm"
+        candidates, run, flops, shape = recipe(*operands)
+        plan, entry = self.tuner.pick(candidates, run, flops=flops)
+        entry["shape"] = [int(d) for d in shape]
+        entry["op"] = sc.op
         self._store(sc, plan, entry)
         return plan
 
@@ -658,24 +609,18 @@ def plan_mode() -> str:
     return _PLAN_MODE
 
 
-def set_plan_mode(mode: str) -> str:
-    """Set the plan mode; returns the previous one. Validates ``mode``."""
+@contextmanager
+def planning(mode: str) -> Iterator[None]:
+    """Scoped plan mode — the one way to enter ``"auto"``; restores the
+    previous mode on exit. Validates ``mode``."""
     global _PLAN_MODE
     if mode not in PLAN_MODES:
         raise ValueError(f"kernel plan mode must be one of {PLAN_MODES}, got {mode!r}")
-    previous = _PLAN_MODE
-    _PLAN_MODE = mode
-    return previous
-
-
-@contextmanager
-def planning(mode: str) -> Iterator[None]:
-    """Scoped plan mode: restores the previous mode on exit."""
-    previous = set_plan_mode(mode)
+    previous, _PLAN_MODE = _PLAN_MODE, mode
     try:
         yield
     finally:
-        set_plan_mode(previous)
+        _PLAN_MODE = previous
 
 
 def get_plan_cache() -> PlanCache:
@@ -692,26 +637,3 @@ def set_plan_cache(cache: PlanCache | None) -> PlanCache | None:
     previous = _PLAN_CACHE
     _PLAN_CACHE = cache
     return previous
-
-
-# -- the dispatch-facing resolvers (one branch in fast/reference mode) --
-
-
-def resolve_gemm(
-    a: np.ndarray,
-    b: np.ndarray,
-    out: Optional[np.ndarray],
-    *,
-    transient: bool = False,
-) -> ExecutionPlan:
-    """Plan for a ``backend=None`` GEMM call under the current mode."""
-    if _PLAN_MODE == "auto":
-        return get_plan_cache().resolve_gemm(a, b, out, transient=transient)
-    return REFERENCE_PLAN if _PLAN_MODE == "reference" else STATIC_PLAN
-
-
-def resolve_spmm(graph: "CSRGraph", x: np.ndarray) -> ExecutionPlan:
-    """Plan for a ``backend=None`` SpMM call under the current mode."""
-    if _PLAN_MODE == "auto":
-        return get_plan_cache().resolve_spmm(graph, x)
-    return REFERENCE_PLAN if _PLAN_MODE == "reference" else STATIC_PLAN

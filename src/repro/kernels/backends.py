@@ -4,16 +4,16 @@ A backend is a named pair of implementations — one dense ``gemm``, one
 sparse ``spmm`` — registered under a string key. The dispatch functions
 in :mod:`repro.kernels.ops` look the key up here, so swapping the
 implementation under every layer/trainer/serving call site is a one-line
-``backend=`` change (or a :func:`set_default_backend` call), never a
-model-code edit. Three backends ship:
+``backend=`` change, never a model-code edit. Two backends ship:
 
-* ``"scipy"`` — numpy BLAS gemm + scipy CSR spmm (the fast path);
+* ``"scipy"`` — numpy BLAS gemm + scipy CSR spmm (the default);
 * ``"numpy"`` — numpy BLAS gemm + pure-numpy ``add.reduceat``
   segment-sum spmm (dependency-free oracle, also what the partitioned
-  propagation driver models);
-* ``"blocked"`` — row-paneled gemm (:func:`make_blocked_gemm`) + scipy
-  spmm: the tunable blocking axis the autotuner explores (never
-  bit-identical to full BLAS, so only eligible under float32).
+  propagation driver models).
+
+Row-blocking a gemm is not a backend: it is the ``block_rows`` of an
+:class:`~repro.kernels.autotune.ExecutionPlan`, run by
+:func:`~repro.kernels.autotune.execute_gemm` over either backend.
 
 The scipy backend memoizes the ``scipy.sparse.csr_matrix`` view of each
 :class:`~repro.graphs.csr.CSRGraph` in a weak, id-keyed cache (one entry
@@ -44,10 +44,8 @@ __all__ = [
     "get_backend",
     "available_backends",
     "default_backend",
-    "set_default_backend",
     "adjacency_matrix",
     "adjacency_cache_stats",
-    "make_blocked_gemm",
     "segment_sum",
 ]
 
@@ -165,41 +163,6 @@ def segment_sum(
     return out
 
 
-def make_blocked_gemm(
-    block_rows: int = 1024,
-    base: Callable[
-        [np.ndarray, np.ndarray, Optional[np.ndarray]], np.ndarray
-    ] = _gemm_numpy,
-) -> Callable[[np.ndarray, np.ndarray, Optional[np.ndarray]], np.ndarray]:
-    """A gemm that processes ``a`` in row panels of ``block_rows``.
-
-    Row blocking keeps the active slice of the output (and of ``a``)
-    cache-resident for tall-skinny shapes, at the price of one extra
-    Python-level loop — a real trade-off, which is exactly what the
-    autotuner needs: on some shape classes this wins, on most it loses.
-    Panel results are written straight into the output buffer, so the
-    result is *not* guaranteed bit-identical to a single full-matrix
-    BLAS call (different accumulation blocking); the tuner therefore
-    only ever selects it under the float32 tolerance regime.
-    """
-    if block_rows < 1:
-        raise ValueError(f"block_rows must be positive, got {block_rows}")
-
-    def _blocked(
-        a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray]
-    ) -> np.ndarray:
-        m, n = a.shape[0], b.shape[1]
-        if m <= block_rows:
-            return base(a, b, out)
-        if out is None:
-            out = np.empty((m, n), dtype=np.result_type(a, b))
-        for i in range(0, m, block_rows):
-            base(a[i : i + block_rows], b, out[i : i + block_rows])
-        return out
-
-    return _blocked
-
-
 def _spmm_numpy(
     graph: CSRGraph, x: np.ndarray, out: Optional[np.ndarray]
 ) -> np.ndarray:
@@ -234,7 +197,7 @@ class KernelBackend:
 
 
 _REGISTRY: dict[str, KernelBackend] = {}
-_DEFAULT_NAME = "scipy"
+_DEFAULT_NAME = "scipy"  # a constant: nothing in the process can move it
 
 
 def register_backend(backend: KernelBackend, *, overwrite: bool = False) -> None:
@@ -245,7 +208,7 @@ def register_backend(backend: KernelBackend, *, overwrite: bool = False) -> None
 
 
 def get_backend(name: Optional[str] = None) -> KernelBackend:
-    """Look up a backend by name (``None`` → the current default)."""
+    """Look up a backend by name (``None`` → the default, ``"scipy"``)."""
     key = _DEFAULT_NAME if name is None else name
     try:
         return _REGISTRY[key]
@@ -265,20 +228,5 @@ def default_backend() -> str:
     return _DEFAULT_NAME
 
 
-def set_default_backend(name: str) -> str:
-    """Change the process-wide default backend; returns the previous name."""
-    global _DEFAULT_NAME
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; available: {available_backends()}"
-        )
-    previous = _DEFAULT_NAME
-    _DEFAULT_NAME = name
-    return previous
-
-
 register_backend(KernelBackend(name="scipy", gemm=_gemm_numpy, spmm=_spmm_scipy))
 register_backend(KernelBackend(name="numpy", gemm=_gemm_numpy, spmm=_spmm_numpy))
-register_backend(
-    KernelBackend(name="blocked", gemm=make_blocked_gemm(1024), spmm=_spmm_scipy)
-)

@@ -5,16 +5,17 @@ All hot-path matrix math in the repo goes through these functions —
 and the serving indexes. Each call:
 
 1. validates shapes,
-2. resolves an :class:`~repro.kernels.autotune.ExecutionPlan` — an
+2. looks up the call's :class:`~repro.kernels.autotune.ShapeClass` —
+   the shared instance of a memo on ``(log2 buckets, dtype, variant)``,
+   so the dtype name and the accounting key string are built once per
+   class, not once per call (a 1x256 @ 256x64 product is ~4 us of BLAS;
+   the per-call string work used to cost several times that) — and
+   resolves an :class:`~repro.kernels.autotune.ExecutionPlan` for it: an
    explicit ``plan=`` or ``backend=`` argument wins outright; otherwise
-   the process-wide plan mode decides (``"fast"``/``"reference"`` →
-   static default-backend dispatch, ``"auto"`` → the
-   :class:`~repro.kernels.autotune.PlanCache`, tuning at first use) and
-   the call's :class:`~repro.kernels.autotune.ShapeClass` — the shared
-   instance of a memo on ``(log2 buckets, dtype, variant)``, so the
-   dtype name and the accounting key string are built once per class,
-   not once per call (a 1x256 @ 256x64 product is ~4 us of BLAS; the
-   per-call string work used to cost several times that),
+   the ambient plan mode decides (static default-backend dispatch, or
+   inside ``planning("auto")`` the class's plan from
+   :meth:`PlanCache.resolve <repro.kernels.autotune.PlanCache.resolve>`,
+   tuned at first use),
 3. executes the plan against the selected
    :class:`~repro.kernels.backends.KernelBackend`, optionally writing a
    caller-provided ``out=`` buffer (the
@@ -25,8 +26,8 @@ and the serving indexes. Each call:
 With ``out=None`` under the default static dispatch every function is
 *bit-identical* to the raw numpy expression it replaced (``a @ b``,
 gather + ``add.reduceat``, ...), and float64 operands **always** resolve
-to the pinned reference plan even in auto mode — which is what keeps the
-float64 reference dtype policy reproducing seed-era results exactly. A
+to the static plan even in auto mode — which is what keeps the float64
+reference dtype policy reproducing seed-era results exactly. A
 guard test (``tests/kernels/test_kernel_guard.py``) AST-scans the tree so
 no raw matmul — and no raw ``get_backend(...).gemm`` bypass — creeps back
 in outside this package.
@@ -43,7 +44,7 @@ from . import accounting, autotune
 
 if TYPE_CHECKING:  # annotation-only: see backends.py on the import cycle.
     from ..graphs.csr import CSRGraph
-from .autotune import ExecutionPlan, ShapeClass
+from .autotune import STATIC_PLAN, ExecutionPlan, ShapeClass
 from .backends import KernelBackend, get_backend, segment_sum
 
 __all__ = [
@@ -79,15 +80,20 @@ def _dispatch_gemm(
     """What one gemm call runs on and is accounted under: the backend,
     the plan (explicit plan > explicit backend > mode) and the class key."""
     _check_2d(a, b)
-    if plan is None:
-        if backend is not None:
-            plan = ExecutionPlan(backend=backend, source="explicit")
-        else:
-            plan = autotune.resolve_gemm(a, b, out, transient=transient)
     variant = "out" if out is not None else ("transient" if transient else "alloc")
     sc = ShapeClass.for_gemm(
         a.shape[0], a.shape[1], b.shape[1], a.dtype, variant=variant
     )
+    if plan is None:
+        if backend is not None:
+            plan = ExecutionPlan(backend=backend, source="explicit")
+        elif autotune.plan_mode() == "auto" and a.dtype == b.dtype:
+            # (A mixed-dtype product is not its class's call: never tuned.)
+            plan = autotune.get_plan_cache().resolve(
+                sc, autotune.gemm_recipe, a, b, variant
+            )
+        else:
+            plan = STATIC_PLAN
     return get_backend(plan.backend), plan, sc.key
 
 
@@ -166,17 +172,21 @@ def spmm(
         raise ValueError(f"spmm expects a 2-D feature matrix, got {x.ndim}-D")
     if x.shape[0] != graph.num_vertices:
         raise ValueError(f"feature rows {x.shape[0]} != vertices {graph.num_vertices}")
-    if plan is None:
-        if backend is not None:
-            plan = ExecutionPlan(backend=backend, source="explicit")
-        else:
-            plan = autotune.resolve_spmm(graph, x)
-    impl = get_backend(plan.backend)
     sc = ShapeClass.for_spmm(
         graph.num_vertices, graph.num_edges_directed, x.shape[1], x.dtype
     )
+    if plan is None:
+        if backend is not None:
+            plan = ExecutionPlan(backend=backend, source="explicit")
+        elif autotune.plan_mode() == "auto":
+            plan = autotune.get_plan_cache().resolve(
+                sc, autotune.spmm_recipe, graph, x
+            )
+        else:
+            plan = STATIC_PLAN
+    impl = get_backend(plan.backend)
     t0 = _perf_counter()
-    result = autotune.execute_spmm(impl, plan, graph, x, out)
+    result = impl.spmm(graph, x, out)
     accounting.record_spmm(
         graph.num_edges_directed,
         x.shape[1],

@@ -66,13 +66,7 @@ FAST = DtypePolicy(
     grad_tol=4e-2,
 )
 
-_POLICIES = {
-    "reference": REFERENCE,
-    "fast": FAST,
-    # Aliases so configs can name the dtype directly.
-    "float64": REFERENCE,
-    "float32": FAST,
-}
+_POLICIES = {"reference": REFERENCE, "fast": FAST}
 
 
 def resolve_policy(policy: "DtypePolicy | str | None") -> DtypePolicy:

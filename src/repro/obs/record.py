@@ -101,7 +101,7 @@ def environment_fingerprint(
     """The flat environment descriptor embedded in every record.
 
     ``dtype_policy`` defaults to the reference policy and
-    ``spmm_backend`` to the kernel registry's process-wide default, so a
+    ``spmm_backend`` to the kernel registry's default (a constant), so a
     fingerprint taken with no arguments still names a complete numeric
     regime. ``extra`` entries are merged in verbatim (stringified) and
     participate in the series key like any other field.

@@ -90,8 +90,9 @@ class PartitionedPropagator:
     cores:
         Worker count ``C`` used in the ``Q = max(C, 8nf/S_cache)`` rule.
     backend:
-        Kernel-registry SpMM backend name (``"scipy"`` / ``"numpy"``),
-        or ``None`` to let the kernel layer's plan resolution choose.
+        ``None`` (the default) lets the kernel layer's plan resolution
+        choose; a kernel-registry SpMM backend name (``"scipy"`` /
+        ``"numpy"``) pins it.
     workspace:
         Optional :class:`repro.kernels.Workspace`; when given, each
         pass's output lands in a reused arena buffer instead of a fresh
@@ -106,7 +107,7 @@ class PartitionedPropagator:
         machine: MachineSpec,
         *,
         cores: int,
-        backend: str | None = "scipy",
+        backend: str | None = None,
         workspace: Workspace | None = None,
     ) -> None:
         if cores <= 0:

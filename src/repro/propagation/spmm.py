@@ -55,13 +55,14 @@ class MeanAggregator:
         Undirected graph (symmetric adjacency). Zero-degree vertices
         aggregate to the zero vector.
     backend:
-        Kernel-registry backend name: ``"scipy"`` (default, fast) or
-        ``"numpy"`` (oracle). ``None`` leaves the choice to the kernel
-        layer's plan resolution (static default in ``"fast"`` mode,
-        the autotuned per-shape-class plan in ``"auto"`` mode).
+        ``None`` (the default) leaves the choice to the kernel layer's
+        plan resolution: the static default backend, or inside
+        ``planning("auto")`` the autotuned per-shape-class plan. A
+        kernel-registry name (``"scipy"`` / ``"numpy"``) pins it — for
+        oracles and for results that must not depend on the mode.
     """
 
-    def __init__(self, graph: CSRGraph, *, backend: str | None = "scipy") -> None:
+    def __init__(self, graph: CSRGraph, *, backend: str | None = None) -> None:
         if backend is not None and backend not in available_backends():
             raise ValueError(f"unknown backend {backend!r}")
         self.graph = graph

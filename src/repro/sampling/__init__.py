@@ -4,12 +4,6 @@ the subgraph pool, extensions."""
 
 from .alias import AliasTable, dynamic_sampling_cost
 from .base import ENGINES, GraphSampler, SampledSubgraph
-from .estimators import (
-    degree_biased_visits,
-    estimate_degree_distribution,
-    estimate_mean_degree,
-    estimate_vertex_mean,
-)
 from .cost import (
     pool_fill_times,
     probe_rounds_expected,
@@ -54,10 +48,6 @@ __all__ = [
     "PrefetchStats",
     "AliasTable",
     "dynamic_sampling_cost",
-    "degree_biased_visits",
-    "estimate_mean_degree",
-    "estimate_vertex_mean",
-    "estimate_degree_distribution",
     "SampledSubgraph",
     "FrontierSampler",
     "Dashboard",

@@ -219,7 +219,9 @@ class ShardedIndex:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs for one serving cluster (see module docstring)."""
+    """Knobs for one serving cluster (see module docstring). Kernel
+    dispatch is not one of them — see
+    :class:`~repro.serving.server.ServerConfig`."""
 
     num_shards: int = 4
     replicas: int = 2  # per shard
@@ -234,9 +236,6 @@ class ClusterConfig:
     hedge_fallback: float = 0.05  # seconds, pre-warmup hedge trigger
     include_owner: bool = True  # force the query's own shard into fan-out
     shard_index: str = "brute"  # per-shard index kind
-    # Kernel dispatch planning mode for the replay's similarity kernels
-    # ("fast" | "reference" | "auto"; see repro.kernels.autotune).
-    kernel_plan: str = "fast"
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:

@@ -38,7 +38,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..kernels import autotune
 from ..obs import context as obs_context
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
@@ -166,10 +165,10 @@ class ReplayLoop:
     """One replay of ``trace`` over ``num_shards`` x ``replicas`` queues.
 
     ``server`` is the front-end: its ``config`` names the batching knobs
-    and ``kernel_plan`` (both server configs spell them alike), its
-    ``cache`` is the result cache, and a ``service_model`` on it means
-    batches are priced by :meth:`model_seconds`, not measured. The
-    topology defaults to the degenerate one. ``hedge`` is a
+    (both server configs spell them alike), its ``cache`` is the result
+    cache, and a ``service_model`` on it means batches are priced by
+    :meth:`model_seconds`, not measured. The topology defaults to the
+    degenerate one. ``hedge`` is a
     :class:`~repro.serving.router.HedgePolicy`, ``upserts`` a
     :class:`~repro.serving.upsert.SlabUpsertProducer`, ``loaded_at[s]``
     when shard ``s``'s data was produced (the front-end's own list).
@@ -222,10 +221,7 @@ class ReplayLoop:
     def run(self) -> "ReplayLoop":
         """Process every event; the outcome is left in the fields."""
         p, m = self.prefix, self.metrics
-        # Scope the kernel plan mode to this replay's similarity gemms;
-        # concurrent code keeps its own mode.
-        plan = self.server.config.kernel_plan
-        with autotune.planning(plan), span(f"{p}.trace") as sp:
+        with span(f"{p}.trace") as sp:
             while (event := self._next_event()) is not None:
                 self._advance(event)
                 self._handlers[type(event)](self, event)

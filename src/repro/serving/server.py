@@ -41,7 +41,13 @@ __all__ = ["ServerConfig", "TraceReplay", "EmbeddingServer"]
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Knobs for one server instance (see module docstring)."""
+    """Knobs for one server instance (see module docstring).
+
+    How the replay's similarity kernels are dispatched is not one of
+    them: it is the ambient plan mode of :mod:`repro.kernels.autotune`
+    (a replay run inside ``planning("auto")`` resolves through the plan
+    cache; float64, the serving dtype, keeps the static plan).
+    """
 
     max_batch: int = 32
     max_wait: float = 0.0  # seconds a partial batch waits for company
@@ -49,9 +55,6 @@ class ServerConfig:
     cache_capacity: int = 0  # 0 disables the result cache
     deadline: float | None = None  # None disables probe degradation
     min_probes: int = 1
-    # Kernel dispatch planning mode for the replay's similarity kernels
-    # ("fast" | "reference" | "auto"; see repro.kernels.autotune).
-    kernel_plan: str = "fast"
 
 
 @dataclass

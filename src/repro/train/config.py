@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..kernels.autotune import PLAN_MODES
-from ..kernels.backends import get_backend
 from ..kernels.policy import resolve_policy
 from ..parallel.machine import MachineSpec, xeon_40core
 from ..sampling.dashboard import ENGINES
@@ -41,17 +39,11 @@ class TrainConfig:
         Kernel dtype policy name (see :mod:`repro.kernels.policy`):
         ``"reference"`` (float64, no workspace — bit-identical to the
         seed implementation) or ``"fast"`` (float32 + workspace reuse).
-    spmm_backend:
-        Kernel-registry SpMM backend for feature propagation
-        (``"scipy"`` or ``"numpy"``).
-    kernel_plan:
-        Kernel dispatch planning mode (see
-        :mod:`repro.kernels.autotune`): ``"fast"`` (static default
-        dispatch, the pre-autotune behavior), ``"reference"`` (pinned
-        bit-identical plans) or ``"auto"`` (per-shape-class plans
-        microbenchmark-tuned at first use and persisted per environment
-        fingerprint). The trainer scopes the mode to its own compute
-        loops, so concurrent code is unaffected.
+        The only kernel setting a config carries: how kernels are
+        dispatched is not a field but a scope — run ``train()`` inside
+        :func:`repro.kernels.autotune.planning` ``("auto")`` and the
+        fast policy's float32 kernels resolve per-shape-class tuned
+        plans (float64 keeps the static plan either way).
     sampler_engine:
         Sampler execution engine: ``"fast"`` (vectorized) or
         ``"reference"`` (scalar oracle); forwarded to whichever sampler
@@ -110,8 +102,6 @@ class TrainConfig:
     cores: int = 1
     seed: int = 0
     dtype_policy: str = "reference"
-    spmm_backend: str = "scipy"
-    kernel_plan: str = "fast"
     sampler_engine: str = "fast"
     sampler_family: str = "dashboard"
     walk_depth: int = 3
@@ -136,15 +126,9 @@ class TrainConfig:
             raise ValueError("prefetch_depth must be >= 0")
         if self.prefetch_workers < 1:
             raise ValueError("prefetch_workers must be >= 1")
-        # Fail fast on typos; resolve_policy/get_backend raise ValueError
-        # naming the valid choices.
+        # Fail fast on typos; resolve_policy raises ValueError naming
+        # the valid choices.
         resolve_policy(self.dtype_policy)
-        get_backend(self.spmm_backend)
-        if self.kernel_plan not in PLAN_MODES:
-            raise ValueError(
-                f"kernel_plan must be one of {PLAN_MODES}, "
-                f"got {self.kernel_plan!r}"
-            )
         if self.sampler_engine not in ENGINES:
             raise ValueError(
                 f"sampler_engine must be one of {ENGINES}, "

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..analysis.speedup import gemm_simulated_time
 from ..graphs.datasets import Dataset, training_view
-from ..kernels import accounting, autotune
+from ..kernels import accounting
 from ..kernels.policy import resolve_policy
 from ..kernels.workspace import Workspace
 from ..obs import is_enabled as obs_enabled
@@ -232,18 +232,13 @@ class GraphSamplingTrainer:
         propagator nest under forward/backward.
         """
         cfg = self.config
-        # Scope the kernel plan mode to this iteration's compute: under
-        # "auto" every gemm/spmm resolves through the plan cache, and an
-        # explicit spmm_backend would override plan resolution — so the
-        # propagator passes backend=None and lets the planner choose.
-        with autotune.planning(cfg.kernel_plan), span("trainer.iteration") as it_sp:
+        with span("trainer.iteration") as it_sp:
             with span("trainer.sample") as s_sp:
                 subgraph, samp_time = self.pool.get()
                 propagator = PartitionedPropagator(
                     subgraph.graph,
                     cfg.machine,
                     cores=cfg.cores,
-                    backend=None if cfg.kernel_plan == "auto" else cfg.spmm_backend,
                     workspace=self.workspace,
                 )
                 feats = self.train_features[subgraph.vertex_map]
@@ -324,7 +319,7 @@ class GraphSamplingTrainer:
                 if obs_enabled():
                     ep_sp.set(epoch=epoch)
                 if (epoch + 1) % cfg.eval_every == 0:
-                    with autotune.planning(cfg.kernel_plan), span("trainer.eval"):
+                    with span("trainer.eval"):
                         val = self.evaluator.evaluate(self.model, "val")
                 else:
                     val = None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -65,6 +67,27 @@ class TestMain:
         assert "naive" in out and "batched+cache+ann" in out
         assert (tmp_path / "serve_bench.txt").exists()
         assert (tmp_path / "BENCH_serve_bench.json").exists()
+
+
+    def test_roofline_report_calibrates_in_the_runs_dtype(self, tmp_path, capsys):
+        # The ceilings a class is held against are measured in the dtype
+        # the run computed in (a float32 GEMM peak is ~2x a float64 one).
+        rc = main(
+            [
+                "roofline-report", "--epoch-scale", "0.5", "--hidden", "16",
+                "--plan-cache", str(tmp_path / "plans"), "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        assert "roofline (measured peaks" in capsys.readouterr().out
+        report = json.loads((tmp_path / "OBS_roofline.json").read_text())
+        assert report["points"]
+        dtypes = {p["class_key"].split("|")[1] for p in report["points"]}
+        assert dtypes == {report["peaks"]["dtype"]} == {"float64"}
+
+    def test_kernel_plan_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train-bench", "--kernel-plan", "auto"])
 
 
 class TestReport:

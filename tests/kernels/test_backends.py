@@ -7,6 +7,7 @@ import pytest
 
 from repro.graphs import edges_to_csr
 from repro.kernels import backends
+from repro.kernels.autotune import ExecutionPlan, execute_gemm
 from repro.kernels.backends import (
     KernelBackend,
     adjacency_matrix,
@@ -15,7 +16,6 @@ from repro.kernels.backends import (
     get_backend,
     register_backend,
     segment_sum,
-    set_default_backend,
 )
 
 
@@ -46,18 +46,6 @@ class TestRegistry:
             register_backend(probe, overwrite=True)
         finally:
             backends._REGISTRY.pop("probe", None)
-
-    def test_set_default_backend_roundtrip(self):
-        previous = set_default_backend("numpy")
-        try:
-            assert previous == "scipy"
-            assert default_backend() == "numpy"
-        finally:
-            set_default_backend(previous)
-
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_default_backend("no-such-backend")
 
 
 class TestAdjacencyCache:
@@ -143,26 +131,39 @@ class TestSegmentSum:
 
 
 class TestBlockedBackend:
+    """Row blocking is a plan's ``block_rows`` over a backend, not a backend."""
+
     def test_registered_and_matches_default_within_tolerance(self, rng):
-        assert "blocked" in available_backends()
+        assert "blocked" not in available_backends()
         a = rng.standard_normal((3000, 16)).astype(np.float32)
         b = rng.standard_normal((16, 8)).astype(np.float32)
         expected = get_backend("numpy").gemm(a, b, None)
-        got = get_backend("blocked").gemm(a, b, None)
-        np.testing.assert_allclose(got, expected, rtol=2e-3, atol=1e-4)
+        for name in available_backends():
+            got = execute_gemm(get_backend(name), ExecutionPlan(block_rows=1024), a, b, None)
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, expected, rtol=2e-3, atol=1e-4)
 
     def test_partial_final_panel_and_out_buffer(self, rng):
-        gemm = backends.make_blocked_gemm(7)  # 20 rows -> 2 full + 1 ragged
+        plan = ExecutionPlan(block_rows=7)  # 20 rows -> 2 full + 1 ragged
         a = rng.standard_normal((20, 3))
         b = rng.standard_normal((3, 2))
         out = np.empty((20, 2))
-        returned = gemm(a, b, out)
+        returned = execute_gemm(get_backend(None), plan, a, b, out)
         assert returned is out
         np.testing.assert_allclose(out, a @ b, rtol=1e-12)
 
     def test_rejects_nonpositive_block(self):
+        # A plan that does not block (0, or a panel no shorter than the
+        # matrix) is one full-matrix call: bit-identical to the backend's.
+        a = np.arange(12.0).reshape(4, 3)
+        b = np.arange(6.0).reshape(3, 2)
+        for block_rows in (0, 4, 5):
+            got = execute_gemm(get_backend(None), ExecutionPlan(block_rows=block_rows), a, b, None)
+            np.testing.assert_array_equal(got, a @ b)
         with pytest.raises(ValueError, match="block_rows"):
-            backends.make_blocked_gemm(0)
+            ExecutionPlan(block_rows=-1)
+        with pytest.raises(ValueError, match="block_rows"):
+            ExecutionPlan.from_dict({"block_rows": -1024})  # a bad table entry
 
 
 class TestBackendAgreement:
