@@ -50,7 +50,8 @@ class TestGemmKernels:
 
     def test_gemm_dispatch_small(self, benchmark):
         """One probed IVF cell for one query: ~4 us of BLAS, so the
-        series is the dispatch cost of ``ops.gemm`` itself."""
+        series is the dispatch cost of ``ops.gemm`` itself (wall clock:
+        ``BENCH_kernels.json`` is recorded with ``env.clock = "wall"``)."""
         rng = np.random.default_rng(0)
         query = rng.standard_normal((1, 256))
         cell = rng.standard_normal((64, 256))
@@ -133,34 +134,6 @@ class TestTrainingIteration:
             return value
 
         benchmark(step)
-
-
-class TestPlanDispatch:
-    """Acceptance for the plan-based autotuned dispatch tentpole.
-
-    Autotuned (``"auto"``) dispatch must beat the static ``"fast"``
-    policy by at least 1.1x on one of the benched shape classes (the
-    serving index's tall-skinny transient GEMM is the expected winner:
-    its arena plan skips a >32 MiB allocation per call). Tuning happens
-    in the warmup, outside the timed repeats. The payload (rows plus the
-    per-repeat wall series for both modes) is stashed on the pytest
-    config so the session-finish hook merges it into
-    ``BENCH_kernels.json``.
-    """
-
-    def test_autotuned_vs_static_dispatch(self, request):
-        from repro.experiments import kernelbench
-
-        results = kernelbench.run(repeats=7, seed=0)
-        request.config._kernel_autotune_bench = results
-        print("\n" + kernelbench.format_results(results))
-        assert results["tuned_classes"] >= len(kernelbench.BENCH_SHAPES)
-        assert results["tuning_microbenchmarks"] > 0
-        assert results["meets_target"], (
-            f"autotuned dispatch max speedup {results['max_speedup']:.2f}x "
-            f"below the {results['min_speedup_target']:.2f}x acceptance "
-            f"floor (per-class: {results['speedups']})"
-        )
 
 
 class TestDtypePolicyComparison:

@@ -27,7 +27,7 @@ import pathlib
 import pytest
 
 from repro import obs
-from repro.obs.record import BenchRecord, BenchReporter
+from repro.obs.record import BenchRecord, BenchReporter, environment_fingerprint
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -137,9 +137,10 @@ def pytest_sessionfinish(session, exitstatus):
     *is* the timing — so the trajectory file is assembled from the
     benchmark session's stats after the run; the raw per-round samples
     go into the bench record so the gate has distributions to test.
+    Every sample is wall seconds on this host, and the record says so
+    (``env.clock = "wall"``), as the serving series do.
     """
     policy_payload = getattr(session.config, "_kernel_policy_bench", None)
-    autotune_payload = getattr(session.config, "_kernel_autotune_bench", None)
     bench_session = getattr(session.config, "_benchmarksession", None)
     rows = []
     samples: dict[str, list[float]] = {}
@@ -164,23 +165,10 @@ def pytest_sessionfinish(session, exitstatus):
                 samples[f"{bench.name}_s"] = raw
         except (AttributeError, TypeError):
             continue
-    if autotune_payload:
-        # Per-repeat fast/auto wall series from the plan-dispatch bench:
-        # all seconds, lower-is-better, same as the microbench rounds.
-        for metric, values in (autotune_payload.get("samples") or {}).items():
-            samples[metric] = [float(v) for v in values]
-    if rows or policy_payload or autotune_payload:
+    if rows or policy_payload:
         BenchReporter(RESULTS_DIR).write_results(
             "kernels",
-            {
-                "microbench": rows,
-                "dtype_policy": policy_payload,
-                "plan_dispatch": {
-                    k: v
-                    for k, v in (autotune_payload or {}).items()
-                    if k != "samples"
-                }
-                or None,
-            },
+            {"microbench": rows, "dtype_policy": policy_payload},
             samples=samples or None,
+            env=environment_fingerprint(extra={"clock": "wall"}),
         )

@@ -50,20 +50,12 @@ cluster workload and evaluates the standing SLO rules
 debounced flight dump next to the report (``--force-breach``
 demonstrates that path with impossible thresholds).
 
-Kernel dispatch tooling (see ``docs/kernels.md``)::
+Kernel layer (see ``docs/kernels.md``)::
 
-    python -m repro.cli kernel-tune warm
-    python -m repro.cli kernel-tune show
-    python -m repro.cli kernel-tune clear
-    python -m repro.cli kernel-bench --min-speedup 1.1 --out results/
     python -m repro.cli roofline-report --out results/
 
-``kernel-tune`` manages the persisted autotuned plan table (warm tunes
-the standard shape classes, show prints the table, clear deletes it);
-``kernel-bench`` times static ``fast`` dispatch against autotuned
-``auto`` dispatch and emits ``BENCH_kernels.json``; ``roofline-report``
-runs one small instrumented training run and places every accounted
-kernel shape class on the measured machine roofline
+``roofline-report`` runs one small training run and places every
+accounted kernel shape class on the measured machine roofline
 (``OBS_roofline.json``).
 """
 
@@ -740,143 +732,16 @@ def _run_slo_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     return 1 if (breached and args.strict) else 0
 
 
-def _plan_cache(args: argparse.Namespace):
-    """Plan cache at ``--plan-cache`` (default: the user cache dir)."""
-    from .kernels import autotune
-
-    return autotune.PlanCache(args.plan_cache)
-
-
-def _run_kernel_tune(args: argparse.Namespace, out: pathlib.Path | None) -> int:
-    """``kernel-tune show|clear|warm``: manage the persisted plan table.
-
-    ``warm`` tunes the standard shape classes through the cache (a
-    second run should find everything cached: ``--expect-cached`` exits
-    1 if any microbenchmark ran); ``show`` prints the tuned table;
-    ``clear`` deletes this environment's table and resets the
-    unreadable-cache latch.
-    """
-    from .experiments import kernelbench
-
-    action = args.action or "show"
-    cache = _plan_cache(args)
-    if action == "clear":
-        removed = cache.clear()
-        print(
-            f"kernel-tune: cleared {removed} plan table(s) under "
-            f"{cache.cache_dir}"
-        )
-        return 0
-    if action == "warm":
-        stats = kernelbench.warm(cache, seed=args.seed)
-        print(
-            f"kernel-tune: {stats['classes']} shape classes in table, "
-            f"{stats['microbenchmarks']} microbenchmarks this run "
-            f"[{stats['path']}]"
-        )
-        if stats["load_failed"]:
-            print(
-                "kernel-tune: plan table unreadable; dispatch is running "
-                "on static plans (kernel-tune clear to reset)"
-            )
-            return 1
-        if args.expect_cached and stats["microbenchmarks"] > 0:
-            print(
-                "kernel-tune: --expect-cached, but "
-                f"{stats['microbenchmarks']} microbenchmarks ran"
-            )
-            return 1
-        return 0
-    # show
-    entries = cache.tuned_entries()  # forces the table load
-    rows = [
-        {
-            "class": key,
-            "plan": plan.describe(),
-            "tuned_gflops_s": (
-                cache.entries.get(key, {}).get("tuned_flops_s") or 0.0
-            )
-            / 1e9,
-            "best_ms": (cache.entries.get(key, {}).get("best_s") or 0.0) * 1e3,
-        }
-        for key, plan in sorted(cache.plans.items())
-    ]
-    title = f"kernel plan table [{cache.path}]"
-    if rows:
-        text = format_table(rows, title=title)
-        text += f"\n{len(entries)} tuned entr{'y' if len(entries) == 1 else 'ies'}"
-    else:
-        text = f"{title}\n(empty -- `kernel-tune warm` populates it)"
-    if cache.load_failed:
-        text += (
-            "\nWARNING: table unreadable; dispatch falls back to static "
-            "plans until `kernel-tune clear`"
-        )
-    _emit("kernel_tune", text, out)
-    return 1 if cache.load_failed else 0
-
-
-def _run_kernel_bench(args: argparse.Namespace, out: pathlib.Path | None) -> int:
-    """Time static ``fast`` vs autotuned ``auto`` dispatch.
-
-    Emits ``BENCH_kernels.json`` with per-repeat wall series for both
-    modes on every benched shape class so bench-record / bench-gate can
-    track dispatch performance. With ``--min-speedup``, exits 1 when
-    autotuning fails to beat static dispatch by that factor on at least
-    one shape class.
-    """
-    from .experiments import kernelbench
-    from .kernels import autotune
-    from .obs.record import BenchRecord
-
-    cache = (
-        autotune.PlanCache(args.plan_cache)
-        if args.plan_cache is not None
-        else autotune.PlanCache(persist=False)
-    )
-    results = kernelbench.run(
-        repeats=args.repeats,
-        seed=args.seed,
-        min_speedup=(
-            args.min_speedup
-            if args.min_speedup is not None
-            else kernelbench.DEFAULT_MIN_SPEEDUP
-        ),
-        cache=cache,
-    )
-    _emit("kernel_bench", kernelbench.format_results(results), out)
-    if out is not None:
-        record = BenchRecord(bench="kernels", env=_fingerprint(args))
-        for name, values in results["samples"].items():
-            record.add_samples(name, values, unit="s", direction="lower")
-        path = write_bench_json(
-            out / "BENCH_kernels.json",
-            "kernels",
-            {k: v for k, v in results.items() if k != "samples"},
-            record=record,
-        )
-        print(f"[written to {path}]")
-    if args.min_speedup is not None and not results["meets_target"]:
-        print(
-            f"kernel-bench: max speedup {results['max_speedup']:.2f}x below "
-            f"--min-speedup {args.min_speedup:.2f}x"
-        )
-        return 1
-    return 0
-
-
 def _run_roofline_report(
     args: argparse.Namespace, out: pathlib.Path | None
 ) -> None:
     """Place a real training run's kernel classes on the roofline.
 
-    One small training run (static dispatch, the default dtype policy)
-    provides the per-class accounting; the machine's compute and
-    bandwidth ceilings are calibrated in-process, in the dtype the run
-    computed in; and the tuned table at ``--plan-cache`` (if any)
-    supplies the achieved-vs-tuned fractions the
-    ``kernel-roofline-fraction`` SLO rule gates on. ``--out`` writes the
-    ``OBS_roofline.json`` artifact next to the rendered table.
+    One small training run (the default dtype policy) provides the
+    per-class accounting; the machine's compute and bandwidth ceilings
+    are calibrated in-process, in the dtype the run computed in.
+    ``--out`` writes the ``OBS_roofline.json`` artifact next to the
+    rendered table.
     """
     from .experiments.common import EXPERIMENT_SCALES
     from .graphs.datasets import make_dataset
@@ -898,7 +763,6 @@ def _run_roofline_report(
     report = roofline.roofline_report(
         accounting.per_class_snapshot(),
         peaks=roofline.calibrate_peaks(trainer.policy.dtype),
-        plan_entries=_plan_cache(args).tuned_entries(),
     )
     _emit("roofline_report", roofline.render_roofline(report), out)
     if out is not None:
@@ -923,15 +787,13 @@ _COMMANDS = {
     "bench-diff": _run_bench_diff,
     "bench-gate": _run_bench_gate,
     "slo-report": _run_slo_report,
-    "kernel-tune": _run_kernel_tune,
-    "kernel-bench": _run_kernel_bench,
     "roofline-report": _run_roofline_report,
     "report": _run_report,
 }
 
-#: Commands `all` skips: obs-report needs an explicit --trace, the
-#: history/SLO tooling mutates the history store or re-runs workloads,
-#: and the kernel tooling mutates the plan cache / re-tunes.
+#: Commands `all` skips: obs-report needs an explicit --trace, and the
+#: history/SLO/roofline tooling mutates the history store or re-runs
+#: workloads.
 _EXCLUDED_FROM_ALL = frozenset(
     {
         "obs-report",
@@ -940,8 +802,6 @@ _EXCLUDED_FROM_ALL = frozenset(
         "bench-diff",
         "bench-gate",
         "slo-report",
-        "kernel-tune",
-        "kernel-bench",
         "roofline-report",
     }
 )
@@ -957,13 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         choices=sorted(_COMMANDS) + ["all"],
         help="which artifact to regenerate",
-    )
-    parser.add_argument(
-        "action",
-        nargs="?",
-        choices=["show", "clear", "warm"],
-        default=None,
-        help="kernel-tune: plan-table action (default: show)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -1135,21 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="bench-gate: history entries pooled into the baseline",
-    )
-    parser.add_argument(
-        "--plan-cache",
-        type=pathlib.Path,
-        default=None,
-        help="kernel-tune/kernel-bench/roofline-report: plan table "
-        "directory (default: $REPRO_KERNEL_PLAN_CACHE or "
-        "~/.cache/repro/kernel-plans; kernel-bench defaults to an "
-        "in-memory table)",
-    )
-    parser.add_argument(
-        "--expect-cached",
-        action="store_true",
-        help="kernel-tune warm: exit 1 if any microbenchmark ran "
-        "(i.e. the plan table was not already warm)",
     )
     parser.add_argument(
         "--deadline-ms",

@@ -126,8 +126,8 @@ def smooth_features(
     deg = np.maximum(graph.degrees.astype(np.float64), 1.0)
     for _ in range(hops):
         # Pinned backend: the corpus is a function of the seed alone, not
-        # of the process-wide default backend or plan mode (the CSR matvec
-        # sums each row's neighbors in index order).
+        # of which backend is the default (the CSR matvec sums each row's
+        # neighbors in index order).
         agg = kernel_ops.spmm(graph, out, backend="scipy")
         agg /= deg[:, None]
         out = (1.0 - alpha) * out + alpha * agg

@@ -6,15 +6,11 @@ story; GraphVite/GOSH make the same architectural bet). The pieces:
 
 * :mod:`repro.kernels.ops` — ``gemm`` / ``gemm_accumulate`` / ``spmm`` /
   ``spmm_adjoint`` / block gather-scatter / elementwise helpers, all with
-  optional ``out=`` buffers, all metered;
+  optional ``out=`` buffers, all metered; a call validates, names its
+  shape class, runs on one backend and reports — it plans nothing;
 * :mod:`repro.kernels.backends` — the named backend registry (``"scipy"``
   CSR vs pure-``"numpy"`` reduceat SpMM) plus the weak-ref-memoized
   scipy adjacency cache;
-* :mod:`repro.kernels.autotune` — plan-based dispatch: log-bucketed
-  :class:`~repro.kernels.autotune.ShapeClass` keys, per-class
-  :class:`~repro.kernels.autotune.ExecutionPlan` (backend, row
-  blocking, workspace) microbenchmark-tuned at first use inside
-  ``planning("auto")``, persisted per environment fingerprint;
 * :mod:`repro.kernels.roofline` — achieved flops/s and bytes/s per shape
   class vs calibrated machine peaks, for the ``roofline-report`` CLI;
 * :mod:`repro.kernels.policy` — :data:`~repro.kernels.policy.REFERENCE`
@@ -25,21 +21,14 @@ story; GraphVite/GOSH make the same architectural bet). The pieces:
   across iterations;
 * :mod:`repro.kernels.accounting` — centralized flop/time counters that
   feed ``repro.obs`` metrics and the simulated-time cost model from one
-  place.
+  place, totalled and per log-bucketed
+  :class:`~repro.kernels.accounting.ShapeClass` (the roofline's key).
 
 See the "Compute kernels" section of ``docs/architecture.md``.
 """
 
-from . import accounting, autotune, backends, ops, policy, roofline, workspace
-from .accounting import KernelCounters, capture
-from .autotune import (
-    ExecutionPlan,
-    PlanCache,
-    ShapeClass,
-    Tuner,
-    plan_mode,
-    planning,
-)
+from . import accounting, backends, ops, policy, roofline, workspace
+from .accounting import KernelCounters, ShapeClass, capture
 from .backends import (
     KernelBackend,
     adjacency_cache_stats,
@@ -65,7 +54,6 @@ from .workspace import Workspace
 
 __all__ = [
     "accounting",
-    "autotune",
     "backends",
     "ops",
     "policy",
@@ -73,12 +61,7 @@ __all__ = [
     "workspace",
     "KernelCounters",
     "capture",
-    "ExecutionPlan",
-    "PlanCache",
     "ShapeClass",
-    "Tuner",
-    "plan_mode",
-    "planning",
     "KernelBackend",
     "adjacency_cache_stats",
     "adjacency_matrix",

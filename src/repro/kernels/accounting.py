@@ -23,18 +23,29 @@ float adds and two ``perf_counter`` reads per kernel call — negligible
 next to any real matmul); the :mod:`repro.obs` metrics are only written
 while obs instrumentation is enabled, preserving its kill-switch
 guarantee.
+
+Beside the totals every call lands in a per-:class:`ShapeClass` bucket
+(:data:`PER_CLASS`): the log-bucketed shape, dtype and call variant are
+the key the measured roofline (:mod:`repro.kernels.roofline`) places
+call sites by.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
+
+import numpy as np
 
 from ..obs import is_enabled as _obs_enabled
 from ..obs import metrics as _obs_metrics
 
 __all__ = [
+    "ShapeClass",
     "KernelCounters",
     "ClassCounters",
     "TOTALS",
@@ -85,6 +96,72 @@ def spmm_bytes_moved(rows: int, nnz: int, cols: int, itemsize: int) -> float:
     return structure + gathered + result
 
 
+def _log2_bucket(x: int) -> int:
+    """``ceil(log2(x))`` for x >= 1 (0 for x <= 1): the size bucket."""
+    return max(0, int(x) - 1).bit_length()
+
+
+def _density_bucket(nnz: int, rows: int) -> int:
+    """``floor(log10(nnz / rows^2))`` — the sparsity-density decade."""
+    if rows <= 0 or nnz <= 0:
+        return -12
+    density = nnz / (float(rows) * float(rows))
+    return int(math.floor(math.log10(max(density, 1e-12))))
+
+
+@dataclass(frozen=True)
+class ShapeClass:
+    """One accounting key: op, log-bucketed dims, dtype and call variant.
+
+    Bucketing maps the size jitter of sampled subgraphs to one key.
+    ``variant`` is how the call gets its result memory — ``"out"``
+    (caller buffer) or ``"alloc"`` (fresh allocation) — or, for the
+    block kernels, which one ran (``"gather"`` / ``"scatter"``).
+
+    :meth:`for_gemm` / :meth:`for_spmm` hand out one shared instance per
+    class (a memo on the buckets, dtype and variant), so a dispatch pays
+    for the dtype name and the ``key`` string once per class, not once
+    per call.
+    """
+
+    op: str
+    buckets: tuple[int, ...]
+    dtype: str
+    variant: str = "alloc"
+
+    @cached_property
+    def key(self) -> str:
+        dims = ".".join(str(b) for b in self.buckets)
+        return f"{self.op}[{dims}|{self.dtype}|{self.variant}]"
+
+    @classmethod
+    def _shared(cls, op: str, buckets: tuple[int, ...], dtype, variant: str) -> "ShapeClass":
+        memo = (op, buckets, dtype, variant)
+        sc = _SHAPE_CLASSES.get(memo)
+        if sc is None:
+            sc = _SHAPE_CLASSES[memo] = cls(op, buckets, np.dtype(dtype).name, variant)
+        return sc
+
+    @classmethod
+    def for_gemm(
+        cls, m: int, k: int, n: int, dtype: np.dtype, *, variant: str = "alloc"
+    ) -> "ShapeClass":
+        buckets = (_log2_bucket(m), _log2_bucket(k), _log2_bucket(n))
+        return cls._shared("gemm", buckets, dtype, variant)
+
+    @classmethod
+    def for_spmm(
+        cls, rows: int, nnz: int, cols: int, dtype: np.dtype, *, variant: str = "alloc"
+    ) -> "ShapeClass":
+        buckets = (_log2_bucket(rows), _log2_bucket(cols), _density_bucket(nnz, rows))
+        return cls._shared("spmm", buckets, dtype, variant)
+
+
+#: (op, buckets, dtype as passed, variant) -> the class's one instance.
+#: A pure memo of immutable values.
+_SHAPE_CLASSES: dict[tuple, ShapeClass] = {}
+
+
 class KernelCounters:
     """One bucket of kernel-cost counters (flops, calls, wall seconds)."""
 
@@ -121,9 +198,9 @@ class KernelCounters:
 class ClassCounters:
     """Per-shape-class cost bucket: flops, modeled bytes, wall seconds.
 
-    One instance per :class:`~repro.kernels.autotune.ShapeClass` key
-    accumulates in :data:`PER_CLASS`; :mod:`repro.kernels.roofline`
-    reads these to place every call site on the achieved-vs-peak chart.
+    One instance per :class:`ShapeClass` key accumulates in
+    :data:`PER_CLASS`; :mod:`repro.kernels.roofline` reads these to place
+    every call site on the achieved-vs-peak chart.
     """
 
     __slots__ = ("op", "calls", "flops", "bytes", "seconds")

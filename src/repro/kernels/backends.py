@@ -11,10 +11,6 @@ implementation under every layer/trainer/serving call site is a one-line
   segment-sum spmm (dependency-free oracle, also what the partitioned
   propagation driver models).
 
-Row-blocking a gemm is not a backend: it is the ``block_rows`` of an
-:class:`~repro.kernels.autotune.ExecutionPlan`, run by
-:func:`~repro.kernels.autotune.execute_gemm` over either backend.
-
 The scipy backend memoizes the ``scipy.sparse.csr_matrix`` view of each
 :class:`~repro.graphs.csr.CSRGraph` in a weak, id-keyed cache (one entry
 per dtype), so repeated SpMMs over the same graph — every training

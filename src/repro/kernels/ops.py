@@ -2,35 +2,29 @@
 
 All hot-path matrix math in the repo goes through these functions —
 ``nn`` layers, the sampling baselines, feature propagation, the trainer
-and the serving indexes. Each call:
+and the serving indexes. A call is one straight line:
 
-1. validates shapes,
-2. looks up the call's :class:`~repro.kernels.autotune.ShapeClass` —
+1. validate shapes,
+2. look up the call's :class:`~repro.kernels.accounting.ShapeClass` —
    the shared instance of a memo on ``(log2 buckets, dtype, variant)``,
    so the dtype name and the accounting key string are built once per
    class, not once per call (a 1x256 @ 256x64 product is ~4 us of BLAS;
-   the per-call string work used to cost several times that) — and
-   resolves an :class:`~repro.kernels.autotune.ExecutionPlan` for it: an
-   explicit ``plan=`` or ``backend=`` argument wins outright; otherwise
-   the ambient plan mode decides (static default-backend dispatch, or
-   inside ``planning("auto")`` the class's plan from
-   :meth:`PlanCache.resolve <repro.kernels.autotune.PlanCache.resolve>`,
-   tuned at first use),
-3. executes the plan against the selected
-   :class:`~repro.kernels.backends.KernelBackend`, optionally writing a
-   caller-provided ``out=`` buffer (the
-   :class:`~repro.kernels.workspace.Workspace` arena hands these out), and
-4. reports its exact flop count, modeled bytes and wall time —
-   per-shape-class — to :mod:`repro.kernels.accounting`.
+   the per-call string work used to cost several times that),
+3. run the product on the selected
+   :class:`~repro.kernels.backends.KernelBackend` — ``backend=None`` is
+   the default, ``"scipy"``; oracles and corpus synthesis name one
+   explicitly — optionally into a caller-provided ``out=`` buffer (a
+   :class:`~repro.kernels.workspace.Workspace` hands these out), and
+4. report its exact flop count, modeled bytes and wall time —
+   per shape class — to :mod:`repro.kernels.accounting`.
 
-With ``out=None`` under the default static dispatch every function is
-*bit-identical* to the raw numpy expression it replaced (``a @ b``,
-gather + ``add.reduceat``, ...), and float64 operands **always** resolve
-to the static plan even in auto mode — which is what keeps the float64
-reference dtype policy reproducing seed-era results exactly. A
-guard test (``tests/kernels/test_kernel_guard.py``) AST-scans the tree so
-no raw matmul — and no raw ``get_backend(...).gemm`` bypass — creeps back
-in outside this package.
+With ``out=None`` every function is *bit-identical* to the raw numpy
+expression it replaced (``a @ b``, gather + ``add.reduceat``, ...),
+which is what keeps the float64 reference dtype policy reproducing
+seed-era results exactly. A guard test
+(``tests/kernels/test_kernel_guard.py``) AST-scans the tree so no raw
+matmul — and no raw ``get_backend(...).gemm`` bypass — creeps back in
+outside this package.
 """
 
 from __future__ import annotations
@@ -40,12 +34,12 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import accounting, autotune
+from . import accounting
 
 if TYPE_CHECKING:  # annotation-only: see backends.py on the import cycle.
     from ..graphs.csr import CSRGraph
-from .autotune import STATIC_PLAN, ExecutionPlan, ShapeClass
-from .backends import KernelBackend, get_backend, segment_sum
+from .accounting import ShapeClass
+from .backends import get_backend, segment_sum
 
 __all__ = [
     "gemm",
@@ -62,39 +56,16 @@ __all__ = [
 _perf_counter = time.perf_counter
 
 
-def _check_2d(a: np.ndarray, b: np.ndarray) -> None:
+def _gemm_class_key(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray]) -> str:
+    """Validate one ``a @ b``; the key of the class it is accounted under."""
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"gemm expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"gemm shape mismatch: {a.shape} @ {b.shape}")
-
-
-def _dispatch_gemm(
-    a: np.ndarray,
-    b: np.ndarray,
-    out: Optional[np.ndarray],
-    backend: Optional[str],
-    plan: Optional[ExecutionPlan],
-    transient: bool,
-) -> tuple[KernelBackend, ExecutionPlan, str]:
-    """What one gemm call runs on and is accounted under: the backend,
-    the plan (explicit plan > explicit backend > mode) and the class key."""
-    _check_2d(a, b)
-    variant = "out" if out is not None else ("transient" if transient else "alloc")
-    sc = ShapeClass.for_gemm(
+    variant = "alloc" if out is None else "out"
+    return ShapeClass.for_gemm(
         a.shape[0], a.shape[1], b.shape[1], a.dtype, variant=variant
-    )
-    if plan is None:
-        if backend is not None:
-            plan = ExecutionPlan(backend=backend, source="explicit")
-        elif autotune.plan_mode() == "auto" and a.dtype == b.dtype:
-            # (A mixed-dtype product is not its class's call: never tuned.)
-            plan = autotune.get_plan_cache().resolve(
-                sc, autotune.gemm_recipe, a, b, variant
-            )
-        else:
-            plan = STATIC_PLAN
-    return get_backend(plan.backend), plan, sc.key
+    ).key
 
 
 def gemm(
@@ -103,19 +74,12 @@ def gemm(
     *,
     out: Optional[np.ndarray] = None,
     backend: Optional[str] = None,
-    plan: Optional[ExecutionPlan] = None,
-    transient: bool = False,
 ) -> np.ndarray:
-    """Dense ``a @ b`` with optional ``out=`` buffer, metered.
-
-    ``transient=True`` marks the result as consumed before the caller's
-    next same-shaped kernel call, which lets an autotuned plan place it
-    in the shared arena (the buffer is *reused* by the next transient
-    call of the same shape class — never pass it somewhere long-lived).
-    """
-    impl, plan, class_key = _dispatch_gemm(a, b, out, backend, plan, transient)
+    """Dense ``a @ b`` with optional ``out=`` buffer, metered."""
+    class_key = _gemm_class_key(a, b, out)
+    impl = get_backend(backend)
     t0 = _perf_counter()
-    result = autotune.execute_gemm(impl, plan, a, b, out, transient=transient)
+    result = impl.gemm(a, b, out)
     accounting.record_gemm(
         a.shape[0],
         a.shape[1],
@@ -134,7 +98,6 @@ def gemm_accumulate(
     *,
     scratch: Optional[np.ndarray] = None,
     backend: Optional[str] = None,
-    plan: Optional[ExecutionPlan] = None,
 ) -> np.ndarray:
     """``acc += a @ b`` (gradient accumulation), metered.
 
@@ -143,11 +106,12 @@ def gemm_accumulate(
     product lands in the reusable buffer first, so steady-state training
     allocates nothing here.
     """
-    impl, plan, class_key = _dispatch_gemm(a, b, scratch, backend, plan, False)
+    class_key = _gemm_class_key(a, b, scratch)
+    impl = get_backend(backend)
     if acc.shape != (a.shape[0], b.shape[1]):
         raise ValueError(f"acc shape {acc.shape} != product shape ({a.shape[0]}, {b.shape[1]})")
     t0 = _perf_counter()
-    acc += autotune.execute_gemm(impl, plan, a, b, scratch)
+    acc += impl.gemm(a, b, scratch)
     accounting.record_gemm(
         a.shape[0],
         a.shape[1],
@@ -165,7 +129,6 @@ def spmm(
     *,
     out: Optional[np.ndarray] = None,
     backend: Optional[str] = None,
-    plan: Optional[ExecutionPlan] = None,
 ) -> np.ndarray:
     """Sparse neighbor-sum ``A @ x`` over a CSR graph, metered."""
     if x.ndim != 2:
@@ -175,16 +138,7 @@ def spmm(
     sc = ShapeClass.for_spmm(
         graph.num_vertices, graph.num_edges_directed, x.shape[1], x.dtype
     )
-    if plan is None:
-        if backend is not None:
-            plan = ExecutionPlan(backend=backend, source="explicit")
-        elif autotune.plan_mode() == "auto":
-            plan = autotune.get_plan_cache().resolve(
-                sc, autotune.spmm_recipe, graph, x
-            )
-        else:
-            plan = STATIC_PLAN
-    impl = get_backend(plan.backend)
+    impl = get_backend(backend)
     t0 = _perf_counter()
     result = impl.spmm(graph, x, out)
     accounting.record_spmm(
@@ -204,7 +158,6 @@ def spmm_adjoint(
     *,
     out: Optional[np.ndarray] = None,
     backend: Optional[str] = None,
-    plan: Optional[ExecutionPlan] = None,
 ) -> np.ndarray:
     """Adjoint SpMM ``A^T @ grad``.
 
@@ -214,7 +167,7 @@ def spmm_adjoint(
     (and is the seam where a directed-graph transpose kernel would slot
     in).
     """
-    return spmm(graph, grad, out=out, backend=backend, plan=plan)
+    return spmm(graph, grad, out=out, backend=backend)
 
 
 def gather_segment_sum(

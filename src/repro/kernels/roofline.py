@@ -1,7 +1,7 @@
 """Measured roofline: achieved vs attainable throughput per shape class.
 
 :mod:`repro.kernels.accounting` already buckets every dispatched kernel
-call by :class:`~repro.kernels.autotune.ShapeClass` — exact flops, a
+call by :class:`~repro.kernels.accounting.ShapeClass` — exact flops, a
 compulsory-traffic byte model, and wall seconds. This module turns those
 buckets into the classic roofline picture:
 
@@ -11,9 +11,11 @@ buckets into the classic roofline picture:
   where ``intensity = flops / bytes`` is the bucket's operational
   intensity and the peaks come from a short on-machine calibration
   (one cache-busting GEMM for compute, one large memcpy for bandwidth),
-  not from a spec sheet;
-* **fraction** — achieved / attainable, the number the
-  ``roofline_fraction`` SLO rule watches.
+  not from a spec sheet — and **in the dtype the run computed in**: a
+  float32 GEMM peak is about twice a float64 one, so every class key's
+  dtype must equal ``peaks.dtype`` (a mismatch raises, it is not
+  reported ≈ 2x off);
+* **fraction** — achieved / attainable.
 
 Distinct from :mod:`repro.analysis.roofline`, which places kernels on the
 *paper's analytic cost model*; this module reports what the hardware
@@ -64,7 +66,7 @@ _PEAKS_CACHE: dict[str, MachinePeaks] = {}
 
 
 def calibrate_peaks(
-    dtype=np.float32,
+    dtype,
     *,
     timer=time.perf_counter,
     gemm_size: int = 384,
@@ -76,7 +78,9 @@ def calibrate_peaks(
     Compute: the best of ``repeats`` square GEMMs (large enough to be
     compute-bound, small enough to finish in milliseconds). Bandwidth:
     the best of ``repeats`` large copies, counted as read + write
-    traffic. Cached per dtype — calibration runs once per process.
+    traffic. ``dtype`` is the dtype of the run being placed (there is no
+    default: the ceilings of one dtype say nothing about another).
+    Cached per dtype — calibration runs once per process.
     """
     key = np.dtype(dtype).name
     cached = _PEAKS_CACHE.get(key)
@@ -132,18 +136,18 @@ class RooflinePoint:
 def roofline_points(
     per_class: dict[str, dict[str, float]] | None = None,
     *,
-    peaks: MachinePeaks | None = None,
+    peaks: MachinePeaks,
 ) -> list[RooflinePoint]:
     """Place every accounted shape class on the roofline.
 
     ``per_class`` defaults to :func:`accounting.per_class_snapshot` —
     i.e. everything dispatched since the last ``reset_totals``. Buckets
-    with no measured wall time are skipped (nothing to place).
+    with no measured wall time are skipped (nothing to place). Raises
+    ``ValueError`` when a placed class computed in another dtype than
+    ``peaks`` were calibrated in.
     """
     if per_class is None:
         per_class = accounting.per_class_snapshot()
-    if peaks is None:
-        peaks = calibrate_peaks()
     points = []
     for key in sorted(per_class):
         bucket = per_class[key]
@@ -152,6 +156,12 @@ def roofline_points(
         nbytes = float(bucket["bytes"])
         if seconds <= 0 or flops <= 0:
             continue
+        fields = key.split("|")  # "<op>[<buckets>|<dtype>|<variant>]"
+        if len(fields) != 3 or fields[1] != peaks.dtype:
+            raise ValueError(
+                f"shape class {key!r} did not compute in {peaks.dtype}: "
+                "calibrate_peaks in the run's dtype"
+            )
         intensity = flops / nbytes if nbytes > 0 else float("inf")
         attainable = min(peaks.peak_flops_s, intensity * peaks.peak_bytes_s)
         achieved = flops / seconds
@@ -176,35 +186,15 @@ def roofline_points(
 def roofline_report(
     per_class: dict[str, dict[str, float]] | None = None,
     *,
-    peaks: MachinePeaks | None = None,
-    plan_entries: dict[str, dict] | None = None,
+    peaks: MachinePeaks,
 ) -> dict:
-    """JSON-ready roofline document: peaks, points, environment.
-
-    When ``plan_entries`` (the plan cache's tuned table) is given, each
-    point also carries the tuned throughput of its shape class and the
-    achieved/tuned ratio — the quantity the SLO rule gates on.
-    """
-    if peaks is None:
-        peaks = calibrate_peaks()
-    points = roofline_points(per_class, peaks=peaks)
+    """JSON-ready roofline document: peaks, points, environment."""
     env = environment_fingerprint()
-    rows = []
-    for p in points:
-        row = asdict(p)
-        if plan_entries is not None:
-            entry = plan_entries.get(p.class_key)
-            tuned = entry.get("tuned_flops_s") if entry else None
-            row["tuned_flops_s"] = tuned
-            row["fraction_of_tuned"] = (
-                p.achieved_flops_s / tuned if tuned else None
-            )
-        rows.append(row)
     return {
         "schema": "repro.roofline.v1",
         "peaks": asdict(peaks),
         "ridge_intensity": peaks.ridge_intensity,
-        "points": rows,
+        "points": [asdict(p) for p in roofline_points(per_class, peaks=peaks)],
         "environment": env,
         "fingerprint_key": fingerprint_key(env),
     }

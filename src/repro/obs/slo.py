@@ -32,14 +32,9 @@ Builtin kinds:
   embedding slab each served result was computed from,
   ``cluster.staleness_seconds``) <= ``bound`` — the streaming-upsert
   freshness contract.
-* ``roofline_fraction`` — every shape class with a tuned plan must
-  achieve at least ``min_fraction`` of the throughput the tuner measured
-  for it (``tuned_flops_s`` in the kernel plan table): a call site that
-  runs well below its own tuned rate means the plan has gone stale for
-  this workload or something is stealing the machine.
 
 :func:`cluster_rules` bundles the two cluster rules the serve-bench
-cluster mode evaluates; :func:`kernel_rules` the kernel roofline rule.
+cluster mode evaluates.
 """
 
 from __future__ import annotations
@@ -57,7 +52,6 @@ __all__ = [
     "evaluate",
     "default_rules",
     "cluster_rules",
-    "kernel_rules",
     "render_slo_report",
     "register_evaluator",
 ]
@@ -241,43 +235,6 @@ def _eval_staleness_bound(rule: SLORule, ctx: SLOContext) -> SLOResult:
     )
 
 
-def _eval_roofline_fraction(rule: SLORule, ctx: SLOContext) -> SLOResult:
-    # Lazy import: obs must stay importable without the kernel layer
-    # loaded (and kernels imports obs at module level).
-    from ..kernels import accounting as kernel_accounting
-    from ..kernels import autotune as kernel_autotune
-
-    min_fraction = float(rule.params.get("min_fraction", 0.5))
-    entries = rule.params.get("plan_entries")
-    if entries is None:
-        entries = kernel_autotune.get_plan_cache().tuned_entries()
-    per_class = rule.params.get("per_class")
-    if per_class is None:
-        per_class = kernel_accounting.per_class_snapshot()
-    worst = float("inf")
-    worst_key = None
-    covered = 0
-    for key, entry in entries.items():
-        tuned = float(entry["tuned_flops_s"])
-        bucket = per_class.get(key)
-        if bucket is None or bucket["seconds"] <= 0 or tuned <= 0:
-            continue
-        covered += 1
-        achieved = bucket["flops"] / bucket["seconds"]
-        fraction = achieved / tuned
-        if fraction < worst:
-            worst, worst_key = fraction, key
-    if worst_key is None:
-        return SLOResult(
-            rule.name, rule.kind, float("nan"), min_fraction, False,
-            detail="no accounted shape class has a tuned plan",
-        )
-    return SLOResult(
-        rule.name, rule.kind, worst, min_fraction, worst >= min_fraction,
-        detail=f"worst of {covered} tuned classes: {worst_key}",
-    )
-
-
 _EVALUATORS: dict[str, Callable[[SLORule, SLOContext], SLOResult]] = {
     "serving_deadline_miss": _eval_serving_deadline_miss,
     "span_coverage": _eval_span_coverage,
@@ -285,7 +242,6 @@ _EVALUATORS: dict[str, Callable[[SLORule, SLOContext], SLOResult]] = {
     "histogram_p99": _eval_histogram_p99,
     "per_shard_p99": _eval_per_shard_p99,
     "staleness_bound": _eval_staleness_bound,
-    "roofline_fraction": _eval_roofline_fraction,
 }
 
 
@@ -401,22 +357,6 @@ def cluster_rules(
             kind="staleness_bound",
             params={"bound": staleness_bound},
             description="no served result computed from a slab older than the bound",
-        ),
-    ]
-
-
-def kernel_rules(*, min_fraction: float = 0.5) -> list[SLORule]:
-    """The kernel-dispatch SLO set (what ``roofline-report`` evaluates).
-
-    Flags any accounted shape class running below ``min_fraction`` of
-    the throughput its autotuned plan measured at tune time.
-    """
-    return [
-        SLORule(
-            name="kernel-roofline-fraction",
-            kind="roofline_fraction",
-            params={"min_fraction": min_fraction},
-            description="call sites stay near their tuned throughput",
         ),
     ]
 

@@ -55,11 +55,9 @@ class MeanAggregator:
         Undirected graph (symmetric adjacency). Zero-degree vertices
         aggregate to the zero vector.
     backend:
-        ``None`` (the default) leaves the choice to the kernel layer's
-        plan resolution: the static default backend, or inside
-        ``planning("auto")`` the autotuned per-shape-class plan. A
-        kernel-registry name (``"scipy"`` / ``"numpy"``) pins it — for
-        oracles and for results that must not depend on the mode.
+        ``None`` (the default) is the kernel layer's default backend;
+        a kernel-registry name (``"scipy"`` / ``"numpy"``) selects one
+        — for oracles.
     """
 
     def __init__(self, graph: CSRGraph, *, backend: str | None = None) -> None:

@@ -232,10 +232,7 @@ class BruteForceIndex:
         sim_out = np.empty((num_q, k), dtype=self.dtype)
         for chunk in _query_chunks(num_q, self.chunk_size):
             rows = slice(chunk.start, chunk.stop)
-            # transient: sims is fully consumed (top-k + einsum) before
-            # the next chunk's gemm, so an autotuned plan may reuse the
-            # arena buffer across chunks.
-            sims = kernel_ops.gemm(qn[rows], self._normed.T, transient=True)
+            sims = kernel_ops.gemm(qn[rows], self._normed.T)
             if exclude is not None:
                 sims[
                     np.arange(chunk.stop - chunk.start),
@@ -319,9 +316,7 @@ def _spherical_kmeans(
     argmax = None  # the previous iteration's, before any reseed moved a row
     ran = 0
     for ran in range(1, iters + 1):
-        # transient: consumed into assignments/best before the next
-        # iteration's same-shape gemm.
-        sims = kernel_ops.gemm(normed, centroids.T, transient=True)
+        sims = kernel_ops.gemm(normed, centroids.T)
         previous, argmax = argmax, sims.argmax(axis=1)
         assignments = argmax
         best = None  # each row's similarity to its cell; only a reseed reads it
@@ -505,10 +500,7 @@ class ClusterIndex:
         qn = query_vecs if normalized else l2_normalize_rows(query_vecs, dtype=self.dtype)
         num_q = qn.shape[0]
         p = min(int(probes), self.num_clusters)
-        # transient: consumed into probe_sets right here. The per-cell
-        # block gemm below must NOT be transient: its rows are kept as
-        # views in `blocks` across later gemm calls.
-        cent_sims = kernel_ops.gemm(qn, self.centroids.T, transient=True)
+        cent_sims = kernel_ops.gemm(qn, self.centroids.T)
         if p < self.num_clusters:
             probe_sets = _topk_desc(cent_sims, p, ranked=False)
             probe_sets.sort(axis=1)

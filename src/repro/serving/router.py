@@ -84,9 +84,7 @@ class CentroidRouter:
         """
         qn = np.atleast_2d(np.asarray(query_vecs, dtype=self.dtype))
         fanout = min(max(int(fanout), 1), self.nonempty_shards)
-        # transient: fully consumed into `top` below before any later
-        # same-shaped routing gemm.
-        sims = kernel_ops.gemm(qn, self._centroids.T, transient=True)
+        sims = kernel_ops.gemm(qn, self._centroids.T)
         if self.nonempty_shards < self.num_shards:
             sims[:, self._empty] = -np.inf
         top = _topk_desc(sims, fanout)

@@ -41,13 +41,7 @@ __all__ = ["ServerConfig", "TraceReplay", "EmbeddingServer"]
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Knobs for one server instance (see module docstring).
-
-    How the replay's similarity kernels are dispatched is not one of
-    them: it is the ambient plan mode of :mod:`repro.kernels.autotune`
-    (a replay run inside ``planning("auto")`` resolves through the plan
-    cache; float64, the serving dtype, keeps the static plan).
-    """
+    """Knobs for one server instance (see module docstring)."""
 
     max_batch: int = 32
     max_wait: float = 0.0  # seconds a partial batch waits for company

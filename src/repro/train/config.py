@@ -39,11 +39,7 @@ class TrainConfig:
         Kernel dtype policy name (see :mod:`repro.kernels.policy`):
         ``"reference"`` (float64, no workspace — bit-identical to the
         seed implementation) or ``"fast"`` (float32 + workspace reuse).
-        The only kernel setting a config carries: how kernels are
-        dispatched is not a field but a scope — run ``train()`` inside
-        :func:`repro.kernels.autotune.planning` ``("auto")`` and the
-        fast policy's float32 kernels resolve per-shape-class tuned
-        plans (float64 keeps the static plan either way).
+        The only kernel setting there is.
     sampler_engine:
         Sampler execution engine: ``"fast"`` (vectorized) or
         ``"reference"`` (scalar oracle); forwarded to whichever sampler

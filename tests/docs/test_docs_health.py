@@ -63,6 +63,22 @@ def test_architecture_modules_import():
         sys.path.remove(str(REPO_ROOT / "src"))
 
 
+def test_quoted_test_counts_match_the_suite():
+    assert check_docs.check_test_counts(REPO_ROOT) == []
+
+
+def test_test_count_check_flags_a_stale_number(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text(
+        "".join(f"def test_{i}():\n    pass\n" for i in range(200))
+    )
+    (tmp_path / "README.md").write_text("pytest tests/   # ~210 unit/property tests\n")
+    (tmp_path / "DESIGN.md").write_text("tests/   684 unit + integration tests\n")
+    assert check_docs.count_test_functions(tmp_path) == 200
+    (error,) = check_docs.check_test_counts(tmp_path)
+    assert error.startswith("DESIGN.md: says 684 tests, tests/ defines 200")
+
+
 def test_readme_links_new_docs():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     assert "docs/architecture.md" in readme

@@ -75,7 +75,7 @@ class TestMain:
         rc = main(
             [
                 "roofline-report", "--epoch-scale", "0.5", "--hidden", "16",
-                "--plan-cache", str(tmp_path / "plans"), "--out", str(tmp_path),
+                "--out", str(tmp_path),
             ]
         )
         assert rc == 0
@@ -88,6 +88,17 @@ class TestMain:
     def test_kernel_plan_flag_is_gone(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train-bench", "--kernel-plan", "auto"])
+
+    def test_kernel_tune_and_kernel_bench_are_gone(self):
+        for argv in (
+            ["kernel-tune"],
+            ["kernel-tune", "warm"],
+            ["kernel-bench"],
+            ["roofline-report", "--plan-cache", "plans"],
+            ["roofline-report", "show"],  # the positional went with kernel-tune
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
 
 class TestReport:

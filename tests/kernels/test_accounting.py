@@ -10,8 +10,32 @@ from repro import obs
 from repro.analysis.complexity import eq1_forward_ops
 from repro.kernels import accounting
 from repro.kernels import ops as kernel_ops
+from repro.kernels.accounting import ShapeClass
 from repro.nn.network import GCN
 from repro.propagation.spmm import MeanAggregator
+
+
+class TestShapeClass:
+    def test_nearby_sizes_share_a_bucket(self):
+        a = ShapeClass.for_gemm(1000, 16, 64, np.float32)
+        b = ShapeClass.for_gemm(1024, 16, 64, np.float32)
+        c = ShapeClass.for_gemm(1025, 16, 64, np.float32)
+        assert a.key == b.key
+        assert a.key != c.key
+
+    def test_key_carries_dtype_and_variant(self):
+        sc = ShapeClass.for_gemm(100, 8, 8, np.float32)
+        assert sc.key == "gemm[7.3.3|float32|alloc]"
+        assert (
+            ShapeClass.for_gemm(100, 8, 8, np.float64, variant="out").key
+            == "gemm[7.3.3|float64|out]"
+        )
+
+    def test_spmm_density_decade(self):
+        sparse = ShapeClass.for_spmm(1000, 5_000, 64, np.float32)
+        dense = ShapeClass.for_spmm(1000, 500_000, 64, np.float32)
+        assert sparse.buckets[-1] != dense.buckets[-1]
+        assert sparse.op == "spmm"
 
 
 class TestCaptureScopes:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.graphs import edges_to_csr
 from repro.kernels import backends
-from repro.kernels.autotune import ExecutionPlan, execute_gemm
 from repro.kernels.backends import (
     KernelBackend,
     adjacency_matrix,
@@ -128,42 +127,6 @@ class TestSegmentSum:
         returned = segment_sum(values, indptr, 2, out=out)
         assert returned is out
         np.testing.assert_allclose(out[1], values[1:].sum(axis=0))
-
-
-class TestBlockedBackend:
-    """Row blocking is a plan's ``block_rows`` over a backend, not a backend."""
-
-    def test_registered_and_matches_default_within_tolerance(self, rng):
-        assert "blocked" not in available_backends()
-        a = rng.standard_normal((3000, 16)).astype(np.float32)
-        b = rng.standard_normal((16, 8)).astype(np.float32)
-        expected = get_backend("numpy").gemm(a, b, None)
-        for name in available_backends():
-            got = execute_gemm(get_backend(name), ExecutionPlan(block_rows=1024), a, b, None)
-            assert got.dtype == np.float32
-            np.testing.assert_allclose(got, expected, rtol=2e-3, atol=1e-4)
-
-    def test_partial_final_panel_and_out_buffer(self, rng):
-        plan = ExecutionPlan(block_rows=7)  # 20 rows -> 2 full + 1 ragged
-        a = rng.standard_normal((20, 3))
-        b = rng.standard_normal((3, 2))
-        out = np.empty((20, 2))
-        returned = execute_gemm(get_backend(None), plan, a, b, out)
-        assert returned is out
-        np.testing.assert_allclose(out, a @ b, rtol=1e-12)
-
-    def test_rejects_nonpositive_block(self):
-        # A plan that does not block (0, or a panel no shorter than the
-        # matrix) is one full-matrix call: bit-identical to the backend's.
-        a = np.arange(12.0).reshape(4, 3)
-        b = np.arange(6.0).reshape(3, 2)
-        for block_rows in (0, 4, 5):
-            got = execute_gemm(get_backend(None), ExecutionPlan(block_rows=block_rows), a, b, None)
-            np.testing.assert_array_equal(got, a @ b)
-        with pytest.raises(ValueError, match="block_rows"):
-            ExecutionPlan(block_rows=-1)
-        with pytest.raises(ValueError, match="block_rows"):
-            ExecutionPlan.from_dict({"block_rows": -1024})  # a bad table entry
 
 
 class TestBackendAgreement:

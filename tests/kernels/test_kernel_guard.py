@@ -57,10 +57,9 @@ def _raw_matmul_sites(path: Path) -> list[str]:
 def _direct_backend_sites(path: Path) -> list[str]:
     """``get_backend(...).gemm(...)`` / ``.spmm(...)`` call sites.
 
-    Dispatching straight off a registry lookup skips the plan cache, the
-    reference-policy pin, and the per-class accounting that
-    ``kernels.ops`` provides — outside the kernel layer that is always a
-    bug, even though no raw ``@`` appears.
+    Dispatching straight off a registry lookup skips the validation and
+    the per-class accounting that ``kernels.ops`` provides — outside the
+    kernel layer that is always a bug, even though no raw ``@`` appears.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     sites: list[str] = []
@@ -114,7 +113,7 @@ def test_no_direct_backend_dispatch_outside_kernel_layer():
             offenders.append(f"{rel.as_posix()} -> {site}")
     assert not offenders, (
         "direct get_backend(...).gemm/spmm dispatch outside repro.kernels "
-        "(it bypasses the plan cache and accounting; call "
+        "(it bypasses validation and accounting; call "
         "repro.kernels.ops instead):\n" + "\n".join(offenders)
     )
 

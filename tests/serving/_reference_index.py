@@ -29,7 +29,7 @@ def reference_kmeans(normed, num_clusters, rng, iters=12, init=None):
         centroids = np.array(init, dtype=normed.dtype)
     assignments = np.zeros(n, dtype=np.int64)
     for _ in range(iters):
-        sims = kernel_ops.gemm(normed, centroids.T, transient=True)
+        sims = kernel_ops.gemm(normed, centroids.T)
         assignments = sims.argmax(axis=1)
         best = sims[np.arange(n), assignments]
         for c in range(num_clusters):
@@ -91,7 +91,7 @@ class ReferenceClusterIndex:
         qn = query_vecs if normalized else l2_normalize_rows(query_vecs, dtype=self.dtype)
         num_q = qn.shape[0]
         p = int(np.clip(probes or self.default_probes, 1, self.num_clusters))
-        cent_sims = kernel_ops.gemm(qn, self.centroids.T, transient=True)
+        cent_sims = kernel_ops.gemm(qn, self.centroids.T)
         if p < self.num_clusters:
             probe_sets = np.argpartition(-cent_sims, kth=p - 1, axis=1)[:, :p]
         else:

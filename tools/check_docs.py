@@ -1,6 +1,6 @@
 """Docs health checker: link integrity + architecture/code agreement.
 
-Two checks, both runnable standalone (``python tools/check_docs.py``) and
+Three checks, all runnable standalone (``python tools/check_docs.py``) and
 from the test suite (``tests/docs/test_docs_health.py``) so CI and tier-1
 enforce the same thing:
 
@@ -12,6 +12,10 @@ enforce the same thing:
    ``docs/architecture.md`` must import, so the architecture tour cannot
    drift from the package layout. Code paths like ``repro/obs/trace.py``
    referenced in any checked doc must exist under ``src/``.
+3. **Test counts** — a number quoted next to "tests" in ``README.md`` /
+   ``DESIGN.md`` must be within 10% of the number of ``def test_``
+   functions under ``tests/`` (a static count: this script runs where
+   pytest is not installed, and parametrized cases are not functions).
 """
 
 from __future__ import annotations
@@ -41,6 +45,15 @@ _MODULE_RE = re.compile(r"`(repro(?:\.[a-z_]+)+)")
 _CODE_PATH_RE = re.compile(
     r"`((?:repro|tests|benchmarks|examples|tools)/[\w/]+\.py)"
 )
+
+#: Docs whose quoted test counts are held to the suite, and what a quoted
+#: count looks like: "~1 300 unit + integration tests", "684 tests".
+TEST_COUNT_FILES = ("README.md", "DESIGN.md")
+TEST_COUNT_TOLERANCE = 0.10
+_TEST_COUNT_RE = re.compile(
+    r"(\d{1,3}(?:[ ,]\d{3})+|\d{3,})\s+(?:[\w+/-]+\s+){0,7}tests\b"
+)
+_TEST_DEF_RE = re.compile(r"^\s*def test_", re.MULTILINE)
 
 
 def _heading_anchors(md_path: Path) -> set[str]:
@@ -136,9 +149,40 @@ def check_architecture_imports(root: Path = REPO_ROOT) -> list[str]:
     return errors
 
 
+def count_test_functions(root: Path = REPO_ROOT) -> int:
+    """``def test_`` functions under ``tests/`` (static, no collection)."""
+    return sum(
+        len(_TEST_DEF_RE.findall(path.read_text(encoding="utf-8")))
+        for path in (root / "tests").rglob("*.py")
+    )
+
+
+def check_test_counts(root: Path = REPO_ROOT) -> list[str]:
+    """Return quoted test counts too far off the suite's."""
+    actual = count_test_functions(root)
+    errors = []
+    for rel in TEST_COUNT_FILES:
+        doc = root / rel
+        if not doc.exists():
+            continue
+        for match in _TEST_COUNT_RE.finditer(doc.read_text(encoding="utf-8")):
+            quoted = int(re.sub(r"\D", "", match.group(1)))
+            if abs(quoted - actual) > TEST_COUNT_TOLERANCE * actual:
+                errors.append(
+                    f"{rel}: says {quoted} tests, tests/ defines {actual} "
+                    f"(allowed: within {TEST_COUNT_TOLERANCE:.0%})"
+                )
+    return errors
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    errors = check_links() + check_code_paths() + check_architecture_imports()
+    errors = (
+        check_links()
+        + check_code_paths()
+        + check_architecture_imports()
+        + check_test_counts()
+    )
     for err in errors:
         print(f"ERROR: {err}")
     if not errors:
