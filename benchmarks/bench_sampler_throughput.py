@@ -6,7 +6,9 @@ family behind the paper's Fig. 4 sampling discussion). The acceptance
 bar: the fast engine clears ``DEFAULT_MIN_SPEEDUP`` (3x) median-over-
 median, asserted on the emitted payload so the BENCH json records the
 verdict alongside the raw per-repeat wall-time series the bench-gate
-tests run on.
+tests run on. The same run times both engines at the e2e benchmark's
+operating points (m = 16 on ``ppi``, m = 50 on ``yelp``) and records the
+ratios as ``speedup.m16`` / ``speedup.m50`` — measured, not asserted.
 """
 
 from __future__ import annotations
@@ -38,3 +40,10 @@ def test_sampler_throughput(paper_bench):
     assert len(samples["sample_wall_s.fast"]) == results["repeats"]
     assert len(samples["sample_wall_s.reference"]) == results["repeats"]
     assert len(samples["throughput.fast"]) == results["repeats"]
+
+    # The e2e operating points are on the record with no bar: at m = 16
+    # the scalar engine wins today, and the series is how that is seen.
+    assert results["clock"] == "wall"
+    for label, point in results["operating_points"].items():
+        assert len(samples[f"speedup.{label}"]) == results["repeats"]
+        assert point["speedup"] > 0

@@ -66,14 +66,20 @@ def record_json(reporter):
             # Build the record explicitly so throughput-style series keep
             # their higher-is-better direction (the default samples= path
             # records everything as lower-is-better seconds).
-            record = BenchRecord.from_registry(name)
+            # A runner that names its clock gets it into the series key.
+            clock = results.get("clock")
+            record = BenchRecord.from_registry(
+                name,
+                env=environment_fingerprint(extra={"clock": clock} if clock else None),
+            )
             for metric, values in samples.items():
                 throughput = "throughput" in metric or "per_sec" in metric
+                ratio = metric.startswith("speedup.")
                 record.add_samples(
                     metric,
                     values,
-                    unit="1/s" if throughput else "s",
-                    direction="higher" if throughput else "lower",
+                    unit="ratio" if ratio else "1/s" if throughput else "s",
+                    direction="higher" if throughput or ratio else "lower",
                 )
         path = reporter.write_results(name, results, record=record)
         print(f"[written to {path}]")

@@ -64,6 +64,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+import time
 
 import numpy as np
 
@@ -251,13 +252,15 @@ def _run_serve_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
 def _run_sampler_bench(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     """Time fast vs reference Dashboard engines; optionally enforce a floor.
 
-    Emits ``BENCH_sampler_throughput.json`` with per-repeat wall-time
-    series for both engines (lower-is-better) and the fast engine's
-    subgraphs/sec series (higher-is-better) so bench-record / bench-gate
-    can track the sampler the same way they track serving latency.
+    Emits ``BENCH_sampler_throughput.json`` (``env.clock = "wall"``) with
+    per-repeat wall-time series for both engines (lower-is-better), the
+    fast engine's subgraphs/sec series (higher-is-better) and the
+    reference÷fast ratio at each e2e operating point (``speedup.m16`` /
+    ``speedup.m50``, no bar) so bench-record / bench-gate can track the
+    sampler the same way they track serving latency.
     """
     from .experiments import samplerbench
-    from .obs.record import BenchRecord
+    from .obs.record import BenchRecord, environment_fingerprint
 
     if args.family is not None:
         return _run_sampler_zoo_bench(args, out)
@@ -272,7 +275,12 @@ def _run_sampler_bench(args: argparse.Namespace, out: pathlib.Path | None) -> in
     )
     _emit("sampler_bench", samplerbench.format_results(results), out)
     if out is not None:
-        record = BenchRecord(bench="sampler_throughput", env=_fingerprint(args))
+        record = BenchRecord(
+            bench="sampler_throughput",
+            env=environment_fingerprint(
+                seed=args.seed, extra={"clock": results["clock"]}
+            ),
+        )
         samples = results["samples"]
         record.add_samples(
             "sample_wall_s.fast", samples["sample_wall_s.fast"],
@@ -286,6 +294,11 @@ def _run_sampler_bench(args: argparse.Namespace, out: pathlib.Path | None) -> in
             "throughput.fast", samples["throughput.fast"],
             unit="subgraphs/s", direction="higher",
         )
+        for label in samplerbench.OPERATING_POINTS:
+            record.add_samples(
+                f"speedup.{label}", samples[f"speedup.{label}"],
+                unit="ratio", direction="higher",
+            )
         path = write_bench_json(
             out / "BENCH_sampler_throughput.json",
             "sampler_throughput",
@@ -392,6 +405,9 @@ def _run_report(args: argparse.Namespace, out: pathlib.Path | None) -> None:
     _emit("report", "\n\n".join(sections), out)
 
 
+EMBED_REPEATS = 8  # timed compute_embeddings calls of train-bench
+
+
 def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None:
     """One instrumented training run; exports the trace and its report.
 
@@ -400,15 +416,21 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
     ``OBS_train_bench.json`` is the per-phase time breakdown the
     acceptance test checks (sample/forward/backward spans must cover
     >= 95% of iteration wall time). ``BENCH_train_bench.json`` carries
-    the raw per-iteration wall seconds (``trainer.iteration_seconds``,
-    clock ``wall``) for bench-record / bench-gate — the training series
-    of ``benchmarks/history/``.
+    the raw wall seconds (clock ``wall``) of every iteration
+    (``trainer.iteration_seconds``), every per-epoch evaluation
+    (``trainer.evaluate_seconds`` — its first sample is the cold fill of
+    the full-graph inference input, kept so the series shows what moved
+    into first use; ``meta.evaluate_first_sample`` says so) and
+    ``EMBED_REPEATS`` calls of ``compute_embeddings`` on the trained model
+    (``embed_seconds``, all warm) for bench-record / bench-gate — the
+    training series of ``benchmarks/history/``.
     """
     from . import obs
     from .experiments.common import EXPERIMENT_SCALES
     from .graphs.datasets import make_dataset
     from .obs.record import BenchRecord, environment_fingerprint
     from .train.config import TrainConfig
+    from .train.embedding import compute_embeddings
     from .train.trainer import GraphSamplingTrainer
 
     name = (args.datasets or ["ppi"])[0]
@@ -427,6 +449,10 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
     obs.reset()
     with obs.enabled(), GraphSamplingTrainer(dataset, config) as trainer:
         result = trainer.train()
+        for _ in range(EMBED_REPEATS):
+            t0 = time.perf_counter()
+            compute_embeddings(trainer.model, dataset)
+            obs.metrics.observe("embed_seconds", time.perf_counter() - t0)
     doc = obs.export.trace_document("train_bench")
     doc["meta"] = {
         "dataset": name,
@@ -434,6 +460,7 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
         "epochs": config.epochs,
         "iterations": result.iterations,
         "final_val_f1": result.final_val_f1,
+        "evaluate_first_sample": "cold",
     }
     _emit("train_bench", obs.export.render_report(doc), out)
     if out is not None:

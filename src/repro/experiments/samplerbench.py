@@ -13,7 +13,10 @@ emitted ``BENCH_sampler_throughput.json`` feeds the bench-record /
 bench-gate history tooling: the fast-engine series is the protected
 baseline, the reference series documents the oracle's cost, and the
 ``throughput.fast`` series (subgraphs/sec, higher-is-better) is the
-headline metric.
+headline metric. Beside it the run times both engines at the e2e
+benchmark's operating points (``OPERATING_POINTS``: small frontiers,
+where the scalar engine still wins) and records the per-repeat ratio as
+``speedup.<label>`` — a measurement on the record, with no bar.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import time
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..graphs.datasets import make_dataset
+from ..graphs.datasets import make_dataset, training_view
 from ..sampling.dashboard import ENGINES, DashboardFrontierSampler
 from ..sampling.zoo import FAMILIES, make_sampler
 from .common import EXPERIMENT_SCALES, format_table
@@ -35,6 +38,7 @@ __all__ = [
     "format_zoo_results",
     "DEFAULT_MIN_SPEEDUP",
     "DEFAULT_ZOO_MIN_SPEEDUP",
+    "OPERATING_POINTS",
 ]
 
 #: The speedup the fast engine is expected to clear on this workload
@@ -46,6 +50,47 @@ DEFAULT_MIN_SPEEDUP = 3.0
 #: family must clear 2x (the dashboard clears far more; the cheap edge
 #: families have less scalar work to beat).
 DEFAULT_ZOO_MIN_SPEEDUP = 2.0
+
+
+#: Where the e2e benchmark runs the Dashboard sampler — label ->
+#: (profile, scale, frontier m, budget n) of ``ppi_small`` and
+#: ``serve_mixed``, on the training view as the trainer samples it.
+#: Recorded as ``speedup.<label>`` with no bar: the vectorized engine
+#: loses to the scalar one below m of about 40 (ROADMAP item 1).
+OPERATING_POINTS: dict[str, tuple[str, float, int, int]] = {
+    "m16": ("ppi", 0.08, 16, 194),
+    "m50": ("yelp", 0.010, 50, 600),
+}
+
+
+def _time_engines(
+    graph: CSRGraph, *, budget: int, frontier_size: int, repeats: int, seed: int
+) -> tuple[dict[str, list[float]], dict[str, dict]]:
+    """Per-repeat wall seconds (and last-subgraph stats) of both engines,
+    timed interleaved — repeat ``i`` of every engine runs back-to-back —
+    so slow host drift hits both equally."""
+    samplers = {
+        engine: DashboardFrontierSampler(
+            graph,
+            frontier_size=frontier_size,
+            budget=budget,
+            engine=engine,
+        )
+        for engine in ENGINES
+    }
+    rngs = {engine: np.random.default_rng(seed) for engine in ENGINES}
+    for engine, sampler in samplers.items():
+        sampler.sample(rngs[engine])  # warmup: allocators, caches
+
+    wall: dict[str, list[float]] = {engine: [] for engine in ENGINES}
+    stats: dict[str, dict] = {}
+    for _ in range(repeats):
+        for engine, sampler in samplers.items():
+            t0 = time.perf_counter()
+            sub = sampler.sample(rngs[engine])
+            wall[engine].append(time.perf_counter() - t0)
+            stats[engine] = sub.stats
+    return wall, stats
 
 
 def _workload(
@@ -86,9 +131,7 @@ def run(
     The default workload: Reddit profile at the standard experiment
     scale, ``budget = 3n/4`` and ``frontier = budget/6`` (the paper's
     frontier:budget ratio at a size where sampling work, not subgraph
-    induction, dominates). Engines are timed interleaved — repeat ``i``
-    of every engine runs back-to-back — so slow host drift hits both
-    equally.
+    induction, dominates), then every ``OPERATING_POINTS`` entry.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -96,27 +139,9 @@ def run(
         dataset, scale, seed, budget, frontier_size
     )
 
-    samplers = {
-        engine: DashboardFrontierSampler(
-            graph,
-            frontier_size=frontier_size,
-            budget=budget,
-            engine=engine,
-        )
-        for engine in ENGINES
-    }
-    rngs = {engine: np.random.default_rng(seed) for engine in ENGINES}
-    for engine, sampler in samplers.items():
-        sampler.sample(rngs[engine])  # warmup: allocators, caches
-
-    wall: dict[str, list[float]] = {engine: [] for engine in ENGINES}
-    stats: dict[str, dict] = {}
-    for _ in range(repeats):
-        for engine, sampler in samplers.items():
-            t0 = time.perf_counter()
-            sub = sampler.sample(rngs[engine])
-            wall[engine].append(time.perf_counter() - t0)
-            stats[engine] = sub.stats
+    wall, stats = _time_engines(
+        graph, budget=budget, frontier_size=frontier_size, repeats=repeats, seed=seed
+    )
 
     rows = []
     med = {}
@@ -134,7 +159,27 @@ def run(
             }
         )
     speedup = med["reference"] / med["fast"]
+    points, point_samples = {}, {}
+    for label, (profile, point_scale, m, n) in OPERATING_POINTS.items():
+        view, _ = training_view(
+            make_dataset(profile, scale=point_scale, seed=seed),
+            np.random.default_rng(seed),
+        )
+        point_wall, _ = _time_engines(
+            view, budget=n, frontier_size=m, repeats=repeats, seed=seed
+        )
+        ratios = [r / f for r, f in zip(point_wall["reference"], point_wall["fast"])]
+        point_samples[f"speedup.{label}"] = ratios
+        points[label] = {
+            "dataset": profile,
+            "frontier_size": m,
+            "budget": n,
+            "fast_median_ms": float(np.median(point_wall["fast"])) * 1e3,
+            "reference_median_ms": float(np.median(point_wall["reference"])) * 1e3,
+            "speedup": float(np.median(ratios)),
+        }
     return {
+        "clock": "wall",
         "dataset": dataset,
         "num_vertices": graph.num_vertices,
         "budget": budget,
@@ -144,10 +189,12 @@ def run(
         "speedup": speedup,
         "min_speedup": min_speedup,
         "meets_target": bool(speedup >= min_speedup),
+        "operating_points": points,
         "samples": {
             "sample_wall_s.fast": wall["fast"],
             "sample_wall_s.reference": wall["reference"],
             "throughput.fast": [1.0 / t for t in wall["fast"]],
+            **point_samples,
         },
     }
 
@@ -265,7 +312,13 @@ def format_results(results: dict) -> str:
         f"(target >= {results['min_speedup']:.1f}x, "
         f"{'met' if results['meets_target'] else 'NOT met'})"
     )
-    return f"{table}\n\n{verdict}"
+    points = "\n".join(
+        f"at the e2e operating point {label} ({p['dataset']}, m={p['frontier_size']}, "
+        f"n={p['budget']}): fast {p['fast_median_ms']:.2f} ms, reference "
+        f"{p['reference_median_ms']:.2f} ms, speedup {p['speedup']:.2f}x (no target)"
+        for label, p in results["operating_points"].items()
+    )
+    return f"{table}\n\n{verdict}\n{points}"
 
 
 def format_zoo_results(results: dict) -> str:

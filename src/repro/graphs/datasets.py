@@ -146,7 +146,11 @@ class Dataset:
     """A generated dataset instance: topology + attributes + labels + splits.
 
     ``labels`` is ``int64[n]`` for single-label tasks and ``float64[n, C]``
-    (0/1 indicator matrix) for multi-label tasks.
+    (0/1 indicator matrix) for multi-label tasks. ``features`` is frozen
+    on construction (as ``CSRGraph`` freezes its arrays): full-graph
+    inference memoizes its aggregate per dataset
+    (:func:`repro.propagation.spmm.full_graph_input`), so a writer gets an
+    error instead of a stale aggregate.
     """
 
     name: str
@@ -177,6 +181,7 @@ class Dataset:
             raise ValueError("train/val/test splits overlap")
         if all_idx.size and (all_idx.min() < 0 or all_idx.max() >= n):
             raise ValueError("split indices out of range")
+        self.features.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:

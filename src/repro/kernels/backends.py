@@ -40,6 +40,7 @@ __all__ = [
     "get_backend",
     "available_backends",
     "default_backend",
+    "WeakIdMemo",
     "adjacency_matrix",
     "adjacency_cache_stats",
     "segment_sum",
@@ -50,12 +51,40 @@ __all__ = [
 # Memoized scipy adjacency
 
 
-# id(graph) -> (weakref to graph, {dtype: csr_matrix}). CSRGraph holds
-# ndarrays and is therefore unhashable, so a WeakKeyDictionary cannot be
-# used; instead entries are keyed by object id and evicted by a weakref
-# callback when the graph is collected (id reuse is also guarded by an
-# identity check on lookup).
-_ADJACENCY_CACHE: dict[int, tuple["weakref.ref[CSRGraph]", dict] ] = {}
+class WeakIdMemo:
+    """One dict per owner object, dropped when the owner is collected.
+
+    For owners that hold ndarrays and are therefore unhashable (a
+    ``WeakKeyDictionary`` cannot key on them): slots are keyed by
+    ``id(owner)`` and evicted by a weakref callback; id reuse is also
+    guarded by an identity check on lookup. ``len`` is the number of
+    live owners, ``id(owner) in memo`` whether one has a slot.
+    """
+
+    def __init__(self) -> None:
+        self._slots: dict[int, tuple[weakref.ref, dict]] = {}
+
+    def slot(self, owner: object) -> dict:
+        """The dict kept for ``owner`` (created empty on first use)."""
+        key = id(owner)
+        entry = self._slots.get(key)
+        if entry is None or entry[0]() is not owner:
+
+            def _evict(_ref: object, _key: int = key) -> None:
+                self._slots.pop(_key, None)
+
+            entry = self._slots[key] = (weakref.ref(owner, _evict), {})
+        return entry[1]
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._slots
+
+
+# graph -> {dtype: csr_matrix}
+_ADJACENCY_CACHE = WeakIdMemo()
 
 # Running hit/miss tally for the memo cache. A "hit" is a lookup that
 # found the (graph, dtype) operator already built; a "miss" had to build
@@ -81,16 +110,7 @@ def adjacency_matrix(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
     requested dtype (float32 serving and float64 reference can coexist).
     """
     dtype = np.dtype(dtype)
-    key = id(graph)
-    entry = _ADJACENCY_CACHE.get(key)
-    if entry is None or entry[0]() is not graph:
-
-        def _evict(_ref: object, _key: int = key) -> None:
-            _ADJACENCY_CACHE.pop(_key, None)
-
-        entry = (weakref.ref(graph, _evict), {})
-        _ADJACENCY_CACHE[key] = entry
-    per_dtype = entry[1]
+    per_dtype = _ADJACENCY_CACHE.slot(graph)
     mat = per_dtype.get(dtype)
     if mat is None:
         _ADJACENCY_STATS["misses"] += 1

@@ -6,9 +6,9 @@ a numeric regime in one object:
 * ``dtype`` — the array dtype for features, parameters and activations;
 * ``use_workspace`` — whether layers should run through the
   :class:`~repro.kernels.workspace.Workspace` buffer arena (the reference
-  policy keeps ``use_workspace=False`` so its computation sequence is
-  *literally* the seed-era one, temporaries and all — bit-identical
-  losses on fixed seeds);
+  policy keeps ``use_workspace=False``: buffers are allocated per call,
+  and its float64 results are bit-identical to the seed-era ones on
+  fixed seeds);
 * ``grad_eps`` / ``grad_tol`` — the finite-difference step and tolerance
   that :mod:`repro.nn.gradcheck` should use under this dtype (float32
   cannot resolve a 1e-6 step; the relaxed values are what the shared

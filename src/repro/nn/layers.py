@@ -24,18 +24,23 @@ what the optimizers consume.
   the input features), so the two ``dz W^T`` products and the adjoint
   propagation pass are not run and ``None`` is returned.
 
-Every matrix multiply dispatches through :mod:`repro.kernels`. Layers run
-in one of two regimes, chosen by the constructor arguments:
+Every matrix multiply dispatches through :mod:`repro.kernels`, and a GCN
+layer's forward is one computation sequence whatever the regime: both
+branch GEMMs write into the halves of one pre-activation ``z``, the bias
+is added in place, ReLU follows (in place when ``train=False`` — nothing
+reads ``z`` again). What the constructor's ``workspace=`` still decides
+is where buffers come from:
 
-* **reference** (``workspace=None``, the default): each product allocates
-  its result, exactly the seed-era computation sequence — float64 results
-  are bit-identical to pre-kernel-layer code;
-* **workspace** (``workspace=`` a :class:`repro.kernels.Workspace`):
-  pre-activations, activations and input-gradient products land in named
-  arena buffers that persist across iterations (parameter gradients go
-  straight into ``grads`` in both regimes), so steady-state training
-  stops allocating on the hot path. Buffer keys are prefixed with ``ws_prefix``
-  so one arena serves a whole network.
+* ``workspace=None`` (the default, the float64 reference policy): ``z``
+  is a fresh ``np.empty`` per call and backward allocates its products
+  (and runs the layers' own ``relu_grad``);
+* ``workspace=`` a :class:`repro.kernels.Workspace`: ``z``, activations
+  and input-gradient products land in named arena buffers that persist
+  across iterations (keys prefixed with ``ws_prefix``, so one arena
+  serves a whole network) and steady-state training stops allocating on
+  the hot path.
+
+Parameter gradients go straight into ``grads`` either way.
 """
 
 from __future__ import annotations
@@ -82,8 +87,7 @@ class GCNLayer:
         from ``rng`` (so the random stream and float64 values match the
         reference path) and then cast.
     workspace / ws_prefix:
-        Arena for buffer reuse; ``None`` keeps the allocate-per-call
-        reference behavior.
+        Arena for buffer reuse; ``None`` allocates per call.
     """
 
     def __init__(
@@ -135,49 +139,53 @@ class GCNLayer:
         return self.workspace.buffer((self.ws_prefix, name), shape, self.dtype)
 
     def forward(
-        self, features: np.ndarray, aggregator: Aggregator, *, train: bool = True
+        self,
+        features: np.ndarray,
+        aggregator: Aggregator,
+        *,
+        train: bool = True,
+        h_agg: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Propagate features one layer; caches activations when training."""
-        h_agg = aggregator.forward(features)
-        if self.workspace is None:
-            z_neigh = kernel_ops.gemm(h_agg, self.params["W_neigh"])
-            z_self = kernel_ops.gemm(features, self.params["W_self"])
+        """Propagate features one layer; caches activations when training.
+
+        ``h_agg`` is ``aggregator.forward(features)`` when the caller
+        already holds it (full-graph inference keeps the input layer's,
+        which no weight can change); ``None`` computes it here.
+        """
+        if h_agg is None:
+            h_agg = aggregator.forward(features)
+        ws = self.workspace
+        z_shape = (features.shape[0], self.output_dim)
+        z = np.empty(z_shape, self.dtype) if ws is None else self._buf("z", z_shape)
+        if self.concat:
+            # Write both branches straight into their halves of z —
+            # the concat disappears.
+            z_neigh = z[:, : self.out_dim]
+            z_self = z[:, self.out_dim :]
+            kernel_ops.gemm(h_agg, self.params["W_neigh"], out=z_neigh)
+            kernel_ops.gemm(features, self.params["W_self"], out=z_self)
             if self.use_bias:
-                z_neigh = z_neigh + self.params["b_neigh"]
-                z_self = z_self + self.params["b_self"]
-            if self.concat:
-                z = np.concatenate([z_neigh, z_self], axis=1)
-            else:
-                z = z_neigh + z_self
-            act = relu(z) if self.activation == "relu" else z
+                z_neigh += self.params["b_neigh"]
+                z_self += self.params["b_self"]
         else:
-            n = features.shape[0]
-            z = self._buf("z", (n, self.output_dim))
-            if self.concat:
-                # Write both branches straight into their halves of z —
-                # the concat disappears.
-                z_neigh = z[:, : self.out_dim]
-                z_self = z[:, self.out_dim :]
-                kernel_ops.gemm(h_agg, self.params["W_neigh"], out=z_neigh)
-                kernel_ops.gemm(features, self.params["W_self"], out=z_self)
-                if self.use_bias:
-                    z_neigh += self.params["b_neigh"]
-                    z_self += self.params["b_self"]
-            else:
-                kernel_ops.gemm(h_agg, self.params["W_neigh"], out=z)
-                kernel_ops.gemm_accumulate(
-                    z,
-                    features,
-                    self.params["W_self"],
-                    scratch=self._buf("z_scratch", (n, self.out_dim)),
-                )
-                if self.use_bias:
-                    z += self.params["b_neigh"]
-                    z += self.params["b_self"]
-            if self.activation == "relu":
-                act = kernel_ops.relu(z, out=self._buf("act", z.shape))
-            else:
-                act = z
+            kernel_ops.gemm(h_agg, self.params["W_neigh"], out=z)
+            kernel_ops.gemm_accumulate(
+                z,
+                features,
+                self.params["W_self"],
+                scratch=None if ws is None else self._buf("z_scratch", z_shape),
+            )
+            if self.use_bias:
+                z += self.params["b_neigh"]
+                z += self.params["b_self"]
+        if self.activation != "relu":
+            act = z
+        elif not train:
+            act = kernel_ops.relu(z, out=z)  # nothing reads z again
+        else:  # backward reads z: the activation gets its own array
+            act = kernel_ops.relu(
+                z, out=None if ws is None else self._buf("act", z_shape)
+            )
         if self.normalize:
             norms = np.linalg.norm(act, axis=1, keepdims=True)
             norms = np.maximum(norms, 1e-12)

@@ -40,7 +40,7 @@ class GCN:
     workspace:
         Optional :class:`repro.kernels.Workspace` shared by every layer
         (buffer keys are prefixed ``layer{i}`` / ``head``); ``None``
-        keeps seed-equivalent allocate-per-call behavior.
+        allocates per call (same bits either way).
     """
 
     def __init__(
@@ -112,13 +112,26 @@ class GCN:
 
     # ------------------------------------------------------------------
     def forward(
-        self, features: np.ndarray, aggregator: Aggregator, *, train: bool = True
+        self,
+        features: np.ndarray,
+        aggregator: Aggregator,
+        *,
+        train: bool = True,
+        input_aggregate: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Full forward pass; returns logits for every vertex of the graph."""
-        h = features
+        """Full forward pass; returns logits for every vertex of the graph.
+
+        ``input_aggregate`` is ``aggregator.forward(features)`` when the
+        caller already holds it (inference only: training drops out the
+        input first, so layer 0 aggregates something else every call).
+        """
+        if train and input_aggregate is not None:
+            raise ValueError("input_aggregate is for train=False passes only")
+        h, h_agg = features, input_aggregate
         for drop, layer in zip(self.dropouts, self.layers):
             h = drop.forward(h, train=train)
-            h = layer.forward(h, aggregator, train=train)
+            h = layer.forward(h, aggregator, train=train, h_agg=h_agg)
+            h_agg = None
         return self.head.forward(h, train=train)
 
     def backward(self, grad_logits: np.ndarray) -> None:
@@ -136,12 +149,17 @@ class GCN:
 
     # ------------------------------------------------------------------
     def embeddings(
-        self, features: np.ndarray, aggregator: Aggregator
+        self,
+        features: np.ndarray,
+        aggregator: Aggregator,
+        *,
+        input_aggregate: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vertex embeddings H^(L) (the layer activations before PREDICT)."""
-        h = features
+        h, h_agg = features, input_aggregate
         for layer in self.layers:
-            h = layer.forward(h, aggregator, train=False)
+            h = layer.forward(h, aggregator, train=False, h_agg=h_agg)
+            h_agg = None
         return h
 
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -22,10 +22,18 @@ from .partition_model import (
     theorem2_conditions_hold,
     theorem2_plan,
 )
-from .spmm import MeanAggregator, spmm_sum_numpy, spmm_sum_scipy
+from .spmm import (
+    MeanAggregator,
+    full_graph_input,
+    input_aggregate_stats,
+    spmm_sum_numpy,
+    spmm_sum_scipy,
+)
 
 __all__ = [
     "MeanAggregator",
+    "full_graph_input",
+    "input_aggregate_stats",
     "spmm_sum_numpy",
     "spmm_sum_scipy",
     "PartitionedPropagator",

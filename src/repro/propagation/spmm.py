@@ -18,17 +18,37 @@ mean-aggregation and its adjoint for backpropagation. For an undirected
 graph with row-mean normalization ``M = D^{-1} A``, the adjoint is
 ``M^T G = A (D^{-1} G)`` because ``A`` is symmetric. Flop/op counting
 happens inside :mod:`repro.kernels.accounting` — not here.
+
+:func:`full_graph_input` is the one owner of what full-graph inference
+reads that no weight can change: a dataset's :class:`MeanAggregator`, its
+features in the model's dtype and their aggregate ``A_hat X`` — the widest
+SpMM of an inference pass, run once per (dataset, dtype) instead of once
+per ``compute_embeddings`` / ``Evaluator.full_logits`` call.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..kernels import ops as kernel_ops
-from ..kernels.backends import available_backends
+from ..kernels.backends import WeakIdMemo, available_backends
+from ..obs import is_enabled as _obs_enabled
+from ..obs import metrics as _obs_metrics
 
-__all__ = ["spmm_sum_scipy", "spmm_sum_numpy", "MeanAggregator"]
+if TYPE_CHECKING:
+    from ..graphs.datasets import Dataset
+
+__all__ = [
+    "spmm_sum_scipy",
+    "spmm_sum_numpy",
+    "MeanAggregator",
+    "FullGraphInput",
+    "full_graph_input",
+    "input_aggregate_stats",
+]
 
 
 def spmm_sum_scipy(graph: CSRGraph, features: np.ndarray) -> np.ndarray:
@@ -117,3 +137,62 @@ class MeanAggregator:
         n = self.num_vertices
         eye = np.eye(n)
         return self.forward(eye)
+
+
+# ---------------------------------------------------------------------------
+# Memoized full-graph inference input
+
+
+class FullGraphInput(NamedTuple):
+    """What a full-graph forward pass reads besides the weights."""
+
+    aggregator: MeanAggregator
+    features: np.ndarray  # dataset.features in the requested dtype
+    aggregate: np.ndarray  # aggregator.forward(features), read-only
+
+
+# dataset -> {dtype: FullGraphInput}
+_INPUT_AGGREGATES = WeakIdMemo()
+_INPUT_AGGREGATE_STATS = {"hits": 0, "misses": 0}
+
+
+def input_aggregate_stats() -> dict[str, int]:
+    """Hit/miss/live-entry counts of the :func:`full_graph_input` memo."""
+    return {
+        "hits": _INPUT_AGGREGATE_STATS["hits"],
+        "misses": _INPUT_AGGREGATE_STATS["misses"],
+        "live_entries": len(_INPUT_AGGREGATES),
+    }
+
+
+def full_graph_input(dataset: Dataset, dtype) -> FullGraphInput:
+    """``dataset``'s full-graph aggregator, features and ``A_hat X`` in ``dtype``.
+
+    Memoized on the rules of :func:`repro.kernels.backends.adjacency_matrix`:
+    weak in the dataset (the entry dies with it), one entry per dtype. The
+    first call per (dataset, dtype) runs the SpMM — exactly what a forward
+    pass would have run — and every later one reuses it; that is sound
+    because ``Dataset`` freezes ``features``. The arrays handed back are
+    read-only and shared by every caller.
+    """
+    dtype = np.dtype(dtype)
+    slot = _INPUT_AGGREGATES.slot(dataset)
+    entry = slot.get(dtype)
+    if entry is not None:
+        _INPUT_AGGREGATE_STATS["hits"] += 1
+        if _obs_enabled():
+            _obs_metrics.inc("propagation.input_aggregate.hits")
+        return entry
+    _INPUT_AGGREGATE_STATS["misses"] += 1
+    if _obs_enabled():
+        _obs_metrics.inc("propagation.input_aggregate.misses")
+    # One aggregator per dataset, whatever the dtype (it keeps 1/deg per dtype).
+    aggregator = (
+        next(iter(slot.values())).aggregator if slot else MeanAggregator(dataset.graph)
+    )
+    features = dataset.features.astype(dtype, copy=False)
+    aggregate = aggregator.forward(features)
+    features.setflags(write=False)
+    aggregate.setflags(write=False)
+    entry = slot[dtype] = FullGraphInput(aggregator, features, aggregate)
+    return entry

@@ -5,7 +5,10 @@ outputs structured vectors which capture information of the original
 graph" (Section I). This module extracts those vectors from a trained GCN
 and provides the downstream operations the paper motivates embeddings
 with: nearest-neighbor retrieval (content recommendation) and clustering
-quality against labels.
+quality against labels. Extraction is the same shared-weight full-graph
+pass evaluation runs, over the same memoized input
+(:func:`repro.propagation.spmm.full_graph_input`): features and their
+aggregate in the model's dtype, computed once per dataset.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from ..graphs.datasets import Dataset
 from ..nn.network import GCN
-from ..propagation.spmm import MeanAggregator
+from ..propagation.spmm import full_graph_input
 from ..serving.index import BruteForceIndex
 
 __all__ = [
@@ -28,8 +31,8 @@ __all__ = [
 
 def compute_embeddings(model: GCN, dataset: Dataset) -> np.ndarray:
     """Final-layer embeddings ``H^(L)`` for every vertex of the dataset."""
-    aggregator = MeanAggregator(dataset.graph)
-    return model.embeddings(dataset.features, aggregator)
+    aggregator, features, aggregate = full_graph_input(dataset, model.dtype)
+    return model.embeddings(features, aggregator, input_aggregate=aggregate)
 
 
 def normalize_embeddings(embeddings: np.ndarray) -> np.ndarray:

@@ -201,10 +201,7 @@ class GraphSamplingTrainer:
         )
         self.loss = make_loss(dataset.task)
         self.optimizer = Adam(lr=config.lr, weight_decay=config.weight_decay)
-        self.evaluator = Evaluator(
-            dataset,
-            dtype=None if self.policy.dtype == np.float64 else self.policy.dtype,
-        )
+        self.evaluator = Evaluator(dataset)
         self.batches_per_epoch = max(
             1, -(-self.train_graph.num_vertices // budget)
         )
@@ -319,8 +316,14 @@ class GraphSamplingTrainer:
                 if obs_enabled():
                     ep_sp.set(epoch=epoch)
                 if (epoch + 1) % cfg.eval_every == 0:
-                    with span("trainer.eval"):
+                    with span("trainer.eval") as ev_sp:
                         val = self.evaluator.evaluate(self.model, "val")
+                    if obs_enabled():
+                        # The first sample of a dataset's first run is the
+                        # cold fill of full_graph_input (one more SpMM).
+                        duration = getattr(ev_sp, "duration", None)
+                        if duration is not None:
+                            obs_metrics.observe("trainer.evaluate_seconds", duration)
                 else:
                     val = None
             result.epochs.append(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn.gradcheck import check_gradients, max_relative_error, numerical_gradient
+from repro.kernels.workspace import Workspace
 from repro.nn.layers import DenseLayer, Dropout, GCNLayer
 from repro.propagation.spmm import MeanAggregator
 
@@ -54,6 +55,32 @@ class TestGCNLayerForward:
             axis=1,
         )
         assert np.allclose(out, expected)
+
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("arena", [False, True])
+    @pytest.mark.parametrize("concat", [True, False])
+    def test_one_buffer_forward_keeps_the_seed_bits(
+        self, small_setup, rng, concat, arena, train
+    ):
+        # The allocate-per-product forward this layer used to run without
+        # a workspace, written out: the one-buffer path must not move a bit.
+        _, agg, x = small_setup
+        layer = GCNLayer(
+            6, 4, concat=concat, rng=rng, workspace=Workspace() if arena else None
+        )
+        for name in ("b_neigh", "b_self"):
+            layer.params[name][...] = rng.standard_normal(4)
+        p = layer.params
+        z_neigh, z_self = agg.forward(x) @ p["W_neigh"], x @ p["W_self"]
+        if concat:
+            z = np.concatenate([z_neigh + p["b_neigh"], z_self + p["b_self"]], axis=1)
+        else:  # the sum is taken before the biases (an ulp from bias-first)
+            z = z_neigh + z_self + p["b_neigh"] + p["b_self"]
+        out = layer.forward(x, agg, train=train)
+        assert np.array_equal(out, np.maximum(z, 0.0))
+        assert np.array_equal(
+            layer.forward(x, agg, train=train, h_agg=agg.forward(x)), out
+        )
 
     def test_invalid_activation(self, rng):
         with pytest.raises(ValueError):

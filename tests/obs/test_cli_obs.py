@@ -163,6 +163,21 @@ class TestTrainBench:
         assert len(series["samples"]) == doc["meta"]["iterations"]
         assert all(v > 0 for v in series["samples"])
 
+    def test_bench_record_holds_the_inference_series(self, bench_out):
+        """One evaluation sample per epoch (the first marked as the cold
+        fill of the full-graph input) and EMBED_REPEATS warm embeds."""
+        from repro.cli import EMBED_REPEATS
+
+        payload = json.loads((bench_out / "BENCH_train_bench.json").read_text())
+        doc = json.loads((bench_out / "OBS_train_bench.json").read_text())
+        series = payload["record"]["series"]
+        assert len(series["trainer.evaluate_seconds"]["samples"]) == doc["meta"]["epochs"]
+        assert doc["meta"]["evaluate_first_sample"] == "cold"
+        assert len(series["embed_seconds"]["samples"]) == EMBED_REPEATS >= 8
+        for name in ("trainer.evaluate_seconds", "embed_seconds"):
+            assert (series[name]["unit"], series[name]["direction"]) == ("s", "lower")
+            assert all(v > 0 for v in series[name]["samples"])
+
     def test_chrome_trace_loads(self, bench_out):
         data = json.loads((bench_out / "train_bench.chrome.json").read_text())
         events = data["traceEvents"]

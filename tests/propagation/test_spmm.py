@@ -5,8 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.graphs import make_dataset
 from repro.graphs.csr import edges_to_csr
-from repro.propagation.spmm import MeanAggregator, spmm_sum_numpy, spmm_sum_scipy
+from repro.propagation.spmm import (
+    MeanAggregator,
+    full_graph_input,
+    input_aggregate_stats,
+    spmm_sum_numpy,
+    spmm_sum_scipy,
+)
 
 
 class TestSumBackends:
@@ -87,3 +94,68 @@ class TestMeanAggregator:
         """Mean aggregation preserves constant features (min degree >= 1)."""
         h = np.full((clique_ring.num_vertices, 3), 2.5)
         assert np.allclose(MeanAggregator(clique_ring).forward(h), 2.5)
+
+
+@pytest.fixture
+def ds():
+    """A fresh dataset object per test: nothing memoized for it yet."""
+    return make_dataset("ppi", scale=0.01, seed=3)
+
+
+class TestFullGraphInput:
+    def test_computed_once_and_equal_to_a_fresh_aggregation(self, ds):
+        before = input_aggregate_stats()
+        first = full_graph_input(ds, np.float64)
+        again = full_graph_input(ds, np.float64)
+        after = input_aggregate_stats()
+        assert again is first
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 1
+        assert first.features is ds.features
+        assert np.array_equal(
+            first.aggregate, MeanAggregator(ds.graph).forward(ds.features)
+        )
+
+    def test_float32_and_float64_entries_coexist(self, ds):
+        f64 = full_graph_input(ds, np.float64)
+        f32 = full_graph_input(ds, "float32")
+        assert f32.features.dtype == f32.aggregate.dtype == np.float32
+        assert f64.aggregate.dtype == np.float64
+        assert f32.aggregator is f64.aggregator
+        assert full_graph_input(ds, np.float64) is f64
+        assert full_graph_input(ds, np.float32) is f32
+        # cast once, then aggregated in float32 — what a float32 model runs
+        assert np.array_equal(
+            f32.aggregate,
+            MeanAggregator(ds.graph).forward(ds.features.astype(np.float32)),
+        )
+
+    def test_arrays_refuse_writes(self, ds):
+        entry = full_graph_input(ds, np.float32)
+        for array in (ds.features, entry.features, entry.aggregate):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    def test_entry_dies_with_the_dataset(self):
+        import gc
+
+        ds = make_dataset("ppi", scale=0.01, seed=3)
+        full_graph_input(ds, np.float64)
+        live = input_aggregate_stats()["live_entries"]
+        del ds
+        gc.collect()
+        assert input_aggregate_stats()["live_entries"] == live - 1
+
+    def test_obs_counters_track_the_memo(self):
+        from repro import obs
+        from repro.obs import metrics as obs_metrics
+
+        ds = make_dataset("ppi", scale=0.01, seed=3)
+        obs.reset()
+        with obs.enabled():
+            full_graph_input(ds, np.float64)
+            full_graph_input(ds, np.float64)
+            full_graph_input(ds, np.float64)
+        counters = obs_metrics.snapshot()["counters"]
+        assert counters["propagation.input_aggregate.misses"] == 1
+        assert counters["propagation.input_aggregate.hits"] == 2

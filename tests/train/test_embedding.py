@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kernels import accounting
 from repro.nn.network import GCN
 from repro.train.config import TrainConfig
 from repro.train.embedding import (
@@ -169,3 +170,23 @@ class TestReport:
         model = GCN(reddit_small.attribute_dim, [8, 4], reddit_small.num_classes, seed=0)
         emb = compute_embeddings(model, reddit_small)
         assert emb.shape == (reddit_small.num_vertices, 8)  # concat doubles 4
+
+    def test_fast_policy_embeds_in_the_model_dtype(self, reddit_small):
+        # Embed and evaluate agree on layer 0's precision: both read the
+        # float32 entry of the shared input, no float64 kernel runs.
+        cfg = TrainConfig(
+            hidden_dims=(8, 8), frontier_size=20, budget=120, dtype_policy="fast"
+        )
+        with GraphSamplingTrainer(reddit_small, cfg) as trainer:
+            model = trainer.model
+            before = accounting.per_class_snapshot()
+            emb = compute_embeddings(model, reddit_small).copy()  # arena view
+            ran = [
+                key
+                for key, bucket in accounting.per_class_snapshot().items()
+                if bucket != before.get(key)
+            ]
+            assert ran and not [key for key in ran if "float64" in key]
+            assert emb.dtype == np.float32
+            logits = model.head.forward(emb, train=False).copy()
+            assert np.array_equal(trainer.evaluator.full_logits(model), logits)

@@ -18,6 +18,7 @@ from repro.baselines.graphsage import GraphSAGETrainer, SageConfig
 from repro.experiments.modelcosts import weight_application_flops
 from repro.kernels import accounting
 from repro.propagation.feature_prop import PartitionedPropagator
+from repro.propagation.spmm import input_aggregate_stats
 from repro.train.config import TrainConfig
 from repro.train.trainer import GraphSamplingTrainer, TrainResult
 
@@ -52,8 +53,11 @@ class TestGraphSamplingStep:
         monkeypatch.setattr(PartitionedPropagator, "backward", counted_backward)
         with GraphSamplingTrainer(reddit_small, cfg) as trainer:
             result = TrainResult()
+            memo_before = input_aggregate_stats()
             with accounting.capture() as seen:
                 trainer.train_iteration(0, result)
+        # training never reads or fills the full-graph inference input
+        assert input_aggregate_stats() == memo_before
         metrics = result.iteration_metrics[0]
         n = metrics.subgraph_vertices
         f0, classes = reddit_small.attribute_dim, reddit_small.num_classes
