@@ -13,9 +13,8 @@ GCN ("GS-GCN", the GraphSAINT precursor) and everything it depends on:
   F1 metrics, gradient checking;
 * :mod:`repro.kernels` — the unified compute-kernel layer every GEMM and
   SpMM dispatches through: backend registry, dtype policies
-  (float64 reference / float32 fast), workspace buffer arena,
-  centralized flop/time accounting per shape class, and the measured
-  roofline;
+  (float64 reference / float32 fast), centralized flop/time accounting
+  per shape class, and the measured roofline;
 * :mod:`repro.propagation` — spmm kernels, Algorithm 6 feature-partitioned
   propagation, the communication model and Theorem 2;
 * :mod:`repro.parallel` — the simulated 40-core Xeon used to regenerate

@@ -531,15 +531,10 @@ def _fingerprint(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _policy(args: argparse.Namespace):
-    """Regression policy from the CLI's gate knobs."""
+    """The default regression policy with the CLI's ``--noise`` band."""
     from .obs.regress import RegressionPolicy
 
-    return RegressionPolicy(
-        min_samples=args.min_samples,
-        alpha=args.alpha,
-        noise_threshold=args.noise,
-        baseline_window=args.window,
-    )
+    return RegressionPolicy(noise_threshold=args.noise)
 
 
 def _run_bench_record(args: argparse.Namespace, out: pathlib.Path | None) -> None:
@@ -993,28 +988,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bench-record/diff/gate: the append-only JSONL history store",
     )
     parser.add_argument(
-        "--alpha",
-        type=float,
-        default=0.01,
-        help="bench-gate: Mann-Whitney significance level",
-    )
-    parser.add_argument(
         "--noise",
         type=float,
         default=0.10,
         help="bench-gate: relative median shift treated as noise",
-    )
-    parser.add_argument(
-        "--min-samples",
-        type=int,
-        default=4,
-        help="bench-gate: samples required on each side to compare",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=3,
-        help="bench-gate: history entries pooled into the baseline",
     )
     parser.add_argument(
         "--deadline-ms",

@@ -14,11 +14,8 @@ story; GraphVite/GOSH make the same architectural bet). The pieces:
 * :mod:`repro.kernels.roofline` — achieved flops/s and bytes/s per shape
   class vs calibrated machine peaks, for the ``roofline-report`` CLI;
 * :mod:`repro.kernels.policy` — :data:`~repro.kernels.policy.REFERENCE`
-  (float64, no workspace, bit-identical to the seed) and
-  :data:`~repro.kernels.policy.FAST` (float32 + workspace) dtype
-  policies;
-* :mod:`repro.kernels.workspace` — the keyed buffer arena trainers share
-  across iterations;
+  (float64, bit-identical to the seed) and
+  :data:`~repro.kernels.policy.FAST` (float32) dtype policies;
 * :mod:`repro.kernels.accounting` — centralized flop/time counters that
   feed ``repro.obs`` metrics and the simulated-time cost model from one
   place, totalled and per log-bucketed
@@ -27,7 +24,7 @@ story; GraphVite/GOSH make the same architectural bet). The pieces:
 See the "Compute kernels" section of ``docs/architecture.md``.
 """
 
-from . import accounting, backends, ops, policy, roofline, workspace
+from . import accounting, backends, ops, policy, roofline
 from .accounting import KernelCounters, ShapeClass, capture
 from .backends import (
     KernelBackend,
@@ -50,7 +47,6 @@ from .ops import (
     spmm_adjoint,
 )
 from .policy import FAST, REFERENCE, DtypePolicy, available_policies, resolve_policy
-from .workspace import Workspace
 
 __all__ = [
     "accounting",
@@ -58,7 +54,6 @@ __all__ = [
     "ops",
     "policy",
     "roofline",
-    "workspace",
     "KernelCounters",
     "capture",
     "ShapeClass",
@@ -83,5 +78,4 @@ __all__ = [
     "FAST",
     "resolve_policy",
     "available_policies",
-    "Workspace",
 ]

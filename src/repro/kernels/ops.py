@@ -13,8 +13,7 @@ and the serving indexes. A call is one straight line:
 3. run the product on the selected
    :class:`~repro.kernels.backends.KernelBackend` — ``backend=None`` is
    the default, ``"scipy"``; oracles and corpus synthesis name one
-   explicitly — optionally into a caller-provided ``out=`` buffer (a
-   :class:`~repro.kernels.workspace.Workspace` hands these out), and
+   explicitly — optionally into a caller-provided ``out=`` buffer, and
 4. report its exact flop count, modeled bytes and wall time —
    per shape class — to :mod:`repro.kernels.accounting`.
 
@@ -96,22 +95,19 @@ def gemm_accumulate(
     a: np.ndarray,
     b: np.ndarray,
     *,
-    scratch: Optional[np.ndarray] = None,
     backend: Optional[str] = None,
 ) -> np.ndarray:
     """``acc += a @ b`` (gradient accumulation), metered.
 
-    Without ``scratch`` this is literally ``acc += a @ b`` — one temporary
-    per call, bit-identical to the seed expressions. With ``scratch`` the
-    product lands in the reusable buffer first, so steady-state training
-    allocates nothing here.
+    Literally ``acc += a @ b`` — one temporary per call, bit-identical to
+    the seed expressions.
     """
-    class_key = _gemm_class_key(a, b, scratch)
+    class_key = _gemm_class_key(a, b, None)
     impl = get_backend(backend)
     if acc.shape != (a.shape[0], b.shape[1]):
         raise ValueError(f"acc shape {acc.shape} != product shape ({a.shape[0]}, {b.shape[1]})")
     t0 = _perf_counter()
-    acc += impl.gemm(a, b, scratch)
+    acc += impl.gemm(a, b, None)
     accounting.record_gemm(
         a.shape[0],
         a.shape[1],

@@ -3,12 +3,9 @@
 A :class:`DtypePolicy` bundles everything a trainer/server needs to pick
 a numeric regime in one object:
 
-* ``dtype`` — the array dtype for features, parameters and activations;
-* ``use_workspace`` — whether layers should run through the
-  :class:`~repro.kernels.workspace.Workspace` buffer arena (the reference
-  policy keeps ``use_workspace=False``: buffers are allocated per call,
-  and its float64 results are bit-identical to the seed-era ones on
-  fixed seeds);
+* ``dtype`` — the array dtype for features, parameters and activations
+  (the reference policy's float64 results are bit-identical to the
+  seed-era ones on fixed seeds);
 * ``grad_eps`` / ``grad_tol`` — the finite-difference step and tolerance
   that :mod:`repro.nn.gradcheck` should use under this dtype (float32
   cannot resolve a 1e-6 step; the relaxed values are what the shared
@@ -29,11 +26,10 @@ __all__ = ["DtypePolicy", "REFERENCE", "FAST", "resolve_policy", "available_poli
 
 @dataclass(frozen=True)
 class DtypePolicy:
-    """Numeric regime: dtype + workspace use + gradcheck tolerances."""
+    """Numeric regime: dtype + gradcheck tolerances."""
 
     name: str
     dtype: np.dtype
-    use_workspace: bool
     grad_eps: float
     grad_tol: float
 
@@ -46,22 +42,20 @@ class DtypePolicy:
         return self.dtype.itemsize
 
 
-#: Seed-equivalent float64 path: no workspace, today's tolerances,
-#: bit-identical training trajectories.
+#: Seed-equivalent float64 path: today's tolerances, bit-identical
+#: training trajectories.
 REFERENCE = DtypePolicy(
     name="reference",
     dtype=np.dtype(np.float64),
-    use_workspace=False,
     grad_eps=1e-6,
     grad_tol=1e-4,
 )
 
-#: float32 + workspace-reuse fast path (half the memory traffic of the
-#: reference path; tolerances relaxed to what float32 resolution allows).
+#: float32 fast path (half the memory traffic of the reference path;
+#: tolerances relaxed to what float32 resolution allows).
 FAST = DtypePolicy(
     name="fast",
     dtype=np.dtype(np.float32),
-    use_workspace=True,
     grad_eps=1e-2,
     grad_tol=4e-2,
 )

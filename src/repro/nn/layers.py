@@ -24,23 +24,11 @@ what the optimizers consume.
   the input features), so the two ``dz W^T`` products and the adjoint
   propagation pass are not run and ``None`` is returned.
 
-Every matrix multiply dispatches through :mod:`repro.kernels`, and a GCN
-layer's forward is one computation sequence whatever the regime: both
-branch GEMMs write into the halves of one pre-activation ``z``, the bias
-is added in place, ReLU follows (in place when ``train=False`` — nothing
-reads ``z`` again). What the constructor's ``workspace=`` still decides
-is where buffers come from:
-
-* ``workspace=None`` (the default, the float64 reference policy): ``z``
-  is a fresh ``np.empty`` per call and backward allocates its products
-  (and runs the layers' own ``relu_grad``);
-* ``workspace=`` a :class:`repro.kernels.Workspace`: ``z``, activations
-  and input-gradient products land in named arena buffers that persist
-  across iterations (keys prefixed with ``ws_prefix``, so one arena
-  serves a whole network) and steady-state training stops allocating on
-  the hot path.
-
-Parameter gradients go straight into ``grads`` either way.
+Every matrix multiply dispatches through :mod:`repro.kernels`. A GCN
+layer's forward writes both branch GEMMs into the halves of one fresh
+pre-activation ``z``, adds the bias in place and applies ReLU (in place
+when ``train=False`` — nothing reads ``z`` again), so every array a layer
+returns belongs to its caller.
 """
 
 from __future__ import annotations
@@ -50,7 +38,6 @@ from typing import Protocol
 import numpy as np
 
 from ..kernels import ops as kernel_ops
-from ..kernels.workspace import Workspace
 from .activations import relu, relu_grad
 from .init import xavier_uniform
 
@@ -86,8 +73,6 @@ class GCNLayer:
         Parameter/activation dtype. Weights are always drawn in float64
         from ``rng`` (so the random stream and float64 values match the
         reference path) and then cast.
-    workspace / ws_prefix:
-        Arena for buffer reuse; ``None`` allocates per call.
     """
 
     def __init__(
@@ -101,8 +86,6 @@ class GCNLayer:
         normalize: bool = False,
         rng: np.random.Generator,
         dtype=np.float64,
-        workspace: Workspace | None = None,
-        ws_prefix: str = "gcn",
     ) -> None:
         if activation not in ("relu", "identity"):
             raise ValueError(f"unsupported activation {activation!r}")
@@ -115,8 +98,6 @@ class GCNLayer:
         # (reference [2] normalizes embeddings to the unit hypersphere).
         self.normalize = normalize
         self.dtype = np.dtype(dtype)
-        self.workspace = workspace
-        self.ws_prefix = ws_prefix
         self.params: dict[str, np.ndarray] = {
             "W_self": xavier_uniform(in_dim, out_dim, rng=rng, dtype=self.dtype),
             "W_neigh": xavier_uniform(in_dim, out_dim, rng=rng, dtype=self.dtype),
@@ -134,10 +115,6 @@ class GCNLayer:
     def output_dim(self) -> int:
         return 2 * self.out_dim if self.concat else self.out_dim
 
-    def _buf(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        assert self.workspace is not None
-        return self.workspace.buffer((self.ws_prefix, name), shape, self.dtype)
-
     def forward(
         self,
         features: np.ndarray,
@@ -154,9 +131,7 @@ class GCNLayer:
         """
         if h_agg is None:
             h_agg = aggregator.forward(features)
-        ws = self.workspace
-        z_shape = (features.shape[0], self.output_dim)
-        z = np.empty(z_shape, self.dtype) if ws is None else self._buf("z", z_shape)
+        z = np.empty((features.shape[0], self.output_dim), self.dtype)
         if self.concat:
             # Write both branches straight into their halves of z —
             # the concat disappears.
@@ -169,12 +144,7 @@ class GCNLayer:
                 z_self += self.params["b_self"]
         else:
             kernel_ops.gemm(h_agg, self.params["W_neigh"], out=z)
-            kernel_ops.gemm_accumulate(
-                z,
-                features,
-                self.params["W_self"],
-                scratch=None if ws is None else self._buf("z_scratch", z_shape),
-            )
+            kernel_ops.gemm_accumulate(z, features, self.params["W_self"])
             if self.use_bias:
                 z += self.params["b_neigh"]
                 z += self.params["b_self"]
@@ -183,9 +153,7 @@ class GCNLayer:
         elif not train:
             act = kernel_ops.relu(z, out=z)  # nothing reads z again
         else:  # backward reads z: the activation gets its own array
-            act = kernel_ops.relu(
-                z, out=None if ws is None else self._buf("act", z_shape)
-            )
+            act = kernel_ops.relu(z)
         if self.normalize:
             norms = np.linalg.norm(act, axis=1, keepdims=True)
             norms = np.maximum(norms, 1e-12)
@@ -224,13 +192,7 @@ class GCNLayer:
             y: np.ndarray = self._cache["out"]  # type: ignore[assignment]
             inner = np.sum(y * grad_out, axis=1, keepdims=True)
             grad_out = (grad_out - y * inner) / norms
-        ws = self.workspace
-        if ws is None:
-            dz = relu_grad(z, grad_out) if self.activation == "relu" else grad_out
-        elif self.activation == "relu":
-            dz = kernel_ops.relu_backward(z, grad_out, out=self._buf("dz", z.shape))
-        else:
-            dz = grad_out
+        dz = relu_grad(z, grad_out) if self.activation == "relu" else grad_out
         if self.concat:
             dz_neigh = dz[:, : self.out_dim]
             dz_self = dz[:, self.out_dim :]
@@ -246,17 +208,8 @@ class GCNLayer:
         if not input_grad:
             return None
 
-        n = features.shape[0]
-        d_h_agg = kernel_ops.gemm(
-            dz_neigh,
-            self.params["W_neigh"].T,
-            out=self._buf("d_h_agg", (n, self.in_dim)) if ws is not None else None,
-        )
-        d_features = kernel_ops.gemm(
-            dz_self,
-            self.params["W_self"].T,
-            out=self._buf("d_features", (n, self.in_dim)) if ws is not None else None,
-        )
+        d_h_agg = kernel_ops.gemm(dz_neigh, self.params["W_neigh"].T)
+        d_features = kernel_ops.gemm(dz_self, self.params["W_self"].T)
         d_features += aggregator.backward(d_h_agg)
         return d_features
 
@@ -272,8 +225,6 @@ class DenseLayer:
         activation: str = "identity",
         rng: np.random.Generator,
         dtype=np.float64,
-        workspace: Workspace | None = None,
-        ws_prefix: str = "dense",
     ) -> None:
         if activation not in ("relu", "identity"):
             raise ValueError(f"unsupported activation {activation!r}")
@@ -281,8 +232,6 @@ class DenseLayer:
         self.out_dim = out_dim
         self.activation = activation
         self.dtype = np.dtype(dtype)
-        self.workspace = workspace
-        self.ws_prefix = ws_prefix
         self.params: dict[str, np.ndarray] = {
             "W": xavier_uniform(in_dim, out_dim, rng=rng, dtype=self.dtype),
             "b": np.zeros(out_dim, dtype=self.dtype),
@@ -296,24 +245,10 @@ class DenseLayer:
     def output_dim(self) -> int:
         return self.out_dim
 
-    def _buf(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        assert self.workspace is not None
-        return self.workspace.buffer((self.ws_prefix, name), shape, self.dtype)
-
     def forward(self, x: np.ndarray, *, train: bool = True) -> np.ndarray:
         """Affine transform (+ optional ReLU); caches inputs when training."""
-        if self.workspace is None:
-            z = kernel_ops.gemm(x, self.params["W"]) + self.params["b"]
-            out = relu(z) if self.activation == "relu" else z
-        else:
-            z = kernel_ops.gemm(
-                x, self.params["W"], out=self._buf("z", (x.shape[0], self.out_dim))
-            )
-            z += self.params["b"]
-            if self.activation == "relu":
-                out = kernel_ops.relu(z, out=self._buf("act", z.shape))
-            else:
-                out = z
+        z = kernel_ops.gemm(x, self.params["W"]) + self.params["b"]
+        out = relu(z) if self.activation == "relu" else z
         self._cache = {"x": x, "z": z} if train else None
         return out
 
@@ -322,22 +257,10 @@ class DenseLayer:
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward(train=True)")
         x, z = self._cache["x"], self._cache["z"]
-        ws = self.workspace
-        if ws is None:
-            dz = relu_grad(z, grad_out) if self.activation == "relu" else grad_out
-        elif self.activation == "relu":
-            dz = kernel_ops.relu_backward(z, grad_out, out=self._buf("dz", z.shape))
-        else:
-            dz = grad_out
+        dz = relu_grad(z, grad_out) if self.activation == "relu" else grad_out
         kernel_ops.gemm(x.T, dz, out=self.grads["W"])
         dz.sum(axis=0, out=self.grads["b"])
-        return kernel_ops.gemm(
-            dz,
-            self.params["W"].T,
-            out=self._buf("dx", (dz.shape[0], self.in_dim))
-            if ws is not None
-            else None,
-        )
+        return kernel_ops.gemm(dz, self.params["W"].T)
 
 
 class Dropout:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.workspace import Workspace
 from .layers import Aggregator, DenseLayer, Dropout, GCNLayer
 from .optim import ParamGroup
 
@@ -37,10 +36,6 @@ class GCN:
         Parameter/activation dtype (see :mod:`repro.kernels.policy`).
         Weights are drawn in float64 from the seeded stream then cast, so
         a float32 network holds the rounded reference weights.
-    workspace:
-        Optional :class:`repro.kernels.Workspace` shared by every layer
-        (buffer keys are prefixed ``layer{i}`` / ``head``); ``None``
-        allocates per call (same bits either way).
     """
 
     def __init__(
@@ -55,17 +50,15 @@ class GCN:
         normalize: bool = False,
         seed: int = 0,
         dtype=np.float64,
-        workspace: Workspace | None = None,
     ) -> None:
         if not hidden_dims:
             raise ValueError("need at least one GCN layer")
         rng = np.random.default_rng(seed)
         self.dtype = np.dtype(dtype)
-        self.workspace = workspace
         self.layers: list[GCNLayer] = []
         self.dropouts: list[Dropout] = []
         dim = in_dim
-        for i, h in enumerate(hidden_dims):
+        for h in hidden_dims:
             layer = GCNLayer(
                 dim,
                 h,
@@ -75,20 +68,12 @@ class GCN:
                 normalize=normalize,
                 rng=rng,
                 dtype=self.dtype,
-                workspace=workspace,
-                ws_prefix=f"layer{i}",
             )
             self.layers.append(layer)
             self.dropouts.append(Dropout(dropout, rng=rng))
             dim = layer.output_dim
         self.head = DenseLayer(
-            dim,
-            num_classes,
-            activation="identity",
-            rng=rng,
-            dtype=self.dtype,
-            workspace=workspace,
-            ws_prefix="head",
+            dim, num_classes, activation="identity", rng=rng, dtype=self.dtype
         )
         self.in_dim = in_dim
         self.num_classes = num_classes

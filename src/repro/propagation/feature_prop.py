@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..kernels.workspace import Workspace
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
@@ -90,15 +89,9 @@ class PartitionedPropagator:
     cores:
         Worker count ``C`` used in the ``Q = max(C, 8nf/S_cache)`` rule.
     backend:
-        ``None`` (the default) lets the kernel layer's plan resolution
-        choose; a kernel-registry SpMM backend name (``"scipy"`` /
-        ``"numpy"``) pins it.
-    workspace:
-        Optional :class:`repro.kernels.Workspace`; when given, each
-        pass's output lands in a reused arena buffer instead of a fresh
-        ``np.empty_like``. Buffers are keyed per pass direction *and*
-        per call index within this propagator's lifetime, so one layer's
-        cached aggregation is never clobbered by the next layer's.
+        ``None`` (the default) runs the kernel layer's default backend; a
+        kernel-registry SpMM backend name (``"scipy"`` / ``"numpy"``)
+        pins it.
     """
 
     def __init__(
@@ -108,16 +101,13 @@ class PartitionedPropagator:
         *,
         cores: int,
         backend: str | None = None,
-        workspace: Workspace | None = None,
     ) -> None:
         if cores <= 0:
             raise ValueError("cores must be positive")
         self.graph = graph
         self.machine = machine
         self.cores = cores
-        self.workspace = workspace
         self._agg = MeanAggregator(graph, backend=backend)
-        self._calls: dict[str, int] = {}
         self.reports: list[PropagationReport] = []
 
     @property
@@ -139,14 +129,7 @@ class PartitionedPropagator:
         n, f = x.shape
         with span(span_name) as sp:
             q = self.choose_q(f)
-            out = None
-            if self.workspace is not None:
-                call_idx = self._calls.get(span_name, 0)
-                self._calls[span_name] = call_idx + 1
-                out = self.workspace.buffer(
-                    ("prop", span_name, call_idx), x.shape, x.dtype
-                )
-            out = op(x, out=out)
+            out = op(x)
             d = self.graph.average_degree
             report = PropagationReport(
                 n=n,

@@ -104,33 +104,23 @@ class MeanAggregator:
             inv = self._inv_deg_by_dtype[dtype] = self._inv_deg.astype(dtype)
         return inv
 
-    def forward(
-        self, features: np.ndarray, *, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def forward(self, features: np.ndarray) -> np.ndarray:
         """``D^{-1} A @ H`` — mean of neighbor feature vectors."""
         if features.shape[0] != self.num_vertices:
             raise ValueError(
                 f"features rows {features.shape[0]} != vertices {self.num_vertices}"
             )
         inv = self._inv_deg_for(features.dtype)
-        if out is None:
-            return inv * kernel_ops.spmm(self.graph, features, backend=self.backend)
-        kernel_ops.spmm(self.graph, features, out=out, backend=self.backend)
-        np.multiply(out, inv, out=out)
-        return out
+        return inv * kernel_ops.spmm(self.graph, features, backend=self.backend)
 
-    def backward(
-        self, grad: np.ndarray, *, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         """Adjoint ``M^T G = A (D^{-1} G)`` (valid for symmetric ``A``)."""
         if grad.shape[0] != self.num_vertices:
             raise ValueError(
                 f"grad rows {grad.shape[0]} != vertices {self.num_vertices}"
             )
         scaled = self._inv_deg_for(grad.dtype) * grad
-        return kernel_ops.spmm_adjoint(
-            self.graph, scaled, out=out, backend=self.backend
-        )
+        return kernel_ops.spmm_adjoint(self.graph, scaled, backend=self.backend)
 
     def dense(self) -> np.ndarray:
         """Dense ``M`` for small graphs (testing only)."""

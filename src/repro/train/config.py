@@ -37,9 +37,9 @@ class TrainConfig:
         Worker count used for training-phase cost simulation.
     dtype_policy:
         Kernel dtype policy name (see :mod:`repro.kernels.policy`):
-        ``"reference"`` (float64, no workspace — bit-identical to the
-        seed implementation) or ``"fast"`` (float32 + workspace reuse).
-        The only kernel setting there is.
+        ``"reference"`` (float64, bit-identical to the seed
+        implementation) or ``"fast"`` (float32). The only kernel setting
+        there is.
     sampler_engine:
         Sampler execution engine: ``"fast"`` (vectorized) or
         ``"reference"`` (scalar oracle); forwarded to whichever sampler

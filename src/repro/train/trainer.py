@@ -29,7 +29,6 @@ from ..analysis.speedup import gemm_simulated_time
 from ..graphs.datasets import Dataset, training_view
 from ..kernels import accounting
 from ..kernels.policy import resolve_policy
-from ..kernels.workspace import Workspace
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
 from ..obs.trace import span
@@ -136,11 +135,9 @@ class GraphSamplingTrainer:
         # Training graph: the view of the training split every method in
         # this repo trains on (shared with the baselines).
         self.train_graph, self.train_vmap = training_view(dataset, self.rng)
-        # Kernel regime: the reference policy keeps float64 and no
-        # workspace (bit-identical to the seed implementation); the fast
-        # policy casts once here and shares a buffer arena across layers.
+        # Kernel regime: the reference policy keeps float64 (bit-identical
+        # to the seed implementation); the fast policy casts once here.
         self.policy = resolve_policy(config.dtype_policy)
-        self.workspace = Workspace() if self.policy.use_workspace else None
         self.train_features = self.policy.cast(dataset.features[self.train_vmap])
         self.train_labels = dataset.labels[self.train_vmap]
 
@@ -197,7 +194,6 @@ class GraphSamplingTrainer:
             dropout=config.dropout,
             seed=config.seed,
             dtype=self.policy.dtype,
-            workspace=self.workspace,
         )
         self.loss = make_loss(dataset.task)
         self.optimizer = Adam(lr=config.lr, weight_decay=config.weight_decay)
@@ -233,10 +229,7 @@ class GraphSamplingTrainer:
             with span("trainer.sample") as s_sp:
                 subgraph, samp_time = self.pool.get()
                 propagator = PartitionedPropagator(
-                    subgraph.graph,
-                    cfg.machine,
-                    cores=cfg.cores,
-                    workspace=self.workspace,
+                    subgraph.graph, cfg.machine, cores=cfg.cores
                 )
                 feats = self.train_features[subgraph.vertex_map]
                 labels = self.train_labels[subgraph.vertex_map]

@@ -61,7 +61,7 @@ def _sequence() -> dict:
                 a = rng.standard_normal((6, 3))
                 acc = np.zeros((6, 6))
                 kernel_ops.gemm_accumulate(acc, a, a.T)
-                kernel_ops.gemm_accumulate(acc, a, a.T, scratch=np.empty((6, 6)))
+                kernel_ops.gemm(a, a.T, out=np.empty((6, 6)))
                 kernel_ops.gemm(a, a.T)
                 kernel_ops.gemm(a, a.T)
                 take = np.array([0, 2, 2, 5])

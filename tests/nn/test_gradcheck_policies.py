@@ -4,8 +4,7 @@ One parametrized harness drives :func:`repro.nn.gradcheck.check_gradients`
 over the four trainable layer classes — :class:`GCNLayer`,
 :class:`DenseLayer`, :class:`BipartiteGCNLayer`, :class:`ConvOnlyLayer` —
 under the float64 reference policy (seed-era tolerances) and the float32
-fast policy (relaxed step/tolerance from the policy object itself, and
-workspace-buffered layers where the layer supports it).
+fast policy (relaxed step/tolerance from the policy object itself).
 
 Layers run with identity activation so finite differences never straddle
 a ReLU kink; the scalar loss is ``sum(out * C)`` for a fixed coefficient
@@ -22,7 +21,6 @@ from repro.baselines.blocks import SampledBlock
 from repro.baselines.sage_layers import BipartiteGCNLayer, ConvOnlyLayer
 from repro.graphs import edges_to_csr
 from repro.kernels.policy import FAST, REFERENCE, resolve_policy
-from repro.kernels.workspace import Workspace
 from repro.nn.gradcheck import check_gradients
 from repro.nn.layers import DenseLayer, GCNLayer
 from repro.propagation.spmm import MeanAggregator
@@ -55,15 +53,8 @@ def _small_block(rng: np.random.Generator, *, weighted: bool) -> SampledBlock:
 
 def _make_gcn(policy, rng):
     graph = _small_graph()
-    ws = Workspace() if policy.use_workspace else None
     layer = GCNLayer(
-        4,
-        3,
-        activation="identity",
-        concat=True,
-        rng=rng,
-        dtype=policy.dtype,
-        workspace=ws,
+        4, 3, activation="identity", concat=True, rng=rng, dtype=policy.dtype
     )
     agg = MeanAggregator(graph)
     x = policy.cast(rng.standard_normal((5, 4)))
@@ -71,10 +62,7 @@ def _make_gcn(policy, rng):
 
 
 def _make_dense(policy, rng):
-    ws = Workspace() if policy.use_workspace else None
-    layer = DenseLayer(
-        4, 3, activation="identity", rng=rng, dtype=policy.dtype, workspace=ws
-    )
+    layer = DenseLayer(4, 3, activation="identity", rng=rng, dtype=policy.dtype)
     x = policy.cast(rng.standard_normal((6, 4)))
     return layer, lambda train: layer.forward(x, train=train)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.nn.gradcheck import check_gradients, max_relative_error, numerical_gradient
-from repro.kernels.workspace import Workspace
 from repro.nn.layers import DenseLayer, Dropout, GCNLayer
 from repro.propagation.spmm import MeanAggregator
 
@@ -57,17 +56,16 @@ class TestGCNLayerForward:
         assert np.allclose(out, expected)
 
     @pytest.mark.parametrize("train", [True, False])
-    @pytest.mark.parametrize("arena", [False, True])
+    @pytest.mark.parametrize("again", [False, True])
     @pytest.mark.parametrize("concat", [True, False])
     def test_one_buffer_forward_keeps_the_seed_bits(
-        self, small_setup, rng, concat, arena, train
+        self, small_setup, rng, concat, again, train
     ):
-        # The allocate-per-product forward this layer used to run without
-        # a workspace, written out: the one-buffer path must not move a bit.
+        # The allocate-per-product forward this layer used to run, written
+        # out: the one-buffer path must not move a bit — and with `again`,
+        # a later forward on other input must leave the first output alone.
         _, agg, x = small_setup
-        layer = GCNLayer(
-            6, 4, concat=concat, rng=rng, workspace=Workspace() if arena else None
-        )
+        layer = GCNLayer(6, 4, concat=concat, rng=rng)
         for name in ("b_neigh", "b_self"):
             layer.params[name][...] = rng.standard_normal(4)
         p = layer.params
@@ -77,6 +75,8 @@ class TestGCNLayerForward:
         else:  # the sum is taken before the biases (an ulp from bias-first)
             z = z_neigh + z_self + p["b_neigh"] + p["b_self"]
         out = layer.forward(x, agg, train=train)
+        if again:
+            assert not np.shares_memory(layer.forward(-x, agg, train=train), out)
         assert np.array_equal(out, np.maximum(z, 0.0))
         assert np.array_equal(
             layer.forward(x, agg, train=train, h_agg=agg.forward(x)), out

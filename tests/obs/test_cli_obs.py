@@ -37,22 +37,13 @@ class TestParser:
                 str(tmp_path / "r"),
                 "--history",
                 str(tmp_path / "h"),
-                "--alpha",
-                "0.05",
                 "--noise",
                 "0.2",
-                "--min-samples",
-                "6",
-                "--window",
-                "5",
             ]
         )
         assert args.results == tmp_path / "r"
         assert args.history == tmp_path / "h"
-        assert args.alpha == 0.05
         assert args.noise == 0.2
-        assert args.min_samples == 6
-        assert args.window == 5
 
     def test_slo_knobs(self):
         args = build_parser().parse_args(

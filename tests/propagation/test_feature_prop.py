@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kernels.workspace import Workspace
 from repro.parallel.machine import MachineSpec, xeon_40core
 from repro.propagation.feature_prop import PartitionedPropagator, PropagationReport
 from repro.propagation.spmm import MeanAggregator
@@ -26,23 +25,23 @@ def _chunked(x: np.ndarray, op, q: int) -> np.ndarray:
 class TestEquivalence:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("f", [1, 7, 37, 128])
-    @pytest.mark.parametrize("use_workspace", [False, True])
+    @pytest.mark.parametrize("again", [False, True])
     def test_one_call_is_bitwise_the_chunk_schedule(
-        self, medium_graph, rng, dtype, f, use_workspace
+        self, medium_graph, rng, again, dtype, f
     ):
         x = rng.standard_normal((medium_graph.num_vertices, f)).astype(dtype)
-        prop = PartitionedPropagator(
-            medium_graph,
-            xeon_40core(),
-            cores=8,
-            workspace=Workspace() if use_workspace else None,
-        )
+        prop = PartitionedPropagator(medium_graph, xeon_40core(), cores=8)
         ref = MeanAggregator(medium_graph)
         q = prop.choose_q(f)
         assert q == min(8, f)  # the schedule is still chosen, and priced
-        assert np.array_equal(prop.forward(x), _chunked(x, ref.forward, q))
-        assert np.array_equal(prop.backward(x), _chunked(x, ref.backward, q))
-        assert [r.q for r in prop.reports] == [q, q]
+        fwd, bwd = prop.forward(x), prop.backward(x)
+        if again:  # later calls on other input leave earlier results alone
+            for later in (prop.forward(-x), prop.backward(-x)):
+                assert not np.shares_memory(later, fwd)
+                assert not np.shares_memory(later, bwd)
+        assert np.array_equal(fwd, _chunked(x, ref.forward, q))
+        assert np.array_equal(bwd, _chunked(x, ref.backward, q))
+        assert [r.q for r in prop.reports] == [q] * (4 if again else 2)
 
     def test_forward_matches_unpartitioned(self, medium_graph, rng):
         h = rng.standard_normal((medium_graph.num_vertices, 37))

@@ -180,7 +180,7 @@ class TestReport:
         with GraphSamplingTrainer(reddit_small, cfg) as trainer:
             model = trainer.model
             before = accounting.per_class_snapshot()
-            emb = compute_embeddings(model, reddit_small).copy()  # arena view
+            emb = compute_embeddings(model, reddit_small)
             ran = [
                 key
                 for key, bucket in accounting.per_class_snapshot().items()
@@ -188,5 +188,29 @@ class TestReport:
             ]
             assert ran and not [key for key in ran if "float64" in key]
             assert emb.dtype == np.float32
-            logits = model.head.forward(emb, train=False).copy()
+            logits = model.head.forward(emb, train=False)
             assert np.array_equal(trainer.evaluator.full_logits(model), logits)
+
+
+@pytest.mark.parametrize("dtype_policy", ["reference", "fast"])
+def test_inference_results_are_owned_by_the_caller(reddit_small, dtype_policy):
+    # An embedding or a logits matrix handed out is the caller's array: a
+    # later inference call or training step must not write into it.
+    cfg = TrainConfig(
+        hidden_dims=(8, 8), frontier_size=20, budget=120, epochs=1,
+        dtype_policy=dtype_policy,
+    )
+    with GraphSamplingTrainer(reddit_small, cfg) as trainer:
+        trainer.train()
+        model = trainer.model
+        held = {
+            "embeddings": lambda: compute_embeddings(model, reddit_small),
+            "logits": lambda: trainer.evaluator.full_logits(model),
+        }
+        first = {name: call() for name, call in held.items()}
+        for name, call in held.items():
+            assert not np.shares_memory(call(), first[name]), name
+        copies = {name: result.copy() for name, result in first.items()}
+        trainer.train()
+        for name, result in first.items():
+            assert np.array_equal(result, copies[name]), name
