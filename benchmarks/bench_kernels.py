@@ -18,7 +18,6 @@ from repro.nn.loss import make_loss
 from repro.nn.network import GCN
 from repro.propagation.feature_prop import PartitionedPropagator
 from repro.propagation.spmm import MeanAggregator, spmm_sum_numpy, spmm_sum_scipy
-from repro.parallel.machine import xeon_40core
 from repro.sampling.dashboard import DashboardFrontierSampler
 from repro.sampling.frontier import FrontierSampler
 from repro.baselines.graphsage import sample_supports
@@ -83,7 +82,7 @@ class TestSpmmKernels:
         benchmark(agg.forward, features)
 
     def test_partitioned_propagator_forward(self, benchmark, dataset, features):
-        prop = PartitionedPropagator(dataset.graph, xeon_40core(), cores=40)
+        prop = PartitionedPropagator(dataset.graph)
         benchmark(prop.forward, features)
 
 

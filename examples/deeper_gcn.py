@@ -43,8 +43,14 @@ def main() -> None:
         result = trainer.train()
         metrics = result.iteration_metrics
         batches = trainer.batches_per_epoch
-        t1 = iteration_time(phase_times_per_iteration(metrics, machine, cores=1))
-        t40 = iteration_time(phase_times_per_iteration(metrics, machine, cores=40))
+        t1, t40 = (
+            iteration_time(
+                phase_times_per_iteration(
+                    metrics, machine, cores=c, p_intra=8, instances=c
+                )
+            )
+            for c in (1, 40)
+        )
 
         # Analytic comparison: GraphSAGE's epoch work over ours (Eq. 1
         # based; fanout 10, paper-ratio batch size).

@@ -2,7 +2,8 @@
 
 Runs in ~30 seconds on a laptop. Demonstrates the three-line core API:
 make a dataset, configure training, train — then evaluates on the test
-split and prints the simulated-parallel-time breakdown.
+split and prints the modeled-time breakdown, priced after the run from
+the iteration counters training recorded.
 
 Usage::
 
@@ -11,7 +12,8 @@ Usage::
 
 from __future__ import annotations
 
-from repro import GraphSamplingTrainer, TrainConfig, make_dataset
+from repro import GraphSamplingTrainer, TrainConfig, make_dataset, xeon_40core
+from repro.experiments import iteration_time, phase_times_per_iteration
 
 
 def main() -> None:
@@ -43,10 +45,16 @@ def main() -> None:
     test = trainer.evaluator.evaluate(trainer.model, "test")
     print(f"\ntest F1-micro: {test.f1_micro:.4f}  F1-macro: {test.f1_macro:.4f}")
 
-    breakdown = result.trace.breakdown()
-    print("\nsimulated time breakdown (1 core):")
-    for phase, frac in breakdown.items():
-        print(f"  {phase:<20} {frac:6.1%}")
+    phases = phase_times_per_iteration(
+        result.iteration_metrics,
+        xeon_40core(),
+        cores=1,
+        p_intra=1,
+        instances=trainer.pool.instances,
+    )
+    print("\nmodeled time breakdown (1 core):")
+    for phase, t in phases.items():
+        print(f"  {phase:<20} {t / iteration_time(phases):6.1%}")
 
 
 if __name__ == "__main__":

@@ -43,13 +43,15 @@ def main() -> None:
     result = trainer.train()
     metrics = result.iteration_metrics
 
-    base = phase_times_per_iteration(metrics, machine, cores=1)
+    base = phase_times_per_iteration(metrics, machine, cores=1, p_intra=8, instances=1)
     base_total = sum(base.values())
     print("\nFigure 3 — phase speedups vs cores (hidden dim 512):")
     print(f"{'cores':>5} {'iteration':>10} {'featprop':>9} {'weight':>7} "
           f"{'| sampling%':>11} {'featprop%':>10} {'weight%':>8}")
     for cores in CORES:
-        phases = phase_times_per_iteration(metrics, machine, cores=cores)
+        phases = phase_times_per_iteration(
+            metrics, machine, cores=cores, p_intra=8, instances=cores
+        )
         total = sum(phases.values())
         print(
             f"{cores:>5} {base_total / total:>10.2f} "

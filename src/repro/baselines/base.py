@@ -158,7 +158,6 @@ class MinibatchBaseline:
                     epoch=epoch,
                     train_loss=float(np.mean(losses)),
                     wall_seconds_total=wall_total,
-                    sim_time_total=0.0,
                     val=val,
                 )
             )

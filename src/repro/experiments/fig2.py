@@ -23,6 +23,7 @@ from ..train.config import TrainConfig
 from ..train.trainer import GraphSamplingTrainer, TrainResult
 from .common import EXPERIMENT_SCALES, format_table, paper_budget
 from .modelcosts import batched_gcn_iteration_cost, graphsage_iteration_cost
+from .repricing import cumulative_time
 
 __all__ = ["run", "run_dataset", "format_results", "ACCURACY_SLACK"]
 
@@ -108,7 +109,19 @@ def run_dataset(
     ) as proposed:
         proposed_result = proposed.train()
     curves = {"proposed": _curve(proposed_result)}
-    modeled = {"proposed": _curve(proposed_result, lambda rec: rec.sim_time_total)}
+    # The serial run on the modeled machine: 1 core, scalar sampler, the
+    # pool's sampler instances; an epoch ends after its last iteration.
+    clock = cumulative_time(
+        proposed_result.iteration_metrics,
+        machine,
+        cores=1,
+        p_intra=1,
+        instances=proposed.pool.instances,
+    )
+    per_epoch = proposed.batches_per_epoch
+    modeled = {
+        "proposed": _curve(proposed_result, lambda rec: clock[(rec.epoch + 1) * per_epoch - 1])
+    }
 
     # name -> (trainer class, config, modeled per-iteration cost or None).
     # Every baseline gets the same architecture, batch size, step size and

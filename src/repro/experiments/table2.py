@@ -104,7 +104,9 @@ def run(
             sage_trainer, iterations=iterations, machine=machine, rng=rng
         )
 
-        gs_times = speedup_table(metrics, machine, cores_list=list(cores_list))
+        gs_times = speedup_table(
+            metrics, machine, cores_list=list(cores_list), p_intra=8
+        )
         row: dict[str, object] = {"layers": layers}
         for cores in cores_list:
             t_gs = gs_times[cores]["total"] * gs_batches

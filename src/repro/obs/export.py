@@ -55,7 +55,6 @@ def span_to_dict(sp: Span) -> dict:
         "t_start": sp.t_start,
         "t_end": sp.t_end,
         "duration": sp.duration,
-        "sim_time": sp.sim_time,
         "tid": sp.tid,
         "attrs": _jsonable(sp.attrs),
         "children": [span_to_dict(c) for c in sp.children],
@@ -126,7 +125,7 @@ def to_chrome_trace(roots: list[Span]) -> list[dict]:
                     "dur": sp.duration * 1e6,
                     "pid": 0,
                     "tid": lane(sp.tid),
-                    "args": _jsonable({**sp.attrs, "sim_time": sp.sim_time}),
+                    "args": _jsonable(sp.attrs),
                 }
             )
         for c in sp.children:
@@ -202,7 +201,9 @@ def render_report(doc: dict) -> str:
 
     ``wall_%`` is the phase's share of *self* time (time not inside a
     child span), so the column sums to ~100 without double counting
-    nested spans; ``per_call_ms`` is mean wall time per span.
+    nested spans; ``per_call_ms`` is mean wall time per span. Documents
+    written while spans still carried a modeled clock hold a per-phase
+    modeled-time field too; it is not read.
     """
     phases = doc.get("phases", {})
     if not phases:
@@ -224,7 +225,6 @@ def render_report(doc: dict) -> str:
                     else 0.0
                 ),
                 "per_call_ms": 1e3 * wall / count if count else 0.0,
-                "sim_time": p.get("sim_time", 0.0),
             }
         )
     from ..experiments.common import format_table

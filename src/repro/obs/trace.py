@@ -1,8 +1,9 @@
 """Hierarchical spans: the "where does the time go" half of ``repro.obs``.
 
-A span is one timed region of code with a name, wall-clock start/end, an
-optional *simulated-time* charge (the cost-model clock the paper's scaling
-figures run on), and arbitrary key-value attributes::
+A span is one timed region of code with a name, wall-clock start/end and
+arbitrary key-value attributes (the modeled clock the paper's scaling
+figures run on is not kept on spans: :mod:`repro.experiments.repricing`
+prices a run's counters after it ends)::
 
     from repro import obs
 
@@ -69,7 +70,7 @@ class Span:
     """
 
     __slots__ = (
-        "name", "t_start", "t_end", "sim_time", "attrs", "children",
+        "name", "t_start", "t_end", "attrs", "children",
         "_tracer", "tid",
     )
 
@@ -83,7 +84,6 @@ class Span:
         self.name = name
         self.t_start = t_start
         self.t_end: float | None = None
-        self.sim_time = 0.0
         self.attrs: dict[str, object] = {}
         self.children: list[Span] = []
         self._tracer = tracer
@@ -94,10 +94,6 @@ class Span:
         """Attach attributes (vertex counts, q, batch size, …)."""
         self.attrs.update(attrs)
         return self
-
-    def add_sim_time(self, dt: float) -> None:
-        """Charge ``dt`` cost-model seconds to this span."""
-        self.sim_time += dt
 
     # -- context manager -----------------------------------------------
     def __enter__(self) -> "Span":
@@ -120,10 +116,6 @@ class Span:
         """Duration minus the time spent inside child spans."""
         return self.duration - sum(c.duration for c in self.children)
 
-    def total_sim_time(self) -> float:
-        """Simulated time charged to this span and all descendants."""
-        return self.sim_time + sum(c.total_sim_time() for c in self.children)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Span({self.name!r}, dur={self.duration:.6f}, "
@@ -138,9 +130,6 @@ class _NoopSpan:
 
     def set(self, **attrs: object) -> "_NoopSpan":
         return self
-
-    def add_sim_time(self, dt: float) -> None:
-        pass
 
     def __enter__(self) -> "_NoopSpan":
         return self
@@ -318,7 +307,6 @@ class PhaseStat:
     count: int = 0
     wall_seconds: float = 0.0
     self_seconds: float = 0.0
-    sim_time: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
         """JSON-ready form (all values as floats)."""
@@ -326,7 +314,6 @@ class PhaseStat:
             "count": float(self.count),
             "wall_seconds": self.wall_seconds,
             "self_seconds": self.self_seconds,
-            "sim_time": self.sim_time,
         }
 
 
@@ -347,5 +334,4 @@ def aggregate(spans) -> dict[str, PhaseStat]:
             stat.count += 1
             stat.wall_seconds += sp.duration
             stat.self_seconds += sp.self_seconds
-            stat.sim_time += sp.sim_time
     return out

@@ -1,9 +1,8 @@
-"""Simulated shared-memory machine: spec, cost accounting, traces."""
+"""Simulated shared-memory machine: spec and cost accounting."""
 
 from .costmodel import CostCounter, parallel_time, simulated_time
 from .executor import ParallelRegion, WorkSpanExecutor, static_chunk_makespan
 from .machine import MachineSpec, laptop_4core, xeon_40core
-from .trace import ExecutionTrace, PhaseRecord
 
 __all__ = [
     "MachineSpec",
@@ -15,6 +14,4 @@ __all__ = [
     "static_chunk_makespan",
     "simulated_time",
     "parallel_time",
-    "ExecutionTrace",
-    "PhaseRecord",
 ]

@@ -19,9 +19,10 @@ Seeding is a pure function of ``(seed, submission index)``: submission
 and never *which* one — synchronous, threaded and multi-process runs of
 one seed train on bit-identical subgraph sequences.
 
-Every ``get`` also returns the subgraph's amortized time on the modeled
-clock (:func:`repro.sampling.cost.pool_fill_times`), which is how
-Figures 3 and 4 are regenerated on any host.
+The pool keeps no modeled clock: every subgraph carries its sampler's
+metered ``stats``, and :mod:`repro.experiments.repricing` prices them
+after the run (a fill of :attr:`SubgraphPool.instances` sampler
+instances, :func:`repro.sampling.cost.pool_fill_times`).
 
 Observability while subgraphs are in flight (``pipeline.`` prefix,
 emitted only when :mod:`repro.obs` is enabled):
@@ -54,9 +55,7 @@ from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
 from ..obs.flight import flight_event
 from ..obs.trace import span
-from ..parallel.machine import MachineSpec
 from .base import GraphSampler, SampledSubgraph
-from .cost import pool_fill_times
 
 __all__ = ["PrefetchStats", "SubgraphPool"]
 
@@ -115,21 +114,16 @@ class SubgraphPool:
     sampler:
         Any :class:`GraphSampler`; shipped to worker processes once at
         pool start.
-    machine:
-        Cost-model platform for the modeled clock.
     depth:
         Subgraphs kept in flight ahead of the consumer; 0 samples inline
         inside :meth:`get`.
     workers:
         Concurrent sampler instances. At most ``depth`` submissions are
-        ever in flight, so the effective count — executor size and the
-        modeled contention factor alike — is :attr:`instances` =
-        ``min(workers, max(depth, 1))``: one background thread at 1
-        (in-process sampler, zero pickling), a persistent
-        :class:`ProcessPoolExecutor` above.
-    p_intra:
-        Intra-instance vector parallelism on the modeled clock (AVX
-        lanes; 1 = scalar).
+        ever in flight, so the effective count — executor size, and the
+        instance count the pricer charges contention for — is
+        :attr:`instances` = ``min(workers, max(depth, 1))``: one
+        background thread at 1 (in-process sampler, zero pickling), a
+        persistent :class:`ProcessPoolExecutor` above.
     seed:
         Root of the deterministic per-submission seed stream.
 
@@ -140,24 +134,18 @@ class SubgraphPool:
     def __init__(
         self,
         sampler: GraphSampler,
-        machine: MachineSpec,
         *,
         depth: int = 0,
         workers: int = 1,
-        p_intra: int = 1,
         seed: int = 0,
     ) -> None:
         if depth < 0:
             raise ValueError("depth must be >= 0")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if p_intra < 1:
-            raise ValueError("p_intra must be >= 1")
         self.sampler = sampler
-        self.machine = machine
         self.depth = depth
         self.instances = min(workers, max(depth, 1))
-        self.p_intra = p_intra
         self.stats = PrefetchStats()
         self._seed = seed
         self._next = 0  # index of the next submission
@@ -215,13 +203,8 @@ class SubgraphPool:
         """Finished (not yet consumed) subgraphs currently in flight."""
         return sum(1 for s in self._slots if s.future.done())
 
-    def get(self) -> tuple[SampledSubgraph, float]:
-        """Take submission ``i``; returns ``(subgraph, amortized_sim_time)``.
-
-        The amortized time is the modeled per-subgraph cost of
-        :attr:`instances` sampler instances refilling together — the
-        per-iteration sampling time a training loop observes.
-        """
+    def get(self) -> SampledSubgraph:
+        """Take submission ``i`` (sampled inline at ``depth=0``)."""
         if self._closed:
             raise RuntimeError("pool is closed")
         with span("sampler.pool.get") as sp:
@@ -229,17 +212,9 @@ class SubgraphPool:
                 sub = self._sample(self._next_entropy())
             else:
                 sub = self._take()
-            (makespan,) = pool_fill_times(
-                [sub.stats],
-                self.machine,
-                instances=self.instances,
-                p_intra=self.p_intra,
-            )
-            amortized = makespan / self.instances
             if obs_enabled():
                 sp.set(vertices=sub.num_vertices)
-                sp.add_sim_time(amortized)
-        return sub, amortized
+        return sub
 
     def _take(self) -> SampledSubgraph:
         """Take the oldest in-flight subgraph, blocking until it is done.

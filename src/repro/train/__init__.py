@@ -10,15 +10,7 @@ from .embedding import (
     normalize_embeddings,
 )
 from .evaluation import EvalResult, Evaluator
-from .trainer import (
-    PHASE_FEATURE_PROP,
-    PHASE_SAMPLING,
-    PHASE_WEIGHT_APP,
-    EpochRecord,
-    GraphSamplingTrainer,
-    IterationMetrics,
-    TrainResult,
-)
+from .trainer import EpochRecord, GraphSamplingTrainer, IterationMetrics, TrainResult
 
 __all__ = [
     "TrainConfig",
@@ -36,7 +28,4 @@ __all__ = [
     "TrainResult",
     "EpochRecord",
     "IterationMetrics",
-    "PHASE_SAMPLING",
-    "PHASE_FEATURE_PROP",
-    "PHASE_WEIGHT_APP",
 ]

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..kernels.policy import resolve_policy
-from ..parallel.machine import MachineSpec, xeon_40core
 from ..sampling.dashboard import ENGINES
 from ..sampling.zoo import FAMILIES
 
@@ -29,12 +28,6 @@ class TrainConfig:
     frontier_size, budget, eta, max_entries_per_vertex:
         Frontier-sampler parameters (``m``, ``n``, enlargement factor and
         the skew cap of Section VI-C2).
-    p_intra:
-        AVX lanes per sampler instance on the modeled clock (Section
-        IV-C; the paper's platform runs 40 instances x 8 lanes). The
-        number of concurrent instances is ``prefetch_workers``.
-    cores:
-        Worker count used for training-phase cost simulation.
     dtype_policy:
         Kernel dtype policy name (see :mod:`repro.kernels.policy`):
         ``"reference"`` (float64, bit-identical to the seed
@@ -94,8 +87,6 @@ class TrainConfig:
     # When True, the model is restored to the weights of its best
     # validation evaluation at the end of train().
     restore_best: bool = False
-    p_intra: int = 1
-    cores: int = 1
     seed: int = 0
     dtype_policy: str = "reference"
     sampler_engine: str = "fast"
@@ -105,7 +96,6 @@ class TrainConfig:
     norm_subgraphs: int = 24
     prefetch_depth: int = 0
     prefetch_workers: int = 1
-    machine: MachineSpec = field(default_factory=xeon_40core)
 
     def __post_init__(self) -> None:
         if not self.hidden_dims:
@@ -114,8 +104,6 @@ class TrainConfig:
             raise ValueError("invalid sampler sizes")
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
-        if min(self.p_intra, self.cores) <= 0:
-            raise ValueError("parallelism parameters must be positive")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1 when set")
         if self.prefetch_depth < 0:

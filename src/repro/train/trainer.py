@@ -7,15 +7,14 @@ the paper, training restricts to the training graph — the subgraph sampler
 never sees validation or test vertices — while evaluation runs a
 full-graph forward pass with the shared weights.
 
-Timing is tracked on two clocks:
-
-* **wall seconds** — real measured Python time, used by the Figure 2
-  time-accuracy comparison (every method in this repo runs in the same
-  numpy framework, so wall-clock ratios are meaningful);
-* **simulated time** — the cost-model clock: sampling from the pool's
-  modeled fill price, feature propagation from the partitioned
-  propagator's reports, and weight application from the GEMM flop count
-  under the MKL-like Amdahl model. These regenerate Figures 3 and 4.
+Training keeps one clock, **wall seconds** — real measured Python time,
+used by the Figure 2 time-accuracy comparison (every method in this repo
+runs in the same numpy framework, so wall-clock ratios are meaningful).
+The modeled clock is not kept here: each iteration records its counters
+(:class:`IterationMetrics`: the sampler's operation stats, one
+propagation report per pass and the GEMM flop count), and
+:mod:`repro.experiments.repricing` prices them after the run at whatever
+core count, lane width and sampler-instance count a figure asks for.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis.speedup import gemm_simulated_time
 from ..graphs.datasets import Dataset, training_view
 from ..kernels import accounting
 from ..kernels.policy import resolve_policy
@@ -35,7 +33,6 @@ from ..obs.trace import span
 from ..nn.loss import make_loss
 from ..nn.network import GCN
 from ..nn.optim import Adam
-from ..parallel.trace import ExecutionTrace
 from ..propagation.feature_prop import PartitionedPropagator
 from ..sampling.zoo import make_sampler, norm_coefficients
 from ..sampling.scheduler import SubgraphPool
@@ -43,10 +40,6 @@ from .config import TrainConfig
 from .evaluation import EvalResult, Evaluator
 
 __all__ = ["EpochRecord", "TrainResult", "GraphSamplingTrainer"]
-
-PHASE_SAMPLING = "sampling"
-PHASE_FEATURE_PROP = "feature_propagation"
-PHASE_WEIGHT_APP = "weight_application"
 
 
 @dataclass(frozen=True)
@@ -56,7 +49,6 @@ class EpochRecord:
     epoch: int
     train_loss: float
     wall_seconds_total: float
-    sim_time_total: float
     val: EvalResult | None
 
 
@@ -64,11 +56,12 @@ class EpochRecord:
 class IterationMetrics:
     """Raw metered quantities of one training iteration.
 
-    Stored so scaling experiments can *re-price* a single training run at
-    any core count / lane width without re-running it: sampler stats feed
-    :func:`repro.sampling.cost.simulated_sampler_time`, propagation
-    reports re-evaluate at any core count, and the GEMM flop count re-
-    evaluates under the Amdahl model.
+    The only record of an iteration's cost: :mod:`repro.experiments.repricing`
+    prices a run from these at any core count / lane width without
+    re-running it — sampler stats through
+    :func:`repro.sampling.cost.pool_fill_times`, propagation reports under
+    Theorem 2's partition count for the cores priced, and the GEMM flop
+    count under the Amdahl model.
     """
 
     sampler_stats: dict[str, float]
@@ -84,7 +77,6 @@ class TrainResult:
     """Everything a training run produced."""
 
     epochs: list[EpochRecord] = field(default_factory=list)
-    trace: ExecutionTrace = field(default_factory=ExecutionTrace)
     iterations: int = 0
     iteration_metrics: list[IterationMetrics] = field(default_factory=list)
 
@@ -101,10 +93,6 @@ class TrainResult:
             if rec.val is not None and rec.val.f1_micro >= threshold:
                 return rec.wall_seconds_total
         return None
-
-    def sim_time_by_phase(self) -> dict[str, float]:
-        """Summed simulated time per training phase."""
-        return self.trace.totals_by_phase()
 
 
 class GraphSamplingTrainer:
@@ -158,7 +146,6 @@ class GraphSamplingTrainer:
                 engine=config.sampler_engine,
                 eta=config.eta,
                 max_entries_per_vertex=config.max_entries_per_vertex,
-                vector_lanes=config.machine.vector_lanes,
                 walk_depth=config.walk_depth,
             )
         # GraphSAINT loss normalization: per-vertex weights 1/(n p_v)
@@ -180,10 +167,8 @@ class GraphSamplingTrainer:
         # a function of the seed alone.
         self.pool = SubgraphPool(
             self.sampler,
-            config.machine,
             depth=config.prefetch_depth,
             workers=config.prefetch_workers,
-            p_intra=config.p_intra,
             seed=config.seed,
         )
         self.model = GCN(
@@ -224,13 +209,10 @@ class GraphSamplingTrainer:
         ``prop.forward``/``prop.backward`` spans of the partitioned
         propagator nest under forward/backward.
         """
-        cfg = self.config
         with span("trainer.iteration") as it_sp:
-            with span("trainer.sample") as s_sp:
-                subgraph, samp_time = self.pool.get()
-                propagator = PartitionedPropagator(
-                    subgraph.graph, cfg.machine, cores=cfg.cores
-                )
+            with span("trainer.sample"):
+                subgraph = self.pool.get()
+                propagator = PartitionedPropagator(subgraph.graph)
                 feats = self.train_features[subgraph.vertex_map]
                 labels = self.train_labels[subgraph.vertex_map]
                 loss_w = (
@@ -238,10 +220,9 @@ class GraphSamplingTrainer:
                     if self._loss_weights is not None
                     else None
                 )
-            result.trace.record(PHASE_SAMPLING, samp_time, iteration)
 
             # Meter the iteration's actual kernel dispatches; the captured
-            # gemm flop count prices the weight-application phase below:
+            # gemm flop count is what weight application is priced from:
             # 3x the forward count minus the first layer's two input-
             # gradient products, which backward does not run.
             with accounting.capture() as kernel_costs:
@@ -254,27 +235,17 @@ class GraphSamplingTrainer:
                     )
                     self.optimizer.step(self.model.parameter_groups())
 
-            gemm_flops = kernel_costs.gemm_flops
-            gemm_sim = gemm_simulated_time(gemm_flops, cfg.machine, cores=cfg.cores)
-            result.trace.record(
-                PHASE_FEATURE_PROP,
-                propagator.total_simulated_time(cores=cfg.cores),
-                iteration,
-            )
-            result.trace.record(PHASE_WEIGHT_APP, gemm_sim, iteration)
             result.iteration_metrics.append(
                 IterationMetrics(
                     sampler_stats=dict(subgraph.stats),
                     prop_reports=tuple(propagator.reports),
-                    gemm_flops=gemm_flops,
+                    gemm_flops=kernel_costs.gemm_flops,
                     subgraph_vertices=subgraph.num_vertices,
                     subgraph_edges=subgraph.graph.num_edges,
                     spmm_flops=kernel_costs.spmm_flops,
                 )
             )
             if obs_enabled():
-                s_sp.add_sim_time(samp_time)
-                it_sp.add_sim_time(gemm_sim)
                 it_sp.set(
                     iteration=iteration,
                     vertices=subgraph.num_vertices,
@@ -290,7 +261,8 @@ class GraphSamplingTrainer:
         return batch_loss
 
     def train(self, *, epochs: int | None = None) -> TrainResult:
-        """Run full training; returns per-epoch records and the time trace."""
+        """Run full training; returns per-epoch records and the iteration
+        counters the modeled clock is priced from."""
         cfg = self.config
         total_epochs = epochs if epochs is not None else cfg.epochs
         result = TrainResult()
@@ -324,7 +296,6 @@ class GraphSamplingTrainer:
                     epoch=epoch,
                     train_loss=float(np.mean(losses)),
                     wall_seconds_total=wall_total,
-                    sim_time_total=result.trace.total(),
                     val=val,
                 )
             )

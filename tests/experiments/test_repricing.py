@@ -28,34 +28,40 @@ def metrics(reddit_small):
 
 class TestPhaseTimes:
     def test_all_phases_positive(self, metrics):
-        phases = phase_times_per_iteration(metrics, xeon_40core(), cores=1)
+        phases = phase_times_per_iteration(
+            metrics, xeon_40core(), cores=1, p_intra=8, instances=1
+        )
         assert set(phases) == {"sampling", "feature_propagation", "weight_application"}
         assert all(v > 0 for v in phases.values())
 
     def test_more_cores_never_slower(self, metrics):
         m = xeon_40core()
         totals = [
-            iteration_time(phase_times_per_iteration(metrics, m, cores=c))
+            iteration_time(
+                phase_times_per_iteration(metrics, m, cores=c, p_intra=8, instances=c)
+            )
             for c in (1, 5, 10, 20, 40)
         ]
         assert all(b < a for a, b in zip(totals, totals[1:]))
 
     def test_validation(self, metrics):
         with pytest.raises(ValueError):
-            phase_times_per_iteration([], xeon_40core(), cores=1)
+            phase_times_per_iteration([], xeon_40core(), cores=1, p_intra=8, instances=1)
         with pytest.raises(ValueError):
-            phase_times_per_iteration(metrics, xeon_40core(), cores=0)
+            phase_times_per_iteration(
+                metrics, xeon_40core(), cores=0, p_intra=8, instances=1
+            )
 
 
 class TestSpeedupTable:
     def test_structure(self, metrics):
-        table = speedup_table(metrics, xeon_40core(), cores_list=[1, 10, 40])
+        table = speedup_table(metrics, xeon_40core(), cores_list=[1, 10, 40], p_intra=8)
         assert set(table) == {1, 10, 40}
         assert table[1]["speedup"] == pytest.approx(1.0)
         assert table[40]["speedup"] > table[10]["speedup"] > 1.0
 
     def test_total_is_sum_of_phases(self, metrics):
-        table = speedup_table(metrics, xeon_40core(), cores_list=[10])
+        table = speedup_table(metrics, xeon_40core(), cores_list=[10], p_intra=8)
         entry = table[10]
         assert entry["total"] == pytest.approx(
             entry["sampling"]

@@ -55,7 +55,6 @@ def test_traced_entry_point_resolves(module, path, span_name):
 def test_one_pool_get_is_one_span_under_both_target_names(medium_graph):
     # Two TARGETS rows name the one pool class, so install() wraps its
     # get twice; the inner wrapper sees the name open and calls through.
-    from repro.parallel.machine import MachineSpec
     from repro.sampling.pipeline import PrefetchingSubgraphPool
     from repro.sampling.scheduler import SubgraphPool
     from repro.sampling.zoo import make_sampler
@@ -65,7 +64,7 @@ def test_one_pool_get_is_one_span_under_both_target_names(medium_graph):
     recorder = _tracing().Recorder(enabled=True)
     recorder.install()
     try:
-        pool = SubgraphPool(make_sampler("rw", medium_graph, budget=60), MachineSpec())
+        pool = SubgraphPool(make_sampler("rw", medium_graph, budget=60))
         with recorder.stage("train") as timing:
             pool.get()
     finally:

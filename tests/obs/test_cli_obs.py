@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -192,6 +193,24 @@ class TestObsReportErrors:
         with pytest.raises(SystemExit) as exc:
             main(["obs-report"])
         assert exc.value.code == 2
+
+    def test_stale_document_with_modeled_times_renders(self, capsys):
+        """A document exported while spans still carried a modeled clock
+        (its phases hold ``sim_time``) renders without error, and without
+        that column: modeled time is priced after the run, not on spans."""
+        path = (
+            pathlib.Path(__file__).resolve().parents[2]
+            / "benchmarks" / "results" / "OBS_fig3_scaling_h512.json"
+        )
+        phases = json.loads(path.read_text())["phases"]
+        assert any(p.get("sim_time") for p in phases.values())  # still stale
+        assert main(["obs-report", "--trace", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("phase "))
+        assert [c.strip() for c in header.split(" | ")] == [
+            "phase", "count", "wall_s", "self_s", "wall_%", "per_call_ms",
+        ]
+        assert any(line.startswith("prop.forward") for line in lines)
 
 
 class TestBenchGateFlow:

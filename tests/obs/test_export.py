@@ -23,8 +23,7 @@ from .conftest import FakeClock
 
 def _small_trace() -> Tracer:
     tr = Tracer(clock=FakeClock(step=1.0))
-    with tr.span("iter", n=10) as it:
-        it.add_sim_time(7.0)
+    with tr.span("iter", n=10):
         with tr.span("work"):
             pass
     return tr
@@ -36,7 +35,6 @@ class TestSpanToDict:
         d = span_to_dict(tr.roots[0])
         assert d["name"] == "iter"
         assert d["duration"] == 3.0
-        assert d["sim_time"] == 7.0
         assert d["attrs"] == {"n": 10}
         assert [c["name"] for c in d["children"]] == ["work"]
 
@@ -57,7 +55,7 @@ class TestTraceDocument:
         doc = trace_document("demo", tr, reg)
         assert doc["obs"] == "demo"
         assert set(doc["phases"]) == {"iter", "work"}
-        assert doc["phases"]["iter"]["sim_time"] == 7.0
+        assert set(doc["phases"]["iter"]) == {"count", "wall_seconds", "self_seconds"}
         assert doc["metrics"]["counters"] == {"ops": 4.0}
         assert [s["name"] for s in doc["spans"]] == ["iter"]
 
@@ -73,7 +71,7 @@ class TestChromeTrace:
         assert iter_ev["dur"] == 3.0 * 1e6
         assert work_ev["ts"] == 1.0 * 1e6
         assert work_ev["dur"] == 1.0 * 1e6
-        assert iter_ev["args"]["sim_time"] == 7.0
+        assert iter_ev["args"] == {"n": 10}
 
     def test_open_spans_skipped_and_empty_ok(self):
         assert to_chrome_trace([]) == []

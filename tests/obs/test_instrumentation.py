@@ -80,14 +80,13 @@ class TestTrainerSpans:
                 if sp.name == prop
             ]
             assert nested, f"no {prop} spans under {phase}"
-            assert all(sp.sim_time > 0 for sp in nested)
+            assert all(sp.attrs["n"] > 0 and sp.attrs["f"] > 0 for sp in nested)
 
-    def test_iteration_attrs_and_sim_time(self, traced_run):
+    def test_iteration_attrs(self, traced_run):
         _, roots, _ = traced_run
         for it in _named(roots, "trainer.iteration"):
             assert it.attrs["vertices"] > 0
             assert it.attrs["edges"] > 0
-            assert it.total_sim_time() > 0
 
     def test_eval_spans_inside_epochs(self, traced_run):
         _, roots, _ = traced_run

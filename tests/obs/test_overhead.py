@@ -21,7 +21,6 @@ class TestDisabledPath:
     def test_noop_span_absorbs_the_full_protocol(self):
         with span("anything") as sp:
             assert sp.set(a=1, b=2) is sp
-            sp.add_sim_time(123.0)
         assert obs.get_tracer().roots == []
 
     def test_disabled_calls_allocate_nothing(self):

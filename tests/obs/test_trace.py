@@ -116,17 +116,6 @@ class TestClockAndTimes:
 
         assert run() == run()
 
-    def test_sim_time_accumulates_and_totals(self, fake_clock):
-        tr = Tracer(clock=fake_clock)
-        with tr.span("outer") as outer:
-            outer.add_sim_time(2.0)
-            with tr.span("inner") as inner:
-                inner.add_sim_time(3.0)
-                inner.add_sim_time(1.0)
-        assert outer.sim_time == 2.0
-        assert inner.sim_time == 4.0
-        assert outer.total_sim_time() == 6.0
-
     def test_open_span_duration_zero(self, fake_clock):
         tr = Tracer(clock=fake_clock)
         sp = tr.span("open")
@@ -284,8 +273,7 @@ class TestAggregate:
     def test_aggregate_groups_by_name(self):
         tr = Tracer(clock=FakeClock(step=1.0))
         for _ in range(3):
-            with tr.span("iter") as it:
-                it.add_sim_time(5.0)
+            with tr.span("iter"):
                 with tr.span("work"):
                     pass
         stats = aggregate(tr.roots)
@@ -295,5 +283,4 @@ class TestAggregate:
         assert stats["iter"].wall_seconds == pytest.approx(9.0)
         assert stats["work"].wall_seconds == pytest.approx(3.0)
         assert stats["iter"].self_seconds == pytest.approx(6.0)
-        assert stats["iter"].sim_time == pytest.approx(15.0)
         assert stats["iter"].as_dict()["count"] == 3.0

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.parallel.machine import MachineSpec
 from repro.sampling.base import GraphSampler
 from repro.sampling.dashboard import DashboardFrontierSampler
 from repro.sampling.scheduler import SubgraphPool
@@ -18,10 +17,8 @@ def sampler(medium_graph):
 
 def _batch(sampler, count, *, workers, seed=0):
     depth = 0 if workers == 1 else workers
-    with SubgraphPool(
-        sampler, MachineSpec(), depth=depth, workers=workers, seed=seed
-    ) as pool:
-        return [pool.get()[0] for _ in range(count)]
+    with SubgraphPool(sampler, depth=depth, workers=workers, seed=seed) as pool:
+        return [pool.get() for _ in range(count)]
 
 
 class TestSampleBatchParallel:
@@ -48,9 +45,9 @@ class TestSampleBatchParallel:
 
     def test_validation(self, sampler):
         with pytest.raises(ValueError):
-            SubgraphPool(sampler, MachineSpec(), depth=-1)
+            SubgraphPool(sampler, depth=-1)
         with pytest.raises(ValueError):
-            SubgraphPool(sampler, MachineSpec(), depth=1, workers=0)
+            SubgraphPool(sampler, depth=1, workers=0)
 
     def test_zero_count(self, medium_graph):
         """An inline pool that is never asked never samples."""
@@ -64,22 +61,20 @@ class TestSampleBatchParallel:
 
 class TestParallelSamplerPool:
     def test_context_manager_batches(self, sampler):
-        with SubgraphPool(
-            sampler, MachineSpec(), depth=2, workers=2, seed=0
-        ) as pool:
-            first = [pool.get()[0] for _ in range(2)]
-            second = [pool.get()[0] for _ in range(2)]
+        with SubgraphPool(sampler, depth=2, workers=2, seed=0) as pool:
+            first = [pool.get() for _ in range(2)]
+            second = [pool.get() for _ in range(2)]
         # Later takes continue the seed stream (no repeats).
         assert not np.array_equal(first[0].vertex_map, second[0].vertex_map)
         with pytest.raises(RuntimeError, match="closed"):
             pool.get()
 
     def test_single_worker_inline(self, sampler):
-        pool = SubgraphPool(sampler, MachineSpec(), depth=0, workers=4, seed=0)
+        pool = SubgraphPool(sampler, depth=0, workers=4, seed=0)
         assert pool._executor is None
         assert len([pool.get() for _ in range(3)]) == 3
 
     def test_close_idempotent(self, sampler):
-        pool = SubgraphPool(sampler, MachineSpec(), depth=2, workers=2, seed=0)
+        pool = SubgraphPool(sampler, depth=2, workers=2, seed=0)
         pool.close()
         pool.close()

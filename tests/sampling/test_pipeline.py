@@ -11,8 +11,7 @@ import pytest
 
 from repro import obs
 from repro.obs.trace import walk
-from repro.parallel.machine import MachineSpec
-from repro.sampling.base import GraphSampler
+from repro.sampling.base import GraphSampler, SampledSubgraph
 from repro.sampling.dashboard import DashboardFrontierSampler
 from repro.sampling.pipeline import PrefetchingSubgraphPool
 from repro.sampling.scheduler import PrefetchStats, SubgraphPool
@@ -21,11 +20,11 @@ from repro.train.trainer import GraphSamplingTrainer
 
 
 def _pool(sampler, **kwargs) -> SubgraphPool:
-    return SubgraphPool(sampler, MachineSpec(), **kwargs)
+    return SubgraphPool(sampler, **kwargs)
 
 
 def _vertex_maps(pool: SubgraphPool, n: int) -> list[np.ndarray]:
-    return [pool.get()[0].vertex_map for _ in range(n)]
+    return [pool.get().vertex_map for _ in range(n)]
 
 
 @pytest.fixture
@@ -184,27 +183,30 @@ class TestPrefetchingSubgraphPool:
     def test_pool_contract(self, sampler):
         assert PrefetchingSubgraphPool is SubgraphPool
         with _pool(sampler, depth=2, seed=3) as pool:
-            sub, sim = pool.get()
-            assert sub.num_vertices > 0
-            assert isinstance(sim, float) and sim > 0.0
+            sub = pool.get()
+            assert isinstance(sub, SampledSubgraph) and sub.num_vertices > 0
             assert pool.stats.gets == 1
 
     def test_amortized_cost_matches_scheduler_pricing(self, sampler):
-        """One sampler instance: the amortized time is the subgraph's own
-        uncontended metered cost, in flight or inline."""
-        from repro.sampling.cost import simulated_sampler_time
+        """One sampler instance: the pricer charges a pool's subgraph its
+        own uncontended metered cost, in flight or inline."""
+        from repro.parallel.machine import MachineSpec
+        from repro.sampling.cost import pool_fill_times, simulated_sampler_time
 
         machine = MachineSpec()
         for depth in (0, 1):
             with _pool(sampler, depth=depth, seed=9) as pool:
-                sub, sim = pool.get()
-            assert sim == simulated_sampler_time(
+                sub = pool.get()
+            (makespan,) = pool_fill_times(
+                [sub.stats], machine, instances=pool.instances, p_intra=1
+            )
+            assert makespan / pool.instances == simulated_sampler_time(
                 sub.stats, machine, p_intra=1, contention_factor=1.0
             )
 
     def test_validation(self, sampler):
-        with pytest.raises(ValueError, match="p_intra"):
-            _pool(sampler, depth=1, p_intra=0)
+        with pytest.raises(ValueError, match="workers"):
+            _pool(sampler, depth=1, workers=0)
 
     def test_instances_bounded_by_depth(self, sampler):
         """At most depth submissions are in flight, so that many sampler
@@ -253,7 +255,7 @@ class TestWorkerFailure:
             # The failed submission was replaced: the window is whole and
             # the next get is submission 3, not an empty-deque IndexError.
             assert len(pool._slots) == depth
-            sub, _ = pool.get()
+            sub = pool.get()
             assert sub.num_vertices == 1
         assert _no_prefetch_threads()
 
@@ -264,7 +266,7 @@ class TestWorkerFailure:
             pool.get()
             with pytest.raises(KeyError, match="sampler blew up"):
                 pool.get()
-            sub, _ = pool.get()
+            sub = pool.get()
             assert sub.num_vertices == 1
             workers = list(pool._executor._processes.values())
             assert workers and all(w.is_alive() for w in workers)

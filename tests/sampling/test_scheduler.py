@@ -1,5 +1,6 @@
 """The subgraph pool (Algorithm 5): one seed stream whatever the execution
-mode, and the one modeled price of a pool fill."""
+mode, and the one modeled price of a pool fill (applied after the run:
+the pool itself returns subgraphs and their counters only)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.experiments.repricing import iteration_phase_times
 from repro.parallel.machine import MachineSpec, xeon_40core
 from repro.sampling.cost import pool_fill_times
 from repro.sampling.dashboard import DashboardFrontierSampler
@@ -19,7 +21,8 @@ from repro.sampling.zoo import FAMILIES, make_sampler
 
 # Generated at the parent of the one-pool change (commit 1294a97):
 # ``PoolFill.simulated_makespan`` of the old batch-refilling pool and
-# digests of the old ``PrefetchingSubgraphPool`` stream.
+# digests of the old ``PrefetchingSubgraphPool`` stream, whose modeled
+# times the tests below now price from each subgraph's stats.
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "pool_golden.json").read_text()
 )
@@ -36,6 +39,13 @@ def eight_stats(sampler):
     return [sampler.sample(rng).stats for _ in range(8)]
 
 
+def _priced(sub, instances: int) -> float:
+    """The share of a fill the pool used to return beside each subgraph:
+    ``instances`` scalar sampler instances on the default machine."""
+    (makespan,) = pool_fill_times([sub.stats], MachineSpec(), instances=instances)
+    return makespan / instances
+
+
 def _digest(pairs) -> str:
     h = hashlib.sha256()
     for sub, sim in pairs:
@@ -47,16 +57,16 @@ def _digest(pairs) -> str:
 
 class TestPool:
     def test_validation(self, sampler):
-        for bad in ({"depth": -1}, {"workers": 0}, {"p_intra": 0}):
+        for bad in ({"depth": -1}, {"workers": 0}):
             with pytest.raises(ValueError):
-                SubgraphPool(sampler, xeon_40core(), **bad)
+                SubgraphPool(sampler, **bad)
 
     def test_get_refills_when_empty(self, sampler):
         """Taking a subgraph empties a slot and get() fills it again."""
-        with SubgraphPool(sampler, xeon_40core(), depth=4, seed=0) as pool:
+        with SubgraphPool(sampler, depth=4, seed=0) as pool:
             assert len(pool._slots) == 4
-            sub, t = pool.get()
-            assert sub.num_vertices > 0 and t > 0
+            sub = pool.get()
+            assert sub.num_vertices > 0
             assert len(pool._slots) == 4
             assert pool.stats.submitted == 5
 
@@ -64,7 +74,7 @@ class TestPool:
         """The pool never runs further ahead than depth: k gets cost
         exactly k submissions beyond the initial window."""
         for depth in (0, 3):
-            with SubgraphPool(sampler, xeon_40core(), depth=depth, seed=0) as pool:
+            with SubgraphPool(sampler, depth=depth, seed=0) as pool:
                 for k in range(1, 5):
                     pool.get()
                     assert pool._next == depth + k
@@ -72,21 +82,30 @@ class TestPool:
     def test_depth_zero_samples_inline(self, sampler):
         """Nothing is sampled before it is asked for, no executor exists,
         and the in-flight telemetry stays all zero."""
-        pool = SubgraphPool(sampler, xeon_40core(), seed=3)
+        pool = SubgraphPool(sampler, seed=3)
         assert pool._executor is None and pool._next == 0
-        sub, t = pool.get()
-        assert sub.num_vertices > 0 and t > 0
+        sub = pool.get()
+        assert sub.num_vertices > 0
         assert pool._next == 1
         assert pool.stats == PrefetchStats()
 
     def test_amortized_time_is_makespan_fraction(self, sampler, eight_stats):
         """A fill's makespan is shared by the subgraphs it produced; the
-        pool reports exactly that share."""
+        pricer charges a pool's subgraph exactly that share."""
+        from repro.train.trainer import IterationMetrics
+
         machine = xeon_40core()
         (makespan,) = pool_fill_times(eight_stats, machine, instances=8)
         assert max(pool_fill_times(eight_stats, machine, instances=1)) < makespan
-        with SubgraphPool(sampler, machine, depth=2, workers=2, seed=1) as pool:
-            sub, t = pool.get()
+        with SubgraphPool(sampler, depth=2, workers=2, seed=1) as pool:
+            sub = pool.get()
+        metrics = IterationMetrics(
+            sampler_stats=sub.stats, prop_reports=(), gemm_flops=0.0,
+            subgraph_vertices=sub.num_vertices, subgraph_edges=sub.graph.num_edges,
+        )
+        ((t, _, _),) = iteration_phase_times(
+            [metrics], machine, cores=1, p_intra=1, instances=pool.instances
+        )
         (pair,) = pool_fill_times([sub.stats], machine, instances=2)
         assert t == pair / 2
 
@@ -105,10 +124,10 @@ class TestPool:
         assert vector < scalar
 
     def test_unmetered_sampler_uses_fallback_cost(self, medium_graph):
-        pool = SubgraphPool(RandomNodeSampler(medium_graph, budget=50), xeon_40core())
-        sub, t = pool.get()
+        pool = SubgraphPool(RandomNodeSampler(medium_graph, budget=50))
+        sub = pool.get()
         assert sub.num_vertices == 50
-        assert t == 50.0
+        assert pool_fill_times([sub.stats], xeon_40core(), instances=1) == [50.0]
 
     @pytest.mark.parametrize("key", sorted(GOLDEN["fill_makespans_hex"]))
     def test_fill_price_pinned(self, eight_stats, key):
@@ -141,10 +160,8 @@ class TestExecutionModeInvariance:
         runs = []
         for depth, workers in self.MODES:
             sampler = make_sampler(family, medium_graph, budget=100)
-            with SubgraphPool(
-                sampler, MachineSpec(), depth=depth, workers=workers, seed=5
-            ) as pool:
-                runs.append([pool.get()[0] for _ in range(12)])
+            with SubgraphPool(sampler, depth=depth, workers=workers, seed=5) as pool:
+                runs.append([pool.get() for _ in range(12)])
         for run in runs[1:]:
             for a, b in zip(runs[0], run):
                 assert np.array_equal(a.vertex_map, b.vertex_map)
@@ -157,8 +174,7 @@ class TestExecutionModeInvariance:
         (subgraphs, stats and modeled times), and depth 0 now shares it."""
         family, seed = key.split("/")
         sampler = make_sampler(family, medium_graph, budget=100)
-        with SubgraphPool(
-            sampler, MachineSpec(), depth=depth, seed=int(seed)
-        ) as pool:
-            got = _digest([pool.get() for _ in range(12)])
+        with SubgraphPool(sampler, depth=depth, seed=int(seed)) as pool:
+            subs = [pool.get() for _ in range(12)]
+        got = _digest([(sub, _priced(sub, pool.instances)) for sub in subs])
         assert got == GOLDEN["prefetch_stream_sha256"][key]

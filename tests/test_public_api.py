@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import repro
 
@@ -31,11 +32,20 @@ class TestPublicAPI:
         )
         result = trainer.train()
         assert np.isfinite(result.final_val_f1)
-        assert set(result.trace.breakdown()) == {
+
+        from repro import xeon_40core
+        from repro.experiments import iteration_time, phase_times_per_iteration
+
+        phases = phase_times_per_iteration(
+            result.iteration_metrics, xeon_40core(), cores=1, p_intra=1, instances=1
+        )
+        shares = {k: v / iteration_time(phases) for k, v in phases.items()}
+        assert set(shares) == {
             "sampling",
             "feature_propagation",
             "weight_application",
         }
+        assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_machine_factory(self):
         m = repro.xeon_40core()

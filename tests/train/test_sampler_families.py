@@ -83,7 +83,7 @@ class TestFamilySelection:
                 frontier_size=min(direct_cfg.frontier_size, budget),
                 budget=budget,
                 eta=direct_cfg.eta,
-                vector_lanes=direct_cfg.machine.vector_lanes,
+                vector_lanes=8,
             )
             a = via_factory.sample(np.random.default_rng(4))
             b = direct.sample(np.random.default_rng(4))

@@ -5,14 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.experiments.repricing import PHASES, phase_times_per_iteration
+from repro.parallel.machine import xeon_40core
 from repro.sampling.extra import RandomNodeSampler
 from repro.train.config import TrainConfig
-from repro.train.trainer import (
-    PHASE_FEATURE_PROP,
-    PHASE_SAMPLING,
-    PHASE_WEIGHT_APP,
-    GraphSamplingTrainer,
-)
+from repro.train.trainer import GraphSamplingTrainer
 
 
 @pytest.fixture
@@ -39,7 +36,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(p_intra=0)
+            TrainConfig(prefetch_workers=0)
 
 
 class TestTrainer:
@@ -66,9 +63,13 @@ class TestTrainer:
         assert result.epochs[-1].val is not None
 
     def test_trace_phases(self, reddit_small, quick_cfg):
+        """The run's counters price to all three phases (the trainer keeps
+        no modeled clock of its own)."""
         result = GraphSamplingTrainer(reddit_small, quick_cfg).train()
-        phases = result.trace.totals_by_phase()
-        assert set(phases) == {PHASE_SAMPLING, PHASE_FEATURE_PROP, PHASE_WEIGHT_APP}
+        phases = phase_times_per_iteration(
+            result.iteration_metrics, xeon_40core(), cores=1, p_intra=1, instances=1
+        )
+        assert tuple(phases) == PHASES
         assert all(v > 0 for v in phases.values())
 
     def test_iterations_per_epoch(self, reddit_small, quick_cfg):
