@@ -39,6 +39,9 @@ def test_sampler_zoo(paper_bench):
         assert results["speedups"][fam] >= samplerbench.DEFAULT_ZOO_MIN_SPEEDUP
     assert results["meets_target"] is True
 
+    # Wall seconds on this host: conftest.record_json puts the clock into
+    # the series key.
+    assert results["clock"] == "wall"
     samples = results["samples"]
     for fam in FAMILIES:
         assert len(samples[f"sample_wall_s.{fam}.fast"]) == results["repeats"]

@@ -9,14 +9,7 @@ from .complexity import (
     layer_sampling_support_sizes,
     work_ratio_vs_depth,
 )
-from .roofline import (
-    KernelProfile,
-    aggregation_kernel_profile,
-    gemm_kernel_profile,
-    roofline_point,
-    roofline_report,
-)
-from .speedup import amdahl_speedup, efficiency, gemm_simulated_time, speedup_curve
+from .speedup import amdahl_speedup, gemm_simulated_time
 
 __all__ = [
     "eq1_forward_ops",
@@ -26,13 +19,6 @@ __all__ = [
     "layer_sampling_batch_ops",
     "layer_sampling_epoch_ops",
     "work_ratio_vs_depth",
-    "KernelProfile",
-    "roofline_point",
-    "roofline_report",
-    "gemm_kernel_profile",
-    "aggregation_kernel_profile",
     "amdahl_speedup",
     "gemm_simulated_time",
-    "speedup_curve",
-    "efficiency",
 ]

@@ -1,17 +1,10 @@
-"""Speedup-curve helpers shared by the scaling experiments."""
+"""Amdahl helpers shared by the scaling experiments."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..parallel.machine import MachineSpec
 
-__all__ = [
-    "amdahl_speedup",
-    "gemm_simulated_time",
-    "speedup_curve",
-    "efficiency",
-]
+__all__ = ["amdahl_speedup", "gemm_simulated_time"]
 
 
 def amdahl_speedup(cores: int, serial_fraction: float) -> float:
@@ -33,16 +26,3 @@ def gemm_simulated_time(
         raise ValueError("cores must be positive")
     s = machine.gemm_serial_fraction
     return flops * machine.cost_flop * (s + (1.0 - s) / cores)
-
-
-def speedup_curve(times: dict[int, float]) -> dict[int, float]:
-    """Speedups relative to the 1-core entry of a {cores: time} mapping."""
-    if 1 not in times:
-        raise ValueError("need a 1-core baseline entry")
-    base = times[1]
-    return {c: (base / t if t > 0 else float("inf")) for c, t in times.items()}
-
-
-def efficiency(times: dict[int, float]) -> dict[int, float]:
-    """Parallel efficiency (speedup / cores) of a {cores: time} mapping."""
-    return {c: s / c for c, s in speedup_curve(times).items()}

@@ -78,7 +78,8 @@ from .experiments import (
     table1,
     table2,
 )
-from .experiments.common import format_table, write_bench_json
+from .experiments.common import format_table
+from .obs.record import write_bench_json
 
 __all__ = ["main", "build_parser"]
 
@@ -187,9 +188,9 @@ def _run_serve_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
     """
     if args.cluster:
         # The cluster experiment saturates at a lower offered multiple
-        # than the single-server comparison; keep its own default when
-        # the user left --load-factor untouched.
-        load_factor = args.load_factor if args.load_factor != 20.0 else 8.0
+        # than the single-server comparison: its own default applies only
+        # when --load-factor is not given.
+        load_factor = 8.0 if args.load_factor is None else args.load_factor
         results = serving.run_cluster(
             num_queries=args.queries,
             num_vertices=args.cluster_vertices,
@@ -230,7 +231,7 @@ def _run_serve_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
         return
     results = serving.run(
         num_queries=args.queries,
-        load_factor=args.load_factor,
+        load_factor=20.0 if args.load_factor is None else args.load_factor,
         seed=args.seed,
     )
     _emit("serve_bench", serving.format_results(results), out)
@@ -328,7 +329,7 @@ def _run_sampler_zoo_bench(
     bench-record / bench-gate history tooling.
     """
     from .experiments import samplerbench
-    from .obs.record import BenchRecord
+    from .obs.record import BenchRecord, environment_fingerprint
     from .sampling.zoo import FAMILIES
 
     families = FAMILIES if args.family == "all" else (args.family,)
@@ -344,7 +345,12 @@ def _run_sampler_zoo_bench(
     )
     _emit("sampler_zoo", samplerbench.format_zoo_results(results), out)
     if out is not None:
-        record = BenchRecord(bench="sampler_zoo", env=_fingerprint(args))
+        record = BenchRecord(
+            bench="sampler_zoo",
+            env=environment_fingerprint(
+                seed=args.seed, extra={"clock": results["clock"]}
+            ),
+        )
         for name, values in results["samples"].items():
             if name.startswith("throughput."):
                 record.add_samples(
@@ -865,9 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--load-factor",
         type=float,
-        default=20.0,
+        default=None,
         help="serve-bench: offered rate as a multiple of naive capacity "
-        "(--cluster mode defaults to 8x the batched single server)",
+        "(default 20; --cluster mode defaults to 8x the batched single "
+        "server)",
     )
     parser.add_argument(
         "--cluster",

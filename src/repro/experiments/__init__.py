@@ -11,7 +11,6 @@ from .common import (
     EXPERIMENT_SCALES,
     format_table,
     to_jsonable,
-    write_bench_json,
 )
 from .plotting import ascii_bars, ascii_plot, ascii_speedup_plot
 from .repricing import iteration_time, phase_times_per_iteration, speedup_table
@@ -29,7 +28,6 @@ __all__ = [
     "DATASET_NAMES",
     "format_table",
     "to_jsonable",
-    "write_bench_json",
     "phase_times_per_iteration",
     "iteration_time",
     "speedup_table",

@@ -309,7 +309,6 @@ def run_sampler_comparison(
             g,
             frontier_size=min(cfg.frontier_size, budget),
             budget=budget,
-            eta=cfg.eta,
             engine="reference",
         ),
         "random_node": RandomNodeSampler(g, budget=budget),

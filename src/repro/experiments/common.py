@@ -8,7 +8,6 @@ assert on the returned data.
 
 from __future__ import annotations
 
-import pathlib
 from typing import Iterable, Mapping
 
 from ..graphs.datasets import Dataset
@@ -23,7 +22,6 @@ __all__ = [
     "format_table",
     "format_float",
     "to_jsonable",
-    "write_bench_json",
 ]
 
 # Default generation scales per dataset (fraction of published vertex
@@ -105,32 +103,6 @@ def to_jsonable(obj: object) -> object:
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
     return str(obj)
-
-
-def write_bench_json(
-    path: pathlib.Path | str,
-    name: str,
-    results: object,
-    *,
-    record=None,
-    samples: dict | None = None,
-    env: dict | None = None,
-) -> pathlib.Path:
-    """Write one benchmark's results as machine-readable JSON.
-
-    The ``BENCH_<name>.json`` files written next to the printed tables
-    are the cross-PR benchmark trajectory: each holds ``{"bench": name,
-    "results": ..., "record": ...}`` with everything converted via
-    :func:`to_jsonable`. The actual writer is
-    :func:`repro.obs.record.write_bench_json` (this is a delegating
-    alias kept for the many existing call sites), which embeds a
-    normalized :class:`~repro.obs.record.BenchRecord` — environment
-    fingerprint plus raw samples — into every file; pass ``samples``
-    (metric name → raw values) or a prebuilt ``record`` to enrich it.
-    """
-    from ..obs.record import write_bench_json as _write
-
-    return _write(path, name, results, record=record, samples=samples, env=env)
 
 
 def format_table(

@@ -9,7 +9,8 @@ the *same* machine cost model used everywhere else, so the Figure 2
 harness can report a scale-faithful modeled speedup next to the measured
 wall-clock one:
 
-* proposed — the trainer's own metered simulated time (already exact);
+* proposed — priced by :func:`repro.experiments.repricing.cumulative_time`
+  from the run's recorded iteration counters (1 core, scalar sampler);
 * Batched GCN — full-training-graph propagation + GEMM per update;
 * GraphSAGE — measured sampled-support sizes priced on aggregation
   gathers (``cost_gather``), gather traffic and weight-application GEMM

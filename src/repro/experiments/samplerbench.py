@@ -280,6 +280,7 @@ def run_zoo(
             }
         )
     return {
+        "clock": "wall",
         "dataset": dataset,
         "num_vertices": graph.num_vertices,
         "budget": budget,

@@ -16,16 +16,7 @@ from .features import (
     smooth_features,
     svd_compressed_features,
 )
-from .io import (
-    load_dataset,
-    load_graph,
-    read_edge_list,
-    save_dataset,
-    save_graph,
-    write_edge_list,
-)
 from .partition import bfs_partition, greedy_edge_partition, random_partition
-from .validate import ValidationError, validate_dataset, validate_graph
 from .generators import (
     DCSBMParams,
     chung_lu_graph,
@@ -68,18 +59,9 @@ __all__ = [
     "grid_graph",
     "power_law_weights",
     "ring_of_cliques",
-    "save_graph",
-    "load_graph",
-    "save_dataset",
-    "load_dataset",
-    "write_edge_list",
-    "read_edge_list",
     "random_partition",
     "bfs_partition",
     "greedy_edge_partition",
-    "validate_graph",
-    "validate_dataset",
-    "ValidationError",
     "degree_histogram",
     "degree_ks_distance",
     "connected_components",

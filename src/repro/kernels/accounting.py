@@ -3,8 +3,10 @@
 Every GEMM and SpMM dispatched through :mod:`repro.kernels.ops` reports
 here, which makes this module the *single source of truth* for compute
 cost in the repo: the ``repro.obs`` counters (``gemm.flops``,
-``spmm.flops``, ...), the trainer's simulated-time cost model (via
-:func:`capture`) and the kernel benchmarks all read the same numbers.
+``spmm.flops``, ...), the trainer's per-iteration counters (via
+:func:`capture`, priced after the run by
+:mod:`repro.experiments.repricing`), the roofline and the kernel
+benchmarks all read the same numbers.
 Before this layer existed the spmm flop count lived in
 ``propagation/spmm.py`` and the gemm count was re-derived analytically in
 ``train/trainer.py``; both now come from the one place that actually ran
@@ -323,8 +325,9 @@ def capture() -> Iterator[KernelCounters]:
 
     Scopes nest: an inner capture does not steal counts from an outer
     one — every active scope sees every kernel call. The trainer wraps
-    each iteration's forward+backward in a capture and prices the metered
-    ``gemm_flops`` through the Amdahl cost model.
+    each iteration's forward+backward in a capture and records the
+    metered ``gemm_flops``, which the pricer charges through the Amdahl
+    cost model after the run.
     """
     counters = KernelCounters()
     _CAPTURES.append(counters)

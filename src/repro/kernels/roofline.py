@@ -1,4 +1,4 @@
-"""Measured roofline: achieved vs attainable throughput per shape class.
+"""The roofline: achieved vs attainable throughput per shape class.
 
 :mod:`repro.kernels.accounting` already buckets every dispatched kernel
 call by :class:`~repro.kernels.accounting.ShapeClass` — exact flops, a
@@ -17,9 +17,11 @@ buckets into the classic roofline picture:
   reported ≈ 2x off);
 * **fraction** — achieved / attainable.
 
-Distinct from :mod:`repro.analysis.roofline`, which places kernels on the
-*paper's analytic cost model*; this module reports what the hardware
-actually did. The ``roofline-report`` CLI renders the table and writes an
+It is the one roofline: :meth:`MachinePeaks.modeled` gives the paper's
+modeled machine (:class:`~repro.parallel.machine.MachineSpec`) the same
+two ceilings in model units, so a shape class is placed against this
+host or against the simulated Xeon with one byte model. The
+``roofline-report`` CLI renders the table and writes an
 ``OBS_roofline.json`` artifact next to the other obs exports.
 """
 
@@ -29,11 +31,15 @@ import json
 import pathlib
 import time
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..obs.record import environment_fingerprint, fingerprint_key
 from . import accounting
+
+if TYPE_CHECKING:
+    from ..parallel.machine import MachineSpec
 
 __all__ = [
     "MachinePeaks",
@@ -48,11 +54,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MachinePeaks:
-    """Calibrated machine ceilings, per dtype of the compute probe."""
+    """Machine ceilings, per dtype of the compute probe."""
 
     dtype: str
     peak_flops_s: float
     peak_bytes_s: float
+
+    @classmethod
+    def modeled(cls, machine: "MachineSpec", *, cores: int, dtype) -> "MachinePeaks":
+        """The cost model's ceilings on ``cores`` cores, in model units.
+
+        Compute scales with every core (``cores / cost_flop``); DRAM
+        bandwidth only up to the saturation point
+        (``min(cores, dram_saturation_cores) / dram_cost_per_byte``), so
+        past it the ridge moves right.
+        """
+        if cores <= 0:
+            raise ValueError("cores must be positive")
+        return cls(
+            dtype=np.dtype(dtype).name,
+            peak_flops_s=cores / machine.cost_flop,
+            peak_bytes_s=min(cores, machine.dram_saturation_cores)
+            / machine.dram_cost_per_byte,
+        )
 
     @property
     def ridge_intensity(self) -> float:

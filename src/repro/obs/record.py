@@ -16,8 +16,8 @@ the one record shape every benchmark emitter shares:
 * :class:`MetricSeries` / :class:`BenchRecord` — named sample series
   (raw values, unit, better-direction) under one bench + fingerprint;
 * :func:`write_bench_json` — the single writer behind every
-  ``BENCH_<name>.json`` in the repo (``repro.experiments.common``
-  delegates here), which embeds the record so no emitter can forget it;
+  ``BENCH_<name>.json`` in the repo, which embeds the record so no
+  emitter can forget it;
 * :class:`BenchReporter` — one owner for the ``<name>.txt`` /
   ``BENCH_<name>.json`` / ``OBS_<name>.json`` naming convention, used by
   ``benchmarks/conftest.py`` so the three sibling files cannot drift.
@@ -262,8 +262,7 @@ def write_bench_json(
 ) -> pathlib.Path:
     """Write one ``BENCH_<name>.json``: results + embedded record.
 
-    The single code path behind every BENCH file in the repo
-    (``repro.experiments.common.write_bench_json`` delegates here). When
+    The single code path behind every BENCH file in the repo. When
     no explicit ``record`` is given, one is built from ``env`` (default:
     a fresh :func:`environment_fingerprint`) plus any ``samples``
     (metric name → raw values, recorded lower-is-better in seconds) and

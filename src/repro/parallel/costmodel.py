@@ -1,39 +1,33 @@
-"""Operation accounting and conversion to simulated parallel time.
+"""Operation accounting and the makespan of independent tasks.
 
 Algorithms in this repo run serially but *meter* themselves: every random
-number drawn, memory word touched, DRAM byte streamed and floating-point
-operation executed is counted in a :class:`CostCounter`. The counters are
-then converted into simulated execution time on a :class:`MachineSpec` for
-a given worker count — which is how the scaling figures are regenerated on
-a single-core host.
-
-The conversion implements the paper's own model:
-
-* sequential sections pay full cost;
-* perfectly-parallel memory/flop work divides by ``p`` (with an optional
-  NUMA factor on shared-structure traffic);
-* vectorizable work divides by the achieved lane utilization, which the
-  caller reports per chunk (a degree-3 vertex fills 3 of 8 AVX lanes —
-  that under-utilization is what caps Figure 4B's AVX gain near 4x).
+number drawn and memory word touched is counted in a
+:class:`CostCounter`, with vectorizable work recorded as (elements,
+chunks) so lane utilization survives (a degree-3 vertex fills 3 of 8 AVX
+lanes — that under-utilization is what caps Figure 4B's AVX gain near
+4x). The counters are priced in one place,
+:func:`repro.sampling.cost.simulated_sampler_time` (Eq. 2 / Theorem 1),
+and :func:`parallel_time` turns per-task prices into a makespan on a
+given worker count — which is how the scaling figures are regenerated on
+a small host.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .machine import MachineSpec
-
-__all__ = ["CostCounter", "simulated_time", "parallel_time"]
+__all__ = ["CostCounter", "parallel_time"]
 
 
 @dataclass
 class CostCounter:
     """Mutable tally of machine-level operations.
 
-    ``mem_ops`` counts word-granularity touches to *shared* data (pay NUMA),
-    ``private_mem_ops`` touches to core-private data (cache-resident, no
-    NUMA), ``vector_chunks`` accumulates (elements, chunks) so lane
-    utilization = elements / (chunks * lanes).
+    ``mem_ops`` counts word-granularity touches to *shared* data (they pay
+    the sampler contention factor), ``private_mem_ops`` touches to
+    core-private data (cache-resident, no contention), ``vector_chunks``
+    accumulates (elements, chunks) so lane utilization = elements /
+    (chunks * lanes).
     """
 
     rand_ops: float = 0.0
@@ -84,55 +78,6 @@ class CostCounter:
         # denominator lanes cancels in the time formula, so store the ratio
         # of elements to chunks and normalize at conversion time.
         return self.vector_elements / self.vector_chunks
-
-    def serial_cost(self, machine: MachineSpec) -> float:
-        """Total cost units when executed on one scalar core."""
-        return (
-            self.rand_ops * machine.cost_rand
-            + (self.mem_ops + self.private_mem_ops) * machine.cost_mem
-            + self.dram_bytes * machine.dram_cost_per_byte
-            + self.flops * machine.cost_flop
-            + self.vector_elements * machine.cost_mem
-        )
-
-
-def simulated_time(
-    counter: CostCounter,
-    machine: MachineSpec,
-    *,
-    cores: int = 1,
-    vectorized: bool = False,
-    numa_shared: bool = True,
-    serial_fraction: float = 0.0,
-) -> float:
-    """Simulated execution time of metered work on ``cores`` workers.
-
-    Parameters
-    ----------
-    vectorized:
-        When True, the ``vector_*`` tallies execute as vector chunks (time
-        = chunks) instead of element-at-a-time (time = elements).
-    numa_shared:
-        Apply the machine's NUMA factor to shared-memory traffic.
-    serial_fraction:
-        Fraction of the total that cannot be parallelized (Amdahl term).
-    """
-    if cores <= 0:
-        raise ValueError("cores must be positive")
-    numa = machine.numa_factor(cores) if numa_shared else 1.0
-    shared_mem = counter.mem_ops * machine.cost_mem * numa
-    private_mem = counter.private_mem_ops * machine.cost_mem
-    dram = counter.dram_bytes * machine.dram_cost_per_byte * numa
-    flops = counter.flops * machine.cost_flop
-    if vectorized:
-        vec = counter.vector_chunks * machine.cost_mem * numa
-    else:
-        vec = counter.vector_elements * machine.cost_mem * numa
-    rand = counter.rand_ops * machine.cost_rand
-    total = shared_mem + private_mem + dram + flops + vec + rand
-    serial = total * serial_fraction
-    parallelizable = total - serial
-    return serial + parallelizable / cores
 
 
 def parallel_time(task_costs: list[float], cores: int) -> float:

@@ -58,7 +58,7 @@ class ParallelRegion:
         Cost of each independent task in the region.
     schedule:
         ``"static"`` (contiguous chunks) or ``"dynamic"`` (LPT work pool).
-    serial_cost:
+    serial_work:
         Work executed by a single worker before the parallel part (e.g.
         the cumulative-sum in para_CLEANUP).
     """
@@ -66,17 +66,17 @@ class ParallelRegion:
     name: str
     task_costs: tuple[float, ...]
     schedule: str = "static"
-    serial_cost: float = 0.0
+    serial_work: float = 0.0
 
     def __post_init__(self) -> None:
         if self.schedule not in ("static", "dynamic"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.serial_cost < 0 or any(c < 0 for c in self.task_costs):
+        if self.serial_work < 0 or any(c < 0 for c in self.task_costs):
             raise ValueError("costs must be non-negative")
 
     @property
     def total_work(self) -> float:
-        return self.serial_cost + float(sum(self.task_costs))
+        return self.serial_work + float(sum(self.task_costs))
 
     def makespan(self, workers: int) -> float:
         """Simulated completion time of this region on ``workers``."""
@@ -84,7 +84,7 @@ class ParallelRegion:
             par = static_chunk_makespan(self.task_costs, workers)
         else:
             par = parallel_time(list(self.task_costs), workers)
-        return self.serial_cost + par
+        return self.serial_work + par
 
 
 @dataclass

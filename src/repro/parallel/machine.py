@@ -3,8 +3,9 @@
 The paper's experiments run on a dual-socket 20-core-per-socket Intel Xeon
 E5-2698 v4 with AVX2 (8-wide 32-bit vectors), 256 KB private L2 per core
 and DDR4 DRAM. That hardware is not available here, so scaling experiments
-execute the *real* algorithms serially while charging their operations to a
-:class:`MachineSpec` via the cost model in :mod:`repro.parallel.costmodel`.
+execute the *real* algorithms serially, meter their operations, and
+:mod:`repro.experiments.repricing` prices the counts on a
+:class:`MachineSpec` after the run.
 
 The spec carries exactly the parameters the paper's own analysis uses:
 
@@ -12,8 +13,9 @@ The spec carries exactly the parameters the paper's own analysis uses:
 * ``vector_lanes`` — AVX width, the paper's p_intra = 8;
 * ``l2_bytes`` — the 256 KB cache bound of Theorem 2's constraint
   ``8 n f / Q <= S_cache``;
-* ``numa_remote_penalty`` — multiplicative slowdown for memory traffic when
-  samplers span sockets (the observed 20-to-40-core knee of Figure 4A);
+* ``mem_contention_local`` / ``mem_contention_remote`` — per-instance
+  sampler slowdown as instances fill a socket and then spill across
+  sockets (the observed 20-to-40-core NUMA knee of Figure 4A);
 * ``gemm_serial_fraction`` — MKL-like dense-kernel scaling: an Amdahl
   serial term capping speedup around 16x at 40 cores (Section VI-C4
   speculates "thread and buffer management" as the cause);
@@ -23,9 +25,9 @@ The spec carries exactly the parameters the paper's own analysis uses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-__all__ = ["MachineSpec", "xeon_40core", "laptop_4core"]
+__all__ = ["MachineSpec", "xeon_40core"]
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,6 @@ class MachineSpec:
     # dependent loads through an index array cannot be FMA-pipelined the
     # way GEMM flops can, hence ~40x the effective per-op cost of a flop.
     cost_gather: float = 2.0
-    # Cross-socket (NUMA) penalty on shared read-mostly structures: memory
-    # ops pay this multiplier once sampler instances span both sockets.
-    numa_remote_penalty: float = 1.35
     # Sampler memory-contention slopes (per-instance slowdown per extra
     # concurrent instance): intra-socket and the steeper cross-socket term.
     # Calibrated so Figure 4A reproduces the paper's ~4.5/8/12/15x curve at
@@ -77,8 +76,6 @@ class MachineSpec:
             raise ValueError("l2_bytes must be positive")
         if min(self.cost_mem, self.cost_rand, self.cost_flop) < 0:
             raise ValueError("costs must be non-negative")
-        if self.numa_remote_penalty < 1.0:
-            raise ValueError("numa_remote_penalty must be >= 1")
         if self.dram_saturation_cores <= 0:
             raise ValueError("dram_saturation_cores must be positive")
         if not (0.0 <= self.gemm_serial_fraction < 1.0):
@@ -87,13 +84,6 @@ class MachineSpec:
     @property
     def num_sockets(self) -> int:
         return self.num_cores // self.cores_per_socket
-
-    def sockets_used(self, cores: int) -> int:
-        """Sockets spanned when ``cores`` workers are bound contiguously."""
-        if cores <= 0:
-            raise ValueError("cores must be positive")
-        cores = min(cores, self.num_cores)
-        return -(-cores // self.cores_per_socket)
 
     def sampler_contention_factor(self, instances: int) -> float:
         """Per-instance memory slowdown with ``instances`` busy samplers.
@@ -117,36 +107,7 @@ class MachineSpec:
             + self.mem_contention_remote * remote
         )
 
-    def numa_factor(self, cores: int) -> float:
-        """Average memory-cost multiplier for ``cores`` bound workers.
-
-        Workers on socket 0 pay 1.0; workers on further sockets pay the
-        remote penalty on the shared read-mostly data (the training graph
-        adjacency lists live on one socket's memory controller).
-        """
-        cores = min(max(cores, 1), self.num_cores)
-        local = min(cores, self.cores_per_socket)
-        remote = cores - local
-        return (local * 1.0 + remote * self.numa_remote_penalty) / cores
-
-    def with_cores(self, num_cores: int) -> "MachineSpec":
-        """Copy of this spec restricted/expanded to ``num_cores``."""
-        cps = min(self.cores_per_socket, num_cores)
-        if num_cores % cps:
-            cps = num_cores  # degenerate single-socket layout
-        return replace(self, num_cores=num_cores, cores_per_socket=cps)
-
 
 def xeon_40core() -> MachineSpec:
     """The paper's platform: dual-socket 40-core Xeon E5-2698 v4, AVX2."""
     return MachineSpec()
-
-
-def laptop_4core() -> MachineSpec:
-    """A small single-socket machine (useful in tests and examples)."""
-    return MachineSpec(
-        num_cores=4,
-        cores_per_socket=4,
-        vector_lanes=4,
-        l2_bytes=512 * 1024,
-    )

@@ -145,14 +145,14 @@ def simulate_replay(
     for pop in replay.pops:
         # Probing: expected sequential rounds with `workers` concurrent
         # probes; each round is one parallel region of `workers` tasks,
-        # collapsed here into its serial_cost equivalent (rounds are
+        # collapsed here into its serial_work equivalent (rounds are
         # dependent, so they cannot overlap).
         rounds = probe_rounds_expected(pop.valid_ratio, workers)
         ex.run(
             ParallelRegion(
                 "probe",
                 task_costs=(),
-                serial_cost=rounds * cost_probe,
+                serial_work=rounds * cost_probe,
             )
         )
         # Invalidation: deg slot writes, statically chunked.
@@ -177,7 +177,7 @@ def simulate_replay(
                 "cleanup",
                 task_costs=(machine.cost_mem,) * (3 * ev.moved_entries),
                 schedule="static",
-                serial_cost=ev.ia_entries * machine.cost_mem,
+                serial_work=ev.ia_entries * machine.cost_mem,
             )
         )
     return ex

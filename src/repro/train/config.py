@@ -25,9 +25,13 @@ class TrainConfig:
     hidden_dims:
         Per-branch hidden sizes, one per GCN layer; the paper evaluates
         2-layer models with 512 and 1024, and up to 3 layers in Table II.
-    frontier_size, budget, eta, max_entries_per_vertex:
-        Frontier-sampler parameters (``m``, ``n``, enlargement factor and
-        the skew cap of Section VI-C2).
+    frontier_size, budget:
+        Frontier-sampler parameters ``m`` and ``n``. The sampler's other
+        knobs (the enlargement factor ``eta``, the skew cap of Section
+        VI-C2, the random-walk depth) keep
+        :func:`repro.sampling.zoo.make_sampler`'s defaults; the
+        experiments that sweep them build the sampler themselves and pass
+        it to the trainer.
     dtype_policy:
         Kernel dtype policy name (see :mod:`repro.kernels.policy`):
         ``"reference"`` (float64, bit-identical to the seed
@@ -45,8 +49,6 @@ class TrainConfig:
         ``"edge-indp"``. The configured ``budget`` is mapped onto each
         family's native parameter by
         :func:`repro.sampling.zoo.make_sampler`.
-    walk_depth:
-        Random-walk depth ``h`` (``sampler_family="rw"`` only).
     loss_norm:
         ``"none"`` (plain batch-mean loss, the seed behavior) or
         ``"saint"`` — apply the GraphSAINT loss-normalization weights
@@ -73,25 +75,16 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (128, 128)
     frontier_size: int = 100
     budget: int = 500
-    eta: float = 2.0
-    max_entries_per_vertex: int | None = None
     lr: float = 0.01
     weight_decay: float = 0.0
     dropout: float = 0.0
     concat: bool = True
     epochs: int = 10
     eval_every: int = 1
-    # Early stopping: end training when validation F1-micro has not
-    # improved for this many consecutive evaluations (None disables).
-    patience: int | None = None
-    # When True, the model is restored to the weights of its best
-    # validation evaluation at the end of train().
-    restore_best: bool = False
     seed: int = 0
     dtype_policy: str = "reference"
     sampler_engine: str = "fast"
     sampler_family: str = "dashboard"
-    walk_depth: int = 3
     loss_norm: str = "none"
     norm_subgraphs: int = 24
     prefetch_depth: int = 0
@@ -104,8 +97,6 @@ class TrainConfig:
             raise ValueError("invalid sampler sizes")
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
-        if self.patience is not None and self.patience < 1:
-            raise ValueError("patience must be >= 1 when set")
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
         if self.prefetch_workers < 1:
@@ -123,8 +114,6 @@ class TrainConfig:
                 f"sampler_family must be one of {FAMILIES}, "
                 f"got {self.sampler_family!r}"
             )
-        if self.walk_depth < 1:
-            raise ValueError("walk_depth must be >= 1")
         if self.loss_norm not in LOSS_NORMS:
             raise ValueError(
                 f"loss_norm must be one of {LOSS_NORMS}, got {self.loss_norm!r}"

@@ -144,9 +144,6 @@ class GraphSamplingTrainer:
                 budget=budget,
                 frontier_size=frontier,
                 engine=config.sampler_engine,
-                eta=config.eta,
-                max_entries_per_vertex=config.max_entries_per_vertex,
-                walk_depth=config.walk_depth,
             )
         # GraphSAINT loss normalization: per-vertex weights 1/(n p_v)
         # (closed-form for the edge families, empirical pre-sampling
@@ -267,9 +264,6 @@ class GraphSamplingTrainer:
         total_epochs = epochs if epochs is not None else cfg.epochs
         result = TrainResult()
         wall_total = 0.0
-        best_f1 = -np.inf
-        best_state: dict[str, np.ndarray] | None = None
-        stale_evals = 0
         for epoch in range(total_epochs):
             with span("trainer.epoch") as ep_sp:
                 t0 = time.perf_counter()
@@ -299,16 +293,4 @@ class GraphSamplingTrainer:
                     val=val,
                 )
             )
-            if val is not None:
-                if val.f1_micro > best_f1:
-                    best_f1 = val.f1_micro
-                    stale_evals = 0
-                    if cfg.restore_best:
-                        best_state = self.model.state_dict()
-                else:
-                    stale_evals += 1
-                    if cfg.patience is not None and stale_evals >= cfg.patience:
-                        break
-        if cfg.restore_best and best_state is not None:
-            self.model.load_state_dict(best_state)
         return result

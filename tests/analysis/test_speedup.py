@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.speedup import (
-    amdahl_speedup,
-    efficiency,
-    gemm_simulated_time,
-    speedup_curve,
-)
+from repro.analysis.speedup import amdahl_speedup, gemm_simulated_time
 from repro.parallel.machine import xeon_40core
 
 
@@ -43,17 +38,3 @@ class TestGemmTime:
             gemm_simulated_time(-1.0, xeon_40core(), cores=1)
         with pytest.raises(ValueError):
             gemm_simulated_time(1.0, xeon_40core(), cores=0)
-
-
-class TestCurves:
-    def test_speedup_curve(self):
-        s = speedup_curve({1: 10.0, 2: 5.0, 4: 2.5})
-        assert s[1] == 1.0 and s[2] == 2.0 and s[4] == 4.0
-
-    def test_needs_baseline(self):
-        with pytest.raises(ValueError):
-            speedup_curve({2: 5.0})
-
-    def test_efficiency(self):
-        e = efficiency({1: 10.0, 4: 2.5})
-        assert e[4] == pytest.approx(1.0)

@@ -44,6 +44,39 @@ class TestParser:
         assert args.queries == 500
         assert args.load_factor == 5.0
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--cluster"], ("run_cluster", 8.0)),
+            (["--cluster", "--load-factor", "20"], ("run_cluster", 20.0)),
+            (["--cluster", "--load-factor", "3"], ("run_cluster", 3.0)),
+            ([], ("run", 20.0)),
+            (["--load-factor", "8"], ("run", 8.0)),
+        ],
+    )
+    def test_serve_bench_load_factor_default_follows_the_mode(
+        self, monkeypatch, argv, expected
+    ):
+        # An explicit --load-factor is honoured in both modes, even when it
+        # equals the other mode's default.
+        from repro.experiments import serving
+
+        seen = []
+
+        def fake(name):
+            def run(*, load_factor, **kwargs):
+                seen.append((name, load_factor))
+                return {}
+
+            return run
+
+        for name in ("run", "run_cluster"):
+            monkeypatch.setattr(serving, name, fake(name))
+        monkeypatch.setattr(serving, "format_results", lambda results: "")
+        monkeypatch.setattr(serving, "format_cluster_results", lambda results: "")
+        assert main(["serve-bench", *argv]) == 0
+        assert seen == [expected]
+
 
 class TestMain:
     def test_table1_to_stdout_and_file(self, tmp_path, capsys):
@@ -68,6 +101,16 @@ class TestMain:
         assert (tmp_path / "serve_bench.txt").exists()
         assert (tmp_path / "BENCH_serve_bench.json").exists()
 
+    def test_sampler_zoo_bench_records_its_clock(self, tmp_path):
+        # The zoo's wall seconds carry env.clock like every other sampler
+        # series, so bench-record keys them apart from untagged history.
+        rc = main(
+            ["sampler-bench", "--family", "edge", "--repeats", "2", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        payload = json.loads((tmp_path / "BENCH_sampler_zoo.json").read_text())
+        assert payload["results"]["clock"] == "wall"
+        assert payload["record"]["env"]["clock"] == "wall"
 
     def test_roofline_report_calibrates_in_the_runs_dtype(self, tmp_path, capsys):
         # The ceilings a class is held against are measured in the dtype

@@ -1,4 +1,4 @@
-"""Measured roofline: calibration, point math, report."""
+"""The roofline: calibration, modeled peaks, point math, report."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from repro.kernels.roofline import (
     roofline_report,
     write_roofline_json,
 )
+from repro.parallel.machine import xeon_40core
 
 PEAKS = MachinePeaks(dtype="float32", peak_flops_s=100e9, peak_bytes_s=10e9)
 GEMM, SPMM = "gemm[10.4.6|float32|out]", "spmm[9.6.-2|float32|alloc]"
@@ -97,6 +98,49 @@ class TestPointMath:
         timed = {k for k, b in snap.items() if b["seconds"] > 0}
         assert {p.class_key for p in points} == timed
         assert len(points) == 2
+
+
+class TestModeledPeaks:
+    """The paper's machine on the one roofline: ceilings from the cost
+    model, intensities from the kernels the repo actually dispatches."""
+
+    def test_ceilings_and_validation(self):
+        peaks = MachinePeaks.modeled(xeon_40core(), cores=1, dtype=np.float64)
+        assert peaks.dtype == "float64"
+        assert peaks.ridge_intensity == pytest.approx(2.5)  # 0.125 / 0.05
+        with pytest.raises(ValueError):
+            MachinePeaks.modeled(xeon_40core(), cores=0, dtype=np.float64)
+
+    def test_gemm_compute_bound_aggregation_bandwidth_bound(self, rng, medium_graph):
+        """The classification that explains Figure 3: at 40 cores with
+        hidden 512, weight application sits right of the ridge (compute
+        bound, Amdahl-limited in practice) while aggregation sits left of
+        it (bandwidth bound, saturation-limited)."""
+        accounting.reset_totals()
+        x = rng.standard_normal((medium_graph.num_vertices, 512))
+        kernel_ops.gemm(x, rng.standard_normal((512, 512)))
+        kernel_ops.spmm(medium_graph, x)
+        peaks = MachinePeaks.modeled(xeon_40core(), cores=40, dtype=np.float64)
+        points = {p.op: p for p in roofline_points(peaks=peaks)}
+        assert set(points) == {"gemm", "spmm"}
+        assert points["gemm"].intensity > peaks.ridge_intensity
+        assert points["gemm"].attainable_flops_s == pytest.approx(peaks.peak_flops_s)
+        assert points["spmm"].intensity < peaks.ridge_intensity
+        assert points["spmm"].attainable_flops_s < peaks.peak_flops_s
+
+    def test_ridge_moves_right_past_bandwidth_saturation(self):
+        """Below the DRAM saturation point compute and bandwidth scale
+        together (ridge fixed); beyond it only compute keeps scaling, so
+        the ridge intensity rises and more kernels fall under the
+        bandwidth roofline — why scaling problems only appear at high core
+        counts."""
+        m = xeon_40core()
+        ridge = {
+            c: MachinePeaks.modeled(m, cores=c, dtype=np.float64).ridge_intensity
+            for c in (10, 26, 40)
+        }
+        assert ridge[10] == pytest.approx(ridge[26])
+        assert ridge[40] > ridge[10]
 
 
 class TestReport:

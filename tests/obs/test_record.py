@@ -159,14 +159,6 @@ class TestBenchReporter:
 
 
 class TestCommonDelegation:
-    def test_experiments_writer_embeds_record(self, tmp_path):
-        """The legacy entry point now routes through obs.record."""
-        from repro.experiments.common import write_bench_json as legacy
-
-        path = legacy(tmp_path / "BENCH_y.json", "y", {"v": 3})
-        payload = json.loads(path.read_text())
-        assert payload["record"]["env"]["dtype_policy"] == "reference"
-
     def test_explicit_record_wins(self, tmp_path):
         rec = BenchRecord(
             bench="z", env=environment_fingerprint(dtype_policy="fast")

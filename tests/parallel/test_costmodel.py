@@ -1,11 +1,10 @@
-"""Tests for cost accounting and parallel-time conversion."""
+"""Tests for cost accounting and the LPT makespan."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.parallel.costmodel import CostCounter, parallel_time, simulated_time
-from repro.parallel.machine import MachineSpec, xeon_40core
+from repro.parallel.costmodel import CostCounter, parallel_time
 
 
 class TestCostCounter:
@@ -38,55 +37,6 @@ class TestCostCounter:
         b.add(CostCounter(rand_ops=10))
         assert b.rand_ops == 11
         assert a.rand_ops == 1  # copy is independent
-
-    def test_serial_cost(self):
-        m = MachineSpec()
-        c = CostCounter(rand_ops=2, mem_ops=3, private_mem_ops=1, dram_bytes=8, flops=10)
-        c.count_vector_op(5, 8)
-        expected = (
-            2 * m.cost_rand
-            + 4 * m.cost_mem
-            + 8 * m.dram_cost_per_byte
-            + 10 * m.cost_flop
-            + 5 * m.cost_mem
-        )
-        assert c.serial_cost(m) == pytest.approx(expected)
-
-
-class TestSimulatedTime:
-    def test_scalar_vs_vector(self):
-        m = xeon_40core()
-        c = CostCounter()
-        c.count_vector_op(80, 8)
-        scalar = simulated_time(c, m, cores=1, vectorized=False, numa_shared=False)
-        vector = simulated_time(c, m, cores=1, vectorized=True, numa_shared=False)
-        assert scalar == pytest.approx(8 * vector)
-
-    def test_cores_divide_parallel_work(self):
-        m = xeon_40core()
-        c = CostCounter(mem_ops=100)
-        t1 = simulated_time(c, m, cores=1, numa_shared=False)
-        t10 = simulated_time(c, m, cores=10, numa_shared=False)
-        assert t1 == pytest.approx(10 * t10)
-
-    def test_serial_fraction_amdahl(self):
-        m = xeon_40core()
-        c = CostCounter(flops=1000)
-        t = simulated_time(c, m, cores=10, serial_fraction=0.5, numa_shared=False)
-        full = 1000 * m.cost_flop
-        assert t == pytest.approx(0.5 * full + 0.5 * full / 10)
-
-    def test_numa_applies_to_shared_only(self):
-        m = xeon_40core()
-        shared = CostCounter(mem_ops=100)
-        private = CostCounter(private_mem_ops=100)
-        t_shared = simulated_time(shared, m, cores=40)
-        t_private = simulated_time(private, m, cores=40)
-        assert t_shared > t_private
-
-    def test_invalid_cores(self):
-        with pytest.raises(ValueError):
-            simulated_time(CostCounter(), xeon_40core(), cores=0)
 
 
 class TestParallelTime:

@@ -37,7 +37,7 @@ class TestStaticChunking:
 
 class TestParallelRegion:
     def test_total_work(self):
-        r = ParallelRegion("probe", (1.0, 2.0), serial_cost=0.5)
+        r = ParallelRegion("probe", (1.0, 2.0), serial_work=0.5)
         assert r.total_work == 3.5
 
     def test_static_vs_dynamic(self):
@@ -48,7 +48,7 @@ class TestParallelRegion:
         assert dynamic.makespan(2) <= static.makespan(2)
 
     def test_serial_cost_added(self):
-        r = ParallelRegion("r", (4.0, 4.0), serial_cost=1.0)
+        r = ParallelRegion("r", (4.0, 4.0), serial_work=1.0)
         assert r.makespan(2) == 5.0
 
     def test_validation(self):
@@ -69,7 +69,7 @@ class TestExecutor:
 
     def test_amdahl_via_serial_cost(self):
         ex = WorkSpanExecutor(xeon_40core(), workers=8)
-        ex.run(ParallelRegion("r", (1.0,) * 8, serial_cost=1.0))
+        ex.run(ParallelRegion("r", (1.0,) * 8, serial_work=1.0))
         assert ex.speedup == pytest.approx(9.0 / 2.0)
 
     def test_region_breakdown_accumulates(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.parallel.machine import MachineSpec, laptop_4core, xeon_40core
+from repro.parallel.machine import MachineSpec, xeon_40core
 
 
 class TestSpecValidation:
@@ -16,10 +16,6 @@ class TestSpecValidation:
         assert m.vector_lanes == 8
         assert m.l2_bytes == 256 * 1024
 
-    def test_laptop(self):
-        m = laptop_4core()
-        assert m.num_sockets == 1
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -27,7 +23,7 @@ class TestSpecValidation:
             dict(num_cores=30, cores_per_socket=20),
             dict(vector_lanes=0),
             dict(l2_bytes=0),
-            dict(numa_remote_penalty=0.5),
+            dict(cost_flop=-1.0),
             dict(cost_mem=-1.0),
             dict(gemm_serial_fraction=1.0),
             dict(dram_saturation_cores=0),
@@ -36,30 +32,6 @@ class TestSpecValidation:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             MachineSpec(**kwargs)
-
-
-class TestNumaFactor:
-    def test_single_socket_no_penalty(self):
-        m = xeon_40core()
-        for c in (1, 10, 20):
-            assert m.numa_factor(c) == 1.0
-
-    def test_two_sockets_blended(self):
-        m = xeon_40core()
-        expected = (20 + 20 * m.numa_remote_penalty) / 40
-        assert m.numa_factor(40) == pytest.approx(expected)
-
-    def test_monotone(self):
-        m = xeon_40core()
-        assert m.numa_factor(25) < m.numa_factor(40)
-
-    def test_sockets_used(self):
-        m = xeon_40core()
-        assert m.sockets_used(1) == 1
-        assert m.sockets_used(20) == 1
-        assert m.sockets_used(21) == 2
-        with pytest.raises(ValueError):
-            m.sockets_used(0)
 
 
 class TestContention:
@@ -80,10 +52,3 @@ class TestContention:
     def test_invalid(self):
         with pytest.raises(ValueError):
             xeon_40core().sampler_contention_factor(0)
-
-
-class TestWithCores:
-    def test_shrink(self):
-        m = xeon_40core().with_cores(8)
-        assert m.num_cores == 8
-        assert m.num_cores % m.cores_per_socket == 0

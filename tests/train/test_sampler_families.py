@@ -11,7 +11,7 @@ from repro.sampling.dashboard import DashboardFrontierSampler
 from repro.sampling.edge import DegreeWeightedEdgeSampler
 from repro.sampling.edge_indp import IndependentEdgeSampler
 from repro.sampling.rw import RandomWalkBatchSampler
-from repro.sampling.zoo import FAMILIES
+from repro.sampling.zoo import FAMILIES, make_sampler
 from repro.train.config import TrainConfig
 from repro.train.trainer import GraphSamplingTrainer
 
@@ -36,9 +36,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="loss_norm"):
             TrainConfig(loss_norm="graphsaint")
 
-    def test_walk_depth_and_norm_subgraphs(self):
+    def test_walk_depth_and_norm_subgraphs(self, ppi_small):
+        # The walk depth is the rw sampler's own knob, checked where it
+        # is set.
         with pytest.raises(ValueError, match="walk_depth"):
-            TrainConfig(walk_depth=0)
+            make_sampler("rw", ppi_small.graph, budget=80, walk_depth=0)
         with pytest.raises(ValueError, match="norm_subgraphs"):
             TrainConfig(norm_subgraphs=0)
 
@@ -82,7 +84,7 @@ class TestFamilySelection:
                 trainer.train_graph,
                 frontier_size=min(direct_cfg.frontier_size, budget),
                 budget=budget,
-                eta=direct_cfg.eta,
+                eta=2.0,
                 vector_lanes=8,
             )
             a = via_factory.sample(np.random.default_rng(4))
