@@ -304,8 +304,7 @@ def induced_subgraph(
 
     # Build a flat gather index covering all neighbor slices without a
     # Python loop: for each kept vertex, indices start..end-1.
-    gather = np.repeat(starts, lengths) + _ranges_within(lengths)
-    nbrs = graph.indices[gather]
+    nbrs = graph.indices[_ranges_within(lengths, starts)]
     new_nbrs = lookup[nbrs]
     new_src = np.repeat(np.arange(vertex_map.size, dtype=VERTEX_DTYPE), lengths)
     keep = new_nbrs >= 0
@@ -321,16 +320,16 @@ def induced_subgraph(
     return CSRGraph(indptr=indptr, indices=new_nbrs), vertex_map
 
 
-def _ranges_within(lengths: np.ndarray) -> np.ndarray:
-    """``[0..l0-1, 0..l1-1, ...]`` for the given slice lengths (vectorized).
+def _ranges_within(lengths: np.ndarray, starts: np.ndarray | int = 0) -> np.ndarray:
+    """``[s0..s0+l0-1, s1..s1+l1-1, ...]`` for the given slice lengths and
+    starts (vectorized); with ``starts=0``, ``[0..l0-1, 0..l1-1, ...]``.
 
-    Zero-length slices contribute nothing. Implemented as a flat arange
-    minus each element's slice-start offset.
+    Zero-length slices contribute nothing. One cumsum and one repeat:
+    each element is its flat position shifted by its slice's
+    ``start - offset``.
     """
     lengths = np.asarray(lengths, dtype=INDPTR_DTYPE)
-    total = int(lengths.sum())
-    starts = np.zeros(lengths.shape[0], dtype=INDPTR_DTYPE)
-    if lengths.shape[0] > 1:
-        np.cumsum(lengths[:-1], out=starts[1:])
-    flat = np.arange(total, dtype=INDPTR_DTYPE)
-    return flat - np.repeat(starts, lengths)
+    ends = lengths.cumsum()
+    total = int(ends[-1]) if ends.shape[0] else 0
+    shift = ends - lengths - starts
+    return np.arange(total, dtype=INDPTR_DTYPE) - shift.repeat(lengths)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSRGraph
+from .csr import CSRGraph, _ranges_within
 
 __all__ = [
     "degree_histogram",
@@ -72,9 +72,7 @@ def connected_components(graph: CSRGraph) -> np.ndarray:
             lengths = graph.indptr[frontier + 1] - starts
             if lengths.sum() == 0:
                 break
-            gather = np.repeat(starts, lengths) + _flat_aranges(lengths)
-            nbrs = graph.indices[gather]
-            nbrs = np.unique(nbrs)
+            nbrs = np.unique(graph.indices[_ranges_within(lengths, starts)])
             new = nbrs[unvisited[nbrs]]
             comp[new] = next_comp
             unvisited[new] = False
@@ -113,8 +111,7 @@ def _closed_wedge_counts(graph: CSRGraph) -> np.ndarray:
         # that also appear in N(u).
         starts = indptr[nbrs_u]
         lengths = indptr[nbrs_u.astype(np.int64) + 1] - starts
-        gather = np.repeat(starts, lengths) + _flat_aranges(lengths)
-        candidates = indices[gather]
+        candidates = indices[_ranges_within(lengths, starts)]
         pos = np.searchsorted(nbrs_u, candidates)
         in_range = pos < nbrs_u.size
         hits = np.zeros(candidates.shape[0], dtype=bool)
@@ -165,12 +162,3 @@ def connectivity_summary(graph: CSRGraph) -> dict[str, float]:
         "global_clustering": global_clustering_coefficient(graph),
         "assortativity": degree_assortativity(graph),
     }
-
-
-def _flat_aranges(lengths: np.ndarray) -> np.ndarray:
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    starts = np.zeros(lengths.shape[0], dtype=np.int64)
-    if lengths.shape[0] > 1:
-        np.cumsum(lengths[:-1], out=starts[1:])
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)

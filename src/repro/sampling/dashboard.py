@@ -36,10 +36,13 @@ distribution (verified statistically in the test suite):
   this round counts as a miss, exactly as it would against invalidated
   entries in the serial order), replacement neighbors are drawn through
   :meth:`CSRGraph.random_neighbors` in one batch, and invalidations plus
-  appends are applied as whole-round slab writes. Like the paper's
-  parallel pops, the vertices appended within a round only become
-  probe-able in the next round, so the round size is bounded to a small
-  fraction of the frontier (``round_pops``, default ``m // 4``).
+  appends are applied as whole-round slab writes. A round is a short,
+  fixed sequence of array operations whatever its size: the first probe
+  of each occupant comes from one reversed scatter, and the appended slab
+  is a contiguous slice. Like the paper's parallel pops, the vertices
+  appended within a round only become probe-able in the next round, so
+  the round size is bounded to a small fraction of the frontier
+  (``round_pops``, default ``m // 4``).
 
 Operation metering: every probe, slot write, cleanup move and IA touch is
 tallied in a :class:`~repro.parallel.costmodel.CostCounter`; per-vertex
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graphs.csr import CSRGraph
+from ..graphs.csr import CSRGraph, _ranges_within
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
 from ..parallel.costmodel import CostCounter
@@ -104,6 +107,7 @@ class Dashboard:
         self.used = 0  # DB entries consumed (current + historical)
         self.num_added = 0  # vertices ever added since last cleanup
         self.alive_entries = 0  # DB entries owned by current frontier
+        self.alive_count = 0  # current frontier occupants (alive IA flags)
         self.counter = CostCounter()
         self.num_cleanups = 0
         self.num_grows = 0
@@ -173,6 +177,7 @@ class Dashboard:
         self.used = end
         self.num_added = k + 1
         self.alive_entries += num_entries
+        self.alive_count += 1
         # 3 slot-arrays written over num_entries entries, vectorizable.
         for _ in range(3):
             self.counter.count_vector_op(num_entries, self.vector_lanes)
@@ -182,50 +187,56 @@ class Dashboard:
         """Append entries for a batch of vertices in one slab write.
 
         Semantically equal to calling :meth:`add` once per vertex in order
-        (same DB/IA layout, same metered totals), but the three slot
-        arrays are written with whole-slab fancy indexing instead of a
-        Python loop. Duplicated vertex ids are allowed — each occurrence
-        gets its own insertion index, exactly as repeated :meth:`add`
-        calls would.
+        (same DB/IA layout, same metered totals), but the appended entries
+        are the contiguous range ``[used, used + total)``, so the three
+        slot arrays are written as slices from one repeat of a ``(3, n)``
+        block instead of a Python loop. Duplicated vertex ids are allowed
+        — each occurrence gets its own insertion index, exactly as
+        repeated :meth:`add` calls would.
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
+        vertices = np.asarray(vertices)
         counts = np.asarray(counts, dtype=np.int64)
         if vertices.shape != counts.shape or vertices.ndim != 1:
             raise ValueError("vertices and counts must be equal-length 1-D")
-        if vertices.size == 0:
+        n = vertices.shape[0]
+        if n == 0:
             return
-        if np.any(counts <= 0):
+        if counts.min() <= 0:
             raise ValueError("num_entries must be positive")
-        total = int(counts.sum())
+        ends = counts.cumsum()
+        total = int(ends[-1])
         if total > self.free_entries():
             raise RuntimeError(
                 f"dashboard overflow: need {total}, have {self.free_entries()} "
                 "(run cleanup first or increase eta)"
             )
-        ks = self.num_added + np.arange(vertices.size, dtype=np.int64)
-        starts = self.used + _exclusive_cumsum(counts)
-        # One fused repeat expands start/vertex/k per entry.
-        expanded = np.repeat(np.stack([starts, vertices, ks]), counts, axis=1)
-        within = np.arange(total, dtype=np.int64) - (expanded[0] - self.used)
-        positions = expanded[0] + within
-        self.db_vertex[positions] = expanded[1]
+        used, k0 = self.used, self.num_added
+        # Row 0: each block's start within the slab; 1: vertex; 2: k.
+        block = np.empty((3, n), dtype=np.int64)
+        np.subtract(ends, counts, out=block[0])
+        block[1] = vertices
+        block[2] = np.arange(k0, k0 + n)
+        expanded = block.repeat(counts, axis=1)
+        slab = slice(used, used + total)
+        self.db_vertex[slab] = expanded[1]
         # Head slot of each block stores -deg, the rest their back-offset
-        # (head written second, overwriting the zero ``within``).
-        self.db_offset[positions] = within
-        self.db_offset[starts] = -counts
-        self.db_index[positions] = expanded[2]
-        self.ia_start[ks] = starts
-        self.ia_alive[ks] = True
+        # (head written second, overwriting the zero offset).
+        self.db_offset[slab] = np.arange(total) - expanded[0]
+        self.db_offset[used + block[0]] = -counts
+        self.db_index[slab] = expanded[2]
+        self.ia_start[k0 : k0 + n] = used + block[0]
+        self.ia_alive[k0 : k0 + n] = True
         self.used += total
-        self.num_added += vertices.size
+        self.num_added += n
         self.alive_entries += total
+        self.alive_count += n
         # Identical tallies to per-vertex add(): 3 slot arrays, chunked at
         # per-vertex granularity (a degree-3 vertex still under-fills its
         # vector lanes even inside a batch).
-        chunks = int(np.sum(-(-counts // self.vector_lanes)))
+        chunks = int((-(-counts // self.vector_lanes)).sum())
         self.counter.vector_elements += 3 * total
         self.counter.vector_chunks += 3 * chunks
-        self.counter.private_mem_ops += 2 * vertices.size
+        self.counter.private_mem_ops += 2 * n
 
     def pop(self, rng: np.random.Generator) -> int:
         """Degree-proportional pop via uniform probing (para_POP_FRONTIER).
@@ -259,6 +270,7 @@ class Dashboard:
         self.db_vertex[start : start + deg] = INV
         self.ia_alive[self.db_index[hit]] = False
         self.alive_entries -= deg
+        self.alive_count -= 1
         self.num_pops += 1
         self.counter.count_vector_op(deg, self.vector_lanes)  # invalidation
         self.counter.private_mem_ops += 4  # offset/deg/IA reads + flag write
@@ -286,9 +298,9 @@ class Dashboard:
             raise ValueError("max_pops must be positive")
         if self.alive_entries == 0:
             raise RuntimeError("pop from an empty dashboard")
-        alive_k = int(np.count_nonzero(self.ia_alive[: self.num_added]))
-        max_pops = min(max_pops, alive_k)
-        popped_k = np.zeros(self.num_added, dtype=bool)
+        max_pops = min(max_pops, self.alive_count)
+        # first[k]: the first probe position of occupant k in this block.
+        first = np.empty(self.num_added, dtype=np.int64)
         hits: list[np.ndarray] = []
         taken = 0
         while taken < max_pops:
@@ -301,41 +313,38 @@ class Dashboard:
                     rng, max(_FAST_MIN_BLOCK, int(2 * expect) + 1)
                 )
             probes = self._available_probes()
-            valid = self.db_vertex[probes] != INV
-            ks = self.db_index[probes]
-            # A valid entry whose occupant was already popped this round is
-            # a miss (its entries are invalidated in the serial order).
-            eligible = valid & ~popped_k[np.where(valid, ks, 0)]
-            positions = np.flatnonzero(eligible)
-            if positions.shape[0] == 0:
-                consumed = probes.shape[0]
-                self._probe_pos += consumed
-                self.num_probes += consumed
-                self.counter.mem_ops += consumed
-                continue
-            # First probe of each distinct insertion index, in draw order.
-            _, first = np.unique(ks[positions], return_index=True)
-            order = np.sort(first)[: max_pops - taken]
-            sel = positions[order]
-            consumed = int(sel[-1]) + 1  # probes examined incl. last hit
+            pos = (self.db_vertex[probes] != INV).nonzero()[0]
+            ks = self.db_index[probes[pos]]
+            # Reversed scatter: the last write per index wins, and that is
+            # its first probe in draw order.
+            first[ks[::-1]] = pos[::-1]
+            if taken:
+                # Occupants popped by an earlier block of this round are
+                # misses (their entries are invalidated in the serial order).
+                first[self.db_index[np.concatenate(hits)]] = -1
+            sel = pos[first[ks] == pos][:need]
+            # Probes examined: up to the last hit, or the whole block.
+            consumed = int(sel[-1]) + 1 if sel.shape[0] else probes.shape[0]
             self._probe_pos += consumed
             self.num_probes += consumed
             self.counter.mem_ops += consumed
-            popped_k[ks[sel]] = True
-            hits.append(probes[sel])
-            taken += sel.shape[0]
+            if sel.shape[0]:
+                hits.append(probes[sel])
+                taken += sel.shape[0]
         hit_idx = hits[0] if len(hits) == 1 else np.concatenate(hits)
-        vertices = self.db_vertex[hit_idx].copy()
-        offsets = self.db_offset[hit_idx]
-        starts = np.where(offsets > 0, hit_idx - offsets, hit_idx)
+        vertices = self.db_vertex[hit_idx]
+        # A head entry stores -deg (<= 0); the rest their back-offset.
+        starts = hit_idx - np.maximum(self.db_offset[hit_idx], 0)
         degs = -self.db_offset[starts]
-        self.db_vertex[_flat_ranges(starts, degs)] = INV
+        self.db_vertex[_ranges_within(degs, starts)] = INV
         self.ia_alive[self.db_index[hit_idx]] = False
-        self.alive_entries -= int(degs.sum())
+        popped_entries = int(degs.sum())
+        self.alive_entries -= popped_entries
+        self.alive_count -= taken
         self.num_pops += taken
         # Same per-pop tallies as the scalar path, summed over the round.
-        self.counter.vector_elements += int(degs.sum())
-        self.counter.vector_chunks += int(np.sum(-(-degs // self.vector_lanes)))
+        self.counter.vector_elements += popped_entries
+        self.counter.vector_chunks += int((-(-degs // self.vector_lanes)).sum())
         self.counter.private_mem_ops += 4 * taken
         return vertices
 
@@ -349,6 +358,7 @@ class Dashboard:
         ks = np.flatnonzero(self.ia_alive[: self.num_added])
         starts = self.ia_start[ks]
         degs = -self.db_offset[starts]
+        new_starts = degs.cumsum() - degs
         total = int(degs.sum())
         self.counter.mem_ops += self.num_added  # IA traversal + cumsum
 
@@ -358,14 +368,11 @@ class Dashboard:
         new_vertex = np.full(self.capacity, INV, dtype=np.int64)
         new_offset = np.empty(self.capacity, dtype=np.int64)
         new_index = np.empty(self.capacity, dtype=np.int64)
-        new_starts = _exclusive_cumsum(degs)
         if total:
-            gather = _flat_ranges(starts, degs)
-            dest = np.arange(total)
-            new_vertex[dest] = self.db_vertex[gather]
-            new_offset[dest] = dest - np.repeat(new_starts, degs)
+            new_vertex[:total] = self.db_vertex[_ranges_within(degs, starts)]
+            new_offset[:total] = _ranges_within(degs)
             new_offset[new_starts] = -degs
-            new_index[dest] = np.repeat(
+            new_index[:total] = np.repeat(
                 np.arange(ks.shape[0], dtype=np.int64), degs
             )
         # Re-index IA for the compacted layout.
@@ -483,19 +490,19 @@ class DashboardFrontierSampler(GraphSampler):
         self.eta = eta
         self.max_entries_per_vertex = max_entries_per_vertex
         self.round_pops = round_pops
+        # DB entries per vertex (degree, capped), looked up once per round.
+        self._entries = (
+            graph.degrees
+            if max_entries_per_vertex is None
+            else np.minimum(graph.degrees, max_entries_per_vertex)
+        )
 
     def _entries_for(self, vertex: int) -> int:
-        deg = self.graph.degree(vertex)
-        if self.max_entries_per_vertex is not None:
-            deg = min(deg, self.max_entries_per_vertex)
-        return deg
+        return int(self._entries[vertex])
 
     def _entry_counts(self, vertices: np.ndarray) -> np.ndarray:
         """Capped DB entry counts for a batch of vertices (vectorized)."""
-        counts = self.graph.degrees[vertices].astype(np.int64, copy=True)
-        if self.max_entries_per_vertex is not None:
-            np.minimum(counts, self.max_entries_per_vertex, out=counts)
-        return counts
+        return self._entries[vertices]
 
     def _capacity(self, initial_entries: int) -> int:
         d_bar = max(self.graph.average_degree, 1.0)
@@ -599,24 +606,3 @@ class DashboardFrontierSampler(GraphSampler):
             board.add_many(replacements, entries)
             sampled[m + done : m + done + n_round] = popped
             done += n_round
-
-
-def _exclusive_cumsum(lengths: np.ndarray) -> np.ndarray:
-    lengths = np.asarray(lengths, dtype=np.int64)
-    starts = np.zeros(lengths.shape[0], dtype=np.int64)
-    if lengths.shape[0] > 1:
-        np.cumsum(lengths[:-1], out=starts[1:])
-    return starts
-
-
-def _flat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``[arange(s, s + l) for s, l in zip(starts, lengths)]``.
-
-    One repeat pass: each element is its global position shifted by its
-    range's ``start - offset``.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    return np.arange(total, dtype=np.int64) + np.repeat(
-        starts - _exclusive_cumsum(lengths), lengths
-    )

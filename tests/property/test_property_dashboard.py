@@ -17,6 +17,12 @@ from repro.sampling.dashboard import INV, Dashboard
 def check_invariants(db: Dashboard, alive_expected: dict[int, int]) -> None:
     # Alive entry count matches the sum of alive vertices' allocations.
     assert db.alive_entries == sum(alive_expected.values())
+    # The occupant counter pop_many caps a round with equals the flags.
+    assert (
+        db.alive_count
+        == np.count_nonzero(db.ia_alive[: db.num_added])
+        == len(alive_expected)
+    )
     assert 0 <= db.used <= db.capacity
     # Every alive IA entry points at a well-formed contiguous block.
     ks = np.flatnonzero(db.ia_alive[: db.num_added])
@@ -41,8 +47,11 @@ def op_sequences(draw):
         st.lists(
             st.one_of(
                 st.tuples(st.just("add"), st.integers(1, 12)),
+                st.tuples(st.just("add_many"), st.integers(1, 6)),
                 st.tuples(st.just("pop"), st.just(0)),
+                st.tuples(st.just("pop_many"), st.integers(1, 6)),
                 st.tuples(st.just("cleanup"), st.just(0)),
+                st.tuples(st.just("grow"), st.integers(1, 200)),
             ),
             min_size=1,
             max_size=40,
@@ -59,22 +68,35 @@ class TestDashboardInvariants:
         alive: dict[int, int] = {}
         next_vertex = 0
         for op, arg in ops:
-            if op == "add":
+            if op in ("add", "add_many"):
                 # The sampler never re-adds a vertex that is currently in
                 # the frontier; fresh ids model that.
-                if arg > db.free_entries():
+                if op == "add":
+                    counts = np.array([arg])
+                else:
+                    counts = rng.integers(1, 13, size=arg)
+                total = int(counts.sum())
+                if total > db.free_entries():
                     db.cleanup()
-                if arg > db.free_entries():
-                    db.grow(max(2 * db.capacity, db.used + arg))
-                db.add(next_vertex, arg)
-                alive[next_vertex] = arg
-                next_vertex += 1
-            elif op == "pop":
+                if total > db.free_entries():
+                    db.grow(max(2 * db.capacity, db.used + total))
+                vertices = np.arange(next_vertex, next_vertex + counts.size)
+                if op == "add":
+                    db.add(next_vertex, arg)
+                else:
+                    db.add_many(vertices, counts)
+                alive.update(zip(vertices.tolist(), counts.tolist()))
+                next_vertex += counts.size
+            elif op in ("pop", "pop_many"):
                 if db.alive_entries == 0:
                     continue
-                v = db.pop(rng)
-                assert v in alive
-                del alive[v]
+                popped = [db.pop(rng)] if op == "pop" else db.pop_many(rng, arg)
+                assert 1 <= len(popped) <= max(arg, 1)
+                for v in popped:
+                    assert v in alive
+                    del alive[v]
+            elif op == "grow":
+                db.grow(db.capacity + arg)
             else:
                 db.cleanup()
                 assert db.used == db.alive_entries
