@@ -250,10 +250,17 @@ def relu(x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
 def relu_backward(
     z: np.ndarray, grad_out: np.ndarray, *, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Gradient through ReLU given pre-activation ``z``."""
+    """Gradient through ReLU given pre-activation ``z``.
+
+    Both paths run :func:`repro.nn.activations.relu_grad`, so ``out=``
+    holds the same bits as the returned array (+0.0 where ``z <= 0``).
+    """
+    from ..nn.activations import relu_grad  # nn imports this module
+
+    dz = relu_grad(z, grad_out)
     if out is None:
-        return np.where(z > 0.0, grad_out, 0.0)
-    np.multiply(grad_out, z > 0.0, out=out)
+        return dz
+    np.copyto(out, dz)
     return out
 
 

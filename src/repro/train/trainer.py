@@ -202,9 +202,9 @@ class GraphSamplingTrainer:
         When :mod:`repro.obs` is enabled, the iteration records a span
         tree — ``trainer.iteration`` with children ``trainer.sample``
         (pool pop + minibatch gather), ``trainer.forward`` and
-        ``trainer.backward`` (which includes the optimizer step); the
-        ``prop.forward``/``prop.backward`` spans of the partitioned
-        propagator nest under forward/backward.
+        ``trainer.backward`` (which includes the optimizer step, its own
+        ``trainer.optimizer`` child); the ``prop.forward``/``prop.backward``
+        spans of the partitioned propagator nest under forward/backward.
         """
         with span("trainer.iteration") as it_sp:
             with span("trainer.sample"):
@@ -230,7 +230,8 @@ class GraphSamplingTrainer:
                     self.model.backward(
                         self.loss.backward(logits, labels, loss_w)
                     )
-                    self.optimizer.step(self.model.parameter_groups())
+                    with span("trainer.optimizer"):
+                        self.optimizer.step(self.model.parameter_groups())
 
             result.iteration_metrics.append(
                 IterationMetrics(

@@ -137,15 +137,17 @@ class TestElementwise:
         np.testing.assert_array_equal(out, np.maximum(x, 0.0))
 
     def test_relu_backward_paths_agree(self, rng):
-        z = rng.standard_normal((5, 4))
-        g = rng.standard_normal((5, 4))
-        expected = np.where(z > 0.0, g, 0.0)
+        # Bit patterns, not values: assert_array_equal treats -0.0 == +0.0,
+        # and a masked multiply gives -0.0 where z <= 0 and grad < 0.
+        z = np.concatenate([rng.standard_normal((5, 4)), [[-1.0, 2.0, -3.0, 0.0]]])
+        g = np.concatenate([rng.standard_normal((5, 4)), [[-5.0, -0.0, 7.0, -1.0]]])
+        expected = np.where(z > 0.0, g, 0.0).view(np.int64)
         np.testing.assert_array_equal(
-            kernel_ops.relu_backward(z, g), expected
+            kernel_ops.relu_backward(z, g).view(np.int64), expected
         )
         out = np.empty_like(z)
-        kernel_ops.relu_backward(z, g, out=out)
-        np.testing.assert_array_equal(out, expected)
+        assert kernel_ops.relu_backward(z, g, out=out) is out
+        np.testing.assert_array_equal(out.view(np.int64), expected)
 
     def test_add_bias_inplace_and_copy(self, rng):
         z = rng.standard_normal((3, 2))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import _BLOCK, SGD, Adam
 
 
 def quadratic_group(start: np.ndarray):
@@ -99,3 +99,74 @@ class TestAdam:
             Adam(lr=-1)
         with pytest.raises(ValueError):
             Adam(beta1=1.0)
+
+
+class UnblockedAdam(Adam):
+    """The whole-array Adam step the blocked one replaced, kept verbatim."""
+
+    def step(self, groups):
+        self.t += 1
+        b1t = 1.0 - self.beta1**self.t
+        b2t = 1.0 - self.beta2**self.t
+        for gi, (params, grads) in enumerate(groups):
+            for name, p in params.items():
+                g = grads[name]
+                if self.weight_decay and p.ndim > 1:
+                    g = g + self.weight_decay * p
+                key = (gi, name)
+                if key not in self._m:
+                    self._m[key] = np.zeros_like(p)
+                    self._v[key] = np.zeros_like(p)
+                m, v = self._m[key], self._v[key]
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * np.square(g)
+                m_hat = m / b1t
+                v_hat = v / b2t
+                p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class TestBlockedAdam:
+    """Blocked Adam is bit for bit the unblocked formula, past one block."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, _BLOCK - 1), (1, _BLOCK), (1, _BLOCK + 1), (1, 2 * _BLOCK + 3), (602, 512)],
+    )
+    def test_bitwise_equal_to_unblocked(self, shape, weight_decay, dtype):
+        rng = np.random.default_rng(7)
+        start = {
+            "W": rng.standard_normal(shape).astype(dtype),
+            "b": rng.standard_normal(shape[-1]).astype(dtype),  # never decayed
+        }
+        blocked = {k: v.copy() for k, v in start.items()}
+        unblocked = {k: v.copy() for k, v in start.items()}
+        views = {k: v.reshape(-1) for k, v in blocked.items()}
+        objects = dict(blocked)
+        opt = Adam(lr=0.01, weight_decay=weight_decay)
+        ref = UnblockedAdam(lr=0.01, weight_decay=weight_decay)
+        for _ in range(5):
+            grads = {k: rng.standard_normal(v.shape).astype(dtype) for k, v in start.items()}
+            opt.step([(blocked, grads)])
+            ref.step([(unblocked, {k: g.copy() for k, g in grads.items()})])
+        for name in start:
+            got, want = blocked[name], unblocked[name]
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes(), name
+            assert opt._m[(0, name)].tobytes() == ref._m[(0, name)].tobytes()
+            assert opt._v[(0, name)].tobytes() == ref._v[(0, name)].tobytes()
+            # Updated in place: the same objects, under the caller's views.
+            assert got is objects[name]
+            assert np.shares_memory(views[name], got)
+            assert not np.array_equal(got, start[name])
+
+    def test_non_contiguous_parameter_raises(self):
+        base = np.zeros((4, 8))
+        params = {"W": base[:, ::2]}
+        grads = {"W": np.ones((4, 4))}
+        with pytest.raises(ValueError, match="contiguous"):
+            Adam(lr=0.1).step([(params, grads)])
+        assert not base.any()

@@ -82,6 +82,14 @@ class TestTrainerSpans:
             assert nested, f"no {prop} spans under {phase}"
             assert all(sp.attrs["n"] > 0 and sp.attrs["f"] > 0 for sp in nested)
 
+    def test_optimizer_span_nested_inside_backward(self, traced_run):
+        _, roots, _ = traced_run
+        backwards = _named(roots, "trainer.backward")
+        assert backwards
+        for bw in backwards:
+            assert [c.name for c in bw.children][-1] == "trainer.optimizer"
+        assert len(_named(roots, "trainer.optimizer")) == len(backwards)
+
     def test_iteration_attrs(self, traced_run):
         _, roots, _ = traced_run
         for it in _named(roots, "trainer.iteration"):
