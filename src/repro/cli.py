@@ -9,8 +9,13 @@ Regenerate any paper artifact without writing code::
     python -m repro.cli table2
     python -m repro.cli ablations
     python -m repro.cli serve-bench --queries 3000
-    python -m repro.cli serve-bench --cluster --shards 4 --replicas 2
+    python -m repro.cli serve-cluster --shards 4 --replicas 2
+    python -m repro.cli sampler-zoo --family all
     python -m repro.cli all --out results/
+
+Each verb has its own parser and takes only the flags it reads
+(``python -m repro.cli <verb> -h`` lists them, with that verb's
+defaults); a flag it does not read exits 2.
 
 Observability (see ``docs/observability.md``)::
 
@@ -78,8 +83,9 @@ from .experiments import (
     table1,
     table2,
 )
-from .experiments.common import format_table
+from .experiments.common import DATASET_NAMES, format_table
 from .obs.record import write_bench_json
+from .sampling.zoo import FAMILIES
 
 __all__ = ["main", "build_parser"]
 
@@ -100,7 +106,7 @@ def _run_fig2(args: argparse.Namespace, out: pathlib.Path | None) -> None:
     results = fig2.run(
         datasets=args.datasets,
         epoch_scale=args.epoch_scale,
-        hidden=args.hidden or 128,
+        hidden=args.hidden,
         seed=args.seed,
     )
     _emit("fig2", fig2.format_results(results), out)
@@ -139,7 +145,7 @@ def _run_fig4(args: argparse.Namespace, out: pathlib.Path | None) -> None:
 
 
 def _run_table2(args: argparse.Namespace, out: pathlib.Path | None) -> None:
-    results = table2.run(hidden=args.hidden or 128, seed=args.seed)
+    results = table2.run(hidden=args.hidden, seed=args.seed)
     _emit("table2", table2.format_results(results), out)
 
 
@@ -178,76 +184,65 @@ def _run_extensions(args: argparse.Namespace, out: pathlib.Path | None) -> None:
     _emit("extensions", text, out)
 
 
+def _write_serving_bench(
+    args: argparse.Namespace, out: pathlib.Path, name: str, results: dict, payload: dict
+) -> None:
+    """``BENCH_<name>.json``: ``payload`` plus one ``latency_s.<config>``
+    series per replayed serving configuration."""
+    from .obs.record import environment_fingerprint
+
+    samples = {
+        f"latency_s.{config}": values
+        for config, values in results.get("latency_samples", {}).items()
+    }
+    path = write_bench_json(
+        out / f"BENCH_{name}.json",
+        name,
+        payload,
+        samples=samples,
+        env=environment_fingerprint(seed=args.seed),
+    )
+    print(f"[written to {path}]")
+
+
 def _run_serve_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None:
-    """Replay the Zipf query trace through the serving configurations.
-
-    With ``--cluster``, run the sharded/replicated cluster experiment
-    instead (million-vertex Zipf throughput + recall, bursty hedging,
-    streaming-upsert soak under the cluster SLOs) and emit
-    ``BENCH_serve_cluster.json``.
-    """
-    if args.cluster:
-        # The cluster experiment saturates at a lower offered multiple
-        # than the single-server comparison: its own default applies only
-        # when --load-factor is not given.
-        load_factor = 8.0 if args.load_factor is None else args.load_factor
-        results = serving.run_cluster(
-            num_queries=args.queries,
-            num_vertices=args.cluster_vertices,
-            num_shards=args.shards,
-            replicas=args.replicas,
-            fanout=args.fanout,
-            load_factor=load_factor,
-            soak_vertices=min(50_000, args.cluster_vertices),
-            seed=args.seed,
-        )
-        _emit("serve_cluster", serving.format_cluster_results(results), out)
-        if out is not None:
-            import json
-
-            samples = {
-                f"latency_s.{config}": values
-                for config, values in results.get("latency_samples", {}).items()
-            }
-            path = write_bench_json(
-                out / "BENCH_serve_cluster.json",
-                "serve_cluster",
-                {
-                    k: v
-                    for k, v in results.items()
-                    if k not in ("latency_samples", "trace_doc")
-                },
-                samples=samples,
-                env=_fingerprint(args),
-            )
-            print(f"[written to {path}]")
-            # The hedged replay's request span forest + tail exemplars:
-            # obs-report --exemplars / --request read this document.
-            obs_path = out / "OBS_serve_cluster.json"
-            obs_path.write_text(
-                json.dumps(results["trace_doc"], indent=2) + "\n"
-            )
-            print(f"[written to {obs_path}]")
-        return
+    """Replay the Zipf query trace through the serving configurations."""
     results = serving.run(
-        num_queries=args.queries,
-        load_factor=20.0 if args.load_factor is None else args.load_factor,
-        seed=args.seed,
+        num_queries=args.queries, load_factor=args.load_factor, seed=args.seed
     )
     _emit("serve_bench", serving.format_results(results), out)
     if out is not None:
-        samples = {
-            f"latency_s.{config}": values
-            for config, values in results.get("latency_samples", {}).items()
+        _write_serving_bench(args, out, "serve_bench", results, results)
+
+
+def _run_serve_cluster(args: argparse.Namespace, out: pathlib.Path | None) -> None:
+    """The sharded/replicated cluster experiment: million-vertex Zipf
+    throughput + recall, bursty hedging and a streaming-upsert soak under
+    the cluster SLOs. Emits ``BENCH_serve_cluster.json`` and the hedged
+    replay's request span forest + tail exemplars
+    (``OBS_serve_cluster.json``, what ``obs-report --exemplars`` /
+    ``--request`` read)."""
+    import json
+
+    results = serving.run_cluster(
+        num_queries=args.queries,
+        num_vertices=args.cluster_vertices,
+        num_shards=args.shards,
+        replicas=args.replicas,
+        fanout=args.fanout,
+        load_factor=args.load_factor,
+        soak_vertices=min(50_000, args.cluster_vertices),
+        seed=args.seed,
+    )
+    _emit("serve_cluster", serving.format_cluster_results(results), out)
+    if out is not None:
+        payload = {
+            k: v for k, v in results.items() if k not in ("latency_samples", "trace_doc")
         }
-        path = write_bench_json(
-            out / "BENCH_serve_bench.json",
-            "serve_bench",
-            results,
-            samples=samples,
-            env=_fingerprint(args),
-        )
-        print(f"[written to {path}]")
+        _write_serving_bench(args, out, "serve_cluster", results, payload)
+        obs_path = out / "OBS_serve_cluster.json"
+        obs_path.write_text(json.dumps(results["trace_doc"], indent=2) + "\n")
+        print(f"[written to {obs_path}]")
 
 
 def _run_sampler_bench(args: argparse.Namespace, out: pathlib.Path | None) -> int:
@@ -263,8 +258,6 @@ def _run_sampler_bench(args: argparse.Namespace, out: pathlib.Path | None) -> in
     from .experiments import samplerbench
     from .obs.record import BenchRecord, environment_fingerprint
 
-    if args.family is not None:
-        return _run_sampler_zoo_bench(args, out)
     results = samplerbench.run(
         repeats=args.repeats,
         seed=args.seed,
@@ -316,10 +309,8 @@ def _run_sampler_bench(args: argparse.Namespace, out: pathlib.Path | None) -> in
     return 0
 
 
-def _run_sampler_zoo_bench(
-    args: argparse.Namespace, out: pathlib.Path | None
-) -> int:
-    """``sampler-bench --family ...``: the four-family zoo comparison.
+def _run_sampler_zoo(args: argparse.Namespace, out: pathlib.Path | None) -> int:
+    """The four-family sampler-zoo comparison.
 
     ``--family all`` times every family in
     :data:`repro.sampling.zoo.FAMILIES` (fast vs reference, interleaved)
@@ -368,7 +359,7 @@ def _run_sampler_zoo_bench(
     if args.min_speedup is not None and not results["meets_target"]:
         worst = min(results["speedups"].values())
         print(
-            f"sampler-bench: worst per-family speedup {worst:.2f}x below "
+            f"sampler-zoo: worst per-family speedup {worst:.2f}x below "
             f"--min-speedup {args.min_speedup:.2f}x"
         )
         return 1
@@ -414,6 +405,25 @@ def _run_report(args: argparse.Namespace, out: pathlib.Path | None) -> None:
 EMBED_REPEATS = 8  # timed compute_embeddings calls of train-bench
 
 
+def _training_setup(args: argparse.Namespace, *, epochs: int, **fields):
+    """``(dataset, config)`` of a verb's one small training run: its
+    ``--datasets`` profile at the experiment scale, a two-layer
+    ``--hidden`` model and ``epochs`` scaled by ``--epoch-scale``."""
+    from .experiments.common import EXPERIMENT_SCALES
+    from .graphs.datasets import make_dataset
+    from .train.config import TrainConfig
+
+    name = args.dataset
+    dataset = make_dataset(name, scale=EXPERIMENT_SCALES[name], seed=args.seed)
+    config = TrainConfig(
+        hidden_dims=(args.hidden, args.hidden),
+        epochs=max(1, int(round(epochs * args.epoch_scale))),
+        seed=args.seed,
+        **fields,
+    )
+    return dataset, config
+
+
 def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None:
     """One instrumented training run; exports the trace and its report.
 
@@ -432,20 +442,13 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
     training series of ``benchmarks/history/``.
     """
     from . import obs
-    from .experiments.common import EXPERIMENT_SCALES
-    from .graphs.datasets import make_dataset
     from .obs.record import BenchRecord, environment_fingerprint
-    from .train.config import TrainConfig
     from .train.embedding import compute_embeddings
     from .train.trainer import GraphSamplingTrainer
 
-    name = (args.datasets or ["ppi"])[0]
-    dataset = make_dataset(name, scale=EXPERIMENT_SCALES[name], seed=args.seed)
-    hidden = args.hidden or 128
-    config = TrainConfig(
-        hidden_dims=(hidden, hidden),
-        epochs=max(1, int(round(3 * args.epoch_scale))),
-        seed=args.seed,
+    dataset, config = _training_setup(
+        args,
+        epochs=3,
         sampler_engine=args.sampler_engine,
         sampler_family=args.sampler_family,
         loss_norm=args.loss_norm,
@@ -461,8 +464,8 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
             obs.metrics.observe("embed_seconds", time.perf_counter() - t0)
     doc = obs.export.trace_document("train_bench")
     doc["meta"] = {
-        "dataset": name,
-        "hidden": hidden,
+        "dataset": args.dataset,
+        "hidden": args.hidden,
         "epochs": config.epochs,
         "iterations": result.iterations,
         "final_val_f1": result.final_val_f1,
@@ -482,7 +485,7 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
             "train_bench",
             env=environment_fingerprint(
                 seed=args.seed,
-                extra={"clock": "wall", "dataset": name, "hidden": hidden},
+                extra={"clock": "wall", "dataset": args.dataset, "hidden": args.hidden},
             ),
         )
         bench = write_bench_json(
@@ -504,9 +507,6 @@ def _run_obs_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     from .obs import context as obs_context
     from .obs import export as obs_export
 
-    if args.trace is None:
-        print("obs-report requires --trace PATH (an OBS_*.json export)")
-        raise SystemExit(2)
     doc = obs_export.load_trace(args.trace)
     if args.request is not None:
         roots = doc.get("spans", [])
@@ -527,20 +527,6 @@ def _run_obs_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
         return 0
     _emit("obs_report", obs_export.render_report(doc), out)
     return 0
-
-
-def _fingerprint(args: argparse.Namespace) -> dict[str, str]:
-    """Environment fingerprint for CLI-emitted bench records."""
-    from .obs.record import environment_fingerprint
-
-    return environment_fingerprint(seed=args.seed)
-
-
-def _policy(args: argparse.Namespace):
-    """The default regression policy with the CLI's ``--noise`` band."""
-    from .obs.regress import RegressionPolicy
-
-    return RegressionPolicy(noise_threshold=args.noise)
 
 
 def _run_bench_record(args: argparse.Namespace, out: pathlib.Path | None) -> None:
@@ -574,11 +560,13 @@ def _run_bench_record(args: argparse.Namespace, out: pathlib.Path | None) -> Non
 def _diff_current_vs_history(args: argparse.Namespace):
     from .obs.history import HistoryStore
     from .obs.record import load_bench_records
-    from .obs.regress import diff_against_history
+    from .obs.regress import RegressionPolicy, diff_against_history
 
     store = HistoryStore(args.history)
     records = load_bench_records(args.results)
-    return diff_against_history(records, store, policy=_policy(args))
+    return diff_against_history(
+        records, store, policy=RegressionPolicy(noise_threshold=args.noise)
+    )
 
 
 def _run_bench_diff(args: argparse.Namespace, out: pathlib.Path | None) -> None:
@@ -615,23 +603,17 @@ def _hedged_cluster_replay(*, queries: int, seed: int):
 
     rng = np.random.default_rng(seed)
     emb = rng.standard_normal((1024, 16))
-    replicas = 2
-
-    def straggler(shard, replica, batch_size, rows):
-        base = 8e-4 + 2e-8 * rows
-        return base * (6.0 if replica == replicas - 1 else 1.0)
-
     server = ClusterServer(
         emb,
         config=ClusterConfig(
             num_shards=3,
-            replicas=replicas,
+            replicas=2,
             fanout=2,
             hedge=True,
             hedge_min_samples=32,
             hedge_fallback=0.005,
         ),
-        service_model=straggler,
+        service_model=serving.straggler_model(2, slow_factor=6.0),
         rng=np.random.default_rng(seed + 1),
     )
     trace = bursty_trace(
@@ -684,8 +666,6 @@ def _run_slo_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     path on demand. Exits 1 on any breach when ``--strict``.
     """
     from . import obs
-    from .experiments.common import EXPERIMENT_SCALES
-    from .graphs.datasets import make_dataset
     from .kernels import accounting
     from .obs.flight import get_flight_recorder
     from .obs.slo import (
@@ -697,17 +677,9 @@ def _run_slo_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     )
     from .serving.server import EmbeddingServer, ServerConfig
     from .serving.workload import zipf_trace
-    from .train.config import TrainConfig
     from .train.trainer import GraphSamplingTrainer
 
-    name = (args.datasets or ["ppi"])[0]
-    dataset = make_dataset(name, scale=EXPERIMENT_SCALES[name], seed=args.seed)
-    hidden = args.hidden or 64
-    config = TrainConfig(
-        hidden_dims=(hidden, hidden),
-        epochs=max(1, int(round(2 * args.epoch_scale))),
-        seed=args.seed,
-    )
+    dataset, config = _training_setup(args, epochs=2)
     obs.reset()
     recorder = get_flight_recorder()
     if out is not None:
@@ -771,20 +743,10 @@ def _run_roofline_report(
     ``--out`` writes the ``OBS_roofline.json`` artifact next to the
     rendered table.
     """
-    from .experiments.common import EXPERIMENT_SCALES
-    from .graphs.datasets import make_dataset
     from .kernels import accounting, roofline
-    from .train.config import TrainConfig
     from .train.trainer import GraphSamplingTrainer
 
-    name = (args.datasets or ["ppi"])[0]
-    dataset = make_dataset(name, scale=EXPERIMENT_SCALES[name], seed=args.seed)
-    hidden = args.hidden or 64
-    config = TrainConfig(
-        hidden_dims=(hidden, hidden),
-        epochs=max(1, int(round(2 * args.epoch_scale))),
-        seed=args.seed,
-    )
+    dataset, config = _training_setup(args, epochs=2)
     accounting.reset_totals()
     with GraphSamplingTrainer(dataset, config) as trainer:
         trainer.train()
@@ -798,238 +760,216 @@ def _run_roofline_report(
         print(f"[written to {path}]")
 
 
-_COMMANDS = {
-    "table1": _run_table1,
-    "extensions": _run_extensions,
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "table2": _run_table2,
-    "ablations": _run_ablations,
-    "serve-bench": _run_serve_bench,
-    "sampler-bench": _run_sampler_bench,
-    "train-bench": _run_train_bench,
-    "obs-report": _run_obs_report,
-    "flight-dump": _run_flight_dump,
-    "bench-record": _run_bench_record,
-    "bench-diff": _run_bench_diff,
-    "bench-gate": _run_bench_gate,
-    "slo-report": _run_slo_report,
-    "roofline-report": _run_roofline_report,
-    "report": _run_report,
+#: Every flag a verb can take, with its argparse keywords; a verb's
+#: overrides (``_VERBS``) replace some of them.
+_FLAGS: dict[str, dict] = {
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--datasets": dict(
+        nargs="+", default=None, help="dataset profiles (default: all four)"
+    ),
+    "--hidden": dict(type=int, default=128, help="hidden dimension"),
+    "--epoch-scale": dict(
+        type=float, default=1.0, help="scale factor on the epoch recipe"
+    ),
+    "--queries": dict(
+        type=int, default=3000, help="number of requests in the replayed trace"
+    ),
+    "--load-factor": dict(
+        type=float,
+        default=20.0,
+        help="offered rate as a multiple of the naive server's capacity",
+    ),
+    "--shards": dict(type=int, default=4, help="number of index shards"),
+    "--replicas": dict(type=int, default=2, help="replicas per shard"),
+    "--fanout": dict(type=int, default=2, help="shards probed per query"),
+    "--cluster-vertices": dict(
+        type=int, default=1_000_000, help="embedding rows in the sharded index"
+    ),
+    "--sampler-engine": dict(
+        choices=["fast", "reference"], default="fast",
+        help="sampler execution engine",
+    ),
+    "--sampler-family": dict(
+        choices=FAMILIES, default="dashboard", help="subgraph sampler family"
+    ),
+    "--loss-norm": dict(
+        choices=["none", "saint"], default="none",
+        help="GraphSAINT loss-normalization mode",
+    ),
+    "--family": dict(
+        choices=[*FAMILIES, "all"], default="all",
+        help="sampler family to compare ('all' = every family)",
+    ),
+    "--prefetch-depth": dict(
+        type=int,
+        default=0,
+        help="subgraphs kept sampled ahead of the trainer "
+        "(0 samples inline; same subgraphs either way)",
+    ),
+    "--prefetch-workers": dict(
+        type=int,
+        default=1,
+        help="sampler instances filling the pool "
+        "(1 = background thread, >1 = process pool)",
+    ),
+    "--repeats": dict(type=int, default=12, help="timed subgraphs per engine"),
+    "--min-speedup": dict(
+        type=float,
+        default=None,
+        help="exit 1 when the fast/reference speedup is below this factor",
+    ),
+    "--out": dict(
+        type=pathlib.Path, default=None,
+        help="directory to write result tables into",
+    ),
+    "--trace": dict(
+        type=pathlib.Path,
+        required=True,
+        help="path to an exported OBS_*.json / trace document",
+    ),
+    "--exemplars": dict(
+        action="store_true",
+        help="render the tail-exemplar table instead of the per-phase breakdown",
+    ),
+    "--request": dict(
+        default=None,
+        help="print this request id's span tree (with its critical path "
+        "marked) instead of the per-phase breakdown",
+    ),
+    "--results": dict(
+        type=pathlib.Path,
+        default=pathlib.Path("benchmarks") / "results",
+        help="directory holding BENCH_*.json files",
+    ),
+    "--history": dict(
+        type=pathlib.Path,
+        default=pathlib.Path("benchmarks") / "history",
+        help="the append-only JSONL history store",
+    ),
+    "--noise": dict(
+        type=float, default=0.10,
+        help="relative median shift treated as noise",
+    ),
+    "--deadline-ms": dict(
+        type=float, default=50.0,
+        help="serving latency deadline in milliseconds",
+    ),
+    "--strict": dict(
+        action="store_true", help="exit 1 when any SLO rule is breached"
+    ),
+    "--force-breach": dict(
+        action="store_true",
+        help="evaluate with impossible thresholds so a breach (and its "
+        "automatic flight dump) is guaranteed",
+    ),
 }
 
-#: Commands `all` skips: obs-report needs an explicit --trace, and the
-#: history/SLO/roofline tooling mutates the history store or re-runs
-#: workloads.
-_EXCLUDED_FROM_ALL = frozenset(
-    {
-        "obs-report",
-        "flight-dump",
-        "bench-record",
-        "bench-diff",
-        "bench-gate",
-        "slo-report",
-        "roofline-report",
-    }
+#: The one-run verbs train on one dataset profile.
+_ONE_DATASET = dict(
+    dest="dataset", nargs=None, default="ppi", choices=DATASET_NAMES,
+    help="dataset profile",
+)
+_TRAIN_RUN = ("--datasets", "--hidden", "--epoch-scale", "--seed")
+_HISTORY = ("--results", "--history")
+
+#: verb -> (handler, the flags it reads, per-flag keyword overrides).
+#: Every verb also takes ``--out``.
+_VERBS: dict[str, tuple] = {
+    "table1": (_run_table1, ("--seed",), {}),
+    "extensions": (_run_extensions, ("--seed",), {}),
+    "ablations": (_run_ablations, ("--seed",), {}),
+    "fig2": (_run_fig2, _TRAIN_RUN, {}),
+    "fig3": (
+        _run_fig3,
+        ("--datasets", "--hidden", "--seed"),
+        {"--hidden": dict(default=None, help="hidden dimension (unset: sweep 512 and 1024)")},
+    ),
+    "fig4": (_run_fig4, ("--datasets", "--seed"), {}),
+    "table2": (_run_table2, ("--hidden", "--seed"), {}),
+    "serve-bench": (_run_serve_bench, ("--queries", "--load-factor", "--seed"), {}),
+    "serve-cluster": (
+        _run_serve_cluster,
+        (
+            "--queries", "--load-factor", "--seed", "--shards", "--replicas",
+            "--fanout", "--cluster-vertices",
+        ),
+        {
+            "--load-factor": dict(
+                default=8.0,
+                help="offered rate as a multiple of the batched single "
+                "server's capacity",
+            )
+        },
+    ),
+    "sampler-bench": (_run_sampler_bench, ("--repeats", "--min-speedup", "--seed"), {}),
+    "sampler-zoo": (
+        _run_sampler_zoo, ("--repeats", "--min-speedup", "--seed", "--family"), {}
+    ),
+    "train-bench": (
+        _run_train_bench,
+        (
+            *_TRAIN_RUN, "--sampler-engine", "--sampler-family", "--loss-norm",
+            "--prefetch-depth", "--prefetch-workers",
+        ),
+        {"--datasets": _ONE_DATASET},
+    ),
+    "obs-report": (_run_obs_report, ("--trace", "--exemplars", "--request"), {}),
+    "flight-dump": (_run_flight_dump, ("--queries", "--seed"), {}),
+    "bench-record": (_run_bench_record, _HISTORY, {}),
+    "bench-diff": (_run_bench_diff, (*_HISTORY, "--noise"), {}),
+    "bench-gate": (_run_bench_gate, (*_HISTORY, "--noise"), {}),
+    "slo-report": (
+        _run_slo_report,
+        (*_TRAIN_RUN, "--queries", "--deadline-ms", "--strict", "--force-breach"),
+        {"--datasets": _ONE_DATASET, "--hidden": dict(default=64)},
+    ),
+    "roofline-report": (
+        _run_roofline_report,
+        _TRAIN_RUN,
+        {"--datasets": _ONE_DATASET, "--hidden": dict(default=64)},
+    ),
+    "report": (_run_report, (), {}),
+}
+
+#: What ``all`` runs, each verb with its own defaults (and ``all``'s
+#: ``--seed``): the paper artifacts and benches, not the trace,
+#: history, SLO or roofline tooling.
+_ALL = (
+    "ablations", "extensions", "fig2", "fig3", "fig4", "report",
+    "sampler-bench", "serve-bench", "table1", "table2", "train-bench",
 )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Argument parser for the experiment runner."""
+    """Argument parser for the experiment runner: one subparser per verb."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli",
         description="Regenerate the paper's tables and figures.",
     )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(_COMMANDS) + ["all"],
-        help="which artifact to regenerate",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--datasets",
-        nargs="+",
-        default=None,
-        help="dataset profiles (default: all four)",
-    )
-    parser.add_argument(
-        "--hidden", type=int, default=None, help="hidden dimension override"
-    )
-    parser.add_argument(
-        "--epoch-scale",
-        type=float,
-        default=1.0,
-        help="scale factor on fig2's per-dataset epoch recipes",
-    )
-    parser.add_argument(
-        "--queries",
-        type=int,
-        default=3000,
-        help="serve-bench: number of requests in the replayed trace",
-    )
-    parser.add_argument(
-        "--load-factor",
-        type=float,
-        default=None,
-        help="serve-bench: offered rate as a multiple of naive capacity "
-        "(default 20; --cluster mode defaults to 8x the batched single "
-        "server)",
-    )
-    parser.add_argument(
-        "--cluster",
-        action="store_true",
-        help="serve-bench: run the sharded cluster experiment instead",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="serve-bench --cluster: number of index shards",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=2,
-        help="serve-bench --cluster: replicas per shard",
-    )
-    parser.add_argument(
-        "--fanout",
-        type=int,
-        default=2,
-        help="serve-bench --cluster: shards probed per query",
-    )
-    parser.add_argument(
-        "--cluster-vertices",
-        type=int,
-        default=1_000_000,
-        help="serve-bench --cluster: embedding rows in the sharded index",
-    )
-    parser.add_argument(
-        "--sampler-engine",
-        choices=["fast", "reference"],
-        default="fast",
-        help="train-bench: sampler execution engine",
-    )
-    parser.add_argument(
-        "--sampler-family",
-        choices=["dashboard", "rw", "edge", "edge-indp"],
-        default="dashboard",
-        help="train-bench: subgraph sampler family",
-    )
-    parser.add_argument(
-        "--loss-norm",
-        choices=["none", "saint"],
-        default="none",
-        help="train-bench: GraphSAINT loss-normalization mode",
-    )
-    parser.add_argument(
-        "--family",
-        choices=["dashboard", "rw", "edge", "edge-indp", "all"],
-        default=None,
-        help="sampler-bench: run the sampler-zoo comparison for this "
-        "family ('all' = every family) instead of the Dashboard-only "
-        "throughput bench",
-    )
-    parser.add_argument(
-        "--prefetch-depth",
-        type=int,
-        default=0,
-        help="train-bench: subgraphs kept sampled ahead of the trainer "
-        "(0 samples inline; same subgraphs either way)",
-    )
-    parser.add_argument(
-        "--prefetch-workers",
-        type=int,
-        default=1,
-        help="train-bench: sampler instances filling the pool "
-        "(1 = background thread, >1 = process pool)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=12,
-        help="sampler-bench: timed subgraphs per engine",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="sampler-bench: exit 1 when fast/reference speedup is below "
-        "this factor",
-    )
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=None,
-        help="directory to write result tables into",
-    )
-    parser.add_argument(
-        "--trace",
-        type=pathlib.Path,
-        default=None,
-        help="obs-report: path to an exported OBS_*.json / trace document",
-    )
-    parser.add_argument(
-        "--exemplars",
-        action="store_true",
-        help="obs-report: render the tail-exemplar table instead of the "
-        "per-phase breakdown",
-    )
-    parser.add_argument(
-        "--request",
-        default=None,
-        help="obs-report: print this request id's span tree (with its "
-        "critical path marked) instead of the per-phase breakdown",
-    )
-    parser.add_argument(
-        "--results",
-        type=pathlib.Path,
-        default=pathlib.Path("benchmarks") / "results",
-        help="bench-record/diff/gate: directory holding BENCH_*.json files",
-    )
-    parser.add_argument(
-        "--history",
-        type=pathlib.Path,
-        default=pathlib.Path("benchmarks") / "history",
-        help="bench-record/diff/gate: the append-only JSONL history store",
-    )
-    parser.add_argument(
-        "--noise",
-        type=float,
-        default=0.10,
-        help="bench-gate: relative median shift treated as noise",
-    )
-    parser.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=50.0,
-        help="slo-report: serving latency deadline in milliseconds",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="slo-report: exit 1 when any SLO rule is breached",
-    )
-    parser.add_argument(
-        "--force-breach",
-        action="store_true",
-        help="slo-report: evaluate with impossible thresholds so a "
-        "breach (and its automatic flight dump) is guaranteed",
-    )
+    verbs = parser.add_subparsers(dest="experiment", required=True)
+    for verb, (_, flags, overrides) in _VERBS.items():
+        sub = verbs.add_parser(
+            verb, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        )
+        for flag in (*flags, "--out"):
+            sub.add_argument(flag, **{**_FLAGS[flag], **overrides.get(flag, {})})
+    sub = verbs.add_parser("all", help="run " + ", ".join(_ALL))
+    for flag in ("--seed", "--out"):
+        sub.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point: run the selected experiment(s); returns exit code."""
-    args = build_parser().parse_args(argv)
-    if args.experiment == "all":
-        names = [n for n in sorted(_COMMANDS) if n not in _EXCLUDED_FROM_ALL]
-    else:
-        names = [args.experiment]
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.experiment != "all":
+        return _VERBS[args.experiment][0](args, args.out) or 0
     code = 0
-    for name in names:
-        code = max(code, _COMMANDS[name](args, args.out) or 0)
+    for verb in _ALL:
+        handler, flags, _ = _VERBS[verb]
+        seed = ["--seed", str(args.seed)] if "--seed" in flags else []
+        code = max(code, handler(parser.parse_args([verb, *seed]), args.out) or 0)
     return code
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "CONFIG_NAMES",
     "run_cluster",
     "format_cluster_results",
+    "straggler_model",
     "CLUSTER_PHASES",
 ]
 
@@ -259,7 +260,7 @@ def format_results(results: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# Experiment S2 — the sharded, replicated cluster (serve-bench --cluster).
+# Experiment S2 — the sharded, replicated cluster (serve-cluster).
 
 def _calibrate_batched_qps(
     embeddings: np.ndarray, k: int, batch: int, dtype=np.float32
@@ -282,7 +283,7 @@ def _calibrate_batched_qps(
     return batch / max(float(np.median(times)), 1e-9)
 
 
-def _straggler_model(replicas: int, *, slow_factor: float = 12.0):
+def straggler_model(replicas: int, *, slow_factor: float = 12.0):
     """Deterministic service model with one slow replica per shard.
 
     The last replica of every shard pays ``slow_factor``x the nominal
@@ -418,7 +419,7 @@ def run_cluster(
         k=k,
         rng=np.random.default_rng(seed + 3),
     )
-    straggler = _straggler_model(replicas)
+    straggler = straggler_model(replicas)
     assignment = None
     hedge_results = {}
     for hedged in (False, True):
@@ -476,7 +477,7 @@ def run_cluster(
     span_est = strace.arrivals[-1] - strace.arrivals[0]
     upsert_rounds = 3
     interval = 0.8 * span_est / (upsert_rounds * num_shards)
-    soak_model = _straggler_model(replicas, slow_factor=1.0)
+    soak_model = straggler_model(replicas, slow_factor=1.0)
     with obs.enabled():
         obs.reset()
         soak = ClusterServer(
@@ -521,7 +522,7 @@ def run_cluster(
         "latency_samples": latency_samples,
         "slo": slo_rows,
         # Request span forest + tail exemplars of the hedged replay
-        # (written to OBS_serve_cluster.json by serve-bench --cluster).
+        # (written to OBS_serve_cluster.json by serve-cluster).
         "trace_doc": trace_doc,
         "meta": {
             "num_vertices": num_vertices,

@@ -195,10 +195,6 @@ class Dataset:
         """Labels restricted to the given vertices (rows for multi-label)."""
         return self.labels[vertices]
 
-    def training_subset(self) -> np.ndarray:
-        """Indices of the training split (the sampler's vertex universe)."""
-        return self.train_idx
-
 
 def training_view(
     dataset: Dataset, rng: np.random.Generator

@@ -8,13 +8,6 @@ from .loss import SigmoidCrossEntropy, SoftmaxCrossEntropy, make_loss
 from .metrics import accuracy, confusion_counts, f1_macro, f1_micro
 from .network import GCN
 from .optim import SGD, Adam
-from .schedule import (
-    ConstantLR,
-    CosineAnnealingLR,
-    StepDecayLR,
-    WarmupLR,
-    apply_schedule,
-)
 
 __all__ = [
     "relu",
@@ -32,11 +25,6 @@ __all__ = [
     "make_loss",
     "Adam",
     "SGD",
-    "ConstantLR",
-    "StepDecayLR",
-    "CosineAnnealingLR",
-    "WarmupLR",
-    "apply_schedule",
     "GCN",
     "f1_micro",
     "f1_macro",

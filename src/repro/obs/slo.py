@@ -338,7 +338,7 @@ def cluster_rules(
     per_shard_p99: float = 0.100,
     staleness_bound: float = 5.0,
 ) -> list[SLORule]:
-    """The sharded-serving SLO set (what serve-bench --cluster gates on).
+    """The sharded-serving SLO set (what serve-cluster gates on).
 
     ``per_shard_p99`` caps the p99 sub-request latency of the *worst*
     shard; ``staleness_bound`` caps the age (seconds on the replay

@@ -17,7 +17,7 @@ tests (probing, chunked invalidation, cleanup moves).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -113,10 +113,6 @@ class WorkSpanExecutor:
         """Record one region; returns its simulated makespan."""
         self.regions.append(region)
         return region.makespan(self.workers)
-
-    def run_many(self, regions: Iterable[ParallelRegion]) -> float:
-        """Record several regions; returns their summed makespans."""
-        return sum(self.run(r) for r in regions)
 
     @property
     def work(self) -> float:

@@ -10,8 +10,8 @@ rates — partitioned runs should approach the compulsory-miss floor, while
 unpartitioned runs on working sets larger than the cache should thrash.
 
 The simulator is deliberately simple (single level, LRU, word-granularity
-addresses grouped into lines) and is used at small scale in tests and the
-cache ablation; it is not on any hot path.
+addresses grouped into lines) and runs only at small scale in the tests;
+no experiment, benchmark or CLI verb reaches it.
 """
 
 from __future__ import annotations

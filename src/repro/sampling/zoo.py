@@ -56,11 +56,7 @@ def make_sampler(
     budget: int,
     frontier_size: int | None = None,
     engine: str = "fast",
-    eta: float = 2.0,
-    max_entries_per_vertex: int | None = None,
-    vector_lanes: int = 8,
     walk_depth: int = DEFAULT_WALK_DEPTH,
-    round_pops: int | None = None,
 ) -> GraphSampler:
     """Build one sampler of the requested family at a shared budget.
 
@@ -79,12 +75,11 @@ def make_sampler(
         other families.
     engine:
         ``"fast"`` or ``"reference"``, forwarded to every family.
-    eta, max_entries_per_vertex, round_pops:
-        Dashboard-only knobs, forwarded verbatim.
-    vector_lanes:
-        Metering lane width, forwarded to every family.
     walk_depth:
         Random-walk depth ``h`` (rw only).
+
+    Every other knob keeps its family's default; a sampler that needs
+    one (the ``eta`` / degree-cap sweeps) is built directly.
     """
     if family == "dashboard":
         m = max(budget // 5, 1) if frontier_size is None else frontier_size
@@ -92,32 +87,25 @@ def make_sampler(
             graph,
             frontier_size=min(m, budget),
             budget=budget,
-            eta=eta,
-            max_entries_per_vertex=max_entries_per_vertex,
-            vector_lanes=vector_lanes,
             engine=engine,
-            round_pops=round_pops,
         )
     if family == "rw":
         return RandomWalkBatchSampler(
             graph,
             num_roots=max(1, budget // (walk_depth + 1)),
             walk_depth=walk_depth,
-            vector_lanes=vector_lanes,
             engine=engine,
         )
     if family == "edge":
         return DegreeWeightedEdgeSampler(
             graph,
             num_draws=max(1, budget // 2),
-            vector_lanes=vector_lanes,
             engine=engine,
         )
     if family == "edge-indp":
         return IndependentEdgeSampler(
             graph,
             edge_budget=max(1, budget // 2),
-            vector_lanes=vector_lanes,
             engine=engine,
         )
     raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")

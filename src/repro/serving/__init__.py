@@ -25,8 +25,8 @@ vertex-embedding requests under a simulated request stream, with
   :class:`~repro.serving.cluster.ClusterServer` front-end on the same
   loop.
 
-``python -m repro.cli serve-bench [--cluster]`` benchmarks both
-front-ends (see the README's Serving section).
+``python -m repro.cli serve-bench`` and ``serve-cluster`` benchmark the
+two front-ends (see the README's Serving section).
 """
 
 from .batcher import MicroBatcher

@@ -28,10 +28,10 @@ class TrainConfig:
     frontier_size, budget:
         Frontier-sampler parameters ``m`` and ``n``. The sampler's other
         knobs (the enlargement factor ``eta``, the skew cap of Section
-        VI-C2, the random-walk depth) keep
-        :func:`repro.sampling.zoo.make_sampler`'s defaults; the
-        experiments that sweep them build the sampler themselves and pass
-        it to the trainer.
+        VI-C2) keep the sampler's own defaults and the random-walk depth
+        keeps :func:`repro.sampling.zoo.make_sampler`'s; the experiments
+        that sweep them build the sampler themselves and pass it to the
+        trainer.
     dtype_policy:
         Kernel dtype policy name (see :mod:`repro.kernels.policy`):
         ``"reference"`` (float64, bit-identical to the seed

@@ -12,17 +12,19 @@ from repro.cli import build_parser, main
 
 
 class TestParser:
-    def test_commands_known(self):
+    def test_commands_known(self, tmp_path):
         parser = build_parser()
         for name in (
             "train-bench",
-            "obs-report",
             "bench-record",
             "bench-diff",
             "bench-gate",
             "slo-report",
         ):
             assert parser.parse_args([name]).experiment == name
+        # obs-report's --trace is required by its parser.
+        argv = ["obs-report", "--trace", str(tmp_path / "OBS_x.json")]
+        assert parser.parse_args(argv).experiment == "obs-report"
 
     def test_trace_option(self, tmp_path):
         args = build_parser().parse_args(
@@ -52,18 +54,6 @@ class TestParser:
         )
         assert args.deadline_ms == 25.0
         assert args.strict
-
-    def test_maintenance_commands_excluded_from_all(self):
-        from repro.cli import _COMMANDS, _EXCLUDED_FROM_ALL
-
-        assert {
-            "bench-record",
-            "bench-diff",
-            "bench-gate",
-            "slo-report",
-            "flight-dump",
-        } <= _EXCLUDED_FROM_ALL
-        assert _EXCLUDED_FROM_ALL <= set(_COMMANDS)
 
     def test_tail_debug_knobs(self, tmp_path):
         parser = build_parser()

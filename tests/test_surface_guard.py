@@ -6,10 +6,18 @@ did: the second ``CostCounter`` pricer (``simulated_time`` /
 ``serial_cost``) and the ``MachineSpec`` surface only it read, the
 analytic roofline beside the measured one, graph npz/edge-list I/O and
 its validator, early stopping, three sampler knobs ``TrainConfig``
-forwarded at their defaults, and a delegating bench-JSON alias. This AST
-scan of ``src/repro`` fails when one is defined, imported, re-exported,
-read or passed again, and when a second roofline grows anywhere but
-``kernels/roofline.py``.
+forwarded at their defaults, a delegating bench-JSON alias and the
+learning-rate schedules. This AST scan of ``src/repro`` fails when one is
+defined, imported, re-exported, read or passed again, and when a second
+roofline grows anywhere but ``kernels/roofline.py``.
+
+The same holds for whole modules: every module under ``src/repro`` is
+imported, directly or through other modules, by an entry point a run
+starts from — the CLI, a benchmark, an example or a tool — or sits on
+``UNREACHED_ALLOWED`` with its reason. The module strings of the e2e
+tracer's ``TARGETS`` count as imports; a package ``__init__`` that only
+re-exports a name does not (a name read through a package is charged to
+the module that defines it).
 """
 
 from __future__ import annotations
@@ -17,14 +25,30 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 from repro.parallel.machine import MachineSpec
+from repro.sampling.zoo import make_sampler
 from repro.train.config import TrainConfig
 
 from .kernels.test_regime_guard import _walk_owned
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
+
+#: What a run starts from: the CLI, every benchmark, example and tool.
+ENTRY_POINTS = ("src/repro/cli.py", "benchmarks/**/*.py", "examples/*.py", "tools/*.py")
+#: The e2e tracer imports each module its ``TARGETS`` names.
+TRACER = "benchmarks/e2e/tracing.py"
+
+#: Modules no entry point reaches, each kept for the reason given.
+UNREACHED_ALLOWED = {
+    "repro.nn.gradcheck": "the finite-difference oracle the layer tests compare against",
+    "repro.sampling.parallel_sim": "the only check of Theorem 1 on measured workloads",
+    "repro.parallel.executor": "the work-span executor only parallel_sim runs (Theorem 1)",
+    "repro.propagation.cache_model": "the Theorem 2 mechanism check, until a measured one is recorded",
+}
 
 DELETED_NAMES = {
     "simulated_time", "serial_cost", "numa_factor", "numa_remote_penalty",
@@ -33,8 +57,11 @@ DELETED_NAMES = {
     "aggregation_kernel_profile", "save_graph", "load_graph", "save_dataset",
     "load_dataset", "write_edge_list", "read_edge_list", "validate_graph",
     "validate_dataset", "ValidationError", "patience", "restore_best",
+    "ConstantLR", "StepDecayLR", "CosineAnnealingLR", "WarmupLR", "apply_schedule",
 }
-DELETED_MODULES = ("analysis/roofline.py", "graphs/io.py", "graphs/validate.py")
+DELETED_MODULES = (
+    "analysis/roofline.py", "graphs/io.py", "graphs/validate.py", "nn/schedule.py",
+)
 #: (module, attribute) pairs whose name is too generic to ban everywhere.
 DELETED_ATTRIBUTES = (
     ("repro.analysis.speedup", "efficiency"),
@@ -115,6 +142,13 @@ def test_configs_carry_no_deleted_field():
         assert not hasattr(MachineSpec, method), method
 
 
+def test_make_sampler_takes_no_knob_no_caller_passes():
+    # eta / the degree cap / round_pops / vector_lanes stay on the sampler
+    # classes; the sweeps that vary them build the sampler directly.
+    knobs = set(inspect.signature(make_sampler).parameters)
+    assert not knobs & {"eta", "max_entries_per_vertex", "vector_lanes", "round_pops"}
+
+
 def test_only_kernels_roofline_defines_a_roofline():
     modules = sorted(p.relative_to(SRC).as_posix() for p in SRC.rglob("*roofline*.py"))
     assert modules == ["kernels/roofline.py"]
@@ -170,3 +204,185 @@ def test_detectors_see_what_they_guard():
         if _defines_a_roofline_elsewhere(node, "kernels/roofline.py")
     ]
     assert home == ["gemm_bytes_moved"]
+
+
+def _module_index(src: Path) -> dict[str, Path]:
+    """Dotted name -> file of every module under ``src`` (a source root)."""
+    index = {}
+    for path in src.rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        index[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return index
+
+
+def _is_package(index: dict[str, Path], name: str | None) -> bool:
+    return name in index and index[name].name == "__init__.py"
+
+
+def _import_base(index: dict[str, Path], module: str | None, node: ast.ImportFrom) -> str | None:
+    """The absolute module a ``from ... import`` in ``module`` reads from."""
+    if not node.level:
+        return node.module
+    parts = module.split(".") if module else []
+    if not _is_package(index, module):
+        parts = parts[:-1]
+    parts = parts[: len(parts) - node.level + 1]
+    return ".".join(parts + ([node.module] if node.module else [])) or None
+
+
+def _home(index: dict[str, Path], base: str, name: str) -> str:
+    """The module that ``name``, read through ``base``, lives in: the
+    submodule of that name, or the module a package ``__init__``
+    re-exports it from, or ``base`` itself."""
+    if f"{base}.{name}" in index:
+        return f"{base}.{name}"
+    if not _is_package(index, base):
+        return base
+    for node in ast.parse(index[base].read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if (alias.asname or alias.name) == name:
+                    return _home(index, _import_base(index, base, node), alias.name)
+    return base
+
+
+def _imports(index: dict[str, Path], path: Path, module: str | None) -> set[str]:
+    """Modules under ``index`` that the file at ``path`` imports, or reads
+    as an attribute of a module it imported (``obs.export.render``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found, bound = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found.add(alias.name)
+                top = alias.name.split(".")[0]
+                bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom):
+            base = _import_base(index, module, node)
+            if base is None:
+                continue
+            found.add(base)
+            for alias in node.names:
+                found.add(home := _home(index, base, alias.name))
+                if home == f"{base}.{alias.name}":
+                    bound[alias.asname or alias.name] = home
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        owner = bound.get(node.id) if isinstance(node, ast.Name) else None
+        for attr in reversed(chain if owner else []):
+            if (home := _home(index, owner, attr)) == owner:
+                break
+            found.add(owner := home)
+    return found & set(index)
+
+
+def _targets(tracer: Path) -> set[str]:
+    """The module strings of a tracer file's ``TARGETS`` list."""
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS":
+            return {entry.elts[0].value for entry in node.value.elts}
+    return set()
+
+
+def _reach_violations(
+    src: Path, entries: list[Path], targets: set[str], allowed: dict[str, str]
+) -> list[str]:
+    """What the reachability guard fails on: an unreached module off the
+    allow-list, an allow-list entry without a reason, or one for a module
+    that is reached (or gone)."""
+    index = _module_index(src)
+    modules = {path: name for name, path in index.items()}
+    todo = {m for path in entries if path not in modules for m in _imports(index, path, None)}
+    todo |= {modules[path] for path in entries if path in modules} | (targets & set(index))
+    reached = set()
+    while todo:
+        module = todo.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        parts = module.split(".")
+        todo.update(".".join(parts[:i]) for i in range(1, len(parts)))
+        if not _is_package(index, module):  # a package's re-exports are no edge
+            todo |= _imports(index, index[module], module)
+    return (
+        [f"unreached: {m}" for m in sorted(set(index) - reached - set(allowed))]
+        + [f"no reason: {m}" for m, why in sorted(allowed.items()) if not why.strip()]
+        + [f"stale allow: {m}" for m in sorted(set(allowed) & (reached | (set(allowed) - set(index))))]
+    )
+
+
+def _entry_points(root: Path) -> list[Path]:
+    return sorted({path for pattern in ENTRY_POINTS for path in root.glob(pattern)})
+
+
+def test_every_module_is_reached_by_a_run():
+    entries = _entry_points(REPO)
+    assert REPO / "src/repro/cli.py" in entries and len(entries) > 20
+    targets = _targets(REPO / TRACER)
+    assert "repro.sampling.pipeline" in targets
+    assert _reach_violations(SRC.parent, entries, targets, UNREACHED_ALLOWED) == []
+
+
+class TestReachabilityDetector:
+    """The guard on a planted tree: ``pkg`` holds a package that
+    re-exports from ``util`` and ``orphan``; the entry point reads one
+    name through the package and one module by attribute."""
+
+    def _plant(self, root: Path, *, tracer_targets: str = "") -> tuple[Path, list[Path]]:
+        src = root / "src"
+        files = {
+            "src/pkg/__init__.py": "",
+            "src/pkg/lib/__init__.py": (
+                "from .util import helper\nfrom .orphan import unused\n"
+                "from . import extra\n"
+            ),
+            "src/pkg/lib/util.py": "from ..deep import leaf\ndef helper():\n    return leaf\n",
+            "src/pkg/lib/orphan.py": "def unused():\n    pass\n",
+            "src/pkg/lib/extra.py": "X = 1\n",
+            "src/pkg/deep.py": "leaf = 1\n",
+            "src/pkg/viaattr.py": "Y = 2\n",
+            "src/pkg/traced.py": "def f():\n    pass\n",
+            "tools/run.py": (
+                "import pkg\nfrom pkg.lib import helper\nprint(helper(), pkg.viaattr.Y)\n"
+            ),
+            "bench/tracing.py": f"TARGETS = [{tracer_targets}]\n",
+        }
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        return src, [root / "tools/run.py"]
+
+    def test_a_re_export_reaches_nothing_and_an_orphan_fails(self, tmp_path):
+        src, entries = self._plant(tmp_path)
+        found = _reach_violations(src, entries, _targets(tmp_path / "bench/tracing.py"), {})
+        assert found == [
+            "unreached: pkg.lib.extra",
+            "unreached: pkg.lib.orphan",
+            "unreached: pkg.traced",
+        ]
+
+    def test_a_tracer_target_string_counts_as_an_import(self, tmp_path):
+        src, entries = self._plant(
+            tmp_path, tracer_targets='("pkg.traced", "f", "x.f")'
+        )
+        allowed = {"pkg.lib.extra": "planted", "pkg.lib.orphan": "planted"}
+        targets = _targets(tmp_path / "bench/tracing.py")
+        assert targets == {"pkg.traced"}
+        assert _reach_violations(src, entries, targets, allowed) == []
+
+    def test_allow_list_entries_need_a_reason_and_an_unreached_module(self, tmp_path):
+        src, entries = self._plant(tmp_path, tracer_targets='("pkg.traced", "f", "x.f")')
+        allowed = {
+            "pkg.lib.extra": "planted",
+            "pkg.lib.orphan": " ",
+            "pkg.deep": "reached through util",
+            "pkg.gone": "no such module",
+        }
+        assert _reach_violations(src, entries, {"pkg.traced"}, allowed) == [
+            "no reason: pkg.lib.orphan",
+            "stale allow: pkg.deep",
+            "stale allow: pkg.gone",
+        ]
