@@ -48,8 +48,7 @@ class BaselineConfig:
 class BlockModel:
     """Stack of ``layer_class`` block layers + dense head.
 
-    Subclasses name the layer class; ``layer_options`` (GraphSAGE's
-    ``concat``) go to every layer. Layers and head draw their initial
+    Subclasses name the layer class. Layers and head draw their initial
     weights from the one ``seed`` stream, in order.
     """
 
@@ -63,14 +62,13 @@ class BlockModel:
         *,
         seed: int = 0,
         dtype=np.float64,
-        **layer_options,
     ) -> None:
         rng = np.random.default_rng(seed)
         self.dtype = np.dtype(dtype)
         self.layers = []
         dim = in_dim
         for h in hidden_dims:
-            layer = self.layer_class(dim, h, rng=rng, dtype=self.dtype, **layer_options)
+            layer = self.layer_class(dim, h, rng=rng, dtype=self.dtype)
             self.layers.append(layer)
             dim = layer.output_dim
         self.head = DenseLayer(dim, num_classes, rng=rng, dtype=self.dtype)

@@ -30,8 +30,6 @@ __all__ = ["BatchedGCNConfig", "BatchedGCNTrainer"]
 class BatchedGCNConfig(BaselineConfig):
     """Batched-GCN training hyperparameters."""
 
-    concat: bool = True
-
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
@@ -47,7 +45,6 @@ class BatchedGCNTrainer(MinibatchBaseline):
             dataset.features.shape[1],
             list(config.hidden_dims),
             dataset.num_classes,
-            concat=config.concat,
             seed=config.seed,
         )
         self.evaluator = Evaluator(dataset)

@@ -31,7 +31,6 @@ class SageConfig(BaselineConfig):
     """GraphSAGE training hyperparameters."""
 
     fanouts: tuple[int, ...] = (25, 10)
-    concat: bool = True
 
     def __post_init__(self) -> None:
         if len(self.fanouts) != len(self.hidden_dims):
@@ -88,7 +87,7 @@ def full_block(graph: CSRGraph) -> SampledBlock:
 
 
 class GraphSAGEModel(BlockModel):
-    """Stack of bipartite GCN layers + dense head (takes ``concat``)."""
+    """Stack of bipartite GCN layers + dense head."""
 
     layer_class = BipartiteGCNLayer
 
@@ -105,18 +104,6 @@ class SupportStats:
         self.nodes_per_layer.append([int(s.shape[0]) for s in supports])
         self.edges_per_layer.append([int(b.num_edges) for b in blocks])
 
-    def mean_total_nodes(self) -> float:
-        """Mean, over iterations, of the summed per-layer support sizes."""
-        if not self.nodes_per_layer:
-            return 0.0
-        return float(np.mean([sum(row) for row in self.nodes_per_layer]))
-
-    def mean_input_support(self) -> float:
-        """Mean size of the deepest (layer-0) support across iterations."""
-        if not self.nodes_per_layer:
-            return 0.0
-        return float(np.mean([row[0] for row in self.nodes_per_layer]))
-
 
 class GraphSAGETrainer(MinibatchBaseline):
     """Minibatch GraphSAGE training on the training graph."""
@@ -127,7 +114,6 @@ class GraphSAGETrainer(MinibatchBaseline):
             dataset.features.shape[1],
             config.hidden_dims,
             dataset.num_classes,
-            concat=config.concat,
             seed=config.seed,
         )
         self.support_stats = SupportStats()

@@ -29,7 +29,6 @@ class BipartiteGCNLayer:
         out_dim: int,
         *,
         activation: str = "relu",
-        concat: bool = True,
         rng: np.random.Generator,
         dtype=np.float64,
     ) -> None:
@@ -38,7 +37,6 @@ class BipartiteGCNLayer:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        self.concat = concat
         self.dtype = np.dtype(dtype)
         self.params: dict[str, np.ndarray] = {
             "W_self": xavier_uniform(in_dim, out_dim, rng=rng, dtype=self.dtype),
@@ -53,7 +51,7 @@ class BipartiteGCNLayer:
 
     @property
     def output_dim(self) -> int:
-        return 2 * self.out_dim if self.concat else self.out_dim
+        return 2 * self.out_dim
 
     def forward(
         self, h_src: np.ndarray, block: SampledBlock, *, train: bool = True
@@ -63,11 +61,7 @@ class BipartiteGCNLayer:
         h_self = block.gather_self(h_src)
         z_neigh = kernel_ops.gemm(h_agg, self.params["W_neigh"]) + self.params["b_neigh"]
         z_self = kernel_ops.gemm(h_self, self.params["W_self"]) + self.params["b_self"]
-        z = (
-            np.concatenate([z_neigh, z_self], axis=1)
-            if self.concat
-            else z_neigh + z_self
-        )
+        z = np.concatenate([z_neigh, z_self], axis=1)
         out = relu(z) if self.activation == "relu" else z
         self._cache = (
             {"h_agg": h_agg, "h_self": h_self, "z": z, "block": block}
@@ -89,10 +83,7 @@ class BipartiteGCNLayer:
         block: SampledBlock = self._cache["block"]  # type: ignore[assignment]
 
         dz = relu_grad(z, grad_out) if self.activation == "relu" else grad_out
-        if self.concat:
-            dz_neigh, dz_self = dz[:, : self.out_dim], dz[:, self.out_dim :]
-        else:
-            dz_neigh = dz_self = dz
+        dz_neigh, dz_self = dz[:, : self.out_dim], dz[:, self.out_dim :]
         kernel_ops.gemm(h_agg.T, dz_neigh, out=self.grads["W_neigh"])
         kernel_ops.gemm(h_self.T, dz_self, out=self.grads["W_self"])
         dz_neigh.sum(axis=0, out=self.grads["b_neigh"])

@@ -12,7 +12,7 @@ from .common import (
     format_table,
     to_jsonable,
 )
-from .plotting import ascii_bars, ascii_plot, ascii_speedup_plot
+from .plotting import ascii_plot, ascii_speedup_plot
 from .repricing import iteration_time, phase_times_per_iteration, speedup_table
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "speedup_table",
     "ascii_plot",
     "ascii_speedup_plot",
-    "ascii_bars",
 ]

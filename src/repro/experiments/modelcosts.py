@@ -68,8 +68,8 @@ def gcn_iteration_cost(
     """Serial cost of one fwd+bwd GCN pass over ``graph``.
 
     ``feature_dims`` are the per-layer input dims (layer l consumes
-    ``feature_dims[l]``); concat layers should pass the concatenated
-    size for the next layer, as :func:`layer_dims_of` produces.
+    ``feature_dims[l]``, the concatenated output of layer l - 1, as
+    :func:`layer_dims_of` produces).
     """
     n = graph.num_vertices
     d = graph.average_degree
@@ -86,28 +86,21 @@ def gcn_iteration_cost(
             + comm_bytes * machine.dram_cost_per_byte
         )
         # The per-branch output is half the (concatenated) layer output.
-        per_branch = layer_out // 2 if layer_out % 2 == 0 else layer_out
-        layers.append((n, dim, per_branch))
+        layers.append((n, dim, layer_out // 2))
     flops = weight_application_flops(layers, (n, feature_dims[-1], num_classes))
     return cost + gemm_simulated_time(flops, machine, cores=1)
 
 
-def layer_dims_of(in_dim: int, hidden_dims: tuple[int, ...], concat: bool = True) -> list[int]:
+def layer_dims_of(in_dim: int, hidden_dims: tuple[int, ...]) -> list[int]:
     """Per-layer input dims of the shared GCN architecture."""
-    dims = [in_dim]
-    for h in hidden_dims:
-        dims.append(2 * h if concat else h)
-    return dims
+    return [in_dim] + [2 * h for h in hidden_dims]
 
 
 def batched_gcn_iteration_cost(
     trainer: BatchedGCNTrainer, machine: MachineSpec
 ) -> float:
     """One Batched-GCN update: a full-training-graph fwd+bwd pass."""
-    cfg = trainer.config
-    dims = layer_dims_of(
-        trainer.dataset.features.shape[1], cfg.hidden_dims, cfg.concat
-    )
+    dims = layer_dims_of(trainer.dataset.features.shape[1], trainer.config.hidden_dims)
     return gcn_iteration_cost(
         trainer.train_graph,
         feature_dims=dims,

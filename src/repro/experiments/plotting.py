@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-__all__ = ["ascii_plot", "ascii_speedup_plot", "ascii_bars"]
+__all__ = ["ascii_plot", "ascii_speedup_plot"]
 
 _MARKERS = "ox+*#@%&"
 
@@ -81,20 +81,3 @@ def ascii_speedup_plot(
         series, width=width, height=height, title=title, xlabel="cores",
         ylabel="speedup",
     )
-
-
-def ascii_bars(
-    values: Mapping[str, float], *, width: int = 48, title: str = ""
-) -> str:
-    """Horizontal bar chart of non-negative named values."""
-    if not values:
-        return title + "\n(no data)"
-    peak = max(values.values())
-    if peak < 0:
-        raise ValueError("bar values must be non-negative")
-    label_width = max(len(k) for k in values)
-    lines = [title] if title else []
-    for name, value in values.items():
-        bar = int(round((value / peak) * width)) if peak > 0 else 0
-        lines.append(f"{name:>{label_width}} | {'#' * bar} {value:.3g}")
-    return "\n".join(lines)

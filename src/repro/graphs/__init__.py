@@ -19,7 +19,6 @@ from .features import (
 from .partition import bfs_partition, greedy_edge_partition, random_partition
 from .generators import (
     DCSBMParams,
-    chung_lu_graph,
     dcsbm_graph,
     ensure_min_degree,
     grid_graph,
@@ -27,11 +26,9 @@ from .generators import (
     ring_of_cliques,
 )
 from .stats import (
-    average_local_clustering,
     connected_components,
     connectivity_summary,
     degree_assortativity,
-    degree_histogram,
     degree_ks_distance,
     global_clustering_coefficient,
     largest_component_fraction,
@@ -53,7 +50,6 @@ __all__ = [
     "single_label_from_blocks",
     "multi_label_from_blocks",
     "DCSBMParams",
-    "chung_lu_graph",
     "dcsbm_graph",
     "ensure_min_degree",
     "grid_graph",
@@ -62,12 +58,10 @@ __all__ = [
     "random_partition",
     "bfs_partition",
     "greedy_edge_partition",
-    "degree_histogram",
     "degree_ks_distance",
     "connected_components",
     "largest_component_fraction",
     "global_clustering_coefficient",
-    "average_local_clustering",
     "degree_assortativity",
     "connectivity_summary",
 ]

@@ -182,26 +182,6 @@ class CSRGraph:
         """
         return induced_subgraph(self, vertices)
 
-    def with_self_loops(self) -> "CSRGraph":
-        """Return a copy with a self-loop added to every vertex.
-
-        The paper follows GraphSAGE in adding a self-connection to each
-        vertex before propagation (Section V-B: ``V(i) ⊆ V(i)_src``).
-        Existing self-loops are preserved, and exactly one new loop is
-        added per vertex that lacks one.
-        """
-        n = self.num_vertices
-        src = self.edge_sources()
-        has_loop = np.zeros(n, dtype=bool)
-        loops = src[src == self.indices]
-        has_loop[loops] = True
-        missing = np.flatnonzero(~has_loop).astype(VERTEX_DTYPE)
-        new_src = np.concatenate([src, missing])
-        new_dst = np.concatenate([self.indices, missing])
-        return edges_to_csr(
-            np.column_stack((new_src, new_dst)), n, symmetrize=False, dedup=False
-        )
-
     def is_symmetric(self) -> bool:
         """True when every stored edge (u, v) has its reverse (v, u)."""
         src = self.edge_sources()

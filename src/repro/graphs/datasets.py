@@ -191,10 +191,6 @@ class Dataset:
     def attribute_dim(self) -> int:
         return self.features.shape[1]
 
-    def labels_of(self, vertices: np.ndarray) -> np.ndarray:
-        """Labels restricted to the given vertices (rows for multi-label)."""
-        return self.labels[vertices]
-
 
 def training_view(
     dataset: Dataset, rng: np.random.Generator

@@ -29,7 +29,6 @@ from .csr import CSRGraph, edges_to_csr
 
 __all__ = [
     "power_law_weights",
-    "chung_lu_graph",
     "dcsbm_graph",
     "ring_of_cliques",
     "grid_graph",
@@ -115,27 +114,6 @@ def _default_block_sizes(n: int, k: int) -> np.ndarray:
     sizes = np.full(k, n // k, dtype=np.int64)
     sizes[: n % k] += 1
     return sizes
-
-
-def chung_lu_graph(
-    n: int,
-    avg_degree: float,
-    *,
-    exponent: float = 2.5,
-    max_weight_ratio: float = 100.0,
-    rng: np.random.Generator,
-) -> CSRGraph:
-    """Chung–Lu power-law graph without community structure."""
-    params = DCSBMParams(
-        num_vertices=n,
-        num_blocks=1,
-        avg_degree=avg_degree,
-        exponent=exponent,
-        mixing=1.0,
-        max_weight_ratio=max_weight_ratio,
-    )
-    graph, _ = dcsbm_graph(params, rng=rng)
-    return graph
 
 
 def dcsbm_graph(

@@ -8,7 +8,7 @@ suite and the sampler-comparison ablation (experiment X4) can check the
 claim quantitatively:
 
 * degree-distribution distance (KS statistic on normalized degrees),
-* global and average-local clustering coefficient,
+* global clustering coefficient (transitivity),
 * connected components / fraction in largest component,
 * degree assortativity.
 
@@ -23,20 +23,13 @@ import numpy as np
 from .csr import CSRGraph, _ranges_within
 
 __all__ = [
-    "degree_histogram",
     "degree_ks_distance",
     "connected_components",
     "largest_component_fraction",
     "global_clustering_coefficient",
-    "average_local_clustering",
     "degree_assortativity",
     "connectivity_summary",
 ]
-
-
-def degree_histogram(graph: CSRGraph) -> np.ndarray:
-    """Counts of vertices per degree value (index = degree)."""
-    return np.bincount(graph.degrees.astype(np.int64))
 
 
 def degree_ks_distance(a: CSRGraph, b: CSRGraph) -> float:
@@ -127,16 +120,6 @@ def global_clustering_coefficient(graph: CSRGraph) -> float:
     if wedges == 0.0:
         return 0.0
     return float(_closed_wedge_counts(graph).sum()) / wedges
-
-
-def average_local_clustering(graph: CSRGraph) -> float:
-    """Mean over vertices of local clustering (0 for degree < 2)."""
-    deg = graph.degrees.astype(np.float64)
-    closed = _closed_wedge_counts(graph)
-    denom = deg * (deg - 1.0)
-    local = np.divide(closed, denom, out=np.zeros_like(closed), where=denom > 0)
-    n = graph.num_vertices
-    return float(local.sum() / n) if n else 0.0
 
 
 def degree_assortativity(graph: CSRGraph) -> float:

@@ -264,7 +264,7 @@ def record_gemm(
     ``class_key``/``itemsize`` additionally feed the per-shape-class
     roofline buckets; callers outside the dispatch layer may omit them.
     """
-    flops = 2.0 * m * k * n
+    flops = gemm_flop_count(m, k, n)
     TOTALS.gemm_calls += 1
     TOTALS.gemm_flops += flops
     TOTALS.gemm_seconds += seconds
@@ -292,7 +292,7 @@ def record_spmm(
     itemsize: int = 8,
 ) -> None:
     """Account one sparse aggregation over ``nnz`` edges, ``cols`` wide."""
-    flops = 2.0 * nnz * cols
+    flops = spmm_flop_count(nnz, cols)
     TOTALS.spmm_calls += 1
     TOTALS.spmm_flops += flops
     TOTALS.spmm_seconds += seconds

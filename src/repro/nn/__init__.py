@@ -1,22 +1,19 @@
 """From-scratch neural-network kernels: GCN layers, losses, Adam, metrics."""
 
-from .activations import leaky_relu, log_softmax, relu, sigmoid, softmax
+from .activations import relu, sigmoid, softmax
 from .gradcheck import check_gradients, max_relative_error, numerical_gradient
-from .init import xavier_normal, xavier_uniform
+from .init import xavier_uniform
 from .layers import DenseLayer, Dropout, GCNLayer
 from .loss import SigmoidCrossEntropy, SoftmaxCrossEntropy, make_loss
 from .metrics import accuracy, confusion_counts, f1_macro, f1_micro
 from .network import GCN
-from .optim import SGD, Adam
+from .optim import Adam
 
 __all__ = [
     "relu",
-    "leaky_relu",
     "sigmoid",
     "softmax",
-    "log_softmax",
     "xavier_uniform",
-    "xavier_normal",
     "GCNLayer",
     "DenseLayer",
     "Dropout",
@@ -24,7 +21,6 @@ __all__ = [
     "SigmoidCrossEntropy",
     "make_loss",
     "Adam",
-    "SGD",
     "GCN",
     "f1_micro",
     "f1_macro",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["relu", "relu_grad", "sigmoid", "softmax", "log_softmax", "leaky_relu", "leaky_relu_grad"]
+__all__ = ["relu", "relu_grad", "sigmoid", "softmax"]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -26,16 +26,6 @@ def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     np.negative(np.greater(x, 0.0).view(np.int8), out=bits)
     np.bitwise_and(bits, grad_out.view(bits.dtype), out=bits)
     return bits.view(grad_out.dtype)
-
-
-def leaky_relu(x: np.ndarray, alpha: float = 0.01) -> np.ndarray:
-    """Leaky ReLU: ``x`` for positives, ``alpha * x`` otherwise."""
-    return np.where(x > 0.0, x, alpha * x)
-
-
-def leaky_relu_grad(x: np.ndarray, grad_out: np.ndarray, alpha: float = 0.01) -> np.ndarray:
-    """Gradient through leaky ReLU given pre-activation ``x``."""
-    return np.where(x > 0.0, grad_out, alpha * grad_out)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -60,9 +50,3 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable ``log(softmax(x))`` (max-shifted)."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "zeros"]
+__all__ = ["xavier_uniform"]
 
 
 def xavier_uniform(
@@ -21,20 +21,3 @@ def xavier_uniform(
     a = np.sqrt(6.0 / (fan_in + fan_out))
     w = rng.uniform(-a, a, size=(fan_in, fan_out))
     return w.astype(dtype, copy=False)
-
-
-def xavier_normal(
-    fan_in: int, fan_out: int, *, rng: np.random.Generator, dtype=np.float64
-) -> np.ndarray:
-    """Glorot normal: N(0, 2 / (fan_in + fan_out)); drawn in float64 then
-    cast to ``dtype`` (same stream for every dtype)."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    w = rng.standard_normal((fan_in, fan_out)) * std
-    return w.astype(dtype, copy=False)
-
-
-def zeros(*shape: int) -> np.ndarray:
-    """Zero-initialized float64 array of the given shape."""
-    return np.zeros(shape, dtype=np.float64)

@@ -59,16 +59,17 @@ class Aggregator(Protocol):
 class GCNLayer:
     """One graph-convolution layer with separate self/neighbor weights.
 
+    Its shape is the paper's: ``relu(A_hat H W_neigh + b_neigh ||
+    H W_self + b_self)``, the two branches concatenated, so the layer's
+    output dimension is ``2 * out_dim``.
+
     Parameters
     ----------
     in_dim, out_dim:
-        Input feature size ``f^(l-1)`` and per-branch output size. With
-        ``concat=True`` (the paper's default) the layer's actual output
-        dimension is ``2 * out_dim`` (neighbor || self).
+        Input feature size ``f^(l-1)`` and per-branch output size.
     activation:
-        ``"relu"`` or ``"identity"``.
-    concat:
-        Concatenate the two branches (GraphSAGE-style) instead of summing.
+        ``"relu"`` (the paper's) or ``"identity"`` (what the gradient
+        checks run, away from ReLU's kink).
     dtype:
         Parameter/activation dtype. Weights are always drawn in float64
         from ``rng`` (so the random stream and float64 values match the
@@ -81,9 +82,6 @@ class GCNLayer:
         out_dim: int,
         *,
         activation: str = "relu",
-        concat: bool = True,
-        bias: bool = True,
-        normalize: bool = False,
         rng: np.random.Generator,
         dtype=np.float64,
     ) -> None:
@@ -92,19 +90,13 @@ class GCNLayer:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        self.concat = concat
-        self.use_bias = bias
-        # GraphSAGE-style L2 row normalization of the layer output
-        # (reference [2] normalizes embeddings to the unit hypersphere).
-        self.normalize = normalize
         self.dtype = np.dtype(dtype)
         self.params: dict[str, np.ndarray] = {
             "W_self": xavier_uniform(in_dim, out_dim, rng=rng, dtype=self.dtype),
             "W_neigh": xavier_uniform(in_dim, out_dim, rng=rng, dtype=self.dtype),
+            "b_self": np.zeros(out_dim, dtype=self.dtype),
+            "b_neigh": np.zeros(out_dim, dtype=self.dtype),
         }
-        if bias:
-            self.params["b_self"] = np.zeros(out_dim, dtype=self.dtype)
-            self.params["b_neigh"] = np.zeros(out_dim, dtype=self.dtype)
         self.grads: dict[str, np.ndarray] = {
             k: np.zeros_like(v) for k, v in self.params.items()
         }
@@ -113,7 +105,7 @@ class GCNLayer:
 
     @property
     def output_dim(self) -> int:
-        return 2 * self.out_dim if self.concat else self.out_dim
+        return 2 * self.out_dim
 
     def forward(
         self,
@@ -132,42 +124,25 @@ class GCNLayer:
         if h_agg is None:
             h_agg = aggregator.forward(features)
         z = np.empty((features.shape[0], self.output_dim), self.dtype)
-        if self.concat:
-            # Write both branches straight into their halves of z —
-            # the concat disappears.
-            z_neigh = z[:, : self.out_dim]
-            z_self = z[:, self.out_dim :]
-            kernel_ops.gemm(h_agg, self.params["W_neigh"], out=z_neigh)
-            kernel_ops.gemm(features, self.params["W_self"], out=z_self)
-            if self.use_bias:
-                z_neigh += self.params["b_neigh"]
-                z_self += self.params["b_self"]
-        else:
-            kernel_ops.gemm(h_agg, self.params["W_neigh"], out=z)
-            kernel_ops.gemm_accumulate(z, features, self.params["W_self"])
-            if self.use_bias:
-                z += self.params["b_neigh"]
-                z += self.params["b_self"]
+        # Write both branches straight into their halves of z — the
+        # concat disappears.
+        z_neigh = z[:, : self.out_dim]
+        z_self = z[:, self.out_dim :]
+        kernel_ops.gemm(h_agg, self.params["W_neigh"], out=z_neigh)
+        kernel_ops.gemm(features, self.params["W_self"], out=z_self)
+        z_neigh += self.params["b_neigh"]
+        z_self += self.params["b_self"]
         if self.activation != "relu":
-            act = z
+            out = z
         elif not train:
-            act = kernel_ops.relu(z, out=z)  # nothing reads z again
+            out = kernel_ops.relu(z, out=z)  # nothing reads z again
         else:  # backward reads z: the activation gets its own array
-            act = kernel_ops.relu(z)
-        if self.normalize:
-            norms = np.linalg.norm(act, axis=1, keepdims=True)
-            norms = np.maximum(norms, 1e-12)
-            out = act / norms
-        else:
-            norms = None
-            out = act
+            out = kernel_ops.relu(z)
         if train:
             self._cache = {
                 "features": features,
                 "h_agg": h_agg,
                 "z": z,
-                "norms": norms,
-                "out": out if self.normalize else None,
                 "aggregator": aggregator,
             }
         else:
@@ -186,25 +161,14 @@ class GCNLayer:
         z: np.ndarray = self._cache["z"]  # type: ignore[assignment]
         aggregator: Aggregator = self._cache["aggregator"]  # type: ignore[assignment]
 
-        if self.normalize:
-            # y = a / ||a||: dL/da = (dy - y * <y, dy>) / ||a||.
-            norms: np.ndarray = self._cache["norms"]  # type: ignore[assignment]
-            y: np.ndarray = self._cache["out"]  # type: ignore[assignment]
-            inner = np.sum(y * grad_out, axis=1, keepdims=True)
-            grad_out = (grad_out - y * inner) / norms
         dz = relu_grad(z, grad_out) if self.activation == "relu" else grad_out
-        if self.concat:
-            dz_neigh = dz[:, : self.out_dim]
-            dz_self = dz[:, self.out_dim :]
-        else:
-            dz_neigh = dz
-            dz_self = dz
+        dz_neigh = dz[:, : self.out_dim]
+        dz_self = dz[:, self.out_dim :]
 
         kernel_ops.gemm(h_agg.T, dz_neigh, out=self.grads["W_neigh"])
         kernel_ops.gemm(features.T, dz_self, out=self.grads["W_self"])
-        if self.use_bias:
-            dz_neigh.sum(axis=0, out=self.grads["b_neigh"])
-            dz_self.sum(axis=0, out=self.grads["b_self"])
+        dz_neigh.sum(axis=0, out=self.grads["b_neigh"])
+        dz_self.sum(axis=0, out=self.grads["b_self"])
         if not input_grad:
             return None
 

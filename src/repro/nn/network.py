@@ -26,8 +26,8 @@ class GCN:
     in_dim:
         Input attribute dimension ``f^(0)``.
     hidden_dims:
-        Per-branch hidden sizes, one per GCN layer (length = L). With
-        ``concat=True`` each layer outputs ``2 *`` its hidden size.
+        Per-branch hidden sizes, one per GCN layer (length = L). Each
+        layer outputs ``2 *`` its hidden size (neighbor || self).
     num_classes:
         Output logits dimension.
     dropout:
@@ -44,10 +44,7 @@ class GCN:
         hidden_dims: list[int] | tuple[int, ...],
         num_classes: int,
         *,
-        concat: bool = True,
-        bias: bool = True,
         dropout: float = 0.0,
-        normalize: bool = False,
         seed: int = 0,
         dtype=np.float64,
     ) -> None:
@@ -59,16 +56,7 @@ class GCN:
         self.dropouts: list[Dropout] = []
         dim = in_dim
         for h in hidden_dims:
-            layer = GCNLayer(
-                dim,
-                h,
-                activation="relu",
-                concat=concat,
-                bias=bias,
-                normalize=normalize,
-                rng=rng,
-                dtype=self.dtype,
-            )
+            layer = GCNLayer(dim, h, activation="relu", rng=rng, dtype=self.dtype)
             self.layers.append(layer)
             self.dropouts.append(Dropout(dropout, rng=rng))
             dim = layer.output_dim

@@ -14,32 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Adam", "SGD", "ParamGroup"]
+__all__ = ["Adam", "ParamGroup"]
 
 # Elements per Adam block: 2^15 float64s of six rows is 1.5 MB, inside a
 # 2 MB L2 (2^12 and 2^16 measured slower on reddit's 1.7 M parameters).
 _BLOCK = 1 << 15
 
 ParamGroup = tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
-
-
-class SGD:
-    """Plain (optionally L2-regularized) stochastic gradient descent."""
-
-    def __init__(self, lr: float = 0.01, weight_decay: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.lr = lr
-        self.weight_decay = weight_decay
-
-    def step(self, groups: list[ParamGroup]) -> None:
-        """Apply one gradient-descent update to every parameter."""
-        for params, grads in groups:
-            for name, p in params.items():
-                g = grads[name]
-                if self.weight_decay and p.ndim > 1:
-                    g = g + self.weight_decay * p
-                p -= self.lr * g
 
 
 class Adam:

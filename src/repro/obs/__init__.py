@@ -55,7 +55,6 @@ from .trace import (
     Span,
     Tracer,
     aggregate,
-    current_span,
     get_tracer,
     set_tracer,
     span,
@@ -67,7 +66,6 @@ __all__ = [
     "is_enabled",
     "set_enabled",
     "span",
-    "current_span",
     "Span",
     "Tracer",
     "PhaseStat",

@@ -24,7 +24,6 @@ __all__ = [
     "span_to_dict",
     "trace_document",
     "to_chrome_trace",
-    "write_trace_json",
     "write_chrome_trace",
     "write_obs_json",
     "load_trace",
@@ -136,20 +135,6 @@ def to_chrome_trace(roots: list[Span]) -> list[dict]:
     return events
 
 
-def write_trace_json(
-    path,
-    name: str,
-    tracer: Tracer | None = None,
-    registry: MetricsRegistry | None = None,
-) -> pathlib.Path:
-    """Write the full trace document to ``path``; returns the path."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = trace_document(name, tracer, registry)
-    path.write_text(json.dumps(_jsonable(doc), indent=2) + "\n")
-    return path
-
-
 def write_chrome_trace(path, tracer: Tracer | None = None) -> pathlib.Path:
     """Write a ``chrome://tracing``-loadable event array to ``path``."""
     tracer = tracer or get_tracer()
@@ -191,8 +176,8 @@ def write_obs_json(
 
 
 def load_trace(path) -> dict:
-    """Read a document written by :func:`write_trace_json` /
-    :func:`write_obs_json`."""
+    """Read an exported JSON document (:func:`write_obs_json`, a flight
+    dump)."""
     return json.loads(pathlib.Path(path).read_text())
 
 

@@ -75,12 +75,6 @@ class HistoryStore:
         return len(lines)
 
     # -- reading -------------------------------------------------------
-    def benches(self) -> list[str]:
-        """Bench names with at least one history file."""
-        if not self.root.is_dir():
-            return []
-        return sorted(p.stem for p in self.root.glob("*.jsonl"))
-
     def entries(self, bench: str) -> list[dict]:
         """Every stored line of one bench, in append order.
 

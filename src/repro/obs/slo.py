@@ -53,7 +53,6 @@ __all__ = [
     "default_rules",
     "cluster_rules",
     "render_slo_report",
-    "register_evaluator",
 ]
 
 
@@ -243,15 +242,6 @@ _EVALUATORS: dict[str, Callable[[SLORule, SLOContext], SLOResult]] = {
     "per_shard_p99": _eval_per_shard_p99,
     "staleness_bound": _eval_staleness_bound,
 }
-
-
-def register_evaluator(
-    kind: str, fn: Callable[[SLORule, SLOContext], SLOResult], *, overwrite: bool = False
-) -> None:
-    """Add a custom rule kind (subsystems can bring their own SLOs)."""
-    if kind in _EVALUATORS and not overwrite:
-        raise ValueError(f"SLO evaluator {kind!r} already registered")
-    _EVALUATORS[kind] = fn
 
 
 def evaluate(rules, ctx: SLOContext | None = None) -> list[SLOResult]:

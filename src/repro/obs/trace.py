@@ -49,7 +49,6 @@ __all__ = [
     "Tracer",
     "PhaseStat",
     "span",
-    "current_span",
     "get_tracer",
     "set_tracer",
     "set_root_sink",
@@ -278,13 +277,6 @@ def span(name: str, **attrs: object):
     if not GATE.enabled:
         return NOOP_SPAN
     return _TRACER.span(name, **attrs)
-
-
-def current_span() -> Span | None:
-    """Innermost open span of the global tracer (None when disabled)."""
-    if not GATE.enabled:
-        return None
-    return _TRACER.current()
 
 
 def reset() -> None:

@@ -69,16 +69,6 @@ class CostCounter:
         self.vector_elements += elements
         self.vector_chunks += -(-elements // lanes)
 
-    @property
-    def lane_utilization(self) -> float:
-        """Average fraction of vector lanes doing useful work (0..1]."""
-        if self.vector_chunks == 0:
-            return 1.0
-        # utilization relative to issuing each chunk at full width; the
-        # denominator lanes cancels in the time formula, so store the ratio
-        # of elements to chunks and normalize at conversion time.
-        return self.vector_elements / self.vector_chunks
-
 
 def parallel_time(task_costs: list[float], cores: int) -> float:
     """Greedy (LPT) makespan of independent tasks on ``cores`` workers.

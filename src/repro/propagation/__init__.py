@@ -18,7 +18,6 @@ from .partition_model import (
     gamma_of_partition,
     gamma_random_partition,
     gcomm_lower_bound,
-    random_vertex_partition,
     theorem2_conditions_hold,
     theorem2_plan,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "gamma_lower_bound",
     "gamma_random_partition",
     "gamma_of_partition",
-    "random_vertex_partition",
     "theorem2_plan",
     "theorem2_conditions_hold",
     "gcomm_lower_bound",

@@ -42,7 +42,6 @@ __all__ = [
     "gcomm_lower_bound",
     "brute_force_optimum",
     "PartitionPlan",
-    "random_vertex_partition",
 ]
 
 BYTES_PER_INDEX = 2  # INT16 subgraph vertex ids (paper footnote 2)
@@ -100,15 +99,6 @@ def gamma_of_partition(graph: CSRGraph, assignment: np.ndarray) -> float:
     is_source[assignment, np.arange(n)] = True
     np.logical_or.at(is_source, (assignment[graph.indices], src), True)
     return float(is_source.sum() / (p * n))
-
-
-def random_vertex_partition(
-    n: int, p: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Near-balanced uniform random assignment of ``n`` vertices to ``p``."""
-    assignment = np.arange(n) % p
-    rng.shuffle(assignment)
-    return assignment
 
 
 @dataclass(frozen=True)

@@ -78,18 +78,13 @@ class DegreeWeightedEdgeSampler(GraphSampler):
         if num_draws <= 0:
             raise ValueError("num_draws must be positive")
         self.num_draws = num_draws
-        self._src, self._dst, self._weights = edge_sampling_weights(graph)
-        self._alias = AliasTable(self._weights)
+        self._src, self._dst, weights = edge_sampling_weights(graph)
+        self._alias = AliasTable(weights)
 
     @property
     def budget(self) -> int:
         """Maximum distinct endpoint visits per subgraph: ``2 * num_draws``."""
         return 2 * self.num_draws
-
-    @property
-    def edge_weights(self) -> np.ndarray:
-        """The per-undirected-edge weights ``1/deg(u) + 1/deg(v)``."""
-        return self._weights
 
     def _draw_fast(self, rng: np.random.Generator):
         """One batched alias draw."""

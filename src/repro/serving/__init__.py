@@ -53,7 +53,6 @@ from .upsert import SlabUpsertProducer, UpsertSlab, drift_refresh
 from .workload import (
     QueryTrace,
     bursty_trace,
-    diurnal_trace,
     modulated_trace,
     zipf_trace,
 )
@@ -85,6 +84,5 @@ __all__ = [
     "QueryTrace",
     "zipf_trace",
     "bursty_trace",
-    "diurnal_trace",
     "modulated_trace",
 ]

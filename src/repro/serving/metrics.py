@@ -58,11 +58,6 @@ class ServingMetrics:
         self.last_completion = max(self.last_completion, completion)
 
     @property
-    def offered(self) -> int:
-        """Requests that reached the server (served + shed)."""
-        return self.served + self.shed
-
-    @property
     def span(self) -> float:
         """First arrival to last completion, on the replay clock."""
         if self.first_arrival is None:
@@ -79,20 +74,6 @@ class ServingMetrics:
         """Cache hits / lookups (0.0 without a cache)."""
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
-
-    @property
-    def shed_rate(self) -> float:
-        """Shed / offered (0.0 for an empty run)."""
-        return self.shed / self.offered if self.offered else 0.0
-
-    def deadline_miss_rate(self, deadline: float) -> float:
-        """Fraction of served requests whose latency exceeded
-        ``deadline`` seconds (0.0 for an empty run) — what the serving
-        SLO rule in :mod:`repro.obs.slo` gates on."""
-        samples = self.latency.samples
-        if not samples:
-            return 0.0
-        return sum(1 for s in samples if s > deadline) / len(samples)
 
     def as_dict(self) -> dict[str, float]:
         """Flat summary row (latencies in milliseconds)."""

@@ -14,9 +14,7 @@ Arrival processes, all built on one inhomogeneous-Poisson machinery:
   ``(duration, rate)`` segments, cycled (arrivals come from inverting
   the integrated rate against unit-rate exponential gaps);
 * :func:`bursty_trace` — alternating base/burst rates, the tail-latency
-  stressor the cluster hedging bench replays;
-* :func:`diurnal_trace` — a sinusoidal day/night rate discretized into
-  piecewise-constant steps.
+  stressor the cluster hedging bench replays.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ __all__ = [
     "zipf_trace",
     "modulated_trace",
     "bursty_trace",
-    "diurnal_trace",
 ]
 
 
@@ -53,33 +50,6 @@ class QueryTrace:
 
     def __len__(self) -> int:
         return int(self.query_ids.shape[0])
-
-    @property
-    def offered_rate(self) -> float:
-        """Mean arrival rate (requests/second) over the trace span."""
-        if len(self) < 2:
-            return 0.0
-        span = float(self.arrivals[-1] - self.arrivals[0])
-        return (len(self) - 1) / span if span > 0 else float("inf")
-
-    def unique_queries(self) -> np.ndarray:
-        """Distinct vertex ids appearing in the trace (sorted)."""
-        return np.unique(self.query_ids)
-
-    def rescaled(self, rate: float) -> "QueryTrace":
-        """Same queries, arrival gaps rescaled to a new offered rate."""
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        current = self.offered_rate
-        if current in (0.0, float("inf")):
-            raise ValueError("trace has no usable span to rescale")
-        factor = current / rate
-        return QueryTrace(
-            query_ids=self.query_ids,
-            arrivals=(self.arrivals - self.arrivals[0]) * factor,
-            k=self.k,
-            skew=self.skew,
-        )
 
 
 def _zipf_ids(
@@ -202,42 +172,6 @@ def bursty_trace(
             (base_seconds, base_rate),
             (burst_seconds, burst_rate),
         ),
-        skew=skew,
-        k=k,
-        rng=rng,
-    )
-
-
-def diurnal_trace(
-    num_queries: int,
-    num_vertices: int,
-    *,
-    period: float = 60.0,
-    low_rate: float = 200.0,
-    high_rate: float = 2000.0,
-    steps: int = 24,
-    skew: float = 1.1,
-    k: int = 10,
-    rng: np.random.Generator | None = None,
-) -> QueryTrace:
-    """Sinusoidal day/night rate, discretized into ``steps`` segments.
-
-    ``r(t)`` sweeps from ``low_rate`` (trough) to ``high_rate`` (peak)
-    over one ``period``, evaluated at each segment's midpoint.
-    """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    if not 0 < low_rate <= high_rate:
-        raise ValueError("need 0 < low_rate <= high_rate")
-    mid = (low_rate + high_rate) / 2.0
-    amp = (high_rate - low_rate) / 2.0
-    dt = period / steps
-    phases = (np.arange(steps) + 0.5) / steps
-    rates = mid - amp * np.cos(2.0 * np.pi * phases)
-    return modulated_trace(
-        num_queries,
-        num_vertices,
-        segments=tuple((dt, float(r)) for r in rates),
         skew=skew,
         k=k,
         rng=rng,

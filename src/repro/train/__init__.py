@@ -7,7 +7,6 @@ from .embedding import (
     cosine_nearest_neighbors,
     embedding_report,
     label_homogeneity,
-    normalize_embeddings,
 )
 from .evaluation import EvalResult, Evaluator
 from .trainer import EpochRecord, GraphSamplingTrainer, IterationMetrics, TrainResult
@@ -18,7 +17,6 @@ __all__ = [
     "load_checkpoint",
     "checkpoint_metadata",
     "compute_embeddings",
-    "normalize_embeddings",
     "cosine_nearest_neighbors",
     "label_homogeneity",
     "embedding_report",

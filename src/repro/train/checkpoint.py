@@ -26,7 +26,6 @@ def _architecture_of(model: GCN) -> dict[str, object]:
         "in_dim": model.in_dim,
         "num_classes": model.num_classes,
         "hidden_dims": [layer.out_dim for layer in model.layers],
-        "concat": all(layer.concat for layer in model.layers),
         "num_parameters": model.num_parameters(),
     }
 

@@ -66,7 +66,9 @@ class TrainConfig:
     prefetch_workers:
         Concurrent sampler instances filling the pool (1 = one
         background thread, > 1 = a process pool); at most
-        ``prefetch_depth`` of them are ever busy.
+        ``prefetch_depth`` of them are ever busy. The thread was not
+        measured faster than inline; the process pool was, on small
+        subgraphs (numbers in :mod:`repro.sampling.scheduler`).
     epochs:
         One epoch processes ``ceil(|V_train| / budget)`` subgraph batches
         (the paper's definition of an epoch as one full traversal).
@@ -78,7 +80,6 @@ class TrainConfig:
     lr: float = 0.01
     weight_decay: float = 0.0
     dropout: float = 0.0
-    concat: bool = True
     epochs: int = 10
     eval_every: int = 1
     seed: int = 0

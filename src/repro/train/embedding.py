@@ -22,7 +22,6 @@ from ..serving.index import BruteForceIndex
 
 __all__ = [
     "compute_embeddings",
-    "normalize_embeddings",
     "cosine_nearest_neighbors",
     "label_homogeneity",
     "embedding_report",
@@ -33,14 +32,6 @@ def compute_embeddings(model: GCN, dataset: Dataset) -> np.ndarray:
     """Final-layer embeddings ``H^(L)`` for every vertex of the dataset."""
     aggregator, features, aggregate = full_graph_input(dataset, model.dtype)
     return model.embeddings(features, aggregator, input_aggregate=aggregate)
-
-
-def normalize_embeddings(embeddings: np.ndarray) -> np.ndarray:
-    """L2-normalize rows (zero rows stay zero)."""
-    norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
-    return np.divide(
-        embeddings, norms, out=np.zeros_like(embeddings), where=norms > 0
-    )
 
 
 def cosine_nearest_neighbors(

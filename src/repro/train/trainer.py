@@ -87,13 +87,6 @@ class TrainResult:
                 return rec.val.f1_micro
         return float("nan")
 
-    def time_to_accuracy(self, threshold: float) -> float | None:
-        """Wall seconds until validation F1-micro first reached threshold."""
-        for rec in self.epochs:
-            if rec.val is not None and rec.val.f1_micro >= threshold:
-                return rec.wall_seconds_total
-        return None
-
 
 class GraphSamplingTrainer:
     """Minibatch GCN training by graph sampling (the paper's method).
@@ -172,7 +165,6 @@ class GraphSamplingTrainer:
             dataset.features.shape[1],
             list(config.hidden_dims),
             dataset.num_classes,
-            concat=config.concat,
             dropout=config.dropout,
             seed=config.seed,
             dtype=self.policy.dtype,

@@ -44,11 +44,6 @@ class TestBipartiteGCNLayer:
         idx, numeric = numerical_gradient(loss, h, sample=10, rng=rng)
         assert max_relative_error(dh.reshape(-1)[idx], numeric) < 1e-4
 
-    def test_sum_variant(self, block, rng):
-        layer = BipartiteGCNLayer(6, 4, concat=False, rng=rng)
-        h = rng.standard_normal((20, 6))
-        assert layer.forward(h, block).shape == (12, 4)
-
     def test_backward_without_forward(self, rng):
         layer = BipartiteGCNLayer(3, 2, rng=rng)
         with pytest.raises(RuntimeError):

@@ -21,9 +21,6 @@ class TestLayerDims:
     def test_concat_doubles(self):
         assert layer_dims_of(50, (64, 64)) == [50, 128, 128]
 
-    def test_sum_variant(self):
-        assert layer_dims_of(50, (64,), concat=False) == [50, 64]
-
 
 class TestGCNIterationCost:
     def test_scales_with_graph_size(self, reddit_small):

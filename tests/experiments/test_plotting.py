@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.plotting import ascii_bars, ascii_plot, ascii_speedup_plot
+from repro.experiments.plotting import ascii_plot, ascii_speedup_plot
 
 
 class TestAsciiPlot:
@@ -45,18 +45,3 @@ class TestSpeedupPlot:
         out = ascii_speedup_plot({"ours": {1: 1.0, 10: 7.0, 40: 17.0}})
         assert "ideal" in out
         assert "ours" in out
-
-
-class TestBars:
-    def test_proportional_lengths(self):
-        out = ascii_bars({"long": 10.0, "short": 5.0}, width=20)
-        long_line = next(l for l in out.splitlines() if l.strip().startswith("long"))
-        short_line = next(l for l in out.splitlines() if l.strip().startswith("short"))
-        assert long_line.count("#") == 2 * short_line.count("#")
-
-    def test_empty(self):
-        assert "(no data)" in ascii_bars({})
-
-    def test_zero_values(self):
-        out = ascii_bars({"a": 0.0, "b": 0.0})
-        assert "#" not in out

@@ -134,19 +134,6 @@ class TestAccessors:
 
 
 class TestDerivedGraphs:
-    def test_with_self_loops(self, path_graph):
-        g = path_graph.with_self_loops()
-        for v in range(4):
-            assert g.has_edge(v, v)
-        assert g.num_edges_directed == path_graph.num_edges_directed + 4
-
-    def test_with_self_loops_idempotent_on_loops(self):
-        g = edges_to_csr(np.array([[0, 0], [0, 1]]), 2, dedup=True)
-        g2 = g.with_self_loops()
-        assert g2.has_edge(0, 0) and g2.has_edge(1, 1)
-        # vertex 0's loop was already present: exactly one copy remains
-        assert np.count_nonzero(g2.neighbors(0) == 0) == 1
-
     def test_is_symmetric(self, clique_ring):
         assert clique_ring.is_symmetric()
 

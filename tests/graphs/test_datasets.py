@@ -120,11 +120,6 @@ class TestDatasetValidation:
                 num_classes=ds.num_classes,
             )
 
-    def test_labels_of(self, ppi_small):
-        ds = ppi_small
-        idx = ds.val_idx[:3]
-        assert np.array_equal(ds.labels_of(idx), ds.labels[idx])
-
 
 class TestTable1Rows:
     def test_rows_without_datasets(self):

@@ -7,7 +7,6 @@ import pytest
 
 from repro.graphs.generators import (
     DCSBMParams,
-    chung_lu_graph,
     dcsbm_graph,
     ensure_min_degree,
     grid_graph,
@@ -136,13 +135,6 @@ class TestDCSBM:
         _, blocks = dcsbm_graph(params, rng=rng)
         counts = np.bincount(blocks, minlength=2)
         assert counts[0] == 30 and counts[1] == 70
-
-
-class TestChungLu:
-    def test_single_block(self, rng):
-        g = chung_lu_graph(500, 8.0, rng=rng)
-        assert g.num_vertices == 500
-        assert g.is_symmetric()
 
 
 class TestEnsureMinDegree:

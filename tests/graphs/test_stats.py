@@ -8,11 +8,9 @@ import pytest
 
 from repro.graphs.csr import edges_to_csr
 from repro.graphs.stats import (
-    average_local_clustering,
     connected_components,
     connectivity_summary,
     degree_assortativity,
-    degree_histogram,
     degree_ks_distance,
     global_clustering_coefficient,
     largest_component_fraction,
@@ -24,12 +22,6 @@ def to_nx(graph):
     g.add_nodes_from(range(graph.num_vertices))
     g.add_edges_from(map(tuple, graph.edge_list()))
     return g
-
-
-class TestDegreeHistogram:
-    def test_star(self, star_graph):
-        hist = degree_histogram(star_graph)
-        assert hist[1] == 5 and hist[5] == 1
 
 
 class TestKSDistance:
@@ -73,22 +65,15 @@ class TestComponents:
 class TestClustering:
     def test_triangle(self, triangle_graph):
         assert global_clustering_coefficient(triangle_graph) == pytest.approx(1.0)
-        assert average_local_clustering(triangle_graph) == pytest.approx(1.0)
 
     def test_star_no_triangles(self, star_graph):
         assert global_clustering_coefficient(star_graph) == 0.0
-        assert average_local_clustering(star_graph) == 0.0
 
     def test_vs_networkx_transitivity(self, clique_ring, medium_graph):
         for g in (clique_ring, medium_graph):
             assert global_clustering_coefficient(g) == pytest.approx(
                 nx.transitivity(to_nx(g)), abs=1e-9
             )
-
-    def test_vs_networkx_average_clustering(self, clique_ring):
-        assert average_local_clustering(clique_ring) == pytest.approx(
-            nx.average_clustering(to_nx(clique_ring)), abs=1e-9
-        )
 
 
 class TestAssortativity:

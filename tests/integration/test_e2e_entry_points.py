@@ -115,3 +115,22 @@ def test_replay_results_keep_the_fields_the_layer_table_reads():
     )
     assert len(cluster.shard_metrics) == 2 and len(cluster.results) == 40
     assert server.upserts_applied == 0
+
+
+def test_pool_stats_keep_the_fields_the_layer_table_reads():
+    # benchmarks/e2e/layers.py reads these three off a prefetching run's
+    # trainer.pool.stats through getattr, so no import names them.
+    import numpy as np
+
+    from repro.graphs.generators import ring_of_cliques
+    from repro.sampling.scheduler import SubgraphPool
+    from repro.sampling.zoo import make_sampler
+
+    sampler = make_sampler("rw", ring_of_cliques(6, 5), frontier_size=4, budget=12)
+    with SubgraphPool(sampler, depth=2, workers=1, seed=0) as pool:
+        for _ in range(3):
+            pool.get()
+        stats = pool.stats
+    for attr in ("consumer_stall_seconds", "producer_stall_seconds", "mean_staleness"):
+        assert np.isfinite(getattr(stats, attr)) and getattr(stats, attr) >= 0.0, attr
+    assert stats.mean_staleness == stats.staleness_seconds / stats.gets

@@ -123,7 +123,7 @@ class TestMatchesComplexityModel:
         n = medium_graph.num_vertices
         f0, hidden, classes = 12, 8, 5
         features = rng.standard_normal((n, f0))
-        model = GCN(f0, [hidden, hidden], classes, concat=True, seed=3)
+        model = GCN(f0, [hidden, hidden], classes, seed=3)
         agg = MeanAggregator(medium_graph)
         return medium_graph, features, model, agg
 

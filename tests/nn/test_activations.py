@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.nn.activations import (
-    leaky_relu,
-    leaky_relu_grad,
-    log_softmax,
     relu,
     relu_grad,
     sigmoid,
@@ -31,19 +28,6 @@ class TestReLU:
 
     def test_grad_zero_at_zero(self):
         assert relu_grad(np.array([0.0]), np.array([1.0]))[0] == 0.0
-
-
-class TestLeakyReLU:
-    def test_values(self):
-        x = np.array([-2.0, 4.0])
-        out = leaky_relu(x, alpha=0.1)
-        assert out[0] == pytest.approx(-0.2)
-        assert out[1] == 4.0
-
-    def test_grad(self):
-        x = np.array([-1.0, 1.0])
-        g = leaky_relu_grad(x, np.ones(2), alpha=0.1)
-        assert np.allclose(g, [0.1, 1.0])
 
 
 class TestSigmoid:
@@ -83,10 +67,6 @@ class TestSoftmax:
         p = softmax(x)
         assert np.all(np.isfinite(p))
         assert p[0, 0] == pytest.approx(1.0)
-
-    def test_log_softmax_consistent(self, rng):
-        x = rng.standard_normal((6, 9))
-        assert np.allclose(log_softmax(x), np.log(softmax(x)), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

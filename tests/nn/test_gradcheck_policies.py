@@ -54,7 +54,7 @@ def _small_block(rng: np.random.Generator, *, weighted: bool) -> SampledBlock:
 def _make_gcn(policy, rng):
     graph = _small_graph()
     layer = GCNLayer(
-        4, 3, activation="identity", concat=True, rng=rng, dtype=policy.dtype
+        4, 3, activation="identity", rng=rng, dtype=policy.dtype
     )
     agg = MeanAggregator(graph)
     x = policy.cast(rng.standard_normal((5, 4)))
@@ -70,7 +70,7 @@ def _make_dense(policy, rng):
 def _make_bipartite(policy, rng):
     block = _small_block(rng, weighted=False)
     layer = BipartiteGCNLayer(
-        4, 3, activation="identity", concat=True, rng=rng, dtype=policy.dtype
+        4, 3, activation="identity", rng=rng, dtype=policy.dtype
     )
     x = policy.cast(rng.standard_normal((6, 4)))
     return layer, lambda train: layer.forward(x, block, train=train)

@@ -1,11 +1,11 @@
-"""Tests for the Adam and SGD optimizers."""
+"""Tests for the Adam optimizer."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn.optim import _BLOCK, SGD, Adam
+from repro.nn.optim import _BLOCK, Adam
 
 
 def quadratic_group(start: np.ndarray):
@@ -13,33 +13,6 @@ def quadratic_group(start: np.ndarray):
     params = {"x": start.copy()}
     grads = {"x": np.zeros_like(start)}
     return params, grads
-
-
-class TestSGD:
-    def test_single_step(self):
-        params, grads = quadratic_group(np.array([1.0]))
-        grads["x"][...] = 2.0
-        SGD(lr=0.1).step([(params, grads)])
-        assert params["x"][0] == pytest.approx(0.8)
-
-    def test_converges_on_quadratic(self):
-        params, grads = quadratic_group(np.zeros(3))
-        opt = SGD(lr=0.1)
-        for _ in range(200):
-            grads["x"][...] = 2 * (params["x"] - 3.0)
-            opt.step([(params, grads)])
-        assert np.allclose(params["x"], 3.0, atol=1e-4)
-
-    def test_weight_decay_applies_to_matrices_only(self):
-        w = {"W": np.ones((2, 2)), "b": np.ones(2)}
-        g = {"W": np.zeros((2, 2)), "b": np.zeros(2)}
-        SGD(lr=1.0, weight_decay=0.5).step([(w, g)])
-        assert np.allclose(w["W"], 0.5)
-        assert np.allclose(w["b"], 1.0)  # bias not decayed
-
-    def test_invalid_lr(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.0)
 
 
 class TestAdam:
@@ -88,6 +61,15 @@ class TestAdam:
                 grads["x"][...] = 2 * scales * (params["x"] - 1.0)
                 opt.step([(params, grads)])
             return params["x"]
+
+        class SGD:
+            def __init__(self, lr):
+                self.lr = lr
+
+            def step(self, groups):
+                for params, grads in groups:
+                    for name, p in params.items():
+                        p -= self.lr * grads[name]
 
         # SGD lr capped by the steep dim; Adam unaffected.
         x_adam = run(Adam(lr=0.05))

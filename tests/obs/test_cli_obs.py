@@ -334,7 +334,7 @@ class TestFlightDumpCli:
 
 class TestObsReportExemplars:
     def test_renders_exemplars_from_trace_doc(self, tmp_path, capsys):
-        from repro.obs.export import write_trace_json
+        from repro.obs.export import write_obs_json
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.trace import Tracer
 
@@ -344,7 +344,7 @@ class TestObsReportExemplars:
         hist = reg.histogram("serve.latency_seconds")
         hist.record(0.123)
         hist.record_exemplar(0.123, "t1.req-000042")
-        path = write_trace_json(
+        path = write_obs_json(
             tmp_path / "OBS_x.json", "x", Tracer(clock=FakeClock()), reg
         )
         code = main(["obs-report", "--trace", str(path), "--exemplars"])

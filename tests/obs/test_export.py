@@ -13,7 +13,6 @@ from repro.obs.export import (
     trace_document,
     write_chrome_trace,
     write_obs_json,
-    write_trace_json,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -132,13 +131,6 @@ class TestChromeTrace:
 
 
 class TestFileRoundtrips:
-    def test_write_and_load_trace_json(self, tmp_path):
-        tr = _small_trace()
-        path = write_trace_json(tmp_path / "trace.json", "demo", tr, MetricsRegistry())
-        doc = load_trace(path)
-        assert doc["obs"] == "demo"
-        assert doc["spans"][0]["children"][0]["name"] == "work"
-
     def test_obs_json_flat_and_sorted(self, tmp_path):
         tr = _small_trace()
         reg = MetricsRegistry()

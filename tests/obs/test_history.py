@@ -36,12 +36,12 @@ class TestAppend:
     def test_empty_record_writes_nothing(self, tmp_path):
         store = HistoryStore(tmp_path)
         assert store.append(BenchRecord(bench="serve")) == 0
-        assert store.benches() == []
+        assert list(tmp_path.glob("*.jsonl")) == []
 
     def test_bench_name_sanitized(self, tmp_path):
         store = HistoryStore(tmp_path)
         store.append(_record(bench="a/b c"))
-        assert store.benches() == ["a_b_c"]
+        assert [p.name for p in tmp_path.glob("*.jsonl")] == ["a_b_c.jsonl"]
         assert not (tmp_path / "a").exists()
 
 
@@ -56,7 +56,6 @@ class TestRead:
 
     def test_missing_bench_is_empty(self, tmp_path):
         assert HistoryStore(tmp_path).entries("nope") == []
-        assert HistoryStore(tmp_path / "absent").benches() == []
 
     def test_series_filters_by_metric_and_key(self, tmp_path):
         store = HistoryStore(tmp_path)

@@ -132,7 +132,7 @@ class TestGlobalApi:
     def test_disabled_returns_noop_singleton(self):
         assert obs.span("anything") is NOOP_SPAN
         assert obs.span("other") is NOOP_SPAN
-        assert obs.current_span() is None
+        assert obs.get_tracer().current() is None
         assert obs.get_tracer().roots == []
 
     def test_enabled_records_then_restores(self):
@@ -141,7 +141,7 @@ class TestGlobalApi:
             assert obs.is_enabled()
             with obs.span("root") as sp:
                 assert isinstance(sp, Span)
-                assert obs.current_span() is sp
+                assert obs.get_tracer().current() is sp
         assert not obs.is_enabled()
         assert [r.name for r in obs.get_tracer().roots] == ["root"]
 

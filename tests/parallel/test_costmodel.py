@@ -25,12 +25,6 @@ class TestCostCounter:
         with pytest.raises(ValueError):
             CostCounter().count_vector_op(1, 0)
 
-    def test_lane_utilization(self):
-        c = CostCounter()
-        c.count_vector_op(4, 8)  # half-full chunk
-        assert c.lane_utilization == 4.0
-        assert CostCounter().lane_utilization == 1.0
-
     def test_add_and_copy(self):
         a = CostCounter(rand_ops=1, mem_ops=2, flops=3)
         b = a.copy()

@@ -70,13 +70,3 @@ class TestCSRProperties:
         parent_src = g.edge_sources()
         expected = int(np.sum(in_keep[parent_src] & in_keep[g.indices]))
         assert sub.num_edges_directed == expected
-
-    @given(edge_lists())
-    @settings(max_examples=40, deadline=None)
-    def test_self_loop_augmentation_count(self, case):
-        n, edges = case
-        g = edges_to_csr(edges, n, drop_self_loops=True)
-        g2 = g.with_self_loops()
-        assert g2.num_edges_directed == g.num_edges_directed + n
-        for v in range(n):
-            assert g2.has_edge(v, v)

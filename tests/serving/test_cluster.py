@@ -476,15 +476,17 @@ class TestSoak:
     """Long replays: staleness stays bounded over many refresh rounds."""
 
     def test_diurnal_soak_keeps_staleness_bounded(self):
-        from repro.serving.workload import diurnal_trace
+        from repro.serving.workload import modulated_trace
 
         emb = _embeddings(n=1200, d=16, seed=20)
-        trace = diurnal_trace(
+        # A day/night sinusoid from 500 to 5000 qps over a 1 s period, in
+        # 24 constant-rate steps.
+        phases = (np.arange(24) + 0.5) / 24
+        rates = 2750.0 - 2250.0 * np.cos(2.0 * np.pi * phases)
+        trace = modulated_trace(
             4000,
             1200,
-            period=1.0,
-            low_rate=500.0,
-            high_rate=5000.0,
+            segments=tuple((1.0 / 24, float(r)) for r in rates),
             k=8,
             rng=np.random.default_rng(21),
         )

@@ -66,12 +66,8 @@ class TestLatencyHistogram:
 class TestServingMetrics:
     def test_derived_rates(self):
         m = ServingMetrics()
-        m.served = 8
-        m.shed = 2
         m.cache_hits = 3
         m.cache_misses = 9
-        assert m.offered == 10
-        assert m.shed_rate == pytest.approx(0.2)
         assert m.hit_rate == pytest.approx(0.25)
 
     def test_throughput_uses_wall_span(self):
@@ -86,7 +82,6 @@ class TestServingMetrics:
         m = ServingMetrics()
         assert m.throughput == 0.0
         assert m.hit_rate == 0.0
-        assert m.shed_rate == 0.0
 
     def test_as_dict_latencies_in_ms(self):
         m = ServingMetrics()

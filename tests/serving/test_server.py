@@ -54,7 +54,6 @@ class TestLoadShedding:
         assert m.shed == 15
         assert m.served == 5
         assert m.served + m.shed == 20
-        assert m.shed_rate == pytest.approx(0.75)
         assert replay.batch_stats["shed"] == 15.0
 
     def test_no_shedding_with_ample_capacity(self, embeddings):

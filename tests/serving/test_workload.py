@@ -40,18 +40,8 @@ class TestZipfTrace:
         trace = zipf_trace(
             5000, 100, rate=250.0, rng=np.random.default_rng(1)
         )
-        assert trace.offered_rate == pytest.approx(250.0, rel=0.1)
-
-    def test_rescaled_changes_rate_only(self):
-        trace = zipf_trace(300, 40, rate=100.0, rng=np.random.default_rng(2))
-        faster = trace.rescaled(400.0)
-        assert np.array_equal(trace.query_ids, faster.query_ids)
-        assert faster.offered_rate == pytest.approx(400.0, rel=1e-9)
-
-    def test_unique_queries(self):
-        trace = zipf_trace(500, 20, rng=np.random.default_rng(3))
-        uniq = trace.unique_queries()
-        assert np.array_equal(uniq, np.unique(trace.query_ids))
+        span = trace.arrivals[-1] - trace.arrivals[0]
+        assert (len(trace) - 1) / span == pytest.approx(250.0, rel=0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,9 +59,6 @@ class TestZipfTrace:
                 k=10,
                 skew=1.0,
             )
-        with pytest.raises(ValueError):
-            trace = zipf_trace(10, 10)
-            trace.rescaled(0.0)
 
 
 class TestModulatedTrace:
@@ -144,22 +131,3 @@ class TestBurstyAndDiurnalTraces:
         base_rate = base_count / 1.0
         burst_rate = burst_count / 0.25
         assert burst_rate > 5 * base_rate
-
-    def test_diurnal_peak_beats_trough(self):
-        from repro.serving.workload import diurnal_trace
-
-        period = 10.0
-        trace = diurnal_trace(
-            4000,
-            500,
-            period=period,
-            low_rate=50.0,
-            high_rate=1500.0,
-            rng=np.random.default_rng(4),
-        )
-        assert np.all(np.diff(trace.arrivals) >= 0.0)
-        phase = np.mod(trace.arrivals, period) / period
-        # The sinusoid troughs at phase 0 and peaks at phase 0.5.
-        trough = np.count_nonzero((phase < 0.1) | (phase > 0.9))
-        peak = np.count_nonzero(np.abs(phase - 0.5) < 0.1)
-        assert peak > 3 * trough

@@ -1,4 +1,4 @@
-"""Guard: one roofline, one counter pricer, nothing unreached.
+"""Guard: one roofline, one counter pricer, nothing unreached, nothing unread.
 
 A public name or config field stays only if a paper experiment, CLI verb,
 benchmark, e2e workload or example reaches it. These went because nothing
@@ -6,10 +6,11 @@ did: the second ``CostCounter`` pricer (``simulated_time`` /
 ``serial_cost``) and the ``MachineSpec`` surface only it read, the
 analytic roofline beside the measured one, graph npz/edge-list I/O and
 its validator, early stopping, three sampler knobs ``TrainConfig``
-forwarded at their defaults, a delegating bench-JSON alias and the
-learning-rate schedules. This AST scan of ``src/repro`` fails when one is
-defined, imported, re-exported, read or passed again, and when a second
-roofline grows anywhere but ``kernels/roofline.py``.
+forwarded at their defaults, a delegating bench-JSON alias, the
+learning-rate schedules and the GCN layer's ``concat`` switch. This AST
+scan of ``src/repro`` fails when one is defined, imported, re-exported,
+read or passed again, and when a second roofline grows anywhere but
+``kernels/roofline.py``.
 
 The same holds for whole modules: every module under ``src/repro`` is
 imported, directly or through other modules, by an entry point a run
@@ -18,6 +19,16 @@ starts from — the CLI, a benchmark, an example or a tool — or sits on
 tracer's ``TARGETS`` count as imports; a package ``__init__`` that only
 re-exports a name does not (a name read through a package is charged to
 the module that defines it).
+
+And for each public name: every top-level function or class, and every
+method or property of a public class, in a module a run reaches is read
+somewhere in ``src/repro`` or an entry point outside its own body — as a
+name, an attribute, a ``from ... import`` outside a package ``__init__``,
+or a string equal to it or a dotted string ending in it (the e2e layer
+table reads ``PrefetchStats.mean_staleness`` through ``getattr``). Tests,
+docstrings and ``__all__`` never count. A name kept anyway — a fixture or
+oracle the tests use, a paper claim only a test checks, or a seam an open
+ROADMAP item needs — sits on ``NAMES_ALLOWED`` with its reason.
 """
 
 from __future__ import annotations
@@ -26,8 +37,16 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
+from repro.baselines.base import BlockModel
+from repro.baselines.batched_gcn import BatchedGCNConfig
+from repro.baselines.graphsage import SageConfig
+from repro.baselines.sage_layers import BipartiteGCNLayer
+from repro.experiments.modelcosts import layer_dims_of
+from repro.nn.layers import GCNLayer
+from repro.nn.network import GCN
 from repro.parallel.machine import MachineSpec
 from repro.sampling.zoo import make_sampler
 from repro.train.config import TrainConfig
@@ -50,6 +69,27 @@ UNREACHED_ALLOWED = {
     "repro.propagation.cache_model": "the Theorem 2 mechanism check, until a measured one is recorded",
 }
 
+#: Public names no run reads, each kept for the reason given.
+NAMES_ALLOWED = {
+    "repro.graphs.generators.ring_of_cliques": "the clique-ring test graph (conftest's clique_ring)",
+    "repro.graphs.generators.grid_graph": "the grid test graph of tests/conftest.py",
+    "repro.graphs.csr.CSRGraph.has_edge": "the edge-membership oracle of the graph tests",
+    "repro.graphs.csr.CSRGraph.is_symmetric": "the symmetry oracle of the generator tests",
+    "repro.propagation.spmm.MeanAggregator.dense": "the dense A_hat the SpMM tests compare against",
+    "repro.kernels.backends.adjacency_cache_stats": "the memo counter that proves the cache is hit",
+    "repro.propagation.spmm.input_aggregate_stats": "the memo counter that proves the cache is hit",
+    "repro.sampling.dashboard.Dashboard.alive_vertices": "the frontier oracle of the Dashboard tests",
+    "repro.obs.trace.set_tracer": "the test seam that installs a fake-clock tracer",
+    "repro.obs._gate.set_enabled": "the test seam that resets the obs gate between tests",
+    "repro.sampling.base.GraphSampler.sample_many": "ROADMAP item 1 makes it the sampling primitive",
+    "repro.sampling.norm.NormCoefficients.expected_batch_weight": (
+        "ROADMAP item 4's batch-weight-is-1 estimator invariant"
+    ),
+    "repro.analysis.complexity.work_ratio_vs_depth": "the paper's §III-B work-ratio claim",
+    "repro.sampling.cost.theorem1_speedup_bound": "the paper's Theorem 1 speedup bound",
+    "repro.sampling.cost.serial_sampler_cost": "the serial cost Theorem 1's bound is stated over",
+}
+
 DELETED_NAMES = {
     "simulated_time", "serial_cost", "numa_factor", "numa_remote_penalty",
     "sockets_used", "with_cores", "laptop_4core", "speedup_curve",
@@ -69,7 +109,12 @@ DELETED_ATTRIBUTES = (
     ("repro.experiments.common", "write_bench_json"),
     ("repro.experiments", "write_bench_json"),
 )
-DELETED_TRAIN_FIELDS = {"patience", "restore_best", "eta", "max_entries_per_vertex", "walk_depth"}
+DELETED_TRAIN_FIELDS = {
+    "patience", "restore_best", "eta", "max_entries_per_vertex", "walk_depth", "concat",
+}
+#: Layer options every run left at the paper's shape (concat, bias, no
+#: L2 row normalization), now the layers' fixed form.
+DELETED_LAYER_OPTIONS = {"concat", "bias", "normalize"}
 
 #: Words a public definition of a roofline piece carries, and the one
 #: module each piece may live in.
@@ -136,6 +181,11 @@ def test_no_deleted_name_is_defined_imported_or_used():
 def test_configs_carry_no_deleted_field():
     train = {f.name for f in dataclasses.fields(TrainConfig)}
     assert not train & DELETED_TRAIN_FIELDS
+    for config in (BatchedGCNConfig, SageConfig):
+        assert "concat" not in {f.name for f in dataclasses.fields(config)}, config
+    for model in (GCN, GCNLayer, BipartiteGCNLayer, BlockModel):
+        assert not set(inspect.signature(model).parameters) & DELETED_LAYER_OPTIONS, model
+    assert "concat" not in inspect.signature(layer_dims_of).parameters
     machine = {f.name for f in dataclasses.fields(MachineSpec)}
     assert "numa_remote_penalty" not in machine
     for method in ("numa_factor", "sockets_used", "with_cores"):
@@ -326,6 +376,95 @@ def test_every_module_is_reached_by_a_run():
     assert _reach_violations(SRC.parent, entries, targets, UNREACHED_ALLOWED) == []
 
 
+#: A dotted identifier string (``"repro.nn.layers.relu"``) reads its last part.
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+_DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _public_definitions(tree: ast.Module):
+    """``(qualified name, node)`` of every top-level public function or
+    class and every public method or property of a public class."""
+    for node in tree.body:
+        if isinstance(node, _DEFS) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, _DEFS) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub
+
+
+def _unread_strings(tree: ast.Module) -> set[int]:
+    """``id`` of every docstring and ``__all__`` string node in ``tree``."""
+    skip = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if isinstance(node, (ast.Module, *_DEFS)) and body and isinstance(body[0], ast.Expr):
+            skip.add(id(body[0].value))
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            skip.update(id(sub) for sub in ast.walk(node.value))
+    return skip
+
+
+def _reads(tree: ast.Module, *, package_init: bool):
+    """``(name, line)`` of every read in ``tree``: a name, an attribute, a
+    ``from ... import`` (not in a package ``__init__``) or a string equal
+    to the name or a dotted string ending in it."""
+    skip = _unread_strings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom) and not package_init:
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+            elif _DOTTED.fullmatch(node.value):
+                yield node.value.rsplit(".", 1)[1], node.lineno
+
+
+def _name_violations(
+    src: Path, entries: list[Path], exempt: set[str], allowed: dict[str, str]
+) -> list[str]:
+    """What the name guard fails on: a public definition in a module off
+    ``exempt`` that nothing reads outside its own body and that is not on
+    the allow-list, an allow-list entry without a reason, or one for a
+    name that is read (or gone)."""
+    index = _module_index(src)
+    modules = {path: name for name, path in index.items()}
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for path in set(index.values()) | set(entries)
+    }
+    read_at: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _reads(tree, package_init=path.name == "__init__.py"):
+            read_at.setdefault(name, []).append((path, line))
+    unread = set()
+    for path, module in modules.items():
+        if module in exempt:
+            continue
+        for qual, node in _public_definitions(trees[path]):
+            if not any(
+                where != path or not node.lineno <= line <= node.end_lineno
+                for where, line in read_at.get(node.name, ())
+            ):
+                unread.add(f"{module}.{qual}")
+    return (
+        [f"unread: {n}" for n in sorted(unread - set(allowed))]
+        + [f"no reason: {n}" for n, why in sorted(allowed.items()) if not why.strip()]
+        + [f"stale allow: {n}" for n in sorted(set(allowed) - unread)]
+    )
+
+
+def test_every_public_name_is_read_by_a_run():
+    entries = [p for p in _entry_points(REPO) if not p.is_relative_to(SRC)]
+    assert _name_violations(SRC.parent, entries, set(UNREACHED_ALLOWED), NAMES_ALLOWED) == []
+
+
 class TestReachabilityDetector:
     """The guard on a planted tree: ``pkg`` holds a package that
     re-exports from ``util`` and ``orphan``; the entry point reads one
@@ -385,4 +524,65 @@ class TestReachabilityDetector:
             "no reason: pkg.lib.orphan",
             "stale allow: pkg.deep",
             "stale allow: pkg.gone",
+        ]
+
+
+class TestNameDetector:
+    """The name guard on a planted tree: ``pkg.lib`` defines functions and
+    a class whose names are read, or not, by an entry point and a test."""
+
+    def _plant(self, root: Path) -> tuple[Path, list[Path]]:
+        files = {
+            "src/pkg/__init__.py": (
+                "from .lib import unused, used\n__all__ = ['unused', 'used']\n"
+            ),
+            "src/pkg/lib.py": (
+                "def used():\n    return 1\n"
+                "def unused():\n    return unused\n"
+                "class Box:\n"
+                "    '''tested'''\n"
+                "    def tested(self):\n        return 1\n"
+                "    def by_string(self):\n        return 2\n"
+                "    def _private(self):\n        return 3\n"
+                "    def __len__(self):\n        return 0\n"
+                "class _Hidden:\n    def method(self):\n        pass\n"
+            ),
+            "src/pkg/exempt.py": "def orphan():\n    pass\n",
+            "tools/run.py": (
+                "from pkg.lib import Box, used\n"
+                "print(used(), getattr(Box(), 'by_string')())\n"
+            ),
+            "tests/test_lib.py": "from pkg.lib import Box, unused\nBox().tested()\n",
+        }
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        return root / "src", [root / "tools/run.py"]
+
+    def test_unread_names_fail_and_tests_docstrings_and_all_do_not_read(self, tmp_path):
+        src, entries = self._plant(tmp_path)
+        assert _name_violations(src, entries, {"pkg.exempt"}, {}) == [
+            "unread: pkg.lib.Box.tested",
+            "unread: pkg.lib.unused",
+        ]
+
+    def test_a_getattr_string_in_an_entry_point_is_a_read(self, tmp_path):
+        src, entries = self._plant(tmp_path)
+        allowed = {"pkg.lib.Box.tested": "planted", "pkg.lib.unused": "planted"}
+        assert _name_violations(src, entries, {"pkg.exempt"}, allowed) == []
+
+    def test_allow_list_entries_need_a_reason_and_an_unread_name(self, tmp_path):
+        src, entries = self._plant(tmp_path)
+        allowed = {
+            "pkg.lib.Box.tested": "planted",
+            "pkg.lib.unused": " ",
+            "pkg.lib.used": "read by tools/run.py",
+            "pkg.lib.gone": "no such name",
+            "pkg.exempt.orphan": "its module is exempt",
+        }
+        assert _name_violations(src, entries, {"pkg.exempt"}, allowed) == [
+            "no reason: pkg.lib.unused",
+            "stale allow: pkg.exempt.orphan",
+            "stale allow: pkg.lib.gone",
+            "stale allow: pkg.lib.used",
         ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,24 @@ class TestRoundtrip:
         assert meta["hidden_dims"] == [8, 8]
         assert meta["num_classes"] == 5
         assert meta["num_parameters"] == model.num_parameters()
+        assert "concat" not in meta  # every layer concatenates; nothing to record
+
+    def test_a_header_that_still_names_concat_loads(self, model, tmp_path):
+        # The header older checkpoints carry: the same keys plus
+        # "concat": true, from when the layer could sum its branches.
+        header = {
+            "in_dim": 10,
+            "num_classes": 5,
+            "hidden_dims": [8, 8],
+            "concat": True,
+            "num_parameters": model.num_parameters(),
+        }
+        path = tmp_path / "old.npz"
+        meta = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, __meta__=meta, **model.state_dict())
+        fresh = load_checkpoint(GCN(10, [8, 8], 5, seed=99), path)
+        for k, v in model.state_dict().items():
+            assert np.array_equal(fresh.state_dict()[k], v), k
 
     def test_architecture_mismatch_rejected(self, model, tmp_path):
         path = save_checkpoint(model, tmp_path / "ckpt")

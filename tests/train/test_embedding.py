@@ -7,13 +7,13 @@ import pytest
 
 from repro.kernels import accounting
 from repro.nn.network import GCN
+from repro.serving.index import l2_normalize_rows
 from repro.train.config import TrainConfig
 from repro.train.embedding import (
     compute_embeddings,
     cosine_nearest_neighbors,
     embedding_report,
     label_homogeneity,
-    normalize_embeddings,
 )
 from repro.train.trainer import GraphSamplingTrainer
 
@@ -21,12 +21,12 @@ from repro.train.trainer import GraphSamplingTrainer
 class TestNormalize:
     def test_unit_rows(self, rng):
         e = rng.standard_normal((10, 4))
-        n = normalize_embeddings(e)
+        n = l2_normalize_rows(e)
         assert np.allclose(np.linalg.norm(n, axis=1), 1.0)
 
     def test_zero_rows_stay_zero(self):
         e = np.zeros((3, 4))
-        assert np.all(normalize_embeddings(e) == 0)
+        assert np.all(l2_normalize_rows(e) == 0)
 
 
 class TestNearestNeighbors:

@@ -69,16 +69,9 @@ def _oracle_logits(model, dataset):
 
 
 class TestSharedInput:
-    @pytest.mark.parametrize("concat", [False, True])
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_normalized_model_inference_matches_layer_forward(
-        self, ppi_small, normalize, concat
-    ):
+    def test_normalized_model_inference_matches_layer_forward(self, ppi_small):
         ds = _fresh(ppi_small)
-        model = GCN(
-            ds.attribute_dim, [32, 32], ds.num_classes,
-            normalize=normalize, concat=concat, seed=3,
-        )
+        model = GCN(ds.attribute_dim, [32, 32], ds.num_classes, seed=3)
         for layer in model.layers:  # biases start at zero: make them count
             for name in ("b_neigh", "b_self"):
                 layer.params[name][...] = np.linspace(-0.5, 0.5, layer.out_dim)

@@ -106,12 +106,6 @@ class TestTrainer:
         r2 = GraphSamplingTrainer(reddit_small, quick_cfg).train()
         assert r1.epochs[-1].train_loss == pytest.approx(r2.epochs[-1].train_loss)
 
-    def test_time_to_accuracy(self, reddit_small, quick_cfg):
-        result = GraphSamplingTrainer(reddit_small, quick_cfg).train()
-        t = result.time_to_accuracy(0.0)  # trivially reached at first eval
-        assert t is not None and t > 0
-        assert result.time_to_accuracy(2.0) is None  # unreachable
-
     def test_eval_every(self, reddit_small):
         cfg = TrainConfig(
             hidden_dims=(16,), frontier_size=20, budget=100, epochs=4, eval_every=2
