@@ -37,15 +37,15 @@ def test_sampler_throughput(paper_bench):
     assert results["speedup"] >= samplerbench.DEFAULT_MIN_SPEEDUP
     assert results["meets_target"] is True
 
-    samples = results["samples"]
-    assert len(samples["sample_wall_s.fast"]) == results["repeats"]
-    assert len(samples["sample_wall_s.reference"]) == results["repeats"]
-    assert len(samples["throughput.fast"]) == results["repeats"]
+    series = results["series"]
+    assert len(series["sample_wall_s.fast"].samples) == results["repeats"]
+    assert len(series["sample_wall_s.reference"].samples) == results["repeats"]
+    assert len(series["throughput.fast"].samples) == results["repeats"]
 
     # The e2e operating points are on the record with no bar: at m = 16
     # the two engines are within ~10% of each other, and the series is
     # how that is seen.
     assert results["clock"] == "wall"
     for label, point in results["operating_points"].items():
-        assert len(samples[f"speedup.{label}"]) == results["repeats"]
+        assert len(series[f"speedup.{label}"].samples) == results["repeats"]
         assert point["speedup"] > 0

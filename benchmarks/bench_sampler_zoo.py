@@ -39,11 +39,11 @@ def test_sampler_zoo(paper_bench):
         assert results["speedups"][fam] >= samplerbench.DEFAULT_ZOO_MIN_SPEEDUP
     assert results["meets_target"] is True
 
-    # Wall seconds on this host: conftest.record_json puts the clock into
-    # the series key.
+    # Wall seconds on this host: write_bench puts the clock into the
+    # series key.
     assert results["clock"] == "wall"
-    samples = results["samples"]
+    series = results["series"]
     for fam in FAMILIES:
-        assert len(samples[f"sample_wall_s.{fam}.fast"]) == results["repeats"]
-        assert len(samples[f"sample_wall_s.{fam}.reference"]) == results["repeats"]
-        assert len(samples[f"throughput.{fam}.fast"]) == results["repeats"]
+        assert len(series[f"sample_wall_s.{fam}.fast"].samples) == results["repeats"]
+        assert len(series[f"sample_wall_s.{fam}.reference"].samples) == results["repeats"]
+        assert len(series[f"throughput.{fam}.fast"].samples) == results["repeats"]

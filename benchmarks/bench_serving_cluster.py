@@ -19,9 +19,10 @@ from time import perf_counter
 
 import numpy as np
 
+from repro import obs
 from repro.experiments import serving
 from repro.kernels import accounting
-from repro.obs.record import BenchRecord, environment_fingerprint
+from repro.obs.record import MetricSeries, write_bench
 from repro.serving.cluster import ShardedIndex
 from repro.serving.index import build_index, l2_normalize_rows
 from repro.serving.upsert import drift_refresh
@@ -106,9 +107,11 @@ def _shard_refresh_samples() -> dict:
             cold_s.append(t2 - t1)
             lloyd.append(shard.indexes[0].lloyd_iterations)
     return {
-        "samples": {
-            "serving.shard_refresh_seconds": refreshed_s,
-            "serving.shard_cold_build_seconds": cold_s,
+        "clock": "wall",
+        "key_fields": {"shard": f"{REFRESH_ROWS}x{REFRESH_DIM}", "cells": REFRESH_CELLS},
+        "series": {
+            "serving.shard_refresh_seconds": MetricSeries(refreshed_s),
+            "serving.shard_cold_build_seconds": MetricSeries(cold_s),
         },
         "lloyd_iterations": lloyd,
         "meta": {
@@ -119,27 +122,22 @@ def _shard_refresh_samples() -> dict:
     }
 
 
-def test_shard_refresh(benchmark, reporter):
+def _write(results_dir, name: str, results: dict) -> None:
+    """The wall-clock series benches' files. They run with obs off (spans
+    would land inside the timed calls), so their OBS file is an empty
+    summary, not what an earlier bench of the session left behind."""
+    obs.reset()
+    paths = write_bench(results_dir, name, results, seed=0)
+    print(f"\n{results['meta']}\n" + "\n".join(f"[written to {p}]" for p in paths))
+
+
+def test_shard_refresh(benchmark, results_dir):
     """What one upsert slab costs, on the wall clock (its own history
     series, ``serve_refresh``: the ``serve_cluster`` series above is on
     the replay's virtual clock and the two are never pooled)."""
     results = benchmark.pedantic(_shard_refresh_samples, rounds=1, iterations=1)
-    record = BenchRecord(
-        "serve_refresh",
-        env=environment_fingerprint(
-            seed=0,
-            extra={
-                "clock": "wall",
-                "shard": f"{REFRESH_ROWS}x{REFRESH_DIM}",
-                "cells": REFRESH_CELLS,
-            },
-        ),
-    )
-    for metric, values in results["samples"].items():
-        record.add_samples(metric, values)
-    path = reporter.write_results("serve_refresh", results, record=record)
-    print(f"\n{results['meta']}\n[written to {path}]")
-    assert len(results["samples"]["serving.shard_refresh_seconds"]) == (
+    _write(results_dir, "serve_refresh", results)
+    assert len(results["series"]["serving.shard_refresh_seconds"].samples) == (
         REFRESH_ROUNDS * REFRESH_SHARDS
     )
     # A 1% drift is refreshed, not rebuilt: it must not cost a cold build.
@@ -187,9 +185,17 @@ def _small_batch_search_samples() -> dict:
                 seconds[name].append(call)
                 glue[name].append((call - gemm) / gemm)
     return {
-        "samples": {
-            **{f"serving.search_seconds.{name}": v for name, v in seconds.items()},
-            **{f"serving.search_glue_ratio.{name}": v for name, v in glue.items()},
+        "clock": "wall",
+        "key_fields": {"dim": REFRESH_DIM},
+        "series": {
+            **{
+                f"serving.search_seconds.{name}": MetricSeries(v)
+                for name, v in seconds.items()
+            },
+            **{
+                f"serving.search_glue_ratio.{name}": MetricSeries(v, unit="ratio")
+                for name, v in glue.items()
+            },
         },
         "meta": {
             "dim": REFRESH_DIM,
@@ -199,21 +205,13 @@ def _small_batch_search_samples() -> dict:
     }
 
 
-def test_small_batch_search(benchmark, reporter):
+def test_small_batch_search(benchmark, results_dir):
     """What one ``search`` call costs at the batch sizes the replays
     issue, on the wall clock (its own history series, ``serve_search``,
     never pooled with the virtual-clock ``serve_cluster`` series)."""
     results = benchmark.pedantic(_small_batch_search_samples, rounds=1, iterations=1)
-    record = BenchRecord(
-        "serve_search",
-        env=environment_fingerprint(seed=0, extra={"clock": "wall", "dim": REFRESH_DIM}),
-    )
-    for metric, values in results["samples"].items():
-        ratio = "glue_ratio" in metric
-        record.add_samples(metric, values, unit="ratio" if ratio else "s")
-    path = reporter.write_results("serve_search", results, record=record)
-    print(f"\n{results['meta']}\n[written to {path}]")
-    assert all(len(v) == SEARCH_ROUNDS for v in results["samples"].values())
+    _write(results_dir, "serve_search", results)
+    assert all(len(v.samples) == SEARCH_ROUNDS for v in results["series"].values())
     # A batch amortizes the per-call glue: a call of 64 queries spends a
     # smaller part of itself outside its GEMMs than a call of one.
     glue = results["meta"]["glue_ratio_median"]

@@ -35,7 +35,13 @@ trace documents and flight dumps alike); ``flight-dump`` runs a small
 hedged replay and writes the flight recorder's ring buffers as an
 ``OBS_flightdump_*.json`` diagnostic bundle on demand. Each subcommand
 prints the paper-style table; ``--out DIR`` additionally writes it to
-``DIR/<name>.txt``.
+``DIR/<name>.txt``. The bench verbs (``serve-bench``, ``serve-cluster``,
+``sampler-bench``, ``sampler-zoo``, ``train-bench``) write
+``<name>.txt`` / ``BENCH_<name>.json`` / ``OBS_<name>.json`` through
+:func:`repro.obs.record.write_bench`, under the bench name the pytest
+bench of the same runner uses (``serving``, ``serve_cluster``,
+``sampler_throughput``, ``sampler_zoo``, ``train_bench``) and the run's
+``--seed``: both entry points land on one history series.
 
 Continuous performance observability::
 
@@ -84,7 +90,7 @@ from .experiments import (
     table2,
 )
 from .experiments.common import DATASET_NAMES, format_table
-from .obs.record import write_bench_json
+from .obs.record import MetricSeries, write_bench
 from .sampling.zoo import FAMILIES
 
 __all__ = ["main", "build_parser"]
@@ -184,25 +190,15 @@ def _run_extensions(args: argparse.Namespace, out: pathlib.Path | None) -> None:
     _emit("extensions", text, out)
 
 
-def _write_serving_bench(
-    args: argparse.Namespace, out: pathlib.Path, name: str, results: dict, payload: dict
+def _bench(
+    name: str, results: dict, text: str, args: argparse.Namespace, out: pathlib.Path | None
 ) -> None:
-    """``BENCH_<name>.json``: ``payload`` plus one ``latency_s.<config>``
-    series per replayed serving configuration."""
-    from .obs.record import environment_fingerprint
-
-    samples = {
-        f"latency_s.{config}": values
-        for config, values in results.get("latency_samples", {}).items()
-    }
-    path = write_bench_json(
-        out / f"BENCH_{name}.json",
-        name,
-        payload,
-        samples=samples,
-        env=environment_fingerprint(seed=args.seed),
-    )
-    print(f"[written to {path}]")
+    """Print a bench run's table; with ``--out``, write its three files
+    (``write_bench``, as the pytest benches do)."""
+    print(text)
+    if out is not None:
+        for path in write_bench(out, name, results, seed=args.seed, text=text):
+            print(f"[written to {path}]")
 
 
 def _run_serve_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None:
@@ -210,20 +206,15 @@ def _run_serve_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
     results = serving.run(
         num_queries=args.queries, load_factor=args.load_factor, seed=args.seed
     )
-    _emit("serve_bench", serving.format_results(results), out)
-    if out is not None:
-        _write_serving_bench(args, out, "serve_bench", results, results)
+    _bench("serving", results, serving.format_results(results), args, out)
 
 
 def _run_serve_cluster(args: argparse.Namespace, out: pathlib.Path | None) -> None:
     """The sharded/replicated cluster experiment: million-vertex Zipf
     throughput + recall, bursty hedging and a streaming-upsert soak under
-    the cluster SLOs. Emits ``BENCH_serve_cluster.json`` and the hedged
-    replay's request span forest + tail exemplars
-    (``OBS_serve_cluster.json``, what ``obs-report --exemplars`` /
+    the cluster SLOs. Its OBS file is the hedged replay's request span
+    forest + tail exemplars (what ``obs-report --exemplars`` /
     ``--request`` read)."""
-    import json
-
     results = serving.run_cluster(
         num_queries=args.queries,
         num_vertices=args.cluster_vertices,
@@ -234,29 +225,17 @@ def _run_serve_cluster(args: argparse.Namespace, out: pathlib.Path | None) -> No
         soak_vertices=min(50_000, args.cluster_vertices),
         seed=args.seed,
     )
-    _emit("serve_cluster", serving.format_cluster_results(results), out)
-    if out is not None:
-        payload = {
-            k: v for k, v in results.items() if k not in ("latency_samples", "trace_doc")
-        }
-        _write_serving_bench(args, out, "serve_cluster", results, payload)
-        obs_path = out / "OBS_serve_cluster.json"
-        obs_path.write_text(json.dumps(results["trace_doc"], indent=2) + "\n")
-        print(f"[written to {obs_path}]")
+    _bench("serve_cluster", results, serving.format_cluster_results(results), args, out)
 
 
 def _run_sampler_bench(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     """Time fast vs reference Dashboard engines; optionally enforce a floor.
 
-    Emits ``BENCH_sampler_throughput.json`` (``env.clock = "wall"``) with
-    per-repeat wall-time series for both engines (lower-is-better), the
-    fast engine's subgraphs/sec series (higher-is-better) and the
-    reference÷fast ratio at each e2e operating point (``speedup.m16`` /
-    ``speedup.m50``, no bar) so bench-record / bench-gate can track the
-    sampler the same way they track serving latency.
+    Writes the ``sampler_throughput`` bench (the series
+    :func:`repro.experiments.samplerbench.run` states) so bench-record /
+    bench-gate track the sampler the same way they track serving latency.
     """
     from .experiments import samplerbench
-    from .obs.record import BenchRecord, environment_fingerprint
 
     results = samplerbench.run(
         repeats=args.repeats,
@@ -267,39 +246,7 @@ def _run_sampler_bench(args: argparse.Namespace, out: pathlib.Path | None) -> in
             else samplerbench.DEFAULT_MIN_SPEEDUP
         ),
     )
-    _emit("sampler_bench", samplerbench.format_results(results), out)
-    if out is not None:
-        record = BenchRecord(
-            bench="sampler_throughput",
-            env=environment_fingerprint(
-                seed=args.seed, extra={"clock": results["clock"]}
-            ),
-        )
-        samples = results["samples"]
-        record.add_samples(
-            "sample_wall_s.fast", samples["sample_wall_s.fast"],
-            unit="s", direction="lower",
-        )
-        record.add_samples(
-            "sample_wall_s.reference", samples["sample_wall_s.reference"],
-            unit="s", direction="lower",
-        )
-        record.add_samples(
-            "throughput.fast", samples["throughput.fast"],
-            unit="subgraphs/s", direction="higher",
-        )
-        for label in samplerbench.OPERATING_POINTS:
-            record.add_samples(
-                f"speedup.{label}", samples[f"speedup.{label}"],
-                unit="ratio", direction="higher",
-            )
-        path = write_bench_json(
-            out / "BENCH_sampler_throughput.json",
-            "sampler_throughput",
-            {k: v for k, v in results.items() if k != "samples"},
-            record=record,
-        )
-        print(f"[written to {path}]")
+    _bench("sampler_throughput", results, samplerbench.format_results(results), args, out)
     if args.min_speedup is not None and not results["meets_target"]:
         print(
             f"sampler-bench: speedup {results['speedup']:.2f}x below "
@@ -315,13 +262,10 @@ def _run_sampler_zoo(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     ``--family all`` times every family in
     :data:`repro.sampling.zoo.FAMILIES` (fast vs reference, interleaved)
     at a shared budget; a single family name restricts the comparison.
-    Emits ``BENCH_sampler_zoo.json`` with per-(family, engine) wall-time
-    series plus each family's fast-engine throughput series for the
-    bench-record / bench-gate history tooling.
+    Writes the ``sampler_zoo`` bench: per-(family, engine) wall-time
+    series plus each family's fast-engine throughput series.
     """
     from .experiments import samplerbench
-    from .obs.record import BenchRecord, environment_fingerprint
-    from .sampling.zoo import FAMILIES
 
     families = FAMILIES if args.family == "all" else (args.family,)
     results = samplerbench.run_zoo(
@@ -334,28 +278,7 @@ def _run_sampler_zoo(args: argparse.Namespace, out: pathlib.Path | None) -> int:
             else samplerbench.DEFAULT_ZOO_MIN_SPEEDUP
         ),
     )
-    _emit("sampler_zoo", samplerbench.format_zoo_results(results), out)
-    if out is not None:
-        record = BenchRecord(
-            bench="sampler_zoo",
-            env=environment_fingerprint(
-                seed=args.seed, extra={"clock": results["clock"]}
-            ),
-        )
-        for name, values in results["samples"].items():
-            if name.startswith("throughput."):
-                record.add_samples(
-                    name, values, unit="subgraphs/s", direction="higher"
-                )
-            else:
-                record.add_samples(name, values, unit="s", direction="lower")
-        path = write_bench_json(
-            out / "BENCH_sampler_zoo.json",
-            "sampler_zoo",
-            {k: v for k, v in results.items() if k != "samples"},
-            record=record,
-        )
-        print(f"[written to {path}]")
+    _bench("sampler_zoo", results, samplerbench.format_zoo_results(results), args, out)
     if args.min_speedup is not None and not results["meets_target"]:
         worst = min(results["speedups"].values())
         print(
@@ -442,7 +365,6 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
     training series of ``benchmarks/history/``.
     """
     from . import obs
-    from .obs.record import BenchRecord, environment_fingerprint
     from .train.embedding import compute_embeddings
     from .train.trainer import GraphSamplingTrainer
 
@@ -471,27 +393,23 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
         "final_val_f1": result.final_val_f1,
         "evaluate_first_sample": "cold",
     }
-    _emit("train_bench", obs.export.render_report(doc), out)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "OBS_train_bench.json"
-        import json
-
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-        chrome = obs.export.write_chrome_trace(out / "train_bench.chrome.json")
+    histograms = obs.metrics.get_registry().histograms
+    results = {
+        **doc["meta"],
         # The workload (dataset, width) and the clock are part of the
         # series key: a history series never pools across either.
-        record = BenchRecord.from_registry(
-            "train_bench",
-            env=environment_fingerprint(
-                seed=args.seed,
-                extra={"clock": "wall", "dataset": args.dataset, "hidden": args.hidden},
-            ),
-        )
-        bench = write_bench_json(
-            out / "BENCH_train_bench.json", "train_bench", doc["meta"], record=record
-        )
-        print(f"[written to {path}]\n[written to {chrome}]\n[written to {bench}]")
+        "clock": "wall",
+        "key_fields": {"dataset": args.dataset, "hidden": args.hidden},
+        "series": {
+            name: MetricSeries(list(histograms[name].samples))
+            for name in ("trainer.iteration_seconds", "trainer.evaluate_seconds", "embed_seconds")
+        },
+        "trace": doc,
+    }
+    _bench("train_bench", results, obs.export.render_report(doc), args, out)
+    if out is not None:
+        chrome = obs.export.write_chrome_trace(out / "train_bench.chrome.json")
+        print(f"[written to {chrome}]")
 
 
 def _run_obs_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
@@ -529,13 +447,23 @@ def _run_obs_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     return 0
 
 
+def _load_records(args: argparse.Namespace):
+    """The records under ``--results``; each BENCH file that could not be
+    parsed is named on stdout and left out (the run goes on)."""
+    from .obs.record import load_bench_records
+
+    records, skipped = load_bench_records(args.results)
+    for reason in skipped:
+        print(f"warning: skipped unreadable {reason}")
+    return records
+
+
 def _run_bench_record(args: argparse.Namespace, out: pathlib.Path | None) -> None:
     """Append every BENCH_*.json record in --results to the history."""
     from .obs.history import HistoryStore
-    from .obs.record import load_bench_records
 
     store = HistoryStore(args.history)
-    records = load_bench_records(args.results)
+    records = _load_records(args)
     if not records:
         print(f"no BENCH_*.json records under {args.results}")
         return
@@ -559,13 +487,12 @@ def _run_bench_record(args: argparse.Namespace, out: pathlib.Path | None) -> Non
 
 def _diff_current_vs_history(args: argparse.Namespace):
     from .obs.history import HistoryStore
-    from .obs.record import load_bench_records
     from .obs.regress import RegressionPolicy, diff_against_history
 
-    store = HistoryStore(args.history)
-    records = load_bench_records(args.results)
     return diff_against_history(
-        records, store, policy=RegressionPolicy(noise_threshold=args.noise)
+        _load_records(args),
+        HistoryStore(args.history),
+        policy=RegressionPolicy(noise_threshold=args.noise),
     )
 
 

@@ -8,10 +8,10 @@ so the pop/replace/append loop dominates — the regime the vectorized
 engine exists for; at trivial budgets the shared subgraph-induction cost
 floors the ratio.
 
-The ``samples`` dict carries per-repeat wall times for each engine so the
-emitted ``BENCH_sampler_throughput.json`` feeds the bench-record /
-bench-gate history tooling: the fast-engine series is the protected
-baseline, the reference series documents the oracle's cost, and the
+The ``series`` dict (clock ``wall``) carries per-repeat wall times for
+each engine so the emitted ``BENCH_sampler_throughput.json`` feeds the
+bench-record / bench-gate history tooling: the fast-engine series is the
+protected baseline, the reference series documents the oracle's cost, and the
 ``throughput.fast`` series (subgraphs/sec, higher-is-better) is the
 headline metric. Beside it the run times both engines at the e2e
 benchmark's operating points (``OPERATING_POINTS``: small frontiers,
@@ -29,6 +29,7 @@ from ..graphs.csr import CSRGraph
 from ..graphs.datasets import make_dataset, training_view
 from ..sampling.dashboard import ENGINES, DashboardFrontierSampler
 from ..sampling.zoo import FAMILIES, make_sampler
+from ..obs.record import MetricSeries
 from .common import EXPERIMENT_SCALES, format_table
 
 __all__ = [
@@ -65,34 +66,38 @@ OPERATING_POINTS: dict[str, tuple[str, float, int, int]] = {
 }
 
 
-def _time_engines(
-    graph: CSRGraph, *, budget: int, frontier_size: int, repeats: int, seed: int
-) -> tuple[dict[str, list[float]], dict[str, dict]]:
-    """Per-repeat wall seconds (and last-subgraph stats) of both engines,
-    timed interleaved — repeat ``i`` of every engine runs back-to-back —
-    so slow host drift hits both equally."""
-    samplers = {
+def _time_interleaved(samplers: dict, *, repeats: int, seed: int) -> tuple[dict, dict]:
+    """Per-repeat wall seconds (and last-subgraph stats) of every sampler
+    in ``samplers``, each drawing from its own ``default_rng(seed)``: one
+    warm-up draw each (allocators, caches), then repeat ``i`` of every
+    sampler back-to-back, so slow host drift hits all of them equally."""
+    rngs = {key: np.random.default_rng(seed) for key in samplers}
+    for key, sampler in samplers.items():
+        sampler.sample(rngs[key])
+    wall: dict = {key: [] for key in samplers}
+    stats: dict = {}
+    for _ in range(repeats):
+        for key, sampler in samplers.items():
+            t0 = time.perf_counter()
+            sub = sampler.sample(rngs[key])
+            wall[key].append(time.perf_counter() - t0)
+            stats[key] = sub.stats
+    return wall, stats
+
+
+def _throughput(wall: list[float]) -> MetricSeries:
+    """Subgraphs per second of each timed draw (higher is better)."""
+    return MetricSeries([1.0 / t for t in wall], unit="subgraphs/s", direction="higher")
+
+
+def _dashboards(graph: CSRGraph, *, budget: int, frontier_size: int) -> dict:
+    """Both Dashboard engines on one workload, keyed by engine."""
+    return {
         engine: DashboardFrontierSampler(
-            graph,
-            frontier_size=frontier_size,
-            budget=budget,
-            engine=engine,
+            graph, frontier_size=frontier_size, budget=budget, engine=engine
         )
         for engine in ENGINES
     }
-    rngs = {engine: np.random.default_rng(seed) for engine in ENGINES}
-    for engine, sampler in samplers.items():
-        sampler.sample(rngs[engine])  # warmup: allocators, caches
-
-    wall: dict[str, list[float]] = {engine: [] for engine in ENGINES}
-    stats: dict[str, dict] = {}
-    for _ in range(repeats):
-        for engine, sampler in samplers.items():
-            t0 = time.perf_counter()
-            sub = sampler.sample(rngs[engine])
-            wall[engine].append(time.perf_counter() - t0)
-            stats[engine] = sub.stats
-    return wall, stats
 
 
 def _workload(
@@ -141,8 +146,10 @@ def run(
         dataset, scale, seed, budget, frontier_size
     )
 
-    wall, stats = _time_engines(
-        graph, budget=budget, frontier_size=frontier_size, repeats=repeats, seed=seed
+    wall, stats = _time_interleaved(
+        _dashboards(graph, budget=budget, frontier_size=frontier_size),
+        repeats=repeats,
+        seed=seed,
     )
 
     rows = []
@@ -161,17 +168,19 @@ def run(
             }
         )
     speedup = med["reference"] / med["fast"]
-    points, point_samples = {}, {}
+    points, point_series = {}, {}
     for label, (profile, point_scale, m, n) in OPERATING_POINTS.items():
         view, _ = training_view(
             make_dataset(profile, scale=point_scale, seed=seed),
             np.random.default_rng(seed),
         )
-        point_wall, _ = _time_engines(
-            view, budget=n, frontier_size=m, repeats=repeats, seed=seed
+        point_wall, _ = _time_interleaved(
+            _dashboards(view, budget=n, frontier_size=m), repeats=repeats, seed=seed
         )
         ratios = [r / f for r, f in zip(point_wall["reference"], point_wall["fast"])]
-        point_samples[f"speedup.{label}"] = ratios
+        point_series[f"speedup.{label}"] = MetricSeries(
+            ratios, unit="ratio", direction="higher"
+        )
         points[label] = {
             "dataset": profile,
             "frontier_size": m,
@@ -192,11 +201,11 @@ def run(
         "min_speedup": min_speedup,
         "meets_target": bool(speedup >= min_speedup),
         "operating_points": points,
-        "samples": {
-            "sample_wall_s.fast": wall["fast"],
-            "sample_wall_s.reference": wall["reference"],
-            "throughput.fast": [1.0 / t for t in wall["fast"]],
-            **point_samples,
+        "series": {
+            "sample_wall_s.fast": MetricSeries(wall["fast"]),
+            "sample_wall_s.reference": MetricSeries(wall["reference"]),
+            "throughput.fast": _throughput(wall["fast"]),
+            **point_series,
         },
     }
 
@@ -245,31 +254,18 @@ def run_zoo(
         for fam in fams
         for engine in ENGINES
     }
-    rngs = {key: np.random.default_rng(seed) for key in samplers}
-    for key, sampler in samplers.items():
-        sampler.sample(rngs[key])  # warmup: allocators, caches
-
-    wall: dict[tuple[str, str], list[float]] = {key: [] for key in samplers}
-    stats: dict[tuple[str, str], dict] = {}
-    for _ in range(repeats):
-        for key, sampler in samplers.items():
-            t0 = time.perf_counter()
-            sub = sampler.sample(rngs[key])
-            wall[key].append(time.perf_counter() - t0)
-            stats[key] = sub.stats
+    wall, stats = _time_interleaved(samplers, repeats=repeats, seed=seed)
 
     rows = []
     speedups: dict[str, float] = {}
-    samples: dict[str, list[float]] = {}
+    series: dict[str, MetricSeries] = {}
     for fam in fams:
         med = {}
         for engine in ENGINES:
             times = np.asarray(wall[(fam, engine)])
             med[engine] = float(np.median(times))
-            samples[f"sample_wall_s.{fam}.{engine}"] = wall[(fam, engine)]
-        samples[f"throughput.{fam}.fast"] = [
-            1.0 / t for t in wall[(fam, "fast")]
-        ]
+            series[f"sample_wall_s.{fam}.{engine}"] = MetricSeries(wall[(fam, engine)])
+        series[f"throughput.{fam}.fast"] = _throughput(wall[(fam, "fast")])
         speedups[fam] = med["reference"] / med["fast"]
         rows.append(
             {
@@ -296,7 +292,7 @@ def run_zoo(
         "meets_target": bool(
             all(s >= min_speedup for s in speedups.values())
         ),
-        "samples": samples,
+        "series": series,
     }
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .. import obs
 from ..obs.export import trace_document
+from ..obs.record import MetricSeries
 from ..obs.slo import SLOContext, cluster_rules, evaluate
 from ..serving.cluster import ClusterConfig, ClusterServer
 from ..serving.index import BruteForceIndex, recall_at_k
@@ -76,14 +77,15 @@ def mixture_embeddings(
     return centers[which] + spread * rng.standard_normal((num_vertices, dim))
 
 
-def _report(
-    rows: list[dict], latency_samples: dict, key: str, replay, **labels
-) -> None:
+def _report(rows: list[dict], series: dict, key: str, replay, **labels) -> None:
     """Record one replay — single server or cluster, the loop leaves the
-    same shape behind: its raw latencies under ``key`` (what bench-record
-    appends to the history store and bench-gate tests against) and one
-    flat report row."""
-    latency_samples[key] = [float(v) for v in replay.metrics.latency.samples]
+    same shape behind: its raw latencies as the ``latency_s.<key>`` series
+    (seconds on the replay's virtual clock; what bench-record appends to
+    the history store and bench-gate tests against) and one flat report
+    row."""
+    series[f"latency_s.{key}"] = MetricSeries(
+        [float(v) for v in replay.metrics.latency.samples]
+    )
     stats = replay.stats
     rows.append(
         {
@@ -192,7 +194,7 @@ def run(
         ),
     ]
     rows: list[dict] = []
-    latency_samples: dict[str, list[float]] = {}
+    series: dict[str, MetricSeries] = {}
     for name, cfg, kind, kwargs in configs:
         server = EmbeddingServer(
             emb, config=cfg, index=kind, index_kwargs=kwargs
@@ -203,13 +205,14 @@ def run(
             np.array([replay.results[s] for s in served_seqs]),
             exact_idx[served_seqs],
         )
-        _report(rows, latency_samples, name, replay, config=name)
+        _report(rows, series, name, replay, config=name)
     base = rows[0]["throughput_qps"]
     for row in rows:
         row["speedup_vs_naive"] = row["throughput_qps"] / base if base else 0.0
     return {
         "rows": rows,
-        "latency_samples": latency_samples,
+        "clock": "virtual",
+        "series": series,
         "meta": {
             "num_vertices": num_vertices,
             "dim": dim,
@@ -334,7 +337,7 @@ def run_cluster(
        staleness bound) are evaluated against the live registry.
     """
     rows: list[dict] = []
-    latency_samples: dict[str, list[float]] = {}
+    series: dict[str, MetricSeries] = {}
     dtype = np.float32
 
     # ---- phase 1: million-vertex Zipf throughput + recall -----------
@@ -365,7 +368,7 @@ def run_cluster(
     )
     base_replay = single.serve_trace(trace, collect_results=True)
     _report(
-        rows, latency_samples, "single", base_replay,
+        rows, series, "single", base_replay,
         phase=CLUSTER_PHASES[0], config="single-batched",
     )
 
@@ -399,7 +402,7 @@ def run_cluster(
         cluster_replay.metrics.throughput / single_tp if single_tp else 0.0
     )
     _report(
-        rows, latency_samples, "cluster", cluster_replay,
+        rows, series, "cluster", cluster_replay,
         phase=CLUSTER_PHASES[0], config=f"cluster-{num_shards}x{replicas}",
         speedup_vs_single=speedup,
     )
@@ -448,7 +451,7 @@ def run_cluster(
             # The hedged replay runs under obs so its request span
             # forest (hedged duplicates, winner marked) and the tail
             # exemplars that point into it are captured into the
-            # OBS_serve_cluster.json document the CLI writes — every
+            # trace document written as OBS_serve_cluster.json — every
             # p99 exemplar must resolve to a full span tree there.
             with obs.enabled():
                 obs.reset()
@@ -459,7 +462,7 @@ def run_cluster(
         name = "bursty+hedge" if hedged else "bursty-nohedge"
         hedge_results[hedged] = replay
         _report(
-            rows, latency_samples, name, replay,
+            rows, series, name, replay,
             phase=CLUSTER_PHASES[1], config=name,
         )
     p99_nohedge = hedge_results[False].metrics.latency.percentile(99.0)
@@ -512,18 +515,19 @@ def run_cluster(
             SLOContext(),
         )
     _report(
-        rows, latency_samples, "upsert-soak", soak_replay,
+        rows, series, "upsert-soak", soak_replay,
         phase=CLUSTER_PHASES[2], config="upsert-soak",
     )
     slo_rows = [r.as_row() for r in slo_results]
 
     return {
         "rows": rows,
-        "latency_samples": latency_samples,
+        "clock": "virtual",
+        "series": series,
         "slo": slo_rows,
         # Request span forest + tail exemplars of the hedged replay
-        # (written to OBS_serve_cluster.json by serve-cluster).
-        "trace_doc": trace_doc,
+        # (the bench's OBS_serve_cluster.json).
+        "trace": trace_doc,
         "meta": {
             "num_vertices": num_vertices,
             "soak_vertices": soak_vertices,

@@ -7,9 +7,11 @@ Three output shapes, one source of truth (the tracer + registry):
 * **Chrome trace** — a ``trace_event`` array loadable in
   ``chrome://tracing`` / Perfetto ("complete" ``ph: "X"`` events,
   microsecond timestamps).
-* **``OBS_<name>.json``** — the flat summary written next to the bench
-  harness's ``BENCH_<name>.json`` files: same naming convention, same
-  directory, so the cross-PR trajectory tooling picks both up.
+* **``OBS_<name>.json``** — the flat summary
+  :func:`repro.obs.record.write_bench` writes next to a bench's
+  ``BENCH_<name>.json`` when the runner keeps no trace document of its
+  own: same naming convention, same directory, so the cross-PR
+  trajectory tooling picks both up.
 """
 
 from __future__ import annotations

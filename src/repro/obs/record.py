@@ -15,12 +15,13 @@ the one record shape every benchmark emitter shares:
   compare across commits, never across configurations);
 * :class:`MetricSeries` / :class:`BenchRecord` — named sample series
   (raw values, unit, better-direction) under one bench + fingerprint;
-* :func:`write_bench_json` — the single writer behind every
-  ``BENCH_<name>.json`` in the repo, which embeds the record so no
-  emitter can forget it;
-* :class:`BenchReporter` — one owner for the ``<name>.txt`` /
-  ``BENCH_<name>.json`` / ``OBS_<name>.json`` naming convention, used by
-  ``benchmarks/conftest.py`` so the three sibling files cannot drift.
+* :func:`write_bench` — the one writer of a bench run's ``<name>.txt``
+  / ``BENCH_<name>.json`` / ``OBS_<name>.json``, for the CLI verbs and
+  the pytest benches alike: the runner states its series, clock and key
+  fields once, and the record is built from them;
+* :func:`load_bench_records` — reads the records back for
+  ``bench-record`` / ``bench-diff`` / ``bench-gate``, naming any file it
+  could not parse.
 
 Downstream, :mod:`repro.obs.history` appends records to the JSONL store
 and :mod:`repro.obs.regress` runs the statistical comparison.
@@ -46,9 +47,8 @@ __all__ = [
     "git_sha",
     "MetricSeries",
     "BenchRecord",
-    "write_bench_json",
+    "write_bench",
     "load_bench_records",
-    "BenchReporter",
 ]
 
 #: Bumped when the embedded record shape changes incompatibly.
@@ -184,20 +184,6 @@ class BenchRecord:
         """The history-series key of this record's configuration."""
         return fingerprint_key(self.env)
 
-    def add_samples(
-        self,
-        metric: str,
-        samples,
-        *,
-        unit: str = "s",
-        direction: str = "lower",
-    ) -> "BenchRecord":
-        """Attach one metric's raw samples; returns ``self`` for chaining."""
-        self.series[metric] = MetricSeries(
-            [float(v) for v in samples], unit=unit, direction=direction
-        )
-        return self
-
     def as_dict(self) -> dict:
         """JSON-ready dict: schema version, fingerprint, key, series."""
         return {
@@ -218,153 +204,77 @@ class BenchRecord:
             },
         )
 
-    @classmethod
-    def from_registry(
-        cls,
-        bench: str,
-        *,
-        registry=None,
-        env: dict[str, str] | None = None,
-    ) -> "BenchRecord":
-        """Harvest raw time-like samples from an obs metrics registry.
 
-        Every histogram whose name reads as a duration (``*_seconds``,
-        ``*_s``, or containing ``latency``) becomes one series — this is
-        how ``trainer.iteration_seconds`` and the serving latency
-        histograms flow into the bench record without each runner
-        re-plumbing them.
-        """
-        if registry is None:
-            from .metrics import get_registry
+def write_bench(
+    out: pathlib.Path | str, name: str, results: dict, *, seed: int | None, text: str | None = None
+) -> list[pathlib.Path]:
+    """Write one bench run's ``<name>.txt`` (when ``text`` is given),
+    ``BENCH_<name>.json`` and ``OBS_<name>.json`` under ``out``; returns
+    the paths written.
 
-            registry = get_registry()
-        rec = cls(bench=bench, env=env or environment_fingerprint())
-        for name, hist in sorted(registry.histograms.items()):
-            if not len(hist):
-                continue
-            if (
-                name.endswith("_seconds")
-                or name.endswith("_s")
-                or "latency" in name
-            ):
-                rec.add_samples(name, hist.samples, unit="s", direction="lower")
-        return rec
-
-
-def write_bench_json(
-    path: pathlib.Path | str,
-    name: str,
-    results: object,
-    *,
-    record: BenchRecord | None = None,
-    samples: dict[str, list[float]] | None = None,
-    env: dict[str, str] | None = None,
-) -> pathlib.Path:
-    """Write one ``BENCH_<name>.json``: results + embedded record.
-
-    The single code path behind every BENCH file in the repo. When
-    no explicit ``record`` is given, one is built from ``env`` (default:
-    a fresh :func:`environment_fingerprint`) plus any ``samples``
-    (metric name → raw values, recorded lower-is-better in seconds) and
-    whatever time-like histograms the live obs registry holds — so every
-    emitted file carries a fingerprint even if the caller predates this
-    module.
+    The only writer of the three, for the CLI verbs (``--out``) and the
+    pytest benches alike. The runner states what its record holds:
+    ``series`` (metric name -> :class:`MetricSeries`), the ``clock`` they
+    were read on (``wall`` / ``virtual`` / ``modeled``; required with
+    series), optional ``key_fields`` (workload fields that split the
+    series key, e.g. ``dataset`` / ``hidden``) and optional ``trace`` (a
+    trace document, written as the OBS file; without one the OBS file is
+    the live tracer's flat summary). The series and the trace leave the
+    results, so each raw sample is stored once, in ``record.series``.
     """
     from ..experiments.common import to_jsonable
+    from .export import write_obs_json
 
-    if record is None:
-        record = BenchRecord.from_registry(name, env=env)
-    record.bench = name
-    for metric, values in (samples or {}).items():
-        record.add_samples(metric, values)
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "bench": name,
-        "results": to_jsonable(results),
-        "record": to_jsonable(record.as_dict()),
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    out = pathlib.Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    payload = dict(results)
+    series = payload.pop("series", {})
+    trace = payload.pop("trace", None)
+    if series and "clock" not in payload:
+        raise ValueError(f"bench {name!r}: a record with series must name its clock")
+    extra = dict(payload.get("key_fields", {}))
+    if "clock" in payload:
+        extra["clock"] = payload["clock"]
+    record = BenchRecord(name, environment_fingerprint(seed=seed, extra=extra), series)
+
+    def dump(path: pathlib.Path, doc: dict) -> pathlib.Path:
+        path.write_text(json.dumps(to_jsonable(doc), indent=2, sort_keys=True) + "\n")
+        return path
+
+    written = []
+    if text is not None:
+        (table := out / f"{name}.txt").write_text(text + "\n")
+        written.append(table)
+    bench = {"bench": name, "results": payload, "record": record.as_dict()}
+    written.append(dump(out / f"BENCH_{name}.json", bench))
+    obs_path = out / f"OBS_{name}.json"
+    written.append(write_obs_json(obs_path, name) if trace is None else dump(obs_path, trace))
+    return written
 
 
-def load_bench_records(results_dir: pathlib.Path | str) -> list[BenchRecord]:
+def load_bench_records(
+    results_dir: pathlib.Path | str,
+) -> tuple[list[BenchRecord], list[str]]:
     """Parse every ``BENCH_*.json`` under ``results_dir`` into records.
 
-    Files without an embedded record, or with an empty series (nothing
-    to compare), are skipped — old-format artifacts do not break the
-    diff/gate tooling.
+    Returns ``(records, skipped)``: ``skipped`` names each file that
+    could not be read or parsed (a truncated write), for the caller to
+    report — the gate degrades, it does not crash. Files without an
+    embedded record, or with an empty series (nothing to compare), are
+    skipped silently: old-format artifacts are not an error.
     """
-    results_dir = pathlib.Path(results_dir)
     records: list[BenchRecord] = []
-    for path in sorted(results_dir.glob("BENCH_*.json")):
+    skipped: list[str] = []
+    for path in sorted(pathlib.Path(results_dir).glob("BENCH_*.json")):
         try:
             payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError) as exc:
+            skipped.append(f"{path.name}: {type(exc).__name__}: {exc}")
             continue
-        raw = payload.get("record")
+        raw = payload.get("record") if isinstance(payload, dict) else None
         if not isinstance(raw, dict) or not raw.get("series"):
             continue
         records.append(
             BenchRecord.from_dict(raw, bench=str(payload.get("bench", path.stem)))
         )
-    return records
-
-
-class BenchReporter:
-    """One owner for a results directory's file-naming convention.
-
-    ``<name>.txt`` (rendered table), ``BENCH_<name>.json`` (results +
-    record) and ``OBS_<name>.json`` (span/metric summary) are derived
-    from the *same* name in the *same* place, so the three sibling
-    artifacts of one bench run can never drift apart.
-    """
-
-    def __init__(self, results_dir: pathlib.Path | str) -> None:
-        self.results_dir = pathlib.Path(results_dir)
-
-    # -- naming (the one place paths come from) ------------------------
-    def table_path(self, name: str) -> pathlib.Path:
-        """Where the rendered table for ``name`` lives."""
-        return self.results_dir / f"{name}.txt"
-
-    def bench_path(self, name: str) -> pathlib.Path:
-        """Where the BENCH json (results + record) for ``name`` lives."""
-        return self.results_dir / f"BENCH_{name}.json"
-
-    def obs_path(self, name: str) -> pathlib.Path:
-        """Where the OBS json (trace summary) for ``name`` lives."""
-        return self.results_dir / f"OBS_{name}.json"
-
-    # -- writers -------------------------------------------------------
-    def write_table(self, name: str, text: str) -> pathlib.Path:
-        """Write the rendered table; returns the path written."""
-        path = self.table_path(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
-        return path
-
-    def write_results(
-        self,
-        name: str,
-        results: object,
-        *,
-        record: BenchRecord | None = None,
-        samples: dict[str, list[float]] | None = None,
-        env: dict[str, str] | None = None,
-    ) -> pathlib.Path:
-        """Write ``BENCH_<name>.json`` via :func:`write_bench_json`."""
-        return write_bench_json(
-            self.bench_path(name),
-            name,
-            results,
-            record=record,
-            samples=samples,
-            env=env,
-        )
-
-    def write_obs(self, name: str) -> pathlib.Path:
-        """Write ``OBS_<name>.json`` from the live tracer/registry."""
-        from .export import write_obs_json
-
-        return write_obs_json(self.obs_path(name), name)
+    return records, skipped

@@ -252,8 +252,9 @@ class TestMain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "naive" in out and "batched+cache+ann" in out
-        assert (tmp_path / "serve_bench.txt").exists()
-        assert (tmp_path / "BENCH_serve_bench.json").exists()
+        # The runner's bench name, as the pytest bench writes it.
+        assert (tmp_path / "serving.txt").exists()
+        assert (tmp_path / "BENCH_serving.json").exists()
 
     def test_sampler_zoo_bench_records_its_clock(self, tmp_path):
         # The zoo's wall seconds carry env.clock like every other sampler

@@ -207,14 +207,10 @@ class TestBenchGateFlow:
     """bench-record -> bench-gate end to end on fabricated BENCH files."""
 
     def _write_bench(self, results_dir, samples):
-        from repro.obs.record import write_bench_json
+        from repro.obs.record import MetricSeries, write_bench
 
-        write_bench_json(
-            results_dir / "BENCH_serve.json",
-            "serve",
-            {"rows": []},
-            samples={"latency_s": list(samples)},
-        )
+        results = {"rows": [], "clock": "virtual", "series": {"latency_s": MetricSeries(list(samples))}}
+        write_bench(results_dir, "serve", results, seed=0)
 
     def _samples(self, seed, scale=1.0, n=24):
         rng = np.random.default_rng(seed)
@@ -274,6 +270,22 @@ class TestBenchGateFlow:
         out = capsys.readouterr().out
         assert "latency_s" in out
         assert "ratio" in out
+
+    def test_a_truncated_bench_file_is_named_not_fatal(self, dirs, capsys):
+        """bench-record / bench-diff / bench-gate name a BENCH file they
+        cannot parse and go on with the rest."""
+        results, history = dirs
+        self._write_bench(results, self._samples(0))
+        main(["bench-record", *self._gate_args(results, history)])
+        text = (results / "BENCH_serve.json").read_text()
+        (results / "BENCH_cut.json").write_text(text[: len(text) // 3])
+        capsys.readouterr()
+        for verb in ("bench-record", "bench-diff", "bench-gate"):
+            assert main([verb, *self._gate_args(results, history)]) == 0
+            out = capsys.readouterr().out
+            assert "warning: skipped unreadable BENCH_cut.json" in out, verb
+            if verb != "bench-record":
+                assert "latency_s" in out  # the readable file is still compared
 
     def test_record_on_empty_results_is_a_noop(self, tmp_path, capsys):
         results = tmp_path / "results"

@@ -5,20 +5,22 @@ from __future__ import annotations
 import json
 
 from repro.obs.history import HistoryStore
-from repro.obs.record import BenchRecord, environment_fingerprint
+from repro.obs.record import BenchRecord, MetricSeries, environment_fingerprint
 
 
 def _record(bench="serve", metric="latency_s", samples=(0.1, 0.2), **env_kw):
-    rec = BenchRecord(bench=bench, env=environment_fingerprint(**env_kw))
-    rec.add_samples(metric, samples)
-    return rec
+    return BenchRecord(
+        bench=bench,
+        env=environment_fingerprint(**env_kw),
+        series={metric: MetricSeries(list(samples))},
+    )
 
 
 class TestAppend:
     def test_one_line_per_metric(self, tmp_path):
         store = HistoryStore(tmp_path)
         rec = _record()
-        rec.add_samples("qps", [50.0], unit="1/s", direction="higher")
+        rec.series["qps"] = MetricSeries([50.0], unit="1/s", direction="higher")
         assert store.append(rec, recorded_at=123.0) == 2
         entries = store.entries("serve")
         assert len(entries) == 2

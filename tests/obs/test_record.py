@@ -6,17 +6,15 @@ import json
 
 import pytest
 
-from repro.obs import metrics as obs_metrics
 from repro.obs.record import (
     RECORD_SCHEMA_VERSION,
     BenchRecord,
-    BenchReporter,
     MetricSeries,
     environment_fingerprint,
     fingerprint_key,
     git_sha,
     load_bench_records,
-    write_bench_json,
+    write_bench,
 )
 
 
@@ -80,9 +78,13 @@ class TestFingerprint:
 
 class TestBenchRecord:
     def test_round_trip(self):
-        rec = BenchRecord(bench="serve")
-        rec.add_samples("latency_s", [0.01, 0.02, 0.03])
-        rec.add_samples("qps", [100.0, 110.0], unit="1/s", direction="higher")
+        rec = BenchRecord(
+            bench="serve",
+            series={
+                "latency_s": MetricSeries([0.01, 0.02, 0.03]),
+                "qps": MetricSeries([100.0, 110.0], unit="1/s", direction="higher"),
+            },
+        )
         d = rec.as_dict()
         assert d["schema"] == RECORD_SCHEMA_VERSION
         assert d["key"] == rec.key
@@ -97,77 +99,85 @@ class TestBenchRecord:
         s = MetricSeries([1.0, 2.0], unit="ms", direction="higher")
         assert MetricSeries.from_dict(s.as_dict()) == s
 
-    def test_from_registry_harvests_time_like_histograms(self):
-        reg = obs_metrics.MetricsRegistry()
-        reg.histogram("trainer.iteration_seconds").extend([0.1, 0.2])
-        reg.histogram("serve.latency.ann").record(0.005)
-        reg.histogram("sampler.occupancy").record(0.7)  # not time-like
-        rec = BenchRecord.from_registry("b", registry=reg)
-        assert set(rec.series) == {
-            "trainer.iteration_seconds",
-            "serve.latency.ann",
-        }
-        assert rec.series["trainer.iteration_seconds"].samples == [0.1, 0.2]
+
+def _results(**fields) -> dict:
+    """What a wall-clock runner returns: rows, its clock, one series."""
+    return {"rows": [1, 2], "clock": "wall", "series": {"m_s": MetricSeries([0.5, 0.6])}, **fields}
 
 
 class TestWriteBenchJson:
     def test_payload_carries_record_env_and_samples(self, tmp_path):
-        path = write_bench_json(
-            tmp_path / "BENCH_x.json",
-            "x",
-            {"rows": [1, 2]},
-            samples={"latency_s": [0.5, 0.6]},
-        )
-        payload = json.loads(path.read_text())
+        write_bench(tmp_path, "x", _results(), seed=0)
+        payload = json.loads((tmp_path / "BENCH_x.json").read_text())
         assert payload["bench"] == "x"
-        assert payload["results"] == {"rows": [1, 2]}
+        # The raw samples are stored once: in the record, not the results.
+        assert payload["results"] == {"rows": [1, 2], "clock": "wall"}
         record = payload["record"]
         assert record["schema"] == RECORD_SCHEMA_VERSION
         assert "dtype_policy" in record["env"]
-        assert record["series"]["latency_s"]["samples"] == [0.5, 0.6]
+        assert (record["env"]["seed"], record["env"]["clock"]) == ("0", "wall")
+        assert record["series"]["m_s"] == {"samples": [0.5, 0.6], "unit": "s", "direction": "lower"}
+
+    def test_naming_convention(self, tmp_path):
+        paths = write_bench(tmp_path, "x", _results(), seed=0, text="tbl")
+        assert [p.name for p in paths] == ["x.txt", "BENCH_x.json", "OBS_x.json"]
+        assert all(p.parent == tmp_path for p in paths)
+        assert [p.name for p in write_bench(tmp_path, "y", {}, seed=0)] == [
+            "BENCH_y.json", "OBS_y.json",
+        ]
+
+    def test_writers_land_on_their_paths(self, tmp_path):
+        write_bench(tmp_path / "new", "x", {"a": 1}, seed=None, text="tbl")
+        assert (tmp_path / "new" / "x.txt").read_text() == "tbl\n"
+        assert json.loads((tmp_path / "new" / "BENCH_x.json").read_text())["results"] == {"a": 1}
+        obs_doc = json.loads((tmp_path / "new" / "OBS_x.json").read_text())
+        assert obs_doc["obs"] == "x" and "phases" in obs_doc
+
+    def test_runner_states_clock_and_key_fields(self, tmp_path):
+        base = write_bench(tmp_path, "z", _results(), seed=0)
+        keyed = write_bench(tmp_path / "k", "z", _results(key_fields={"dim": 256}), seed=0)
+        env = json.loads(keyed[0].read_text())["record"]["env"]
+        assert env["dim"] == "256" and env["clock"] == "wall"
+        [a], _ = load_bench_records(base[0].parent)
+        [b], _ = load_bench_records(keyed[0].parent)
+        assert a.key != b.key
+        virtual = write_bench(tmp_path / "v", "z", _results(clock="virtual"), seed=0)
+        assert load_bench_records(virtual[0].parent)[0][0].key != a.key
+
+    def test_series_need_a_clock(self, tmp_path):
+        results = _results()
+        del results["clock"]
+        with pytest.raises(ValueError, match="clock"):
+            write_bench(tmp_path, "x", results, seed=0)
+
+    def test_a_trace_document_is_the_obs_file(self, tmp_path):
+        trace = {"obs": "x_replay", "spans": [], "exemplars": {"h": []}}
+        write_bench(tmp_path, "x", _results(trace=trace), seed=0)
+        assert json.loads((tmp_path / "OBS_x.json").read_text()) == trace
+        assert "trace" not in json.loads((tmp_path / "BENCH_x.json").read_text())["results"]
 
     def test_load_round_trip(self, tmp_path):
-        write_bench_json(
-            tmp_path / "BENCH_x.json", "x", {}, samples={"m_s": [1.0, 2.0]}
-        )
-        records = load_bench_records(tmp_path)
-        assert [r.bench for r in records] == ["x"]
-        assert records[0].series["m_s"].samples == [1.0, 2.0]
+        write_bench(tmp_path, "x", _results(), seed=0)
+        records, skipped = load_bench_records(tmp_path)
+        assert [r.bench for r in records] == ["x"] and skipped == []
+        assert records[0].series["m_s"].samples == [0.5, 0.6]
 
     def test_load_skips_recordless_and_broken_files(self, tmp_path):
         (tmp_path / "BENCH_old.json").write_text('{"bench": "old", "results": {}}')
         (tmp_path / "BENCH_bad.json").write_text("{nope")
-        write_bench_json(
-            tmp_path / "BENCH_new.json", "new", {}, samples={"m_s": [1.0]}
-        )
-        assert [r.bench for r in load_bench_records(tmp_path)] == ["new"]
+        write_bench(tmp_path, "new", _results(), seed=0)
+        records, skipped = load_bench_records(tmp_path)
+        assert [r.bench for r in records] == ["new"]
+        # The broken file is named; the recordless old format is not.
+        assert [s.split(":")[0] for s in skipped] == ["BENCH_bad.json"]
 
-
-class TestBenchReporter:
-    def test_naming_convention(self, tmp_path):
-        rep = BenchReporter(tmp_path)
-        assert rep.table_path("x").name == "x.txt"
-        assert rep.bench_path("x").name == "BENCH_x.json"
-        assert rep.obs_path("x").name == "OBS_x.json"
-
-    def test_writers_land_on_their_paths(self, tmp_path):
-        rep = BenchReporter(tmp_path)
-        assert rep.write_table("x", "tbl") == rep.table_path("x")
-        assert rep.table_path("x").read_text() == "tbl\n"
-        assert rep.write_results("x", {"a": 1}) == rep.bench_path("x")
-        assert json.loads(rep.bench_path("x").read_text())["results"] == {"a": 1}
-
-
-class TestCommonDelegation:
-    def test_explicit_record_wins(self, tmp_path):
-        rec = BenchRecord(
-            bench="z", env=environment_fingerprint(dtype_policy="fast")
-        )
-        rec.add_samples("t_s", [9.0])
-        path = write_bench_json(tmp_path / "BENCH_z.json", "z", {}, record=rec)
-        payload = json.loads(path.read_text())
-        assert payload["record"]["env"]["dtype_policy"] == "fast"
-        assert payload["record"]["series"]["t_s"]["samples"] == [9.0]
+    def test_a_truncated_file_is_named_and_skipped(self, tmp_path):
+        write_bench(tmp_path, "whole", _results(), seed=0)
+        text = (tmp_path / "BENCH_whole.json").read_text()
+        (tmp_path / "BENCH_cut.json").write_text(text[: len(text) // 2])
+        records, skipped = load_bench_records(tmp_path)
+        assert [r.bench for r in records] == ["whole"]
+        assert len(skipped) == 1 and skipped[0].startswith("BENCH_cut.json: JSONDecodeError")
 
 
 class TestExportFingerprint:

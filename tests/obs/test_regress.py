@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.obs.history import HistoryStore
-from repro.obs.record import BenchRecord, environment_fingerprint
+from repro.obs.record import BenchRecord, MetricSeries, environment_fingerprint
 from repro.obs.regress import (
     VERDICT_IMPROVED,
     VERDICT_INSUFFICIENT,
@@ -141,9 +141,11 @@ class TestCompare:
 
 class TestDiffAgainstHistory:
     def _record(self, samples, *, metric="latency_s", direction="lower"):
-        rec = BenchRecord(bench="serve", env=environment_fingerprint())
-        rec.add_samples(metric, samples, direction=direction)
-        return rec
+        return BenchRecord(
+            bench="serve",
+            env=environment_fingerprint(),
+            series={metric: MetricSeries(list(samples), direction=direction)},
+        )
 
     def test_first_run_is_insufficient_not_regressed(self, tmp_path):
         store = HistoryStore(tmp_path)

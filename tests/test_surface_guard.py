@@ -7,7 +7,9 @@ did: the second ``CostCounter`` pricer (``simulated_time`` /
 analytic roofline beside the measured one, graph npz/edge-list I/O and
 its validator, early stopping, three sampler knobs ``TrainConfig``
 forwarded at their defaults, a delegating bench-JSON alias, the
-learning-rate schedules and the GCN layer's ``concat`` switch. This AST
+learning-rate schedules, the GCN layer's ``concat`` switch and the
+second bench writer (``BenchReporter``, ``write_bench_json``,
+``add_samples``, ``from_registry``). This AST
 scan of ``src/repro`` fails when one is defined, imported, re-exported,
 read or passed again, and when a second roofline grows anywhere but
 ``kernels/roofline.py``.
@@ -29,6 +31,10 @@ table reads ``PrefetchStats.mean_staleness`` through ``getattr``). Tests,
 docstrings and ``__all__`` never count. A name kept anyway — a fixture or
 oracle the tests use, a paper claim only a test checks, or a seam an open
 ROADMAP item needs — sits on ``NAMES_ALLOWED`` with its reason.
+
+One bench writer: nothing outside ``obs/record.py`` builds a
+``BenchRecord`` (``write_bench`` builds it from what the runner states),
+and the history series that survived the switch keep their keys.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -98,6 +105,8 @@ DELETED_NAMES = {
     "load_dataset", "write_edge_list", "read_edge_list", "validate_graph",
     "validate_dataset", "ValidationError", "patience", "restore_best",
     "ConstantLR", "StepDecayLR", "CosineAnnealingLR", "WarmupLR", "apply_schedule",
+    "BenchReporter", "write_bench_json", "add_samples", "from_registry",
+    "_write_serving_bench",
 }
 DELETED_MODULES = (
     "analysis/roofline.py", "graphs/io.py", "graphs/validate.py", "nn/schedule.py",
@@ -586,3 +595,78 @@ class TestNameDetector:
             "stale allow: pkg.lib.gone",
             "stale allow: pkg.lib.used",
         ]
+
+
+# ---- one bench writer ---------------------------------------------------
+
+#: The one module that builds a bench record (``write_bench``).
+RECORD_HOME = SRC / "obs" / "record.py"
+
+
+def _record_builders(path: Path) -> list[int]:
+    """Lines in ``path`` that construct a ``BenchRecord`` or call
+    ``add_samples`` (reading one back with ``BenchRecord.from_dict`` is
+    no build)."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("BenchRecord", "add_samples"):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_bench_writer_builds_a_record():
+    paths = set(SRC.rglob("*.py")) | set(_entry_points(REPO))
+    sites = [
+        f"{path.relative_to(REPO)}:{line}"
+        for path in sorted(paths - {RECORD_HOME})
+        for line in _record_builders(path)
+    ]
+    assert sites == []
+    assert _record_builders(RECORD_HOME)  # the writer itself is seen
+
+
+def test_the_record_builder_detector_sees_what_it_guards(tmp_path):
+    planted = tmp_path / "bench_x.py"
+    planted.write_text(
+        "from repro.obs.record import BenchRecord\n"
+        "rec = BenchRecord('x')\n"
+        "rec.add_samples('m', [1.0])\n"
+        "back = BenchRecord.from_dict({})\n"
+        "other = record.BenchRecord(bench='y')\n"
+    )
+    assert _record_builders(planted) == [2, 3, 5]
+
+
+#: Surviving history series whose key must not move: (bench, key) ->
+#: (seed, the runner's clock and key fields as ``write_bench`` gets them).
+PINNED_KEYS = {
+    ("sampler_throughput", "799f3a6856ae"): (0, {"clock": "wall"}),
+    ("train_bench", "25b666d6410c"): (0, {"clock": "wall", "key_fields": {"dataset": "ppi", "hidden": 128}}),
+    ("train_bench", "dedde2e9dbd7"): (0, {"clock": "wall", "key_fields": {"dataset": "yelp", "hidden": 128}}),
+    ("train_bench", "773e476900fb"): (0, {"clock": "wall", "key_fields": {"dataset": "reddit", "hidden": 512}}),
+    ("serve_refresh", "6e0722366c92"): (0, {"clock": "wall", "key_fields": {"shard": "1792x256", "cells": 32}}),
+    ("serve_search", "018228edfe71"): (0, {"clock": "wall", "key_fields": {"dim": 256}}),
+    ("kernels", "6ac24d82985f"): (None, {"clock": "wall"}),
+}
+#: Fingerprint fields that name the host, not the run: taken from the
+#: history line so the pin holds on any interpreter.
+HOST_FIELDS = ("python", "numpy", "platform")
+
+
+def test_surviving_history_keys_are_unchanged(tmp_path):
+    from repro.obs.record import MetricSeries, fingerprint_key, load_bench_records, write_bench
+
+    for (bench, key), (seed, fields) in PINNED_KEYS.items():
+        lines = [
+            json.loads(line)
+            for line in (REPO / "benchmarks" / "history" / f"{bench}.jsonl").read_text().splitlines()
+        ]
+        recorded = next(line["env"] for line in lines if line["key"] == key)
+        out = tmp_path / f"{bench}-{key}"
+        write_bench(out, bench, {**fields, "series": {"m": MetricSeries([1.0])}}, seed=seed)
+        [record], _ = load_bench_records(out)
+        env = {**record.env, **{f: recorded[f] for f in HOST_FIELDS}}
+        assert fingerprint_key(env) == key, (bench, key)
+        assert set(env) == set(recorded), (bench, key)
