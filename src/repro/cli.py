@@ -449,12 +449,13 @@ def _run_obs_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
 
 def _load_records(args: argparse.Namespace):
     """The records under ``--results``; each BENCH file that could not be
-    parsed is named on stdout and left out (the run goes on)."""
+    parsed or whose series name no clock is named on stdout with its
+    reason and left out (the run goes on)."""
     from .obs.record import load_bench_records
 
     records, skipped = load_bench_records(args.results)
     for reason in skipped:
-        print(f"warning: skipped unreadable {reason}")
+        print(f"warning: skipped {reason}")
     return records
 
 
@@ -517,7 +518,9 @@ def _run_bench_gate(args: argparse.Namespace, out: pathlib.Path | None) -> int:
 
 
 def _hedged_cluster_replay(*, queries: int, seed: int):
-    """Small hedged cluster replay over a straggler replica set.
+    """Small replay of the serve-cluster experiment's bursty-hedging
+    scenario (:func:`repro.experiments.serving.hedging_scenario`) over a
+    1 024-vertex mixture corpus.
 
     Run with :mod:`repro.obs` enabled: the bursty trace plus a slow last
     replica make hedges actually fire, so the flight recorder's ring and
@@ -525,29 +528,8 @@ def _hedged_cluster_replay(*, queries: int, seed: int):
     winner marked — the material ``flight-dump`` and ``slo-report``
     breach dumps are expected to contain.
     """
-    from .serving.cluster import ClusterConfig, ClusterServer
-    from .serving.workload import bursty_trace
-
-    rng = np.random.default_rng(seed)
-    emb = rng.standard_normal((1024, 16))
-    server = ClusterServer(
-        emb,
-        config=ClusterConfig(
-            num_shards=3,
-            replicas=2,
-            fanout=2,
-            hedge=True,
-            hedge_min_samples=32,
-            hedge_fallback=0.005,
-        ),
-        service_model=serving.straggler_model(2, slow_factor=6.0),
-        rng=np.random.default_rng(seed + 1),
-    )
-    trace = bursty_trace(
-        queries, 1024, skew=1.1, base_rate=800.0, burst_rate=6000.0,
-        base_seconds=0.4, burst_seconds=0.1, k=10,
-        rng=np.random.default_rng(seed + 2),
-    )
+    emb = serving.mixture_embeddings(1024, 32, seed=seed)
+    server, trace = serving.hedging_scenario(emb, num_queries=queries, seed=seed)
     return server.serve_trace(trace)
 
 

@@ -1,29 +1,39 @@
-"""Experiment S1 — serving-path comparison (naive vs batched vs ANN).
+"""Experiments S1 and S2 — serving the embeddings under load.
 
-Replays one Zipf-skewed query trace (skew mirroring the Amazon profile's
-degree distribution) through four server configurations and reports the
-paper-style table the ROADMAP's serving goal asks for: throughput,
-latency percentiles, cache hit-rate, shed count and recall@k.
+Both replay query traces through the serving event loop and report
+paper-style tables: throughput, latency percentiles, cache hit-rate,
+shed count and recall@k.
 
-Configurations, cumulative:
+* **S1** (:func:`run`, ``serve-bench``) replays one Zipf-skewed trace
+  (skew mirroring the Amazon profile's degree distribution) through four
+  cumulative single-server configurations: ``naive`` (one brute-force
+  scan per request, no queueing amortization), ``batched`` (one GEMM per
+  micro-batch), ``batched+cache`` (plus the LRU result cache) and
+  ``batched+cache+ann`` (plus the cluster-pruned index with deadline
+  degradation). The offered rate is a multiple of the measured naive
+  capacity, so every configuration runs saturated: throughput measures
+  service capacity and the shed counter shows what overload costs.
+* **S2** (:func:`run_cluster`, ``serve-cluster``) runs the sharded,
+  replicated cluster in three phases (:data:`CLUSTER_PHASES`): Zipf
+  throughput and recall against the single batched server, the bursty
+  hedging scenario (:func:`hedging_scenario`, also what the CLI's
+  ``flight-dump`` / ``slo-report`` replay), and a streaming-upsert soak
+  under the cluster SLOs.
 
-* ``naive``              — one brute-force scan per request, no queueing
-  amortization (the pre-PR ``cosine_nearest_neighbors`` serving story);
-* ``batched``            — micro-batched brute force (one GEMM per batch);
-* ``batched+cache``      — plus the LRU result cache;
-* ``batched+cache+ann``  — plus the cluster-pruned index with deadline
-  degradation.
-
-The trace's offered rate is calibrated to a multiple of the measured
-naive capacity so every configuration runs saturated: throughput then
-measures service capacity, and the shed counter shows what overload
-costs. Service times are measured around the real kernels; queue
-dynamics run on the virtual replay clock.
+Every replay goes through one helper, :func:`_replay`: it serves the
+trace, scores recall against an exact top-k oracle when given one, and
+records the ``latency_s.<key>`` series and the report row. Each
+experiment derives its configurations from one base config, and the
+brute-force servers of a corpus share one prebuilt index. Phase 1 of S2
+and all of S1 measure service times around the real kernels; S2's
+phases 2 and 3 price them with a deterministic service model. Queue
+dynamics always run on the virtual replay clock.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,11 +41,11 @@ from .. import obs
 from ..obs.export import trace_document
 from ..obs.record import MetricSeries
 from ..obs.slo import SLOContext, cluster_rules, evaluate
-from ..serving.cluster import ClusterConfig, ClusterServer
-from ..serving.index import BruteForceIndex, recall_at_k
+from ..serving.cluster import ClusterConfig, ClusterServer, partition_vertices
+from ..serving.index import BruteForceIndex, build_index, recall_at_k
 from ..serving.server import EmbeddingServer, ServerConfig
 from ..serving.upsert import SlabUpsertProducer
-from ..serving.workload import bursty_trace, zipf_trace
+from ..serving.workload import QueryTrace, bursty_trace, zipf_trace
 from .common import format_table
 
 __all__ = [
@@ -46,12 +56,16 @@ __all__ = [
     "run_cluster",
     "format_cluster_results",
     "straggler_model",
+    "hedging_scenario",
     "CLUSTER_PHASES",
 ]
 
 CONFIG_NAMES = ("naive", "batched", "batched+cache", "batched+cache+ann")
 
 CLUSTER_PHASES = ("zipf-throughput", "bursty-hedging", "upsert-soak")
+
+#: Index dtype of every S2 server.
+_CLUSTER_DTYPE = np.float32
 
 
 def mixture_embeddings(
@@ -77,12 +91,25 @@ def mixture_embeddings(
     return centers[which] + spread * rng.standard_normal((num_vertices, dim))
 
 
-def _report(rows: list[dict], series: dict, key: str, replay, **labels) -> None:
-    """Record one replay — single server or cluster, the loop leaves the
-    same shape behind: its raw latencies as the ``latency_s.<key>`` series
-    (seconds on the replay's virtual clock; what bench-record appends to
-    the history store and bench-gate tests against) and one flat report
-    row."""
+def _replay(rows: list[dict], series: dict, key: str, server, trace, *, oracle=None, **labels):
+    """Serve ``trace`` on ``server`` and record the replay; return it.
+
+    Single server or cluster, the loop leaves the same shape behind: its
+    raw latencies become the ``latency_s.<key>`` series (seconds on the
+    replay's virtual clock; what bench-record appends to the history
+    store and bench-gate tests against) and one flat report row. With an
+    ``oracle`` (trace seq -> exact top-k ids), recall@k is scored over
+    the served requests the oracle answers (NaN when there are none).
+    """
+    replay = server.serve_trace(trace, collect_results=True)
+    if oracle is not None:
+        common = sorted(replay.results.keys() & oracle.keys())
+        replay.metrics.recall_at_k = float("nan")
+        if common:
+            replay.metrics.recall_at_k = recall_at_k(
+                np.array([replay.results[s] for s in common]),
+                np.array([oracle[s] for s in common]),
+            )
     series[f"latency_s.{key}"] = MetricSeries(
         [float(v) for v in replay.metrics.latency.samples]
     )
@@ -98,13 +125,13 @@ def _report(rows: list[dict], series: dict, key: str, replay, **labels) -> None:
             "max_staleness_ms": stats["max_staleness_s"] * 1e3,
         }
     )
+    return replay
 
 
-def _calibrate_naive_qps(embeddings: np.ndarray, k: int, samples: int = 64) -> float:
+def _calibrate_naive_qps(index: BruteForceIndex, k: int, samples: int = 64) -> float:
     """Measured single-request brute-force rate (requests/second)."""
-    index = BruteForceIndex(embeddings)
     rng = np.random.default_rng(0)
-    qids = rng.integers(0, embeddings.shape[0], size=samples)
+    qids = rng.integers(0, index.num_vectors, size=samples)
     index.search_ids(qids[:4], k)  # warm the kernels
     t0 = time.perf_counter()
     for q in qids:
@@ -132,80 +159,33 @@ def run(
     emb = mixture_embeddings(
         num_vertices, dim, num_components=num_clusters, seed=seed
     )
-    naive_qps = _calibrate_naive_qps(emb, k)
+    brute = BruteForceIndex(emb)
+    naive_qps = _calibrate_naive_qps(brute, k)
     rate = load_factor * naive_qps
     trace = zipf_trace(
-        num_queries,
-        num_vertices,
-        skew=skew,
-        rate=rate,
-        k=k,
+        num_queries, num_vertices, skew=skew, rate=rate, k=k,
         rng=np.random.default_rng(seed + 1),
     )
     # Exact answers for every request in the trace, for recall scoring.
-    exact_idx, _ = BruteForceIndex(emb).search_ids(trace.query_ids, k)
+    oracle = dict(enumerate(brute.search_ids(trace.query_ids, k)[0]))
 
-    batch_wait = 2.0 * max_batch / rate
-    deadline = 8.0 * max_batch / naive_qps
-    configs: list[tuple[str, ServerConfig, str, dict]] = [
-        (
-            "naive",
-            ServerConfig(max_batch=1, queue_capacity=queue_capacity),
-            "brute",
-            {},
-        ),
-        (
-            "batched",
-            ServerConfig(
-                max_batch=max_batch,
-                max_wait=batch_wait,
-                queue_capacity=queue_capacity,
-            ),
-            "brute",
-            {},
-        ),
-        (
-            "batched+cache",
-            ServerConfig(
-                max_batch=max_batch,
-                max_wait=batch_wait,
-                queue_capacity=queue_capacity,
-                cache_capacity=cache_capacity,
-            ),
-            "brute",
-            {},
-        ),
-        (
-            "batched+cache+ann",
-            ServerConfig(
-                max_batch=max_batch,
-                max_wait=batch_wait,
-                queue_capacity=queue_capacity,
-                cache_capacity=cache_capacity,
-                deadline=deadline,
-                min_probes=max(2, probes // 4),
-            ),
-            "cluster",
-            {
-                "num_clusters": num_clusters,
-                "probes": probes,
-                "rng": np.random.default_rng(seed + 2),
-            },
-        ),
-    ]
+    naive = ServerConfig(max_batch=1, queue_capacity=queue_capacity)
+    batched = replace(naive, max_batch=max_batch, max_wait=2.0 * max_batch / rate)
+    cached = replace(batched, cache_capacity=cache_capacity)
+    ann = replace(
+        cached, deadline=8.0 * max_batch / naive_qps, min_probes=max(2, probes // 4)
+    )
+    ann_index = build_index(
+        emb, "cluster", num_clusters=num_clusters, probes=probes,
+        rng=np.random.default_rng(seed + 2),
+    )
     rows: list[dict] = []
     series: dict[str, MetricSeries] = {}
-    for name, cfg, kind, kwargs in configs:
-        server = EmbeddingServer(
-            emb, config=cfg, index=kind, index_kwargs=kwargs
-        )
-        replay = server.serve_trace(trace, collect_results=True)
-        served_seqs = sorted(replay.results)
-        replay.metrics.recall_at_k = recall_at_k(
-            np.array([replay.results[s] for s in served_seqs]),
-            exact_idx[served_seqs],
-        )
-        _report(rows, series, name, replay, config=name)
+    for name, cfg, index in zip(
+        CONFIG_NAMES, (naive, batched, cached, ann), (brute, brute, brute, ann_index)
+    ):
+        server = EmbeddingServer(emb, config=cfg, index=index)
+        _replay(rows, series, name, server, trace, oracle=oracle, config=name)
     base = rows[0]["throughput_qps"]
     for row in rows:
         row["speedup_vs_naive"] = row["throughput_qps"] / base if base else 0.0
@@ -230,34 +210,17 @@ def run(
 
 
 _COLUMNS = [
-    "config",
-    "served",
-    "shed",
-    "throughput_qps",
-    "speedup_vs_naive",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "hit_rate",
-    "recall_at_k",
-    "degraded_batches",
+    "config", "served", "shed", "throughput_qps", "speedup_vs_naive", "p50_ms",
+    "p95_ms", "p99_ms", "hit_rate", "recall_at_k", "degraded_batches",
 ]
 
 
 def format_results(results: dict) -> str:
     """Render the comparison as the paper-style fixed-width table."""
-    meta = results["meta"]
     title = (
-        "S1: embedding serving under a Zipf(%.2f) trace — "
-        "n=%d, d=%d, k=%d, offered %.0f qps (%.0fx naive capacity)"
-        % (
-            meta["zipf_skew"],
-            meta["num_vertices"],
-            meta["dim"],
-            meta["k"],
-            meta["offered_rate_qps"],
-            meta["load_factor"],
-        )
+        "S1: embedding serving under a Zipf(%(zipf_skew).2f) trace — "
+        "n=%(num_vertices)d, d=%(dim)d, k=%(k)d, offered %(offered_rate_qps).0f qps "
+        "(%(load_factor).0fx naive capacity)" % results["meta"]
     )
     return format_table(results["rows"], columns=_COLUMNS, title=title)
 
@@ -265,18 +228,15 @@ def format_results(results: dict) -> str:
 # ----------------------------------------------------------------------
 # Experiment S2 — the sharded, replicated cluster (serve-cluster).
 
-def _calibrate_batched_qps(
-    embeddings: np.ndarray, k: int, batch: int, dtype=np.float32
-) -> float:
+def _calibrate_batched_qps(index: BruteForceIndex, k: int, batch: int) -> float:
     """Measured batched brute-force rate (queries/second) at ``batch``.
 
     The first full-batch scan pays one-off allocation/cache-warming
     costs an order of magnitude above steady state, so it is discarded
     and the median of three warm runs is used.
     """
-    index = BruteForceIndex(embeddings, dtype=dtype)
     rng = np.random.default_rng(0)
-    qids = rng.integers(0, embeddings.shape[0], size=batch)
+    qids = rng.integers(0, index.num_vectors, size=batch)
     index.search_ids(qids, k)  # warm the full-batch path
     times = []
     for _ in range(3):
@@ -300,6 +260,43 @@ def straggler_model(replicas: int, *, slow_factor: float = 12.0):
         return base * (slow_factor if replica == replicas - 1 else 1.0)
 
     return model
+
+
+def hedging_scenario(
+    emb: np.ndarray,
+    *,
+    num_queries: int,
+    base: ClusterConfig = ClusterConfig(),
+    hedge: bool = True,
+    assignment: np.ndarray | None = None,
+    skew: float = 1.1,
+    k: int = 10,
+    seed: int = 0,
+) -> tuple[ClusterServer, QueryTrace]:
+    """The bursty-hedging scenario over ``emb``: ``(server, trace)``.
+
+    ``base`` (without its cache) with one straggler replica per shard
+    (:func:`straggler_model`) and hedging on or off, plus a bursty trace
+    of ``num_queries`` requests whose bursts queue behind the slow
+    replicas. Deterministic: the service model prices every scan.
+    Without an ``assignment`` the cluster partitions ``emb`` itself,
+    drawing from ``seed + 4``.
+    """
+    server = ClusterServer(
+        emb,
+        config=replace(
+            base, cache_capacity=0, hedge=hedge, hedge_min_samples=64, hedge_fallback=0.02
+        ),
+        assignment=assignment,
+        service_model=straggler_model(base.replicas),
+        rng=np.random.default_rng(seed + 4),
+        dtype=_CLUSTER_DTYPE,
+    )
+    trace = bursty_trace(
+        num_queries, emb.shape[0], skew=skew, base_rate=800.0, burst_rate=8000.0,
+        base_seconds=0.5, burst_seconds=0.15, k=k, rng=np.random.default_rng(seed + 3),
+    )
+    return server, trace
 
 
 def run_cluster(
@@ -328,9 +325,8 @@ def run_cluster(
        cluster, with *measured* service times. The baseline's exact
        results double as the recall oracle for the cluster's pruned
        (fanout < shards) answers.
-    2. **bursty-hedging** — a bursty trace against a deterministic
-       straggler service model (one slow replica per shard), hedging
-       off vs on: hedged requests must lower p99.
+    2. **bursty-hedging** — :func:`hedging_scenario` on the soak corpus,
+       hedging off vs on: hedged requests must lower p99.
     3. **upsert-soak** — a steady trace with the streaming slab
        producer refreshing every shard mid-flight, run under the obs
        layer; the ``cluster_rules`` SLOs (worst per-shard p99,
@@ -338,20 +334,23 @@ def run_cluster(
     """
     rows: list[dict] = []
     series: dict[str, MetricSeries] = {}
-    dtype = np.float32
+    components = max(64, 16 * num_shards)
+    base = ClusterConfig(
+        num_shards=num_shards,
+        replicas=replicas,
+        fanout=fanout,
+        max_batch=max_batch,
+        queue_capacity=queue_capacity,
+        cache_capacity=cache_capacity,
+    )
 
     # ---- phase 1: million-vertex Zipf throughput + recall -----------
-    emb = mixture_embeddings(
-        num_vertices, dim, num_components=max(64, 16 * num_shards), seed=seed
-    )
-    single_qps = _calibrate_batched_qps(emb, k, max_batch, dtype=dtype)
+    emb = mixture_embeddings(num_vertices, dim, num_components=components, seed=seed)
+    brute = BruteForceIndex(emb, dtype=_CLUSTER_DTYPE)
+    single_qps = _calibrate_batched_qps(brute, k, max_batch)
     rate = load_factor * single_qps
     trace = zipf_trace(
-        num_queries,
-        num_vertices,
-        skew=skew,
-        rate=rate,
-        k=k,
+        num_queries, num_vertices, skew=skew, rate=rate, k=k,
         rng=np.random.default_rng(seed + 1),
     )
     batch_wait = 2.0 * max_batch / rate
@@ -363,161 +362,95 @@ def run_cluster(
             queue_capacity=queue_capacity,
             cache_capacity=cache_capacity,
         ),
-        index="brute",
-        index_kwargs={"dtype": dtype},
+        index=brute,
     )
-    base_replay = single.serve_trace(trace, collect_results=True)
-    _report(
-        rows, series, "single", base_replay,
+    single_replay = _replay(
+        rows, series, "single", single, trace,
         phase=CLUSTER_PHASES[0], config="single-batched",
     )
-
     cluster = ClusterServer(
         emb,
-        config=ClusterConfig(
-            num_shards=num_shards,
-            replicas=replicas,
-            fanout=fanout,
-            max_batch=max_batch,
-            max_wait=batch_wait,
-            queue_capacity=queue_capacity,
-            cache_capacity=cache_capacity,
-        ),
+        config=replace(base, max_wait=batch_wait),
         rng=np.random.default_rng(seed + 2),
-        dtype=dtype,
+        dtype=_CLUSTER_DTYPE,
     )
-    cluster_replay = cluster.serve_trace(trace, collect_results=True)
-    # Recall oracle: the single brute-force server is exact, so score
-    # the cluster's pruned answers against the requests both served.
-    common = sorted(set(base_replay.results) & set(cluster_replay.results))
-    recall = float("nan")
-    if common:
-        recall = recall_at_k(
-            np.array([cluster_replay.results[s] for s in common]),
-            np.array([base_replay.results[s] for s in common]),
-        )
-    cluster_replay.metrics.recall_at_k = recall
-    single_tp = base_replay.metrics.throughput
-    speedup = (
-        cluster_replay.metrics.throughput / single_tp if single_tp else 0.0
-    )
-    _report(
-        rows, series, "cluster", cluster_replay,
+    # The single brute-force server is exact: its answers are the oracle
+    # for the cluster's pruned ones.
+    cluster_replay = _replay(
+        rows, series, "cluster", cluster, trace, oracle=single_replay.results,
         phase=CLUSTER_PHASES[0], config=f"cluster-{num_shards}x{replicas}",
-        speedup_vs_single=speedup,
     )
+    single_tp = single_replay.metrics.throughput
+    speedup = cluster_replay.metrics.throughput / single_tp if single_tp else 0.0
+    rows[-1]["speedup_vs_single"] = speedup
 
     # ---- phase 2: bursty trace, hedging off vs on -------------------
+    # One soak corpus and one partition (the call ClusterServer would
+    # make itself) for the three servers of phases 2 and 3.
     emb2 = mixture_embeddings(
-        soak_vertices, dim, num_components=max(64, 16 * num_shards), seed=seed + 10
+        soak_vertices, dim, num_components=components, seed=seed + 10
     )
-    btrace = bursty_trace(
-        max(600, num_queries * 3 // 4),
-        soak_vertices,
-        skew=skew,
-        base_rate=800.0,
-        burst_rate=8000.0,
-        base_seconds=0.5,
-        burst_seconds=0.15,
-        k=k,
-        rng=np.random.default_rng(seed + 3),
+    assignment = partition_vertices(
+        emb2, num_shards=num_shards, rng=np.random.default_rng(seed + 4)
     )
-    straggler = straggler_model(replicas)
-    assignment = None
-    hedge_results = {}
+    hedge_replays = {}
     for hedged in (False, True):
-        cfg = ClusterConfig(
-            num_shards=num_shards,
-            replicas=replicas,
-            fanout=fanout,
-            max_batch=max_batch,
-            queue_capacity=queue_capacity,
-            hedge=hedged,
-            hedge_percentile=95.0,
-            hedge_min_samples=64,
-            hedge_fallback=0.02,
-        )
-        server = ClusterServer(
-            emb2,
-            config=cfg,
-            assignment=assignment,
-            service_model=straggler,
-            rng=np.random.default_rng(seed + 4),
-            dtype=dtype,
-        )
-        if assignment is None:  # reuse the partition across both runs
-            assignment = server.sharded.assignment
-        if hedged:
-            # The hedged replay runs under obs so its request span
-            # forest (hedged duplicates, winner marked) and the tail
-            # exemplars that point into it are captured into the
-            # trace document written as OBS_serve_cluster.json — every
-            # p99 exemplar must resolve to a full span tree there.
-            with obs.enabled():
-                obs.reset()
-                replay = server.serve_trace(btrace)
-                trace_doc = trace_document("serve_cluster_hedged")
-        else:
-            replay = server.serve_trace(btrace)
         name = "bursty+hedge" if hedged else "bursty-nohedge"
-        hedge_results[hedged] = replay
-        _report(
-            rows, series, name, replay,
-            phase=CLUSTER_PHASES[1], config=name,
+        server, btrace = hedging_scenario(
+            emb2, num_queries=max(600, num_queries * 3 // 4), base=base,
+            hedge=hedged, assignment=assignment, skew=skew, k=k, seed=seed,
         )
-    p99_nohedge = hedge_results[False].metrics.latency.percentile(99.0)
-    p99_hedge = hedge_results[True].metrics.latency.percentile(99.0)
+        # The hedged replay runs under obs so its request span forest
+        # (hedged duplicates, winner marked) and the tail exemplars that
+        # point into it are captured into the trace document written as
+        # OBS_serve_cluster.json — every p99 exemplar must resolve to a
+        # full span tree there.
+        with obs.enabled(hedged):
+            obs.reset()
+            hedge_replays[hedged] = _replay(
+                rows, series, name, server, btrace,
+                phase=CLUSTER_PHASES[1], config=name,
+            )
+    trace_doc = trace_document("serve_cluster_hedged")
+    p99_nohedge = hedge_replays[False].metrics.latency.percentile(99.0)
+    p99_hedge = hedge_replays[True].metrics.latency.percentile(99.0)
 
     # ---- phase 3: streaming upserts under the obs SLOs --------------
     strace = zipf_trace(
-        max(600, num_queries // 2),
-        soak_vertices,
-        skew=skew,
-        rate=3000.0,
-        k=k,
+        max(600, num_queries // 2), soak_vertices, skew=skew, rate=3000.0, k=k,
         rng=np.random.default_rng(seed + 5),
     )
     span_est = strace.arrivals[-1] - strace.arrivals[0]
     upsert_rounds = 3
     interval = 0.8 * span_est / (upsert_rounds * num_shards)
-    soak_model = straggler_model(replicas, slow_factor=1.0)
+    staleness_bound = 4.0 * num_shards * interval + 0.25
     with obs.enabled():
         obs.reset()
         soak = ClusterServer(
             emb2,
-            config=ClusterConfig(
-                num_shards=num_shards,
-                replicas=replicas,
-                fanout=fanout,
-                max_batch=max_batch,
-                queue_capacity=queue_capacity,
-                cache_capacity=cache_capacity,
-            ),
+            config=base,
             assignment=assignment,
-            service_model=soak_model,
-            rng=np.random.default_rng(seed + 6),
-            dtype=dtype,
+            service_model=straggler_model(replicas, slow_factor=1.0),
+            upserts=SlabUpsertProducer(
+                emb2,
+                assignment,
+                start=float(strace.arrivals[0]),
+                interval=float(interval),
+                rounds=upsert_rounds,
+                seed=seed + 7,
+            ),
+            dtype=_CLUSTER_DTYPE,
         )
-        soak.upserts = SlabUpsertProducer(
-            emb2,
-            soak.sharded.assignment,
-            start=float(strace.arrivals[0]),
-            interval=float(interval),
-            rounds=upsert_rounds,
-            seed=seed + 7,
+        soak_replay = _replay(
+            rows, series, "upsert-soak", soak, strace,
+            phase=CLUSTER_PHASES[2], config="upsert-soak",
         )
-        soak_replay = soak.serve_trace(strace)
-        staleness_bound = 4.0 * num_shards * interval + 0.25
         slo_results = evaluate(
             cluster_rules(
                 per_shard_p99=0.050, staleness_bound=float(staleness_bound)
             ),
             SLOContext(),
         )
-    _report(
-        rows, series, "upsert-soak", soak_replay,
-        phase=CLUSTER_PHASES[2], config="upsert-soak",
-    )
     slo_rows = [r.as_row() for r in slo_results]
 
     return {
@@ -544,11 +477,11 @@ def run_cluster(
             "seed": seed,
             # Acceptance-criteria summary (what the bench asserts on).
             "speedup_vs_single": speedup,
-            "recall_at_k_cluster": recall,
+            "recall_at_k_cluster": cluster_replay.metrics.recall_at_k,
             "p99_ms_nohedge": p99_nohedge * 1e3,
             "p99_ms_hedge": p99_hedge * 1e3,
-            "hedges": hedge_results[True].stats["hedges"],
-            "hedge_wins": hedge_results[True].stats["hedge_wins"],
+            "hedges": hedge_replays[True].stats["hedges"],
+            "hedge_wins": hedge_replays[True].stats["hedge_wins"],
             "upserts_applied": soak_replay.stats["upserts_applied"],
             "max_staleness_s": soak_replay.stats["max_staleness_s"],
             "staleness_bound_s": float(staleness_bound),
@@ -558,21 +491,9 @@ def run_cluster(
 
 
 _CLUSTER_COLUMNS = [
-    "phase",
-    "config",
-    "served",
-    "shed",
-    "throughput_qps",
-    "speedup_vs_single",
-    "p50_ms",
-    "p99_ms",
-    "hit_rate",
-    "recall_at_k",
-    "mean_fanout",
-    "hedges",
-    "hedge_wins",
-    "upserts",
-    "max_staleness_ms",
+    "phase", "config", "served", "shed", "throughput_qps", "speedup_vs_single",
+    "p50_ms", "p99_ms", "hit_rate", "recall_at_k", "mean_fanout", "hedges",
+    "hedge_wins", "upserts", "max_staleness_ms",
 ]
 
 _SLO_COLUMNS = ["rule", "kind", "value", "threshold", "status", "detail"]
@@ -580,22 +501,12 @@ _SLO_COLUMNS = ["rule", "kind", "value", "threshold", "status", "detail"]
 
 def format_cluster_results(results: dict) -> str:
     """Render the cluster experiment: phase table plus the SLO report."""
-    meta = results["meta"]
     title = (
-        "S2: sharded cluster serving — n=%d, d=%d, %d shards x %d replicas, "
-        "fanout %d, offered %.0f qps (%.0fx single capacity)"
-        % (
-            meta["num_vertices"],
-            meta["dim"],
-            meta["num_shards"],
-            meta["replicas"],
-            meta["fanout"],
-            meta["offered_rate_qps"],
-            meta["load_factor"],
-        )
+        "S2: sharded cluster serving — n=%(num_vertices)d, d=%(dim)d, "
+        "%(num_shards)d shards x %(replicas)d replicas, fanout %(fanout)d, "
+        "offered %(offered_rate_qps).0f qps (%(load_factor).0fx single capacity)"
+        % results["meta"]
     )
     table = format_table(results["rows"], columns=_CLUSTER_COLUMNS, title=title)
-    slo = format_table(
-        results["slo"], columns=_SLO_COLUMNS, title="cluster SLOs"
-    )
+    slo = format_table(results["slo"], columns=_SLO_COLUMNS, title="cluster SLOs")
     return table + "\n\n" + slo

@@ -257,11 +257,14 @@ def load_bench_records(
 ) -> tuple[list[BenchRecord], list[str]]:
     """Parse every ``BENCH_*.json`` under ``results_dir`` into records.
 
-    Returns ``(records, skipped)``: ``skipped`` names each file that
-    could not be read or parsed (a truncated write), for the caller to
-    report — the gate degrades, it does not crash. Files without an
-    embedded record, or with an empty series (nothing to compare), are
-    skipped silently: old-format artifacts are not an error.
+    Returns ``(records, skipped)``: ``skipped`` names, with its reason,
+    each file that could not be read or parsed (a truncated write) and
+    each record whose series name no ``env.clock`` (an old writer's
+    file), for the caller to report — the gate degrades, it does not
+    crash, and a clockless record never reaches the history. Files
+    without an embedded record, or with an empty series (nothing to
+    compare), are skipped silently: old-format artifacts are not an
+    error.
     """
     records: list[BenchRecord] = []
     skipped: list[str] = []
@@ -273,6 +276,9 @@ def load_bench_records(
             continue
         raw = payload.get("record") if isinstance(payload, dict) else None
         if not isinstance(raw, dict) or not raw.get("series"):
+            continue
+        if "clock" not in raw.get("env", {}):
+            skipped.append(f"{path.name}: series without env.clock (an old writer's record)")
             continue
         records.append(
             BenchRecord.from_dict(raw, bench=str(payload.get("bench", path.stem)))

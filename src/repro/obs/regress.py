@@ -4,8 +4,9 @@ Timing distributions are skewed and noisy; a mean-vs-mean comparison
 either misses real regressions or cries wolf. The gate therefore
 requires **three** independent signals to call a change:
 
-1. **Mann–Whitney U** (two-sided, normal approximation with tie and
-   continuity correction) — are the two sample sets drawn from the same
+1. **Mann–Whitney U** (two-sided, scipy's; exact when small and
+   tie-free, else the normal approximation with tie and continuity
+   correction) — are the two sample sets drawn from the same
    distribution at all?
 2. **Median ratio** — is the shift big enough to matter? Changes inside
    the configurable noise threshold are reported ``unchanged`` no matter
@@ -22,7 +23,6 @@ seeded sweep in ``tests/obs/test_regress.py``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,48 +61,6 @@ class RegressionPolicy:
     baseline_window: int = 3  # history entries pooled into the baseline
 
 
-def _rankdata(x: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with ties sharing their mean rank."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def _exact_u_cdf(n1: int, n2: int, u: int) -> float:
-    """P(U <= u) under the exact tie-free null distribution.
-
-    Counts, for every achievable statistic value, the number of
-    interleavings of ``n1`` + ``n2`` tie-free samples producing it
-    (classic DP over the partition-count recurrence). Only used for the
-    small sample counts the bench gate sees, where the normal
-    approximation is too coarse to ever clear a strict alpha.
-    """
-    size = n1 * n2 + 1
-    # Mann & Whitney's recurrence f(m,n,u) = f(m-1,n,u-n) + f(m,n-1,u),
-    # rolled over m with one counts array per n.
-    counts = [np.zeros(size, dtype=np.float64) for _ in range(n2 + 1)]
-    for n in range(n2 + 1):
-        counts[n][0] = 1.0
-    for _m in range(1, n1 + 1):
-        new = [np.zeros(size, dtype=np.float64) for _ in range(n2 + 1)]
-        new[0][0] = 1.0
-        for n in range(1, n2 + 1):
-            shifted = np.zeros(size, dtype=np.float64)
-            shifted[n:] = counts[n][: size - n]
-            new[n] = new[n - 1] + shifted
-        counts = new
-    dist = counts[n2]
-    return float(dist[: int(u) + 1].sum() / dist.sum())
-
-
 def mann_whitney_u(x, y) -> tuple[float, float]:
     """Two-sided Mann–Whitney U test of ``x`` vs ``y``.
 
@@ -110,35 +68,22 @@ def mann_whitney_u(x, y) -> tuple[float, float]:
     the exact null distribution (at gate-scale counts like 5-vs-5 the
     normal approximation cannot reach small p-values even under full
     separation); larger or tied samples use the normal approximation
-    with tie correction and a 0.5 continuity correction. No scipy
-    dependency on this import path. Identical constant samples give
-    p = 1.0.
+    with tie correction and a 0.5 continuity correction. Identical
+    constant samples give p = 1.0.
     """
+    # Imported here: scipy.stats costs about a second to import, and
+    # every process that imports repro.obs would pay it.
+    from scipy.stats import mannwhitneyu
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n1, n2 = x.size, y.size
-    if n1 == 0 or n2 == 0:
+    if x.size == 0 or y.size == 0:
         raise ValueError("mann_whitney_u needs non-empty samples")
     both = np.concatenate([x, y])
-    ranks = _rankdata(both)
-    u1 = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0)
-    u2 = n1 * n2 - u1
-    _, counts = np.unique(both, return_counts=True)
-    has_ties = counts.size < both.size
-    if not has_ties and n1 * n2 <= 2500:
-        # Exact two-sided p: twice the one-sided tail of min(U1, U2).
-        p = 2.0 * _exact_u_cdf(n1, n2, int(round(min(u1, u2))))
-        return u1, min(p, 1.0)
-    mu = n1 * n2 / 2.0
-    tie_term = float(((counts**3 - counts)).sum())
-    n = n1 + n2
-    var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if var <= 0:
-        return u1, 1.0
-    z = (abs(u1 - mu) - 0.5) / math.sqrt(var)
-    z = max(z, 0.0)
-    p = 2.0 * 0.5 * math.erfc(z / math.sqrt(2.0))
-    return u1, min(max(p, 0.0), 1.0)
+    tie_free = np.unique(both).size == both.size
+    method = "exact" if tie_free and x.size * y.size <= 2500 else "asymptotic"
+    res = mannwhitneyu(x, y, alternative="two-sided", method=method)
+    return float(res.statistic), float(res.pvalue)
 
 
 def bootstrap_median_ratio_ci(

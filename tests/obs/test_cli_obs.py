@@ -283,9 +283,23 @@ class TestBenchGateFlow:
         for verb in ("bench-record", "bench-diff", "bench-gate"):
             assert main([verb, *self._gate_args(results, history)]) == 0
             out = capsys.readouterr().out
-            assert "warning: skipped unreadable BENCH_cut.json" in out, verb
+            assert "warning: skipped BENCH_cut.json: JSONDecodeError" in out, verb
             if verb != "bench-record":
                 assert "latency_s" in out  # the readable file is still compared
+
+    def test_a_clockless_bench_file_is_named_not_recorded(self, dirs, capsys):
+        """A record whose series name no clock is reported and never
+        appended to the history."""
+        results, history = dirs
+        self._write_bench(results, self._samples(0))
+        path = results / "BENCH_serve.json"
+        payload = json.loads(path.read_text())
+        del payload["record"]["env"]["clock"]
+        path.write_text(json.dumps(payload))
+        assert main(["bench-record", *self._gate_args(results, history)]) == 0
+        out = capsys.readouterr().out
+        assert "warning: skipped BENCH_serve.json: series without env.clock" in out
+        assert not (history / "serve.jsonl").exists()
 
     def test_record_on_empty_results_is_a_noop(self, tmp_path, capsys):
         results = tmp_path / "results"

@@ -179,6 +179,19 @@ class TestWriteBenchJson:
         assert [r.bench for r in records] == ["whole"]
         assert len(skipped) == 1 and skipped[0].startswith("BENCH_cut.json: JSONDecodeError")
 
+    def test_a_clockless_record_is_named_and_skipped(self, tmp_path):
+        """An old writer's record (series, no env.clock) is not loaded,
+        so bench-record never appends it as a clockless history line."""
+        write_bench(tmp_path, "x", _results(), seed=0)
+        path = tmp_path / "BENCH_x.json"
+        payload = json.loads(path.read_text())
+        del payload["record"]["env"]["clock"]
+        path.write_text(json.dumps(payload))
+        write_bench(tmp_path, "y", _results(), seed=0)
+        records, skipped = load_bench_records(tmp_path)
+        assert [r.bench for r in records] == ["y"]
+        assert skipped == ["BENCH_x.json: series without env.clock (an old writer's record)"]
+
 
 class TestExportFingerprint:
     def test_obs_trace_document_carries_env(self):

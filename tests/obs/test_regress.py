@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.obs.history import HistoryStore
 from repro.obs.record import BenchRecord, MetricSeries, environment_fingerprint
 from repro.obs.regress import (
@@ -66,6 +72,14 @@ class TestMannWhitney:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             mann_whitney_u([], [1.0])
+
+    def test_scipy_stats_stays_off_the_cli_import_path(self):
+        """The test imports scipy.stats only when called: importing the
+        CLI (or repro.obs) must not pay for it."""
+        code = "import sys, repro.cli; assert 'scipy.stats' not in sys.modules"
+        src = pathlib.Path(repro.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestBootstrapCI:
