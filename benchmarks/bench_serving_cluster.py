@@ -23,9 +23,10 @@ from repro import obs
 from repro.experiments import serving
 from repro.kernels import accounting
 from repro.obs.record import MetricSeries, write_bench
-from repro.serving.cluster import ShardedIndex
+from repro.serving.cluster import ClusterConfig, ClusterServer, ShardedIndex, partition_vertices
 from repro.serving.index import build_index, l2_normalize_rows
-from repro.serving.upsert import drift_refresh
+from repro.serving.upsert import SlabUpsertProducer, drift_refresh
+from repro.serving.workload import zipf_trace
 
 
 def test_cluster_serving(paper_bench):
@@ -218,3 +219,70 @@ def test_small_batch_search(benchmark, results_dir):
     for rows, cells, probes in SEARCH_SHAPES:
         shape = f"{rows}x{cells}x{probes}"
         assert glue[f"{shape}.q64"] < glue[f"{shape}.q1"]
+
+
+# The reddit_wide phase-c replay: a 1 864 x 1 024 corpus (hidden 512,
+# concatenated), 4 shards x 2 replicas at fanout 2, 8 cells / 4 probes a
+# shard, 800 Zipf requests at 1 000 qps, 3 drift rounds over the middle
+# 80% of the trace.
+REPLAY_ROWS, REPLAY_DIM, REPLAY_SHARDS, REPLAY_CELLS = 1864, 1024, 4, 8
+REPLAY_REQUESTS, REPLAY_QPS, REPLAY_ROUNDS = 800, 1000.0, 3
+REPLAY_SAMPLES = 10
+
+
+def _replay_beside_writes_samples() -> dict:
+    """Wall seconds of one measured-mode ``ClusterServer.serve_trace``
+    while drift slabs stream into every shard — the slab producer's work
+    included, wherever it runs. A fresh server and trace per sample; the
+    server is built outside the timed call."""
+    rng = np.random.default_rng(0)
+    corpus = rng.standard_normal((REPLAY_ROWS, 24)) @ rng.standard_normal((24, REPLAY_DIM))
+    corpus = corpus + 0.3 * rng.standard_normal(corpus.shape)
+    assignment = partition_vertices(
+        corpus, num_shards=REPLAY_SHARDS, rng=np.random.default_rng(0)
+    )
+    config = ClusterConfig(
+        num_shards=REPLAY_SHARDS, replicas=2, fanout=2, max_batch=64, max_wait=2e-3,
+        queue_capacity=256, cache_capacity=64, shard_index="cluster",
+    )
+    seconds, applied = [], []
+    for i in range(REPLAY_SAMPLES):
+        trace = zipf_trace(
+            REPLAY_REQUESTS, REPLAY_ROWS, skew=1.1, rate=REPLAY_QPS, k=10,
+            rng=np.random.default_rng([0, i]),
+        )
+        duration = float(trace.arrivals[-1])
+        slabs = REPLAY_ROUNDS * REPLAY_SHARDS
+        server = ClusterServer(
+            corpus, config=config, assignment=assignment,
+            index_kwargs=dict(num_clusters=REPLAY_CELLS, probes=4),
+            upserts=SlabUpsertProducer(
+                corpus, assignment, start=0.1 * duration, interval=0.8 * duration / slabs,
+                rounds=REPLAY_ROUNDS, seed=i, refresh_fn=drift_refresh(0.01),
+            ),
+        )
+        t0 = perf_counter()
+        replay = server.serve_trace(trace)
+        seconds.append(perf_counter() - t0)
+        applied.append(replay.stats["upserts_applied"])
+    return {
+        "clock": "wall",
+        "key_fields": {"corpus": f"{REPLAY_ROWS}x{REPLAY_DIM}", "cells": REPLAY_CELLS},
+        "series": {"serving.cluster_replay_seconds": MetricSeries(seconds)},
+        "upserts_applied": applied,
+        "meta": {
+            "rows": REPLAY_ROWS, "dim": REPLAY_DIM, "requests": REPLAY_REQUESTS,
+            "replay_ms_median": 1e3 * float(np.median(seconds)),
+        },
+    }
+
+
+def test_replay_beside_writes(benchmark, results_dir):
+    """What a cluster replay with streaming upserts costs on the wall
+    clock (its own history series, ``serve_replay``: ``serve_cluster`` is
+    on the virtual clock, and ``serve_refresh`` times the shard swap
+    alone, so neither sees where the slab itself is made)."""
+    results = benchmark.pedantic(_replay_beside_writes_samples, rounds=1, iterations=1)
+    _write(results_dir, "serve_replay", results)
+    assert len(results["series"]["serving.cluster_replay_seconds"].samples) >= 8
+    assert results["upserts_applied"] == [REPLAY_ROUNDS * REPLAY_SHARDS] * REPLAY_SAMPLES

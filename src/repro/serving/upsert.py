@@ -13,14 +13,15 @@ the new, and the per-shard generation bump in
 :class:`~repro.serving.cache.GenerationalCache` kills exactly the cached
 results that touched the refreshed shard.
 
-Slab content is deterministic — submission ``i`` always derives its
-noise from the ``i``-th child of one :class:`numpy.random.SeedSequence`,
-the same scheme as :class:`repro.sampling.scheduler.SubgraphPool` —
-so the optional compute-ahead thread (``prefetch=True``, again the
-pool's pattern: a bounded queue of futures computed ahead of the
-consumer) changes wall-clock overlap but never results. The default
-``refresh_fn`` is a drift random walk standing in for continued
-training; pass your own (e.g. one that re-runs
+Slabs are computed ahead of the replay on one ``slab-upsert`` worker
+thread (the trainer side of the split, overlapping the replay on
+another core), at most two in flight. Slab content is deterministic all
+the same — slab ``j`` always derives its noise from the ``j``-th child
+of one :class:`numpy.random.SeedSequence`, the same scheme as
+:class:`repro.sampling.scheduler.SubgraphPool`, and the one worker
+computes slabs in order — so the thread moves wall-clock time, never
+results. The default ``refresh_fn`` is a drift random walk standing in
+for continued training; pass your own (e.g. one that re-runs
 ``compute_embeddings`` on a trainer checkpoint) to stream real model
 output.
 """
@@ -63,7 +64,9 @@ def drift_refresh(scale: float = 0.01) -> Callable:
     def _refresh(
         shard: int, rnd: int, current_rows: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        return current_rows + scale * rng.standard_normal(current_rows.shape)
+        # The bits of ``current_rows + scale * noise``, in the noise's buffer.
+        noise = rng.standard_normal(current_rows.shape)
+        return np.add(np.multiply(noise, scale, out=noise), current_rows, out=noise)
 
     return _refresh
 
@@ -89,12 +92,11 @@ class SlabUpsertProducer:
     rounds:
         Refresh rounds (each covers every shard once).
     refresh_fn:
-        ``(shard, round, current_rows, rng) -> new_rows``; defaults to
-        :func:`drift_refresh`.
-    prefetch, depth:
-        Compute slabs ahead on one background thread with a bounded
-        in-flight queue (the :class:`SubgraphPool` pattern).
-        Results are identical either way.
+        ``(shard, round, current_rows, rng) -> new_rows``, a new array
+        the slab takes over; defaults to :func:`drift_refresh`.
+
+    The worker starts at the first :meth:`peek_time` (the replay's first
+    event) and exits after the last slab, or on :meth:`close`.
     """
 
     def __init__(
@@ -107,15 +109,11 @@ class SlabUpsertProducer:
         rounds: int = 1,
         seed: int = 0,
         refresh_fn: Callable | None = None,
-        prefetch: bool = False,
-        depth: int = 2,
     ):
         if interval <= 0:
             raise ValueError("interval must be positive")
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
         assignment = np.asarray(assignment, dtype=np.int64).ravel()
         if assignment.shape[0] != embeddings.shape[0]:
             raise ValueError("assignment length != number of embedding rows")
@@ -129,22 +127,15 @@ class SlabUpsertProducer:
         self.total = rounds * self.num_shards
         self.refresh_fn = refresh_fn or drift_refresh()
         self._seeds = np.random.SeedSequence(seed).spawn(self.total)
-        self._next = 0  # next slab index to compute
+        self._next = 0  # next slab index to submit
         self._emitted = 0  # next slab index to hand out
-        self._ready: collections.deque[Future | UpsertSlab] = collections.deque()
-        self._executor = (
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix="slab-upsert")
-            if prefetch
-            else None
-        )
-        self._depth = depth
+        self._ready: collections.deque[Future] = collections.deque()  # 2 at most
+        self._executor: ThreadPoolExecutor | None = None
         self._closed = False
-        self._fill()
 
     # -- producers -----------------------------------------------------
     def _compute(self, j: int) -> UpsertSlab:
-        # Wall seconds of producing one slab (on the replay's thread unless
-        # ``prefetch``): otherwise it hides in the replay's self time. Not a
+        # Wall seconds of producing one slab, on the worker thread. Not a
         # ``cluster.*`` name: those are the replay's, on the replay clock.
         t0 = perf_counter() if obs_enabled() else None
         shard = j % self.num_shards
@@ -158,7 +149,7 @@ class SlabUpsertProducer:
         slab = UpsertSlab(
             shard=shard,
             vertex_ids=members,
-            vectors=rows.copy(),
+            vectors=rows,
             produced_at=self.start + j * self.interval,
             round=j // self.num_shards,
         )
@@ -167,14 +158,12 @@ class SlabUpsertProducer:
         return slab
 
     def _fill(self) -> None:
-        depth = self._depth if self._executor is not None else 1
-        while self._next < self.total and len(self._ready) < depth:
-            j = self._next
+        while self._next < self.total and len(self._ready) < 2:
+            self._ready.append(self._executor.submit(self._compute, self._next))
             self._next += 1
-            if self._executor is not None:
-                self._ready.append(self._executor.submit(self._compute, j))
-            else:
-                self._ready.append(self._compute(j))
+            if self._next == self.total:
+                # The worker exits once it has computed the last slab.
+                self._executor.shutdown(wait=False)
 
     # -- consumer ------------------------------------------------------
     @property
@@ -183,32 +172,35 @@ class SlabUpsertProducer:
         return self.total - self._emitted
 
     def peek_time(self) -> float | None:
-        """Virtual production time of the next slab (None when drained)."""
-        if self._emitted >= self.total:
+        """Virtual production time of the next slab (None when drained or
+        closed). The first call starts the worker thread."""
+        if self._closed or self._emitted >= self.total:
             return None
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(1, thread_name_prefix="slab-upsert")
+            self._fill()
         return self.start + self._emitted * self.interval
 
     def pending(self, now: float) -> list[UpsertSlab]:
         """Pop every slab produced at or before virtual time ``now``.
 
-        Blocks on the compute-ahead future if the slab is due but not
-        finished (content is deterministic, so this only costs time).
+        Blocks on the worker if the slab is due but not finished
+        (content is deterministic, so this only costs time).
         """
         due: list[UpsertSlab] = []
         while True:
             t = self.peek_time()
             if t is None or t > now:
                 break
-            item = self._ready.popleft()
-            slab = item.result() if isinstance(item, Future) else item
-            due.append(slab)
+            due.append(self._ready.popleft().result())
             self._emitted += 1
             self._fill()
         return due
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Shut the compute-ahead thread down (idempotent)."""
+        """Stop the worker thread; slabs not yet handed out are dropped
+        (idempotent)."""
         if self._closed:
             return
         self._closed = True

@@ -510,7 +510,6 @@ class TestSoak:
             interval=interval,
             rounds=rounds,
             seed=23,
-            prefetch=True,
         )
         replay = server.serve_trace(trace)
         assert replay.metrics.served + replay.metrics.shed == len(trace)

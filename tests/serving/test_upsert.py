@@ -1,6 +1,10 @@
-"""Streaming slab producer: schedule, determinism, prefetch equivalence."""
+"""Streaming slab producer: schedule, determinism against a sequential
+oracle, and the worker thread's lifecycle."""
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -72,16 +76,31 @@ class TestDeterminism:
             a.pending(1e9)[0].vectors, b.pending(1e9)[0].vectors
         )
 
-    def test_prefetch_thread_changes_nothing(self):
+    def test_slabs_match_a_sequential_oracle_bit_for_bit(self):
+        """Slab ``j`` is ``current + 0.01 * noise_j``, ``noise_j`` drawn
+        from the ``j``-th child of the seed, ``current`` carried round over
+        round — whatever the worker thread's timing (switched as often as
+        the interpreter allows)."""
         emb, assignment = _setup()
-        sync = SlabUpsertProducer(emb, assignment, rounds=3, seed=5)
-        with SlabUpsertProducer(
-            emb, assignment, rounds=3, seed=5, prefetch=True, depth=3
-        ) as ahead:
-            for sa, sb in zip(sync.pending(1e9), ahead.pending(1e9)):
-                assert sa.shard == sb.shard
-                assert sa.produced_at == sb.produced_at
-                assert np.array_equal(sa.vectors, sb.vectors)
+        rounds, seed = 3, 5
+        total = rounds * 4
+        streams = np.random.SeedSequence(seed).spawn(total)
+        current = emb.copy()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SlabUpsertProducer(emb, assignment, rounds=rounds, seed=seed) as prod:
+                slabs = [s for t in range(total) for s in prod.pending(float(t))]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(slabs) == total
+        for j, slab in enumerate(slabs):
+            members = np.flatnonzero(assignment == j % 4)
+            noise = np.random.default_rng(streams[j]).standard_normal((len(members), 4))
+            current[members] = current[members] + 0.01 * noise
+            assert slab.shard == j % 4
+            assert np.array_equal(slab.vertex_ids, members)
+            assert slab.vectors.tobytes() == current[members].tobytes()
 
     def test_rounds_compound_on_current_state(self):
         """Round r+1 drifts from round r's output, not the original."""
@@ -128,25 +147,83 @@ class TestValidation:
         with pytest.raises(ValueError):
             SlabUpsertProducer(emb, assignment, rounds=0)
         with pytest.raises(ValueError):
-            SlabUpsertProducer(emb, assignment, prefetch=True, depth=0)
-        with pytest.raises(ValueError):
             SlabUpsertProducer(emb, assignment[:-1])
 
     def test_close_is_idempotent(self):
         emb, assignment = _setup()
-        prod = SlabUpsertProducer(emb, assignment, prefetch=True)
+        prod = SlabUpsertProducer(emb, assignment)
+        prod.peek_time()
         prod.close()
         prod.close()
+
+
+def _workers() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("slab-upsert")}
+
+
+class TestWorkerLifecycle:
+    def _counting(self):
+        emb, assignment = _setup()
+        calls = []
+        refresh = drift_refresh()
+
+        def counted(shard, rnd, rows, rng):
+            calls.append((shard, rnd))
+            return refresh(shard, rnd, rows, rng)
+
+        return emb, assignment, counted, calls
+
+    def test_nothing_runs_before_the_first_peek(self):
+        emb, assignment, counted, calls = self._counting()
+        before = _workers()
+        prod = SlabUpsertProducer(emb, assignment, rounds=2, refresh_fn=counted)
+        assert calls == [] and not _workers() - before
+        assert prod.peek_time() == 0.0
+        [worker] = _workers() - before
+        prod.close()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+
+    def test_worker_exits_after_the_last_slab(self):
+        emb, assignment, counted, calls = self._counting()
+        before = _workers()
+        prod = SlabUpsertProducer(emb, assignment, rounds=2, refresh_fn=counted)
+        first = prod.pending(0.0)
+        [worker] = _workers() - before
+        rest = prod.pending(1e9)
+        assert len(first) + len(rest) == prod.total == len(calls)
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert prod.peek_time() is None
+
+    def test_close_mid_stream_stops_the_worker(self):
+        emb, assignment, counted, calls = self._counting()
+        before = _workers()
+        prod = SlabUpsertProducer(emb, assignment, rounds=3, refresh_fn=counted)
+        assert len(prod.pending(1.0)) == 2
+        [worker] = _workers() - before
+        prod.close()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(calls) <= 4  # two handed out, at most two computed ahead
+        assert prod.peek_time() is None
+        assert prod.pending(1e9) == []
 
 
 class TestObs:
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_produce_seconds_observed_per_slab(self, prefetch):
+    @pytest.mark.parametrize("one_due_at_a_time", [False, True])
+    def test_produce_seconds_observed_per_slab(self, one_due_at_a_time):
+        """One observation per slab, whether the stream is drained in one
+        call or popped slab by slab as each falls due."""
         emb, assign = _setup()
         with obs.enabled():
             obs_metrics.reset()
-            with SlabUpsertProducer(emb, assign, rounds=2, prefetch=prefetch) as prod:
-                assert len(prod.pending(1e9)) == prod.total
+            with SlabUpsertProducer(emb, assign, rounds=2) as prod:
+                if one_due_at_a_time:
+                    slabs = [s for t in range(prod.total) for s in prod.pending(float(t))]
+                else:
+                    slabs = prod.pending(1e9)
+                assert len(slabs) == prod.total
             hist = obs_metrics.snapshot()["histograms"]["upsert.produce_seconds"]
         assert hist["count"] == prod.total
         assert 0.0 < hist["p50"] <= hist["max"] < 1.0

@@ -648,6 +648,7 @@ PINNED_KEYS = {
     ("train_bench", "773e476900fb"): (0, {"clock": "wall", "key_fields": {"dataset": "reddit", "hidden": 512}}),
     ("serve_refresh", "6e0722366c92"): (0, {"clock": "wall", "key_fields": {"shard": "1792x256", "cells": 32}}),
     ("serve_search", "018228edfe71"): (0, {"clock": "wall", "key_fields": {"dim": 256}}),
+    ("serve_replay", "9d1dbd7a8dfc"): (0, {"clock": "wall", "key_fields": {"corpus": "1864x1024", "cells": 8}}),
     ("kernels", "6ac24d82985f"): (None, {"clock": "wall"}),
 }
 #: Fingerprint fields that name the host, not the run: taken from the
