@@ -19,6 +19,7 @@ import numpy as np
 
 from repro import TrainConfig, GraphSamplingTrainer, make_dataset, xeon_40core
 from repro.experiments.repricing import phase_times_per_iteration
+from repro.parallel.costmodel import VECTOR_LANES
 from repro.sampling import DashboardFrontierSampler, simulated_sampler_time
 
 CORES = (1, 5, 10, 20, 40)
@@ -30,7 +31,7 @@ def main() -> None:
     print(f"dataset: {dataset.graph}")
     print(
         f"simulated platform: {machine.num_cores} cores "
-        f"({machine.num_sockets} sockets), AVX x{machine.vector_lanes}, "
+        f"({machine.num_sockets} sockets), AVX x{VECTOR_LANES}, "
         f"L2 {machine.l2_bytes // 1024} KB"
     )
 

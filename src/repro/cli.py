@@ -371,7 +371,6 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
     dataset, config = _training_setup(
         args,
         epochs=3,
-        sampler_engine=args.sampler_engine,
         sampler_family=args.sampler_family,
         loss_norm=args.loss_norm,
         prefetch_depth=args.prefetch_depth,
@@ -694,10 +693,6 @@ _FLAGS: dict[str, dict] = {
     "--cluster-vertices": dict(
         type=int, default=1_000_000, help="embedding rows in the sharded index"
     ),
-    "--sampler-engine": dict(
-        choices=["fast", "reference"], default="fast",
-        help="sampler execution engine",
-    ),
     "--sampler-family": dict(
         choices=FAMILIES, default="dashboard", help="subgraph sampler family"
     ),
@@ -817,7 +812,7 @@ _VERBS: dict[str, tuple] = {
     "train-bench": (
         _run_train_bench,
         (
-            *_TRAIN_RUN, "--sampler-engine", "--sampler-family", "--loss-norm",
+            *_TRAIN_RUN, "--sampler-family", "--loss-norm",
             "--prefetch-depth", "--prefetch-workers",
         ),
         {"--datasets": _ONE_DATASET},

@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CostCounter", "parallel_time"]
+__all__ = ["VECTOR_LANES", "CostCounter", "parallel_time"]
+
+#: Lane width of every metered vector op: AVX2 over 32-bit ints, the
+#: paper's p_intra = 8. The samplers record chunks at this width and the
+#: pricer rescales from it.
+VECTOR_LANES = 8
 
 
 @dataclass
@@ -62,12 +67,13 @@ class CostCounter:
             vector_chunks=self.vector_chunks,
         )
 
-    def count_vector_op(self, elements: int, lanes: int) -> None:
-        """Record ``elements`` of work issued as width-``lanes`` vectors."""
-        if elements < 0 or lanes <= 0:
-            raise ValueError("elements must be >= 0 and lanes > 0")
+    def count_vector_op(self, elements: int) -> None:
+        """Record ``elements`` of work issued as :data:`VECTOR_LANES`-wide
+        vectors."""
+        if elements < 0:
+            raise ValueError("elements must be >= 0")
         self.vector_elements += elements
-        self.vector_chunks += -(-elements // lanes)
+        self.vector_chunks += -(-elements // VECTOR_LANES)
 
 
 def parallel_time(task_costs: list[float], cores: int) -> float:

@@ -10,7 +10,6 @@ execute the *real* algorithms serially, meter their operations, and
 The spec carries exactly the parameters the paper's own analysis uses:
 
 * ``cost_mem`` / ``cost_rand`` — the COSTmem / COSTrand primitives of Eq. 2;
-* ``vector_lanes`` — AVX width, the paper's p_intra = 8;
 * ``l2_bytes`` — the 256 KB cache bound of Theorem 2's constraint
   ``8 n f / Q <= S_cache``;
 * ``mem_contention_local`` / ``mem_contention_remote`` — per-instance
@@ -36,7 +35,6 @@ class MachineSpec:
 
     num_cores: int = 40
     cores_per_socket: int = 20
-    vector_lanes: int = 8
     l2_bytes: int = 256 * 1024
     l2_line_bytes: int = 64
     # Relative cost units; the paper's analysis assumes COSTmem == COSTrand.
@@ -70,8 +68,6 @@ class MachineSpec:
             raise ValueError("core counts must be positive")
         if self.num_cores % self.cores_per_socket:
             raise ValueError("num_cores must be a multiple of cores_per_socket")
-        if self.vector_lanes <= 0:
-            raise ValueError("vector_lanes must be positive")
         if self.l2_bytes <= 0:
             raise ValueError("l2_bytes must be positive")
         if min(self.cost_mem, self.cost_rand, self.cost_flop) < 0:

@@ -72,7 +72,7 @@ class AliasTable:
 
 
 def dynamic_sampling_cost(
-    *, m: int, pops: int, avg_degree: float, eta: float = 2.0
+    *, m: int, pops: int, avg_degree: float, eta: float
 ) -> dict[str, float]:
     """Modeled operation counts for frontier sampling's dynamic pop-replace
     loop under the two data structures.

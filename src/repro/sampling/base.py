@@ -78,16 +78,13 @@ class GraphSampler:
     #: Span suffix: each draw is recorded as one ``sampler.<tag>`` span.
     tag = "custom"
 
-    def __init__(
-        self, graph: CSRGraph, *, engine: str = "fast", vector_lanes: int = 8
-    ) -> None:
+    def __init__(self, graph: CSRGraph, *, engine: str = "fast") -> None:
         if graph.num_vertices == 0:
             raise ValueError("cannot sample from an empty graph")
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.graph = graph
         self.engine = engine
-        self.vector_lanes = vector_lanes
         self._span = f"sampler.{self.tag}"
 
     def _require_min_degree(self) -> None:
@@ -135,9 +132,3 @@ class GraphSampler:
                 stats["vector_elements"] = counter.vector_elements
                 stats["vector_chunks"] = counter.vector_chunks
         return SampledSubgraph(graph=subgraph, vertex_map=vertex_map, stats=stats)
-
-    def sample_many(
-        self, count: int, rng: np.random.Generator
-    ) -> list[SampledSubgraph]:
-        """Draw ``count`` independent subgraphs (convenience)."""
-        return [self.sample(rng) for _ in range(count)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..parallel.costmodel import parallel_time
+from ..parallel.costmodel import VECTOR_LANES, parallel_time
 from ..parallel.machine import MachineSpec
 
 __all__ = [
@@ -50,30 +50,25 @@ def sampler_cost_eq2(
     d: float,
     eta: float,
     p: int,
-    cost_rand: float = 1.0,
-    cost_mem: float = 1.0,
 ) -> float:
     """Equation 2: cost to sample one subgraph with ``p`` processors.
 
     ``(COSTrand / (1 - (1 - 1/eta)^p) + (4 + 3/(eta-1)) * d * COSTmem / p)
-    * (n - m)``
+    * (n - m)`` in units of ``COSTrand = COSTmem = 1`` (the paper's
+    analysis assumes the two are equal).
     """
     if n < m:
         raise ValueError("budget n must be >= frontier size m")
     if eta <= 1.0:
         raise ValueError("eta must exceed 1")
-    probe = cost_rand * probe_rounds_expected(1.0 / eta, p)
-    update = (4.0 + 3.0 / (eta - 1.0)) * d * cost_mem / p
+    probe = probe_rounds_expected(1.0 / eta, p)
+    update = (4.0 + 3.0 / (eta - 1.0)) * d / p
     return (probe + update) * (n - m)
 
 
-def serial_sampler_cost(
-    *, n: int, m: int, d: float, eta: float, cost_rand: float = 1.0, cost_mem: float = 1.0
-) -> float:
+def serial_sampler_cost(*, n: int, m: int, d: float, eta: float) -> float:
     """Eq. 2 at p=1: ``(eta*COSTrand + (4 + 3/(eta-1)) d COSTmem)(n-m)``."""
-    return sampler_cost_eq2(
-        n=n, m=m, d=d, eta=eta, p=1, cost_rand=cost_rand, cost_mem=cost_mem
-    )
+    return sampler_cost_eq2(n=n, m=m, d=d, eta=eta, p=1)
 
 
 def theorem1_max_processors(*, d: float, eta: float, epsilon: float) -> float:
@@ -134,7 +129,7 @@ def simulated_sampler_time(
 
     # Entry updates (invalidate/append/cleanup moves): vector chunks when
     # p_intra > 1, scalar element count otherwise. The metered chunks were
-    # recorded at machine.vector_lanes width; rescale to p_intra lanes from
+    # recorded at VECTOR_LANES width; rescale to p_intra lanes from
     # the element distribution: chunks_p = elements/p * utilization-free
     # upper bound, but per-vertex granularity matters, so reconstruct from
     # the recorded pair (elements, chunks_at_lanes).
@@ -143,10 +138,7 @@ def simulated_sampler_time(
     if p_intra == 1:
         update_time = elements * machine.cost_mem
     else:
-        update_time = (
-            _rescale_chunks(elements, chunks_at_lanes, machine.vector_lanes, p_intra)
-            * machine.cost_mem
-        )
+        update_time = _rescale_chunks(elements, chunks_at_lanes, p_intra) * machine.cost_mem
     update_time *= contention_factor
     # Neighbor-selection adjacency reads are shared-graph traffic.
     shared = stats.get("mem_ops", 0.0) - probes  # probe reads handled above
@@ -204,13 +196,11 @@ def pool_fill_times(
     ]
 
 
-def _rescale_chunks(
-    elements: float, chunks: float, recorded_lanes: int, target_lanes: int
-) -> float:
+def _rescale_chunks(elements: float, chunks: float, target_lanes: int) -> float:
     """Estimate vector chunks at a different lane width.
 
     The metering recorded, per vectorized region of length L,
-    ``ceil(L / recorded_lanes)`` chunks. Without per-region lengths we use
+    ``ceil(L / VECTOR_LANES)`` chunks. Without per-region lengths we use
     the average region length ``L_bar = elements / regions`` where regions
     is estimated from the recorded pair; ceil waste then scales as
     ``regions * ceil(L_bar / target_lanes)``. Exact for uniform degrees and
@@ -218,11 +208,11 @@ def _rescale_chunks(
     """
     if elements <= 0:
         return 0.0
-    if target_lanes == recorded_lanes:
+    if target_lanes == VECTOR_LANES:
         return chunks
     # regions * (L_bar/recorded + waste) = chunks; approximate the number of
     # regions from the average ceil overhead of 0.5 chunk per region.
-    regions = max(chunks - elements / recorded_lanes, 0.0) * 2.0
+    regions = max(chunks - elements / VECTOR_LANES, 0.0) * 2.0
     if regions <= 0.0:
         # Perfectly divisible recordings: assume no ceil waste either way.
         return elements / target_lanes

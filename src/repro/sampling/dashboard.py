@@ -41,8 +41,8 @@ distribution (verified statistically in the test suite):
   of each occupant comes from one reversed scatter, and the appended slab
   is a contiguous slice. Like the paper's parallel pops, the vertices
   appended within a round only become probe-able in the next round, so
-  the round size is bounded to a small fraction of the frontier
-  (``round_pops``, default ``m // 4``).
+  the round size is bounded to a small fraction of the frontier:
+  ``max(1, m // 4)`` pops.
 
 Operation metering: every probe, slot write, cleanup move and IA touch is
 tallied in a :class:`~repro.parallel.costmodel.CostCounter`; per-vertex
@@ -52,7 +52,8 @@ simulated parallel time. Both engines meter identically: probes count the
 draws actually examined, ``rand_ops`` counts the uniform indices actually
 drawn (probe draws are buffered and the unused tail carried across pops,
 so the meter matches the RNG traffic), and entry updates are charged one
-vector chunk per ``vector_lanes`` elements per vertex.
+vector chunk per :data:`~repro.parallel.costmodel.VECTOR_LANES` elements
+per vertex.
 
 The ``max_entries_per_vertex`` knob implements the Amazon side-note of
 Section VI-C2: on heavily-skewed graphs a hub vertex may otherwise own tens
@@ -68,7 +69,7 @@ import numpy as np
 from ..graphs.csr import CSRGraph, _ranges_within
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
-from ..parallel.costmodel import CostCounter
+from ..parallel.costmodel import VECTOR_LANES, CostCounter
 from .base import ENGINES, GraphSampler
 
 __all__ = ["ENGINES", "Dashboard", "DashboardFrontierSampler"]
@@ -85,15 +86,12 @@ class Dashboard:
     ----------
     capacity:
         Total DB entries (``ceil(eta * m * d_bar)`` in the sampler).
-    vector_lanes:
-        Lane width used for vector-chunk metering of entry updates.
     """
 
-    def __init__(self, capacity: int, *, vector_lanes: int = 8) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.vector_lanes = vector_lanes
         # DB slots: paper packs them as one R^{3 x capacity} table (INT32 +
         # 2x INT16); separate arrays are the numpy idiom with identical
         # semantics. modeled_bytes reports the paper's packed footprint.
@@ -180,7 +178,7 @@ class Dashboard:
         self.alive_count += 1
         # 3 slot-arrays written over num_entries entries, vectorizable.
         for _ in range(3):
-            self.counter.count_vector_op(num_entries, self.vector_lanes)
+            self.counter.count_vector_op(num_entries)
         self.counter.private_mem_ops += 2  # IA bookkeeping
 
     def add_many(self, vertices: np.ndarray, counts: np.ndarray) -> None:
@@ -233,7 +231,7 @@ class Dashboard:
         # Identical tallies to per-vertex add(): 3 slot arrays, chunked at
         # per-vertex granularity (a degree-3 vertex still under-fills its
         # vector lanes even inside a batch).
-        chunks = int((-(-counts // self.vector_lanes)).sum())
+        chunks = int((-(-counts // VECTOR_LANES)).sum())
         self.counter.vector_elements += 3 * total
         self.counter.vector_chunks += 3 * chunks
         self.counter.private_mem_ops += 2 * n
@@ -272,7 +270,7 @@ class Dashboard:
         self.alive_entries -= deg
         self.alive_count -= 1
         self.num_pops += 1
-        self.counter.count_vector_op(deg, self.vector_lanes)  # invalidation
+        self.counter.count_vector_op(deg)  # invalidation
         self.counter.private_mem_ops += 4  # offset/deg/IA reads + flag write
         return vertex
 
@@ -344,7 +342,7 @@ class Dashboard:
         self.num_pops += taken
         # Same per-pop tallies as the scalar path, summed over the round.
         self.counter.vector_elements += popped_entries
-        self.counter.vector_chunks += int((-(-degs // self.vector_lanes)).sum())
+        self.counter.vector_chunks += int((-(-degs // VECTOR_LANES)).sum())
         self.counter.private_mem_ops += 4 * taken
         return vertices
 
@@ -390,7 +388,7 @@ class Dashboard:
         self.num_cleanups += 1
         # 3 slots moved per alive entry, fully parallelizable.
         for _ in range(3):
-            self.counter.count_vector_op(total, self.vector_lanes)
+            self.counter.count_vector_op(total)
 
     def grow(self, new_capacity: int) -> None:
         """Enlarge DB/IA (deviation guard; see sampler docstring).
@@ -443,18 +441,14 @@ class DashboardFrontierSampler(GraphSampler):
     max_entries_per_vertex:
         Degree cap for skewed graphs (the paper uses 30 for Amazon);
         ``None`` disables capping.
-    vector_lanes:
-        AVX width assumed when metering vectorizable entry updates.
     engine:
         ``"fast"`` (vectorized round-based execution, the default) or
         ``"reference"`` (the scalar per-pop oracle); see the module
-        docstring.
-    round_pops:
-        Fast-engine round size (concurrent pops per round). Defaults to
-        ``max(1, frontier_size // 4)`` — a small fraction of the frontier,
-        like the paper's ``p`` concurrent poppers, so replacements appended
-        mid-round being invisible to the round's remaining probes has a
-        negligible distributional effect.
+        docstring. A fast round pops up to ``max(1, frontier_size // 4)``
+        vertices — a small fraction of the frontier, like the paper's
+        ``p`` concurrent poppers, so replacements appended mid-round being
+        invisible to the round's remaining probes has a negligible
+        distributional effect.
     """
 
     tag = "dashboard"
@@ -467,11 +461,9 @@ class DashboardFrontierSampler(GraphSampler):
         budget: int,
         eta: float = 2.0,
         max_entries_per_vertex: int | None = None,
-        vector_lanes: int = 8,
         engine: str = "fast",
-        round_pops: int | None = None,
     ) -> None:
-        super().__init__(graph, engine=engine, vector_lanes=vector_lanes)
+        super().__init__(graph, engine=engine)
         if frontier_size <= 0:
             raise ValueError("frontier_size must be positive")
         if budget < frontier_size:
@@ -482,14 +474,11 @@ class DashboardFrontierSampler(GraphSampler):
             raise ValueError("eta must exceed 1")
         if max_entries_per_vertex is not None and max_entries_per_vertex < 1:
             raise ValueError("max_entries_per_vertex must be >= 1")
-        if round_pops is not None and round_pops < 1:
-            raise ValueError("round_pops must be >= 1 when set")
         self._require_min_degree()
         self.frontier_size = frontier_size
         self.budget = budget
         self.eta = eta
         self.max_entries_per_vertex = max_entries_per_vertex
-        self.round_pops = round_pops
         # DB entries per vertex (degree, capped), looked up once per round.
         self._entries = (
             graph.degrees
@@ -528,10 +517,7 @@ class DashboardFrontierSampler(GraphSampler):
         m = self.frontier_size
         frontier = rng.choice(self.graph.num_vertices, size=m, replace=False)
         entry_counts = self._entry_counts(frontier)
-        board = Dashboard(
-            self._capacity(int(entry_counts.sum())),
-            vector_lanes=self.vector_lanes,
-        )
+        board = Dashboard(self._capacity(int(entry_counts.sum())))
         sampled = np.empty(self.budget, dtype=np.int64)
         sampled[:m] = frontier
         board.add_many(frontier, entry_counts)
@@ -585,7 +571,7 @@ class DashboardFrontierSampler(GraphSampler):
         graph = self.graph
         m = self.frontier_size
         pops = self.budget - m
-        round_cap = self.round_pops or max(1, m // 4)
+        round_cap = max(1, m // 4)
         done = 0
         while done < pops:
             popped = board.pop_many(rng, min(round_cap, pops - done))

@@ -56,9 +56,6 @@ class DegreeWeightedEdgeSampler(GraphSampler):
     num_draws:
         ``D`` — edges drawn with replacement per subgraph; the vertex
         budget is at most ``2 * D`` before deduplication.
-    vector_lanes:
-        Lane width used for vector-chunk metering of the endpoint
-        gathers.
     engine:
         ``"fast"`` (one batched alias draw, the default) or
         ``"reference"`` (scalar draws).
@@ -71,20 +68,14 @@ class DegreeWeightedEdgeSampler(GraphSampler):
         graph: CSRGraph,
         *,
         num_draws: int,
-        vector_lanes: int = 8,
         engine: str = "fast",
     ) -> None:
-        super().__init__(graph, engine=engine, vector_lanes=vector_lanes)
+        super().__init__(graph, engine=engine)
         if num_draws <= 0:
             raise ValueError("num_draws must be positive")
         self.num_draws = num_draws
         self._src, self._dst, weights = edge_sampling_weights(graph)
         self._alias = AliasTable(weights)
-
-    @property
-    def budget(self) -> int:
-        """Maximum distinct endpoint visits per subgraph: ``2 * num_draws``."""
-        return 2 * self.num_draws
 
     def _draw_fast(self, rng: np.random.Generator):
         """One batched alias draw."""
@@ -104,8 +95,8 @@ class DegreeWeightedEdgeSampler(GraphSampler):
         counter.rand_ops += 2 * d  # uniform column + coin per draw
         counter.mem_ops += 2 * d  # shared prob + alias table reads
         counter.private_mem_ops += 2 * d  # two endpoint-buffer writes
-        counter.count_vector_op(d, self.vector_lanes)  # src endpoint slab
-        counter.count_vector_op(d, self.vector_lanes)  # dst endpoint slab
+        counter.count_vector_op(d)  # src endpoint slab
+        counter.count_vector_op(d)  # dst endpoint slab
         if obs_enabled():
             obs_metrics.inc("sampler.edge_draws", d)
         endpoints = np.concatenate((self._src[picks], self._dst[picks]))

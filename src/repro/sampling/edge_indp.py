@@ -55,9 +55,6 @@ class IndependentEdgeSampler(GraphSampler):
         Expected number of kept undirected edges (before the
         ``min(1, .)`` clip); per-edge keep probability is
         ``min(1, edge_budget * w_e / sum(w))``.
-    vector_lanes:
-        Lane width used for vector-chunk metering of the coin-flip
-        comparison.
     engine:
         ``"fast"`` (one vectorized comparison, the default) or
         ``"reference"`` (scalar per-edge coins).
@@ -70,25 +67,14 @@ class IndependentEdgeSampler(GraphSampler):
         graph: CSRGraph,
         *,
         edge_budget: int,
-        vector_lanes: int = 8,
         engine: str = "fast",
     ) -> None:
-        super().__init__(graph, engine=engine, vector_lanes=vector_lanes)
+        super().__init__(graph, engine=engine)
         if edge_budget <= 0:
             raise ValueError("edge_budget must be positive")
         self.edge_budget = edge_budget
         self._src, self._dst, weights = edge_sampling_weights(graph)
         self._edge_prob = np.minimum(1.0, edge_budget * weights / weights.sum())
-
-    @property
-    def budget(self) -> int:
-        """Expected kept-edge count (the constructor's ``edge_budget``)."""
-        return self.edge_budget
-
-    @property
-    def edge_prob(self) -> np.ndarray:
-        """Per-undirected-edge keep probability ``min(1, B * w_e / sum w)``."""
-        return self._edge_prob
 
     def _draw_fast(self, rng: np.random.Generator):
         return self._until_kept(self._flip_fast, rng)
@@ -119,7 +105,7 @@ class IndependentEdgeSampler(GraphSampler):
             # module docstring).
             counter.rand_ops += m  # one coin per undirected edge
             counter.mem_ops += m  # shared probability reads
-            counter.count_vector_op(m, self.vector_lanes)
+            counter.count_vector_op(m)
             kept = int(keep.sum())
             if kept:
                 break

@@ -30,6 +30,13 @@ __all__ = [
     "SnowballSampler",
 ]
 
+#: Forest fire's burn ratio: each burning vertex ignites a geometric
+#: number of unburned neighbors with mean ``BURN_RATIO / (1 - BURN_RATIO)``.
+BURN_RATIO = 0.7
+#: Snowball sampling's roots and per-vertex fanout.
+SNOWBALL_SEEDS = 4
+SNOWBALL_FANOUT = 5
+
 
 class RandomNodeSampler(GraphSampler):
     """Uniformly sample ``budget`` distinct vertices."""
@@ -49,22 +56,17 @@ class RandomNodeSampler(GraphSampler):
 
 class ForestFireSampler(GraphSampler):
     """Forest-fire sampling: BFS burn where each frontier vertex ignites a
-    geometric number of unburned neighbors (mean ``burn_ratio / (1 -
-    burn_ratio)``), restarted from fresh uniform roots until ``budget``
+    geometric number of unburned neighbors (mean ``BURN_RATIO / (1 -
+    BURN_RATIO)``), restarted from fresh uniform roots until ``budget``
     vertices burned."""
 
     tag = "forest_fire"
 
-    def __init__(
-        self, graph: CSRGraph, *, budget: int, burn_ratio: float = 0.7
-    ) -> None:
+    def __init__(self, graph: CSRGraph, *, budget: int) -> None:
         super().__init__(graph)
         if not (0 < budget <= graph.num_vertices):
             raise ValueError("budget must lie in [1, num_vertices]")
-        if not (0.0 < burn_ratio < 1.0):
-            raise ValueError("burn_ratio must lie in (0, 1)")
         self.budget = budget
-        self.burn_ratio = burn_ratio
 
     def _draw(self, rng: np.random.Generator):
         graph = self.graph
@@ -83,7 +85,7 @@ class ForestFireSampler(GraphSampler):
                 fresh = nbrs[~burned[nbrs]]
                 if fresh.size == 0:
                     continue
-                k = min(int(rng.geometric(1.0 - self.burn_ratio)), fresh.size)
+                k = min(int(rng.geometric(1.0 - BURN_RATIO)), fresh.size)
                 picks = rng.choice(fresh, size=k, replace=False)
                 burned[picks] = True
                 count += k
@@ -135,35 +137,25 @@ class MetropolisHastingsWalkSampler(GraphSampler):
 
 
 class SnowballSampler(GraphSampler):
-    """Snowball sampling: BFS from ``num_seeds`` roots keeping at most
-    ``fanout`` fresh neighbors per expanded vertex, until ``budget``
-    vertices are collected. A bounded-breadth contrast to forest fire."""
+    """Snowball sampling: BFS from ``SNOWBALL_SEEDS`` roots keeping at
+    most ``SNOWBALL_FANOUT`` fresh neighbors per expanded vertex, until
+    ``budget`` vertices are collected. A bounded-breadth contrast to
+    forest fire."""
 
     tag = "snowball"
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        *,
-        budget: int,
-        num_seeds: int = 4,
-        fanout: int = 5,
-    ) -> None:
+    def __init__(self, graph: CSRGraph, *, budget: int) -> None:
         super().__init__(graph)
         if not (0 < budget <= graph.num_vertices):
             raise ValueError("budget must lie in [1, num_vertices]")
-        if num_seeds < 1 or fanout < 1:
-            raise ValueError("num_seeds and fanout must be >= 1")
         self.budget = budget
-        self.num_seeds = num_seeds
-        self.fanout = fanout
 
     def _draw(self, rng: np.random.Generator):
         graph = self.graph
         taken = np.zeros(graph.num_vertices, dtype=bool)
         seeds = rng.choice(
             graph.num_vertices,
-            size=min(self.num_seeds, self.budget),
+            size=min(SNOWBALL_SEEDS, self.budget),
             replace=False,
         )
         taken[seeds] = True
@@ -178,7 +170,7 @@ class SnowballSampler(GraphSampler):
                 fresh = nbrs[~taken[nbrs]]
                 if fresh.size == 0:
                     continue
-                k = min(self.fanout, fresh.size, self.budget - count)
+                k = min(SNOWBALL_FANOUT, fresh.size, self.budget - count)
                 picks = rng.choice(fresh, size=k, replace=False)
                 taken[picks] = True
                 count += k

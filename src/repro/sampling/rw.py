@@ -26,7 +26,7 @@ statistically in the test suite) and meter identical
 :class:`~repro.parallel.costmodel.CostCounter` totals: one ``rand_op``
 and two shared adjacency reads (indptr + indices) per step, one private
 visit-buffer write per visit, and the per-level neighbor gather charged
-as vector chunks at ``vector_lanes`` width — the cost model prices the
+as vector chunks — the cost model prices the
 algorithm's parallel structure, not the Python execution strategy.
 """
 
@@ -56,9 +56,6 @@ class RandomWalkBatchSampler(GraphSampler):
     walk_depth:
         ``h`` — steps taken from each root; each walk visits
         ``h + 1`` vertices including the root.
-    vector_lanes:
-        Lane width used for vector-chunk metering of the per-level
-        neighbor gathers.
     engine:
         ``"fast"`` (level-synchronous batched walks, the default) or
         ``"reference"`` (one scalar walk at a time).
@@ -72,10 +69,9 @@ class RandomWalkBatchSampler(GraphSampler):
         *,
         num_roots: int,
         walk_depth: int,
-        vector_lanes: int = 8,
         engine: str = "fast",
     ) -> None:
-        super().__init__(graph, engine=engine, vector_lanes=vector_lanes)
+        super().__init__(graph, engine=engine)
         if num_roots <= 0:
             raise ValueError("num_roots must be positive")
         if walk_depth < 1:
@@ -83,11 +79,6 @@ class RandomWalkBatchSampler(GraphSampler):
         self._require_min_degree()
         self.num_roots = num_roots
         self.walk_depth = walk_depth
-
-    @property
-    def budget(self) -> int:
-        """Visits per subgraph: ``num_roots * (walk_depth + 1)``."""
-        return self.num_roots * (self.walk_depth + 1)
 
     def _draw_fast(self, rng: np.random.Generator):
         """Level-synchronous: all walkers advance one step per level."""
@@ -125,7 +116,7 @@ class RandomWalkBatchSampler(GraphSampler):
         counter.mem_ops += 2 * steps  # shared indptr + indices reads
         counter.private_mem_ops += r * (h + 1)  # visit-buffer writes
         for _ in range(h):
-            counter.count_vector_op(r, self.vector_lanes)
+            counter.count_vector_op(r)
         if obs_enabled():
             obs_metrics.inc("sampler.walk_steps", steps)
         stats = {"num_roots": float(r), "walk_steps": float(steps)}

@@ -116,7 +116,6 @@ def norm_coefficients(
     *,
     num_subgraphs: int = 32,
     seed: int = 0,
-    track_edges: bool = False,
 ) -> NormCoefficients:
     """GraphSAINT normalization coefficients for any sampler.
 
@@ -132,9 +131,4 @@ def norm_coefficients(
         return independent_edge_coefficients(sampler.graph, sampler.edge_budget)
     if isinstance(sampler, DegreeWeightedEdgeSampler):
         return edge_draw_coefficients(sampler.graph, sampler.num_draws)
-    return empirical_coefficients(
-        sampler,
-        num_subgraphs=num_subgraphs,
-        seed=seed,
-        track_edges=track_edges,
-    )
+    return empirical_coefficients(sampler, num_subgraphs=num_subgraphs, seed=seed)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..kernels.policy import resolve_policy
-from ..sampling.dashboard import ENGINES
 from ..sampling.zoo import FAMILIES
 
 __all__ = ["TrainConfig", "LOSS_NORMS"]
@@ -29,19 +28,15 @@ class TrainConfig:
         Frontier-sampler parameters ``m`` and ``n``. The sampler's other
         knobs (the enlargement factor ``eta``, the skew cap of Section
         VI-C2) keep the sampler's own defaults and the random-walk depth
-        keeps :func:`repro.sampling.zoo.make_sampler`'s; the experiments
-        that sweep them build the sampler themselves and pass it to the
-        trainer.
+        keeps :func:`repro.sampling.zoo.make_sampler`'s; the sampler runs
+        its vectorized ``"fast"`` engine. The experiments that sweep a
+        knob, or time the scalar ``"reference"`` engine, build the sampler
+        themselves and pass it to the trainer.
     dtype_policy:
         Kernel dtype policy name (see :mod:`repro.kernels.policy`):
         ``"reference"`` (float64, bit-identical to the seed
         implementation) or ``"fast"`` (float32). The only kernel setting
         there is.
-    sampler_engine:
-        Sampler execution engine: ``"fast"`` (vectorized) or
-        ``"reference"`` (scalar oracle); forwarded to whichever sampler
-        family is selected (see :mod:`repro.sampling.dashboard` and the
-        zoo modules).
     sampler_family:
         Which subgraph sampler the trainer builds
         (:data:`repro.sampling.zoo.FAMILIES`): ``"dashboard"`` (the
@@ -84,7 +79,6 @@ class TrainConfig:
     eval_every: int = 1
     seed: int = 0
     dtype_policy: str = "reference"
-    sampler_engine: str = "fast"
     sampler_family: str = "dashboard"
     loss_norm: str = "none"
     norm_subgraphs: int = 24
@@ -105,11 +99,6 @@ class TrainConfig:
         # Fail fast on typos; resolve_policy raises ValueError naming
         # the valid choices.
         resolve_policy(self.dtype_policy)
-        if self.sampler_engine not in ENGINES:
-            raise ValueError(
-                f"sampler_engine must be one of {ENGINES}, "
-                f"got {self.sampler_engine!r}"
-            )
         if self.sampler_family not in FAMILIES:
             raise ValueError(
                 f"sampler_family must be one of {FAMILIES}, "

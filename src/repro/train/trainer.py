@@ -136,7 +136,6 @@ class GraphSamplingTrainer:
                 self.train_graph,
                 budget=budget,
                 frontier_size=frontier,
-                engine=config.sampler_engine,
             )
         # GraphSAINT loss normalization: per-vertex weights 1/(n p_v)
         # (closed-form for the edge families, empirical pre-sampling

@@ -82,8 +82,7 @@ class TestParser:
 FLAG_VALUES = {
     "--seed": "1", "--datasets": "ppi", "--hidden": "32", "--epoch-scale": "0.5",
     "--queries": "10", "--load-factor": "2", "--shards": "2", "--replicas": "1",
-    "--fanout": "1", "--cluster-vertices": "100", "--sampler-engine": "reference",
-    "--sampler-family": "rw", "--loss-norm": "saint", "--family": "edge",
+    "--fanout": "1", "--cluster-vertices": "100", "--sampler-family": "rw", "--loss-norm": "saint", "--family": "edge",
     "--prefetch-depth": "2", "--prefetch-workers": "2", "--repeats": "2",
     "--min-speedup": "1.5", "--out": "o", "--trace": "t.json", "--exemplars": None,
     "--request": "r1", "--results": "r", "--history": "h", "--noise": "0.2",
@@ -109,8 +108,7 @@ FLAGS_READ = {
     "sampler-bench": {"--repeats", "--min-speedup", "--seed"},
     "sampler-zoo": {"--repeats", "--min-speedup", "--seed", "--family"},
     "train-bench": _TRAIN_RUN | {
-        "--sampler-engine", "--sampler-family", "--loss-norm",
-        "--prefetch-depth", "--prefetch-workers",
+        "--sampler-family", "--loss-norm", "--prefetch-depth", "--prefetch-workers",
     },
     "obs-report": {"--trace", "--exemplars", "--request"},
     "flight-dump": {"--queries", "--seed"},
@@ -140,13 +138,14 @@ class TestVerbSurface:
     """Each verb accepts exactly the flags its handler reads, plus --out."""
 
     def test_flag_table_is_complete(self):
-        # 28 distinct flags: the flat parser's 29 less --cluster, now a verb.
+        # 27 distinct flags: the flat parser's 29 less --cluster, now a
+        # verb, and --sampler-engine (no run trains on the scalar oracle).
         from repro import cli
 
         assert set(cli._FLAGS) == set(FLAG_VALUES) == set().union(
             *FLAGS_READ.values()
         ) | {"--out"}
-        assert len(FLAG_VALUES) == 28
+        assert len(FLAG_VALUES) == 27
         assert set(cli._VERBS) | {"all"} == set(FLAGS_READ)
 
     @pytest.mark.parametrize("verb", sorted(FLAGS_READ))
@@ -174,6 +173,7 @@ class TestVerbSurface:
             ["serve-bench", "--cluster"],
             ["sampler-bench", "--family", "all"],
             ["bench-gate", "--seed", "1"],
+            ["train-bench", "--sampler-engine", "reference"],
         ],
     )
     def test_unread_flag_exits_2(self, argv):

@@ -10,20 +10,18 @@ from repro.parallel.costmodel import CostCounter, parallel_time
 class TestCostCounter:
     def test_vector_op_accounting(self):
         c = CostCounter()
-        c.count_vector_op(10, 8)
+        c.count_vector_op(10)
         assert c.vector_elements == 10
-        assert c.vector_chunks == 2  # ceil(10/8)
+        assert c.vector_chunks == 2  # ceil(10/8) at VECTOR_LANES = 8
 
     def test_vector_op_exact_multiple(self):
         c = CostCounter()
-        c.count_vector_op(16, 8)
+        c.count_vector_op(16)
         assert c.vector_chunks == 2
 
     def test_vector_op_validation(self):
         with pytest.raises(ValueError):
-            CostCounter().count_vector_op(-1, 8)
-        with pytest.raises(ValueError):
-            CostCounter().count_vector_op(1, 0)
+            CostCounter().count_vector_op(-1)
 
     def test_add_and_copy(self):
         a = CostCounter(rand_ops=1, mem_ops=2, flops=3)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.parallel.costmodel import VECTOR_LANES
 from repro.parallel.machine import MachineSpec, xeon_40core
 
 
@@ -13,7 +14,7 @@ class TestSpecValidation:
         assert m.num_cores == 40
         assert m.cores_per_socket == 20
         assert m.num_sockets == 2
-        assert m.vector_lanes == 8
+        assert VECTOR_LANES == 8  # AVX2 over 32-bit ints
         assert m.l2_bytes == 256 * 1024
 
     @pytest.mark.parametrize(
@@ -21,7 +22,7 @@ class TestSpecValidation:
         [
             dict(num_cores=0),
             dict(num_cores=30, cores_per_socket=20),
-            dict(vector_lanes=0),
+            dict(cost_rand=-1.0),
             dict(l2_bytes=0),
             dict(cost_flop=-1.0),
             dict(cost_mem=-1.0),

@@ -72,4 +72,4 @@ class TestDynamicCost:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            dynamic_sampling_cost(m=0, pops=1, avg_degree=1.0)
+            dynamic_sampling_cost(m=0, pops=1, avg_degree=1.0, eta=2.0)

@@ -297,16 +297,24 @@ class TestEngineEquivalence:
         assert np.array_equal(a.vertex_map, b.vertex_map)
         assert a.stats == b.stats
 
-    def test_round_pops_override(self, medium_graph):
-        s = _make_sampler(medium_graph, "fast", round_pops=1)
+    def test_small_frontier_pops_one_per_round(self, medium_graph, monkeypatch):
+        # A round pops max(1, m // 4) vertices: one at a time below m = 8.
+        sizes = []
+        original = Dashboard.pop_many
+
+        def counting(self, rng, max_pops):
+            sizes.append(max_pops)
+            return original(self, rng, max_pops)
+
+        monkeypatch.setattr(Dashboard, "pop_many", counting)
+        s = _make_sampler(medium_graph, "fast", frontier_size=4)
         sub = s.sample(np.random.default_rng(2))
-        assert sub.stats["pops"] == 260.0
+        assert sub.stats["pops"] == 296.0
+        assert sizes == [1] * 296
 
     def test_engine_validation(self, medium_graph):
         with pytest.raises(ValueError, match="engine"):
             _make_sampler(medium_graph, "turbo")
-        with pytest.raises(ValueError, match="round_pops"):
-            _make_sampler(medium_graph, "fast", round_pops=0)
 
 
 class TestDegreeCapOnSkewedGraph:

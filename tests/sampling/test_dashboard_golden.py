@@ -6,8 +6,11 @@ engine's probe rounds were rewritten as fixed array sequences. For every
 ``sampled`` pop order a draw returns (not only the induced vertex map),
 the draw's stats together with its CostCounter totals, and the generator's
 final ``bit_generator.state``. A rewrite that keeps the RNG calls, the
-DB/IA layout and the metering keeps all three. Regenerate (only when a
-stream change is intended)::
+DB/IA layout and the metering keeps all three. The ``m4`` point was
+added at commit 6e68512, before the fast engine's round size stopped
+being a knob: it replaces a point that forced one pop per round, which a
+frontier under 8 now gets by default. Regenerate (only when a stream
+change is intended)::
 
     PYTHONPATH=src python tests/sampling/test_dashboard_golden.py --write
 """
@@ -34,11 +37,13 @@ SEEDS = range(8)
 
 #: point -> (profile, scale, training view?, sampler keywords). ``m16`` /
 #: ``m50`` are the e2e operating points of ``ppi_small`` / ``serve_mixed``;
+#: ``m4``'s frontier is small enough that a fast round pops one vertex;
 #: ``sampler_bench`` is ``sampler-bench``'s default Reddit workload;
 #: ``grow`` sets an ``eta`` small enough that a cleanup alone cannot fit
 #: the next append.
 POINTS: dict[str, tuple[str, float, bool, dict]] = {
     "m16": ("ppi", 0.08, True, {"frontier_size": 16, "budget": 194}),
+    "m4": ("ppi", 0.08, True, {"frontier_size": 4, "budget": 194}),
     "m50": ("yelp", 0.010, True, {"frontier_size": 50, "budget": 600}),
     "sampler_bench": ("reddit", 0.010, False, {"frontier_size": 291, "budget": 1747}),
     "amazon_cap30": (
@@ -48,12 +53,6 @@ POINTS: dict[str, tuple[str, float, bool, dict]] = {
         {"frontier_size": 40, "budget": 500, "max_entries_per_vertex": 30},
     ),
     "grow": ("ppi", 0.08, True, {"frontier_size": 16, "budget": 194, "eta": 1.05}),
-    "round_pops_1": (
-        "ppi",
-        0.08,
-        True,
-        {"frontier_size": 16, "budget": 194, "round_pops": 1},
-    ),
 }
 
 

@@ -35,9 +35,11 @@ class TestForestFire:
         sub = ForestFireSampler(medium_graph, budget=90).sample(rng)
         assert sub.num_vertices == 90
 
-    def test_burn_ratio_validation(self, medium_graph):
+    def test_validation(self, medium_graph):
         with pytest.raises(ValueError):
-            ForestFireSampler(medium_graph, budget=10, burn_ratio=1.0)
+            ForestFireSampler(medium_graph, budget=0)
+        with pytest.raises(ValueError):
+            ForestFireSampler(medium_graph, budget=medium_graph.num_vertices + 1)
 
     def test_locality(self, rng):
         """Forest fire burns locally: on a ring of cliques, sampled

@@ -56,24 +56,27 @@ class TestSnowball:
         from repro.sampling.extra import RandomNodeSampler
 
         g = ring_of_cliques(30, 6)
-        snow = SnowballSampler(g, budget=48, num_seeds=2, fanout=3).sample(rng)
+        snow = SnowballSampler(g, budget=48).sample(rng)
         rand = RandomNodeSampler(g, budget=48).sample(rng)
         assert snow.graph.average_degree > rand.graph.average_degree
 
     def test_reseeds_on_exhaustion(self, rng):
         from repro.graphs.csr import edges_to_csr
 
-        # Two disconnected cliques; snowball must reseed to hit the budget.
+        # Ten disconnected edges: the seeds' components hold at most
+        # 2 * SNOWBALL_SEEDS vertices, so snowball must reseed to hit the
+        # budget.
         import numpy as np
 
-        edges = [[i, j] for i in range(4) for j in range(i + 1, 4)]
-        edges += [[4 + i, 4 + j] for i in range(4) for j in range(i + 1, 4)]
-        g = edges_to_csr(np.array(edges), 8)
-        sub = SnowballSampler(g, budget=8, num_seeds=1, fanout=2).sample(rng)
-        assert sub.num_vertices == 8
+        from repro.sampling.extra import SNOWBALL_SEEDS
+
+        g = edges_to_csr(np.array([[2 * i, 2 * i + 1] for i in range(10)]), 20)
+        assert 2 * SNOWBALL_SEEDS < 20
+        sub = SnowballSampler(g, budget=20).sample(rng)
+        assert sub.num_vertices == 20
 
     def test_validation(self, medium_graph):
         with pytest.raises(ValueError):
             SnowballSampler(medium_graph, budget=0)
         with pytest.raises(ValueError):
-            SnowballSampler(medium_graph, budget=10, fanout=0)
+            SnowballSampler(medium_graph, budget=medium_graph.num_vertices + 1)

@@ -91,13 +91,6 @@ class TestSampling:
         b = s.sample(np.random.default_rng(3))
         assert np.array_equal(a.vertex_map, b.vertex_map)
 
-    def test_sample_many(self, medium_graph, rng):
-        s = FrontierSampler(medium_graph, frontier_size=20, budget=60)
-        subs = s.sample_many(3, rng)
-        assert len(subs) == 3
-        # Independent draws differ (overwhelmingly likely).
-        assert not np.array_equal(subs[0].vertex_map, subs[1].vertex_map)
-
     def test_connectivity_preservation_vs_uniform(self, rng):
         """Section III-C: frontier samples preserve connectivity better
         than uniform vertex samples of the same size — denser subgraphs

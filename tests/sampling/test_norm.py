@@ -18,8 +18,6 @@ from repro.sampling.edge import DegreeWeightedEdgeSampler
 from repro.sampling.edge_indp import IndependentEdgeSampler
 from repro.sampling.norm import (
     NormCoefficients,
-    aggregation_weights,
-    directed_slot_probs,
     edge_draw_coefficients,
     edge_sampling_weights,
     empirical_coefficients,
@@ -48,18 +46,6 @@ class TestEdgeSamplingWeights:
         with pytest.raises(ValueError):
             edge_sampling_weights(graph)
 
-    def test_directed_slot_probs_roundtrip(self, clique_ring):
-        """Per-undirected-edge values land on both directed CSR slots."""
-        src, dst, w = edge_sampling_weights(clique_ring)
-        vals = np.arange(1.0, w.size + 1)
-        slots = directed_slot_probs(clique_ring, src, dst, vals)
-        assert slots.shape == (clique_ring.num_edges_directed,)
-        # The (u<=v) slots recover vals exactly; the mirrored slots match.
-        mask = clique_ring.edge_sources() <= clique_ring.indices
-        assert np.array_equal(slots[mask], vals)
-        assert np.allclose(np.sort(slots[~mask]), np.sort(vals[src != dst]))
-
-
 class TestLossWeights:
     def test_formula(self):
         p = np.array([0.5, 0.25, 1.0, 0.0])
@@ -83,25 +69,6 @@ class TestLossWeights:
             loss_weights_from_probs(np.array([0.5]), floor=0.0)
 
 
-class TestAggregationWeights:
-    def test_ratio_and_clip(self):
-        node_prob = np.array([0.8, 0.4])
-        # Two slots, both owned by vertex 0.
-        out = aggregation_weights(
-            node_prob, np.array([0.4, 0.01]), np.array([0, 0]), clip=10.0
-        )
-        assert out[0] == pytest.approx(2.0)  # 0.8 / 0.4
-        assert out[1] == pytest.approx(10.0)  # clipped from 80
-        with pytest.raises(ValueError):
-            aggregation_weights(node_prob, np.array([0.4]), np.array([0]), clip=0.5)
-
-    def test_zero_prob_edge_neutral(self):
-        out = aggregation_weights(
-            np.array([0.5]), np.array([0.0]), np.array([0])
-        )
-        assert out[0] == 1.0
-
-
 class TestIndependentEdgeClosedForm:
     def test_p3_hand_computed(self, p3_graph):
         """budget=1 on P3: q = (1/2, 1/2), p_e = 1/2 each; p_1 (center)
@@ -119,7 +86,6 @@ class TestIndependentEdgeClosedForm:
         c = independent_edge_coefficients(p3_graph, 10)
         assert np.allclose(c.node_prob, 1.0)
         assert np.allclose(c.loss_weight, 1.0 / 3)
-        assert np.allclose(c.edge_weight, 1.0)
 
     def test_validation(self, p3_graph):
         with pytest.raises(ValueError):
@@ -131,7 +97,8 @@ class TestIndependentEdgeClosedForm:
         per-vertex values x — the whole point of the weights."""
         n = clique_ring.num_vertices
         budget = 6
-        s = IndependentEdgeSampler(clique_ring, edge_budget=budget)
+        src, dst, w = edge_sampling_weights(clique_ring)
+        edge_prob = np.minimum(1.0, budget * w / w.sum())
         c = independent_edge_coefficients(clique_ring, budget)
         x = np.random.default_rng(0).random(n) + 0.5
         target = x.mean()
@@ -140,10 +107,8 @@ class TestIndependentEdgeClosedForm:
         rng = np.random.default_rng(42)
         est = []
         for _ in range(4000):
-            keep = rng.random(s.edge_prob.size) < s.edge_prob
-            verts = np.unique(
-                np.concatenate((s._src[keep], s._dst[keep]))
-            )
+            keep = rng.random(edge_prob.size) < edge_prob
+            verts = np.unique(np.concatenate((src[keep], dst[keep])))
             est.append((c.loss_weight[verts] * x[verts]).sum())
         est = np.asarray(est)
         sem = est.std() / np.sqrt(est.size)
@@ -152,10 +117,9 @@ class TestIndependentEdgeClosedForm:
 
 class TestEdgeDrawClosedForm:
     def test_p3_hand_computed(self, p3_graph):
-        """One draw on P3: q = (1/2, 1/2). p_e = 1/2. Center vertex is in
-        every drawn edge -> p_1 = 1; leaves p = 1/2."""
+        """One draw on P3: q = (1/2, 1/2). Center vertex is in every
+        drawn edge -> p_1 = 1; leaves p = 1/2."""
         c = edge_draw_coefficients(p3_graph, 1)
-        assert np.allclose(c.edge_prob, 0.5)
         assert np.allclose(c.node_prob, [0.5, 1.0, 0.5])
         assert c.expected_batch_weight == pytest.approx(1.0)
 
@@ -199,19 +163,6 @@ class TestEmpiricalCoefficients:
         c = empirical_coefficients(s, num_subgraphs=8, seed=1)
         seen = (c.node_prob > 0).mean()
         assert c.expected_batch_weight == pytest.approx(seen)
-
-    def test_track_edges(self, clique_ring):
-        s = RandomWalkBatchSampler(clique_ring, num_roots=6, walk_depth=3)
-        c = empirical_coefficients(
-            s, num_subgraphs=10, seed=2, track_edges=True
-        )
-        assert c.edge_prob is not None
-        assert c.edge_prob.shape == (clique_ring.num_edges_directed,)
-        assert c.edge_weight is not None
-        # An edge appears only when both endpoints do: p_e <= p_v.
-        owners = clique_ring.edge_sources()
-        assert np.all(c.edge_prob <= c.node_prob[owners] + 1e-12)
-        assert np.all(c.edge_weight >= 1.0)
 
     def test_validation(self, clique_ring):
         s = RandomWalkBatchSampler(clique_ring, num_roots=2, walk_depth=2)

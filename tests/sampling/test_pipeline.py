@@ -360,5 +360,3 @@ class TestTrainerIntegration:
             self._config(prefetch_depth=-1)
         with pytest.raises(ValueError):
             self._config(prefetch_workers=0)
-        with pytest.raises(ValueError):
-            self._config(sampler_engine="warp")

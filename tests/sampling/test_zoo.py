@@ -45,9 +45,9 @@ def _cycle_graph(n: int):
 
 
 class TestRandomWalkSampler:
-    def test_budget(self, clique_ring):
+    def test_budget(self, clique_ring, rng):
         s = RandomWalkBatchSampler(clique_ring, num_roots=5, walk_depth=3)
-        assert s.budget == 20
+        assert s.sample(rng).num_vertices <= 5 * (3 + 1)
 
     def test_walk_steps_follow_edges(self, clique_ring, rng):
         """Every consecutive visit pair along a walk is a real edge —
@@ -58,7 +58,7 @@ class TestRandomWalkSampler:
         )
         sub = s.sample(rng)
         # The induced subgraph keeps every visited vertex.
-        assert sub.num_vertices <= s.budget
+        assert sub.num_vertices <= 4 * (5 + 1)
         assert sub.stats["walk_steps"] == 4 * 5
 
     def test_validation(self, clique_ring, star_graph):
@@ -90,9 +90,9 @@ class TestRandomWalkSampler:
 
 
 class TestEdgeSampler:
-    def test_budget_and_weights(self, clique_ring):
+    def test_budget_and_weights(self, clique_ring, rng):
         s = DegreeWeightedEdgeSampler(clique_ring, num_draws=10)
-        assert s.budget == 20
+        assert s.sample(rng).num_vertices <= 2 * 10
         src, dst, w = edge_sampling_weights(clique_ring)
         deg = clique_ring.degrees
         assert np.allclose(w, 1.0 / deg[src] + 1.0 / deg[dst])
@@ -124,13 +124,13 @@ class TestIndependentEdgeSampler:
     def test_edge_prob_closed_form(self, clique_ring):
         s = IndependentEdgeSampler(clique_ring, edge_budget=12)
         _, _, w = edge_sampling_weights(clique_ring)
-        assert np.allclose(s.edge_prob, np.minimum(1.0, 12 * w / w.sum()))
-        assert s.budget == 12
+        assert np.allclose(s._edge_prob, np.minimum(1.0, 12 * w / w.sum()))
+        assert s.edge_budget == 12
 
     def test_expected_edges_near_budget(self, medium_graph):
         s = IndependentEdgeSampler(medium_graph, edge_budget=200)
         # sum(p_e) <= budget with equality when no edge clips at 1.
-        assert s.edge_prob.sum() <= 200 + 1e-9
+        assert s._edge_prob.sum() <= 200 + 1e-9
 
     def test_validation(self, clique_ring):
         with pytest.raises(ValueError):

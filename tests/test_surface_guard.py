@@ -32,6 +32,17 @@ docstrings and ``__all__`` never count. A name kept anyway — a fixture or
 oracle the tests use, a paper claim only a test checks, or a seam an open
 ROADMAP item needs — sits on ``NAMES_ALLOWED`` with its reason.
 
+And for each sampling option: every defaulted parameter of a public
+function, method or constructor in a ``repro.sampling`` module a run
+reaches is passed, by keyword or position, by some call in ``src/repro``
+or an entry point outside its own body — else it sits on
+``OPTIONS_ALLOWED`` with its reason. A bare forward of the caller's own
+same-named parameter (``engine=engine``) counts only when that parameter
+is itself set by a run, and ``super().__init__`` is a call to the base
+class. The never-applied aggregation normalization, the samplers' lane
+width, the Dashboard's round size, the X4 samplers' knobs, Eq. 2's unit
+costs and ``TrainConfig.sampler_engine`` went because no run set them.
+
 One bench writer: nothing outside ``obs/record.py`` builds a
 ``BenchRecord`` (``write_bench`` builds it from what the runner states),
 and the history series that survived the switch keep their keys.
@@ -88,7 +99,6 @@ NAMES_ALLOWED = {
     "repro.sampling.dashboard.Dashboard.alive_vertices": "the frontier oracle of the Dashboard tests",
     "repro.obs.trace.set_tracer": "the test seam that installs a fake-clock tracer",
     "repro.obs._gate.set_enabled": "the test seam that resets the obs gate between tests",
-    "repro.sampling.base.GraphSampler.sample_many": "ROADMAP item 1 makes it the sampling primitive",
     "repro.sampling.norm.NormCoefficients.expected_batch_weight": (
         "ROADMAP item 4's batch-weight-is-1 estimator invariant"
     ),
@@ -106,7 +116,7 @@ DELETED_NAMES = {
     "validate_dataset", "ValidationError", "patience", "restore_best",
     "ConstantLR", "StepDecayLR", "CosineAnnealingLR", "WarmupLR", "apply_schedule",
     "BenchReporter", "write_bench_json", "add_samples", "from_registry",
-    "_write_serving_bench",
+    "_write_serving_bench", "aggregation_weights", "directed_slot_probs", "sample_many",
 }
 DELETED_MODULES = (
     "analysis/roofline.py", "graphs/io.py", "graphs/validate.py", "nn/schedule.py",
@@ -120,6 +130,7 @@ DELETED_ATTRIBUTES = (
 )
 DELETED_TRAIN_FIELDS = {
     "patience", "restore_best", "eta", "max_entries_per_vertex", "walk_depth", "concat",
+    "sampler_engine",
 }
 #: Layer options every run left at the paper's shape (concat, bias, no
 #: L2 row normalization), now the layers' fixed form.
@@ -196,14 +207,16 @@ def test_configs_carry_no_deleted_field():
         assert not set(inspect.signature(model).parameters) & DELETED_LAYER_OPTIONS, model
     assert "concat" not in inspect.signature(layer_dims_of).parameters
     machine = {f.name for f in dataclasses.fields(MachineSpec)}
-    assert "numa_remote_penalty" not in machine
+    assert not machine & {"numa_remote_penalty", "vector_lanes"}
     for method in ("numa_factor", "sockets_used", "with_cores"):
         assert not hasattr(MachineSpec, method), method
 
 
 def test_make_sampler_takes_no_knob_no_caller_passes():
-    # eta / the degree cap / round_pops / vector_lanes stay on the sampler
-    # classes; the sweeps that vary them build the sampler directly.
+    # eta and the degree cap stay on the Dashboard sampler, and the sweeps
+    # that vary them build it directly; round_pops and vector_lanes are
+    # gone (a fast round is max(1, m // 4) pops, the lane width is
+    # costmodel.VECTOR_LANES).
     knobs = set(inspect.signature(make_sampler).parameters)
     assert not knobs & {"eta", "max_entries_per_vertex", "vector_lanes", "round_pops"}
 
@@ -441,7 +454,9 @@ def _name_violations(
     """What the name guard fails on: a public definition in a module off
     ``exempt`` that nothing reads outside its own body and that is not on
     the allow-list, an allow-list entry without a reason, or one for a
-    name that is read (or gone)."""
+    name that is read (or gone). Reads are matched by name alone, so
+    same-named definitions mask each other: one read ``budget`` keeps
+    every ``budget`` property."""
     index = _module_index(src)
     modules = {path: name for name, path in index.items()}
     trees = {
@@ -594,6 +609,234 @@ class TestNameDetector:
             "stale allow: pkg.exempt.orphan",
             "stale allow: pkg.lib.gone",
             "stale allow: pkg.lib.used",
+        ]
+
+
+# ---- every sampling option is set by a run ------------------------------
+
+#: Defaulted parameters of a ``repro.sampling`` function, method or
+#: constructor that no run passes, each kept for the reason given.
+OPTIONS_ALLOWED: dict[str, str] = {}
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _walk_scoped(tree: ast.Module):
+    """``(node, enclosing def, enclosing class, parent, qualified name)``
+    of every node; the class reaches through the defs inside it."""
+
+    def visit(node, fn, cls, parent, qual):
+        yield node, fn, cls, parent, qual
+        if isinstance(node, ast.ClassDef):
+            cls, qual = node, (*qual, node.name)
+        elif isinstance(node, _FUNCS):
+            fn, qual = node, (*qual, node.name)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, fn, cls, node, qual)
+
+    yield from visit(tree, None, None, None, ())
+
+
+def _signature(node: ast.FunctionDef, method: bool) -> tuple[list[str], set[str]]:
+    """``(positional parameters as a call passes them, defaulted
+    parameters)`` of a ``def``."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = set(positional[len(positional) - len(args.defaults):]) if args.defaults else set()
+    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    return (positional[1:] if method and not static else positional), defaulted
+
+
+def _callee_names(call: ast.Call, cls: ast.ClassDef | None) -> list[str]:
+    """The names a call reaches a ``def`` by: a function or method name, a
+    class name for its constructor, and the enclosing class's bases for
+    ``super().__init__``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return [func.id]
+    if not isinstance(func, ast.Attribute):
+        return []
+    if func.attr != "__init__":
+        return [func.attr]
+    is_super = isinstance(func.value, ast.Call) and getattr(func.value.func, "id", None) == "super"
+    if not (is_super and cls):
+        return []
+    return [getattr(base, "id", None) or getattr(base, "attr", None) for base in cls.bases]
+
+
+def _option_violations(
+    src: Path, entries: list[Path], package: str, exempt: set[str], allowed: dict[str, str]
+) -> list[str]:
+    """What the option guard fails on: a defaulted parameter of a public
+    function, method or constructor in a ``package`` module off ``exempt``
+    that no call outside its own body sets (``module.Qual(param)``) and
+    that is not on the allow-list, an allow-list entry without a reason,
+    or one for an option that is set (or gone). Calls are matched to
+    definitions by name, as the name guard matches reads."""
+    index = _module_index(src)
+    modules = {path: name for name, path in index.items()}
+    defs: dict[int, dict] = {}
+    by_name: dict[str, list[dict]] = {}
+    calls = []
+    for path in sorted(set(index.values()) | set(entries)):
+        module = modules.get(path)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, fn, cls, parent, qual in _walk_scoped(tree):
+            if isinstance(node, _FUNCS):
+                method = isinstance(parent, ast.ClassDef)
+                positional, defaulted = _signature(node, method)
+                ctor = method and node.name == "__init__"
+                shown = ".".join(qual if ctor else (*qual, node.name))
+                checked = (
+                    module is not None
+                    and (module == package or module.startswith(f"{package}."))
+                    and module not in exempt
+                    and (isinstance(parent, ast.Module) or (method and len(qual) == 1))
+                    and not any(part.startswith("_") for part in shown.split("."))
+                )
+                record = dict(
+                    path=path, node=node, option=f"{module}.{shown}", positional=positional,
+                    defaulted=defaulted, checked=checked,
+                )
+                defs[id(node)] = record
+                by_name.setdefault(parent.name if ctor else node.name, []).append(record)
+            elif isinstance(node, ast.Call):
+                calls.append((path, node, fn, _callee_names(node, cls)))
+    set_by_run, forwards = set(), []
+    for path, call, fn, names in calls:
+        caller = defs.get(id(fn))
+        args = call.args
+        star = next((i for i, a in enumerate(args) if isinstance(a, ast.Starred)), len(args))
+        for record in (r for name in names for r in by_name.get(name, ())):
+            node = record["node"]
+            if record["path"] == path and node.lineno <= call.lineno <= node.end_lineno:
+                continue  # its own body
+            passed = list(zip(record["positional"], args[:star]))
+            passed += [(kw.arg, kw.value) for kw in call.keywords if kw.arg]
+            for param, value in passed:
+                if param not in record["defaulted"]:
+                    continue
+                option = (id(node), param)
+                forward = (
+                    caller is not None
+                    and isinstance(value, ast.Name)
+                    and value.id == param
+                    and param in caller["defaulted"]
+                )
+                if forward:
+                    forwards.append((option, (id(fn), param)))
+                else:
+                    set_by_run.add(option)
+    grew = True
+    while grew:  # a forward sets an option once its source is set
+        grew = False
+        for option, source in forwards:
+            if source in set_by_run and option not in set_by_run:
+                set_by_run.add(option)
+                grew = True
+    unset = {
+        f"{record['option']}({param})"
+        for record in defs.values()
+        if record["checked"]
+        for param in record["defaulted"]
+        if (id(record["node"]), param) not in set_by_run
+    }
+    return (
+        [f"unset: {o}" for o in sorted(unset - set(allowed))]
+        + [f"no reason: {o}" for o, why in sorted(allowed.items()) if not why.strip()]
+        + [f"stale allow: {o}" for o in sorted(set(allowed) - unset)]
+    )
+
+
+def test_every_sampling_option_is_set_by_a_run():
+    entries = [p for p in _entry_points(REPO) if not p.is_relative_to(SRC)]
+    assert _option_violations(
+        SRC.parent, entries, "repro.sampling", set(UNREACHED_ALLOWED), OPTIONS_ALLOWED
+    ) == []
+
+
+class TestOptionDetector:
+    """The option guard on a planted tree: ``pkg.lib`` defines a function,
+    a base class and a subclass with defaulted parameters; ``pkg.app``
+    and an entry point call them, some directly and some by forwarding
+    their own parameters."""
+
+    def _plant(self, root: Path) -> tuple[Path, list[Path]]:
+        files = {
+            "src/pkg/__init__.py": "",
+            "src/pkg/lib.py": (
+                "def draw(n, *, lanes=8, clip=1.0, engine='fast'):\n"
+                "    return draw(n, lanes=lanes)\n"
+                "class Base:\n"
+                "    def __init__(self, graph, *, engine='fast', width=4):\n"
+                "        self.engine = engine\n"
+                "class Family(Base):\n"
+                "    def __init__(self, graph, *, engine='fast', size=2):\n"
+                "        super().__init__(graph, engine=engine)\n"
+                "def _private(x=1):\n"
+                "    return x\n"
+                "def outer():\n"
+                "    def inner(x=1):\n"
+                "        return x\n"
+                "    return inner()\n"
+            ),
+            "src/pkg/app.py": (
+                "from .lib import Family, draw\n"
+                "def build(graph, clip=1.0, engine='fast'):\n"
+                "    draw(3, clip=clip)\n"
+                "    return Family(graph, engine=engine)\n"
+                "def run(graph):\n"
+                "    return build(graph, engine='reference')\n"
+            ),
+            "tools/run.py": (
+                "from pkg.app import run\nfrom pkg.lib import Family\nFamily(None, size=3)\n"
+            ),
+            "tests/test_lib.py": "from pkg.lib import draw\ndraw(1, lanes=4)\n",
+        }
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        return root / "src", [root / "tools/run.py"]
+
+    def test_unset_options_and_unset_forwards_fail(self, tmp_path):
+        # lanes: passed only in its own body and by a test. clip: a
+        # forward of build's clip, which nothing sets. engine reaches
+        # Family and Base through two forwards from run's literal; size is
+        # set by the entry point; width by nothing. Private and nested
+        # defs are not checked.
+        src, entries = self._plant(tmp_path)
+        assert _option_violations(src, entries, "pkg", set(), {}) == [
+            "unset: pkg.app.build(clip)",
+            "unset: pkg.lib.Base(width)",
+            "unset: pkg.lib.draw(clip)",
+            "unset: pkg.lib.draw(engine)",
+            "unset: pkg.lib.draw(lanes)",
+        ]
+
+    def test_a_pass_from_an_entry_point_counts(self, tmp_path):
+        src, entries = self._plant(tmp_path)
+        assert "unset: pkg.lib.Family(size)" in _option_violations(src, [], "pkg", set(), {})
+        assert "unset: pkg.lib.Family(size)" not in _option_violations(
+            src, entries, "pkg", set(), {}
+        )
+
+    def test_allow_list_entries_need_a_reason_and_an_unset_option(self, tmp_path):
+        src, entries = self._plant(tmp_path)
+        allowed = {
+            "pkg.app.build(clip)": "planted",
+            "pkg.lib.Base(width)": "planted",
+            "pkg.lib.draw(clip)": "planted",
+            "pkg.lib.draw(engine)": "planted",
+            "pkg.lib.draw(lanes)": " ",
+            "pkg.lib.Family(engine)": "set through build's forward",
+            "pkg.lib.gone(x)": "no such option",
+        }
+        assert _option_violations(src, entries, "pkg", {"pkg.app"}, allowed) == [
+            "no reason: pkg.lib.draw(lanes)",
+            "stale allow: pkg.app.build(clip)",
+            "stale allow: pkg.lib.Family(engine)",
+            "stale allow: pkg.lib.gone(x)",
         ]
 
 

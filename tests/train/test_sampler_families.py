@@ -85,7 +85,6 @@ class TestFamilySelection:
                 frontier_size=min(direct_cfg.frontier_size, budget),
                 budget=budget,
                 eta=2.0,
-                vector_lanes=8,
             )
             a = via_factory.sample(np.random.default_rng(4))
             b = direct.sample(np.random.default_rng(4))
