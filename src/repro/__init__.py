@@ -8,11 +8,11 @@ GCN ("GS-GCN", the GraphSAINT precursor) and everything it depends on:
   mirroring Table I, connectivity statistics;
 * :mod:`repro.sampling` — frontier sampling, the parallel Dashboard data
   structure (Algorithms 3-4), the subgraph-pool scheduler (Algorithm 5),
-  cost models (Eq. 2, Theorem 1), and extension samplers;
+  cost models (Eq. 2, Theorem 1) and the GraphSAINT sampler zoo;
 * :mod:`repro.nn` — GCN layers with self/neighbor weights, losses, Adam,
   F1 metrics, gradient checking;
 * :mod:`repro.kernels` — the unified compute-kernel layer every GEMM and
-  SpMM dispatches through: backend registry, dtype policies
+  SpMM dispatches through: one BLAS GEMM and one CSR SpMM, dtype policies
   (float64 reference / float32 fast), centralized flop/time accounting
   per shape class, and the measured roofline;
 * :mod:`repro.propagation` — spmm kernels, Algorithm 6 feature-partitioned

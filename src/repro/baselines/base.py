@@ -61,17 +61,15 @@ class BlockModel:
         num_classes: int,
         *,
         seed: int = 0,
-        dtype=np.float64,
     ) -> None:
         rng = np.random.default_rng(seed)
-        self.dtype = np.dtype(dtype)
         self.layers = []
         dim = in_dim
         for h in hidden_dims:
-            layer = self.layer_class(dim, h, rng=rng, dtype=self.dtype)
+            layer = self.layer_class(dim, h, rng=rng)
             self.layers.append(layer)
             dim = layer.output_dim
-        self.head = DenseLayer(dim, num_classes, rng=rng, dtype=self.dtype)
+        self.head = DenseLayer(dim, num_classes, rng=rng)
         self.in_dim = in_dim
         self.num_classes = num_classes
 
@@ -134,15 +132,14 @@ class MinibatchBaseline:
         """Exact full-graph evaluation on a split (no sampling)."""
         return score_split(self.dataset, self.loss, self.full_logits(), split)
 
-    def train(self, *, epochs: int | None = None) -> TrainResult:
-        """Run minibatch training; returns per-epoch records. Wall time
-        starts at :attr:`preprocessing_seconds`."""
+    def train(self) -> TrainResult:
+        """Run ``config.epochs`` of minibatch training; returns per-epoch
+        records. Wall time starts at :attr:`preprocessing_seconds`."""
         cfg = self.config
-        total_epochs = epochs if epochs is not None else cfg.epochs
         result = TrainResult()
         n_train = self.train_graph.num_vertices
         wall_total = self.preprocessing_seconds
-        for epoch in range(total_epochs):
+        for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
             order = self.rng.permutation(n_train)
             losses = []

@@ -209,15 +209,15 @@ def training_view(
     return graph, vertex_map
 
 
-def make_dataset(
-    name: str,
-    *,
-    scale: float = 0.01,
-    seed: int = 0,
-    avg_degree_cap: float | None = 60.0,
-    train_frac: float = 0.66,
-    val_frac: float = 0.12,
-) -> Dataset:
+#: The Reddit/Amazon profiles have average degrees of 100–165, which
+#: dominates runtime without changing any algorithmic behaviour; every
+#: generated graph's average degree is capped here.
+AVG_DEGREE_CAP = 60.0
+#: The train / validation shares of a split (the rest is test).
+TRAIN_FRAC, VAL_FRAC = 0.66, 0.12
+
+
+def make_dataset(name: str, *, scale: float = 0.01, seed: int = 0) -> Dataset:
     """Generate a scaled instance of one of the four paper datasets.
 
     Parameters
@@ -226,11 +226,6 @@ def make_dataset(
         One of ``"ppi"``, ``"reddit"``, ``"yelp"``, ``"amazon"``.
     scale:
         Fraction of the full vertex count to generate (default 1%).
-    avg_degree_cap:
-        The Reddit/Amazon profiles have average degrees of 100–165, which
-        dominates runtime without changing any algorithmic behaviour; the
-        cap (default 60) bounds the generated average degree. Pass ``None``
-        to reproduce the full published density.
     """
     key = name.lower()
     if key not in PROFILES:
@@ -239,11 +234,8 @@ def make_dataset(
     rng = np.random.default_rng(seed)
 
     n = max(int(round(profile.full_num_vertices * scale)), 64)
-    avg_degree = profile.full_avg_degree
-    if avg_degree_cap is not None:
-        avg_degree = min(avg_degree, avg_degree_cap)
     # Avg degree can't exceed n - 1 on a simple graph.
-    avg_degree = min(avg_degree, n - 1)
+    avg_degree = min(profile.full_avg_degree, AVG_DEGREE_CAP, n - 1)
 
     num_blocks = max(profile.num_classes * profile.blocks_per_class, 2)
     # Keep at least ~8 vertices per block so communities are resolvable.
@@ -290,8 +282,8 @@ def make_dataset(
         )
 
     perm = rng.permutation(n)
-    n_train = int(round(train_frac * n))
-    n_val = int(round(val_frac * n))
+    n_train = int(round(TRAIN_FRAC * n))
+    n_val = int(round(VAL_FRAC * n))
     train_idx = np.sort(perm[:n_train])
     val_idx = np.sort(perm[n_train : n_train + n_val])
     test_idx = np.sort(perm[n_train + n_val :])

@@ -52,42 +52,44 @@ def gaussian_class_features(
     return feats.astype(np.float64)
 
 
+#: Topics mixed into one block's vocabulary, and words drawn per vertex.
+TOPICS_PER_BLOCK, WORDS_PER_VERTEX = 8, 40
+
+
 def svd_compressed_features(
     blocks: np.ndarray,
     feature_dim: int,
     *,
-    vocab_size: int | None = None,
-    topics_per_block: int = 8,
-    words_per_vertex: int = 40,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Bag-of-words + truncated-SVD features (Amazon profile analog).
 
     Simulates the paper's Amazon preprocessing: every block is a mixture of
-    ``topics_per_block`` "topics" (sparse word distributions); each vertex
-    draws a bag of words from its block's mixture; the sparse count matrix
-    is compressed to ``feature_dim`` dims with a randomized truncated SVD.
+    :data:`TOPICS_PER_BLOCK` "topics" (sparse word distributions over a
+    ``max(4 * feature_dim, 64)``-word vocabulary); each vertex draws a bag
+    of :data:`WORDS_PER_VERTEX` words from its block's mixture; the sparse
+    count matrix is compressed to ``feature_dim`` dims with a randomized
+    truncated SVD.
     """
     blocks = np.asarray(blocks)
     n = blocks.shape[0]
     k = int(blocks.max()) + 1 if n else 0
-    if vocab_size is None:
-        vocab_size = max(4 * feature_dim, 64)
+    vocab_size = max(4 * feature_dim, 64)
 
     # Each topic concentrates on a small random subset of the vocabulary.
-    num_topics = k * topics_per_block
+    num_topics = k * TOPICS_PER_BLOCK
     topic_words = rng.integers(0, vocab_size, size=(num_topics, max(4, vocab_size // 16)))
 
     counts = np.zeros((n, vocab_size), dtype=np.float64)
     # Vectorize over vertices: pick one topic per word draw.
-    topic_of_vertex = blocks * topics_per_block + rng.integers(
-        0, topics_per_block, size=n
+    topic_of_vertex = blocks * TOPICS_PER_BLOCK + rng.integers(
+        0, TOPICS_PER_BLOCK, size=n
     )
     word_cols = topic_words[
-        np.repeat(topic_of_vertex, words_per_vertex),
-        rng.integers(0, topic_words.shape[1], size=n * words_per_vertex),
+        np.repeat(topic_of_vertex, WORDS_PER_VERTEX),
+        rng.integers(0, topic_words.shape[1], size=n * WORDS_PER_VERTEX),
     ]
-    word_rows = np.repeat(np.arange(n), words_per_vertex)
+    word_rows = np.repeat(np.arange(n), WORDS_PER_VERTEX)
     np.add.at(counts, (word_rows, word_cols), 1.0)
     # TF normalization, then randomized range finder + exact SVD on the
     # small projected matrix (classic Halko-Martinsson-Tropp sketch).
@@ -125,10 +127,9 @@ def smooth_features(
     out = features.astype(np.float64, copy=True)
     deg = np.maximum(graph.degrees.astype(np.float64), 1.0)
     for _ in range(hops):
-        # Pinned backend: the corpus is a function of the seed alone, not
-        # of which backend is the default (the CSR matvec sums each row's
-        # neighbors in index order).
-        agg = kernel_ops.spmm(graph, out, backend="scipy")
+        # The CSR matvec sums each row's neighbors in index order, so the
+        # corpus is a function of the seed alone.
+        agg = kernel_ops.spmm(graph, out)
         agg /= deg[:, None]
         out = (1.0 - alpha) * out + alpha * agg
     return out

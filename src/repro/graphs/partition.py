@@ -85,21 +85,22 @@ def bfs_partition(
     return assignment
 
 
-def greedy_edge_partition(
-    graph: CSRGraph, parts: int, *, rng: np.random.Generator, slack: float = 1.1
-) -> np.ndarray:
+#: The greedy partitioner's imbalance bound: a part's capacity is
+#: ``GREEDY_SLACK * n / parts``.
+GREEDY_SLACK = 1.1
+
+
+def greedy_edge_partition(graph: CSRGraph, parts: int, *, rng: np.random.Generator) -> np.ndarray:
     """Linear deterministic greedy (LDG) streaming partitioner.
 
     Vertices stream in random order; each goes to the partition holding
     most of its already-placed neighbors, weighted by remaining capacity
-    ``(1 - size/capacity)``; ties break uniformly. ``slack`` bounds the
-    imbalance (capacity = slack * n / parts).
+    ``(1 - size/capacity)``; ties break uniformly. :data:`GREEDY_SLACK`
+    bounds the imbalance (capacity = slack * n / parts).
     """
     _validate(graph, parts)
-    if slack < 1.0:
-        raise ValueError("slack must be >= 1")
     n = graph.num_vertices
-    capacity = slack * n / parts
+    capacity = GREEDY_SLACK * n / parts
     assignment = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(parts, dtype=np.float64)
     for v in rng.permutation(n):

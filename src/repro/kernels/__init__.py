@@ -5,12 +5,12 @@ Every GEMM and SpMM in the repo dispatches through this package
 story; GraphVite/GOSH make the same architectural bet). The pieces:
 
 * :mod:`repro.kernels.ops` — ``gemm`` / ``gemm_accumulate`` / ``spmm`` /
-  ``spmm_adjoint`` / block gather-scatter / elementwise helpers, all with
-  optional ``out=`` buffers, all metered; a call validates, names its
-  shape class, runs on one backend and reports — it plans nothing;
-* :mod:`repro.kernels.backends` — the named backend registry (``"scipy"``
-  CSR vs pure-``"numpy"`` reduceat SpMM) plus the weak-ref-memoized
-  scipy adjacency cache;
+  ``spmm_adjoint`` / block gather-scatter / elementwise helpers, all
+  metered; a call validates, names its shape class, runs the one BLAS
+  GEMM or scipy CSR SpMM and reports — it plans nothing;
+* :mod:`repro.kernels.sparse` — the weak-ref-memoized scipy CSR
+  adjacency every SpMM multiplies by, and the numpy ``add.reduceat``
+  segment sum (the baselines' block aggregation and the SpMM oracle);
 * :mod:`repro.kernels.roofline` — achieved flops/s and bytes/s per shape
   class vs calibrated machine peaks, for the ``roofline-report`` CLI;
 * :mod:`repro.kernels.policy` — :data:`~repro.kernels.policy.REFERENCE`
@@ -24,17 +24,9 @@ story; GraphVite/GOSH make the same architectural bet). The pieces:
 See the "Compute kernels" section of ``docs/architecture.md``.
 """
 
-from . import accounting, backends, ops, policy, roofline
+from . import accounting, ops, policy, roofline, sparse
 from .accounting import KernelCounters, ShapeClass, capture
-from .backends import (
-    KernelBackend,
-    adjacency_cache_stats,
-    adjacency_matrix,
-    available_backends,
-    default_backend,
-    get_backend,
-    register_backend,
-)
+from .sparse import adjacency_cache_stats, adjacency_matrix
 from .ops import (
     add_bias,
     gather_segment_sum,
@@ -50,20 +42,15 @@ from .policy import FAST, REFERENCE, DtypePolicy, available_policies, resolve_po
 
 __all__ = [
     "accounting",
-    "backends",
     "ops",
     "policy",
     "roofline",
+    "sparse",
     "KernelCounters",
     "capture",
     "ShapeClass",
-    "KernelBackend",
     "adjacency_cache_stats",
     "adjacency_matrix",
-    "available_backends",
-    "default_backend",
-    "get_backend",
-    "register_backend",
     "gemm",
     "gemm_accumulate",
     "spmm",

@@ -10,20 +10,18 @@ and the serving indexes. A call is one straight line:
    so the dtype name and the accounting key string are built once per
    class, not once per call (a 1x256 @ 256x64 product is ~4 us of BLAS;
    the per-call string work used to cost several times that),
-3. run the product on the selected
-   :class:`~repro.kernels.backends.KernelBackend` — ``backend=None`` is
-   the default, ``"scipy"``; oracles and corpus synthesis name one
-   explicitly — optionally into a caller-provided ``out=`` buffer, and
+3. run the product: BLAS ``a @ b`` for a GEMM (optionally into a
+   caller-provided ``out=`` buffer), the memoized scipy CSR adjacency
+   (:func:`repro.kernels.sparse.adjacency_matrix`) times ``x`` for an
+   SpMM, and
 4. report its exact flop count, modeled bytes and wall time —
    per shape class — to :mod:`repro.kernels.accounting`.
 
-With ``out=None`` every function is *bit-identical* to the raw numpy
-expression it replaced (``a @ b``, gather + ``add.reduceat``, ...),
-which is what keeps the float64 reference dtype policy reproducing
-seed-era results exactly. A guard test
-(``tests/kernels/test_kernel_guard.py``) AST-scans the tree so no raw
-matmul — and no raw ``get_backend(...).gemm`` bypass — creeps back in
-outside this package.
+Every function is *bit-identical* to the raw numpy expression it
+replaced (``a @ b``, gather + ``add.reduceat``, ...), which is what
+keeps the float64 reference dtype policy reproducing seed-era results
+exactly. A guard test (``tests/kernels/test_kernel_guard.py``) AST-scans
+the tree so no raw matmul creeps back in outside this package.
 """
 
 from __future__ import annotations
@@ -35,10 +33,10 @@ import numpy as np
 
 from . import accounting
 
-if TYPE_CHECKING:  # annotation-only: see backends.py on the import cycle.
+if TYPE_CHECKING:  # annotation-only: see sparse.py on the import cycle.
     from ..graphs.csr import CSRGraph
 from .accounting import ShapeClass
-from .backends import get_backend, segment_sum
+from .sparse import adjacency_matrix, segment_sum
 
 __all__ = [
     "gemm",
@@ -72,13 +70,11 @@ def gemm(
     b: np.ndarray,
     *,
     out: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Dense ``a @ b`` with optional ``out=`` buffer, metered."""
     class_key = _gemm_class_key(a, b, out)
-    impl = get_backend(backend)
     t0 = _perf_counter()
-    result = impl.gemm(a, b, out)
+    result = a @ b if out is None else np.matmul(a, b, out=out)
     accounting.record_gemm(
         a.shape[0],
         a.shape[1],
@@ -90,24 +86,17 @@ def gemm(
     return result
 
 
-def gemm_accumulate(
-    acc: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def gemm_accumulate(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``acc += a @ b`` (gradient accumulation), metered.
 
     Literally ``acc += a @ b`` — one temporary per call, bit-identical to
     the seed expressions.
     """
     class_key = _gemm_class_key(a, b, None)
-    impl = get_backend(backend)
     if acc.shape != (a.shape[0], b.shape[1]):
         raise ValueError(f"acc shape {acc.shape} != product shape ({a.shape[0]}, {b.shape[1]})")
     t0 = _perf_counter()
-    acc += impl.gemm(a, b, None)
+    acc += a @ b
     accounting.record_gemm(
         a.shape[0],
         a.shape[1],
@@ -119,14 +108,9 @@ def gemm_accumulate(
     return acc
 
 
-def spmm(
-    graph: CSRGraph,
-    x: np.ndarray,
-    *,
-    out: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
-) -> np.ndarray:
-    """Sparse neighbor-sum ``A @ x`` over a CSR graph, metered."""
+def spmm(graph: CSRGraph, x: np.ndarray) -> np.ndarray:
+    """Sparse neighbor-sum ``A @ x`` over a CSR graph, metered: the scipy
+    CSR adjacency (memoized per graph and dtype) times ``x``."""
     if x.ndim != 2:
         raise ValueError(f"spmm expects a 2-D feature matrix, got {x.ndim}-D")
     if x.shape[0] != graph.num_vertices:
@@ -134,9 +118,8 @@ def spmm(
     sc = ShapeClass.for_spmm(
         graph.num_vertices, graph.num_edges_directed, x.shape[1], x.dtype
     )
-    impl = get_backend(backend)
     t0 = _perf_counter()
-    result = impl.spmm(graph, x, out)
+    result = adjacency_matrix(graph, x.dtype if x.dtype.kind == "f" else np.float64) @ x
     accounting.record_spmm(
         graph.num_edges_directed,
         x.shape[1],
@@ -148,13 +131,7 @@ def spmm(
     return result
 
 
-def spmm_adjoint(
-    graph: CSRGraph,
-    grad: np.ndarray,
-    *,
-    out: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def spmm_adjoint(graph: CSRGraph, grad: np.ndarray) -> np.ndarray:
     """Adjoint SpMM ``A^T @ grad``.
 
     All graphs in this repo store symmetric (undirected) adjacency, so
@@ -163,7 +140,7 @@ def spmm_adjoint(
     (and is the seam where a directed-graph transpose kernel would slot
     in).
     """
-    return spmm(graph, grad, out=out, backend=backend)
+    return spmm(graph, grad)
 
 
 def gather_segment_sum(
@@ -173,7 +150,6 @@ def gather_segment_sum(
     num_out: int,
     *,
     weights: Optional[np.ndarray] = None,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Bipartite SpMM: gather ``src`` rows then segment-sum per ``indptr``.
 
@@ -190,7 +166,7 @@ def gather_segment_sum(
             # be promoted through float64 edge weights.
             weights = weights.astype(src.dtype)
         gathered = gathered * weights[:, None]
-    result = segment_sum(gathered, indptr, num_out, out=out)
+    result = segment_sum(gathered, indptr, num_out)
     sc = ShapeClass.for_spmm(
         num_out, int(take.size), src.shape[1], src.dtype, variant="gather"
     )
@@ -205,21 +181,12 @@ def gather_segment_sum(
     return result
 
 
-def scatter_add_rows(
-    per_edge: np.ndarray,
-    take: np.ndarray,
-    num_out: int,
-    *,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def scatter_add_rows(per_edge: np.ndarray, take: np.ndarray, num_out: int) -> np.ndarray:
     """Adjoint of :func:`gather_segment_sum`: scatter-add edge rows to
     ``num_out`` destination rows. Metered as an SpMM over ``take.size``
     edges."""
     t0 = _perf_counter()
-    if out is None:
-        out = np.zeros((num_out,) + per_edge.shape[1:], dtype=per_edge.dtype)
-    else:
-        out[...] = 0
+    out = np.zeros((num_out,) + per_edge.shape[1:], dtype=per_edge.dtype)
     np.add.at(out, take, per_edge)
     cols = per_edge.shape[1] if per_edge.ndim > 1 else 1
     sc = ShapeClass.for_spmm(
@@ -237,7 +204,7 @@ def scatter_add_rows(
 
 
 # ---------------------------------------------------------------------------
-# Elementwise helpers (out=-aware; not metered — memory-bound, no MACs)
+# Elementwise helpers (not metered — memory-bound, no MACs)
 
 
 def relu(x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -247,26 +214,14 @@ def relu(x: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(
-    z: np.ndarray, grad_out: np.ndarray, *, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Gradient through ReLU given pre-activation ``z``.
-
-    Both paths run :func:`repro.nn.activations.relu_grad`, so ``out=``
-    holds the same bits as the returned array (+0.0 where ``z <= 0``).
-    """
+def relu_backward(z: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Gradient through ReLU given pre-activation ``z``: runs
+    :func:`repro.nn.activations.relu_grad` (+0.0 where ``z <= 0``)."""
     from ..nn.activations import relu_grad  # nn imports this module
 
-    dz = relu_grad(z, grad_out)
-    if out is None:
-        return dz
-    np.copyto(out, dz)
-    return out
+    return relu_grad(z, grad_out)
 
 
-def add_bias(z: np.ndarray, b: np.ndarray, *, inplace: bool = False) -> np.ndarray:
-    """Row-broadcast bias add; in place when the caller owns ``z``."""
-    if inplace:
-        z += b
-        return z
+def add_bias(z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-broadcast bias add."""
     return z + b

@@ -88,21 +88,17 @@ class MachinePeaks:
 
 _PEAKS_CACHE: dict[str, MachinePeaks] = {}
 
+#: Calibration probes: the square GEMM's side (large enough to be
+#: compute-bound, small enough to finish in milliseconds), the copy's
+#: size, and how many of each the best is taken over.
+_GEMM_SIZE, _COPY_MIB, _REPEATS = 384, 32, 3
 
-def calibrate_peaks(
-    dtype,
-    *,
-    timer=time.perf_counter,
-    gemm_size: int = 384,
-    copy_mib: int = 32,
-    repeats: int = 3,
-) -> MachinePeaks:
+
+def calibrate_peaks(dtype) -> MachinePeaks:
     """Measure this machine's compute and bandwidth ceilings.
 
-    Compute: the best of ``repeats`` square GEMMs (large enough to be
-    compute-bound, small enough to finish in milliseconds). Bandwidth:
-    the best of ``repeats`` large copies, counted as read + write
-    traffic. ``dtype`` is the dtype of the run being placed (there is no
+    Compute: the best of a few square GEMMs. Bandwidth: the best of a
+    few large copies, counted as read + write traffic. ``dtype`` is the dtype of the run being placed (there is no
     default: the ceilings of one dtype say nothing about another).
     Cached per dtype — calibration runs once per process.
     """
@@ -111,26 +107,26 @@ def calibrate_peaks(
     if cached is not None:
         return cached
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((gemm_size, gemm_size)).astype(dtype)
-    b = rng.standard_normal((gemm_size, gemm_size)).astype(dtype)
+    a = rng.standard_normal((_GEMM_SIZE, _GEMM_SIZE)).astype(dtype)
+    b = rng.standard_normal((_GEMM_SIZE, _GEMM_SIZE)).astype(dtype)
     out = np.empty_like(a)
     np.matmul(a, b, out=out)  # warm the BLAS path
     best_gemm = float("inf")
-    for _ in range(repeats):
-        t0 = timer()
+    for _ in range(_REPEATS):
+        t0 = time.perf_counter()
         np.matmul(a, b, out=out)
-        best_gemm = min(best_gemm, timer() - t0)
-    peak_flops = 2.0 * gemm_size**3 / max(best_gemm, 1e-12)
+        best_gemm = min(best_gemm, time.perf_counter() - t0)
+    peak_flops = 2.0 * _GEMM_SIZE**3 / max(best_gemm, 1e-12)
 
-    n_items = copy_mib * (1 << 20) // np.dtype(dtype).itemsize
+    n_items = _COPY_MIB * (1 << 20) // np.dtype(dtype).itemsize
     src = np.zeros(n_items, dtype=dtype)
     dst = np.empty_like(src)
     np.copyto(dst, src)  # fault the pages in
     best_copy = float("inf")
-    for _ in range(repeats):
-        t0 = timer()
+    for _ in range(_REPEATS):
+        t0 = time.perf_counter()
         np.copyto(dst, src)
-        best_copy = min(best_copy, timer() - t0)
+        best_copy = min(best_copy, time.perf_counter() - t0)
     peak_bytes = 2.0 * src.nbytes / max(best_copy, 1e-12)
 
     peaks = MachinePeaks(

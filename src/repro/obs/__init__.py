@@ -27,7 +27,7 @@ site when disabled (see :mod:`repro.obs._gate`); enable it with::
     from repro import obs
 
     with obs.enabled():
-        trainer.train(epochs=1)
+        trainer.train()
     print(obs.export.render_report(obs.export.trace_document("run")))
 
 or from the command line::

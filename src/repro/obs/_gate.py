@@ -49,7 +49,7 @@ def enabled(on: bool = True):
     leaves instrumentation switched on for unrelated code::
 
         with obs.enabled():
-            trainer.train(epochs=1)
+            trainer.train()
     """
     prev = GATE.enabled
     GATE.enabled = bool(on)

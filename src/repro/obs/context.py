@@ -70,7 +70,7 @@ def new_request_id(prefix: str = "req") -> str:
     return f"{prefix}-{n:06d}"
 
 
-def new_trace_id(prefix: str = "t") -> str:
+def new_trace_id() -> str:
     """Next replay namespace (``t1``, ``t2``, …).
 
     A replay uses it as the request-id prefix
@@ -81,7 +81,7 @@ def new_trace_id(prefix: str = "t") -> str:
     with _COUNTER_LOCK:
         _TRACE_COUNTER += 1
         n = _TRACE_COUNTER
-    return f"{prefix}{n}"
+    return f"t{n}"
 
 
 def reset_ids() -> None:
@@ -137,8 +137,8 @@ class RequestContext:
         (parent if parent is not None else self.root).children.append(sp)
         return sp
 
-    def finish(self, t_end: float, tracer=None, **attrs: object) -> Span:
-        """Close the tree at ``t_end`` and attach it to the tracer.
+    def finish(self, t_end: float, **attrs: object) -> Span:
+        """Close the tree at ``t_end`` and attach it to the process tracer.
 
         Any still-open descendant is closed at ``t_end`` too (a shed
         request's sub-spans never saw service). Returns the root.
@@ -155,7 +155,7 @@ class RequestContext:
             if sp.children:
                 stack.extend(sp.children)
         self.root.t_end = t_end
-        (tracer if tracer is not None else get_tracer()).add_root(self.root)
+        get_tracer().add_root(self.root)
         return self.root
 
 
@@ -304,12 +304,12 @@ def _mark(node) -> str:
     return f" [{'/'.join(tags)}]" if tags else ""
 
 
-def render_request_tree(root, *, unit_scale: float = 1e3, unit: str = "ms") -> str:
+def render_request_tree(root) -> str:
     """Ascii tree of one request's spans with interval + key attributes.
 
-    Times are printed relative to the request's admission (``+x.xx ms``)
-    so the tree reads as a timeline; the footer reports the critical
-    path and its latency coverage.
+    Times are printed in milliseconds relative to the request's admission
+    (``+x.xxxms``) so the tree reads as a timeline; the footer reports the
+    critical path and its latency coverage.
     """
     t0 = _t_start(root)
     rid = _attrs(root).get(REQUEST_ID_ATTR, "?")
@@ -317,12 +317,12 @@ def render_request_tree(root, *, unit_scale: float = 1e3, unit: str = "ms") -> s
     path = set(map(id, critical_path(root)))
 
     def fmt(node, depth):
-        start = (_t_start(node) - t0) * unit_scale
+        start = (_t_start(node) - t0) * 1e3
         end = _t_end(node)
         span_txt = (
-            f"+{start:.3f}{unit} .. +{(end - t0) * unit_scale:.3f}{unit}"
+            f"+{start:.3f}ms .. +{(end - t0) * 1e3:.3f}ms"
             if end is not None
-            else f"+{start:.3f}{unit} .. (open)"
+            else f"+{start:.3f}ms .. (open)"
         )
         attrs = _attrs(node)
         shown = {
@@ -339,11 +339,11 @@ def render_request_tree(root, *, unit_scale: float = 1e3, unit: str = "ms") -> s
             fmt(c, depth + 1)
 
     fmt(root, 0)
-    latency = ((_t_end(root) or t0) - t0) * unit_scale
+    latency = ((_t_end(root) or t0) - t0) * 1e3
     cov = critical_path_coverage(root)
     lines.append("")
     lines.append(
-        f"request {rid}: latency {latency:.3f}{unit}, critical path "
+        f"request {rid}: latency {latency:.3f}ms, critical path "
         f"(* above) covers {100.0 * cov:.1f}% of it"
     )
     return "\n".join(lines)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 import pathlib
 
-from .metrics import MetricsRegistry, REGISTRY
-from .trace import Span, Tracer, aggregate, get_tracer
+from .metrics import REGISTRY
+from .trace import Span, aggregate, get_tracer
 
 __all__ = [
     "span_to_dict",
@@ -62,20 +62,16 @@ def span_to_dict(sp: Span) -> dict:
     }
 
 
-def trace_document(
-    name: str,
-    tracer: Tracer | None = None,
-    registry: MetricsRegistry | None = None,
-) -> dict:
-    """Full export: nested spans + per-phase aggregates + metrics."""
+def trace_document(name: str) -> dict:
+    """Full export of the process tracer and metrics registry: nested
+    spans + per-phase aggregates + metrics."""
     from .record import environment_fingerprint
 
     # Lazy import: the kernel layer imports obs at module load, so this
     # direction must resolve at call time only.
     from ..kernels import accounting as kernel_accounting
 
-    tracer = tracer or get_tracer()
-    registry = registry or REGISTRY
+    tracer, registry = get_tracer(), REGISTRY
     phases = aggregate(tracer.roots)
     return {
         "obs": name,
@@ -137,24 +133,20 @@ def to_chrome_trace(roots: list[Span]) -> list[dict]:
     return events
 
 
-def write_chrome_trace(path, tracer: Tracer | None = None) -> pathlib.Path:
-    """Write a ``chrome://tracing``-loadable event array to ``path``."""
-    tracer = tracer or get_tracer()
+def write_chrome_trace(path) -> pathlib.Path:
+    """Write the process tracer's spans to ``path`` as a
+    ``chrome://tracing``-loadable event array."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
-        json.dumps({"traceEvents": to_chrome_trace(tracer.roots)}) + "\n"
+        json.dumps({"traceEvents": to_chrome_trace(get_tracer().roots)}) + "\n"
     )
     return path
 
 
-def write_obs_json(
-    path,
-    name: str,
-    tracer: Tracer | None = None,
-    registry: MetricsRegistry | None = None,
-) -> pathlib.Path:
-    """Write the flat ``OBS_<name>.json`` summary (no span tree).
+def write_obs_json(path, name: str) -> pathlib.Path:
+    """Write the process tracer's and registry's flat ``OBS_<name>.json``
+    summary (no span tree).
 
     The shape mirrors ``BENCH_<name>.json`` (``{"obs": name, ...}`` vs
     ``{"bench": name, ...}``): per-phase aggregates plus the metrics
@@ -162,14 +154,12 @@ def write_obs_json(
     """
     from .record import environment_fingerprint
 
-    tracer = tracer or get_tracer()
-    registry = registry or REGISTRY
     doc = {
         "obs": name,
         "env": environment_fingerprint(),
-        "phases": {k: v.as_dict() for k, v in aggregate(tracer.roots).items()},
-        "metrics": _jsonable(registry.snapshot()),
-        "exemplars": _jsonable(registry.exemplar_snapshot()),
+        "phases": {k: v.as_dict() for k, v in aggregate(get_tracer().roots).items()},
+        "metrics": _jsonable(REGISTRY.snapshot()),
+        "exemplars": _jsonable(REGISTRY.exemplar_snapshot()),
     }
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -255,7 +245,6 @@ def render_exemplars(doc: dict) -> str:
                     "histogram": hist_name,
                     "value_ms": 1e3 * (e.get("value") or 0.0),
                     "request_id": e.get("request_id"),
-                    "span_ref": e.get("span_ref") or "-",
                 }
             )
     title = f"tail exemplars: {doc.get('obs', '?')}"

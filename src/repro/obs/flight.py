@@ -45,7 +45,7 @@ __all__ = [
     "flight_event",
 ]
 
-#: Default ring capacities: recent spans and events, sized to hold the
+#: Ring capacities: recent spans and events, sized to hold the
 #: interesting tail of a bench-scale replay without unbounded growth.
 SPAN_CAPACITY = 256
 EVENT_CAPACITY = 512
@@ -57,36 +57,22 @@ DEBOUNCE_SECONDS = 30.0
 class FlightRecorder:
     """Fixed-capacity recorder of recent spans, events and counter moves.
 
-    Parameters
-    ----------
-    span_capacity / event_capacity:
-        Ring sizes; the oldest entries fall off when full.
-    clock:
-        Wall clock used for event timestamps and dump debouncing;
-        injectable so tests control the debounce window deterministically.
-    out_dir:
-        Default directory for dump files (cwd when ``None``); the CLI
-        points this at its ``--out`` directory so automatic breach dumps
-        land next to the other artifacts.
-    debounce_seconds:
-        Minimum spacing between :meth:`maybe_dump` dumps.
+    The rings hold :data:`SPAN_CAPACITY` spans and :data:`EVENT_CAPACITY`
+    events; the oldest entries fall off when full. ``clock`` is the wall
+    clock used for event timestamps and dump debouncing, injectable so
+    tests control the debounce window deterministically. ``out_dir`` is
+    the default directory for dump files (cwd while ``None``); the CLI
+    points it at its ``--out`` directory so automatic breach dumps land
+    next to the other artifacts.
     """
 
-    def __init__(
-        self,
-        span_capacity: int = SPAN_CAPACITY,
-        event_capacity: int = EVENT_CAPACITY,
-        clock=time.monotonic,
-        out_dir=None,
-        debounce_seconds: float = DEBOUNCE_SECONDS,
-    ) -> None:
-        self._spans = collections.deque(maxlen=span_capacity)
-        self._events = collections.deque(maxlen=event_capacity)
+    def __init__(self, clock=time.monotonic) -> None:
+        self._spans = collections.deque(maxlen=SPAN_CAPACITY)
+        self._events = collections.deque(maxlen=EVENT_CAPACITY)
         self._lock = threading.Lock()
         self._counter_base: dict[str, float] = {}
         self.clock = clock
-        self.out_dir = out_dir
-        self.debounce_seconds = debounce_seconds
+        self.out_dir = None
         self._last_dump: float | None = None
         self.dump_count = 0
 
@@ -185,11 +171,11 @@ class FlightRecorder:
     def maybe_dump(
         self,
         name: str = "flight",
-        out_dir=None,
         reason: str = "auto",
         registry: MetricsRegistry | None = None,
     ) -> pathlib.Path | None:
-        """Debounced :meth:`dump`: skip if one fired too recently.
+        """Debounced :meth:`dump`: skip if one fired within
+        :data:`DEBOUNCE_SECONDS`.
 
         Returns the dump path, or ``None`` when suppressed. This is the
         SLO-breach entry point — a storm of breached evaluations
@@ -198,10 +184,10 @@ class FlightRecorder:
         now = self.clock()
         if (
             self._last_dump is not None
-            and now - self._last_dump < self.debounce_seconds
+            and now - self._last_dump < DEBOUNCE_SECONDS
         ):
             return None
-        return self.dump(name, out_dir=out_dir, reason=reason, registry=registry)
+        return self.dump(name, reason=reason, registry=registry)
 
 
 #: Process-wide recorder; installed as the tracer's root sink by

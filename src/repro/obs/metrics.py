@@ -86,22 +86,16 @@ class Exemplar:
     """A concrete sample worth keeping a handle to.
 
     Ties one histogram value back to the request that produced it
-    (``request_id``) and, optionally, a span reference (``span_ref``,
-    e.g. the trace document that holds the request's span tree) — the
-    jump-off point from "p99 regressed" to one reconstructable request.
+    (``request_id``) — the jump-off point from "p99 regressed" to one
+    reconstructable request.
     """
 
     value: float
     request_id: str
-    span_ref: str | None = None
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready form."""
-        return {
-            "value": self.value,
-            "request_id": self.request_id,
-            "span_ref": self.span_ref,
-        }
+        return {"value": self.value, "request_id": self.request_id}
 
 
 #: Reservoir capacity per histogram. Sized so every above-p99 sample of a
@@ -161,9 +155,7 @@ class Histogram:
             self._p95_at = n
         return self._p95_cache
 
-    def record_exemplar(
-        self, value: float, request_id: str, span_ref: str | None = None
-    ) -> bool:
+    def record_exemplar(self, value: float, request_id: str) -> bool:
         """Offer an exemplar for ``value``; returns True if retained.
 
         Call after :meth:`record`-ing the sample itself so the trailing
@@ -175,7 +167,7 @@ class Histogram:
         threshold = self._trailing_p95()
         if threshold is not None and value < threshold:
             return False
-        ex = Exemplar(value, request_id, span_ref)
+        ex = Exemplar(value, request_id)
         if len(self._exemplars) < EXEMPLAR_CAPACITY:
             self._exemplars.append(ex)
             return True
@@ -350,23 +342,18 @@ def set_gauge(name: str, v: float) -> None:
         REGISTRY.gauge(name).set(v)
 
 
-def observe(
-    name: str,
-    v: float,
-    request_id: str | None = None,
-    span_ref: str | None = None,
-) -> None:
+def observe(name: str, v: float, request_id: str | None = None) -> None:
     """Guarded histogram sample (no-op while instrumentation is off).
 
     When the caller knows which request produced the sample, passing
-    ``request_id`` (and optionally ``span_ref``) additionally offers the
-    sample to the histogram's tail-exemplar reservoir.
+    ``request_id`` additionally offers the sample to the histogram's
+    tail-exemplar reservoir.
     """
     if GATE.enabled:
         h = REGISTRY.histogram(name)
         h.record(v)
         if request_id is not None:
-            h.record_exemplar(v, request_id, span_ref)
+            h.record_exemplar(v, request_id)
 
 
 def snapshot() -> dict[str, dict[str, float]]:

@@ -29,6 +29,7 @@ and :mod:`repro.obs.regress` runs the statistical comparison.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -59,27 +60,18 @@ RECORD_SCHEMA_VERSION = 1
 #: history series accumulates across commits.
 VOLATILE_FINGERPRINT_KEYS = frozenset({"git_sha"})
 
-_GIT_SHA_CACHE: dict[str, str] = {}
-
-
-def git_sha(repo_dir: pathlib.Path | str | None = None) -> str:
-    """Current commit sha of ``repo_dir`` (default: this file's repo).
+@functools.cache
+def git_sha() -> str:
+    """Current commit sha of the checkout this file lives in (looked up
+    once per process).
 
     Returns ``"unknown"`` outside a git checkout (e.g. an installed
     wheel) — the fingerprint stays well-formed either way.
     """
-    root = str(
-        pathlib.Path(repo_dir)
-        if repo_dir is not None
-        else pathlib.Path(__file__).resolve().parent
-    )
-    cached = _GIT_SHA_CACHE.get(root)
-    if cached is not None:
-        return cached
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=root,
+            cwd=pathlib.Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=10,
@@ -87,36 +79,28 @@ def git_sha(repo_dir: pathlib.Path | str | None = None) -> str:
         sha = out.stdout.strip() if out.returncode == 0 else "unknown"
     except (OSError, subprocess.SubprocessError):
         sha = "unknown"
-    _GIT_SHA_CACHE[root] = sha or "unknown"
-    return _GIT_SHA_CACHE[root]
+    return sha or "unknown"
 
 
 def environment_fingerprint(
-    *,
-    dtype_policy: str | None = None,
-    spmm_backend: str | None = None,
-    seed: int | None = None,
-    extra: dict | None = None,
+    *, seed: int | None = None, extra: dict | None = None
 ) -> dict[str, str]:
     """The flat environment descriptor embedded in every record.
 
-    ``dtype_policy`` defaults to the reference policy and
-    ``spmm_backend`` to the kernel registry's default (a constant), so a
-    fingerprint taken with no arguments still names a complete numeric
-    regime. ``extra`` entries are merged in verbatim (stringified) and
-    participate in the series key like any other field.
+    ``dtype_policy`` (``"reference"``) and ``spmm_backend`` (``"scipy"``,
+    the one CSR SpMM) are constants: they name the numeric regime every
+    recorded series ran in, and they stay in the key so the histories
+    recorded before they were fixed keep their series. ``extra`` entries
+    are merged in verbatim (stringified) and participate in the series
+    key like any other field.
     """
-    if spmm_backend is None:
-        from ..kernels.backends import default_backend
-
-        spmm_backend = default_backend()
     env = {
         "git_sha": git_sha(),
         "python": _platform.python_version(),
         "numpy": np.__version__,
         "platform": f"{sys.platform}-{_platform.machine()}",
-        "dtype_policy": dtype_policy or "reference",
-        "spmm_backend": spmm_backend,
+        "dtype_policy": "reference",
+        "spmm_backend": "scipy",
         "seed": "none" if seed is None else str(seed),
     }
     for k, v in (extra or {}).items():

@@ -289,19 +289,19 @@ def evaluate(rules, ctx: SLOContext | None = None) -> list[SLOResult]:
     return results
 
 
-def default_rules(
-    *,
-    deadline: float = 0.050,
-    max_miss_rate: float = 0.05,
-    min_coverage: float = 0.95,
-    max_flop_drift: float = 1e-6,
-) -> list[SLORule]:
+#: The standing SLO thresholds: the share of served requests that may
+#: miss the deadline, the share of an iteration its sample / forward /
+#: backward spans must explain, and the relative flop-account drift.
+MAX_MISS_RATE, MIN_COVERAGE, MAX_FLOP_DRIFT = 0.05, 0.95, 1e-6
+
+
+def default_rules(*, deadline: float = 0.050) -> list[SLORule]:
     """The repo's standing SLO set (what ``slo-report`` evaluates)."""
     return [
         SLORule(
             name="serving-deadline-miss",
             kind="serving_deadline_miss",
-            params={"deadline": deadline, "max_miss_rate": max_miss_rate},
+            params={"deadline": deadline, "max_miss_rate": MAX_MISS_RATE},
             description="served latency may miss the deadline only rarely",
         ),
         SLORule(
@@ -310,14 +310,14 @@ def default_rules(
             params={
                 "parent": "trainer.iteration",
                 "children": ("trainer.sample", "trainer.forward", "trainer.backward"),
-                "min_coverage": min_coverage,
+                "min_coverage": MIN_COVERAGE,
             },
             description="sample+forward+backward must explain iteration time",
         ),
         SLORule(
             name="flop-account-drift",
             kind="flop_drift",
-            params={"max_rel_drift": max_flop_drift},
+            params={"max_rel_drift": MAX_FLOP_DRIFT},
             description="obs flop counters must match the Eq. 1-anchored account",
         ),
     ]
@@ -351,10 +351,11 @@ def cluster_rules(
     ]
 
 
-def render_slo_report(results: list[SLOResult], *, title: str = "SLO report") -> str:
+def render_slo_report(results: list[SLOResult]) -> str:
     """Fixed-width report table plus a one-line verdict."""
     from ..experiments.common import format_table
 
+    title = "SLO report"
     if not results:
         return f"{title}\n(no rules evaluated)"
     table = format_table([r.as_row() for r in results], title=title)

@@ -56,15 +56,11 @@ class PartitionedPropagator:
     ----------
     graph:
         The sampled subgraph.
-    backend:
-        ``None`` (the default) runs the kernel layer's default backend; a
-        kernel-registry SpMM backend name (``"scipy"`` / ``"numpy"``)
-        pins it.
     """
 
-    def __init__(self, graph: CSRGraph, *, backend: str | None = None) -> None:
+    def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
-        self._agg = MeanAggregator(graph, backend=backend)
+        self._agg = MeanAggregator(graph)
         self.reports: list[PropagationReport] = []
 
     @property

@@ -155,6 +155,10 @@ def gcomm_lower_bound(n: int, f: int) -> float:
     return float(BYTES_PER_FEATURE) * n * f
 
 
+#: The exhaustive search's bounds on the graph (P) and feature (Q) splits.
+MAX_P, MAX_Q = 64, 4096
+
+
 def brute_force_optimum(
     *,
     n: int,
@@ -163,10 +167,9 @@ def brute_force_optimum(
     cores: int,
     cache_bytes: int,
     gamma_fn: Callable[[int], float] | None = None,
-    max_p: int = 64,
-    max_q: int = 4096,
 ) -> PartitionPlan:
-    """Exhaustive search over integer (P, Q) for the minimal ``g_comm``.
+    """Exhaustive search over integer (P, Q) up to (:data:`MAX_P`,
+    :data:`MAX_Q`) for the minimal ``g_comm``.
 
     ``gamma_fn`` models the partitioner quality; the default is the
     information-theoretic best case ``gamma_P = 1/P``, which makes the
@@ -176,14 +179,14 @@ def brute_force_optimum(
     if gamma_fn is None:
         gamma_fn = gamma_lower_bound
     best: PartitionPlan | None = None
-    for p in range(1, max_p + 1):
+    for p in range(1, MAX_P + 1):
         gamma = gamma_fn(p)
         # For fixed P, g_comm increases with Q, so the best feasible Q is
         # the smallest one satisfying both constraints.
         q_cache = int(np.ceil(BYTES_PER_FEATURE * n * f * gamma / cache_bytes))
         q_cores = int(np.ceil(cores / p))
         q = max(1, q_cache, q_cores)
-        if q > max_q:
+        if q > MAX_Q:
             continue
         comm = g_comm(n, d, f, p, q, gamma)
         per_round = BYTES_PER_FEATURE * n * f * gamma / q

@@ -2,16 +2,15 @@
 
 The GCN's feature-aggregation step computes, for every vertex, the mean of
 its neighbors' feature vectors. On the sampled subgraph this is the
-dominant irregular kernel (Section V of the paper). The actual SpMM now
-lives in :mod:`repro.kernels` — this module keeps the historical entry
-points as thin adapters over it:
+dominant irregular kernel (Section V of the paper). The SpMM itself is
+one CSR product in :mod:`repro.kernels`; this module names it twice:
 
-* :func:`spmm_sum_scipy` — the ``"scipy"`` kernel backend (CSR matvec,
-  C loops). The scipy operator is memoized per graph by the kernel
-  layer's adjacency cache, so repeated calls no longer rebuild it.
-* :func:`spmm_sum_numpy` — the ``"numpy"`` backend (pure-numpy
-  ``add.reduceat``); an independent oracle in tests and the kernel the
-  partitioned propagation driver's cache model reasons about.
+* :func:`spmm_sum_scipy` — :func:`repro.kernels.ops.spmm` (scipy CSR
+  matvec, C loops, metered). The scipy operator is memoized per graph by
+  the kernel layer's adjacency cache, so repeated calls do not rebuild it.
+* :func:`spmm_sum_numpy` — the same sum in pure numpy (gather +
+  ``add.reduceat``), unmetered: the independent oracle the CSR kernel is
+  tested and benchmarked against.
 
 :class:`MeanAggregator` wraps a graph and exposes the forward
 mean-aggregation and its adjoint for backpropagation. For an undirected
@@ -34,7 +33,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..kernels import ops as kernel_ops
-from ..kernels.backends import WeakIdMemo, available_backends
+from ..kernels.sparse import WeakIdMemo, segment_sum
 from ..obs import is_enabled as _obs_enabled
 from ..obs import metrics as _obs_metrics
 
@@ -53,12 +52,13 @@ __all__ = [
 
 def spmm_sum_scipy(graph: CSRGraph, features: np.ndarray) -> np.ndarray:
     """``A @ H``: per-vertex sum of neighbor features via scipy CSR."""
-    return kernel_ops.spmm(graph, features, backend="scipy")
+    return kernel_ops.spmm(graph, features)
 
 
 def spmm_sum_numpy(graph: CSRGraph, features: np.ndarray) -> np.ndarray:
-    """``A @ H`` in pure numpy (gather + ``np.add.reduceat`` segment sum)."""
-    return kernel_ops.spmm(graph, features, backend="numpy")
+    """``A @ H`` in pure numpy (gather + ``np.add.reduceat`` segment sum):
+    the oracle of the CSR kernel, outside the kernel layer's accounting."""
+    return segment_sum(features[graph.indices], graph.indptr, graph.num_vertices)
 
 
 class MeanAggregator:
@@ -74,17 +74,10 @@ class MeanAggregator:
     graph:
         Undirected graph (symmetric adjacency). Zero-degree vertices
         aggregate to the zero vector.
-    backend:
-        ``None`` (the default) is the kernel layer's default backend;
-        a kernel-registry name (``"scipy"`` / ``"numpy"``) selects one
-        — for oracles.
     """
 
-    def __init__(self, graph: CSRGraph, *, backend: str | None = None) -> None:
-        if backend is not None and backend not in available_backends():
-            raise ValueError(f"unknown backend {backend!r}")
+    def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
-        self.backend = backend
         deg = graph.degrees.astype(np.float64)
         self._inv_deg = np.divide(
             1.0, deg, out=np.zeros_like(deg), where=deg > 0
@@ -111,7 +104,7 @@ class MeanAggregator:
                 f"features rows {features.shape[0]} != vertices {self.num_vertices}"
             )
         inv = self._inv_deg_for(features.dtype)
-        return inv * kernel_ops.spmm(self.graph, features, backend=self.backend)
+        return inv * kernel_ops.spmm(self.graph, features)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Adjoint ``M^T G = A (D^{-1} G)`` (valid for symmetric ``A``)."""
@@ -120,7 +113,7 @@ class MeanAggregator:
                 f"grad rows {grad.shape[0]} != vertices {self.num_vertices}"
             )
         scaled = self._inv_deg_for(grad.dtype) * grad
-        return kernel_ops.spmm_adjoint(self.graph, scaled, backend=self.backend)
+        return kernel_ops.spmm_adjoint(self.graph, scaled)
 
     def dense(self) -> np.ndarray:
         """Dense ``M`` for small graphs (testing only)."""
@@ -158,7 +151,7 @@ def input_aggregate_stats() -> dict[str, int]:
 def full_graph_input(dataset: Dataset, dtype) -> FullGraphInput:
     """``dataset``'s full-graph aggregator, features and ``A_hat X`` in ``dtype``.
 
-    Memoized on the rules of :func:`repro.kernels.backends.adjacency_matrix`:
+    Memoized on the rules of :func:`repro.kernels.sparse.adjacency_matrix`:
     weak in the dataset (the entry dies with it), one entry per dtype. The
     first call per (dataset, dtype) runs the SpMM — exactly what a forward
     pass would have run — and every later one reuses it; that is sound

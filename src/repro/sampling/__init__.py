@@ -1,6 +1,7 @@
 """Graph samplers: frontier (serial + Dashboard), the GraphSAINT zoo
 (random-walk / edge / independent-edge with normalization coefficients),
-the subgraph pool, extensions."""
+the subgraph pool. The X4 ablation's four extension samplers live beside
+it, in :mod:`repro.experiments.ablations`."""
 
 from .alias import AliasTable, dynamic_sampling_cost
 from .base import ENGINES, GraphSampler, SampledSubgraph
@@ -16,12 +17,6 @@ from .cost import (
 from .dashboard import Dashboard, DashboardFrontierSampler
 from .edge import DegreeWeightedEdgeSampler
 from .edge_indp import IndependentEdgeSampler
-from .extra import (
-    ForestFireSampler,
-    MetropolisHastingsWalkSampler,
-    RandomNodeSampler,
-    SnowballSampler,
-)
 from .parallel_sim import (
     CleanupEvent,
     PopEvent,
@@ -65,10 +60,6 @@ __all__ = [
     "empirical_coefficients",
     "loss_weights_from_probs",
     "SubgraphPool",
-    "RandomNodeSampler",
-    "ForestFireSampler",
-    "MetropolisHastingsWalkSampler",
-    "SnowballSampler",
     "PopEvent",
     "CleanupEvent",
     "SamplerReplay",

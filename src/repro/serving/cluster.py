@@ -2,8 +2,7 @@
 
 The single-node :class:`~repro.serving.server.EmbeddingServer` scans one
 index; production traffic at the ROADMAP's scale wants the GraphVite /
-GOSH shape instead: vertices are *partitioned* into shards (cache-aware
-graph partition from :mod:`repro.graphs.partition`, or spherical
+GOSH shape instead: vertices are *partitioned* into shards (spherical
 k-means in embedding space), each shard holds an index over its members
 behind a small replica set, and a query fans out only to the
 ``fanout`` shards whose centroids rank highest
@@ -60,36 +59,13 @@ __all__ = [
 
 
 def partition_vertices(
-    embeddings: np.ndarray | None = None,
-    *,
-    num_shards: int,
-    method: str = "kmeans",
-    graph=None,
-    rng: np.random.Generator | None = None,
+    embeddings: np.ndarray, *, num_shards: int, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Vertex -> shard assignment for the cluster.
-
-    ``"kmeans"`` partitions in embedding space (spherical k-means — the
-    shards the centroid router prunes best); ``"graph"`` reuses the
-    cache-aware LDG streaming partitioner
-    (:func:`repro.graphs.partition.greedy_edge_partition`), whose
-    locality the propagation model scores via
-    :func:`repro.propagation.partition_model.gamma_of_partition`.
-    """
-    rng = rng or np.random.default_rng(0)
-    if method == "kmeans":
-        if embeddings is None:
-            raise ValueError("kmeans partitioning needs embeddings")
-        normed = l2_normalize_rows(embeddings)
-        _, assignment, _ = _spherical_kmeans(normed, num_shards, rng)
-        return assignment
-    if method == "graph":
-        if graph is None:
-            raise ValueError("graph partitioning needs a graph")
-        from ..graphs.partition import greedy_edge_partition
-
-        return greedy_edge_partition(graph, num_shards, rng=rng)
-    raise ValueError(f"unknown partition method {method!r}")
+    """Vertex -> shard assignment for the cluster: spherical k-means in
+    embedding space, the shards the centroid router prunes best."""
+    normed = l2_normalize_rows(embeddings)
+    _, assignment, _ = _spherical_kmeans(normed, num_shards, rng or np.random.default_rng(0))
+    return assignment
 
 
 class ShardedIndex:
@@ -265,8 +241,6 @@ class ClusterServer:
         *,
         config: ClusterConfig | None = None,
         assignment: np.ndarray | None = None,
-        partition_method: str = "kmeans",
-        graph=None,
         index_kwargs: dict | None = None,
         service_model: Callable[[int, int, int, int], float] | None = None,
         upserts: SlabUpsertProducer | None = None,
@@ -279,9 +253,7 @@ class ClusterServer:
             assignment = partition_vertices(
                 embeddings,
                 num_shards=cfg.num_shards,
-                method=partition_method,
-                graph=graph,
-                rng=rng or np.random.default_rng(0),
+                rng=rng,
             )
         self.sharded = ShardedIndex(
             embeddings,

@@ -13,9 +13,8 @@ Two index types share one search contract:
 
 * :class:`BruteForceIndex` — exact, memory-bounded (query chunking), the
   oracle the approximate index is measured against;
-* :class:`ClusterIndex` — spherical k-means cells (or externally supplied
-  assignments, e.g. a :mod:`repro.graphs.partition` partition) with a
-  tunable ``probes`` knob, the accuracy/latency dial the server's
+* :class:`ClusterIndex` — spherical k-means cells with a tunable
+  ``probes`` knob, the accuracy/latency dial the server's
   deadline-degradation uses.
 
 :func:`recall_at_k` is the standard evaluation: fraction of the exact
@@ -279,11 +278,15 @@ def _cell_layout(
     return order, ptr
 
 
+#: Lloyd iterations of a cold k-means build, and the cap of a warm refresh.
+KMEANS_ITERS = 12
+
+
 def _spherical_kmeans(
     normed: np.ndarray,
     num_clusters: int,
     rng: np.random.Generator | None,
-    iters: int = 12,
+    iters: int = KMEANS_ITERS,
     init: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Lloyd's iterations with cosine assignment on unit vectors.
@@ -366,7 +369,7 @@ class ClusterIndex:
     structure and re-fits the cells from where they are, the way a
     Dashboard pop invalidates and appends in place instead of rebuilding
     the table. ``lloyd_iterations`` is what the build (or the refresh)
-    paid: Lloyd iterations run, 0 over caller-supplied ``assignments``.
+    paid: Lloyd iterations run.
     """
 
     def __init__(
@@ -375,9 +378,7 @@ class ClusterIndex:
         *,
         num_clusters: int | None = None,
         probes: int = 4,
-        assignments: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
-        kmeans_iters: int = 12,
         dtype=np.float64,
     ):
         self.dtype = np.dtype(dtype)
@@ -385,44 +386,27 @@ class ClusterIndex:
         n = normed.shape[0]
         if n == 0:
             raise ValueError("cannot index an empty embedding matrix")
-        self.kmeans_iters = kmeans_iters
-        self._external_cells = assignments is not None
-        self.lloyd_iterations = 0
-        centroids = None
-        if assignments is not None:
-            assignments = np.asarray(assignments, dtype=np.int64).ravel()
-            if assignments.shape[0] != n:
-                raise ValueError("assignments length != number of rows")
-            num_clusters = int(assignments.max()) + 1
-        else:
-            if num_clusters is None:
-                num_clusters = max(1, min(n, int(round(np.sqrt(n)))))
-            if not 1 <= num_clusters <= n:
-                raise ValueError("num_clusters must be in [1, n]")
-            rng = rng or np.random.default_rng(0)
-            centroids, assignments, self.lloyd_iterations = _spherical_kmeans(
-                normed, num_clusters, rng, iters=kmeans_iters
-            )
+        if num_clusters is None:
+            num_clusters = max(1, min(n, int(round(np.sqrt(n)))))
+        if not 1 <= num_clusters <= n:
+            raise ValueError("num_clusters must be in [1, n]")
+        centroids, assignments, self.lloyd_iterations = _spherical_kmeans(
+            normed, num_clusters, rng or np.random.default_rng(0)
+        )
         self.num_clusters = num_clusters
         self.default_probes = int(np.clip(probes, 1, num_clusters))
         self._lay_out(normed, assignments, centroids)
 
     def _lay_out(
-        self, normed: np.ndarray, assignments: np.ndarray, centroids: np.ndarray | None
+        self, normed: np.ndarray, assignments: np.ndarray, centroids: np.ndarray
     ) -> None:
-        """Store unit rows cell by cell; ``centroids=None`` takes the
-        cells' normalised means (empty cells keep a zero centroid)."""
+        """Store unit rows cell by cell, under their cells' centroids."""
         n = normed.shape[0]
         self._order, self._ptr = _cell_layout(assignments, self.num_clusters)
         self._cell_lo, self._cell_len = self._ptr[:-1], np.diff(self._ptr)
         self._slab = normed[self._order]
         self._slot = np.empty(n, dtype=np.int64)
         self._slot[self._order] = np.arange(n)
-        if centroids is None:
-            centroids = np.zeros((self.num_clusters, normed.shape[1]), dtype=self.dtype)
-            for c in np.flatnonzero(self._cell_len):
-                centroids[c] = self._slab[self._ptr[c] : self._ptr[c + 1]].mean(axis=0)
-            centroids = l2_normalize_rows(centroids, dtype=self.dtype)
         self.centroids = centroids
         self.assignments = assignments
         self.last_rows_scanned = 0
@@ -432,34 +416,22 @@ class ClusterIndex:
 
         K-means cells are refreshed, not rebuilt: Lloyd warm-started from
         this index's centroids and run to its fixed point, at most
-        ``kmeans_iters`` iterations — two when the rows barely moved, the
-        cold cost when they are unrelated to the old ones, so the price
-        follows the drift. The cells differ from what a cold
+        :data:`KMEANS_ITERS` iterations — two when the rows barely moved,
+        the cold cost when they are unrelated to the old ones, so the
+        price follows the drift. The cells differ from what a cold
         build over the same rows would draw (recall is the oracle, and is
-        tested to match). Caller-supplied cells are kept as they are and
-        only their centroids recomputed, which needs the same row count.
-        Under the shared contract the index takes ownership of
+        tested to match). Under the shared contract the index takes ownership of
         ``unit_rows`` (this class happens to copy them into its slab;
         :class:`BruteForceIndex` keeps the array).
         """
         unit_rows = np.asarray(unit_rows, dtype=self.dtype)
-        n = unit_rows.shape[0]
+        if unit_rows.shape[0] < self.num_clusters:
+            raise ValueError("num_clusters must be in [1, n]")
         new = copy.copy(self)  # structure carried over; _lay_out rebinds every array
-        if self._external_cells:
-            if n != self.num_vectors:
-                raise ValueError(
-                    "an index over caller-supplied assignments can only be "
-                    f"refreshed with the same {self.num_vectors} rows, got {n}"
-                )
-            new._lay_out(unit_rows, self.assignments, None)
-        else:
-            if n < self.num_clusters:
-                raise ValueError("num_clusters must be in [1, n]")
-            centroids, assignments, new.lloyd_iterations = _spherical_kmeans(
-                unit_rows, self.num_clusters, None,
-                iters=self.kmeans_iters, init=self.centroids,
-            )
-            new._lay_out(unit_rows, assignments, centroids)
+        centroids, assignments, new.lloyd_iterations = _spherical_kmeans(
+            unit_rows, self.num_clusters, None, init=self.centroids
+        )
+        new._lay_out(unit_rows, assignments, centroids)
         return new
 
     @property

@@ -105,9 +105,8 @@ class EmbeddingServer:
 
     def refresh_embeddings(self, embeddings: np.ndarray) -> None:
         """Swap in a new embedding matrix: refresh the index (same
-        structure — cells, probes, ``kmeans_iters``, dtype; k-means cells
-        warm-started from where they are, caller-supplied cells kept) and
-        invalidate every cached result."""
+        structure — cells, probes, dtype; k-means cells warm-started from
+        where they are) and invalidate every cached result."""
         self.index = self.index.refreshed(
             l2_normalize_rows(embeddings, dtype=self.index.dtype)
         )

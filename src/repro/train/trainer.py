@@ -249,14 +249,13 @@ class GraphSamplingTrainer:
                 obs_metrics.observe("trainer.iteration_seconds", duration)
         return batch_loss
 
-    def train(self, *, epochs: int | None = None) -> TrainResult:
-        """Run full training; returns per-epoch records and the iteration
-        counters the modeled clock is priced from."""
+    def train(self) -> TrainResult:
+        """Run ``config.epochs`` of training; returns per-epoch records and
+        the iteration counters the modeled clock is priced from."""
         cfg = self.config
-        total_epochs = epochs if epochs is not None else cfg.epochs
         result = TrainResult()
         wall_total = 0.0
-        for epoch in range(total_epochs):
+        for epoch in range(cfg.epochs):
             with span("trainer.epoch") as ep_sp:
                 t0 = time.perf_counter()
                 losses = []

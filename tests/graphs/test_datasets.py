@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphs.datasets import PROFILES, Dataset, make_dataset, table1_rows
+from repro.graphs.datasets import (
+    AVG_DEGREE_CAP,
+    PROFILES,
+    TRAIN_FRAC,
+    VAL_FRAC,
+    Dataset,
+    make_dataset,
+    table1_rows,
+)
 
 
 class TestProfiles:
@@ -73,8 +81,8 @@ class TestMakeDataset:
         assert not np.array_equal(a.features, b.features)
 
     def test_degree_cap(self):
-        capped = make_dataset("reddit", scale=0.004, seed=0, avg_degree_cap=20.0)
-        assert capped.graph.average_degree <= 22.0
+        capped = make_dataset("reddit", scale=0.004, seed=0)  # published: ~100
+        assert capped.graph.average_degree <= AVG_DEGREE_CAP + 2.0
 
     def test_amazon_skew(self):
         ds = make_dataset("amazon", scale=0.002, seed=0)
@@ -83,10 +91,10 @@ class TestMakeDataset:
         assert degs.max() > 8 * degs.mean()
 
     def test_split_fractions(self):
-        ds = make_dataset("ppi", scale=0.05, seed=0, train_frac=0.5, val_frac=0.25)
+        ds = make_dataset("ppi", scale=0.05, seed=0)
         n = ds.num_vertices
-        assert ds.train_idx.size == pytest.approx(0.5 * n, abs=2)
-        assert ds.val_idx.size == pytest.approx(0.25 * n, abs=2)
+        assert ds.train_idx.size == pytest.approx(TRAIN_FRAC * n, abs=2)
+        assert ds.val_idx.size == pytest.approx(VAL_FRAC * n, abs=2)
 
 
 class TestDatasetValidation:

@@ -1,50 +1,15 @@
-"""Backend registry and the memoized scipy adjacency cache."""
+"""The memoized scipy adjacency cache, the segment sum, and the CSR
+kernel held to the numpy oracle."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.graphs import edges_to_csr
-from repro.kernels import backends
-from repro.kernels.backends import (
-    KernelBackend,
-    adjacency_matrix,
-    available_backends,
-    default_backend,
-    get_backend,
-    register_backend,
-    segment_sum,
-)
-
-
-class TestRegistry:
-    def test_builtin_backends_present(self):
-        assert "scipy" in available_backends()
-        assert "numpy" in available_backends()
-        assert default_backend() == "scipy"
-
-    def test_get_backend_none_is_default(self):
-        assert get_backend(None) is get_backend(default_backend())
-
-    def test_unknown_backend_raises_with_available_names(self):
-        with pytest.raises(ValueError, match="scipy"):
-            get_backend("no-such-backend")
-
-    def test_register_roundtrip_and_overwrite_guard(self):
-        probe = KernelBackend(
-            name="probe",
-            gemm=lambda a, b, out: a @ b,
-            spmm=lambda g, x, out: x,
-        )
-        register_backend(probe)
-        try:
-            assert get_backend("probe") is probe
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend(probe)
-            register_backend(probe, overwrite=True)
-        finally:
-            backends._REGISTRY.pop("probe", None)
+from repro.kernels import ops as kernel_ops
+from repro.kernels import sparse
+from repro.kernels.sparse import adjacency_matrix, segment_sum
+from repro.propagation.spmm import spmm_sum_numpy
 
 
 class TestAdjacencyCache:
@@ -72,20 +37,20 @@ class TestAdjacencyCache:
         graph = edges_to_csr(np.array([[0, 1]]), 2)
         adjacency_matrix(graph)
         key = id(graph)
-        assert key in backends._ADJACENCY_CACHE
+        assert key in sparse._ADJACENCY_CACHE
         del graph
         import gc
 
         gc.collect()
-        assert key not in backends._ADJACENCY_CACHE
+        assert key not in sparse._ADJACENCY_CACHE
 
     def test_stats_count_hits_misses_and_live_entries(self):
         graph = edges_to_csr(np.array([[0, 1], [1, 2]]), 3)
-        before = backends.adjacency_cache_stats()
+        before = sparse.adjacency_cache_stats()
         adjacency_matrix(graph)  # miss (fresh graph object)
         adjacency_matrix(graph)  # hit
         adjacency_matrix(graph)  # hit
-        after = backends.adjacency_cache_stats()
+        after = sparse.adjacency_cache_stats()
         assert after["misses"] == before["misses"] + 1
         assert after["hits"] == before["hits"] + 2
         assert after["live_entries"] >= 1
@@ -120,18 +85,10 @@ class TestSegmentSum:
         assert out.shape == (2, 4)
         assert not out.any()
 
-    def test_out_buffer_is_reused(self, rng):
-        values = rng.standard_normal((4, 2))
-        indptr = np.array([0, 1, 4])
-        out = np.full((2, 2), 99.0)
-        returned = segment_sum(values, indptr, 2, out=out)
-        assert returned is out
-        np.testing.assert_allclose(out[1], values[1:].sum(axis=0))
-
 
 class TestBackendAgreement:
     def test_scipy_and_numpy_spmm_agree(self, medium_graph, rng):
         x = rng.standard_normal((medium_graph.num_vertices, 7))
-        scipy_result = get_backend("scipy").spmm(medium_graph, x, None)
-        numpy_result = get_backend("numpy").spmm(medium_graph, x, None)
+        scipy_result = kernel_ops.spmm(medium_graph, x)
+        numpy_result = spmm_sum_numpy(medium_graph, x)
         np.testing.assert_allclose(scipy_result, numpy_result, rtol=1e-12)

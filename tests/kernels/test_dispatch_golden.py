@@ -3,9 +3,11 @@
 ``dispatch_golden.json`` was generated at commit c74582a — the last one
 where every ``kernels.ops`` call rebuilt its ``ShapeClass`` and key
 string — from the call sequence in :func:`_sequence`: every entry point,
-both variants, both dtypes, explicit ``backend=``, nested capture
-scopes, obs on. (It was recorded with plan modes, ``plan=`` and a
-``"transient"`` variant in the sequence; when those were deleted the
+both variants, both dtypes, nested capture scopes, obs on. (It was
+recorded with plan modes, ``plan=``, a ``"transient"`` variant, an
+``out=`` SpMM and a ``backend="numpy"`` adjoint in the sequence; an
+SpMM's books depend on neither of the last two, and when the rest were
+deleted the
 file was *derived*, not re-recorded: every ``…|transient]`` bucket
 folded into its ``…|alloc]`` twin, the two plan-table counters dropped,
 totals and capture scopes byte for byte what they were.) The
@@ -55,8 +57,8 @@ def _sequence() -> dict:
                     kernel_ops.gemm(a, np.ascontiguousarray(b.T).T)  # the index's operand layout
                 x = rng.standard_normal((40, 5)).astype(dtype)
                 kernel_ops.spmm(graph, x)
-                kernel_ops.spmm(graph, x, out=np.empty_like(x))
-                kernel_ops.spmm_adjoint(graph, x, backend="numpy")
+                kernel_ops.spmm(graph, x)  # an SpMM's class has no out variant
+                kernel_ops.spmm_adjoint(graph, x)
             with accounting.capture() as inner:
                 a = rng.standard_normal((6, 3))
                 acc = np.zeros((6, 6))

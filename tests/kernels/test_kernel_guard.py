@@ -54,39 +54,6 @@ def _raw_matmul_sites(path: Path) -> list[str]:
     return sites
 
 
-def _direct_backend_sites(path: Path) -> list[str]:
-    """``get_backend(...).gemm(...)`` / ``.spmm(...)`` call sites.
-
-    Dispatching straight off a registry lookup skips the validation and
-    the per-class accounting that ``kernels.ops`` provides — outside the
-    kernel layer that is always a bug, even though no raw ``@`` appears.
-    """
-    tree = ast.parse(path.read_text(), filename=str(path))
-    sites: list[str] = []
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("gemm", "spmm")
-            and isinstance(node.func.value, ast.Call)
-        ):
-            continue
-        inner = node.func.value.func
-        name = (
-            inner.id
-            if isinstance(inner, ast.Name)
-            else inner.attr
-            if isinstance(inner, ast.Attribute)
-            else None
-        )
-        if name == "get_backend":
-            sites.append(
-                f"{path.name}:{node.lineno} calls "
-                f"get_backend(...).{node.func.attr}()"
-            )
-    return sites
-
-
 def test_no_raw_matmul_outside_kernel_layer():
     assert SRC.is_dir(), f"source tree not found at {SRC}"
     offenders: list[str] = []
@@ -101,37 +68,6 @@ def test_no_raw_matmul_outside_kernel_layer():
         "repro.kernels.ops or extend the allowlist with a justification):\n"
         + "\n".join(offenders)
     )
-
-
-def test_no_direct_backend_dispatch_outside_kernel_layer():
-    offenders: list[str] = []
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(SRC)
-        if _is_allowed(rel):
-            continue
-        for site in _direct_backend_sites(path):
-            offenders.append(f"{rel.as_posix()} -> {site}")
-    assert not offenders, (
-        "direct get_backend(...).gemm/spmm dispatch outside repro.kernels "
-        "(it bypasses validation and accounting; call "
-        "repro.kernels.ops instead):\n" + "\n".join(offenders)
-    )
-
-
-def test_direct_backend_detector_catches_the_pattern(tmp_path):
-    # The detector itself must recognize the chained form it guards.
-    sample = tmp_path / "sample.py"
-    sample.write_text(
-        "from repro.kernels.backends import get_backend\n"
-        "def f(a, b, graph, x):\n"
-        "    y = get_backend('numpy').gemm(a, b)\n"
-        "    z = get_backend('scipy').spmm(graph, x)\n"
-        "    return y, z\n"
-    )
-    sites = _direct_backend_sites(sample)
-    assert len(sites) == 2
-    assert any(".gemm()" in s for s in sites)
-    assert any(".spmm()" in s for s in sites)
 
 
 def test_allowlist_entries_exist():

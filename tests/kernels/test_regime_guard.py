@@ -2,7 +2,7 @@
 
 What the numbers are is ``dtype_policy``; how a kernel runs is one
 straight line in ``kernels.ops`` — validate, name the shape class, run
-on one of two backends, report. The per-shape-class autotuner that used
+the one BLAS GEMM or CSR SpMM, report. The per-shape-class autotuner that used
 to sit in that line (plan modes, a plan table on disk, a tuner, a shared
 arena, ``plan=`` / ``transient=`` keywords, an environment variable) was
 measured on the paths the system runs, tied with static dispatch, and
@@ -13,10 +13,10 @@ deleted; this AST scan fails when a piece of it comes back, the way
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 from repro.kernels import ops as kernel_ops
-from repro.kernels.backends import available_backends
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 KERNELS = SRC / "kernels"
@@ -92,8 +92,13 @@ def _reads_environment(node: ast.AST) -> bool:
     return name in ("environ", "getenv")
 
 
-def test_two_backends():
-    assert available_backends() == ["numpy", "scipy"]
+def test_one_spmm_kernel():
+    # The backend registry folded into the CSR SpMM: no entry point picks
+    # an implementation, and the numpy segment sum is only the oracle
+    # behind propagation.spmm.spmm_sum_numpy.
+    for name in kernel_ops.__all__:
+        assert "backend" not in inspect.signature(getattr(kernel_ops, name)).parameters, name
+    assert not (KERNELS / "backends.py").exists()
 
 
 def test_plan_machinery_is_named_nowhere():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro import obs
@@ -33,3 +35,14 @@ class FakeClock:
 @pytest.fixture
 def fake_clock():
     return FakeClock()
+
+
+@contextlib.contextmanager
+def installed(tracer):
+    """``tracer`` as the process tracer for the block: what request trees
+    finish into and the exporters read."""
+    prev = obs.set_tracer(tracer)
+    try:
+        yield tracer
+    finally:
+        obs.set_tracer(prev)

@@ -360,19 +360,17 @@ class TestFlightDumpCli:
 
 class TestObsReportExemplars:
     def test_renders_exemplars_from_trace_doc(self, tmp_path, capsys):
+        from repro.obs import metrics
         from repro.obs.export import write_obs_json
-        from repro.obs.metrics import MetricsRegistry
         from repro.obs.trace import Tracer
 
-        from .conftest import FakeClock
+        from .conftest import FakeClock, installed
 
-        reg = MetricsRegistry()
-        hist = reg.histogram("serve.latency_seconds")
+        hist = metrics.get_registry().histogram("serve.latency_seconds")
         hist.record(0.123)
         hist.record_exemplar(0.123, "t1.req-000042")
-        path = write_obs_json(
-            tmp_path / "OBS_x.json", "x", Tracer(clock=FakeClock()), reg
-        )
+        with installed(Tracer(clock=FakeClock())):
+            path = write_obs_json(tmp_path / "OBS_x.json", "x")
         code = main(["obs-report", "--trace", str(path), "--exemplars"])
         assert code == 0
         text = capsys.readouterr().out

@@ -19,6 +19,8 @@ from repro.obs.context import (
 from repro.obs.export import span_to_dict
 from repro.obs.trace import Tracer
 
+from .conftest import installed
+
 
 def _hedged_request(rid: str = "req-000001") -> RequestContext:
     """A request whose slow first dispatch was hedged; hedge won."""
@@ -57,10 +59,10 @@ class TestIds:
 
 class TestRequestContext:
     def test_finish_attaches_root_to_tracer(self, fake_clock):
-        tr = Tracer(clock=fake_clock)
         ctx = RequestContext("req-000009", 1.0, qid=3)
         ctx.child("serve.queue", 1.0, t_end=2.0)
-        root = ctx.finish(4.0, tracer=tr)
+        with installed(Tracer(clock=fake_clock)) as tr:
+            root = ctx.finish(4.0)
         assert tr.roots == [root]
         assert root.name == "request"
         assert root.attrs["request_id"] == "req-000009"
@@ -68,10 +70,10 @@ class TestRequestContext:
         assert root.t_end == 4.0
 
     def test_finish_closes_open_descendants(self, fake_clock):
-        tr = Tracer(clock=fake_clock)
         ctx = RequestContext("req-000001", 0.0)
         open_child = ctx.child("serve.service", 1.0)  # never closed
-        ctx.finish(3.0, tracer=tr, shed=True)
+        with installed(Tracer(clock=fake_clock)):
+            ctx.finish(3.0, shed=True)
         assert open_child.t_end == 3.0
         assert ctx.root.attrs["shed"] is True
 
@@ -91,9 +93,9 @@ class TestRequestContext:
 
 class TestForestQueries:
     def test_find_request_on_spans_and_dicts(self, fake_clock):
-        tr = Tracer(clock=fake_clock)
-        for i in (1, 2):
-            RequestContext(f"req-{i:06d}", 0.0).finish(1.0, tracer=tr)
+        with installed(Tracer(clock=fake_clock)) as tr:
+            for i in (1, 2):
+                RequestContext(f"req-{i:06d}", 0.0).finish(1.0)
         found = find_request(tr.roots, "req-000002")
         assert found is tr.roots[1]
         exported = [span_to_dict(r) for r in tr.roots]
@@ -102,9 +104,9 @@ class TestForestQueries:
         assert find_request(exported, "req-999999") is None
 
     def test_request_ids_in_recording_order(self, fake_clock):
-        tr = Tracer(clock=fake_clock)
-        for i in (3, 1, 2):
-            RequestContext(f"req-{i:06d}", 0.0).finish(1.0, tracer=tr)
+        with installed(Tracer(clock=fake_clock)) as tr:
+            for i in (3, 1, 2):
+                RequestContext(f"req-{i:06d}", 0.0).finish(1.0)
         assert request_ids(tr.roots) == [
             "req-000003", "req-000001", "req-000002",
         ]
@@ -159,7 +161,7 @@ class TestRender:
     def test_tree_marks_and_footer(self):
         ctx = _hedged_request()
         ctx.root.t_end = 5.0
-        text = render_request_tree(ctx.root, unit_scale=1.0, unit="s")
+        text = render_request_tree(ctx.root)
         assert "request req-000001" in text
         assert "[hedge/winner]" in text
         assert "[lost]" in text

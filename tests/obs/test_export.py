@@ -14,10 +14,9 @@ from repro.obs.export import (
     write_chrome_trace,
     write_obs_json,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
-from .conftest import FakeClock
+from .conftest import FakeClock, installed
 
 
 def _small_trace() -> Tracer:
@@ -48,10 +47,9 @@ class TestSpanToDict:
 
 class TestTraceDocument:
     def test_shape(self):
-        tr = _small_trace()
-        reg = MetricsRegistry()
-        reg.counter("ops").add(4)
-        doc = trace_document("demo", tr, reg)
+        metrics.get_registry().counter("ops").add(4)
+        with installed(_small_trace()):
+            doc = trace_document("demo")
         assert doc["obs"] == "demo"
         assert set(doc["phases"]) == {"iter", "work"}
         assert set(doc["phases"]["iter"]) == {"count", "wall_seconds", "self_seconds"}
@@ -79,8 +77,8 @@ class TestChromeTrace:
         assert to_chrome_trace(tr.roots) == []
 
     def test_write_chrome_trace(self, tmp_path):
-        tr = _small_trace()
-        path = write_chrome_trace(tmp_path / "t.chrome.json", tr)
+        with installed(_small_trace()):
+            path = write_chrome_trace(tmp_path / "t.chrome.json")
         data = json.loads(path.read_text())
         assert len(data["traceEvents"]) == 2
 
@@ -122,21 +120,21 @@ class TestChromeTrace:
         on lane 0 rather than inventing a lane per span."""
         from repro.obs.context import RequestContext
 
-        tr = Tracer(clock=FakeClock())
         ctx = RequestContext("req-000001", 0.0)
         ctx.child("serve.service", 0.0, t_end=1.0)
-        ctx.finish(1.0, tracer=tr)
+        with installed(Tracer(clock=FakeClock())) as tr:
+            ctx.finish(1.0)
         events = to_chrome_trace(tr.roots)
         assert {e["tid"] for e in events} == {0}
 
 
 class TestFileRoundtrips:
     def test_obs_json_flat_and_sorted(self, tmp_path):
-        tr = _small_trace()
-        reg = MetricsRegistry()
+        reg = metrics.get_registry()
         reg.counter("z").add(1)
         reg.counter("a").add(2)
-        path = write_obs_json(tmp_path / "OBS_demo.json", "demo", tr, reg)
+        with installed(_small_trace()):
+            path = write_obs_json(tmp_path / "OBS_demo.json", "demo")
         doc = load_trace(path)
         assert doc["obs"] == "demo"
         assert "spans" not in doc  # flat summary, no tree
@@ -157,26 +155,24 @@ class TestFileRoundtrips:
 
 
 class TestExemplarRoundtrip:
-    def _registry_with_exemplars(self) -> MetricsRegistry:
-        reg = MetricsRegistry()
-        hist = reg.histogram("serve.latency_seconds")
+    @staticmethod
+    def _record_exemplar() -> None:
+        hist = metrics.get_registry().histogram("serve.latency_seconds")
         hist.record(0.250)
-        hist.record_exemplar(0.250, "t1.req-000007", "OBS_serve.json")
-        return reg
+        hist.record_exemplar(0.250, "t1.req-000007")
 
     def test_trace_document_carries_exemplars(self):
-        doc = trace_document("demo", _small_trace(), self._registry_with_exemplars())
+        self._record_exemplar()
+        with installed(_small_trace()):
+            doc = trace_document("demo")
         (entry,) = doc["exemplars"]["serve.latency_seconds"]
-        assert entry == {
-            "value": 0.250,
-            "request_id": "t1.req-000007",
-            "span_ref": "OBS_serve.json",
-        }
+        assert entry == {"value": 0.250, "request_id": "t1.req-000007"}
         json.dumps(doc)  # strictly serializable with exemplars attached
 
     def test_exemplars_survive_obs_json_roundtrip(self, tmp_path):
-        reg = self._registry_with_exemplars()
-        path = write_obs_json(tmp_path / "OBS_demo.json", "demo", _small_trace(), reg)
+        self._record_exemplar()
+        with installed(_small_trace()):
+            path = write_obs_json(tmp_path / "OBS_demo.json", "demo")
         doc = load_trace(path)
         (entry,) = doc["exemplars"]["serve.latency_seconds"]
         assert entry["request_id"] == "t1.req-000007"
@@ -191,7 +187,9 @@ class TestExemplarRoundtrip:
     def test_render_exemplars_table_and_empty(self):
         from repro.obs.export import render_exemplars
 
-        doc = trace_document("demo", _small_trace(), self._registry_with_exemplars())
+        self._record_exemplar()
+        with installed(_small_trace()):
+            doc = trace_document("demo")
         text = render_exemplars(doc)
         assert "tail exemplars: demo" in text
         assert "t1.req-000007" in text
@@ -202,32 +200,30 @@ class TestExemplarRoundtrip:
 
 class TestRenderReport:
     def test_report_contains_phases_and_counters(self):
-        tr = _small_trace()
-        reg = MetricsRegistry()
-        reg.counter("sampler.pops").add(42)
-        text = render_report(trace_document("demo", tr, reg))
+        metrics.get_registry().counter("sampler.pops").add(42)
+        with installed(_small_trace()):
+            text = render_report(trace_document("demo"))
         assert "obs report: demo" in text
         assert "iter" in text and "work" in text
         assert "wall_%" in text
         assert "sampler.pops" in text
 
     def test_upsert_histograms_side_by_side(self):
-        reg = MetricsRegistry()
-        for name, v in (("cluster.upsert_lag_seconds", 0.25), ("upsert.produce_seconds", 0.5)):
-            reg.histogram(name).record(v)
-        reg.histogram("cluster.latency_seconds").record(0.125)
-        text = render_report(trace_document("demo", _small_trace(), reg))
+        with installed(_small_trace()):
+            assert "upserts" not in render_report(trace_document("demo"))
+            reg = metrics.get_registry()
+            for name, v in (("cluster.upsert_lag_seconds", 0.25), ("upsert.produce_seconds", 0.5)):
+                reg.histogram(name).record(v)
+            reg.histogram("cluster.latency_seconds").record(0.125)
+            text = render_report(trace_document("demo"))
         upserts = text[text.index("upserts") :]
         assert "cluster.upsert_lag_seconds" in upserts
         assert "upsert.produce_seconds" in upserts and "500.000" in upserts  # ms
         assert "cluster.latency_seconds" not in text
-        assert "upserts" not in render_report(
-            trace_document("demo", _small_trace(), MetricsRegistry())
-        )
 
     def test_self_time_percentages_sum_to_100(self):
-        tr = _small_trace()
-        doc = trace_document("demo", tr, MetricsRegistry())
+        with installed(_small_trace()):
+            doc = trace_document("demo")
         total_self = sum(p["self_seconds"] for p in doc["phases"].values())
         shares = [
             100.0 * p["self_seconds"] / total_self for p in doc["phases"].values()

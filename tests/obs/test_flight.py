@@ -13,19 +13,14 @@ from repro.obs.flight import FlightRecorder, flight_event, get_flight_recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
-from .conftest import FakeClock
+from .conftest import FakeClock, installed
 
 
 @pytest.fixture
 def recorder(tmp_path, fake_clock):
     """A small recorder installed as the process sink; restored after."""
-    rec = FlightRecorder(
-        span_capacity=4,
-        event_capacity=4,
-        clock=fake_clock,
-        out_dir=tmp_path,
-        debounce_seconds=10.0,
-    )
+    rec = FlightRecorder(clock=fake_clock)
+    rec.out_dir = tmp_path
     prev = flight.set_flight_recorder(rec)
     yield rec
     flight.set_flight_recorder(prev)
@@ -39,14 +34,18 @@ def _root(name: str, t0: float = 0.0, t1: float = 1.0) -> Span:
 
 class TestRings:
     def test_span_ring_keeps_the_newest(self, recorder):
-        for i in range(6):
+        for i in range(flight.SPAN_CAPACITY + 2):
             recorder.record_span(_root(f"s{i}"))
-        assert [sp.name for sp in recorder.spans] == ["s2", "s3", "s4", "s5"]
+        names = [sp.name for sp in recorder.spans]
+        assert len(names) == flight.SPAN_CAPACITY
+        assert names[0] == "s2" and names[-1] == f"s{flight.SPAN_CAPACITY + 1}"
 
     def test_event_ring_keeps_the_newest(self, recorder):
-        for i in range(6):
+        for i in range(flight.EVENT_CAPACITY + 2):
             recorder.event("e", i=i)
-        assert [e["attrs"]["i"] for e in recorder.events] == [2, 3, 4, 5]
+        assert [e["attrs"]["i"] for e in recorder.events] == list(
+            range(2, flight.EVENT_CAPACITY + 2)
+        )
 
     def test_events_are_clock_stamped(self, recorder):
         recorder.event("first")
@@ -72,9 +71,9 @@ class TestRootSinkCapture:
         assert [c.name for c in recorder.spans[0].children] == ["inner"]
 
     def test_request_trees_land_via_add_root(self, recorder, fake_clock):
-        tr = Tracer(clock=fake_clock)
         ctx = RequestContext("req-000001", 0.0)
-        ctx.finish(1.0, tracer=tr)
+        with installed(Tracer(clock=fake_clock)):
+            ctx.finish(1.0)
         assert [sp.name for sp in recorder.spans] == ["request"]
 
     def test_open_roots_added_explicitly_are_not_recorded(self, recorder, fake_clock):
@@ -138,9 +137,9 @@ class TestDump:
         reg = MetricsRegistry()
         clock = recorder.clock
         assert recorder.maybe_dump("auto", registry=reg) is not None
-        # FakeClock steps 1s per read; the 10s debounce suppresses this.
+        # FakeClock steps 1s per read; the debounce suppresses this.
         assert recorder.maybe_dump("auto", registry=reg) is None
-        clock.t += 20.0
+        clock.t += 2 * flight.DEBOUNCE_SECONDS
         assert recorder.maybe_dump("auto", registry=reg) is not None
 
 

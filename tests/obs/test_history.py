@@ -11,7 +11,7 @@ from repro.obs.record import BenchRecord, MetricSeries, environment_fingerprint
 def _record(bench="serve", metric="latency_s", samples=(0.1, 0.2), **env_kw):
     return BenchRecord(
         bench=bench,
-        env=environment_fingerprint(**env_kw),
+        env={**environment_fingerprint(), **env_kw},
         series={metric: MetricSeries(list(samples))},
     )
 

@@ -97,12 +97,8 @@ class TestExemplarReservoir:
         assert expected <= retained
 
     def test_exemplar_as_dict(self):
-        e = metrics.Exemplar(0.5, "req-000001", "trace.json")
-        assert e.as_dict() == {
-            "value": 0.5,
-            "request_id": "req-000001",
-            "span_ref": "trace.json",
-        }
+        e = metrics.Exemplar(0.5, "req-000001")
+        assert e.as_dict() == {"value": 0.5, "request_id": "req-000001"}
 
     def test_reset_clears_exemplars(self):
         hist = Histogram()

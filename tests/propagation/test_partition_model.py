@@ -165,5 +165,5 @@ class TestBruteForce:
     def test_infeasible_raises(self):
         with pytest.raises(ValueError):
             brute_force_optimum(
-                n=10**6, d=10.0, f=4096, cores=40, cache_bytes=1024, max_q=2
+                n=10**6, d=10.0, f=4096, cores=40, cache_bytes=1024
             )

@@ -1,4 +1,5 @@
-"""Tests for sparse aggregation kernels: backends agree, adjoints exact."""
+"""Tests for sparse aggregation kernels: the CSR kernel agrees with the
+numpy oracle, adjoints exact."""
 
 from __future__ import annotations
 
@@ -54,13 +55,10 @@ class TestMeanAggregator:
 
     def test_backends_identical(self, medium_graph, rng):
         h = rng.standard_normal((medium_graph.num_vertices, 5))
-        a = MeanAggregator(medium_graph, backend="scipy").forward(h)
-        b = MeanAggregator(medium_graph, backend="numpy").forward(h)
+        a = MeanAggregator(medium_graph).forward(h)
+        inv_deg = 1.0 / np.maximum(medium_graph.degrees, 1)[:, None]
+        b = inv_deg * spmm_sum_numpy(medium_graph, h)
         assert np.allclose(a, b)
-
-    def test_unknown_backend(self, star_graph):
-        with pytest.raises(ValueError):
-            MeanAggregator(star_graph, backend="torch")
 
     def test_adjoint_dot_product_identity(self, medium_graph, rng):
         """<M x, y> == <x, M^T y> for random x, y — the exact property

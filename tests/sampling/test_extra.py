@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sampling.extra import (
+from repro.experiments.ablations import (
     ForestFireSampler,
     MetropolisHastingsWalkSampler,
     RandomNodeSampler,

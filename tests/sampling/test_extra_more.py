@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.csr import edges_to_csr
-from repro.sampling.extra import MetropolisHastingsWalkSampler, SnowballSampler
+from repro.experiments.ablations import MetropolisHastingsWalkSampler, SnowballSampler
 from repro.sampling.rw import RandomWalkBatchSampler
 
 
@@ -53,7 +53,7 @@ class TestSnowball:
         """Tight fanout keeps the sample local: higher clustering than
         uniform node sampling on a clique ring."""
         from repro.graphs.generators import ring_of_cliques
-        from repro.sampling.extra import RandomNodeSampler
+        from repro.experiments.ablations import RandomNodeSampler
 
         g = ring_of_cliques(30, 6)
         snow = SnowballSampler(g, budget=48).sample(rng)
@@ -68,7 +68,7 @@ class TestSnowball:
         # budget.
         import numpy as np
 
-        from repro.sampling.extra import SNOWBALL_SEEDS
+        from repro.experiments.ablations import SNOWBALL_SEEDS
 
         g = edges_to_csr(np.array([[2 * i, 2 * i + 1] for i in range(10)]), 20)
         assert 2 * SNOWBALL_SEEDS < 20

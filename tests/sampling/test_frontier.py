@@ -96,7 +96,7 @@ class TestSampling:
         than uniform vertex samples of the same size — denser subgraphs
         with a larger connected core."""
         from repro.graphs.stats import largest_component_fraction
-        from repro.sampling.extra import RandomNodeSampler
+        from repro.experiments.ablations import RandomNodeSampler
 
         g = ring_of_cliques(20, 8)
         frontier = FrontierSampler(g, frontier_size=16, budget=80)

@@ -15,7 +15,7 @@ from repro.experiments.repricing import iteration_phase_times
 from repro.parallel.machine import MachineSpec, xeon_40core
 from repro.sampling.cost import pool_fill_times
 from repro.sampling.dashboard import DashboardFrontierSampler
-from repro.sampling.extra import RandomNodeSampler
+from repro.experiments.ablations import RandomNodeSampler
 from repro.sampling.scheduler import PrefetchStats, SubgraphPool
 from repro.sampling.zoo import FAMILIES, make_sampler
 

@@ -48,13 +48,6 @@ class TestPartitionVertices:
         assert assignment.shape == (len(emb),)
         assert assignment.min() >= 0 and assignment.max() < 4
 
-    def test_graph_method_requires_graph(self):
-        with pytest.raises(ValueError):
-            partition_vertices(_embeddings(), num_shards=2, method="graph")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            partition_vertices(_embeddings(), num_shards=2, method="nope")
 
 
 class TestShardedIndexExactness:

@@ -130,16 +130,6 @@ class TestClusterIndex:
         approx, _ = ci.search_ids(q, 10)
         assert recall_at_k(approx, exact) >= 0.9
 
-    def test_external_assignments(self, rng):
-        # graphs.partition-style externally supplied buckets work too.
-        e = clustered_embeddings(n=300, clusters=6)
-        assignments = np.arange(300) % 6
-        ci = ClusterIndex(e, assignments=assignments)
-        assert ci.num_clusters == 6
-        idx, _ = ci.search_ids(np.arange(10), 5, probes=6)
-        exact, _ = BruteForceIndex(e).search_ids(np.arange(10), 5)
-        assert recall_at_k(idx, exact) == 1.0
-
     def test_excludes_self(self):
         e = clustered_embeddings(n=200, clusters=4)
         ci = ClusterIndex(e, num_clusters=4, probes=4, rng=np.random.default_rng(0))
@@ -161,8 +151,6 @@ class TestClusterIndex:
         e = rng.standard_normal((10, 3))
         with pytest.raises(ValueError):
             ClusterIndex(e, num_clusters=11)
-        with pytest.raises(ValueError):
-            ClusterIndex(e, assignments=np.zeros(5, dtype=int))
         with pytest.raises(ValueError):
             ClusterIndex(np.empty((0, 3)))
 

@@ -55,10 +55,22 @@ def _assert_same_answers(new, ref, run):
 def _pinned(dtype, **overrides):
     """One fixed corpus under the slab index and its oracle."""
     points = _points(np.random.default_rng(5), 160, 8, dtype)
-    kwargs = dict(num_clusters=8, probes=2, kmeans_iters=3, dtype=dtype) | overrides
+    kwargs = dict(num_clusters=8, probes=2, dtype=dtype) | overrides
     new = ClusterIndex(points, rng=np.random.default_rng(5), **kwargs)
     ref = ReferenceClusterIndex(points, rng=np.random.default_rng(5), **kwargs)
     return points, new, ref
+
+
+def _over_cells(points, assignments, dtype, probes=4):
+    """The slab index and its oracle over fixed cells. A build always runs
+    k-means, which leaves no cell empty; the scan's empty-cell cases are
+    reached by laying the slab out over cells with gaps directly."""
+    ref = ReferenceClusterIndex(points, assignments=assignments, probes=probes, dtype=dtype)
+    new = object.__new__(ClusterIndex)
+    new.dtype, new.num_clusters, new.lloyd_iterations = ref.dtype, ref.num_clusters, 0
+    new.default_probes = ref.default_probes
+    new._lay_out(l2_normalize_rows(points, dtype=dtype), ref.assignments, ref.centroids)
+    return new, ref
 
 
 def _probed(index, qids, probes):
@@ -86,7 +98,7 @@ class TestSearchMatchesReference:
     def test_kmeans_cells(self, n, dim, cells, probes, num_q, k, by_id, dtype, seed):
         rng = np.random.default_rng(seed)
         points = _points(rng, n, dim, dtype)
-        kwargs = dict(num_clusters=min(cells, n), probes=3, kmeans_iters=3, dtype=dtype)
+        kwargs = dict(num_clusters=min(cells, n), probes=3, dtype=dtype)
         new = ClusterIndex(points, rng=np.random.default_rng(seed), **kwargs)
         ref = ReferenceClusterIndex(points, rng=np.random.default_rng(seed), **kwargs)
         assert np.array_equal(new.centroids, ref.centroids)
@@ -114,8 +126,7 @@ class TestSearchMatchesReference:
         rng = np.random.default_rng(seed)
         points = _points(rng, n, 6, dtype)
         assignments = rng.integers(0, 4, size=n) * stride
-        new = ClusterIndex(points, assignments=assignments, dtype=dtype)
-        ref = ReferenceClusterIndex(points, assignments=assignments, dtype=dtype)
+        new, ref = _over_cells(points, assignments, dtype)
         assert np.array_equal(new.centroids, ref.centroids)
         qids = rng.integers(0, n, size=num_q)
         _assert_same_answers(new, ref, lambda ix: ix.search_ids(qids, k, probes=probes))
@@ -182,8 +193,7 @@ class TestSearchMatchesReference:
         # ranks the four zero centroids first and scans nothing.
         points = _points(np.random.default_rng(5), 40, 6, dtype)
         assignments = np.where(np.arange(40) < 20, 0, 5)
-        new = ClusterIndex(points, assignments=assignments, probes=2, dtype=dtype)
-        ref = ReferenceClusterIndex(points, assignments=assignments, probes=2, dtype=dtype)
+        new, ref = _over_cells(points, assignments, dtype, probes=2)
         away = np.tile(-(new.centroids[0] + new.centroids[5]), (num_q, 1))
         assert (away @ new.centroids.T)[:, [0, 5]].max() < 0
         _assert_same_answers(new, ref, lambda ix: ix.search(away, 4))

@@ -199,38 +199,6 @@ class TestCacheIntegration:
             assert server.index.num_clusters == 6
             assert server.index.default_probes == 3
 
-    def test_refresh_keeps_caller_supplied_cells(self, rng):
-        # Cells handed in by the caller (e.g. a graph partition) used to
-        # come back as k-means cells after the first refresh.
-        e = rng.standard_normal((60, 6))
-        cells = np.arange(60) % 5
-        server = EmbeddingServer(e, index=ClusterIndex(e, assignments=cells, probes=2))
-        fresh = rng.standard_normal((60, 6))
-        server.refresh_embeddings(fresh)
-        assert np.array_equal(server.index.assignments, cells)
-        assert server.index.lloyd_iterations == 0
-        want = ClusterIndex(fresh, assignments=cells, probes=2)
-        assert np.array_equal(server.index.centroids, want.centroids)
-        qids = np.arange(0, 60, 7)
-        assert np.array_equal(
-            server.index.search_ids(qids, 4)[0], want.search_ids(qids, 4)[0]
-        )
-        # The cells are per row: another row count cannot keep them, and
-        # falling back to k-means would be guessing.
-        with pytest.raises(ValueError, match="same 60 rows"):
-            server.refresh_embeddings(rng.standard_normal((61, 6)))
-
-    def test_refresh_preserves_kmeans_iters(self, rng):
-        server = EmbeddingServer(
-            rng.standard_normal((80, 6)),
-            index="cluster",
-            index_kwargs={"num_clusters": 8, "kmeans_iters": 1},
-        )
-        assert server.index.lloyd_iterations == 1
-        server.refresh_embeddings(rng.standard_normal((80, 6)))
-        assert server.index.kmeans_iters == 1
-        assert server.index.lloyd_iterations == 1  # capped, unrelated rows or not
-
     def test_refresh_kmeans_index_with_another_row_count(self, rng):
         server = EmbeddingServer(
             rng.standard_normal((60, 6)),

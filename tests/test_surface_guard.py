@@ -32,16 +32,23 @@ docstrings and ``__all__`` never count. A name kept anyway — a fixture or
 oracle the tests use, a paper claim only a test checks, or a seam an open
 ROADMAP item needs — sits on ``NAMES_ALLOWED`` with its reason.
 
-And for each sampling option: every defaulted parameter of a public
-function, method or constructor in a ``repro.sampling`` module a run
-reaches is passed, by keyword or position, by some call in ``src/repro``
-or an entry point outside its own body — else it sits on
-``OPTIONS_ALLOWED`` with its reason. A bare forward of the caller's own
+And for each option: every defaulted parameter of a public function,
+method or constructor in a ``repro`` module a run reaches is passed, by
+keyword or position, by some call in ``src/repro`` or an entry point
+outside its own body — else it sits on ``OPTIONS_ALLOWED`` with the
+test that injects through it. A bare forward of the caller's own
 same-named parameter (``engine=engine``) counts only when that parameter
-is itself set by a run, and ``super().__init__`` is a call to the base
-class. The never-applied aggregation normalization, the samplers' lane
-width, the Dashboard's round size, the X4 samplers' knobs, Eq. 2's unit
-costs and ``TrainConfig.sampler_engine`` went because no run set them.
+is itself set by a run; ``super().__init__`` and building a class
+without its own ``__init__`` are calls to the base class; a keyword a
+``**kwargs`` factory takes, or a key of a ``dict(...)`` / ``{...}``
+passed as a parameter the callee splats, is passed to what the splat
+calls. ``repro.experiments`` (``OPTIONS_EXEMPT``) is not checked: its
+defaults are the paper's sweep points, and a default forwarded from it
+sets the callee's option. The never-applied aggregation normalization,
+the samplers' lane width, the Dashboard's round size, Eq. 2's unit
+costs, ``TrainConfig.sampler_engine``, the kernel backend registry, the
+never-passed ``out=`` buffers, the index's caller-supplied cells and the
+cluster's graph partition went because no run set them.
 
 One bench writer: nothing outside ``obs/record.py`` builds a
 ``BenchRecord`` (``write_bench`` builds it from what the runner states),
@@ -94,7 +101,7 @@ NAMES_ALLOWED = {
     "repro.graphs.csr.CSRGraph.has_edge": "the edge-membership oracle of the graph tests",
     "repro.graphs.csr.CSRGraph.is_symmetric": "the symmetry oracle of the generator tests",
     "repro.propagation.spmm.MeanAggregator.dense": "the dense A_hat the SpMM tests compare against",
-    "repro.kernels.backends.adjacency_cache_stats": "the memo counter that proves the cache is hit",
+    "repro.kernels.sparse.adjacency_cache_stats": "the memo counter that proves the cache is hit",
     "repro.propagation.spmm.input_aggregate_stats": "the memo counter that proves the cache is hit",
     "repro.sampling.dashboard.Dashboard.alive_vertices": "the frontier oracle of the Dashboard tests",
     "repro.obs.trace.set_tracer": "the test seam that installs a fake-clock tracer",
@@ -117,9 +124,12 @@ DELETED_NAMES = {
     "ConstantLR", "StepDecayLR", "CosineAnnealingLR", "WarmupLR", "apply_schedule",
     "BenchReporter", "write_bench_json", "add_samples", "from_registry",
     "_write_serving_bench", "aggregation_weights", "directed_slot_probs", "sample_many",
+    "KernelBackend", "register_backend", "get_backend", "available_backends",
+    "default_backend",
 }
 DELETED_MODULES = (
     "analysis/roofline.py", "graphs/io.py", "graphs/validate.py", "nn/schedule.py",
+    "kernels/backends.py", "sampling/extra.py",
 )
 #: (module, attribute) pairs whose name is too generic to ban everywhere.
 DELETED_ATTRIBUTES = (
@@ -612,11 +622,48 @@ class TestNameDetector:
         ]
 
 
-# ---- every sampling option is set by a run ------------------------------
+# ---- every option is set by a run ---------------------------------------
 
-#: Defaulted parameters of a ``repro.sampling`` function, method or
-#: constructor that no run passes, each kept for the reason given.
-OPTIONS_ALLOWED: dict[str, str] = {}
+#: Packages whose defaults the option guard does not check, each for the
+#: reason given; a default forwarded from one counts as set by a run.
+OPTIONS_EXEMPT = {
+    "repro.experiments": (
+        "its defaults are the paper's sweep points, which tier-1 shrinks "
+        "to run in seconds"
+    ),
+}
+
+#: Defaulted parameters no run passes: test seams, each naming the test
+#: that injects through it.
+OPTIONS_ALLOWED = {
+    "repro.obs.trace.Tracer(clock)": "the fake clock of tests/obs/test_trace.py",
+    "repro.obs.flight.FlightRecorder(clock)": (
+        "the fake clock of tests/obs/test_flight.py::TestDump::test_maybe_dump_debounces"
+    ),
+    "repro.obs.history.HistoryStore.append(recorded_at)": (
+        "the fixed stamp of tests/obs/test_history.py::TestAppend::test_one_line_per_metric"
+    ),
+    "repro.serving.server.EmbeddingServer(service_model)": (
+        "the deterministic service time tests/serving/test_replay_golden.py pins"
+    ),
+    "repro.serving.index.BruteForceIndex(chunk_size)": (
+        "the one-shot scan of tests/serving/test_index.py::TestBruteForce::"
+        "test_chunking_is_bit_identical"
+    ),
+    "repro.cli.main(argv)": "the argv of tests/experiments/test_cli.py",
+    "repro.analysis.complexity.work_ratio_vs_depth(num_vertices)": (
+        "Case 2's support cap, tests/analysis/test_complexity.py::"
+        "TestSectionIIIBClaims::test_large_batch_no_explosion"
+    ),
+    **{
+        f"repro.baselines.sage_layers.{layer}({param})": (
+            "the identity-activation, per-policy gradient check of "
+            "tests/nn/test_gradcheck_policies.py::test_layer_gradients_under_policy"
+        )
+        for layer in ("BipartiteGCNLayer", "ConvOnlyLayer")
+        for param in ("activation", "dtype")
+    },
+}
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -665,69 +712,182 @@ def _callee_names(call: ast.Call, cls: ast.ClassDef | None) -> list[str]:
     return [getattr(base, "id", None) or getattr(base, "attr", None) for base in cls.bases]
 
 
+def _mentions(node: ast.AST) -> set[str]:
+    """Every name and attribute name in ``node`` (``self.kw`` -> ``kw``)."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)} - {None}
+
+
+def _bound(target: ast.AST) -> set[str]:
+    """The names an assignment target binds (``self.kw`` binds ``kw``)."""
+    if isinstance(target, ast.Name):
+        return {target.id}
+    if isinstance(target, ast.Attribute):
+        return {target.attr}
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return set().union(*map(_bound, target.elts))
+    return set()
+
+
+def _literal_items(value: ast.AST) -> list[tuple[str, ast.AST]]:
+    """``(key, value)`` of a ``{"k": v}`` or ``dict(k=v)`` literal."""
+    if isinstance(value, ast.Dict):
+        return [
+            (k.value, v)
+            for k, v in zip(value.keys, value.values)
+            if isinstance(k, ast.Constant) and isinstance(k.value, str)
+        ]
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict":
+        return [(kw.arg, kw.value) for kw in value.keywords if kw.arg]
+    return []
+
+
 def _option_violations(
-    src: Path, entries: list[Path], package: str, exempt: set[str], allowed: dict[str, str]
+    src: Path,
+    entries: list[Path],
+    package: str,
+    exempt: set[str],
+    allowed: dict[str, str],
+    sweeps: set[str] = frozenset(),
 ) -> list[str]:
     """What the option guard fails on: a defaulted parameter of a public
     function, method or constructor in a ``package`` module off ``exempt``
-    that no call outside its own body sets (``module.Qual(param)``) and
-    that is not on the allow-list, an allow-list entry without a reason,
-    or one for an option that is set (or gone). Calls are matched to
-    definitions by name, as the name guard matches reads."""
+    and outside the ``sweeps`` packages that no call outside its own body
+    sets (``module.Qual(param)``) and that is not on the allow-list, an
+    allow-list entry without a reason, or one for an option that is set
+    (or gone). Calls are matched to definitions by name, as the name guard
+    matches reads. A default in a ``sweeps`` package is a value a run
+    sets, so forwarding it sets the callee's option.
+
+    A keyword a function takes into ``**kwargs`` reaches every call its
+    scope makes with ``**kwargs``; the keys of a ``{...}`` / ``dict(...)``
+    literal passed as a parameter reach every call that splats that
+    parameter, through locals, ``self.<param>`` and same-scope forwards.
+    A method's scope is its whole class."""
     index = _module_index(src)
     modules = {path: name for name, path in index.items()}
     defs: dict[int, dict] = {}
     by_name: dict[str, list[dict]] = {}
-    calls = []
+    calls, scoped_calls, assigns, inherits = [], {}, {}, {}
     for path in sorted(set(index.values()) | set(entries)):
         module = modules.get(path)
         tree = ast.parse(path.read_text(), filename=str(path))
         for node, fn, cls, parent, qual in _walk_scoped(tree):
-            if isinstance(node, _FUNCS):
+            scope = id(cls) if cls is not None else id(fn) if fn is not None else None
+            if isinstance(node, ast.ClassDef) and not any(
+                isinstance(sub, _FUNCS) and sub.name == "__init__" for sub in node.body
+            ):  # constructing it runs a base's __init__
+                inherits[node.name] = [getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases]
+            elif isinstance(node, _FUNCS):
                 method = isinstance(parent, ast.ClassDef)
                 positional, defaulted = _signature(node, method)
                 ctor = method and node.name == "__init__"
                 shown = ".".join(qual if ctor else (*qual, node.name))
+                in_package = module is not None and (
+                    module == package or module.startswith(f"{package}.")
+                )
+                sweep = module is not None and any(
+                    module == s or module.startswith(f"{s}.") for s in sweeps
+                )
                 checked = (
-                    module is not None
-                    and (module == package or module.startswith(f"{package}."))
+                    in_package
+                    and not sweep
                     and module not in exempt
                     and (isinstance(parent, ast.Module) or (method and len(qual) == 1))
                     and not any(part.startswith("_") for part in shown.split("."))
                 )
+                args = node.args
                 record = dict(
                     path=path, node=node, option=f"{module}.{shown}", positional=positional,
-                    defaulted=defaulted, checked=checked,
+                    defaulted=defaulted, checked=checked, sweep=sweep,
+                    params={a.arg for a in args.posonlyargs + args.args + args.kwonlyargs},
+                    varkw=args.kwarg.arg if args.kwarg else None,
+                    scope=id(parent) if method else id(node),
                 )
                 defs[id(node)] = record
                 by_name.setdefault(parent.name if ctor else node.name, []).append(record)
             elif isinstance(node, ast.Call):
-                calls.append((path, node, fn, _callee_names(node, cls)))
-    set_by_run, forwards = set(), []
+                entry = (path, node, fn, _callee_names(node, cls))
+                calls.append(entry)
+                scoped_calls.setdefault(scope, []).append(entry)
+            elif isinstance(node, ast.Assign):
+                targets = set().union(*map(_bound, node.targets))
+                assigns.setdefault(scope, []).append((targets, _mentions(node.value)))
+    set_by_run = {
+        (id(record["node"]), param)
+        for record in defs.values()
+        if record["sweep"]
+        for param in record["defaulted"]
+    }
+    forwards, spread_seen = [], set()
+
+    def callees(path, call, names):
+        names = list(names)
+        for name in names:  # a class without __init__ is built by its bases'
+            names += [base for base in inherits.get(name, ()) if base not in names]
+        for record in (r for name in names for r in by_name.get(name, ())):
+            node = record["node"]
+            if not (record["path"] == path and node.lineno <= call.lineno <= node.end_lineno):
+                yield record  # a call in its own body is no set
+
+    def deliver(record, param, value, caller):
+        """``param=value`` passed to ``record`` from inside ``caller``."""
+        if param not in record["params"]:
+            if record["varkw"]:
+                spread(record, record["varkw"], param, value, caller)
+            return
+        if param in record["defaulted"]:
+            option = (id(record["node"]), param)
+            forward = (
+                caller is not None
+                and isinstance(value, ast.Name)
+                and value.id == param
+                and param in caller["defaulted"]
+            )
+            if forward:
+                forwards.append((option, (id(caller["node"]), param)))
+            else:
+                set_by_run.add(option)
+        for key, item in _literal_items(value):
+            spread(record, param, key, item, caller)
+
+    def spread(record, param, key, value, caller):
+        """``key=value`` held in ``record``'s parameter ``param``: deliver it
+        to every call in the scope that splats ``param``, and follow
+        ``name=param`` forwards."""
+        mark = (id(record["node"]), param, key, id(value))
+        if mark in spread_seen:
+            return
+        spread_seen.add(mark)
+        sources = {param}
+        grew = True
+        while grew:  # locals assigned from the parameter hold it too
+            grew = False
+            for targets, mentioned in assigns.get(record["scope"], ()):
+                if mentioned & sources and not targets <= sources:
+                    sources |= targets
+                    grew = True
+        for path, call, fn, names in scoped_calls.get(record["scope"], ()):
+            for kw in call.keywords:
+                if kw.arg is None and _mentions(kw.value) & sources:
+                    for target in callees(path, call, names):
+                        deliver(target, key, value, caller)
+                elif kw.arg and _mentions(kw.value) & sources and (
+                    isinstance(kw.value, (ast.Name, ast.Attribute))
+                ):
+                    for target in callees(path, call, names):
+                        if kw.arg in target["params"]:
+                            spread(target, kw.arg, key, value, caller)
+
     for path, call, fn, names in calls:
         caller = defs.get(id(fn))
         args = call.args
         star = next((i for i, a in enumerate(args) if isinstance(a, ast.Starred)), len(args))
-        for record in (r for name in names for r in by_name.get(name, ())):
-            node = record["node"]
-            if record["path"] == path and node.lineno <= call.lineno <= node.end_lineno:
-                continue  # its own body
-            passed = list(zip(record["positional"], args[:star]))
-            passed += [(kw.arg, kw.value) for kw in call.keywords if kw.arg]
-            for param, value in passed:
-                if param not in record["defaulted"]:
-                    continue
-                option = (id(node), param)
-                forward = (
-                    caller is not None
-                    and isinstance(value, ast.Name)
-                    and value.id == param
-                    and param in caller["defaulted"]
-                )
-                if forward:
-                    forwards.append((option, (id(fn), param)))
-                else:
-                    set_by_run.add(option)
+        for record in callees(path, call, names):
+            for param, value in zip(record["positional"], args[:star]):
+                deliver(record, param, value, caller)
+            for kw in call.keywords:
+                if kw.arg:
+                    deliver(record, kw.arg, kw.value, caller)
     grew = True
     while grew:  # a forward sets an option once its source is set
         grew = False
@@ -749,10 +909,11 @@ def _option_violations(
     )
 
 
-def test_every_sampling_option_is_set_by_a_run():
+def test_every_option_is_set_by_a_run():
     entries = [p for p in _entry_points(REPO) if not p.is_relative_to(SRC)]
     assert _option_violations(
-        SRC.parent, entries, "repro.sampling", set(UNREACHED_ALLOWED), OPTIONS_ALLOWED
+        SRC.parent, entries, "repro", set(UNREACHED_ALLOWED), OPTIONS_ALLOWED,
+        sweeps=set(OPTIONS_EXEMPT),
     ) == []
 
 
@@ -838,6 +999,69 @@ class TestOptionDetector:
             "stale allow: pkg.lib.Family(engine)",
             "stale allow: pkg.lib.gone(x)",
         ]
+
+    def _plant_splats(self, root: Path) -> tuple[Path, list[Path]]:
+        """``pkg.index``: an index, a ``**kwargs`` factory that builds it,
+        and a server that splats its ``index_kwargs`` into the factory
+        from another method; ``pkg.sweeps`` forwards its default."""
+        files = {
+            "src/pkg/__init__.py": "",
+            "src/pkg/index.py": (
+                "class Index:\n"
+                "    def __init__(self, rows, *, cells=None, probes=4, iters=12):\n"
+                "        self.rows = rows\n"
+                "def build(rows, kind='index', **kwargs):\n"
+                "    return Index(rows, **kwargs)\n"
+                "class Server:\n"
+                "    def __init__(self, rows, *, index_kwargs=None):\n"
+                "        self.index_kwargs = dict(index_kwargs or {})\n"
+                "        self.index = self._build(rows)\n"
+                "    def _build(self, rows):\n"
+                "        kwargs = dict(self.index_kwargs)\n"
+                "        return build(rows, **kwargs)\n"
+            ),
+            "src/pkg/sweeps.py": (
+                "from .index import build\n"
+                "def run(rows, iters=20):\n"
+                "    return build(rows, iters=iters)\n"
+            ),
+            "tools/run.py": (
+                "from pkg.index import Server, build\n"
+                "from pkg.sweeps import run\n"
+                "build([1], 'index', probes=2)\n"
+                "Server([1], index_kwargs=dict(cells=3))\n"
+                "run([1])\n"
+            ),
+        }
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        return root / "src", [root / "tools/run.py"]
+
+    def test_a_keyword_through_a_kwargs_factory_is_a_set(self, tmp_path):
+        src, entries = self._plant_splats(tmp_path)
+        assert "unset: pkg.index.Index(probes)" not in _option_violations(
+            src, entries, "pkg", set(), {}
+        )
+
+    def test_a_dict_into_a_splatted_parameter_is_a_set(self, tmp_path):
+        # cells rides Server's index_kwargs, through self.index_kwargs and
+        # a local, into build's **kwargs and on into Index.
+        src, entries = self._plant_splats(tmp_path)
+        assert "unset: pkg.index.Index(cells)" not in _option_violations(
+            src, entries, "pkg", set(), {}
+        )
+
+    def test_a_splatted_key_no_run_passes_is_still_unset(self, tmp_path):
+        src, entries = self._plant_splats(tmp_path)
+        assert _option_violations(src, entries, "pkg", set(), {}) == [
+            "unset: pkg.index.Index(iters)",
+            "unset: pkg.sweeps.run(iters)",
+        ]
+
+    def test_a_sweep_default_forwarded_is_a_set(self, tmp_path):
+        src, entries = self._plant_splats(tmp_path)
+        assert _option_violations(src, entries, "pkg", set(), {}, sweeps={"pkg.sweeps"}) == []
 
 
 # ---- one bench writer ---------------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 
 from repro.kernels import accounting
 from repro.nn.network import GCN
-from repro.serving.index import l2_normalize_rows
+from repro.serving.index import BruteForceIndex, l2_normalize_rows
 from repro.train.config import TrainConfig
 from repro.train.embedding import (
+    HOMOGENEITY_SAMPLE,
     compute_embeddings,
     cosine_nearest_neighbors,
     embedding_report,
@@ -79,15 +80,14 @@ class TestNearestNeighbors:
         assert np.all(best[np.arange(12) != 3] >= 0.0)
 
     def test_chunking_is_bit_identical(self, rng):
-        # Regression for the memory-blowup fix: chunked scans must return
+        # Regression for the memory-blowup fix: the chunked scan must return
         # exactly the same indices AND similarities as the one-shot scan.
-        e = rng.standard_normal((257, 9))
-        q = np.arange(257)
-        ref_idx, ref_sims = cosine_nearest_neighbors(e, q, k=7, chunk_size=None)
-        for cs in (2, 16, 100, 256, 258):
-            idx, sims = cosine_nearest_neighbors(e, q, k=7, chunk_size=cs)
-            assert np.array_equal(ref_idx, idx), cs
-            assert np.array_equal(ref_sims, sims), cs
+        e = rng.standard_normal((2500, 9))  # three chunks
+        q = np.arange(2500)
+        ref_idx, ref_sims = BruteForceIndex(e, chunk_size=None).search_ids(q, 7)
+        idx, sims = cosine_nearest_neighbors(e, q, k=7)
+        assert np.array_equal(ref_idx, idx)
+        assert np.array_equal(ref_sims, sims)
 
 
 class TestHomogeneity:
@@ -98,19 +98,19 @@ class TestHomogeneity:
         b = rng.standard_normal((20, 3)) * 0.01 + np.array([-10.0, 0, 0])
         emb = np.vstack([a, b])
         labels = np.array([0] * 20 + [1] * 20)
-        assert label_homogeneity(emb, labels, k=5, sample=None) == 1.0
+        assert label_homogeneity(emb, labels, k=5) == 1.0
 
     def test_random_embeddings_near_base_rate(self):
         rng = np.random.default_rng(1)
         emb = rng.standard_normal((300, 8))
         labels = rng.integers(0, 3, size=300)
-        h = label_homogeneity(emb, labels, k=10, sample=100, rng=rng)
+        h = label_homogeneity(emb, labels, k=10, rng=rng)
         assert 0.15 <= h <= 0.55  # ~1/3 expected
 
     def test_multilabel_variant(self, rng):
         emb = rng.standard_normal((50, 6))
         labels = (rng.random((50, 8)) < 0.3).astype(np.float64)
-        h = label_homogeneity(emb, labels, k=5, sample=None)
+        h = label_homogeneity(emb, labels, k=5)
         assert 0.0 <= h <= 1.0
 
     def test_multilabel_jaccard_exact(self):
@@ -125,31 +125,25 @@ class TestHomogeneity:
         labels = np.zeros((20, 3))
         labels[:10, [0, 1]] = 1.0
         labels[10:, 2] = 1.0
-        assert label_homogeneity(emb, labels, k=3, sample=None) == 1.0
+        assert label_homogeneity(emb, labels, k=3) == 1.0
         # Interleave so every vertex's nearest neighbors have disjoint
         # label sets (Jaccard 0 < 0.5).
         flip = np.tile([0.0, 1.0], 10)
         labels_bad = np.zeros((20, 3))
         labels_bad[flip == 0, 0] = 1.0
         labels_bad[flip == 1, 2] = 1.0
-        mixed = label_homogeneity(emb, labels_bad, k=3, sample=None)
+        mixed = label_homogeneity(emb, labels_bad, k=3)
         assert 0.0 <= mixed < 1.0
 
     def test_sampled_queries_deterministic(self):
         rng = np.random.default_rng(5)
-        emb = rng.standard_normal((200, 6))
-        labels = rng.integers(0, 4, size=200)
-        h1 = label_homogeneity(
-            emb, labels, k=5, sample=64, rng=np.random.default_rng(9)
-        )
-        h2 = label_homogeneity(
-            emb, labels, k=5, sample=64, rng=np.random.default_rng(9)
-        )
+        emb = rng.standard_normal((2 * HOMOGENEITY_SAMPLE, 6))  # queries are sampled
+        labels = rng.integers(0, 4, size=2 * HOMOGENEITY_SAMPLE)
+        h1 = label_homogeneity(emb, labels, k=5, rng=np.random.default_rng(9))
+        h2 = label_homogeneity(emb, labels, k=5, rng=np.random.default_rng(9))
         assert h1 == h2
         # Default rng (None) is seeded, so repeated calls agree too.
-        assert label_homogeneity(emb, labels, k=5, sample=64) == (
-            label_homogeneity(emb, labels, k=5, sample=64)
-        )
+        assert label_homogeneity(emb, labels, k=5) == label_homogeneity(emb, labels, k=5)
 
 
 class TestReport:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.experiments.repricing import PHASES, phase_times_per_iteration
 from repro.parallel.machine import xeon_40core
-from repro.sampling.extra import RandomNodeSampler
+from repro.experiments.ablations import RandomNodeSampler
 from repro.train.config import TrainConfig
 from repro.train.trainer import GraphSamplingTrainer
 
@@ -98,7 +98,7 @@ class TestTrainer:
         ref = GraphSamplingTrainer(reddit_small, quick_cfg)
         sampler = RandomNodeSampler(ref.train_graph, budget=100)
         trainer = GraphSamplingTrainer(reddit_small, quick_cfg, sampler=sampler)
-        result = trainer.train(epochs=1)
+        result = trainer.train()
         assert result.iterations > 0
 
     def test_determinism(self, reddit_small, quick_cfg):
