@@ -14,7 +14,7 @@ from repro.experiments.common import format_table
 def test_ablation_partitioning_2approx(paper_bench):
     results = paper_bench(
         "ablation_partitioning",
-        lambda: ablations.run_partitioning(seed=0),
+        lambda: ablations.run_partitioning(),
         text=lambda r: format_table(
             r["rows"], title="X1: feature-only partitioning vs optimum"
         ),

@@ -157,7 +157,7 @@ def _run_table2(args: argparse.Namespace, out: pathlib.Path | None) -> None:
 
 def _run_ablations(args: argparse.Namespace, out: pathlib.Path | None) -> None:
     pieces = [
-        ("X1: feature-only partitioning", ablations.run_partitioning(seed=args.seed)),
+        ("X1: feature-only partitioning", ablations.run_partitioning()),
         (
             "X1b: measured gamma_P of real partitioners",
             ablations.run_partitioner_gamma(seed=args.seed),
@@ -419,12 +419,18 @@ def _run_obs_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     the latency histograms); ``--request <id>`` prints that request's
     span tree with its critical path marked. Both work on trace
     documents and on flight-recorder dumps (``OBS_flightdump_*.json``) —
-    any file whose ``"spans"`` list holds exported span trees.
+    any file whose ``"spans"`` list holds exported span trees. A missing
+    or unparsable file is one ``cannot read`` line and exit code 1.
     """
     from .obs import context as obs_context
     from .obs import export as obs_export
 
-    doc = obs_export.load_trace(args.trace)
+    try:
+        doc = obs_export.load_trace(args.trace)
+    except (OSError, ValueError) as exc:  # missing, unreadable, truncated JSON
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        print(f"obs-report: cannot read {args.trace}: {reason}")
+        return 1
     if args.request is not None:
         roots = doc.get("spans", [])
         node = obs_context.find_request(roots, args.request)

@@ -49,7 +49,7 @@ from ..sampling.dashboard import DashboardFrontierSampler
 from ..sampling.zoo import make_sampler
 from ..train.config import TrainConfig
 from ..train.trainer import GraphSamplingTrainer
-from .common import EXPERIMENT_SCALES, format_table, paper_budget
+from .common import EXPERIMENT_SCALES, paper_budget
 
 __all__ = [
     "run_partitioning",
@@ -68,17 +68,22 @@ __all__ = [
 # ----------------------------------------------------------------------
 # X1 — partitioning
 # ----------------------------------------------------------------------
+#: X1's modeled machine and graph: the paper's 40 cores, a 256 KB cache
+#: per core and average degree 15.
+PARTITION_CORES = 40
+PARTITION_CACHE_BYTES = 256 * 1024
+PARTITION_DEGREE = 15.0
+
+
 def run_partitioning(
     *,
     sizes: tuple[int, ...] = (1000, 2000, 4000, 8000),
     feature_dims: tuple[int, ...] = (128, 512, 1024),
-    d: float = 15.0,
-    cores: int = 40,
-    cache_bytes: int = 256 * 1024,
-    seed: int = 0,
 ) -> dict[str, object]:
-    """X1: modeled g_comm of the P=1 plan vs brute-force optima."""
-    rng = np.random.default_rng(seed)
+    """X1: modeled g_comm of the P=1 plan vs brute-force optima (no
+    randomness: the random partitioner enters through its expected
+    expansion)."""
+    d, cores, cache_bytes = PARTITION_DEGREE, PARTITION_CORES, PARTITION_CACHE_BYTES
     rows = []
     for n in sizes:
         degrees = np.full(n, d)
@@ -116,15 +121,10 @@ def run_partitioning(
 # ----------------------------------------------------------------------
 # X1b — measured gamma_P of real partitioners on sampled subgraphs
 # ----------------------------------------------------------------------
-def run_partitioner_gamma(
-    *,
-    dataset: str = "reddit",
-    parts_list: tuple[int, ...] = (2, 4, 8),
-    seed: int = 0,
-) -> dict[str, object]:
-    """Measure source-set expansion of actual partitioners on an actual
-    frontier-sampled subgraph — the concrete version of Theorem 2's
-    "gamma_P stays near 1" argument.
+def run_partitioner_gamma(*, seed: int = 0) -> dict[str, object]:
+    """Measure source-set expansion of actual partitioners, into 2, 4 and
+    8 parts, on an actual frontier-sampled Reddit subgraph — the concrete
+    version of Theorem 2's "gamma_P stays near 1" argument.
     """
     from ..graphs.partition import (
         bfs_partition,
@@ -133,7 +133,7 @@ def run_partitioner_gamma(
     )
     from ..propagation.partition_model import gamma_of_partition
 
-    ds = make_dataset(dataset, scale=EXPERIMENT_SCALES[dataset], seed=seed)
+    ds = make_dataset("reddit", scale=EXPERIMENT_SCALES["reddit"], seed=seed)
     budget = paper_budget(ds.graph.num_vertices)
     # engine="reference" in the ablations: the committed modeled-cost
     # tables were produced with the scalar oracle's RNG stream.
@@ -146,7 +146,7 @@ def run_partitioner_gamma(
     sub = sampler.sample(np.random.default_rng(seed)).graph
     rng = np.random.default_rng(seed + 1)
     rows = []
-    for parts in parts_list:
+    for parts in (2, 4, 8):
         row: dict[str, object] = {"parts": parts, "gamma_lower_bound": 1.0 / parts}
         for name, fn in (
             ("random", random_partition),
@@ -163,13 +163,12 @@ def run_partitioner_gamma(
 # ----------------------------------------------------------------------
 def run_dashboard_eta(
     *,
-    dataset: str = "ppi",
     etas: tuple[float, ...] = (1.25, 1.5, 2.0, 3.0, 4.0),
     num_subgraphs: int = 5,
     seed: int = 0,
 ) -> dict[str, object]:
-    """X2: measured probe/cleanup trade-off across eta values."""
-    ds = make_dataset(dataset, scale=EXPERIMENT_SCALES[dataset], seed=seed)
+    """X2: measured probe/cleanup trade-off across eta values on PPI."""
+    ds = make_dataset("ppi", scale=EXPERIMENT_SCALES["ppi"], seed=seed)
     machine = xeon_40core()
     budget = paper_budget(ds.graph.num_vertices)
     m = max(budget // 6, 16)
@@ -205,22 +204,17 @@ def run_dashboard_eta(
 # ----------------------------------------------------------------------
 # X8 — alias tables vs Dashboard for dynamic distributions
 # ----------------------------------------------------------------------
-def run_alias_contrast(
-    *,
-    frontier_sizes: tuple[int, ...] = (50, 200, 1000, 4000),
-    avg_degree: float = 30.0,
-    eta: float = 2.0,
-) -> dict[str, object]:
+def run_alias_contrast(*, avg_degree: float = 30.0) -> dict[str, object]:
     """Section IV-A's claim, quantified: alias tables sample in O(1) but
     cannot absorb the frontier's single-vertex updates, so the pop-replace
     loop pays an O(m) rebuild per pop; the Dashboard's incremental update
-    wins increasingly with frontier size."""
+    (at eta = 2) wins increasingly with frontier size m = 50 ... 4000."""
     from ..sampling.alias import dynamic_sampling_cost
 
     rows = []
-    for m in frontier_sizes:
+    for m in (50, 200, 1000, 4000):
         pops = 7 * m  # the paper's n = 8m shape (n - m pops)
-        cost = dynamic_sampling_cost(m=m, pops=pops, avg_degree=avg_degree, eta=eta)
+        cost = dynamic_sampling_cost(m=m, pops=pops, avg_degree=avg_degree, eta=2.0)
         rows.append(
             {
                 "frontier_m": m,
@@ -246,22 +240,17 @@ def _pairwise_jaccard(sets: list[np.ndarray]) -> float:
     return float(np.mean(vals)) if vals else 0.0
 
 
-def run_degree_cap(
-    *,
-    dataset: str = "amazon",
-    cap: int = 30,
-    num_subgraphs: int = 8,
-    seed: int = 0,
-) -> dict[str, object]:
-    """X3: subgraph overlap/coverage with and without the degree cap."""
-    ds = make_dataset(dataset, scale=EXPERIMENT_SCALES[dataset], seed=seed)
+def run_degree_cap(*, num_subgraphs: int = 8, seed: int = 0) -> dict[str, object]:
+    """X3: subgraph overlap/coverage on Amazon with and without the
+    paper's cap of 30 Dashboard entries per vertex."""
+    ds = make_dataset("amazon", scale=EXPERIMENT_SCALES["amazon"], seed=seed)
     graph = ds.graph
     n = graph.num_vertices
     budget = paper_budget(n)
     m = max(budget // 6, 16)
     hubs = np.argsort(graph.degrees)[-max(n // 100, 5) :]
     rows = []
-    for cap_value in (None, cap):
+    for cap_value in (None, 30):
         sampler = DashboardFrontierSampler(
             graph,
             frontier_size=m,
@@ -509,17 +498,3 @@ def run_sampler_comparison(
             }
         )
     return {"rows": rows, "full_graph": base_summary}
-
-
-def format_results(results: dict[str, object], title: str) -> str:
-    return format_table(results["rows"], title=title)  # type: ignore[arg-type]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_results(run_partitioning(), "X1: partitioning"))
-    print()
-    print(format_results(run_dashboard_eta(), "X2: dashboard eta"))
-    print()
-    print(format_results(run_degree_cap(), "X3: degree cap"))
-    print()
-    print(format_results(run_sampler_comparison(epochs=5), "X4: samplers"))

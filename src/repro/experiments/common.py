@@ -71,8 +71,8 @@ def metered_run(
     return metrics[:iterations], trainer.batches_per_epoch
 
 
-def format_float(x: object, digits: int = 3) -> str:
-    """Human-friendly scalar formatting (thousands separators, 3 sig)."""
+def format_float(x: object) -> str:
+    """Human-friendly scalar formatting (thousands separators, 3 decimals)."""
     if isinstance(x, bool):
         return str(x)
     if isinstance(x, float):
@@ -80,7 +80,7 @@ def format_float(x: object, digits: int = 3) -> str:
             return "nan"
         if abs(x) >= 1000:
             return f"{x:,.0f}"
-        return f"{x:.{digits}f}"
+        return f"{x:.3f}"
     if isinstance(x, int) and abs(x) >= 1000:
         return f"{x:,}"
     return str(x)

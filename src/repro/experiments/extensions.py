@@ -22,21 +22,21 @@ import numpy as np
 from ..graphs.datasets import make_dataset
 from ..train.config import TrainConfig
 from ..train.trainer import GraphSamplingTrainer
-from .common import EXPERIMENT_SCALES, format_table, paper_budget
+from .common import EXPERIMENT_SCALES, paper_budget
 
 __all__ = ["run_depth_accuracy", "run_budget_scaling"]
 
 
 def run_depth_accuracy(
     *,
-    dataset: str = "reddit",
     depths: tuple[int, ...] = (1, 2, 3, 4),
     hidden: int = 64,
     epochs: int = 12,
     seed: int = 0,
 ) -> dict[str, object]:
-    """X6: validation F1 and per-iteration cost of deeper GS-GCNs."""
-    ds = make_dataset(dataset, scale=EXPERIMENT_SCALES[dataset], seed=seed)
+    """X6: validation F1 and per-iteration cost of deeper GS-GCNs on the
+    Reddit profile."""
+    ds = make_dataset("reddit", scale=EXPERIMENT_SCALES["reddit"], seed=seed)
     budget = paper_budget(ds.train_idx.shape[0])
     rows = []
     for depth in depths:
@@ -44,7 +44,7 @@ def run_depth_accuracy(
             hidden_dims=(hidden,) * depth,
             frontier_size=max(budget // 12, 16),
             budget=budget,
-            lr=0.005 if ds.task == "single" else 0.02,
+            lr=0.005,  # Reddit's step, as in fig2.RECIPES
             epochs=epochs,
             eval_every=epochs,
             seed=seed,
@@ -67,7 +67,6 @@ def run_depth_accuracy(
 
 def run_budget_scaling(
     *,
-    dataset: str = "reddit",
     base_scale: float | None = None,
     scale_factors: tuple[float, ...] = (1.0, 2.0, 4.0),
     budget: int = 300,
@@ -75,20 +74,20 @@ def run_budget_scaling(
     epochs: int = 12,
     seed: int = 0,
 ) -> dict[str, object]:
-    """X7: fixed sampler budget across growing training graphs.
+    """X7: fixed sampler budget across growing Reddit-profile graphs.
 
     The claim holds when validation F1 stays roughly flat while the
     graph (and with it, the per-epoch batch count) grows.
     """
-    base_scale = base_scale or EXPERIMENT_SCALES[dataset]
+    base_scale = base_scale or EXPERIMENT_SCALES["reddit"]
     rows = []
     for factor in scale_factors:
-        ds = make_dataset(dataset, scale=base_scale * factor, seed=seed)
+        ds = make_dataset("reddit", scale=base_scale * factor, seed=seed)
         cfg = TrainConfig(
             hidden_dims=(hidden, hidden),
             frontier_size=max(budget // 12, 16),
             budget=budget,
-            lr=0.005 if ds.task == "single" else 0.02,
+            lr=0.005,  # Reddit's step, as in fig2.RECIPES
             epochs=epochs,
             eval_every=epochs,
             seed=seed,
@@ -106,9 +105,3 @@ def run_budget_scaling(
             }
         )
     return {"rows": rows}
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_table(run_depth_accuracy()["rows"], title="X6: depth vs accuracy"))
-    print()
-    print(format_table(run_budget_scaling()["rows"], title="X7: fixed budget, growing graph"))

@@ -187,26 +187,17 @@ def run_dataset(
 def run(
     *,
     datasets: list[str] | None = None,
-    scales: dict[str, float] | None = None,
     hidden: int = 128,
     epoch_scale: float = 1.0,
     seed: int = 0,
-    include_fastgcn: bool = False,
 ) -> dict[str, object]:
-    """Run the Figure 2 comparison on the requested dataset profiles."""
-    scales = scales or EXPERIMENT_SCALES
-    names = datasets or list(scales)
+    """Run the Figure 2 comparison (GS-GCN, GraphSAGE, Batched GCN) on
+    the requested dataset profiles at their experiment scales."""
     per_dataset = []
-    for name in names:
-        ds = make_dataset(name, scale=scales[name], seed=seed)
+    for name in datasets or list(EXPERIMENT_SCALES):
+        ds = make_dataset(name, scale=EXPERIMENT_SCALES[name], seed=seed)
         per_dataset.append(
-            run_dataset(
-                ds,
-                hidden=hidden,
-                epoch_scale=epoch_scale,
-                seed=seed,
-                include_fastgcn=include_fastgcn,
-            )
+            run_dataset(ds, hidden=hidden, epoch_scale=epoch_scale, seed=seed)
         )
     return {"results": per_dataset}
 
@@ -230,7 +221,3 @@ def format_results(results: dict[str, object]) -> str:
     return format_table(
         rows, title="Figure 2: time-accuracy (serial) and speedup at threshold"
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_results(run()))

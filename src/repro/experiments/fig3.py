@@ -27,22 +27,21 @@ def run_dataset(
     *,
     scale: float,
     hidden: int,
-    cores_list: tuple[int, ...] = DEFAULT_CORES,
     iterations: int = 6,
-    p_intra: int = 8,
     seed: int = 0,
 ) -> dict[str, object]:
-    """Figure 3 for one (dataset, hidden-dim) configuration."""
+    """Figure 3 for one (dataset, hidden-dim) configuration, at every
+    ``DEFAULT_CORES`` count with the 8-lane sampler."""
     ds = make_dataset(name, scale=scale, seed=seed)
     metrics, _ = metered_run(
         ds, hidden_dims=(hidden, hidden), iterations=iterations, seed=seed
     )
     per_cores = speedup_table(
-        metrics, xeon_40core(), cores_list=list(cores_list), p_intra=p_intra
+        metrics, xeon_40core(), cores_list=list(DEFAULT_CORES), p_intra=8
     )
     base = per_cores[1]
     rows = []
-    for cores in cores_list:
+    for cores in DEFAULT_CORES:
         entry = per_cores[cores]
         rows.append(
             {
@@ -68,7 +67,6 @@ def run(
     datasets: list[str] | None = None,
     scales: dict[str, float] | None = None,
     hidden_dims: tuple[int, ...] = (512, 1024),
-    cores_list: tuple[int, ...] = DEFAULT_CORES,
     iterations: int = 6,
     seed: int = 0,
 ) -> dict[str, object]:
@@ -83,7 +81,6 @@ def run(
                 name,
                 scale=scales[name],
                 hidden=hidden,
-                cores_list=cores_list,
                 iterations=iterations,
                 seed=seed,
             )
@@ -98,7 +95,3 @@ def format_results(results: dict[str, object]) -> str:
         results["rows"],  # type: ignore[arg-type]
         title="Figure 3: phase speedups and execution-time breakdown",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_results(run(hidden_dims=(512,), datasets=["ppi"])))

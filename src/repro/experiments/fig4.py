@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.datasets import make_dataset
-from ..parallel.machine import MachineSpec, xeon_40core
+from ..parallel.machine import xeon_40core
 from ..sampling.cost import pool_fill_times, simulated_sampler_time
 from ..sampling.dashboard import DashboardFrontierSampler
 from .common import EXPERIMENT_SCALES, format_table, paper_budget
@@ -25,7 +25,7 @@ __all__ = ["run", "format_results", "DEFAULT_P_INTER"]
 DEFAULT_P_INTER = (1, 5, 10, 20, 30, 40)
 
 
-def _sampler_for(ds, *, eta: float, seed: int) -> DashboardFrontierSampler:
+def _sampler_for(ds) -> DashboardFrontierSampler:
     budget = paper_budget(ds.graph.num_vertices)
     cap = 30 if ds.name == "amazon" else None  # the paper's Amazon cap
     # Paper-figure regeneration pins the scalar oracle: its RNG stream is
@@ -35,7 +35,7 @@ def _sampler_for(ds, *, eta: float, seed: int) -> DashboardFrontierSampler:
         ds.graph,
         frontier_size=max(budget // 6, 16),
         budget=budget,
-        eta=eta,
+        eta=2.0,
         max_entries_per_vertex=cap,
         engine="reference",
     )
@@ -45,23 +45,21 @@ def run(
     *,
     datasets: list[str] | None = None,
     scales: dict[str, float] | None = None,
-    p_inter_list: tuple[int, ...] = DEFAULT_P_INTER,
     num_subgraphs: int = 40,
-    eta: float = 2.0,
-    machine: MachineSpec | None = None,
     seed: int = 0,
 ) -> dict[str, object]:
-    """Run the Figure 4 sampler-scaling experiment."""
+    """Run the Figure 4 sampler-scaling experiment: Dashboard samplers at
+    eta = 2, priced on the 40-core Xeon at every ``DEFAULT_P_INTER``."""
     scales = scales or EXPERIMENT_SCALES
     names = datasets or list(scales)
-    machine = machine or xeon_40core()
+    machine = xeon_40core()
     rng = np.random.default_rng(seed)
 
     rows_a = []
     rows_b = []
     for name in names:
         ds = make_dataset(name, scale=scales[name], seed=seed)
-        sampler = _sampler_for(ds, eta=eta, seed=seed)
+        sampler = _sampler_for(ds)
         stats = [sampler.sample(rng).stats for _ in range(num_subgraphs)]
 
         # Panel A: throughput speedup of p_inter concurrent instances
@@ -69,7 +67,7 @@ def run(
         serial_rate = len(stats) / sum(
             pool_fill_times(stats, machine, instances=1, p_intra=8)
         )
-        for p in p_inter_list:
+        for p in DEFAULT_P_INTER:
             # Steady-state throughput: three full refill batches of
             # exactly p_inter instances.
             fills = pool_fill_times(stats, machine, instances=p, p_intra=8, fills=3)
@@ -83,7 +81,7 @@ def run(
             )
 
         # Panel B: AVX gain at each p_inter (scalar vs 8-lane, same numa).
-        for p in p_inter_list:
+        for p in DEFAULT_P_INTER:
             contention = machine.sampler_contention_factor(p)
             t_scalar = sum(
                 simulated_sampler_time(s, machine, p_intra=1, contention_factor=contention)
@@ -110,7 +108,3 @@ def format_results(results: dict[str, object]) -> str:
         title="Figure 4B: AVX speedup by p_inter",
     )
     return a + "\n\n" + b
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_results(run(datasets=["ppi"])))

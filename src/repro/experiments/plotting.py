@@ -63,13 +63,10 @@ def ascii_plot(
 
 
 def ascii_speedup_plot(
-    curves: Mapping[str, Mapping[int, float]],
-    *,
-    title: str = "speedup vs cores",
-    width: int = 64,
-    height: int = 16,
+    curves: Mapping[str, Mapping[int, float]], *, title: str = "speedup vs cores"
 ) -> str:
-    """Speedup curves ({name: {cores: speedup}}) with the ideal diagonal."""
+    """Speedup curves ({name: {cores: speedup}}) with the ideal diagonal,
+    on ``ascii_plot``'s default grid."""
     series: dict[str, Sequence[tuple[float, float]]] = {
         name: sorted((float(c), s) for c, s in curve.items())
         for name, curve in curves.items()
@@ -77,7 +74,4 @@ def ascii_speedup_plot(
     all_cores = sorted({c for curve in curves.values() for c in curve})
     if all_cores:
         series = {"ideal": [(float(c), float(c)) for c in all_cores], **series}
-    return ascii_plot(
-        series, width=width, height=height, title=title, xlabel="cores",
-        ylabel="speedup",
-    )
+    return ascii_plot(series, title=title, xlabel="cores", ylabel="speedup")

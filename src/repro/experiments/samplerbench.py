@@ -100,51 +100,38 @@ def _dashboards(graph: CSRGraph, *, budget: int, frontier_size: int) -> dict:
     }
 
 
-def _workload(
-    dataset: str,
-    scale: float | None,
-    seed: int,
-    budget: int | None,
-    frontier_size: int | None,
-) -> tuple[CSRGraph, int, int]:
-    """The graph to sample and the sizes the caller left unset: the
-    standard experiment scale, ``budget = 3n/4`` (at most 1750, where the
-    pop/replace loop rather than induction dominates) and ``frontier =
-    budget/6``."""
-    ds = make_dataset(
-        dataset,
-        scale=EXPERIMENT_SCALES[dataset] if scale is None else scale,
-        seed=seed,
-    )
-    if budget is None:
-        budget = max(min(3 * ds.graph.num_vertices // 4, 1750), 64)
-    if frontier_size is None:
-        frontier_size = max(budget // 6, 16)
-    return ds.graph, budget, frontier_size
+#: The profile both benches sample, at its experiment scale.
+DATASET = "reddit"
+#: Depth of the zoo's ``rw`` family walks.
+ZOO_WALK_DEPTH = 3
+
+
+def _workload(seed: int) -> tuple[CSRGraph, int, int]:
+    """``(graph, budget, frontier)`` of both benches: the ``DATASET``
+    profile at its experiment scale, ``budget = 3n/4`` (at most 1750,
+    where the pop/replace loop rather than induction dominates) and
+    ``frontier = budget/6``."""
+    ds = make_dataset(DATASET, scale=EXPERIMENT_SCALES[DATASET], seed=seed)
+    budget = max(min(3 * ds.graph.num_vertices // 4, 1750), 64)
+    return ds.graph, budget, max(budget // 6, 16)
 
 
 def run(
     *,
-    dataset: str = "reddit",
-    scale: float | None = None,
-    budget: int | None = None,
-    frontier_size: int | None = None,
     repeats: int = 12,
     seed: int = 0,
     min_speedup: float = DEFAULT_MIN_SPEEDUP,
 ) -> dict:
     """Time both engines on one workload; returns rows + raw samples.
 
-    The default workload: Reddit profile at the standard experiment
-    scale, ``budget = 3n/4`` and ``frontier = budget/6`` (the paper's
+    The workload: Reddit profile at the standard experiment scale,
+    ``budget = 3n/4`` and ``frontier = budget/6`` (the paper's
     frontier:budget ratio at a size where sampling work, not subgraph
     induction, dominates), then every ``OPERATING_POINTS`` entry.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    graph, budget, frontier_size = _workload(
-        dataset, scale, seed, budget, frontier_size
-    )
+    graph, budget, frontier_size = _workload(seed)
 
     wall, stats = _time_interleaved(
         _dashboards(graph, budget=budget, frontier_size=frontier_size),
@@ -191,7 +178,7 @@ def run(
         }
     return {
         "clock": "wall",
-        "dataset": dataset,
+        "dataset": DATASET,
         "num_vertices": graph.num_vertices,
         "budget": budget,
         "frontier_size": frontier_size,
@@ -212,12 +199,7 @@ def run(
 
 def run_zoo(
     *,
-    dataset: str = "reddit",
-    scale: float | None = None,
-    budget: int | None = None,
-    frontier_size: int | None = None,
     families: tuple[str, ...] | None = None,
-    walk_depth: int = 3,
     repeats: int = 12,
     seed: int = 0,
     min_speedup: float = DEFAULT_ZOO_MIN_SPEEDUP,
@@ -238,9 +220,7 @@ def run_zoo(
     for fam in fams:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}; choose from {FAMILIES}")
-    graph, budget, frontier_size = _workload(
-        dataset, scale, seed, budget, frontier_size
-    )
+    graph, budget, frontier_size = _workload(seed)
 
     samplers = {
         (fam, engine): make_sampler(
@@ -249,7 +229,7 @@ def run_zoo(
             budget=budget,
             frontier_size=frontier_size,
             engine=engine,
-            walk_depth=walk_depth,
+            walk_depth=ZOO_WALK_DEPTH,
         )
         for fam in fams
         for engine in ENGINES
@@ -279,11 +259,11 @@ def run_zoo(
         )
     return {
         "clock": "wall",
-        "dataset": dataset,
+        "dataset": DATASET,
         "num_vertices": graph.num_vertices,
         "budget": budget,
         "frontier_size": frontier_size,
-        "walk_depth": walk_depth,
+        "walk_depth": ZOO_WALK_DEPTH,
         "families": list(fams),
         "repeats": repeats,
         "rows": rows,

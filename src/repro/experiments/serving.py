@@ -67,28 +67,45 @@ CLUSTER_PHASES = ("zipf-throughput", "bursty-hedging", "upsert-soak")
 #: Index dtype of every S2 server.
 _CLUSTER_DTYPE = np.float32
 
+#: Every trace's Zipf skew (mirroring the Amazon profile's degree
+#: distribution) and every request's k, in S1 and S2 alike.
+ZIPF_SKEW = 1.1
+TOP_K = 10
+
+#: S1's corpus (rows x dim), its ANN index (cells, probes per query) and
+#: the batched servers' batch, queue and cache sizes.
+S1_VERTICES, S1_DIM = 12_000, 64
+S1_CLUSTERS, S1_PROBES = 64, 8
+S1_MAX_BATCH, S1_QUEUE, S1_CACHE = 64, 128, 2048
+
+#: S2's embedding width and each server's batch, queue and cache sizes.
+S2_DIM = 32
+S2_MAX_BATCH, S2_QUEUE, S2_CACHE = 64, 512, 4096
+
+#: Per-component spread of the mixture corpus around its unit centers.
+MIXTURE_SPREAD = 0.2
+
 
 def mixture_embeddings(
     num_vertices: int,
     dim: int,
     *,
     num_components: int = 64,
-    spread: float = 0.2,
     seed: int = 0,
 ) -> np.ndarray:
     """Gaussian-mixture embedding matrix standing in for a trained model.
 
     Trained graph embeddings are clustered by construction (label
     homogeneity is the quality metric in :mod:`repro.train.embedding`);
-    a mixture with per-component spread reproduces that geometry without
-    paying for a training run. For the real pipeline end-to-end, see
-    ``examples/serving_demo.py``.
+    a mixture with per-component spread (``MIXTURE_SPREAD``) reproduces
+    that geometry without paying for a training run. For the real
+    pipeline end-to-end, see ``examples/serving_demo.py``.
     """
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_components, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     which = rng.integers(0, num_components, size=num_vertices)
-    return centers[which] + spread * rng.standard_normal((num_vertices, dim))
+    return centers[which] + MIXTURE_SPREAD * rng.standard_normal((num_vertices, dim))
 
 
 def _replay(rows: list[dict], series: dict, key: str, server, trace, *, oracle=None, **labels):
@@ -140,22 +157,10 @@ def _calibrate_naive_qps(index: BruteForceIndex, k: int, samples: int = 64) -> f
     return samples / max(elapsed, 1e-9)
 
 
-def run(
-    *,
-    num_queries: int = 3000,
-    num_vertices: int = 12000,
-    dim: int = 64,
-    num_clusters: int = 64,
-    probes: int = 8,
-    skew: float = 1.1,
-    k: int = 10,
-    max_batch: int = 64,
-    queue_capacity: int = 128,
-    cache_capacity: int = 2048,
-    load_factor: float = 20.0,
-    seed: int = 0,
-) -> dict:
+def run(*, num_queries: int = 3000, load_factor: float = 20.0, seed: int = 0) -> dict:
     """Run the four-configuration serving comparison; return plain rows."""
+    num_vertices, dim, num_clusters, probes = S1_VERTICES, S1_DIM, S1_CLUSTERS, S1_PROBES
+    skew, k, max_batch = ZIPF_SKEW, TOP_K, S1_MAX_BATCH
     emb = mixture_embeddings(
         num_vertices, dim, num_components=num_clusters, seed=seed
     )
@@ -169,9 +174,9 @@ def run(
     # Exact answers for every request in the trace, for recall scoring.
     oracle = dict(enumerate(brute.search_ids(trace.query_ids, k)[0]))
 
-    naive = ServerConfig(max_batch=1, queue_capacity=queue_capacity)
+    naive = ServerConfig(max_batch=1, queue_capacity=S1_QUEUE)
     batched = replace(naive, max_batch=max_batch, max_wait=2.0 * max_batch / rate)
-    cached = replace(batched, cache_capacity=cache_capacity)
+    cached = replace(batched, cache_capacity=S1_CACHE)
     ann = replace(
         cached, deadline=8.0 * max_batch / naive_qps, min_probes=max(2, probes // 4)
     )
@@ -269,8 +274,6 @@ def hedging_scenario(
     base: ClusterConfig = ClusterConfig(),
     hedge: bool = True,
     assignment: np.ndarray | None = None,
-    skew: float = 1.1,
-    k: int = 10,
     seed: int = 0,
 ) -> tuple[ClusterServer, QueryTrace]:
     """The bursty-hedging scenario over ``emb``: ``(server, trace)``.
@@ -293,8 +296,8 @@ def hedging_scenario(
         dtype=_CLUSTER_DTYPE,
     )
     trace = bursty_trace(
-        num_queries, emb.shape[0], skew=skew, base_rate=800.0, burst_rate=8000.0,
-        base_seconds=0.5, burst_seconds=0.15, k=k, rng=np.random.default_rng(seed + 3),
+        num_queries, emb.shape[0], skew=ZIPF_SKEW, base_rate=800.0, burst_rate=8000.0,
+        base_seconds=0.5, burst_seconds=0.15, k=TOP_K, rng=np.random.default_rng(seed + 3),
     )
     return server, trace
 
@@ -303,15 +306,9 @@ def run_cluster(
     *,
     num_queries: int = 2000,
     num_vertices: int = 1_000_000,
-    dim: int = 32,
     num_shards: int = 4,
     replicas: int = 2,
     fanout: int = 2,
-    skew: float = 1.1,
-    k: int = 10,
-    max_batch: int = 64,
-    queue_capacity: int = 512,
-    cache_capacity: int = 4096,
     load_factor: float = 8.0,
     soak_vertices: int = 50_000,
     seed: int = 0,
@@ -332,6 +329,8 @@ def run_cluster(
        layer; the ``cluster_rules`` SLOs (worst per-shard p99,
        staleness bound) are evaluated against the live registry.
     """
+    dim, skew, k = S2_DIM, ZIPF_SKEW, TOP_K
+    max_batch, queue_capacity, cache_capacity = S2_MAX_BATCH, S2_QUEUE, S2_CACHE
     rows: list[dict] = []
     series: dict[str, MetricSeries] = {}
     components = max(64, 16 * num_shards)
@@ -398,7 +397,7 @@ def run_cluster(
         name = "bursty+hedge" if hedged else "bursty-nohedge"
         server, btrace = hedging_scenario(
             emb2, num_queries=max(600, num_queries * 3 // 4), base=base,
-            hedge=hedged, assignment=assignment, skew=skew, k=k, seed=seed,
+            hedge=hedged, assignment=assignment, seed=seed,
         )
         # The hedged replay runs under obs so its request span forest
         # (hedged duplicates, winner marked) and the tail exemplars that

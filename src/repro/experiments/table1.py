@@ -26,7 +26,3 @@ def format_results(results: dict[str, object]) -> str:
         results["rows"],  # type: ignore[arg-type]
         title="Table I: Dataset Statistics (paper vs generated)",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_results(run()))

@@ -4,13 +4,17 @@ Keeps training runs resumable and lets the examples hand trained models
 between scripts. The archive stores every parameter of
 :meth:`repro.nn.GCN.state_dict` plus a small metadata header (architecture
 dims) that is validated on load, so loading into a mismatched architecture
-fails loudly instead of silently truncating.
+fails loudly instead of silently truncating. A truncated or corrupt
+archive reads as a ``ValueError`` naming its path, and a save replaces
+the file in one step, so a crash mid-write leaves the old checkpoint.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import zipfile
 
 import numpy as np
 
@@ -43,16 +47,39 @@ def save_checkpoint(model: GCN, path: str | pathlib.Path) -> pathlib.Path:
     meta = json.dumps(_architecture_of(model))
     arrays[_META_KEY] = np.frombuffer(meta.encode("utf-8"), dtype=np.uint8)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **arrays)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
+
+
+def _read(path: str | pathlib.Path, keys: tuple[str, ...] | None = None) -> dict:
+    """The arrays of the archive at ``path`` (those of ``keys`` it holds,
+    when given), read in full; a truncated or corrupt archive raises
+    ``ValueError`` naming the path."""
+    try:
+        with np.load(path) as data:
+            names = data.files if keys is None else [k for k in keys if k in data.files]
+            return {k: data[k] for k in names}
+    except FileNotFoundError:
+        raise
+    except (zipfile.BadZipFile, EOFError, NotImplementedError, OSError, ValueError) as exc:
+        raise ValueError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
 def checkpoint_metadata(path: str | pathlib.Path) -> dict[str, object]:
     """Read just the architecture header of a checkpoint."""
-    with np.load(path) as data:
-        if _META_KEY not in data:
-            raise ValueError(f"{path} is not a repro checkpoint (missing metadata)")
-        return json.loads(bytes(data[_META_KEY]).decode("utf-8"))
+    meta = _read(path, (_META_KEY,)).get(_META_KEY)
+    if meta is None:
+        raise ValueError(f"{path} is not a repro checkpoint (missing metadata)")
+    try:
+        return json.loads(bytes(meta).decode("utf-8"))
+    except ValueError as exc:  # undecodable bytes or JSON alike
+        raise ValueError(f"cannot read checkpoint {path}: corrupt metadata ({exc})") from exc
 
 
 def load_checkpoint(model: GCN, path: str | pathlib.Path) -> GCN:
@@ -71,7 +98,7 @@ def load_checkpoint(model: GCN, path: str | pathlib.Path) -> GCN:
             f"checkpoint architecture mismatch: {mismatches} "
             "(checkpoint value, model value)"
         )
-    with np.load(path) as data:
-        state = {k: data[k] for k in data.files if k != _META_KEY}
+    state = _read(path)
+    del state[_META_KEY]
     model.load_state_dict(state)
     return model

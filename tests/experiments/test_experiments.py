@@ -183,9 +183,7 @@ class TestFig4:
 class TestTable2:
     @pytest.fixture(scope="class")
     def results(self):
-        return table2.run(
-            scale=0.005, hidden=64, layers_list=(1, 2, 3), iterations=2, seed=0
-        )
+        return table2.run(scale=0.005, hidden=64, iterations=2, seed=0)
 
     def test_monotone_in_depth(self, results):
         rows = {r["layers"]: r for r in results["rows"]}
@@ -203,18 +201,14 @@ class TestTable2:
 
 class TestAblations:
     def test_partitioning_two_approx(self):
-        res = ablations.run_partitioning(
-            sizes=(1000, 4000), feature_dims=(512,), seed=0
-        )
+        res = ablations.run_partitioning(sizes=(1000, 4000), feature_dims=(512,))
         for row in res["rows"]:
             if row["thm2_conditions"]:
                 assert row["ratio_vs_ideal"] <= 2.0 + 1e-9
             assert row["ratio_vs_lb"] <= 2.2
 
     def test_eta_tradeoff(self):
-        res = ablations.run_dashboard_eta(
-            dataset="ppi", etas=(1.5, 3.0), num_subgraphs=2, seed=0
-        )
+        res = ablations.run_dashboard_eta(etas=(1.5, 3.0), num_subgraphs=2, seed=0)
         rows = {r["eta"]: r for r in res["rows"]}
         # Larger eta: fewer cleanups, more probes per pop, bigger table.
         assert rows[3.0]["cleanups_per_subgraph"] <= rows[1.5]["cleanups_per_subgraph"]

@@ -9,9 +9,7 @@ from repro.experiments import extensions
 
 class TestDepthAccuracy:
     def test_rows_and_monotone_cost(self):
-        res = extensions.run_depth_accuracy(
-            dataset="reddit", depths=(1, 2), hidden=16, epochs=2, seed=0
-        )
+        res = extensions.run_depth_accuracy(depths=(1, 2), hidden=16, epochs=2, seed=0)
         rows = res["rows"]
         assert [r["layers"] for r in rows] == [1, 2]
         assert rows[1]["gemm_flops_per_iter"] > rows[0]["gemm_flops_per_iter"]
@@ -23,7 +21,6 @@ class TestDepthAccuracy:
 class TestBudgetScaling:
     def test_budget_fraction_shrinks(self):
         res = extensions.run_budget_scaling(
-            dataset="reddit",
             base_scale=0.004,
             scale_factors=(1.0, 2.0),
             budget=150,

@@ -202,6 +202,19 @@ class TestObsReportErrors:
         ]
         assert any(line.startswith("prop.forward") for line in lines)
 
+    def test_a_truncated_document_is_one_line_and_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "OBS_cut.json"
+        path.write_text(json.dumps({"spans": [], "phases": {}})[:10])
+        assert main(["obs-report", "--trace", str(path)]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"obs-report: cannot read {path}: ")
+
+    def test_a_missing_file_is_one_line_and_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "OBS_absent.json"
+        assert main(["obs-report", "--trace", str(path), "--exemplars"]) == 1
+        out = capsys.readouterr().out
+        assert out == f"obs-report: cannot read {path}: No such file or directory\n"
+
 
 class TestBenchGateFlow:
     """bench-record -> bench-gate end to end on fabricated BENCH files."""

@@ -106,7 +106,7 @@ def test_draws_match_the_parent(point, engine):
 
 
 def test_sampler_bench_point_is_the_default_workload():
-    _, budget, frontier_size = _workload("reddit", None, 0, None, None)
+    _, budget, frontier_size = _workload(0)
     keywords = POINTS["sampler_bench"][3]
     assert (frontier_size, budget) == (keywords["frontier_size"], keywords["budget"])
 

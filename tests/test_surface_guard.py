@@ -42,13 +42,17 @@ is itself set by a run; ``super().__init__`` and building a class
 without its own ``__init__`` are calls to the base class; a keyword a
 ``**kwargs`` factory takes, or a key of a ``dict(...)`` / ``{...}``
 passed as a parameter the callee splats, is passed to what the splat
-calls. ``repro.experiments`` (``OPTIONS_EXEMPT``) is not checked: its
-defaults are the paper's sweep points, and a default forwarded from it
-sets the callee's option. The never-applied aggregation normalization,
-the samplers' lane width, the Dashboard's round size, Eq. 2's unit
-costs, ``TrainConfig.sampler_engine``, the kernel backend registry, the
-never-passed ``out=`` buffers, the index's caller-supplied cells and the
-cluster's graph partition went because no run set them.
+calls. No package is exempt: an experiment's sweep default stays a
+parameter only where a test shrinks it (``OPTIONS_ALLOWED`` names the
+test), and is a constant where nothing moves it. The never-applied
+aggregation normalization, the samplers' lane width, the Dashboard's
+round size, Eq. 2's unit costs, ``TrainConfig.sampler_engine``, the
+kernel backend registry, the never-passed ``out=`` buffers, the index's
+caller-supplied cells, the cluster's graph partition and the
+experiments' fixed sweep points (X1's machine, Fig. 4's machine, eta and
+``p_inter`` list, Table II's depths, cores and fitted constants, the
+serving corpora and server sizes, the sampler benches' workload) went
+because no run set them.
 
 One bench writer: nothing outside ``obs/record.py`` builds a
 ``BenchRecord`` (``write_bench`` builds it from what the runner states),
@@ -624,17 +628,11 @@ class TestNameDetector:
 
 # ---- every option is set by a run ---------------------------------------
 
-#: Packages whose defaults the option guard does not check, each for the
-#: reason given; a default forwarded from one counts as set by a run.
-OPTIONS_EXEMPT = {
-    "repro.experiments": (
-        "its defaults are the paper's sweep points, which tier-1 shrinks "
-        "to run in seconds"
-    ),
-}
+_EXPERIMENTS = "tests/experiments/test_experiments.py::"
+_EXTENSIONS = "tests/experiments/test_extensions.py::"
 
-#: Defaulted parameters no run passes: test seams, each naming the test
-#: that injects through it.
+#: Defaulted parameters no run passes: test seams, and the experiment
+#: sweep points tier-1 shrinks, each naming the test that passes it.
 OPTIONS_ALLOWED = {
     "repro.obs.trace.Tracer(clock)": "the fake clock of tests/obs/test_trace.py",
     "repro.obs.flight.FlightRecorder(clock)": (
@@ -662,6 +660,45 @@ OPTIONS_ALLOWED = {
         )
         for layer in ("BipartiteGCNLayer", "ConvOnlyLayer")
         for param in ("activation", "dtype")
+    },
+    "repro.experiments.ablations.run_dashboard_eta(etas)": (
+        f"two etas in {_EXPERIMENTS}TestAblations::test_eta_tradeoff"
+    ),
+    **{
+        f"repro.experiments.ablations.run_partitioning({param})": (
+            f"a 2 x 1 sweep in {_EXPERIMENTS}TestAblations::test_partitioning_two_approx"
+        )
+        for param in ("sizes", "feature_dims")
+    },
+    **{
+        f"repro.experiments.extensions.run_budget_scaling({param})": (
+            f"a two-point sweep in {_EXTENSIONS}TestBudgetScaling::"
+            "test_budget_fraction_shrinks"
+        )
+        for param in ("base_scale", "scale_factors", "budget", "hidden", "epochs")
+    },
+    **{
+        f"repro.experiments.extensions.run_depth_accuracy({param})": (
+            f"a two-depth sweep in {_EXTENSIONS}TestDepthAccuracy::"
+            "test_rows_and_monotone_cost"
+        )
+        for param in ("depths", "hidden", "epochs")
+    },
+    "repro.experiments.fig2.run_dataset(include_fastgcn)": (
+        f"the FastGCN curve of {_EXPERIMENTS}TestFig2"
+    ),
+    **{
+        f"repro.experiments.{module}.run(scales)": (
+            f"the half-size profiles of {_EXPERIMENTS}{cls}"
+        )
+        for module, cls in (("fig3", "TestFig3"), ("fig4", "TestFig4"), ("table1", "TestTable1"))
+    },
+    "repro.experiments.table2.run(scale)": f"the half-size Reddit of {_EXPERIMENTS}TestTable2",
+    **{
+        f"repro.experiments.plotting.ascii_plot({param})": (
+            "the small grids of tests/experiments/test_plotting.py::TestAsciiPlot"
+        )
+        for param in ("width", "height")
     },
 }
 
@@ -747,16 +784,13 @@ def _option_violations(
     package: str,
     exempt: set[str],
     allowed: dict[str, str],
-    sweeps: set[str] = frozenset(),
 ) -> list[str]:
     """What the option guard fails on: a defaulted parameter of a public
     function, method or constructor in a ``package`` module off ``exempt``
-    and outside the ``sweeps`` packages that no call outside its own body
-    sets (``module.Qual(param)``) and that is not on the allow-list, an
-    allow-list entry without a reason, or one for an option that is set
-    (or gone). Calls are matched to definitions by name, as the name guard
-    matches reads. A default in a ``sweeps`` package is a value a run
-    sets, so forwarding it sets the callee's option.
+    that no call outside its own body sets (``module.Qual(param)``) and
+    that is not on the allow-list, an allow-list entry without a reason,
+    or one for an option that is set (or gone). Calls are matched to
+    definitions by name, as the name guard matches reads.
 
     A keyword a function takes into ``**kwargs`` reaches every call its
     scope makes with ``**kwargs``; the keys of a ``{...}`` / ``dict(...)``
@@ -785,12 +819,8 @@ def _option_violations(
                 in_package = module is not None and (
                     module == package or module.startswith(f"{package}.")
                 )
-                sweep = module is not None and any(
-                    module == s or module.startswith(f"{s}.") for s in sweeps
-                )
                 checked = (
                     in_package
-                    and not sweep
                     and module not in exempt
                     and (isinstance(parent, ast.Module) or (method and len(qual) == 1))
                     and not any(part.startswith("_") for part in shown.split("."))
@@ -798,7 +828,7 @@ def _option_violations(
                 args = node.args
                 record = dict(
                     path=path, node=node, option=f"{module}.{shown}", positional=positional,
-                    defaulted=defaulted, checked=checked, sweep=sweep,
+                    defaulted=defaulted, checked=checked,
                     params={a.arg for a in args.posonlyargs + args.args + args.kwonlyargs},
                     varkw=args.kwarg.arg if args.kwarg else None,
                     scope=id(parent) if method else id(node),
@@ -812,12 +842,7 @@ def _option_violations(
             elif isinstance(node, ast.Assign):
                 targets = set().union(*map(_bound, node.targets))
                 assigns.setdefault(scope, []).append((targets, _mentions(node.value)))
-    set_by_run = {
-        (id(record["node"]), param)
-        for record in defs.values()
-        if record["sweep"]
-        for param in record["defaulted"]
-    }
+    set_by_run = set()
     forwards, spread_seen = [], set()
 
     def callees(path, call, names):
@@ -912,8 +937,7 @@ def _option_violations(
 def test_every_option_is_set_by_a_run():
     entries = [p for p in _entry_points(REPO) if not p.is_relative_to(SRC)]
     assert _option_violations(
-        SRC.parent, entries, "repro", set(UNREACHED_ALLOWED), OPTIONS_ALLOWED,
-        sweeps=set(OPTIONS_EXEMPT),
+        SRC.parent, entries, "repro", set(UNREACHED_ALLOWED), OPTIONS_ALLOWED
     ) == []
 
 
@@ -1003,7 +1027,7 @@ class TestOptionDetector:
     def _plant_splats(self, root: Path) -> tuple[Path, list[Path]]:
         """``pkg.index``: an index, a ``**kwargs`` factory that builds it,
         and a server that splats its ``index_kwargs`` into the factory
-        from another method; ``pkg.sweeps`` forwards its default."""
+        from another method; ``pkg.sweeps`` forwards its own unset default."""
         files = {
             "src/pkg/__init__.py": "",
             "src/pkg/index.py": (
@@ -1058,10 +1082,6 @@ class TestOptionDetector:
             "unset: pkg.index.Index(iters)",
             "unset: pkg.sweeps.run(iters)",
         ]
-
-    def test_a_sweep_default_forwarded_is_a_set(self, tmp_path):
-        src, entries = self._plant_splats(tmp_path)
-        assert _option_violations(src, entries, "pkg", set(), {}, sweeps={"pkg.sweeps"}) == []
 
 
 # ---- one bench writer ---------------------------------------------------

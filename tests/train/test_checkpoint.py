@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -82,3 +83,48 @@ class TestRoundtrip:
         load_checkpoint(fresh, path)
         after = fresh.forward(reddit_small.features, agg, train=False)
         assert np.allclose(before, after)
+
+
+class TestUnreadableArchive:
+    """A truncated or corrupt checkpoint reads as a ValueError naming its
+    path, never as a zipfile / EOF error from the archive reader."""
+
+    @pytest.mark.parametrize("size", ["half", 10, 0])
+    def test_a_truncated_archive_names_its_path(self, model, tmp_path, size):
+        path = save_checkpoint(model, tmp_path / "ckpt")
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2 if size == "half" else size])
+        for read in (checkpoint_metadata, lambda p: load_checkpoint(GCN(10, [8, 8], 5), p)):
+            with pytest.raises(ValueError, match=re.escape(f"cannot read checkpoint {path}")):
+                read(path)
+
+    def test_a_flipped_byte_fails_the_crc(self, model, tmp_path):
+        path = save_checkpoint(model, tmp_path / "ckpt")
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 3] ^= 0xFF  # inside a parameter array's bytes
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="Bad CRC-32") as info:
+            load_checkpoint(GCN(10, [8, 8], 5), path)
+        assert str(path) in str(info.value)
+
+    def test_a_missing_file_stays_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            checkpoint_metadata(tmp_path / "absent.npz")
+
+
+class TestAtomicSave:
+    def test_a_crash_mid_write_keeps_the_old_checkpoint(self, model, tmp_path, monkeypatch):
+        from repro.train import checkpoint
+
+        path = save_checkpoint(model, tmp_path / "ckpt")
+        before = path.read_bytes()
+
+        def crash(fh, **arrays):
+            fh.write(b"PK\x03\x04 half an archive")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(checkpoint.np, "savez", crash)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(GCN(10, [8, 8], 5, seed=99), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
