@@ -14,7 +14,7 @@ from repro.experiments.common import format_table
 def test_ablation_sampler_comparison(paper_bench):
     results = paper_bench(
         "ablation_samplers",
-        lambda: ablations.run_sampler_comparison(dataset="ppi", epochs=12, seed=0),
+        lambda: ablations.run_sampler_comparison(epochs=12, seed=0),
         text=lambda r: format_table(
             r["rows"], title="X4: sampler comparison (PPI profile)"
         ),

@@ -76,7 +76,7 @@ def main() -> None:
             f"sims {[round(float(x), 3) for x in s]}"
         )
 
-    report = embedding_report(restored, dataset, k=10)
+    report = embedding_report(restored, dataset)
     print("\nembedding quality:")
     for key, value in report.items():
         print(f"  {key:<24} {value:.3f}")

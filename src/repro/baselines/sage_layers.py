@@ -59,9 +59,12 @@ class BipartiteGCNLayer:
         """Propagate source-support features to the destination support."""
         h_agg = block.aggregate(h_src)
         h_self = block.gather_self(h_src)
-        z_neigh = kernel_ops.gemm(h_agg, self.params["W_neigh"]) + self.params["b_neigh"]
-        z_self = kernel_ops.gemm(h_self, self.params["W_self"]) + self.params["b_self"]
-        z = np.concatenate([z_neigh, z_self], axis=1)
+        z_neigh, z_self = kernel_ops.gemm_pair(
+            h_agg, self.params["W_neigh"], None, h_self, self.params["W_self"], None
+        )
+        z = np.concatenate(
+            [z_neigh + self.params["b_neigh"], z_self + self.params["b_self"]], axis=1
+        )
         out = relu(z) if self.activation == "relu" else z
         self._cache = (
             {"h_agg": h_agg, "h_self": h_self, "z": z, "block": block}
@@ -84,18 +87,19 @@ class BipartiteGCNLayer:
 
         dz = relu_grad(z, grad_out) if self.activation == "relu" else grad_out
         dz_neigh, dz_self = dz[:, : self.out_dim], dz[:, self.out_dim :]
-        kernel_ops.gemm(h_agg.T, dz_neigh, out=self.grads["W_neigh"])
-        kernel_ops.gemm(h_self.T, dz_self, out=self.grads["W_self"])
+        kernel_ops.gemm_pair(
+            h_agg.T, dz_neigh, self.grads["W_neigh"],
+            h_self.T, dz_self, self.grads["W_self"],
+        )
         dz_neigh.sum(axis=0, out=self.grads["b_neigh"])
         dz_self.sum(axis=0, out=self.grads["b_self"])
         if not input_grad:
             return None
-        d_src = block.aggregate_backward(
-            kernel_ops.gemm(dz_neigh, self.params["W_neigh"].T)
+        d_agg, d_self = kernel_ops.gemm_pair(
+            dz_neigh, self.params["W_neigh"].T, None, dz_self, self.params["W_self"].T, None
         )
-        d_src += block.gather_self_backward(
-            kernel_ops.gemm(dz_self, self.params["W_self"].T)
-        )
+        d_src = block.aggregate_backward(d_agg)
+        d_src += block.gather_self_backward(d_self)
         return d_src
 
 
@@ -151,10 +155,11 @@ class ConvOnlyLayer:
         z: np.ndarray = self._cache["z"]  # type: ignore[assignment]
         block: SampledBlock = self._cache["block"]  # type: ignore[assignment]
         dz = relu_grad(z, grad_out) if self.activation == "relu" else grad_out
-        kernel_ops.gemm(h_agg.T, dz, out=self.grads["W"])
         dz.sum(axis=0, out=self.grads["b"])
         if not input_grad:
+            kernel_ops.gemm(h_agg.T, dz, out=self.grads["W"])
             return None
-        return block.aggregate_backward(
-            kernel_ops.gemm(dz, self.params["W"].T)
+        _, d_agg = kernel_ops.gemm_pair(
+            h_agg.T, dz, self.grads["W"], dz, self.params["W"].T, None
         )
+        return block.aggregate_backward(d_agg)

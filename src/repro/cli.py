@@ -365,6 +365,7 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
     training series of ``benchmarks/history/``.
     """
     from . import obs
+    from .kernels.ops import blas_threads
     from .train.embedding import compute_embeddings
     from .train.trainer import GraphSamplingTrainer
 
@@ -395,10 +396,16 @@ def _run_train_bench(args: argparse.Namespace, out: pathlib.Path | None) -> None
     histograms = obs.metrics.get_registry().histograms
     results = {
         **doc["meta"],
-        # The workload (dataset, width) and the clock are part of the
-        # series key: a history series never pools across either.
+        # The workload (dataset, width), the clock and the threads
+        # OpenBLAS runs one call on are part of the series key: a history
+        # series never pools across any of them (a pinned run pairs a
+        # layer's products on two threads, an unpinned one does not).
         "clock": "wall",
-        "key_fields": {"dataset": args.dataset, "hidden": args.hidden},
+        "key_fields": {
+            "dataset": args.dataset,
+            "hidden": args.hidden,
+            "blas_threads": blas_threads(),
+        },
         "series": {
             name: MetricSeries(list(histograms[name].samples))
             for name in ("trainer.iteration_seconds", "trainer.evaluate_seconds", "embed_seconds")

@@ -438,13 +438,18 @@ class SnowballSampler(GraphSampler):
         return vertices, {}, None
 
 
+#: X4's dataset.
+SAMPLER_COMPARISON_DATASET = "ppi"
+
+
 def run_sampler_comparison(
     *,
-    dataset: str = "ppi",
     epochs: int = 10,
     seed: int = 0,
 ) -> dict[str, object]:
-    """X4: frontier vs alternative samplers, connectivity + accuracy."""
+    """X4: frontier vs alternative samplers, connectivity + accuracy, on
+    :data:`SAMPLER_COMPARISON_DATASET`."""
+    dataset = SAMPLER_COMPARISON_DATASET
     ds = make_dataset(dataset, scale=EXPERIMENT_SCALES[dataset], seed=seed)
     base_summary = connectivity_summary(ds.graph)
 

@@ -4,10 +4,12 @@ Every GEMM and SpMM in the repo dispatches through this package
 (Section V of the paper treats these two kernels as *the* performance
 story; GraphVite/GOSH make the same architectural bet). The pieces:
 
-* :mod:`repro.kernels.ops` — ``gemm`` / ``gemm_accumulate`` / ``spmm`` /
-  ``spmm_adjoint`` / block gather-scatter / elementwise helpers, all
-  metered; a call validates, names its shape class, runs the one BLAS
-  GEMM or scipy CSR SpMM and reports — it plans nothing;
+* :mod:`repro.kernels.ops` — ``gemm`` / ``gemm_pair`` / ``gemm_accumulate``
+  / ``spmm`` / ``spmm_adjoint`` / block gather-scatter / elementwise
+  helpers, all metered; a call validates, names its shape class, runs
+  the one BLAS GEMM or scipy CSR SpMM and reports — it plans nothing
+  (``gemm_pair`` runs two independent GEMMs on two threads when they
+  are wide and OpenBLAS runs one thread per call);
 * :mod:`repro.kernels.sparse` — the weak-ref-memoized scipy CSR
   adjacency every SpMM multiplies by, and the numpy ``add.reduceat``
   segment sum (the baselines' block aggregation and the SpMM oracle);
@@ -32,6 +34,7 @@ from .ops import (
     gather_segment_sum,
     gemm,
     gemm_accumulate,
+    gemm_pair,
     relu,
     relu_backward,
     scatter_add_rows,
@@ -52,6 +55,7 @@ __all__ = [
     "adjacency_cache_stats",
     "adjacency_matrix",
     "gemm",
+    "gemm_pair",
     "gemm_accumulate",
     "spmm",
     "spmm_adjoint",

@@ -17,6 +17,15 @@ and the serving indexes. A call is one straight line:
 4. report its exact flop count, modeled bytes and wall time —
    per shape class — to :mod:`repro.kernels.accounting`.
 
+:func:`gemm_pair` runs two independent GEMMs — a GCN layer's neighbor
+and self branch products — at once: the first on one worker thread, the
+second on the caller. It does so only when each product is at least
+:data:`PAIR_MIN_FLOPS`, OpenBLAS runs one thread per call (read from
+the library itself by :func:`blas_threads`) and the process may use two
+cores; otherwise it is the two serial :func:`gemm` calls. Each product
+is the same single-threaded BLAS call on the same operands either way,
+so the results are the same bits.
+
 Every function is *bit-identical* to the raw numpy expression it
 replaced (``a @ b``, gather + ``add.reduceat``, ...), which is what
 keeps the float64 reference dtype policy reproducing seed-era results
@@ -26,6 +35,11 @@ the tree so no raw matmul creeps back in outside this package.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import queue
+import threading
 import time
 from typing import TYPE_CHECKING, Optional
 
@@ -40,6 +54,7 @@ from .sparse import adjacency_matrix, segment_sum
 
 __all__ = [
     "gemm",
+    "gemm_pair",
     "gemm_accumulate",
     "spmm",
     "spmm_adjoint",
@@ -84,6 +99,140 @@ def gemm(
         itemsize=result.dtype.itemsize,
     )
     return result
+
+
+#: Flops each product of a :func:`gemm_pair` needs before the pair runs
+#: on two threads. Below it the handoff to the worker costs more than
+#: the overlap wins; every training product of the 140-vertex PPI
+#: subgraphs (at most 9.2 Mflop) stays serial.
+PAIR_MIN_FLOPS = 2.0**24
+
+#: The thread-count query of the OpenBLAS build numpy's wheels bundle.
+_BLAS_THREAD_SYMBOL = "scipy_openblas_get_num_threads64_"
+
+
+@functools.cache
+def _blas_thread_query():
+    """OpenBLAS's ``get_num_threads`` as a ctypes function, or ``None``.
+
+    Looked up through numpy's own extension module, whose symbol scope
+    holds the BLAS library it was linked with."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        query = getattr(ctypes.CDLL(umath.__file__), _BLAS_THREAD_SYMBOL)
+    except (ImportError, OSError, AttributeError):
+        return None
+    query.restype = ctypes.c_int
+    query.argtypes = []
+    return query
+
+
+def blas_threads() -> Optional[int]:
+    """Threads the BLAS library runs one call on, as the library reports
+    it; ``None`` when it cannot be read (then no pair runs concurrently)."""
+    query = _blas_thread_query()
+    return None if query is None else int(query())
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _PairWorker:
+    """The one thread that runs the first product of a concurrent pair.
+
+    Started on first use; it only writes into the caller's ``out`` and
+    reports the product's wall seconds or its exception. ``busy`` is
+    held for one pair, so a second thread calling :func:`gemm_pair`
+    meanwhile runs its pair serially instead of queueing behind it.
+    """
+
+    def __init__(self) -> None:
+        self.busy = threading.Lock()
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._results: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: Optional[threading.Thread] = None
+
+    def _run(self) -> None:
+        while True:
+            a, b, out = self._tasks.get()
+            t0 = _perf_counter()
+            try:
+                np.matmul(a, b, out=out)
+            except BaseException as exc:  # handed to the caller
+                self._results.put(exc)
+            else:
+                self._results.put(_perf_counter() - t0)
+
+    def submit(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._run, name="gemm-pair", daemon=True
+            )
+            self._thread.start()
+        self._tasks.put((a, b, out))
+
+    def join(self) -> float:
+        """The submitted product's wall seconds; re-raises its error."""
+        result = self._results.get()
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+
+_PAIR_WORKER = _PairWorker()
+# A forked child inherits the worker's state but not its thread.
+os.register_at_fork(after_in_child=_PAIR_WORKER.__init__)
+
+
+def gemm_pair(
+    a1: np.ndarray,
+    b1: np.ndarray,
+    out1: Optional[np.ndarray],
+    a2: np.ndarray,
+    b2: np.ndarray,
+    out2: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent metered products ``a1 @ b1`` and ``a2 @ b2``.
+
+    Each ``out`` is the caller's buffer or ``None`` (a fresh array). When
+    both products reach :data:`PAIR_MIN_FLOPS`, :func:`blas_threads` is 1
+    and two cores are usable, the first runs on the worker thread while
+    the caller runs the second through :func:`gemm`; the first is then
+    recorded to :mod:`~repro.kernels.accounting` on the caller, under
+    the shape class :func:`gemm` would have given it. Otherwise this is
+    ``gemm(a1, b1, out=out1), gemm(a2, b2, out=out2)``.
+    """
+    worker = _PAIR_WORKER
+    # a.size * b.shape[-1] is m * k * n; the serial path leaves the
+    # validation to gemm, so a small pair pays for it once.
+    if (
+        2.0 * min(a1.size * b1.shape[-1], a2.size * b2.shape[-1]) < PAIR_MIN_FLOPS
+        or blas_threads() != 1
+        or _usable_cores() < 2
+        or not worker.busy.acquire(blocking=False)
+    ):
+        return gemm(a1, b1, out=out1), gemm(a2, b2, out=out2)
+    try:
+        class_key = _gemm_class_key(a1, b1, out1)
+        _gemm_class_key(a2, b2, out2)
+        m, k, n = a1.shape[0], a1.shape[1], b1.shape[1]
+        first = out1 if out1 is not None else np.empty((m, n), np.result_type(a1, b1))
+        worker.submit(a1, b1, first)
+        try:
+            second = gemm(a2, b2, out=out2)
+        finally:
+            seconds = worker.join()
+    finally:
+        worker.busy.release()
+    accounting.record_gemm(
+        m, k, n, seconds, class_key=class_key, itemsize=first.dtype.itemsize
+    )
+    return first, second
 
 
 def gemm_accumulate(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

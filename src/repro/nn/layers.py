@@ -28,7 +28,11 @@ Every matrix multiply dispatches through :mod:`repro.kernels`. A GCN
 layer's forward writes both branch GEMMs into the halves of one fresh
 pre-activation ``z``, adds the bias in place and applies ReLU (in place
 when ``train=False`` — nothing reads ``z`` again), so every array a layer
-returns belongs to its caller.
+returns belongs to its caller. Products that do not depend on each other
+— the two branches, the two weight gradients, the two input-gradient
+halves, a dense layer's ``dW`` and ``dx`` — go through
+:func:`repro.kernels.ops.gemm_pair`, which runs a wide pair on two
+threads with the same bits as two serial calls.
 """
 
 from __future__ import annotations
@@ -128,8 +132,9 @@ class GCNLayer:
         # concat disappears.
         z_neigh = z[:, : self.out_dim]
         z_self = z[:, self.out_dim :]
-        kernel_ops.gemm(h_agg, self.params["W_neigh"], out=z_neigh)
-        kernel_ops.gemm(features, self.params["W_self"], out=z_self)
+        kernel_ops.gemm_pair(
+            h_agg, self.params["W_neigh"], z_neigh, features, self.params["W_self"], z_self
+        )
         z_neigh += self.params["b_neigh"]
         z_self += self.params["b_self"]
         if self.activation != "relu":
@@ -165,15 +170,18 @@ class GCNLayer:
         dz_neigh = dz[:, : self.out_dim]
         dz_self = dz[:, self.out_dim :]
 
-        kernel_ops.gemm(h_agg.T, dz_neigh, out=self.grads["W_neigh"])
-        kernel_ops.gemm(features.T, dz_self, out=self.grads["W_self"])
+        kernel_ops.gemm_pair(
+            h_agg.T, dz_neigh, self.grads["W_neigh"],
+            features.T, dz_self, self.grads["W_self"],
+        )
         dz_neigh.sum(axis=0, out=self.grads["b_neigh"])
         dz_self.sum(axis=0, out=self.grads["b_self"])
         if not input_grad:
             return None
 
-        d_h_agg = kernel_ops.gemm(dz_neigh, self.params["W_neigh"].T)
-        d_features = kernel_ops.gemm(dz_self, self.params["W_self"].T)
+        d_h_agg, d_features = kernel_ops.gemm_pair(
+            dz_neigh, self.params["W_neigh"].T, None, dz_self, self.params["W_self"].T, None
+        )
         d_features += aggregator.backward(d_h_agg)
         return d_features
 
@@ -222,9 +230,11 @@ class DenseLayer:
             raise RuntimeError("backward called without a cached forward(train=True)")
         x, z = self._cache["x"], self._cache["z"]
         dz = relu_grad(z, grad_out) if self.activation == "relu" else grad_out
-        kernel_ops.gemm(x.T, dz, out=self.grads["W"])
+        _, dx = kernel_ops.gemm_pair(
+            x.T, dz, self.grads["W"], dz, self.params["W"].T, None
+        )
         dz.sum(axis=0, out=self.grads["b"])
-        return kernel_ops.gemm(dz, self.params["W"].T)
+        return dx
 
 
 class Dropout:

@@ -92,16 +92,15 @@ def label_homogeneity(
     return float((jac >= 0.5).mean())
 
 
-def embedding_report(model: GCN, dataset: Dataset, *, k: int = 10) -> dict[str, float]:
-    """Summary quality metrics of a model's embeddings on a dataset."""
+def embedding_report(model: GCN, dataset: Dataset) -> dict[str, float]:
+    """Summary quality metrics of a model's embeddings on a dataset, at
+    :func:`label_homogeneity`'s default ``k``."""
     emb = compute_embeddings(model, dataset)
     rng = np.random.default_rng(0)
-    homog = label_homogeneity(emb, dataset.labels, k=k, rng=rng)
+    homog = label_homogeneity(emb, dataset.labels, rng=rng)
     # Base rate: homogeneity of random neighbor assignment.
     perm = rng.permutation(dataset.num_vertices)
-    base = label_homogeneity(
-        emb[perm], dataset.labels, k=k, rng=np.random.default_rng(0)
-    )
+    base = label_homogeneity(emb[perm], dataset.labels, rng=np.random.default_rng(0))
     return {
         "embedding_dim": float(emb.shape[1]),
         "label_homogeneity@k": homog,

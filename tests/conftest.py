@@ -87,3 +87,34 @@ def ppi_small():
 def reddit_small():
     """A small Reddit-profile dataset (session-cached, ~1160 vertices)."""
     return make_dataset("reddit", scale=0.005, seed=11)
+
+
+@pytest.fixture
+def gemm_pair_mode(monkeypatch):
+    """Puts :func:`repro.kernels.ops.gemm_pair` in a given regime.
+
+    ``gemm_pair_mode(threads, cores)`` makes the BLAS thread-count probe
+    read ``threads`` and the process see ``cores`` usable cores; the
+    returned list gains one entry per product handed to the worker
+    thread. ``gemm_pair_mode(1, 2)`` is a pinned two-core host, where a
+    pair above the flop floor runs concurrently.
+    """
+    from repro.kernels import ops
+
+    submitted: list[tuple[int, ...]] = []
+    worker = ops._PAIR_WORKER
+    real_submit = worker.submit
+
+    def counted_submit(a, b, out):
+        submitted.append((a.shape[0], a.shape[1], b.shape[1]))
+        real_submit(a, b, out)
+
+    monkeypatch.setattr(worker, "submit", counted_submit)
+
+    def set_mode(threads, cores=2):
+        monkeypatch.setattr(ops, "blas_threads", lambda: threads)
+        monkeypatch.setattr(ops, "_usable_cores", lambda: cores)
+        submitted.clear()
+        return submitted
+
+    return set_mode

@@ -223,7 +223,7 @@ class TestAblations:
             assert 0.0 <= r["mean_pairwise_jaccard"] <= 1.0
 
     def test_sampler_comparison_rows(self):
-        res = ablations.run_sampler_comparison(dataset="ppi", epochs=2, seed=0)
+        res = ablations.run_sampler_comparison(epochs=2, seed=0)
         names = {r["sampler"] for r in res["rows"]}
         assert names == {
             "frontier",

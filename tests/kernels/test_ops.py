@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kernels import accounting
 from repro.kernels import ops as kernel_ops
 from repro.kernels.sparse import adjacency_matrix
 from repro.propagation.spmm import spmm_sum_numpy
@@ -36,6 +37,167 @@ class TestGemm:
             kernel_ops.gemm(
                 rng.standard_normal((3, 4)), rng.standard_normal((5, 2))
             )
+
+
+#: A reddit_wide subgraph's layer products: 326 vertices, f = 602 into
+#: the first layer and 2 x 512 into the second, 512 wide per branch.
+WIDE = ((326, 602, 512), (326, 1024, 512))
+
+
+def _class_calls_and_flops() -> dict[str, tuple[int, float]]:
+    return {k: (c.calls, c.flops) for k, c in accounting.PER_CLASS.items()}
+
+
+def _delta(before, after) -> dict[str, tuple[int, float]]:
+    return {
+        k: (calls - before.get(k, (0, 0.0))[0], flops - before.get(k, (0, 0.0))[1])
+        for k, (calls, flops) in after.items()
+        if (calls, flops) != before.get(k)
+    }
+
+
+class TestGemmPair:
+    """``gemm_pair`` on both of its paths: the same bits and the same
+    metering whether the first product runs on the worker or not."""
+
+    def _operands(self, rng, m, k, n):
+        return [rng.standard_normal(shape) for shape in ((m, k), (k, n), (m, k), (k, n))]
+
+    def _run(self, a1, b1, a2, b2, into_z):
+        if into_z:  # the forward's halves of one pre-activation z
+            z = np.empty((a1.shape[0], b1.shape[1] + b2.shape[1]))
+            first, second = z[:, : b1.shape[1]], z[:, b1.shape[1] :]
+            returned = kernel_ops.gemm_pair(a1, b1, first, a2, b2, second)
+            assert returned[0] is first and returned[1] is second
+            return z
+        return np.concatenate(kernel_ops.gemm_pair(a1, b1, None, a2, b2, None), axis=1)
+
+    @pytest.mark.parametrize("shape", WIDE)
+    @pytest.mark.parametrize("into_z", [True, False])
+    def test_concurrent_pair_is_two_serial_gemms(self, rng, gemm_pair_mode, shape, into_z):
+        a1, b1, a2, b2 = self._operands(rng, *shape)
+        serial = np.concatenate(
+            [kernel_ops.gemm(a1, b1), kernel_ops.gemm(a2, b2)], axis=1
+        )
+        submitted = gemm_pair_mode(1)
+        before = _class_calls_and_flops()
+        with accounting.capture() as seen:
+            paired = self._run(a1, b1, a2, b2, into_z)
+        assert submitted == [shape]
+        np.testing.assert_array_equal(paired, serial)
+        # one call per product, under the class gemm() would give it
+        variant = "out" if into_z else "alloc"
+        key = accounting.ShapeClass.for_gemm(*shape, np.dtype(np.float64), variant=variant).key
+        assert _delta(before, _class_calls_and_flops()) == {
+            key: (2, 2 * accounting.gemm_flop_count(*shape))
+        }
+        assert (seen.gemm_calls, seen.gemm_flops) == (2, 2 * accounting.gemm_flop_count(*shape))
+        assert seen.gemm_seconds > 0
+
+    def test_transposed_operands_and_mixed_outputs(self, rng, gemm_pair_mode):
+        # A weight-gradient pair (h^T dz into a grad buffer) beside an
+        # input-gradient product (dz W^T, fresh): DenseLayer.backward's.
+        h, dz, w = (rng.standard_normal(s) for s in ((326, 1024), (326, 512), (1024, 512)))
+        grad = np.empty((1024, 512))
+        gemm_pair_mode(1)
+        returned, dx = kernel_ops.gemm_pair(h.T, dz, grad, dz, w.T, None)
+        assert returned is grad
+        np.testing.assert_array_equal(grad, kernel_ops.gemm(h.T, dz))
+        np.testing.assert_array_equal(dx, kernel_ops.gemm(dz, w.T))
+
+    @pytest.mark.parametrize(
+        "threads, cores, shape",
+        [
+            (1, 2, (64, 128, 512)),  # 2^23 flops: under the floor
+            (2, 2, WIDE[0]),  # OpenBLAS threads its own calls
+            (None, 2, WIDE[0]),  # the thread count cannot be read
+            (1, 1, WIDE[0]),  # one usable core
+        ],
+    )
+    def test_serial_unless_all_three_conditions_hold(
+        self, rng, gemm_pair_mode, threads, cores, shape
+    ):
+        a1, b1, a2, b2 = self._operands(rng, *shape)
+        submitted = gemm_pair_mode(threads, cores)
+        before = _class_calls_and_flops()
+        first, second = kernel_ops.gemm_pair(a1, b1, None, a2, b2, None)
+        assert submitted == []
+        np.testing.assert_array_equal(first, a1 @ b1)
+        np.testing.assert_array_equal(second, a2 @ b2)
+        assert sum(c for c, _ in _delta(before, _class_calls_and_flops()).values()) == 2
+
+    def test_floor_is_per_product(self, rng, gemm_pair_mode):
+        big = self._operands(rng, *WIDE[0])
+        small = self._operands(rng, 8, 8, 8)
+        submitted = gemm_pair_mode(1)
+        kernel_ops.gemm_pair(big[0], big[1], None, small[2], small[3], None)
+        kernel_ops.gemm_pair(small[0], small[1], None, big[2], big[3], None)
+        assert submitted == []
+
+    def test_a_busy_worker_means_a_serial_pair(self, rng, gemm_pair_mode):
+        a1, b1, a2, b2 = self._operands(rng, *WIDE[0])
+        submitted = gemm_pair_mode(1)
+        with kernel_ops._PAIR_WORKER.busy:  # another thread's pair
+            first, _ = kernel_ops.gemm_pair(a1, b1, None, a2, b2, None)
+        assert submitted == []
+        np.testing.assert_array_equal(first, a1 @ b1)
+
+    def test_concurrent_callers_each_get_their_own_products(self, gemm_pair_mode):
+        # Four threads pairing at once on two cores, switching often: one
+        # holds the worker, the others fall back to serial, and a result
+        # handed to the wrong caller would break the equality.
+        import sys
+        import threading
+
+        submitted = gemm_pair_mode(1)
+        shape = (256, 256, 256)  # 2^25 flops a product
+        operands = [self._operands(np.random.default_rng(seed), *shape) for seed in range(4)]
+        expected = [(a1 @ b1, a2 @ b2) for a1, b1, a2, b2 in operands]
+        mismatches = []
+
+        def caller(i):
+            a1, b1, a2, b2 = operands[i]
+            for _ in range(5):
+                first, second = kernel_ops.gemm_pair(a1, b1, None, a2, b2, None)
+                if not (np.array_equal(first, expected[i][0]) and np.array_equal(second, expected[i][1])):
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+        assert submitted  # the worker ran some of the pairs
+
+    def test_worker_error_reaches_the_caller(self, rng, gemm_pair_mode):
+        a1, b1, a2, b2 = self._operands(rng, *WIDE[0])
+        submitted = gemm_pair_mode(1)
+        before = _class_calls_and_flops()
+        with pytest.raises(ValueError):  # matmul rejects the out shape
+            kernel_ops.gemm_pair(a1, b1, np.empty((3, 3)), a2, b2, None)
+        assert submitted == [WIDE[0]]
+        # the caller's half was recorded, the failed product was not
+        assert sum(c for c, _ in _delta(before, _class_calls_and_flops()).values()) == 1
+        # and the worker takes the next pair
+        first, _ = kernel_ops.gemm_pair(a1, b1, None, a2, b2, None)
+        assert len(submitted) == 2
+        np.testing.assert_array_equal(first, a1 @ b1)
+
+    def test_validates_both_products_first(self, rng, gemm_pair_mode):
+        a1, b1, a2, b2 = self._operands(rng, *WIDE[0])
+        submitted = gemm_pair_mode(1)
+        with pytest.raises(ValueError, match="mismatch"):
+            kernel_ops.gemm_pair(a1, b1, None, a2, b2.T, None)
+        with pytest.raises(ValueError, match="2-D"):
+            kernel_ops.gemm_pair(a1[0], b1, None, a2, b2, None)
+        assert submitted == []
 
 
 class TestGemmAccumulate:

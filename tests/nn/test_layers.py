@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.blocks import SampledBlock
+from repro.baselines.sage_layers import BipartiteGCNLayer
+from repro.kernels import accounting
 from repro.nn.gradcheck import check_gradients, max_relative_error, numerical_gradient
 from repro.nn.layers import DenseLayer, Dropout, GCNLayer
 from repro.propagation.spmm import MeanAggregator
@@ -197,6 +200,130 @@ class TestDenseLayer:
         check_gradients(loss, layer.params, layer.grads, sample=8, tol=1e-4)
         idx, numeric = numerical_gradient(loss, x, sample=8, rng=rng)
         assert max_relative_error(dx.reshape(-1)[idx], numeric) < 1e-4
+
+
+#: reddit_wide's operating point: 326-vertex subgraphs, f = 602 into the
+#: first layer, 2 x 512 into the second, 512 per branch.
+WIDE_ROWS, WIDE_IN, WIDE_OUT = 326, (602, 1024), 512
+
+
+@pytest.fixture(scope="module")
+def wide_aggregator():
+    from repro.graphs import DCSBMParams, dcsbm_graph
+
+    params = DCSBMParams(
+        num_vertices=WIDE_ROWS, num_blocks=4, avg_degree=10.0, exponent=2.5, mixing=0.2
+    )
+    graph, _ = dcsbm_graph(params, rng=np.random.default_rng(3))
+    return MeanAggregator(graph)
+
+
+def _wide_block(rng, num_src=600, fanout=5) -> SampledBlock:
+    return SampledBlock(
+        num_src=num_src,
+        num_dst=WIDE_ROWS,
+        indptr=np.arange(WIDE_ROWS + 1, dtype=np.int64) * fanout,
+        neighbor_pos=rng.integers(0, num_src, WIDE_ROWS * fanout),
+        self_pos=np.arange(WIDE_ROWS, dtype=np.int64),
+    )
+
+
+def _on_both_paths(gemm_pair_mode, step):
+    """``step()``'s arrays with the pairs serial, then concurrent; and
+    the products the concurrent run handed to the worker."""
+    gemm_pair_mode(2)  # OpenBLAS on its own threads: every pair serial
+    serial = step()
+    submitted = gemm_pair_mode(1)
+    return serial, step(), list(submitted)
+
+
+def _assert_same_bits(serial: dict, paired: dict) -> None:
+    assert serial.keys() == paired.keys()
+    for name in serial:
+        assert serial[name].dtype == paired[name].dtype, name
+        assert np.array_equal(serial[name], paired[name]), name
+
+
+class TestPairedProducts:
+    """At reddit_wide's shapes every pair of independent products runs
+    on the worker thread, and every output and gradient keeps the bits
+    of the serial ``ops.gemm`` calls."""
+
+    @pytest.mark.parametrize("in_dim", WIDE_IN)
+    def test_gcn_layer(self, gemm_pair_mode, wide_aggregator, in_dim):
+        x = np.random.default_rng(1).standard_normal((WIDE_ROWS, in_dim))
+        grad = np.random.default_rng(2).standard_normal((WIDE_ROWS, 2 * WIDE_OUT))
+
+        def step():
+            layer = GCNLayer(in_dim, WIDE_OUT, rng=np.random.default_rng(0))
+            out = layer.forward(x, wide_aggregator)
+            dx = layer.backward(grad)
+            inference = layer.forward(x, wide_aggregator, train=False)
+            return {"out": out, "dx": dx, "inference": inference, **layer.grads}
+
+        serial, paired, submitted = _on_both_paths(gemm_pair_mode, step)
+        _assert_same_bits(serial, paired)
+        # forward (twice), weight gradients, input gradients
+        assert len(submitted) == 4
+
+    def test_dense_layer(self, gemm_pair_mode):
+        x = np.random.default_rng(1).standard_normal((WIDE_ROWS, 2 * WIDE_OUT))
+        grad = np.random.default_rng(2).standard_normal((WIDE_ROWS, WIDE_OUT))
+
+        def step():
+            layer = DenseLayer(2 * WIDE_OUT, WIDE_OUT, rng=np.random.default_rng(0))
+            out = layer.forward(x)
+            return {"out": out, "dx": layer.backward(grad), **layer.grads}
+
+        serial, paired, submitted = _on_both_paths(gemm_pair_mode, step)
+        _assert_same_bits(serial, paired)
+        assert submitted == [(2 * WIDE_OUT, WIDE_ROWS, WIDE_OUT)]  # dW beside dx
+
+    @pytest.mark.parametrize("in_dim", WIDE_IN)
+    def test_bipartite_gcn_layer(self, gemm_pair_mode, in_dim):
+        block = _wide_block(np.random.default_rng(4))
+        h = np.random.default_rng(1).standard_normal((block.num_src, in_dim))
+        grad = np.random.default_rng(2).standard_normal((WIDE_ROWS, 2 * WIDE_OUT))
+
+        def step():
+            layer = BipartiteGCNLayer(in_dim, WIDE_OUT, rng=np.random.default_rng(0))
+            out = layer.forward(h, block)
+            return {"out": out, "dx": layer.backward(grad), **layer.grads}
+
+        serial, paired, submitted = _on_both_paths(gemm_pair_mode, step)
+        _assert_same_bits(serial, paired)
+        assert len(submitted) == 3
+
+    def test_training_iteration_meters_the_same(self, gemm_pair_mode, reddit_small):
+        from repro.train.config import TrainConfig
+        from repro.train.trainer import GraphSamplingTrainer, TrainResult
+
+        cfg = TrainConfig(hidden_dims=(WIDE_OUT, WIDE_OUT), frontier_size=40, budget=326)
+
+        def step():
+            before = {k: (c.calls, c.flops) for k, c in accounting.PER_CLASS.items()}
+            with GraphSamplingTrainer(reddit_small, cfg) as trainer:
+                with accounting.capture() as seen:
+                    trainer.train_iteration(0, TrainResult())
+                params = {
+                    f"{i}.{name}": value
+                    for i, layer in enumerate([*trainer.model.layers, trainer.model.head])
+                    for name, value in layer.params.items()
+                }
+            per_class = {
+                k: (c.calls - before.get(k, (0, 0.0))[0], c.flops - before.get(k, (0, 0.0))[1])
+                for k, c in accounting.PER_CLASS.items()
+            }
+            counts = (seen.gemm_calls, seen.gemm_flops, seen.spmm_calls, seen.spmm_flops)
+            return params, {k: v for k, v in per_class.items() if v[0]}, counts
+
+        (serial, serial_classes, serial_counts), (paired, paired_classes, paired_counts), submitted = (
+            _on_both_paths(gemm_pair_mode, step)
+        )
+        _assert_same_bits(serial, paired)
+        assert paired_classes == serial_classes
+        assert paired_counts == serial_counts
+        assert submitted
 
 
 class TestDropout:

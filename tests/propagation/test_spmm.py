@@ -139,6 +139,8 @@ class TestFullGraphInput:
 
         ds = make_dataset("ppi", scale=0.01, seed=3)
         full_graph_input(ds, np.float64)
+        # Entries of datasets earlier tests dropped die here, not below.
+        gc.collect()
         live = input_aggregate_stats()["live_entries"]
         del ds
         gc.collect()

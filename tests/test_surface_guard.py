@@ -36,7 +36,9 @@ And for each option: every defaulted parameter of a public function,
 method or constructor in a ``repro`` module a run reaches is passed, by
 keyword or position, by some call in ``src/repro`` or an entry point
 outside its own body — else it sits on ``OPTIONS_ALLOWED`` with the
-test that injects through it. A bare forward of the caller's own
+test that injects through it. Passing the parameter's own constant
+default (``activation="relu"`` where the default is ``"relu"``) sets
+nothing. A bare forward of the caller's own
 same-named parameter (``engine=engine``) counts only when that parameter
 is itself set by a run; ``super().__init__`` and building a class
 without its own ``__init__`` are calls to the base class; a keyword a
@@ -661,6 +663,34 @@ OPTIONS_ALLOWED = {
         for layer in ("BipartiteGCNLayer", "ConvOnlyLayer")
         for param in ("activation", "dtype")
     },
+    "repro.nn.layers.GCNLayer(activation)": (
+        "the identity-activation gradient checks of tests/nn/test_layers.py::"
+        "TestGCNLayerGradients and tests/nn/test_gradcheck_policies.py"
+    ),
+    "repro.nn.layers.DenseLayer(activation)": (
+        "the ReLU head of tests/nn/test_layers.py::TestDenseLayer::test_gradients"
+    ),
+    "repro.graphs.csr.edges_to_csr(dedup)": (
+        "the parallel edges of tests/graphs/test_csr.py::TestConstruction::"
+        "test_keep_parallel_edges_when_requested"
+    ),
+    "repro.graphs.csr.edges_to_csr(symmetrize)": (
+        "the directed edge list of tests/graphs/test_csr.py::TestConstruction::test_no_symmetrize"
+    ),
+    "repro.graphs.features.smooth_features(alpha)": (
+        "alpha 0.7 in tests/graphs/test_features.py::TestSmoothing::"
+        "test_increases_edge_correlation"
+    ),
+    "repro.graphs.generators.power_law_weights(w_min)": (
+        "the inverted bounds of tests/graphs/test_generators.py::TestPowerLawWeights::"
+        "test_invalid_bounds"
+    ),
+    "repro.train.embedding.label_homogeneity(k)": (
+        "k = 5 in tests/train/test_embedding.py::TestHomogeneity::test_perfectly_clustered"
+    ),
+    "repro.experiments.ablations.run_degree_cap(num_subgraphs)": (
+        f"three subgraphs in {_EXPERIMENTS}TestAblations::test_degree_cap_rows"
+    ),
     "repro.experiments.ablations.run_dashboard_eta(etas)": (
         f"two etas in {_EXPERIMENTS}TestAblations::test_eta_tradeoff"
     ),
@@ -721,15 +751,27 @@ def _walk_scoped(tree: ast.Module):
     yield from visit(tree, None, None, None, ())
 
 
-def _signature(node: ast.FunctionDef, method: bool) -> tuple[list[str], set[str]]:
+def _signature(node: ast.FunctionDef, method: bool) -> tuple[list[str], dict[str, ast.AST]]:
     """``(positional parameters as a call passes them, defaulted
-    parameters)`` of a ``def``."""
+    parameter -> its default)`` of a ``def``."""
     args = node.args
     positional = [a.arg for a in args.posonlyargs + args.args]
-    defaulted = set(positional[len(positional) - len(args.defaults):]) if args.defaults else set()
-    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    defaulted = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    defaulted |= {a.arg: d for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
     static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
     return (positional[1:] if method and not static else positional), defaulted
+
+
+def _is_own_default(value: ast.AST, default: ast.AST) -> bool:
+    """``value`` is the same constant as the parameter's constant default
+    (``activation="relu"`` against ``activation="relu"``): passing it
+    sets nothing."""
+    return (
+        isinstance(value, ast.Constant)
+        and isinstance(default, ast.Constant)
+        and type(value.value) is type(default.value)
+        and value.value == default.value
+    )
 
 
 def _callee_names(call: ast.Call, cls: ast.ClassDef | None) -> list[str]:
@@ -870,7 +912,7 @@ def _option_violations(
             )
             if forward:
                 forwards.append((option, (id(caller["node"]), param)))
-            else:
+            elif not _is_own_default(value, record["defaulted"][param]):
                 set_by_run.add(option)
         for key, item in _literal_items(value):
             spread(record, param, key, item, caller)
@@ -1024,6 +1066,30 @@ class TestOptionDetector:
             "stale allow: pkg.lib.gone(x)",
         ]
 
+    def test_passing_the_own_default_is_no_set(self, tmp_path):
+        # mode is passed only as its own default, by keyword and by
+        # position; scale gets 2.0 once (a set) and its default 1.0
+        # elsewhere; flag's default False is not the int 0 passed.
+        files = {
+            "src/pkg/__init__.py": "",
+            "src/pkg/layer.py": (
+                "class Layer:\n"
+                "    def __init__(self, dim, mode='relu', *, scale=1.0, flag=False):\n"
+                "        self.dim = dim\n"
+            ),
+            "tools/run.py": (
+                "from pkg.layer import Layer\n"
+                "Layer(3, mode='relu', scale=1.0)\n"
+                "Layer(3, 'relu', scale=2.0, flag=0)\n"
+            ),
+        }
+        for rel, text in files.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text)
+        assert _option_violations(
+            tmp_path / "src", [tmp_path / "tools/run.py"], "pkg", set(), {}
+        ) == ["unset: pkg.layer.Layer(mode)"]
+
     def _plant_splats(self, root: Path) -> tuple[Path, list[Path]]:
         """``pkg.index``: an index, a ``**kwargs`` factory that builds it,
         and a server that splats its ``index_kwargs`` into the factory
@@ -1052,7 +1118,7 @@ class TestOptionDetector:
             "tools/run.py": (
                 "from pkg.index import Server, build\n"
                 "from pkg.sweeps import run\n"
-                "build([1], 'index', probes=2)\n"
+                "build([1], 'flat', probes=2)\n"
                 "Server([1], index_kwargs=dict(cells=3))\n"
                 "run([1])\n"
             ),
@@ -1133,6 +1199,9 @@ PINNED_KEYS = {
     ("train_bench", "25b666d6410c"): (0, {"clock": "wall", "key_fields": {"dataset": "ppi", "hidden": 128}}),
     ("train_bench", "dedde2e9dbd7"): (0, {"clock": "wall", "key_fields": {"dataset": "yelp", "hidden": 128}}),
     ("train_bench", "773e476900fb"): (0, {"clock": "wall", "key_fields": {"dataset": "reddit", "hidden": 512}}),
+    ("train_bench", "83aaf52624f5"): (
+        0, {"clock": "wall", "key_fields": {"dataset": "reddit", "hidden": 512, "blas_threads": 1}}
+    ),
     ("serve_refresh", "6e0722366c92"): (0, {"clock": "wall", "key_fields": {"shard": "1792x256", "cells": 32}}),
     ("serve_search", "018228edfe71"): (0, {"clock": "wall", "key_fields": {"dim": 256}}),
     ("serve_replay", "9d1dbd7a8dfc"): (0, {"clock": "wall", "key_fields": {"corpus": "1864x1024", "cells": 8}}),

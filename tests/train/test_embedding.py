@@ -156,7 +156,7 @@ class TestReport:
             ),
         )
         trainer.train()
-        report = embedding_report(trainer.model, reddit_small, k=10)
+        report = embedding_report(trainer.model, reddit_small)
         assert report["lift"] > 1.5
         assert report["label_homogeneity@k"] > report["shuffled_base_rate"]
 
