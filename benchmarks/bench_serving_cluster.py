@@ -79,20 +79,29 @@ def test_cluster_serving(paper_bench):
 # cells over 4 shards.
 REFRESH_ROWS, REFRESH_DIM, REFRESH_CELLS = 1792, 256, 32
 REFRESH_ROUNDS, REFRESH_SHARDS = 3, 4  # drift rounds per shard; shards timed
+# serve_mixed's whole corpus in one index, as its single server builds it.
+FULL_ROWS, FULL_CELLS, FULL_BUILDS = 7168, 128, 4
+
+
+def _embedding_like(rng, rows: int) -> np.ndarray:
+    """Low-rank plus noise, no discrete clusters: like trained
+    embeddings, a cold build is still moving rows at iteration 12."""
+    corpus = rng.standard_normal((rows, 24)) @ rng.standard_normal((24, REFRESH_DIM))
+    return corpus + 0.3 * rng.standard_normal(corpus.shape)
 
 
 def _shard_refresh_samples() -> dict:
     """Wall seconds of the upsert path (``ShardedIndex.replace_shard``)
-    and of a cold ``build_index`` over the same slab, slab by slab."""
+    and of a cold ``build_index`` over the same slab, slab by slab; and
+    of a cold build of a whole ``serve_mixed``-sized corpus (its Lloyd
+    assignment products are the ones wide enough to run as row halves
+    on two threads, ``kernels.ops.gemm``)."""
     refresh = drift_refresh(0.01)
     kwargs = dict(num_clusters=REFRESH_CELLS, probes=4)
     refreshed_s, cold_s, lloyd = [], [], []
     for seed in range(REFRESH_SHARDS):
         rng = np.random.default_rng(seed)
-        # Low-rank plus noise, no discrete clusters: like trained
-        # embeddings, a cold build is still moving rows at iteration 12.
-        rows = rng.standard_normal((REFRESH_ROWS, 24)) @ rng.standard_normal((24, REFRESH_DIM))
-        rows = rows + 0.3 * rng.standard_normal(rows.shape)
+        rows = _embedding_like(rng, REFRESH_ROWS)
         ids = np.arange(REFRESH_ROWS)
         shard = ShardedIndex(
             rows, np.zeros(REFRESH_ROWS, dtype=np.int64), index="cluster", index_kwargs=kwargs
@@ -107,18 +116,27 @@ def _shard_refresh_samples() -> dict:
             refreshed_s.append(t1 - t0)
             cold_s.append(t2 - t1)
             lloyd.append(shard.indexes[0].lloyd_iterations)
+    full_s = []
+    for seed in range(FULL_BUILDS):
+        rows = _embedding_like(np.random.default_rng(100 + seed), FULL_ROWS)
+        t0 = perf_counter()
+        build_index(rows, "cluster", num_clusters=FULL_CELLS, rng=np.random.default_rng(7_000))
+        full_s.append(perf_counter() - t0)
     return {
         "clock": "wall",
         "key_fields": {"shard": f"{REFRESH_ROWS}x{REFRESH_DIM}", "cells": REFRESH_CELLS},
         "series": {
             "serving.shard_refresh_seconds": MetricSeries(refreshed_s),
             "serving.shard_cold_build_seconds": MetricSeries(cold_s),
+            "serving.cold_build_seconds": MetricSeries(full_s),
         },
         "lloyd_iterations": lloyd,
         "meta": {
             "rows": REFRESH_ROWS, "dim": REFRESH_DIM, "cells": REFRESH_CELLS,
             "refresh_ms_median": 1e3 * float(np.median(refreshed_s)),
             "cold_ms_median": 1e3 * float(np.median(cold_s)),
+            "full_rows": FULL_ROWS, "full_cells": FULL_CELLS,
+            "full_cold_ms_median": 1e3 * float(np.median(full_s)),
         },
     }
 
@@ -141,6 +159,7 @@ def test_shard_refresh(benchmark, results_dir):
     assert len(results["series"]["serving.shard_refresh_seconds"].samples) == (
         REFRESH_ROUNDS * REFRESH_SHARDS
     )
+    assert len(results["series"]["serving.cold_build_seconds"].samples) == FULL_BUILDS
     # A 1% drift is refreshed, not rebuilt: it must not cost a cold build.
     assert results["meta"]["refresh_ms_median"] < results["meta"]["cold_ms_median"]
 
@@ -163,8 +182,7 @@ def _small_batch_search_samples() -> dict:
     rng = np.random.default_rng(0)
     configs = []
     for rows, cells, probes in SEARCH_SHAPES:
-        corpus = rng.standard_normal((rows, 24)) @ rng.standard_normal((24, REFRESH_DIM))
-        corpus = corpus + 0.3 * rng.standard_normal(corpus.shape)
+        corpus = _embedding_like(rng, rows)
         index = build_index(
             corpus, "cluster", num_clusters=cells, probes=probes,
             rng=np.random.default_rng(7_000),

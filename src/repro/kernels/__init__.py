@@ -8,8 +8,9 @@ story; GraphVite/GOSH make the same architectural bet). The pieces:
   / ``spmm`` / ``spmm_adjoint`` / block gather-scatter / elementwise
   helpers, all metered; a call validates, names its shape class, runs
   the one BLAS GEMM or scipy CSR SpMM and reports — it plans nothing
-  (``gemm_pair`` runs two independent GEMMs on two threads when they
-  are wide and OpenBLAS runs one thread per call);
+  (``gemm_pair`` runs two independent GEMMs, and ``gemm`` one GEMM's
+  two row halves, on two threads when they are wide and OpenBLAS runs
+  one thread per call);
 * :mod:`repro.kernels.sparse` — the weak-ref-memoized scipy CSR
   adjacency every SpMM multiplies by, and the numpy ``add.reduceat``
   segment sum (the baselines' block aggregation and the SpMM oracle);

@@ -19,12 +19,15 @@ and the serving indexes. A call is one straight line:
 
 :func:`gemm_pair` runs two independent GEMMs — a GCN layer's neighbor
 and self branch products — at once: the first on one worker thread, the
-second on the caller. It does so only when each product is at least
-:data:`PAIR_MIN_FLOPS`, OpenBLAS runs one thread per call (read from
-the library itself by :func:`blas_threads`) and the process may use two
-cores; otherwise it is the two serial :func:`gemm` calls. Each product
-is the same single-threaded BLAS call on the same operands either way,
-so the results are the same bits.
+second on the caller; :func:`gemm` runs one wide product's two row
+halves at once the same way, the second half on the worker. Either runs
+on two threads only when each product (each half) is at least
+:data:`PAIR_MIN_FLOPS`, OpenBLAS runs one thread per call (read from the
+library itself by :func:`blas_threads`), the process may use two cores
+and the worker is free; otherwise it is the serial call. Every product
+is the same single-threaded BLAS kernel summing the same ``k`` terms in
+the same order for each output row either way, so the results are the
+same bits.
 
 Every function is *bit-identical* to the raw numpy expression it
 replaced (``a @ b``, gather + ``add.reduceat``, ...), which is what
@@ -86,10 +89,20 @@ def gemm(
     *,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Dense ``a @ b`` with optional ``out=`` buffer, metered."""
+    """Dense ``a @ b`` with optional ``out=`` buffer, metered.
+
+    When ``m * k * n`` reaches :data:`PAIR_MIN_FLOPS` (each row half is
+    then at least that many flops) and :func:`_split_claimed`, the rows
+    ``h:`` run on the worker thread while the caller runs the rows
+    ``:h``. Either way the call is one product to
+    :mod:`~repro.kernels.accounting`, timed on the wall clock.
+    """
     class_key = _gemm_class_key(a, b, out)
     t0 = _perf_counter()
-    result = a @ b if out is None else np.matmul(a, b, out=out)
+    if a.size * b.shape[1] >= PAIR_MIN_FLOPS and _split_claimed(a, b, out):
+        result = _gemm_halves(a, b, out)
+    else:
+        result = a @ b if out is None else np.matmul(a, b, out=out)
     accounting.record_gemm(
         a.shape[0],
         a.shape[1],
@@ -101,10 +114,11 @@ def gemm(
     return result
 
 
-#: Flops each product of a :func:`gemm_pair` needs before the pair runs
-#: on two threads. Below it the handoff to the worker costs more than
-#: the overlap wins; every training product of the 140-vertex PPI
-#: subgraphs (at most 9.2 Mflop) stays serial.
+#: Flops each product of a :func:`gemm_pair`, and each row half of a
+#: :func:`gemm`, needs before it runs on two threads. Below it the
+#: handoff to the worker costs more than the overlap wins; every
+#: training product of the 140-vertex PPI subgraphs (at most 9.2 Mflop)
+#: stays serial.
 PAIR_MIN_FLOPS = 2.0**24
 
 #: The thread-count query of the OpenBLAS build numpy's wheels bundle.
@@ -135,6 +149,21 @@ def blas_threads() -> Optional[int]:
     return None if query is None else int(query())
 
 
+@functools.cache
+def _cpu_query():
+    """libc's ``sched_getcpu`` (the core the calling thread runs on) as a
+    ctypes function, or ``None`` where it or thread affinity is missing."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        query = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError):
+        return None
+    query.restype = ctypes.c_int
+    query.argtypes = []
+    return query
+
+
 def _usable_cores() -> int:
     """Cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -143,12 +172,14 @@ def _usable_cores() -> int:
 
 
 class _PairWorker:
-    """The one thread that runs the first product of a concurrent pair.
+    """The one thread that runs the first product of a concurrent pair,
+    or the second row half of a split :func:`gemm`.
 
     Started on first use; it only writes into the caller's ``out`` and
     reports the product's wall seconds or its exception. ``busy`` is
-    held for one pair, so a second thread calling :func:`gemm_pair`
-    meanwhile runs its pair serially instead of queueing behind it.
+    held for one pair or one split product, so a second thread calling
+    :func:`gemm_pair` or :func:`gemm` meanwhile runs serially instead of
+    queueing behind it.
     """
 
     def __init__(self) -> None:
@@ -156,6 +187,7 @@ class _PairWorker:
         self._tasks: queue.SimpleQueue = queue.SimpleQueue()
         self._results: queue.SimpleQueue = queue.SimpleQueue()
         self._thread: Optional[threading.Thread] = None
+        self._off_core: Optional[int] = None  # the core the worker may not use
 
     def _run(self) -> None:
         while True:
@@ -174,7 +206,32 @@ class _PairWorker:
                 target=self._run, name="gemm-pair", daemon=True
             )
             self._thread.start()
+        self._keep_off_the_callers_core()
         self._tasks.put((a, b, out))
+
+    def _keep_off_the_callers_core(self) -> None:
+        """Let the worker run on any usable core but the caller's.
+
+        A woken thread is often placed on its waker's core even when
+        another core is idle, and it stays there: the two products then
+        share one core until the scheduler rebalances (one process ran
+        68 of its first 80 splits of a 7 168 x 256 @ 256 x 128 product at
+        the serial 16 ms before the halves reached two cores). The mask
+        changes only when the caller's core does."""
+        query = _cpu_query()
+        if query is None:
+            return
+        core = query()
+        if core == self._off_core:
+            return
+        allowed = os.sched_getaffinity(0) - {core}
+        if not allowed:
+            return
+        try:
+            os.sched_setaffinity(self._thread.native_id, allowed)
+        except OSError:  # the thread or the cores went away: leave it be
+            return
+        self._off_core = core
 
     def join(self) -> float:
         """The submitted product's wall seconds; re-raises its error."""
@@ -189,6 +246,48 @@ _PAIR_WORKER = _PairWorker()
 os.register_at_fork(after_in_child=_PAIR_WORKER.__init__)
 
 
+def _claim_worker() -> bool:
+    """Whether a wide product may run on two threads now: OpenBLAS runs
+    one thread per call, two cores are usable and the worker is free.
+    On ``True`` the caller holds ``_PAIR_WORKER.busy`` and releases it."""
+    return (
+        blas_threads() == 1
+        and _usable_cores() >= 2
+        and _PAIR_WORKER.busy.acquire(blocking=False)
+    )
+
+
+def _split_claimed(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray]) -> bool:
+    """Whether a wide :func:`gemm` runs its row halves at once: each half
+    has two rows or more (a 1-row product is a GEMV, with other bits),
+    ``out`` has the product's shape and shares no memory with an operand
+    (each half must write only its own rows), and the worker is claimed."""
+    m, n = a.shape[0], b.shape[1]
+    own_rows = out is None or (
+        out.shape == (m, n) and not (np.may_share_memory(out, a) or np.may_share_memory(out, b))
+    )
+    return m >= 4 and own_rows and _claim_worker()
+
+
+def _gemm_halves(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``a @ b`` as two row halves at once, the second on the worker; the
+    caller has claimed it. Plain ``np.matmul`` on both sides: the one
+    product is metered by :func:`gemm`."""
+    worker = _PAIR_WORKER
+    try:
+        m, n = a.shape[0], b.shape[1]
+        result = out if out is not None else np.empty((m, n), np.result_type(a, b))
+        h = m // 2
+        worker.submit(a[h:], b, result[h:])
+        try:
+            np.matmul(a[:h], b, out=result[:h])
+        finally:
+            worker.join()
+    finally:
+        worker.busy.release()
+    return result
+
+
 def gemm_pair(
     a1: np.ndarray,
     b1: np.ndarray,
@@ -200,9 +299,10 @@ def gemm_pair(
     """Two independent metered products ``a1 @ b1`` and ``a2 @ b2``.
 
     Each ``out`` is the caller's buffer or ``None`` (a fresh array). When
-    both products reach :data:`PAIR_MIN_FLOPS`, :func:`blas_threads` is 1
-    and two cores are usable, the first runs on the worker thread while
-    the caller runs the second through :func:`gemm`; the first is then
+    both products reach :data:`PAIR_MIN_FLOPS` and the worker can be
+    claimed (:func:`_claim_worker`), the first runs on the worker thread
+    while the caller runs the second through :func:`gemm`, which cannot
+    split it while the pair holds the worker; the first is then
     recorded to :mod:`~repro.kernels.accounting` on the caller, under
     the shape class :func:`gemm` would have given it. Otherwise this is
     ``gemm(a1, b1, out=out1), gemm(a2, b2, out=out2)``.
@@ -212,9 +312,7 @@ def gemm_pair(
     # validation to gemm, so a small pair pays for it once.
     if (
         2.0 * min(a1.size * b1.shape[-1], a2.size * b2.shape[-1]) < PAIR_MIN_FLOPS
-        or blas_threads() != 1
-        or _usable_cores() < 2
-        or not worker.busy.acquire(blocking=False)
+        or not _claim_worker()
     ):
         return gemm(a1, b1, out=out1), gemm(a2, b2, out=out2)
     try:

@@ -89,24 +89,45 @@ def reddit_small():
     return make_dataset("reddit", scale=0.005, seed=11)
 
 
+class _Submissions(list):
+    """The pair products :func:`repro.kernels.ops.gemm_pair` handed to the
+    worker thread, as ``(m, k, n)``; ``halves`` the row halves a split
+    :func:`repro.kernels.ops.gemm` handed to it, one per split product."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.halves: list[tuple[int, ...]] = []
+
+    def clear(self) -> None:
+        super().clear()
+        self.halves.clear()
+
+
 @pytest.fixture
 def gemm_pair_mode(monkeypatch):
-    """Puts :func:`repro.kernels.ops.gemm_pair` in a given regime.
+    """Puts :func:`repro.kernels.ops.gemm_pair` and
+    :func:`repro.kernels.ops.gemm` in a given regime.
 
     ``gemm_pair_mode(threads, cores)`` makes the BLAS thread-count probe
     read ``threads`` and the process see ``cores`` usable cores; the
-    returned list gains one entry per product handed to the worker
-    thread. ``gemm_pair_mode(1, 2)`` is a pinned two-core host, where a
-    pair above the flop floor runs concurrently.
+    returned list gains one entry per pair product handed to the worker
+    thread, and its ``halves`` one per row half of a split ``gemm`` (told
+    apart by the function that submits). ``gemm_pair_mode(1, 2)`` is a
+    pinned two-core host, where a pair or a product above the flop floor
+    runs concurrently.
     """
+    import sys
+
     from repro.kernels import ops
 
-    submitted: list[tuple[int, ...]] = []
+    submitted = _Submissions()
     worker = ops._PAIR_WORKER
     real_submit = worker.submit
 
     def counted_submit(a, b, out):
-        submitted.append((a.shape[0], a.shape[1], b.shape[1]))
+        shape = (a.shape[0], a.shape[1], b.shape[1])
+        from_pair = sys._getframe(1).f_code.co_name == "gemm_pair"
+        (submitted if from_pair else submitted.halves).append(shape)
         real_submit(a, b, out)
 
     monkeypatch.setattr(worker, "submit", counted_submit)
@@ -118,3 +139,30 @@ def gemm_pair_mode(monkeypatch):
         return submitted
 
     return set_mode
+
+
+@pytest.fixture
+def blas_one_thread():
+    """OpenBLAS runs one thread per call for the test, then what it ran
+    before: set through the library's own ``set_num_threads`` (looked up
+    like :func:`repro.kernels.ops.blas_threads`'s query), so a case pinned
+    to the single-threaded kernel holds whatever ``OPENBLAS_NUM_THREADS``
+    the suite runs under. Skips where the library cannot be set."""
+    import ctypes
+
+    from repro.kernels import ops
+
+    query = ops._blas_thread_query()
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        set_threads = ctypes.CDLL(umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        set_threads = None
+    if query is None or set_threads is None:
+        pytest.skip("the BLAS library's thread count cannot be set")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = query()
+    set_threads(1)
+    yield
+    set_threads(before)

@@ -56,6 +56,7 @@ def _delta(before, after) -> dict[str, tuple[int, float]]:
     }
 
 
+@pytest.mark.usefixtures("blas_one_thread")
 class TestGemmPair:
     """``gemm_pair`` on both of its paths: the same bits and the same
     metering whether the first product runs on the worker or not."""
@@ -76,14 +77,13 @@ class TestGemmPair:
     @pytest.mark.parametrize("into_z", [True, False])
     def test_concurrent_pair_is_two_serial_gemms(self, rng, gemm_pair_mode, shape, into_z):
         a1, b1, a2, b2 = self._operands(rng, *shape)
-        serial = np.concatenate(
-            [kernel_ops.gemm(a1, b1), kernel_ops.gemm(a2, b2)], axis=1
-        )
+        serial = np.concatenate([a1 @ b1, a2 @ b2], axis=1)
         submitted = gemm_pair_mode(1)
         before = _class_calls_and_flops()
         with accounting.capture() as seen:
             paired = self._run(a1, b1, a2, b2, into_z)
         assert submitted == [shape]
+        assert submitted.halves == []  # the pair holds the worker: no split
         np.testing.assert_array_equal(paired, serial)
         # one call per product, under the class gemm() would give it
         variant = "out" if into_z else "alloc"
@@ -102,8 +102,8 @@ class TestGemmPair:
         gemm_pair_mode(1)
         returned, dx = kernel_ops.gemm_pair(h.T, dz, grad, dz, w.T, None)
         assert returned is grad
-        np.testing.assert_array_equal(grad, kernel_ops.gemm(h.T, dz))
-        np.testing.assert_array_equal(dx, kernel_ops.gemm(dz, w.T))
+        np.testing.assert_array_equal(grad, h.T @ dz)
+        np.testing.assert_array_equal(dx, dz @ w.T)
 
     @pytest.mark.parametrize(
         "threads, cores, shape",
@@ -121,7 +121,7 @@ class TestGemmPair:
         submitted = gemm_pair_mode(threads, cores)
         before = _class_calls_and_flops()
         first, second = kernel_ops.gemm_pair(a1, b1, None, a2, b2, None)
-        assert submitted == []
+        assert submitted == [] and submitted.halves == []
         np.testing.assert_array_equal(first, a1 @ b1)
         np.testing.assert_array_equal(second, a2 @ b2)
         assert sum(c for c, _ in _delta(before, _class_calls_and_flops()).values()) == 2
@@ -133,13 +133,15 @@ class TestGemmPair:
         kernel_ops.gemm_pair(big[0], big[1], None, small[2], small[3], None)
         kernel_ops.gemm_pair(small[0], small[1], None, big[2], big[3], None)
         assert submitted == []
+        # each serial wide product then splits on its own
+        assert submitted.halves == [(WIDE[0][0] // 2, *WIDE[0][1:])] * 2
 
     def test_a_busy_worker_means_a_serial_pair(self, rng, gemm_pair_mode):
         a1, b1, a2, b2 = self._operands(rng, *WIDE[0])
         submitted = gemm_pair_mode(1)
         with kernel_ops._PAIR_WORKER.busy:  # another thread's pair
             first, _ = kernel_ops.gemm_pair(a1, b1, None, a2, b2, None)
-        assert submitted == []
+        assert submitted == [] and submitted.halves == []
         np.testing.assert_array_equal(first, a1 @ b1)
 
     def test_concurrent_callers_each_get_their_own_products(self, gemm_pair_mode):
@@ -198,6 +200,193 @@ class TestGemmPair:
         with pytest.raises(ValueError, match="2-D"):
             kernel_ops.gemm_pair(a1[0], b1, None, a2, b2, None)
         assert submitted == []
+
+
+#: Single products above the floor: serve_mixed's Lloyd assignment
+#: (7 168 x 256 rows against 128 centroids, transposed), a 1 864 x 1 024
+#: corpus against 32 centroids, 6 396 x 256 against 64, and reddit_wide's
+#: training head forward (480 x 1 024 into 41 classes).
+HALVED = ((7168, 256, 128), (1864, 1024, 32), (6396, 256, 64), (480, 1024, 41))
+
+
+@pytest.mark.usefixtures("blas_one_thread")
+class TestGemmHalves:
+    """``gemm`` of one wide product: its row halves at once, the same bits
+    and the same one record as the serial call."""
+
+    @staticmethod
+    def _operands(rng, m, k, n):
+        # b is a transposed row-major matrix, like centroids.T
+        return rng.standard_normal((m, k)), rng.standard_normal((n, k)).T
+
+    @pytest.mark.parametrize("shape", HALVED)
+    @pytest.mark.parametrize("into_out", [True, False])
+    def test_halves_are_the_serial_bits(self, rng, gemm_pair_mode, shape, into_out):
+        a, b = self._operands(rng, *shape)
+        m = shape[0]
+        submitted = gemm_pair_mode(1)
+        out = np.empty((m, shape[2])) if into_out else None
+        returned = kernel_ops.gemm(a, b, out=out)
+        assert submitted == [] and submitted.halves == [(m - m // 2, *shape[1:])]
+        assert returned is out if into_out else returned.flags.c_contiguous
+        assert returned.dtype == (a @ b).dtype
+        np.testing.assert_array_equal(returned, a @ b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_odd_rows_and_transposed_a(self, rng, gemm_pair_mode, dtype):
+        # BipartiteGCNLayer.backward's weight gradient: h_agg^T @ dz into
+        # the gradient buffer; and an odd row count, halves 3 583 / 3 584.
+        h_agg = rng.standard_normal((326, 1024)).astype(dtype)
+        dz = rng.standard_normal((326, 512)).astype(dtype)
+        a, b = (x.astype(dtype) for x in self._operands(rng, 7167, 256, 128))
+        submitted = gemm_pair_mode(1)
+        grad = np.empty((1024, 512), dtype)
+        kernel_ops.gemm(h_agg.T, dz, out=grad)
+        odd = kernel_ops.gemm(a, b)
+        assert submitted.halves == [(512, 326, 512), (3584, 256, 128)]
+        np.testing.assert_array_equal(grad, h_agg.T @ dz)
+        np.testing.assert_array_equal(odd, a @ b)
+        assert odd.dtype == dtype
+
+    @pytest.mark.parametrize("into_out", [True, False])
+    def test_one_record_with_the_serial_class_and_flops(self, rng, gemm_pair_mode, into_out):
+        a, b = self._operands(rng, *HALVED[0])
+        out = np.empty((a.shape[0], b.shape[1])) if into_out else None
+
+        def metered():
+            before = _class_calls_and_flops()
+            with accounting.capture() as seen:
+                kernel_ops.gemm(a, b, out=out)
+            return _delta(before, _class_calls_and_flops()), seen
+
+        gemm_pair_mode(2)
+        serial, _ = metered()
+        submitted = gemm_pair_mode(1)
+        split, seen = metered()
+        assert len(submitted.halves) == 1
+        variant = "out" if into_out else "alloc"
+        key = accounting.ShapeClass.for_gemm(*HALVED[0], np.dtype(np.float64), variant=variant).key
+        flops = accounting.gemm_flop_count(*HALVED[0])
+        assert split == serial == {key: (1, flops)}
+        assert (seen.gemm_calls, seen.gemm_flops) == (1, flops)
+        assert seen.gemm_seconds > 0
+
+    @pytest.mark.parametrize(
+        "threads, cores, shape",
+        [
+            (1, 2, (64, 512, 511)),  # m k n just under 2^24
+            (1, 2, (3, 2048, 2731)),  # halves of 1 and 2 rows
+            (2, 2, HALVED[0]),  # OpenBLAS threads its own calls
+            (None, 2, HALVED[0]),  # the thread count cannot be read
+            (1, 1, HALVED[0]),  # one usable core
+        ],
+    )
+    def test_serial_unless_every_condition_holds(self, rng, gemm_pair_mode, threads, cores, shape):
+        a, b = self._operands(rng, *shape)
+        submitted = gemm_pair_mode(threads, cores)
+        with accounting.capture() as seen:
+            result = kernel_ops.gemm(a, b)
+        assert submitted.halves == [] and seen.gemm_calls == 1
+        np.testing.assert_array_equal(result, a @ b)
+
+    def test_the_floor_is_inclusive(self, rng, gemm_pair_mode):
+        a, b = self._operands(rng, 64, 512, 512)  # m k n = 2^24
+        submitted = gemm_pair_mode(1)
+        np.testing.assert_array_equal(kernel_ops.gemm(a, b), a @ b)
+        assert submitted.halves == [(32, 512, 512)]
+
+    def test_a_busy_worker_means_a_serial_product(self, rng, gemm_pair_mode):
+        a, b = self._operands(rng, *HALVED[0])
+        submitted = gemm_pair_mode(1)
+        with kernel_ops._PAIR_WORKER.busy:  # another thread's pair or split
+            result = kernel_ops.gemm(a, b)
+        assert submitted.halves == []
+        np.testing.assert_array_equal(result, a @ b)
+
+    def test_an_out_that_is_not_the_products_own_rows_is_serial(self, rng, gemm_pair_mode):
+        a, b = rng.standard_normal((512, 512)), rng.standard_normal((512, 512))
+        expected = a @ b
+        submitted = gemm_pair_mode(1)
+        kernel_ops.gemm(a, b, out=b)  # numpy buffers an overlapping out
+        np.testing.assert_array_equal(b, expected)
+        with pytest.raises(ValueError):
+            kernel_ops.gemm(a, expected, out=np.empty((514, 512)))
+        assert submitted.halves == []
+
+    def test_worker_error_reaches_the_caller(self, rng, gemm_pair_mode, monkeypatch):
+        a, b = self._operands(rng, *HALVED[0])
+        submitted = gemm_pair_mode(1)
+        worker = kernel_ops._PAIR_WORKER
+        counted = worker.submit
+        # the worker's half fails (matmul rejects the out shape); the
+        # caller's half does not
+        monkeypatch.setattr(worker, "submit", lambda a, b, out: counted(a, b, np.empty((3, 3))))
+        before = _class_calls_and_flops()
+        with pytest.raises(ValueError):
+            kernel_ops.gemm(a, b)
+        assert len(submitted.halves) == 1
+        assert _delta(before, _class_calls_and_flops()) == {}  # nothing recorded
+        # the worker is free again and takes the next product
+        monkeypatch.setattr(worker, "submit", counted)
+        np.testing.assert_array_equal(kernel_ops.gemm(a, b), a @ b)
+        assert len(submitted.halves) == 2
+
+    def test_the_worker_keeps_off_the_callers_core(self, rng, gemm_pair_mode):
+        import os
+
+        if kernel_ops._cpu_query() is None or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs sched_getcpu, thread affinity and two usable cores")
+        a, b = self._operands(rng, *HALVED[0])
+        worker = kernel_ops._PAIR_WORKER
+        worker._off_core = None  # as if the caller's core had changed
+        gemm_pair_mode(1)
+        kernel_ops.gemm(a, b)
+        allowed = os.sched_getaffinity(worker._thread.native_id)
+        assert worker._off_core is not None and worker._off_core not in allowed
+        assert allowed | {worker._off_core} == os.sched_getaffinity(0)
+
+    def test_concurrent_callers_each_get_their_own_products(self, gemm_pair_mode):
+        # Four threads at once on two cores, switching often, splitting
+        # single products and pairing: one holds the worker, the others
+        # run serially, and rows handed to the wrong caller would break
+        # the equality.
+        import sys
+        import threading
+
+        submitted = gemm_pair_mode(1)
+        shape = (256, 256, 256)  # 2^24: each product splits, each pairs
+        operands = [
+            [np.random.default_rng(seed).standard_normal((256, 256)) for _ in range(3)]
+            for seed in range(4)
+        ]
+        expected = [(a @ b, a @ c) for a, b, c in operands]
+        mismatches = []
+
+        def caller(i):
+            a, b, c = operands[i]
+            for _ in range(5):
+                single = kernel_ops.gemm(a, b)
+                first, second = kernel_ops.gemm_pair(a, b, None, a, c, None)
+                if not all(
+                    np.array_equal(x, y)
+                    for x, y in zip((single, first, second), (*expected[i][:1], *expected[i]))
+                ):
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+        assert submitted.halves  # the worker ran some of the halves
+        assert not kernel_ops._PAIR_WORKER.busy.locked()
 
 
 class TestGemmAccumulate:

@@ -229,12 +229,13 @@ def _wide_block(rng, num_src=600, fanout=5) -> SampledBlock:
 
 
 def _on_both_paths(gemm_pair_mode, step):
-    """``step()``'s arrays with the pairs serial, then concurrent; and
-    the products the concurrent run handed to the worker."""
-    gemm_pair_mode(2)  # OpenBLAS on its own threads: every pair serial
+    """``step()``'s arrays with the pairs and products serial, then
+    concurrent; and the pair products and row halves the concurrent run
+    handed to the worker (``submitted`` and ``submitted.halves``)."""
+    gemm_pair_mode(2)  # OpenBLAS on its own threads: everything serial
     serial = step()
     submitted = gemm_pair_mode(1)
-    return serial, step(), list(submitted)
+    return serial, step(), submitted
 
 
 def _assert_same_bits(serial: dict, paired: dict) -> None:
@@ -244,6 +245,7 @@ def _assert_same_bits(serial: dict, paired: dict) -> None:
         assert np.array_equal(serial[name], paired[name]), name
 
 
+@pytest.mark.usefixtures("blas_one_thread")
 class TestPairedProducts:
     """At reddit_wide's shapes every pair of independent products runs
     on the worker thread, and every output and gradient keeps the bits
@@ -265,6 +267,7 @@ class TestPairedProducts:
         _assert_same_bits(serial, paired)
         # forward (twice), weight gradients, input gradients
         assert len(submitted) == 4
+        assert submitted.halves == []  # every wide product is in a pair
 
     def test_dense_layer(self, gemm_pair_mode):
         x = np.random.default_rng(1).standard_normal((WIDE_ROWS, 2 * WIDE_OUT))
@@ -278,6 +281,8 @@ class TestPairedProducts:
         serial, paired, submitted = _on_both_paths(gemm_pair_mode, step)
         _assert_same_bits(serial, paired)
         assert submitted == [(2 * WIDE_OUT, WIDE_ROWS, WIDE_OUT)]  # dW beside dx
+        # the forward's one product runs its row halves at once
+        assert submitted.halves == [(WIDE_ROWS // 2, 2 * WIDE_OUT, WIDE_OUT)]
 
     @pytest.mark.parametrize("in_dim", WIDE_IN)
     def test_bipartite_gcn_layer(self, gemm_pair_mode, in_dim):
@@ -293,6 +298,7 @@ class TestPairedProducts:
         serial, paired, submitted = _on_both_paths(gemm_pair_mode, step)
         _assert_same_bits(serial, paired)
         assert len(submitted) == 3
+        assert submitted.halves == []
 
     def test_training_iteration_meters_the_same(self, gemm_pair_mode, reddit_small):
         from repro.train.config import TrainConfig

@@ -376,3 +376,31 @@ class TestProbesValidation:
         over, _ = index.search_ids(np.arange(4), 3, probes=99)  # clamps
         full, _ = index.search_ids(np.arange(4), 3, probes=5)
         assert np.array_equal(over, full)
+
+
+@pytest.mark.usefixtures("blas_one_thread")
+def test_a_full_corpus_build_with_halved_products_is_the_serial_reference(gemm_pair_mode):
+    # serve_mixed's single-server corpus: 7 168 x 256 in 128 cells. With
+    # one BLAS thread on two cores every Lloyd assignment product (and
+    # the 1 024-query centroid ranking) runs its row halves at once; the
+    # oracle runs every product serially. Cells, centroids, answers and
+    # kernel calls must still be the same.
+    points = _points(np.random.default_rng(310), 7168, 256, np.float64)
+    queries = np.random.default_rng(311).standard_normal((1024, 256))
+    kwargs = dict(num_clusters=128, probes=16, dtype=np.float64)
+
+    def build_and_search(index_cls):
+        index = index_cls(points, rng=np.random.default_rng(7), **kwargs)
+        return index, _metered(lambda: index.search(queries, 10))
+
+    gemm_pair_mode(2)
+    ref, (want, want_cost) = build_and_search(ReferenceClusterIndex)
+    submitted = gemm_pair_mode(1)
+    new, (got, got_cost) = build_and_search(ClusterIndex)
+    # 12 Lloyd iterations, then the search's centroid ranking
+    assert submitted.halves == [(3584, 256, 128)] * 12 + [(512, 256, 128)]
+    assert np.array_equal(new.centroids, ref.centroids)
+    assert np.array_equal(new.assignments, ref.assignments)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert new.last_rows_scanned == ref.last_rows_scanned
+    assert got_cost == want_cost
