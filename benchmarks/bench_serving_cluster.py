@@ -79,7 +79,8 @@ def test_cluster_serving(paper_bench):
 # cells over 4 shards.
 REFRESH_ROWS, REFRESH_DIM, REFRESH_CELLS = 1792, 256, 32
 REFRESH_ROUNDS, REFRESH_SHARDS = 3, 4  # drift rounds per shard; shards timed
-# serve_mixed's whole corpus in one index, as its single server builds it.
+# serve_mixed's whole corpus in one index, as its single server builds it
+# (and in REFRESH_SHARDS shards of REFRESH_CELLS cells, as its cluster does).
 FULL_ROWS, FULL_CELLS, FULL_BUILDS = 7168, 128, 4
 
 
@@ -92,10 +93,13 @@ def _embedding_like(rng, rows: int) -> np.ndarray:
 
 def _shard_refresh_samples() -> dict:
     """Wall seconds of the upsert path (``ShardedIndex.replace_shard``)
-    and of a cold ``build_index`` over the same slab, slab by slab; and
-    of a cold build of a whole ``serve_mixed``-sized corpus (its Lloyd
+    and of a cold ``build_index`` over the same slab, slab by slab; of a
+    cold build of a whole ``serve_mixed``-sized corpus (its Lloyd
     assignment products are the ones wide enough to run as row halves
-    on two threads, ``kernels.ops.gemm``)."""
+    on two threads, ``kernels.ops.gemm``); and of the cluster build over
+    that corpus (``partition_vertices`` into 4 shards, then a
+    ``ShardedIndex`` of 32-cell k-means shards, as the e2e cluster
+    server's set-up runs it)."""
     refresh = drift_refresh(0.01)
     kwargs = dict(num_clusters=REFRESH_CELLS, probes=4)
     refreshed_s, cold_s, lloyd = [], [], []
@@ -116,12 +120,19 @@ def _shard_refresh_samples() -> dict:
             refreshed_s.append(t1 - t0)
             cold_s.append(t2 - t1)
             lloyd.append(shard.indexes[0].lloyd_iterations)
-    full_s = []
+    full_s, cluster_s = [], []
     for seed in range(FULL_BUILDS):
         rows = _embedding_like(np.random.default_rng(100 + seed), FULL_ROWS)
         t0 = perf_counter()
         build_index(rows, "cluster", num_clusters=FULL_CELLS, rng=np.random.default_rng(7_000))
-        full_s.append(perf_counter() - t0)
+        t1 = perf_counter()
+        assignment = partition_vertices(
+            rows, num_shards=REFRESH_SHARDS, rng=np.random.default_rng(0)
+        )
+        ShardedIndex(rows, assignment, index="cluster", index_kwargs=kwargs)
+        t2 = perf_counter()
+        full_s.append(t1 - t0)
+        cluster_s.append(t2 - t1)
     return {
         "clock": "wall",
         "key_fields": {"shard": f"{REFRESH_ROWS}x{REFRESH_DIM}", "cells": REFRESH_CELLS},
@@ -129,6 +140,7 @@ def _shard_refresh_samples() -> dict:
             "serving.shard_refresh_seconds": MetricSeries(refreshed_s),
             "serving.shard_cold_build_seconds": MetricSeries(cold_s),
             "serving.cold_build_seconds": MetricSeries(full_s),
+            "serving.cluster_build_seconds": MetricSeries(cluster_s),
         },
         "lloyd_iterations": lloyd,
         "meta": {
@@ -137,6 +149,7 @@ def _shard_refresh_samples() -> dict:
             "cold_ms_median": 1e3 * float(np.median(cold_s)),
             "full_rows": FULL_ROWS, "full_cells": FULL_CELLS,
             "full_cold_ms_median": 1e3 * float(np.median(full_s)),
+            "cluster_build_ms_median": 1e3 * float(np.median(cluster_s)),
         },
     }
 
@@ -160,6 +173,7 @@ def test_shard_refresh(benchmark, results_dir):
         REFRESH_ROUNDS * REFRESH_SHARDS
     )
     assert len(results["series"]["serving.cold_build_seconds"].samples) == FULL_BUILDS
+    assert len(results["series"]["serving.cluster_build_seconds"].samples) == FULL_BUILDS
     # A 1% drift is refreshed, not rebuilt: it must not cost a cold build.
     assert results["meta"]["refresh_ms_median"] < results["meta"]["cold_ms_median"]
 

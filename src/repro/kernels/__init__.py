@@ -5,8 +5,8 @@ Every GEMM and SpMM in the repo dispatches through this package
 story; GraphVite/GOSH make the same architectural bet). The pieces:
 
 * :mod:`repro.kernels.ops` — ``gemm`` / ``gemm_pair`` / ``gemm_accumulate``
-  / ``spmm`` / ``spmm_adjoint`` / block gather-scatter / elementwise
-  helpers, all metered; a call validates, names its shape class, runs
+  / ``spmm`` / ``spmm_adjoint`` / block gather-scatter / the per-cell
+  row sum of the k-means step / elementwise helpers, all metered; a call validates, names its shape class, runs
   the one BLAS GEMM or scipy CSR SpMM and reports — it plans nothing
   (``gemm_pair`` runs two independent GEMMs, and ``gemm`` one GEMM's
   two row halves, on two threads when they are wide and OpenBLAS runs
@@ -32,12 +32,14 @@ from .accounting import KernelCounters, ShapeClass, capture
 from .sparse import adjacency_cache_stats, adjacency_matrix
 from .ops import (
     add_bias,
+    cell_sums,
     gather_segment_sum,
     gemm,
     gemm_accumulate,
     gemm_pair,
     relu,
     relu_backward,
+    row_norms,
     scatter_add_rows,
     spmm,
     spmm_adjoint,
@@ -62,6 +64,8 @@ __all__ = [
     "spmm_adjoint",
     "gather_segment_sum",
     "scatter_add_rows",
+    "cell_sums",
+    "row_norms",
     "relu",
     "relu_backward",
     "add_bias",

@@ -118,7 +118,8 @@ class ShapeClass:
     Bucketing maps the size jitter of sampled subgraphs to one key.
     ``variant`` is how the call gets its result memory — ``"out"``
     (caller buffer) or ``"alloc"`` (fresh allocation) — or, for the
-    block kernels, which one ran (``"gather"`` / ``"scatter"``).
+    block kernels, which one ran (``"gather"`` / ``"scatter"``; the
+    k-means per-cell row sum is ``"cells"``).
 
     :meth:`for_gemm` / :meth:`for_spmm` hand out one shared instance per
     class (a memo on the buckets, dtype and variant), so a dispatch pays

@@ -47,6 +47,7 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import accounting
 
@@ -63,6 +64,8 @@ __all__ = [
     "spmm_adjoint",
     "gather_segment_sum",
     "scatter_add_rows",
+    "cell_sums",
+    "row_norms",
     "relu",
     "relu_backward",
     "add_bias",
@@ -448,6 +451,47 @@ def scatter_add_rows(per_edge: np.ndarray, take: np.ndarray, num_out: int) -> np
         itemsize=out.dtype.itemsize,
     )
     return out
+
+
+def cell_sums(rows: np.ndarray, order: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Per-cell row sums over a grouped layout, metered: row ``c`` of the
+    result is ``rows[order[ptr[c]:ptr[c + 1]]].sum(axis=0)``.
+
+    One scipy CSR product — data ones in ``rows``' own dtype (float64
+    ones would promote float32 sums), indices ``order``, indptr ``ptr``
+    — over ``rows`` in place, with no gather. scipy's ``csr_matvecs``
+    adds each cell's rows in ``order`` from zero, which for an ascending
+    segment of rows at least two wide is the bits of the per-cell
+    ``sum(axis=0)`` (``reduceat``'s are not; one column wide, numpy sums
+    pairwise). An empty cell sums to a zero row. Metered as an SpMM over
+    ``order.size`` nonzeros.
+    """
+    num_cells = ptr.size - 1
+    t0 = _perf_counter()
+    members = sp.csr_array(
+        (np.ones(order.size, dtype=rows.dtype), order, ptr),
+        shape=(num_cells, rows.shape[0]),
+    )
+    result = members @ rows
+    sc = ShapeClass.for_spmm(
+        num_cells, int(order.size), rows.shape[1], rows.dtype, variant="cells"
+    )
+    accounting.record_spmm(
+        int(order.size),
+        rows.shape[1],
+        _perf_counter() - t0,
+        rows=num_cells,
+        class_key=sc.key,
+        itemsize=result.dtype.itemsize,
+    )
+    return result
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(row)`` of every row, bit for bit: the one BLAS
+    dot per row that ``norm`` runs on a vector (``vecdot`` calls the
+    same dot), then ``sqrt``. Not metered: ``d`` multiply-adds a row."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,13 @@ def l2_normalize_rows(matrix: np.ndarray, dtype=np.float64) -> np.ndarray:
     similarity-scan traffic for a last-ulp recall cost.
     """
     matrix = np.asarray(matrix, dtype=dtype)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return np.divide(
-        matrix, norms, out=np.zeros_like(matrix), where=norms > 0
-    )
+    # What ``np.linalg.norm(axis=1)`` runs, then one plain divide: a row
+    # whose norm is not > 0 (zero or NaN) divides to junk and is zeroed.
+    norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1, keepdims=True))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = matrix / norms
+    out[~(norms[:, 0] > 0)] = 0.0
+    return out
 
 
 def _query_chunks(num_queries: int, chunk_size: int | None) -> list[range]:
@@ -282,6 +285,42 @@ def _cell_layout(
 KMEANS_ITERS = 12
 
 
+def _plan_reseeds(
+    sims: np.ndarray, argmax: np.ndarray, num_cells: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Empty-cell reseeds of one Lloyd pass, planned before any mean.
+
+    The pass visits cells in order; a cell found empty takes the row
+    worst-served by its own centroid (ties: the lowest id; a row taken
+    once scores 1.0 and is not taken again while another is worse).
+    Returns ``(assignments, averaged, (cells, rows))``: the pass's
+    assignments, the cell each row's *mean* counts it in, and the
+    reseeds. The two differ for a row taken from a cell the pass had
+    already averaged — that cell's mean still includes it; a row taken
+    from a cell still to come leaves that cell's mean (and may empty
+    it, so a later reseed runs).
+    """
+    counts = np.bincount(argmax, minlength=num_cells)
+    if counts.all():
+        return argmax, argmax, (np.empty(0, np.int64), np.empty(0, np.int64))
+    best = sims[np.arange(argmax.size), argmax]
+    assignments, averaged = argmax.copy(), argmax.copy()  # `argmax` stays as computed
+    cells, rows = [], []
+    for c in range(num_cells):
+        if counts[c]:
+            continue
+        worst = int(np.argmin(best))
+        home = assignments[worst]
+        assignments[worst] = c
+        best[worst] = 1.0
+        counts[home] -= 1
+        if home > c:
+            averaged[worst] = c
+        cells.append(c)
+        rows.append(worst)
+    return assignments, averaged, (np.array(cells, np.int64), np.array(rows, np.int64))
+
+
 def _spherical_kmeans(
     normed: np.ndarray,
     num_clusters: int,
@@ -295,9 +334,10 @@ def _spherical_kmeans(
     ``num_clusters`` rows drawn by ``rng`` — or from ``init`` centroids
     (the warm start of :meth:`ClusterIndex.refreshed`; ``rng`` is then
     not consulted). Empty clusters are reseeded to the point currently
-    worst-served by its centroid. Each iteration sorts the rows by cell
-    once; a centroid is the mean over one contiguous segment of that
-    order.
+    worst-served by its centroid (:func:`_plan_reseeds`). Each iteration
+    is one GEMM, one arg-max, one sort of the rows by cell, one per-cell
+    row sum over that order (:func:`repro.kernels.ops.cell_sums`) and
+    one divide: the bits of a mean and norm taken cell by cell.
 
     A warm start stops at its fixed point, under the ``iters`` cap:
     without a reseed the centroids are a pure function of the
@@ -321,31 +361,23 @@ def _spherical_kmeans(
     for ran in range(1, iters + 1):
         sims = kernel_ops.gemm(normed, centroids.T)
         previous, argmax = argmax, sims.argmax(axis=1)
-        assignments = argmax
-        best = None  # each row's similarity to its cell; only a reseed reads it
-        order, ptr = _cell_layout(assignments, num_clusters)
-        for c in range(num_clusters):
-            # One cell's rows at a time: the gathered block is still in
-            # cache when the mean reads it.
-            members = normed.take(order[ptr[c] : ptr[c + 1]], axis=0)
-            if members.shape[0] == 0:
-                if best is None:
-                    best = sims[np.arange(n), argmax]
-                    assignments = argmax.copy()  # `argmax` stays as computed
-                worst = int(np.argmin(best))
-                home = assignments[worst]
-                centroids[c] = normed[worst]
-                assignments[worst] = c
-                best[worst] = 1.0
-                if home > c:  # a cell still to come lost a row
-                    order, ptr = _cell_layout(assignments, num_clusters)
-                continue
-            mean = members.mean(axis=0)
-            norm = np.linalg.norm(mean)
-            centroids[c] = mean / norm if norm > 0 else members[0]
-        # A reseed reads `best`, which depends on the centroids the
-        # iteration started from: only a reseed-free repeat is a fixed point.
-        warm_repeat = init is not None and previous is not None and best is None
+        assignments, averaged, (cells, rows) = _plan_reseeds(sims, argmax, num_clusters)
+        order, ptr = _cell_layout(averaged, num_clusters)
+        counts = np.diff(ptr)
+        means = kernel_ops.cell_sums(normed, order, ptr)
+        # `mean(axis=0)`'s divide; a reseeded cell may be empty (0 / 0).
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.true_divide(means, counts[:, None], out=means, casting="unsafe")
+            norms = kernel_ops.row_norms(means)
+            centroids = means / norms[:, None]
+        # A mean of norm 0 (or NaN) falls back to its cell's first row;
+        # a reseeded cell is its row.
+        unfit = np.flatnonzero(~(norms > 0) & (counts > 0))
+        centroids[unfit] = normed[order[ptr[unfit]]]
+        centroids[cells] = normed[rows]
+        # A reseed reads the similarities to the centroids the iteration
+        # started from: only a reseed-free repeat is a fixed point.
+        warm_repeat = init is not None and previous is not None and not cells.size
         if warm_repeat and np.array_equal(argmax, previous):
             break
     return centroids, assignments, ran

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernels import accounting
 from repro.kernels import ops as kernel_ops
@@ -471,6 +473,70 @@ class TestGatherScatter:
             src, take, indptr, 2, weights=weights
         )
         assert out.dtype == np.float32
+
+
+def _layout(assignments, num_cells):
+    """``(order, ptr)`` of a stable sort by cell, as the k-means step
+    builds it."""
+    order = np.argsort(assignments, kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(assignments, minlength=num_cells))])
+    return order, ptr
+
+
+class TestCellSums:
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(2, 40),  # one column wide, numpy sums pairwise
+        cells=st.integers(1, 40),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    def test_bits_of_the_per_cell_sum(self, n, d, cells, dtype, seed):
+        # Up to 40 cells over as few as one row: many cells are empty.
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n, d)).astype(dtype)
+        order, ptr = _layout(rng.integers(0, cells, size=n), cells)
+        got = kernel_ops.cell_sums(rows, order, ptr)
+        want = np.stack(
+            [rows.take(order[ptr[c] : ptr[c + 1]], axis=0).sum(axis=0) for c in range(cells)]
+        )
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_cells_sum_to_zero_rows(self, rng):
+        rows = rng.standard_normal((5, 3))
+        order, ptr = _layout(np.array([2, 0, 2, 2, 0]), 4)
+        got = kernel_ops.cell_sums(rows, order, ptr)
+        assert got.shape == (4, 3)
+        assert np.array_equal(got[1], np.zeros(3)) and np.array_equal(got[3], np.zeros(3))
+        assert np.array_equal(got[0], rows[1] + rows[4])
+
+    def test_float32_stays_float32(self, rng):
+        rows = rng.standard_normal((50, 4)).astype(np.float32)
+        order, ptr = _layout(rng.integers(0, 3, size=50), 3)
+        assert kernel_ops.cell_sums(rows, order, ptr).dtype == np.float32
+
+    def test_one_spmm_record_over_n_nonzeros(self, rng):
+        rows = rng.standard_normal((64, 7))
+        order, ptr = _layout(rng.integers(0, 5, size=64), 5)
+        accounting.reset_totals()
+        with accounting.capture() as seen:
+            kernel_ops.cell_sums(rows, order, ptr)
+        assert (seen.spmm_calls, seen.gemm_calls) == (1, 0)
+        assert seen.spmm_flops == accounting.spmm_flop_count(64, 7)
+        (key,) = accounting.PER_CLASS
+        assert key.startswith("spmm[") and key.endswith("|float64|cells]")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_norms_are_linalg_norm(self, rng, dtype):
+        x = rng.standard_normal((30, 257)).astype(dtype)
+        x[3] = 0.0
+        x[4, 5] = np.nan
+        want = np.array([np.linalg.norm(row) for row in x], dtype=dtype)
+        got = kernel_ops.row_norms(x)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestElementwise:

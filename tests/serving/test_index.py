@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.serving.cluster import ShardedIndex
 from repro.serving.index import (
@@ -20,6 +25,47 @@ def clustered_embeddings(n=1200, dim=16, clusters=12, spread=0.15, seed=0):
     centers = l2_normalize_rows(rng.standard_normal((clusters, dim)))
     which = rng.integers(0, clusters, size=n)
     return centers[which] + spread * rng.standard_normal((n, dim))
+
+
+def _masked_normalize(matrix, dtype):
+    """The expression :func:`l2_normalize_rows` replaced: ``linalg.norm``,
+    then a divide masked to rows of norm > 0 into a zeroed buffer."""
+    matrix = np.asarray(matrix, dtype=dtype)
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)
+
+
+@st.composite
+def _awkward_rows(draw):
+    """Rows mixing ordinary values with zeros, -0.0, NaN, +-inf and
+    subnormals (bounded so no square overflows)."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    tiny = float(np.finfo(dtype).smallest_subnormal)
+    specials = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny, 3 * tiny])
+    ordinary = st.floats(-2.0**50, 2.0**50, width=np.finfo(dtype).bits)
+    shape = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9)
+    cells = st.one_of(ordinary, specials, specials)
+    return dtype, draw(hnp.arrays(dtype, shape, elements=cells))
+
+
+class TestNormalizeRows:
+    @given(_awkward_rows())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_bits_of_the_masked_divide(self, case):
+        dtype, matrix = case
+        want = _masked_normalize(matrix, dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a 0/0 or inf/inf would raise
+            got = l2_normalize_rows(matrix, dtype=dtype)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()  # -0.0 vs 0.0 counts
+
+    def test_nan_and_zero_rows_come_out_zero(self):
+        matrix = np.array([[np.nan, 1.0], [0.0, -0.0], [3.0, 4.0]])
+        got = l2_normalize_rows(matrix)
+        assert got.tobytes() == np.array([[0.0, 0.0], [0.0, 0.0], [0.6, 0.8]]).tobytes()
+        assert np.isnan(matrix[0, 0])  # the caller's rows are not written to
 
 
 class TestBruteForce:

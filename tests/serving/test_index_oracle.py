@@ -231,24 +231,41 @@ class TestKMeansMatchesReference:
 
     def test_reseed_that_empties_a_later_cell_is_exercised(self, monkeypatch):
         # Guard the hypothesis test above against going blind: on this
-        # input a reseed takes a row from a cell still to come, which is
-        # the one case where the sorted layout must be rebuilt mid-pass.
-        layouts = []
-        real = index_module._cell_layout
+        # input a reseed takes a row from a cell still to come, the one
+        # case where a row leaves a mean the pass has not taken yet.
+        later = []
+        real = index_module._plan_reseeds
 
-        def spy(assignments, num_cells):
-            layouts.append(1)
-            return real(assignments, num_cells)
+        def spy(sims, argmax, num_cells):
+            planned = real(sims, argmax, num_cells)
+            cells, rows = planned[2]
+            later.extend(int(c) for c, w in zip(cells, rows) if argmax[w] > c)
+            return planned
 
-        monkeypatch.setattr(index_module, "_cell_layout", spy)
+        monkeypatch.setattr(index_module, "_plan_reseeds", spy)
         rng = np.random.default_rng(24)
         base = l2_normalize_rows(rng.standard_normal((5, 5)))
         normed = base[rng.integers(0, 5, size=40)]
         got = _spherical_kmeans(normed, 8, np.random.default_rng(24), iters=2)
         want = reference_kmeans(normed, 8, np.random.default_rng(24), iters=2)
-        assert len(layouts) > 2  # more than the one sort per iteration
+        assert later  # a row taken from a cell the pass had not averaged
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("distinct", [5, 400])
+    def test_one_segment_sum_per_iteration(self, distinct):
+        # The per-cell sums are one metered CSR product an iteration,
+        # reseed iterations included (5 distinct rows over 8 cells leave
+        # cells empty every pass): a per-cell loop cannot come back unseen.
+        rng = np.random.default_rng(24)
+        normed = self._rows(rng, 400, distinct, np.float64)
+        accounting.reset_totals()
+        with accounting.capture() as seen:
+            _, _, ran = _spherical_kmeans(normed, 8, np.random.default_rng(24), iters=6)
+        cell_sums = [b.calls for key, b in accounting.PER_CLASS.items() if key.endswith("|cells]")]
+        assert ran == 6
+        assert seen.spmm_calls == sum(cell_sums) == ran
+        assert seen.spmm_flops == ran * accounting.spmm_flop_count(400, 5)
 
     @staticmethod
     def _rows(rng, n, distinct, dtype):
