@@ -575,10 +575,8 @@ def _run_flight_dump(args: argparse.Namespace, out: pathlib.Path | None) -> None
 def _run_slo_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     """Evaluate the standing SLO rules against a real train+serve run.
 
-    One small instrumented training run (the span-coverage and
-    flop-drift rules read its tracer/counters; the expected flop count
-    comes from the always-on kernel accounting captured over the same
-    window), one serving trace replay (the deadline rule reads its
+    One small instrumented training run (the span-coverage rule reads
+    its tracer), one serving trace replay (the deadline rule reads its
     latency samples), and one hedged cluster replay (the per-shard p99
     and staleness rules read its registry histograms). The flight
     recorder is pointed at ``--out``, so any breach auto-produces an
@@ -587,7 +585,6 @@ def _run_slo_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     path on demand. Exits 1 on any breach when ``--strict``.
     """
     from . import obs
-    from .kernels import accounting
     from .obs.flight import get_flight_recorder
     from .obs.slo import (
         SLOContext,
@@ -606,7 +603,7 @@ def _run_slo_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
     if out is not None:
         recorder.out_dir = out
     dumps_before = recorder.dump_count
-    with obs.enabled(), accounting.capture() as kernel_costs:
+    with obs.enabled():
         trainer = GraphSamplingTrainer(dataset, config)
         trainer.train()
         rng = np.random.default_rng(args.seed)
@@ -626,10 +623,7 @@ def _run_slo_report(args: argparse.Namespace, out: pathlib.Path | None) -> int:
         cluster_replay = _hedged_cluster_replay(
             queries=min(args.queries, 600), seed=args.seed
         )
-        ctx = SLOContext(
-            serving=replay.metrics,
-            expected_flops=kernel_costs.total_flops,
-        )
+        ctx = SLOContext(serving=replay.metrics)
         rules = default_rules(deadline=deadline) + cluster_rules(
             per_shard_p99=0.0 if args.force_breach else 0.5,
             staleness_bound=5.0,
@@ -668,7 +662,7 @@ def _run_roofline_report(
     from .train.trainer import GraphSamplingTrainer
 
     dataset, config = _training_setup(args, epochs=2)
-    accounting.reset_totals()
+    accounting.reset_per_class()
     with GraphSamplingTrainer(dataset, config) as trainer:
         trainer.train()
     report = roofline.roofline_report(

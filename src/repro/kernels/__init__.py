@@ -19,17 +19,17 @@ story; GraphVite/GOSH make the same architectural bet). The pieces:
 * :mod:`repro.kernels.policy` — :data:`~repro.kernels.policy.REFERENCE`
   (float64, bit-identical to the seed) and
   :data:`~repro.kernels.policy.FAST` (float32) dtype policies;
-* :mod:`repro.kernels.accounting` — centralized flop/time counters that
-  feed ``repro.obs`` metrics and the simulated-time cost model from one
-  place, totalled and per log-bucketed
-  :class:`~repro.kernels.accounting.ShapeClass` (the roofline's key).
+* :mod:`repro.kernels.accounting` — centralized flop/time counters, per
+  log-bucketed :class:`~repro.kernels.accounting.ShapeClass` (the
+  roofline's key, exported by obs trace documents) and per ``capture()``
+  scope (the trainer's cost model).
 
 See the "Compute kernels" section of ``docs/architecture.md``.
 """
 
 from . import accounting, ops, policy, roofline, sparse
 from .accounting import KernelCounters, ShapeClass, capture
-from .sparse import adjacency_cache_stats, adjacency_matrix
+from .sparse import adjacency_matrix
 from .ops import (
     add_bias,
     cell_sums,
@@ -55,7 +55,6 @@ __all__ = [
     "KernelCounters",
     "capture",
     "ShapeClass",
-    "adjacency_cache_stats",
     "adjacency_matrix",
     "gemm",
     "gemm_pair",

@@ -2,11 +2,11 @@
 
 Every GEMM and SpMM dispatched through :mod:`repro.kernels.ops` reports
 here, which makes this module the *single source of truth* for compute
-cost in the repo: the ``repro.obs`` counters (``gemm.flops``,
-``spmm.flops``, ...), the trainer's per-iteration counters (via
+cost in the repo: the trainer's per-iteration counters (via
 :func:`capture`, priced after the run by
-:mod:`repro.experiments.repricing`), the roofline and the kernel
-benchmarks all read the same numbers.
+:mod:`repro.experiments.repricing`), the e2e harness's per-stage kernel
+counters, the roofline, the obs trace documents (``kernel_classes``) and
+the kernel benchmarks all read the same numbers.
 Before this layer existed the spmm flop count lived in
 ``propagation/spmm.py`` and the gemm count was re-derived analytically in
 ``train/trainer.py``; both now come from the one place that actually ran
@@ -20,22 +20,19 @@ Conventions (shared with :mod:`repro.analysis.complexity`):
   ``2 * nnz * f`` flops (the gather-accumulate counted as one
   multiply-add per edge-feature, matching the paper's Section V count).
 
-Accounting is **always on** for the process-wide :data:`TOTALS` (a few
-float adds and two ``perf_counter`` reads per kernel call — negligible
-next to any real matmul); the :mod:`repro.obs` metrics are only written
-while obs instrumentation is enabled, preserving its kill-switch
-guarantee.
-
-Beside the totals every call lands in a per-:class:`ShapeClass` bucket
-(:data:`PER_CLASS`): the log-bucketed shape, dtype and call variant are
-the key the measured roofline (:mod:`repro.kernels.roofline`) places
-call sites by.
+Accounting is **always on** (a few float adds and two ``perf_counter``
+reads per kernel call — negligible next to any real matmul), whether or
+not obs is enabled. Each call is kept once: in its per-:class:`ShapeClass`
+bucket (:data:`PER_CLASS`) and in every open :func:`capture` scope. The
+log-bucketed shape, dtype and call variant are the key the measured
+roofline (:mod:`repro.kernels.roofline`) places call sites by;
+``repro.obs.reset`` clears the buckets with the rest of obs, so a trace
+document's ``kernel_classes`` covers the same window as its spans.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,19 +40,15 @@ from typing import Iterator
 
 import numpy as np
 
-from ..obs import is_enabled as _obs_enabled
-from ..obs import metrics as _obs_metrics
-
 __all__ = [
     "ShapeClass",
     "KernelCounters",
     "ClassCounters",
-    "TOTALS",
     "PER_CLASS",
     "capture",
     "record_gemm",
     "record_spmm",
-    "reset_totals",
+    "reset_per_class",
     "per_class_snapshot",
     "gemm_flop_count",
     "spmm_flop_count",
@@ -189,14 +182,6 @@ class KernelCounters:
         """JSON-ready copy of every counter."""
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.__init__()
-
-    @property
-    def total_flops(self) -> float:
-        return self.gemm_flops + self.spmm_flops
-
 
 class ClassCounters:
     """Per-shape-class cost bucket: flops, modeled bytes, wall seconds.
@@ -226,17 +211,12 @@ class ClassCounters:
         }
 
 
-#: Process-wide totals, always accumulating (cheap), never auto-reset.
-TOTALS = KernelCounters()
-
 #: Shape-class key -> :class:`ClassCounters`. Populated by every kernel
-#: call dispatched with a class key; reset with :func:`reset_totals`.
+#: call; cleared by :func:`reset_per_class` (and so by ``repro.obs.reset``).
 PER_CLASS: dict[str, ClassCounters] = {}
 
-# Active capture scopes; every record fans out to all of them plus TOTALS.
+# Active capture scopes; every record fans out to all of them.
 _CAPTURES: list[KernelCounters] = []
-
-_perf_counter = time.perf_counter
 
 
 def _record_class(
@@ -252,67 +232,31 @@ def _record_class(
 
 
 def record_gemm(
-    m: int,
-    k: int,
-    n: int,
-    seconds: float,
-    *,
-    class_key: str | None = None,
-    itemsize: int = 8,
+    m: int, k: int, n: int, seconds: float, *, class_key: str, itemsize: int
 ) -> None:
-    """Account one dense multiply of shape ``(m, k) @ (k, n)``.
-
-    ``class_key``/``itemsize`` additionally feed the per-shape-class
-    roofline buckets; callers outside the dispatch layer may omit them.
-    """
+    """Account one dense multiply of shape ``(m, k) @ (k, n)`` under its
+    shape class ``class_key``, with ``itemsize``-byte operands."""
     flops = gemm_flop_count(m, k, n)
-    TOTALS.gemm_calls += 1
-    TOTALS.gemm_flops += flops
-    TOTALS.gemm_seconds += seconds
     for cap in _CAPTURES:
         cap.gemm_calls += 1
         cap.gemm_flops += flops
         cap.gemm_seconds += seconds
-    if class_key is not None:
-        _record_class(
-            "gemm", class_key, flops, gemm_bytes_moved(m, k, n, itemsize), seconds
-        )
-    if _obs_enabled():
-        _obs_metrics.inc("gemm.ops")
-        _obs_metrics.inc("gemm.flops", flops)
-        _obs_metrics.inc("gemm.seconds", seconds)
+    _record_class("gemm", class_key, flops, gemm_bytes_moved(m, k, n, itemsize), seconds)
 
 
 def record_spmm(
-    nnz: int,
-    cols: int,
-    seconds: float,
-    *,
-    rows: int = 0,
-    class_key: str | None = None,
-    itemsize: int = 8,
+    nnz: int, cols: int, seconds: float, *, rows: int, class_key: str, itemsize: int
 ) -> None:
-    """Account one sparse aggregation over ``nnz`` edges, ``cols`` wide."""
+    """Account one sparse aggregation over ``nnz`` edges into ``rows``
+    rows, ``cols`` wide, under its shape class ``class_key``."""
     flops = spmm_flop_count(nnz, cols)
-    TOTALS.spmm_calls += 1
-    TOTALS.spmm_flops += flops
-    TOTALS.spmm_seconds += seconds
     for cap in _CAPTURES:
         cap.spmm_calls += 1
         cap.spmm_flops += flops
         cap.spmm_seconds += seconds
-    if class_key is not None:
-        _record_class(
-            "spmm",
-            class_key,
-            flops,
-            spmm_bytes_moved(rows, nnz, cols, itemsize),
-            seconds,
-        )
-    if _obs_enabled():
-        _obs_metrics.inc("spmm.ops")
-        _obs_metrics.inc("spmm.flops", flops)
-        _obs_metrics.inc("spmm.seconds", seconds)
+    _record_class(
+        "spmm", class_key, flops, spmm_bytes_moved(rows, nnz, cols, itemsize), seconds
+    )
 
 
 def per_class_snapshot() -> dict[str, dict[str, float]]:
@@ -338,7 +282,6 @@ def capture() -> Iterator[KernelCounters]:
         _CAPTURES.remove(counters)
 
 
-def reset_totals() -> None:
-    """Zero :data:`TOTALS` and :data:`PER_CLASS` (bench runners call this)."""
-    TOTALS.reset()
+def reset_per_class() -> None:
+    """Empty :data:`PER_CLASS` (``repro.obs.reset`` calls this)."""
     PER_CLASS.clear()

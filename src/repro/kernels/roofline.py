@@ -161,7 +161,7 @@ def roofline_points(
     """Place every accounted shape class on the roofline.
 
     ``per_class`` defaults to :func:`accounting.per_class_snapshot` —
-    i.e. everything dispatched since the last ``reset_totals``. Buckets
+    i.e. everything dispatched since the last ``reset_per_class``. Buckets
     with no measured wall time are skipped (nothing to place). Raises
     ``ValueError`` when a placed class computed in another dtype than
     ``peaks`` were calibrated in.

@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # import only for annotations: keeps repro.kernels
 __all__ = [
     "WeakIdMemo",
     "adjacency_matrix",
-    "adjacency_cache_stats",
     "segment_sum",
 ]
 
@@ -73,23 +72,10 @@ class WeakIdMemo:
         return key in self._slots
 
 
-# graph -> {dtype: csr_matrix}
+# graph -> {dtype: csr_matrix}. Hits and misses are the obs counters
+# ``kernels.adjacency_cache.{hits,misses}``; a miss is a (graph, dtype)
+# operator built — the rebuild-per-call cost this cache eliminated.
 _ADJACENCY_CACHE = WeakIdMemo()
-
-# Running hit/miss tally for the memo cache. A "hit" is a lookup that
-# found the (graph, dtype) operator already built; a "miss" had to build
-# one (the rebuild-per-call cost this cache eliminated). The
-# live-entry count is derived: one cache slot per live graph.
-_ADJACENCY_STATS = {"hits": 0, "misses": 0}
-
-
-def adjacency_cache_stats() -> dict[str, int]:
-    """Hit/miss/live-entry counts for the weak CSR adjacency memo cache."""
-    return {
-        "hits": _ADJACENCY_STATS["hits"],
-        "misses": _ADJACENCY_STATS["misses"],
-        "live_entries": len(_ADJACENCY_CACHE),
-    }
 
 
 def adjacency_matrix(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
@@ -103,20 +89,14 @@ def adjacency_matrix(graph: CSRGraph, dtype=np.float64) -> sp.csr_matrix:
     per_dtype = _ADJACENCY_CACHE.slot(graph)
     mat = per_dtype.get(dtype)
     if mat is None:
-        _ADJACENCY_STATS["misses"] += 1
         if _obs_enabled():
             _obs_metrics.inc("kernels.adjacency_cache.misses")
-            _obs_metrics.set_gauge(
-                "kernels.adjacency_cache.live_entries", len(_ADJACENCY_CACHE)
-            )
         data = np.ones(graph.num_edges_directed, dtype=dtype)
         n = graph.num_vertices
         mat = sp.csr_matrix((data, graph.indices, graph.indptr), shape=(n, n))
         per_dtype[dtype] = mat
-    else:
-        _ADJACENCY_STATS["hits"] += 1
-        if _obs_enabled():
-            _obs_metrics.inc("kernels.adjacency_cache.hits")
+    elif _obs_enabled():
+        _obs_metrics.inc("kernels.adjacency_cache.hits")
     return mat
 
 

@@ -100,15 +100,17 @@ flight.get_flight_recorder()
 
 
 def reset() -> None:
-    """Clear the tracer, the metrics registry, request-id counters and
-    the flight recorder's buffers.
+    """Clear the tracer, the metrics registry, request-id counters, the
+    flight recorder's buffers and the kernel layer's per-class book.
 
     Bench runners call this before each workload so one process can
     export several independent ``OBS_*.json`` files with reproducible
-    request ids.
+    request ids, each one's ``kernel_classes`` over its spans' window.
     """
+    from ..kernels import accounting
     from . import trace as _trace
 
+    accounting.reset_per_class()
     _trace.reset()
     metrics.reset()
     context.reset_ids()

@@ -29,6 +29,7 @@ __all__ = [
     "write_chrome_trace",
     "write_obs_json",
     "load_trace",
+    "kernel_rollup",
     "render_report",
     "render_exemplars",
 ]
@@ -64,10 +65,12 @@ def span_to_dict(sp: Span) -> dict:
 
 def trace_document(name: str) -> dict:
     """Full export of the process tracer and metrics registry: nested
-    spans + per-phase aggregates + metrics."""
+    spans + per-phase aggregates + metrics, and the kernel layer's
+    per-class book as ``kernel_classes`` (:func:`repro.obs.reset` clears
+    it with the spans, so both cover one window)."""
     from .record import environment_fingerprint
 
-    # Lazy import: the kernel layer imports obs at module load, so this
+    # Lazy import: the kernel package imports obs at module load, so this
     # direction must resolve at call time only.
     from ..kernels import accounting as kernel_accounting
 
@@ -173,14 +176,27 @@ def load_trace(path) -> dict:
     return json.loads(pathlib.Path(path).read_text())
 
 
+def kernel_rollup(doc: dict) -> dict[str, dict[str, float]]:
+    """Calls, flops and wall seconds per kernel op (``gemm``, ``spmm``)
+    summed over an exported document's ``kernel_classes``."""
+    ops: dict[str, dict[str, float]] = {}
+    for row in doc.get("kernel_classes", {}).values():
+        op = ops.setdefault(row["op"], {"calls": 0, "flops": 0.0, "seconds": 0.0})
+        for field in op:
+            op[field] += row[field]
+    return dict(sorted(ops.items()))
+
+
 def render_report(doc: dict) -> str:
     """Per-phase breakdown table from an exported trace document.
 
     ``wall_%`` is the phase's share of *self* time (time not inside a
     child span), so the column sums to ~100 without double counting
-    nested spans; ``per_call_ms`` is mean wall time per span. Documents
-    written while spans still carried a modeled clock hold a per-phase
-    modeled-time field too; it is not read.
+    nested spans; ``per_call_ms`` is mean wall time per span. Below it
+    come the counters, the per-op kernel work of :func:`kernel_rollup`
+    and the upsert histograms. Documents written while spans still
+    carried a modeled clock hold a per-phase modeled-time field too; it
+    is not read.
     """
     phases = doc.get("phases", {})
     if not phases:
@@ -214,6 +230,9 @@ def render_report(doc: dict) -> str:
             {"counter": k, "value": v} for k, v in sorted(counters.items())
         ]
         table += "\n\n" + format_table(counter_rows, title="counters")
+    kernel_rows = [{"op": op, **row} for op, row in kernel_rollup(doc).items()]
+    if kernel_rows:
+        table += "\n\n" + format_table(kernel_rows, title="kernel work")
     # What each upsert cost, side by side: how late it landed, what the
     # producer spent making the slab, what the refresh paid in Lloyd.
     upsert_rows = []

@@ -18,11 +18,6 @@ Builtin kinds:
   ``min_coverage`` of the parent phase's wall time (the paper's
   sample+forward+backward decomposition must keep explaining iteration
   time).
-* ``flop_drift`` — the obs flop counters (``gemm.flops`` +
-  ``spmm.flops``) must agree with the expected count (the Eq. 1-anchored
-  kernel accounting; see ``tests/kernels/test_accounting.py``) within
-  ``max_rel_drift`` — if the guarded dual-write path drifts from the
-  always-on account, the observability layer itself is lying.
 * ``histogram_p99`` — p99 of any registry histogram <= ``threshold``.
 * ``per_shard_p99`` — worst per-shard p99 across every registry
   histogram matching ``prefix``/``suffix`` (the cluster's
@@ -72,14 +67,12 @@ class SLOContext:
 
     ``registry`` / ``tracer`` default to the live process-wide obs
     objects; ``serving`` is a :class:`repro.serving.metrics.ServingMetrics`
-    from a replay, and ``expected_flops`` the metered kernel-accounting
-    total for the same window the registry counters cover.
+    from a replay.
     """
 
     registry: object | None = None
     tracer: object | None = None
     serving: object | None = None
-    expected_flops: float | None = None
 
     def get_registry(self):
         """The registry to read — explicit one, else the live global."""
@@ -156,27 +149,6 @@ def _eval_span_coverage(rule: SLORule, ctx: SLOContext) -> SLOResult:
     )
 
 
-def _eval_flop_drift(rule: SLORule, ctx: SLOContext) -> SLOResult:
-    max_drift = float(rule.params.get("max_rel_drift", 1e-6))
-    expected = ctx.expected_flops
-    if expected is None:
-        expected = float(rule.params.get("expected_flops", float("nan")))
-    registry = ctx.get_registry()
-    measured = (
-        registry.counter("gemm.flops").value + registry.counter("spmm.flops").value
-    )
-    if expected != expected or expected <= 0:
-        return SLOResult(
-            rule.name, rule.kind, float("nan"), max_drift, False,
-            detail="no expected flop count supplied",
-        )
-    drift = abs(measured - expected) / expected
-    return SLOResult(
-        rule.name, rule.kind, drift, max_drift, drift <= max_drift,
-        detail=f"measured {measured:.3e} vs expected {expected:.3e}",
-    )
-
-
 def _eval_histogram_p99(rule: SLORule, ctx: SLOContext) -> SLOResult:
     metric = str(rule.params["metric"])
     threshold = float(rule.params["threshold"])
@@ -237,7 +209,6 @@ def _eval_staleness_bound(rule: SLORule, ctx: SLOContext) -> SLOResult:
 _EVALUATORS: dict[str, Callable[[SLORule, SLOContext], SLOResult]] = {
     "serving_deadline_miss": _eval_serving_deadline_miss,
     "span_coverage": _eval_span_coverage,
-    "flop_drift": _eval_flop_drift,
     "histogram_p99": _eval_histogram_p99,
     "per_shard_p99": _eval_per_shard_p99,
     "staleness_bound": _eval_staleness_bound,
@@ -290,9 +261,9 @@ def evaluate(rules, ctx: SLOContext | None = None) -> list[SLOResult]:
 
 
 #: The standing SLO thresholds: the share of served requests that may
-#: miss the deadline, the share of an iteration its sample / forward /
-#: backward spans must explain, and the relative flop-account drift.
-MAX_MISS_RATE, MIN_COVERAGE, MAX_FLOP_DRIFT = 0.05, 0.95, 1e-6
+#: miss the deadline, and the share of an iteration its sample / forward /
+#: backward spans must explain.
+MAX_MISS_RATE, MIN_COVERAGE = 0.05, 0.95
 
 
 def default_rules(*, deadline: float = 0.050) -> list[SLORule]:
@@ -313,12 +284,6 @@ def default_rules(*, deadline: float = 0.050) -> list[SLORule]:
                 "min_coverage": MIN_COVERAGE,
             },
             description="sample+forward+backward must explain iteration time",
-        ),
-        SLORule(
-            name="flop-account-drift",
-            kind="flop_drift",
-            params={"max_rel_drift": MAX_FLOP_DRIFT},
-            description="obs flop counters must match the Eq. 1-anchored account",
         ),
     ]
 

@@ -24,7 +24,6 @@ from .partition_model import (
 from .spmm import (
     MeanAggregator,
     full_graph_input,
-    input_aggregate_stats,
     spmm_sum_numpy,
     spmm_sum_scipy,
 )
@@ -32,7 +31,6 @@ from .spmm import (
 __all__ = [
     "MeanAggregator",
     "full_graph_input",
-    "input_aggregate_stats",
     "spmm_sum_numpy",
     "spmm_sum_scipy",
     "PartitionedPropagator",

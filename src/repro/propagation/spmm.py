@@ -46,7 +46,6 @@ __all__ = [
     "MeanAggregator",
     "FullGraphInput",
     "full_graph_input",
-    "input_aggregate_stats",
 ]
 
 
@@ -134,18 +133,9 @@ class FullGraphInput(NamedTuple):
     aggregate: np.ndarray  # aggregator.forward(features), read-only
 
 
-# dataset -> {dtype: FullGraphInput}
+# dataset -> {dtype: FullGraphInput}. Hits and misses are the obs
+# counters ``propagation.input_aggregate.{hits,misses}``.
 _INPUT_AGGREGATES = WeakIdMemo()
-_INPUT_AGGREGATE_STATS = {"hits": 0, "misses": 0}
-
-
-def input_aggregate_stats() -> dict[str, int]:
-    """Hit/miss/live-entry counts of the :func:`full_graph_input` memo."""
-    return {
-        "hits": _INPUT_AGGREGATE_STATS["hits"],
-        "misses": _INPUT_AGGREGATE_STATS["misses"],
-        "live_entries": len(_INPUT_AGGREGATES),
-    }
 
 
 def full_graph_input(dataset: Dataset, dtype) -> FullGraphInput:
@@ -162,11 +152,9 @@ def full_graph_input(dataset: Dataset, dtype) -> FullGraphInput:
     slot = _INPUT_AGGREGATES.slot(dataset)
     entry = slot.get(dtype)
     if entry is not None:
-        _INPUT_AGGREGATE_STATS["hits"] += 1
         if _obs_enabled():
             _obs_metrics.inc("propagation.input_aggregate.hits")
         return entry
-    _INPUT_AGGREGATE_STATS["misses"] += 1
     if _obs_enabled():
         _obs_metrics.inc("propagation.input_aggregate.misses")
     # One aggregator per dataset, whatever the dtype (it keeps 1/deg per dtype).

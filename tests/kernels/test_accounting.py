@@ -1,5 +1,5 @@
-"""Centralized cost accounting: capture scopes, obs fan-out, and agreement
-with the analytic complexity model (Eq. 1)."""
+"""Centralized cost accounting: capture scopes, the obs export of the
+per-class book, and agreement with the analytic complexity model (Eq. 1)."""
 
 from __future__ import annotations
 
@@ -67,15 +67,6 @@ class TestCaptureScopes:
         assert inner.gemm_calls == 1
         assert outer.gemm_calls == 2
 
-    def test_totals_accumulate_and_reset(self, rng):
-        a = rng.standard_normal((3, 3))
-        before = accounting.TOTALS.gemm_calls
-        kernel_ops.gemm(a, a)
-        assert accounting.TOTALS.gemm_calls == before + 1
-        accounting.reset_totals()
-        assert accounting.TOTALS.gemm_calls == 0
-        assert accounting.TOTALS.total_flops == 0.0
-
     def test_snapshot_is_json_ready(self, rng):
         with accounting.capture() as counters:
             kernel_ops.gemm(np.eye(2), np.eye(2))
@@ -92,6 +83,8 @@ class TestCaptureScopes:
 
 
 class TestObsFanOut:
+    """Obs exports the kernel book; it keeps no kernel counts of its own."""
+
     def test_counters_emitted_when_enabled(self, triangle_graph, rng):
         a = rng.standard_normal((5, 3))
         b = rng.standard_normal((3, 2))
@@ -100,12 +93,12 @@ class TestObsFanOut:
         with obs.enabled():
             kernel_ops.gemm(a, b)
             kernel_ops.spmm(triangle_graph, x)
-        counters = obs.metrics.snapshot()["counters"]
+        kernels = obs.export.kernel_rollup(obs.export.trace_document("fan_out"))
         obs.reset()
-        assert counters["gemm.ops"] == 1.0
-        assert counters["gemm.flops"] == accounting.gemm_flop_count(5, 3, 2)
-        assert counters["spmm.ops"] == 1.0
-        assert counters["spmm.flops"] == accounting.spmm_flop_count(
+        assert kernels["gemm"]["calls"] == 1
+        assert kernels["gemm"]["flops"] == accounting.gemm_flop_count(5, 3, 2)
+        assert kernels["spmm"]["calls"] == 1
+        assert kernels["spmm"]["flops"] == accounting.spmm_flop_count(
             triangle_graph.num_edges_directed, 4
         )
 
@@ -113,6 +106,12 @@ class TestObsFanOut:
         obs.reset()
         kernel_ops.gemm(np.eye(3), np.eye(3))
         assert obs.metrics.snapshot()["counters"] == {}
+
+    def test_obs_reset_empties_the_per_class_book(self):
+        kernel_ops.gemm(np.eye(3), np.eye(3))
+        assert accounting.PER_CLASS
+        obs.reset()
+        assert accounting.per_class_snapshot() == {}
 
 
 class TestMatchesComplexityModel:
@@ -148,7 +147,7 @@ class TestMatchesComplexityModel:
             model.forward(features, agg, train=False)
         analytic = eq1_forward_ops(edge_counts, node_counts, dims)
         # Eq. 1 counts one operation per MAC; the meter counts 2 flops.
-        assert counters.total_flops == 2.0 * analytic
+        assert counters.gemm_flops + counters.spmm_flops == 2.0 * analytic
         # The split is exact too: agg term -> spmm, weight term -> gemm.
         agg_ops = sum(e * f for e, f in zip(edge_counts, dims[:-1]))
         assert counters.spmm_flops == 2.0 * agg_ops

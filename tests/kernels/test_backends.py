@@ -45,15 +45,20 @@ class TestAdjacencyCache:
         assert key not in sparse._ADJACENCY_CACHE
 
     def test_stats_count_hits_misses_and_live_entries(self):
+        from repro import obs
+        from repro.obs import metrics as obs_metrics
+
         graph = edges_to_csr(np.array([[0, 1], [1, 2]]), 3)
-        before = sparse.adjacency_cache_stats()
-        adjacency_matrix(graph)  # miss (fresh graph object)
-        adjacency_matrix(graph)  # hit
-        adjacency_matrix(graph)  # hit
-        after = sparse.adjacency_cache_stats()
-        assert after["misses"] == before["misses"] + 1
-        assert after["hits"] == before["hits"] + 2
-        assert after["live_entries"] >= 1
+        obs.reset()
+        with obs.enabled():
+            adjacency_matrix(graph)  # miss (fresh graph object)
+            adjacency_matrix(graph)  # hit
+            adjacency_matrix(graph)  # hit
+        counters = obs_metrics.snapshot()["counters"]
+        obs.reset()
+        assert counters["kernels.adjacency_cache.misses"] == 1
+        assert counters["kernels.adjacency_cache.hits"] == 2
+        assert len(sparse._ADJACENCY_CACHE) >= 1
 
     def test_obs_counters_track_the_memo_cache(self):
         from repro import obs

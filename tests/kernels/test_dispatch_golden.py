@@ -10,9 +10,12 @@ SpMM's books depend on neither of the last two, and when the rest were
 deleted the
 file was *derived*, not re-recorded: every ``…|transient]`` bucket
 folded into its ``…|alloc]`` twin, the two plan-table counters dropped,
-totals and capture scopes byte for byte what they were.) The
-``PER_CLASS`` keys and every ``TOTALS`` / capture / obs counter must
-come out equal (seconds are wall time and are only required to add up).
+totals and capture scopes byte for byte what they were. When the
+process-wide totals and the obs ``gemm.*`` / ``spmm.*`` counter mirror
+were deleted, their ``totals`` and ``obs`` sections were dropped the same
+way; both had equalled ``outer``.) The ``PER_CLASS`` keys and every
+capture counter must come out equal (seconds are wall time and are only
+required to add up).
 Regenerate (only when an accounting change is intended)::
 
     PYTHONPATH=src python tests/kernels/test_dispatch_golden.py --write
@@ -35,7 +38,6 @@ from repro.kernels.accounting import ShapeClass
 
 GOLDEN = pathlib.Path(__file__).with_name("dispatch_golden.json")
 COUNTED = ("gemm_calls", "gemm_flops", "spmm_calls", "spmm_flops")
-OBS_COUNTERS = ("gemm.ops", "gemm.flops", "spmm.ops", "spmm.flops")
 
 
 def _sequence() -> dict:
@@ -43,7 +45,6 @@ def _sequence() -> dict:
     rng = np.random.default_rng(0)
     ring = np.arange(40)
     graph = edges_to_csr(np.stack([ring, (ring + 1) % 40], axis=1), 40)
-    accounting.reset_totals()
     obs.reset()
     try:
         with obs.enabled(), accounting.capture() as outer:
@@ -75,16 +76,10 @@ def _sequence() -> dict:
                     for _ in range(3):
                         kernel_ops.gemm(a, a.T)
                     kernel_ops.spmm(graph, rng.standard_normal((40, 3)).astype(dtype))
-        counters = obs.metrics.snapshot()["counters"]
+        per_class = accounting.per_class_snapshot()
     finally:
         obs.reset()
-    return {
-        "per_class": accounting.per_class_snapshot(),
-        "totals": accounting.TOTALS.snapshot(),
-        "outer": outer.snapshot(),
-        "inner": inner.snapshot(),
-        "obs": {name: counters.get(name, 0.0) for name in OBS_COUNTERS},
-    }
+    return {"per_class": per_class, "outer": outer.snapshot(), "inner": inner.snapshot()}
 
 
 def _pinned(books: dict) -> dict:
@@ -94,8 +89,7 @@ def _pinned(books: dict) -> dict:
             key: {f: row[f] for f in ("op", "calls", "flops", "bytes")}
             for key, row in books["per_class"].items()
         },
-        **{scope: {f: books[scope][f] for f in COUNTED} for scope in ("totals", "outer", "inner")},
-        "obs": books["obs"],
+        **{scope: {f: books[scope][f] for f in COUNTED} for scope in ("outer", "inner")},
     }
 
 
@@ -104,12 +98,12 @@ class TestDispatchGolden:
         books = _sequence()
         assert _pinned(books) == json.loads(GOLDEN.read_text())
         # Seconds are wall time: every call has some, and the per-class
-        # buckets hold the same seconds as the totals.
+        # buckets hold the same seconds as the scope around every call.
         for op in ("gemm", "spmm"):
             per_class = sum(
                 row["seconds"] for row in books["per_class"].values() if row["op"] == op
             )
-            assert per_class == pytest.approx(books["totals"][f"{op}_seconds"])
+            assert per_class == pytest.approx(books["outer"][f"{op}_seconds"])
             assert 0.0 < books["inner"][f"{op}_seconds"] < books["outer"][f"{op}_seconds"]
 
 

@@ -520,7 +520,7 @@ class TestCellSums:
     def test_one_spmm_record_over_n_nonzeros(self, rng):
         rows = rng.standard_normal((64, 7))
         order, ptr = _layout(rng.integers(0, 5, size=64), 5)
-        accounting.reset_totals()
+        accounting.reset_per_class()
         with accounting.capture() as seen:
             kernel_ops.cell_sums(rows, order, ptr)
         assert (seen.spmm_calls, seen.gemm_calls) == (1, 0)

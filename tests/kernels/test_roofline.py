@@ -90,7 +90,7 @@ class TestPointMath:
 
     def test_every_accounted_call_site_gets_a_point(self, rng):
         # Real dispatch: each distinct shape class placed on the roofline.
-        accounting.reset_totals()
+        accounting.reset_per_class()
         kernel_ops.gemm(rng.standard_normal((64, 8)), rng.standard_normal((8, 8)))
         kernel_ops.gemm(rng.standard_normal((300, 16)), rng.standard_normal((16, 4)))
         snap = accounting.per_class_snapshot()
@@ -116,7 +116,7 @@ class TestModeledPeaks:
         hidden 512, weight application sits right of the ridge (compute
         bound, Amdahl-limited in practice) while aggregation sits left of
         it (bandwidth bound, saturation-limited)."""
-        accounting.reset_totals()
+        accounting.reset_per_class()
         x = rng.standard_normal((medium_graph.num_vertices, 512))
         kernel_ops.gemm(x, rng.standard_normal((512, 512)))
         kernel_ops.spmm(medium_graph, x)

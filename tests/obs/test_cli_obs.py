@@ -408,11 +408,7 @@ class TestSloReport:
         )
         assert code == 0  # breaches only flip the exit code under --strict
         text = (tmp_path / "slo_report.txt").read_text()
-        for rule in (
-            "serving-deadline-miss",
-            "iteration-span-coverage",
-            "flop-account-drift",
-        ):
+        for rule in ("serving-deadline-miss", "iteration-span-coverage"):
             assert rule in text, rule
         # The instrumented run satisfies the repo's standing contracts.
         assert "all SLOs met" in text

@@ -4,6 +4,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
+from repro import obs
+from repro.cli import main
+from repro.experiments.common import format_float
+from repro.graphs import edges_to_csr
+from repro.kernels import accounting
+from repro.kernels import ops as kernel_ops
 from repro.obs import export, metrics
 from repro.obs.export import (
     load_trace,
@@ -233,3 +241,49 @@ class TestRenderReport:
     def test_empty_document(self):
         text = render_report({"obs": "empty", "phases": {}})
         assert "no spans recorded" in text
+
+
+class TestKernelWindow:
+    """A document's kernel work covers its spans' window: ``obs.reset()``
+    empties the kernel layer's per-class book with the spans."""
+
+    def test_rollup_equals_a_capture_over_the_window(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        ring = np.arange(12)
+        graph = edges_to_csr(np.stack([ring, (ring + 1) % 12], axis=1), 12)
+        a = rng.standard_normal((12, 5))
+        kernel_ops.gemm(a, a.T)  # before the window: not in the document
+        kernel_ops.spmm(graph, a)
+        obs.reset()
+        try:
+            with obs.enabled(), accounting.capture() as window, obs.span("window"):
+                kernel_ops.gemm(a, a.T)
+                kernel_ops.gemm(a.T, a, out=np.empty((5, 5)))
+                kernel_ops.spmm(graph, a)
+                take = np.array([0, 3, 3, 7])
+                kernel_ops.gather_segment_sum(a, take, np.array([0, 1, 4]), 2)
+                kernel_ops.scatter_add_rows(a[take], take, 12)
+            doc = trace_document("window")
+        finally:
+            obs.reset()
+        booked = {
+            op: (getattr(window, f"{op}_calls"), getattr(window, f"{op}_flops"))
+            for op in ("gemm", "spmm")
+        }
+        assert booked["gemm"][0] == 2 and booked["spmm"][0] == 3
+        rollup = export.kernel_rollup(doc)
+        assert {op: (row["calls"], row["flops"]) for op, row in rollup.items()} == booked
+
+        path = tmp_path / "OBS_window.json"
+        path.write_text(json.dumps(doc))
+        assert main(["obs-report", "--trace", str(path)]) == 0
+        report = capsys.readouterr().out
+        table = report[report.index("kernel work") :].splitlines()
+        assert table[1].split() == ["op", "|", "calls", "|", "flops", "|", "seconds"]
+        rows = {cells[0]: cells[1:3] for cells in (
+            [c.strip() for c in line.split("|")] for line in table[3:5]
+        )}
+        assert rows == {
+            op: [format_float(calls), format_float(flops)]
+            for op, (calls, flops) in booked.items()
+        }

@@ -34,9 +34,9 @@ def traced_run(request):
     with obs.enabled():
         result = trainer.train()
     roots = list(obs.get_tracer().roots)
-    snapshot = obs.metrics.snapshot()
+    doc = obs.export.trace_document("traced_run")
     obs.reset()
-    return result, roots, snapshot
+    return result, roots, doc
 
 
 def _named(roots, name):
@@ -101,14 +101,15 @@ class TestTrainerSpans:
         assert _named(roots, "trainer.eval")
 
     def test_counters_populated(self, traced_run):
-        result, _, snapshot = traced_run
-        counters = snapshot["counters"]
+        result, _, doc = traced_run
+        counters = doc["metrics"]["counters"]
         assert counters["trainer.iterations"] == float(result.iterations)
         assert counters["sampler.pops"] > 0
         assert counters["sampler.subgraphs"] > 0
         assert counters["prop.passes"] > 0
-        assert counters["spmm.ops"] > 0
-        assert counters["spmm.flops"] > 0
+        spmm = obs.export.kernel_rollup(doc)["spmm"]
+        assert spmm["calls"] > 0
+        assert spmm["flops"] > 0
 
     def test_sampler_spans_under_sample_phase(self, traced_run):
         _, roots, _ = traced_run

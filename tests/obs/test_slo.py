@@ -101,38 +101,6 @@ class TestSpanCoverage:
         assert not res.ok
 
 
-class TestFlopDrift:
-    RULE = SLORule(
-        name="drift", kind="flop_drift", params={"max_rel_drift": 1e-6}
-    )
-
-    def _registry_with_flops(self, gemm, spmm):
-        reg = MetricsRegistry()
-        reg.counter("gemm.flops").add(gemm)
-        reg.counter("spmm.flops").add(spmm)
-        return reg
-
-    def test_exact_agreement(self):
-        reg = self._registry_with_flops(2e9, 1e9)
-        (res,) = evaluate(
-            [self.RULE], SLOContext(registry=reg, expected_flops=3e9)
-        )
-        assert res.ok
-        assert res.value == 0.0
-
-    def test_drift_breaches(self):
-        reg = self._registry_with_flops(2e9, 1e9)
-        (res,) = evaluate(
-            [self.RULE], SLOContext(registry=reg, expected_flops=3.1e9)
-        )
-        assert not res.ok
-        assert res.value == pytest.approx(0.1 / 3.1, rel=1e-6)
-
-    def test_missing_expectation_is_a_breach(self):
-        (res,) = evaluate([self.RULE], SLOContext(registry=MetricsRegistry()))
-        assert not res.ok
-
-
 class TestHistogramP99:
     def test_threshold_comparison(self):
         reg = MetricsRegistry()
@@ -153,7 +121,9 @@ class TestEvaluate:
     def test_breach_counters_written(self):
         reg = MetricsRegistry()
         rules = [
-            SLORule(name="a", kind="flop_drift"),  # breaches: no expectation
+            SLORule(
+                name="a", kind="staleness_bound", params={"bound": 1.0}
+            ),  # breaches: no samples
             SLORule(
                 name="b",
                 kind="histogram_p99",
@@ -173,12 +143,11 @@ class TestEvaluate:
                 SLOContext(registry=MetricsRegistry()),
             )
 
-    def test_default_rules_cover_three_contracts(self):
+    def test_default_rules_cover_two_contracts(self):
         rules = default_rules()
         assert [r.kind for r in rules] == [
             "serving_deadline_miss",
             "span_coverage",
-            "flop_drift",
         ]
 
 

@@ -6,12 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.graphs import make_dataset
 from repro.graphs.csr import edges_to_csr
+from repro.propagation import spmm
 from repro.propagation.spmm import (
     MeanAggregator,
     full_graph_input,
-    input_aggregate_stats,
     spmm_sum_numpy,
     spmm_sum_scipy,
 )
@@ -102,13 +103,15 @@ def ds():
 
 class TestFullGraphInput:
     def test_computed_once_and_equal_to_a_fresh_aggregation(self, ds):
-        before = input_aggregate_stats()
-        first = full_graph_input(ds, np.float64)
-        again = full_graph_input(ds, np.float64)
-        after = input_aggregate_stats()
+        obs.reset()
+        with obs.enabled():
+            first = full_graph_input(ds, np.float64)
+            again = full_graph_input(ds, np.float64)
+        counters = obs.metrics.snapshot()["counters"]
+        obs.reset()
         assert again is first
-        assert after["misses"] == before["misses"] + 1
-        assert after["hits"] == before["hits"] + 1
+        assert counters["propagation.input_aggregate.misses"] == 1
+        assert counters["propagation.input_aggregate.hits"] == 1
         assert first.features is ds.features
         assert np.array_equal(
             first.aggregate, MeanAggregator(ds.graph).forward(ds.features)
@@ -141,21 +144,18 @@ class TestFullGraphInput:
         full_graph_input(ds, np.float64)
         # Entries of datasets earlier tests dropped die here, not below.
         gc.collect()
-        live = input_aggregate_stats()["live_entries"]
+        live = len(spmm._INPUT_AGGREGATES)
         del ds
         gc.collect()
-        assert input_aggregate_stats()["live_entries"] == live - 1
+        assert len(spmm._INPUT_AGGREGATES) == live - 1
 
     def test_obs_counters_track_the_memo(self):
-        from repro import obs
-        from repro.obs import metrics as obs_metrics
-
         ds = make_dataset("ppi", scale=0.01, seed=3)
         obs.reset()
         with obs.enabled():
             full_graph_input(ds, np.float64)
             full_graph_input(ds, np.float64)
             full_graph_input(ds, np.float64)
-        counters = obs_metrics.snapshot()["counters"]
+        counters = obs.metrics.snapshot()["counters"]
         assert counters["propagation.input_aggregate.misses"] == 1
         assert counters["propagation.input_aggregate.hits"] == 2

@@ -37,7 +37,7 @@ def _points(rng, n, dim, dtype):
 
 def _metered(fn):
     """``fn()`` plus what it cost in kernels: gemm calls, flops, classes."""
-    accounting.reset_totals()
+    accounting.reset_per_class()
     with accounting.capture() as counters:
         out = fn()
     return out, (counters.gemm_calls, counters.gemm_flops, sorted(accounting.PER_CLASS))
@@ -259,7 +259,7 @@ class TestKMeansMatchesReference:
         # cells empty every pass): a per-cell loop cannot come back unseen.
         rng = np.random.default_rng(24)
         normed = self._rows(rng, 400, distinct, np.float64)
-        accounting.reset_totals()
+        accounting.reset_per_class()
         with accounting.capture() as seen:
             _, _, ran = _spherical_kmeans(normed, 8, np.random.default_rng(24), iters=6)
         cell_sums = [b.calls for key, b in accounting.PER_CLASS.items() if key.endswith("|cells]")]

@@ -107,8 +107,6 @@ NAMES_ALLOWED = {
     "repro.graphs.csr.CSRGraph.has_edge": "the edge-membership oracle of the graph tests",
     "repro.graphs.csr.CSRGraph.is_symmetric": "the symmetry oracle of the generator tests",
     "repro.propagation.spmm.MeanAggregator.dense": "the dense A_hat the SpMM tests compare against",
-    "repro.kernels.sparse.adjacency_cache_stats": "the memo counter that proves the cache is hit",
-    "repro.propagation.spmm.input_aggregate_stats": "the memo counter that proves the cache is hit",
     "repro.sampling.dashboard.Dashboard.alive_vertices": "the frontier oracle of the Dashboard tests",
     "repro.obs.trace.set_tracer": "the test seam that installs a fake-clock tracer",
     "repro.obs._gate.set_enabled": "the test seam that resets the obs gate between tests",
@@ -131,7 +129,9 @@ DELETED_NAMES = {
     "BenchReporter", "write_bench_json", "add_samples", "from_registry",
     "_write_serving_bench", "aggregation_weights", "directed_slot_probs", "sample_many",
     "KernelBackend", "register_backend", "get_backend", "available_backends",
-    "default_backend",
+    "default_backend", "TOTALS", "reset_totals", "adjacency_cache_stats",
+    "input_aggregate_stats", "_ADJACENCY_STATS", "_INPUT_AGGREGATE_STATS",
+    "MAX_FLOP_DRIFT", "expected_flops", "_eval_flop_drift",
 }
 DELETED_MODULES = (
     "analysis/roofline.py", "graphs/io.py", "graphs/validate.py", "nn/schedule.py",

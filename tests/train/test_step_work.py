@@ -12,13 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines.batched_gcn import BatchedGCNConfig, BatchedGCNTrainer
 from repro.baselines.fastgcn import FastGCNConfig, FastGCNTrainer
 from repro.baselines.graphsage import GraphSAGETrainer, SageConfig
 from repro.experiments.modelcosts import weight_application_flops
 from repro.kernels import accounting
+from repro.propagation import spmm
 from repro.propagation.feature_prop import PartitionedPropagator
-from repro.propagation.spmm import input_aggregate_stats
 from repro.train.config import TrainConfig
 from repro.train.trainer import GraphSamplingTrainer, TrainResult
 
@@ -53,11 +54,15 @@ class TestGraphSamplingStep:
         monkeypatch.setattr(PartitionedPropagator, "backward", counted_backward)
         with GraphSamplingTrainer(reddit_small, cfg) as trainer:
             result = TrainResult()
-            memo_before = input_aggregate_stats()
-            with accounting.capture() as seen:
+            live = len(spmm._INPUT_AGGREGATES)
+            obs.reset()
+            with obs.enabled(), accounting.capture() as seen:
                 trainer.train_iteration(0, result)
+            counters = obs.metrics.snapshot()["counters"]
+            obs.reset()
         # training never reads or fills the full-graph inference input
-        assert input_aggregate_stats() == memo_before
+        assert not [name for name in counters if name.startswith("propagation.input_aggregate")]
+        assert len(spmm._INPUT_AGGREGATES) == live
         metrics = result.iteration_metrics[0]
         n = metrics.subgraph_vertices
         f0, classes = reddit_small.attribute_dim, reddit_small.num_classes
