@@ -32,8 +32,9 @@ trace — or, with ``--exemplars``, the retained tail exemplars (the
 concrete slow requests behind the percentiles), or, with ``--request
 <id>``, that request's span tree with its critical path marked (works on
 trace documents and flight dumps alike); ``flight-dump`` runs a small
-hedged replay and writes the flight recorder's ring buffers as an
-``OBS_flightdump_*.json`` diagnostic bundle on demand. Each subcommand
+hedged replay and writes the flight recorder's events and the tracer's
+newest span trees as an ``OBS_flightdump_*.json`` diagnostic bundle on
+demand. Each subcommand
 prints the paper-style table; ``--out DIR`` additionally writes it to
 ``DIR/<name>.txt``. The bench verbs (``serve-bench``, ``serve-cluster``,
 ``sampler-bench``, ``sampler-zoo``, ``train-bench``) write
@@ -535,7 +536,7 @@ def _hedged_cluster_replay(*, queries: int, seed: int):
     1 024-vertex mixture corpus.
 
     Run with :mod:`repro.obs` enabled: the bursty trace plus a slow last
-    replica make hedges actually fire, so the flight recorder's ring and
+    replica make hedges actually fire, so the flight recorder's events and
     the request span forest end up holding hedged duplicates with the
     winner marked — the material ``flight-dump`` and ``slo-report``
     breach dumps are expected to contain.
@@ -548,8 +549,8 @@ def _hedged_cluster_replay(*, queries: int, seed: int):
 def _run_flight_dump(args: argparse.Namespace, out: pathlib.Path | None) -> None:
     """Trigger an on-demand flight-recorder dump.
 
-    Runs one small instrumented hedged-cluster replay so the recorder's
-    rings hold fresh request trees and events, then writes the
+    Runs one small instrumented hedged-cluster replay so the tracer holds
+    fresh request trees and the recorder fresh events, then writes the
     ``OBS_flightdump_manual_*.json`` bundle to ``--out`` (default: the
     current directory). Inspect it with ``obs-report --trace <dump>
     --exemplars`` or ``--request <id>``.

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ..graphs.datasets import Dataset
+from ..obs.export import to_jsonable
 from ..train.config import TrainConfig
 from ..train.trainer import GraphSamplingTrainer, IterationMetrics
 
@@ -84,25 +85,6 @@ def format_float(x: object) -> str:
     if isinstance(x, int) and abs(x) >= 1000:
         return f"{x:,}"
     return str(x)
-
-
-def to_jsonable(obj: object) -> object:
-    """Recursively convert experiment results to JSON-serializable data.
-
-    Handles numpy scalars/arrays, tuples, sets and non-finite floats
-    (mapped to ``None``, since JSON has no NaN/inf).
-    """
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
-        return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):  # numpy arrays and scalars
-        return to_jsonable(obj.tolist())
-    if isinstance(obj, float):
-        return obj if obj == obj and abs(obj) != float("inf") else None
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    return str(obj)
 
 
 def format_table(

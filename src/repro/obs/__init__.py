@@ -5,21 +5,23 @@ time-to-accuracy, Fig. 3/4 scaling); this package is how the repo sees
 where time actually goes. One span/counter vocabulary shared by every
 subsystem:
 
-* :mod:`repro.obs.trace` — hierarchical spans recording wall time,
-  cost-model (simulated) time and arbitrary attributes, on an injectable
-  clock so traces are deterministic in tests;
+* :mod:`repro.obs.trace` — hierarchical spans, each stating the clock
+  its times are on (``"wall"`` for the tracer, ``"virtual"`` for the
+  serving replays' request trees), with arbitrary attributes; the
+  tracer's clock is injectable so traces are deterministic in tests;
 * :mod:`repro.obs.metrics` — process-wide counters / gauges / exact-
   percentile histograms (subsumes ``repro.serving.metrics``'s
   :class:`~repro.obs.metrics.LatencyHistogram`);
 * :mod:`repro.obs.export` — JSON trace documents, Chrome
   ``trace_event`` files, and the flat ``OBS_<name>.json`` summaries that
-  sit next to the bench harness's ``BENCH_<name>.json``;
+  sit next to the bench harness's ``BENCH_<name>.json``; the JSON
+  documents share one builder and one reader;
 * :mod:`repro.obs.context` — request-scoped tracing: per-request span
   trees (admission → batch → shard fan-out → hedged duplicates) that
   make individual tail requests reconstructable by id;
-* :mod:`repro.obs.flight` — the flight recorder: ring buffers of recent
-  root spans and events, dumped to ``OBS_flightdump_*.json`` on SLO
-  breach (debounced) or on demand.
+* :mod:`repro.obs.flight` — the flight recorder: a ring of recent events
+  and the tracer's newest span trees, dumped to
+  ``OBS_flightdump_*.json`` on SLO breach (debounced) or on demand.
 
 Everything is **off by default** and costs one attribute read per call
 site when disabled (see :mod:`repro.obs._gate`); enable it with::
@@ -94,14 +96,10 @@ __all__ = [
     "reset",
 ]
 
-# The flight recorder rides the tracer's root sink from the start, so
-# "always on" holds without any subsystem opting in.
-flight.get_flight_recorder()
-
 
 def reset() -> None:
     """Clear the tracer, the metrics registry, request-id counters, the
-    flight recorder's buffers and the kernel layer's per-class book.
+    flight recorder's event ring and the kernel layer's per-class book.
 
     Bench runners call this before each workload so one process can
     export several independent ``OBS_*.json`` files with reproducible

@@ -5,17 +5,18 @@ The batch-level spans of :mod:`repro.obs.trace` answer "where does the
 time go". A :class:`RequestContext` owns one span tree rooted at a
 ``request`` span, built with **explicit timestamps** (the serving
 replays run on a discrete-event virtual clock, so spans cannot come from
-the tracer's wall-clock stack), and is threaded from
-:class:`~repro.serving.batcher.MicroBatcher` admission through batch
-execution, router fan-out, per-shard/replica dispatch and hedged
-duplicates. When the request completes, :meth:`RequestContext.finish`
+the tracer's wall-clock stack, and every span states ``"virtual"`` as its
+clock), and is threaded from :class:`~repro.serving.batcher.MicroBatcher`
+admission through batch execution, router fan-out, per-shard/replica
+dispatch and hedged duplicates. When the request completes, :meth:`RequestContext.finish`
 attaches the tree to the tracer as a root, so it exports through the
-same document / Chrome-trace machinery as every other span.
+same document / Chrome-trace machinery as every other span, grouped
+under its own clock.
 
-The resulting forest is addressable by request id:
+The resulting forest is addressable by request id — live, or read back
+from an exported document by :func:`repro.obs.export.load_trace`:
 
-* :func:`find_request` — locate a request's root span (or its exported
-  dict form) by id;
+* :func:`find_request` — locate a request's root span by id;
 * :func:`critical_path` — the chain of spans that determined the
   request's completion time (at each level, the child that finished
   last);
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import threading
 
-from .trace import Span, get_tracer
+from .trace import Span, covered_seconds, get_tracer, walk
 
 __all__ = [
     "RequestContext",
@@ -110,7 +111,7 @@ class RequestContext:
 
     def __init__(self, request_id: str, t_start: float, **attrs: object) -> None:
         self.request_id = request_id
-        self.root = Span(REQUEST_SPAN_NAME, t_start, None)
+        self.root = Span(REQUEST_SPAN_NAME, t_start, "virtual")
         self.root.attrs[REQUEST_ID_ATTR] = request_id
         if attrs:
             self.root.attrs.update(attrs)
@@ -130,8 +131,7 @@ class RequestContext:
         ``span.t_end`` (or let :meth:`finish` close it at the request's
         completion time).
         """
-        sp = Span(name, t_start, None)
-        sp.t_end = t_end
+        sp = Span(name, t_start, "virtual", t_end=t_end)
         if attrs:
             sp.attrs.update(attrs)
         (parent if parent is not None else self.root).children.append(sp)
@@ -159,65 +159,39 @@ class RequestContext:
         return self.root
 
 
-# -- forest queries (Span objects or exported dict nodes) ---------------
+# -- forest queries ----------------------------------------------------
 
-def _name(node) -> str:
-    return node["name"] if isinstance(node, dict) else node.name
-
-
-def _attrs(node) -> dict:
-    return node.get("attrs", {}) if isinstance(node, dict) else node.attrs
-
-
-def _children(node) -> list:
-    return node.get("children", []) if isinstance(node, dict) else node.children
-
-
-def _t_start(node) -> float:
-    return node["t_start"] if isinstance(node, dict) else node.t_start
-
-
-def _t_end(node) -> float | None:
-    return node.get("t_end") if isinstance(node, dict) else node.t_end
-
-
-def _walk_any(node):
-    yield node
-    for c in _children(node):
-        yield from _walk_any(c)
-
-
-def find_request(roots, request_id: str):
+def find_request(roots: list[Span], request_id: str) -> Span | None:
     """The ``request`` span with ``request_id``, searching a span forest.
 
-    ``roots`` is a list of :class:`~repro.obs.trace.Span` objects *or*
-    exported dict nodes (a trace document's ``"spans"`` list, a flight
-    dump's ``"spans"`` list) — request trees are addressed the same way
-    live and post-mortem. Returns ``None`` when absent.
+    ``roots`` is the live tracer's roots or the ``"spans"`` a trace
+    document or flight dump reads back as through
+    :func:`repro.obs.export.load_trace` — request trees are addressed
+    the same way live and post-mortem. Returns ``None`` when absent.
     """
     for root in roots:
-        for node in _walk_any(root):
+        for node in walk(root):
             if (
-                _name(node) == REQUEST_SPAN_NAME
-                and _attrs(node).get(REQUEST_ID_ATTR) == request_id
+                node.name == REQUEST_SPAN_NAME
+                and node.attrs.get(REQUEST_ID_ATTR) == request_id
             ):
                 return node
     return None
 
 
-def request_ids(roots) -> list[str]:
+def request_ids(roots: list[Span]) -> list[str]:
     """Every request id present in a span forest, in recording order."""
     out: list[str] = []
     for root in roots:
-        for node in _walk_any(root):
-            if _name(node) == REQUEST_SPAN_NAME:
-                rid = _attrs(node).get(REQUEST_ID_ATTR)
+        for node in walk(root):
+            if node.name == REQUEST_SPAN_NAME:
+                rid = node.attrs.get(REQUEST_ID_ATTR)
                 if rid is not None:
                     out.append(str(rid))
     return out
 
 
-def critical_path(root) -> list:
+def critical_path(root: Span) -> list[Span]:
     """Spans that determined the request's completion, root first.
 
     Walks *backward* from the request's completion: at each cursor the
@@ -231,37 +205,35 @@ def critical_path(root) -> list:
     ``cancelled`` are excluded: they may finish after the winner, but
     the request never waited on them.
     """
-    t0, t1 = _t_start(root), _t_end(root)
+    t0, t1 = root.t_start, root.t_end
     nodes = [
         sp
-        for i, sp in enumerate(_walk_any(root))
+        for i, sp in enumerate(walk(root))
         if i > 0
-        and _t_end(sp) is not None
-        and not _attrs(sp).get("lost")
-        and not _attrs(sp).get("cancelled")
+        and sp.t_end is not None
+        and not sp.attrs.get("lost")
+        and not sp.attrs.get("cancelled")
     ]
-    path: list = []
+    path: list[Span] = []
     cursor = t1
     while cursor is not None and cursor > t0:
-        active = [
-            s for s in nodes if _t_start(s) < cursor and _t_end(s) >= cursor
-        ]
+        active = [s for s in nodes if s.t_start < cursor and s.t_end >= cursor]
         if active:
-            nxt = min(active, key=_t_start)
+            nxt = min(active, key=lambda s: s.t_start)
         else:
-            before = [s for s in nodes if _t_end(s) < cursor]
+            before = [s for s in nodes if s.t_end < cursor]
             if not before:
                 break
-            nxt = max(before, key=_t_end)
+            nxt = max(before, key=lambda s: s.t_end)
         path.append(nxt)
-        if _t_start(nxt) >= cursor:
+        if nxt.t_start >= cursor:
             break  # zero-length span: cannot make progress
-        cursor = _t_start(nxt)
+        cursor = nxt.t_start
     path.reverse()
     return [root] + path
 
 
-def critical_path_coverage(root) -> float:
+def critical_path_coverage(root: Span) -> float:
     """Fraction of the request's latency explained by its critical path.
 
     The union of the path spans' intervals (root excluded), clipped to
@@ -269,27 +241,16 @@ def critical_path_coverage(root) -> float:
     the reconstruction accounts for every recorded second; the
     acceptance contract is ≥ 0.95.
     """
-    t0, t1 = _t_start(root), _t_end(root)
+    t0, t1 = root.t_start, root.t_end
     if t1 is None or t1 <= t0:
         return 1.0  # zero-latency request (cache hit): nothing to explain
-    intervals = sorted(
-        (max(_t_start(sp), t0), min(_t_end(sp), t1))
-        for sp in critical_path(root)[1:]
-        if _t_end(sp) is not None and _t_end(sp) > t0 and _t_start(sp) < t1
-    )
-    covered = 0.0
-    cursor = t0
-    for lo, hi in intervals:
-        lo = max(lo, cursor)
-        if hi > lo:
-            covered += hi - lo
-            cursor = hi
-    return covered / (t1 - t0)
+    intervals = [(sp.t_start, sp.t_end) for sp in critical_path(root)[1:]]
+    return covered_seconds(intervals, t0, t1) / (t1 - t0)
 
 
-def _mark(node) -> str:
+def _mark(node: Span) -> str:
     """Status tag for a dispatch span (hedging outcome)."""
-    attrs = _attrs(node)
+    attrs = node.attrs
     tags = []
     if attrs.get("hedge"):
         tags.append("hedge")
@@ -304,27 +265,27 @@ def _mark(node) -> str:
     return f" [{'/'.join(tags)}]" if tags else ""
 
 
-def render_request_tree(root) -> str:
+def render_request_tree(root: Span) -> str:
     """Ascii tree of one request's spans with interval + key attributes.
 
     Times are printed in milliseconds relative to the request's admission
     (``+x.xxxms``) so the tree reads as a timeline; the footer reports the
     critical path and its latency coverage.
     """
-    t0 = _t_start(root)
-    rid = _attrs(root).get(REQUEST_ID_ATTR, "?")
+    t0 = root.t_start
+    rid = root.attrs.get(REQUEST_ID_ATTR, "?")
     lines = []
     path = set(map(id, critical_path(root)))
 
     def fmt(node, depth):
-        start = (_t_start(node) - t0) * 1e3
-        end = _t_end(node)
+        start = (node.t_start - t0) * 1e3
+        end = node.t_end
         span_txt = (
             f"+{start:.3f}ms .. +{(end - t0) * 1e3:.3f}ms"
             if end is not None
             else f"+{start:.3f}ms .. (open)"
         )
-        attrs = _attrs(node)
+        attrs = node.attrs
         shown = {
             k: attrs[k]
             for k in ("qid", "k", "shard", "replica", "queue_ms", "service_ms", "shed")
@@ -333,13 +294,13 @@ def render_request_tree(root) -> str:
         extra = f" {shown}" if shown else ""
         star = " *" if id(node) in path and depth > 0 else ""
         lines.append(
-            f"{'  ' * depth}{_name(node)}  {span_txt}{_mark(node)}{extra}{star}"
+            f"{'  ' * depth}{node.name}  {span_txt}{_mark(node)}{extra}{star}"
         )
-        for c in _children(node):
+        for c in node.children:
             fmt(c, depth + 1)
 
     fmt(root, 0)
-    latency = ((_t_end(root) or t0) - t0) * 1e3
+    latency = ((root.t_end or t0) - t0) * 1e3
     cov = critical_path_coverage(root)
     lines.append("")
     lines.append(

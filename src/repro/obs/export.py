@@ -1,17 +1,23 @@
 """Trace/metric export: JSON documents, Chrome ``trace_event``, reports.
 
-Three output shapes, one source of truth (the tracer + registry):
+Three output shapes, one source of truth (the tracer + registry), and
+one builder of the keys every JSON document shares (:func:`document`):
 
-* **trace document** — nested spans plus per-phase aggregates and a
-  metrics snapshot; what ``python -m repro.cli obs-report`` consumes.
+* **trace document** — nested spans plus per-clock, per-phase aggregates
+  and a metrics snapshot; what ``python -m repro.cli obs-report``
+  consumes.
 * **Chrome trace** — a ``trace_event`` array loadable in
   ``chrome://tracing`` / Perfetto ("complete" ``ph: "X"`` events,
-  microsecond timestamps).
+  microsecond timestamps, one process per clock).
 * **``OBS_<name>.json``** — the flat summary
   :func:`repro.obs.record.write_bench` writes next to a bench's
   ``BENCH_<name>.json`` when the runner keeps no trace document of its
   own: same naming convention, same directory, so the cross-PR
   trajectory tooling picks both up.
+
+:func:`load_trace` is the one reader: it rebuilds a document's spans
+into :class:`~repro.obs.trace.Span` trees (:func:`span_from_dict`, the
+inverse of :func:`span_to_dict`).
 """
 
 from __future__ import annotations
@@ -19,11 +25,14 @@ from __future__ import annotations
 import json
 import pathlib
 
-from .metrics import REGISTRY
+from .metrics import REGISTRY, MetricsRegistry
 from .trace import Span, aggregate, get_tracer
 
 __all__ = [
+    "to_jsonable",
     "span_to_dict",
+    "span_from_dict",
+    "document",
     "trace_document",
     "to_chrome_trace",
     "write_chrome_trace",
@@ -35,18 +44,22 @@ __all__ = [
 ]
 
 
-def _jsonable(obj):
-    """JSON-safe conversion (non-finite floats become ``None``)."""
+def to_jsonable(obj: object) -> object:
+    """Recursively convert to JSON-serializable data.
+
+    Handles numpy scalars/arrays, tuples, sets and non-finite floats
+    (mapped to ``None``, since JSON has no NaN/inf).
+    """
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set)):
+        return [to_jsonable(v) for v in obj]
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars
+        return to_jsonable(obj.tolist())
     if isinstance(obj, float):
         return obj if obj == obj and abs(obj) != float("inf") else None
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
-    if hasattr(obj, "item"):  # numpy scalars
-        return _jsonable(obj.item())
     return str(obj)
 
 
@@ -57,53 +70,76 @@ def span_to_dict(sp: Span) -> dict:
         "t_start": sp.t_start,
         "t_end": sp.t_end,
         "duration": sp.duration,
+        "clock": sp.clock,
         "tid": sp.tid,
-        "attrs": _jsonable(sp.attrs),
+        "attrs": to_jsonable(sp.attrs),
         "children": [span_to_dict(c) for c in sp.children],
     }
 
 
-def trace_document(name: str) -> dict:
-    """Full export of the process tracer and metrics registry: nested
-    spans + per-phase aggregates + metrics, and the kernel layer's
-    per-class book as ``kernel_classes`` (:func:`repro.obs.reset` clears
-    it with the spans, so both cover one window)."""
+def span_from_dict(d: dict) -> Span:
+    """Inverse of :func:`span_to_dict`; a span exported before spans
+    stated their clock reads as ``"wall"``."""
+    sp = Span(
+        d["name"], d["t_start"], d.get("clock", "wall"), t_end=d.get("t_end"), tid=d.get("tid")
+    )
+    sp.attrs = dict(d.get("attrs") or {})
+    sp.children = [span_from_dict(c) for c in d.get("children", [])]
+    return sp
+
+
+def document(name: str, roots: list[Span], registry: MetricsRegistry | None = None) -> dict:
+    """The keys every exported document shares: ``obs``, ``env``,
+    per-clock ``phases`` over ``roots``, the registry's ``metrics`` and
+    ``exemplars``, and the kernel layer's per-class book as
+    ``kernel_classes`` (:func:`repro.obs.reset` clears it with the
+    spans, so both cover one window)."""
     from .record import environment_fingerprint
 
     # Lazy import: the kernel package imports obs at module load, so this
     # direction must resolve at call time only.
     from ..kernels import accounting as kernel_accounting
 
-    tracer, registry = get_tracer(), REGISTRY
-    phases = aggregate(tracer.roots)
-    return {
+    registry = registry or REGISTRY
+    return to_jsonable({
         "obs": name,
         "env": environment_fingerprint(),
-        "phases": {k: v.as_dict() for k, v in phases.items()},
-        "metrics": _jsonable(registry.snapshot()),
-        "exemplars": _jsonable(registry.exemplar_snapshot()),
-        "kernel_classes": _jsonable(kernel_accounting.per_class_snapshot()),
-        "spans": [span_to_dict(r) for r in tracer.roots],
-    }
+        "phases": {
+            clock: {k: v.as_dict() for k, v in stats.items()}
+            for clock, stats in aggregate(roots).items()
+        },
+        "metrics": registry.snapshot(),
+        "exemplars": registry.exemplar_snapshot(),
+        "kernel_classes": kernel_accounting.per_class_snapshot(),
+    })
+
+
+def trace_document(name: str) -> dict:
+    """Full export of the process tracer and metrics registry: the
+    shared keys of :func:`document` plus the nested ``spans``."""
+    roots = list(get_tracer().roots)
+    return {**document(name, roots), "spans": [span_to_dict(r) for r in roots]}
 
 
 def to_chrome_trace(roots: list[Span]) -> list[dict]:
     """Spans as Chrome ``trace_event`` "complete" events.
 
-    Timestamps are microseconds relative to the earliest root so the
-    viewer opens at t=0 regardless of the clock's epoch. Open spans
-    (no ``t_end``) are skipped — they have no extent to draw.
+    Each clock is its own process (``pid`` in first-seen order), with
+    timestamps in microseconds relative to that clock's earliest root,
+    so the viewer opens every clock at t=0 and never lays virtual
+    seconds beside wall seconds. Open spans (no ``t_end``) are
+    skipped — they have no extent to draw.
 
     Each recording thread gets its own lane: span ``tid`` values
     (python thread idents) are remapped to dense small ints in
     first-seen order, so the lane numbering is deterministic for a
     given trace regardless of what idents the OS handed out. Spans with
-    no thread (virtual-clock request trees) share lane 0 with the first
-    thread seen.
+    no thread (virtual-clock request trees) share lane 0.
     """
-    if not roots:
-        return []
-    t0 = min(r.t_start for r in roots)
+    t0: dict[str, float] = {}
+    for r in roots:
+        t0[r.clock] = min(t0.get(r.clock, r.t_start), r.t_start)
+    pids = {clock: i for i, clock in enumerate(t0)}
     events: list[dict] = []
     lanes: dict[int | None, int] = {}
 
@@ -121,11 +157,11 @@ def to_chrome_trace(roots: list[Span]) -> list[dict]:
                 {
                     "name": sp.name,
                     "ph": "X",
-                    "ts": (sp.t_start - t0) * 1e6,
+                    "ts": (sp.t_start - t0[sp.clock]) * 1e6,
                     "dur": sp.duration * 1e6,
-                    "pid": 0,
+                    "pid": pids[sp.clock],
                     "tid": lane(sp.tid),
-                    "args": _jsonable(sp.attrs),
+                    "args": to_jsonable(sp.attrs),
                 }
             )
         for c in sp.children:
@@ -152,28 +188,24 @@ def write_obs_json(path, name: str) -> pathlib.Path:
     summary (no span tree).
 
     The shape mirrors ``BENCH_<name>.json`` (``{"obs": name, ...}`` vs
-    ``{"bench": name, ...}``): per-phase aggregates plus the metrics
-    snapshot, small enough to diff across PRs.
+    ``{"bench": name, ...}``): the shared keys of :func:`document`
+    without the span tree, small enough to diff across PRs.
     """
-    from .record import environment_fingerprint
-
-    doc = {
-        "obs": name,
-        "env": environment_fingerprint(),
-        "phases": {k: v.as_dict() for k, v in aggregate(get_tracer().roots).items()},
-        "metrics": _jsonable(REGISTRY.snapshot()),
-        "exemplars": _jsonable(REGISTRY.exemplar_snapshot()),
-    }
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n")
+    doc = document(name, list(get_tracer().roots))
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def load_trace(path) -> dict:
-    """Read an exported JSON document (:func:`write_obs_json`, a flight
-    dump)."""
-    return json.loads(pathlib.Path(path).read_text())
+    """Read an exported JSON document (a trace document, an
+    ``OBS_<name>.json``, a flight dump), its ``"spans"`` rebuilt into
+    :class:`~repro.obs.trace.Span` trees."""
+    doc = json.loads(pathlib.Path(path).read_text())
+    if "spans" in doc:
+        doc["spans"] = [span_from_dict(d) for d in doc["spans"]]
+    return doc
 
 
 def kernel_rollup(doc: dict) -> dict[str, dict[str, float]]:
@@ -188,42 +220,46 @@ def kernel_rollup(doc: dict) -> dict[str, dict[str, float]]:
 
 
 def render_report(doc: dict) -> str:
-    """Per-phase breakdown table from an exported trace document.
+    """Per-phase breakdown tables from an exported trace document, one
+    per clock.
 
-    ``wall_%`` is the phase's share of *self* time (time not inside a
-    child span), so the column sums to ~100 without double counting
-    nested spans; ``per_call_ms`` is mean wall time per span. Below it
-    come the counters, the per-op kernel work of :func:`kernel_rollup`
-    and the upsert histograms. Documents written while spans still
-    carried a modeled clock hold a per-phase modeled-time field too; it
-    is not read.
+    A table's ``<clock>_s`` is total seconds on that clock and
+    ``<clock>_%`` the phase's share of the clock's *self* time (time no
+    child span covers), so the column sums to ~100 without double
+    counting nested or concurrent spans; ``per_call_ms`` is the mean
+    duration per span. Below them come the counters, the per-op kernel
+    work of :func:`kernel_rollup` and the upsert histograms. A document
+    written before spans stated their clock holds one flat ``phases``
+    map and reads as wall; one written while spans still carried a
+    modeled clock holds a per-phase modeled-time field too, not read.
     """
     phases = doc.get("phases", {})
     if not phases:
         return f"obs report: {doc.get('obs', '?')}\n(no spans recorded)"
-    total_self = sum(p.get("self_seconds", 0.0) for p in phases.values())
-    rows = []
-    for phase_name, p in phases.items():
-        count = p.get("count", 0.0)
-        wall = p.get("wall_seconds", 0.0)
-        rows.append(
-            {
-                "phase": phase_name,
-                "count": int(count),
-                "wall_s": wall,
-                "self_s": p.get("self_seconds", 0.0),
-                "wall_%": (
-                    100.0 * p.get("self_seconds", 0.0) / total_self
-                    if total_self > 0
-                    else 0.0
-                ),
-                "per_call_ms": 1e3 * wall / count if count else 0.0,
-            }
-        )
+    if any("count" in p for p in phases.values()):
+        phases = {"wall": phases}
     from ..experiments.common import format_table
 
-    title = f"obs report: {doc.get('obs', '?')}"
-    table = format_table(rows, title=title)
+    tables = []
+    for clock, stats in phases.items():
+        total_self = sum(p.get("self_seconds", 0.0) for p in stats.values())
+        rows = []
+        for phase_name, p in stats.items():
+            count = p.get("count", 0.0)
+            seconds, self_s = p.get("wall_seconds", 0.0), p.get("self_seconds", 0.0)
+            rows.append(
+                {
+                    "phase": phase_name,
+                    "count": int(count),
+                    f"{clock}_s": seconds,
+                    "self_s": self_s,
+                    f"{clock}_%": 100.0 * self_s / total_self if total_self > 0 else 0.0,
+                    "per_call_ms": 1e3 * seconds / count if count else 0.0,
+                }
+            )
+        title = f"obs report: {doc.get('obs', '?')} ({clock} clock)"
+        tables.append(format_table(rows, title=title))
+    table = "\n\n".join(tables)
     counters = doc.get("metrics", {}).get("counters", {})
     if counters:
         counter_rows = [

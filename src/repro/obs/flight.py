@@ -1,30 +1,30 @@
-"""Flight recorder: an always-on ring buffer for post-hoc tail debugging.
+"""Flight recorder: an always-on event ring for post-hoc tail debugging.
 
 Aggregate metrics say *that* p99 regressed; the flight recorder keeps
 enough recent raw material to say *why* — without asking anyone to
 re-run with extra instrumentation. While instrumentation is enabled it
-continuously retains, in fixed-capacity ring buffers:
+retains:
 
-* the most recent **completed root spans** (request trees included),
-  fed by the tracer's root sink (:func:`repro.obs.trace.set_root_sink`
-  — the recorder never blocks span recording, it just appends to a
-  deque);
 * discrete **events** (producer stalls, hedge fires, shed decisions)
-  posted via :func:`flight_event`;
+  posted via :func:`flight_event`, in a fixed-capacity ring;
 * **counter deltas** since the previous dump, so a dump shows what
   moved recently rather than lifetime totals.
 
-:meth:`FlightRecorder.dump` writes the whole state as an
-``OBS_flightdump_*.json`` diagnostic bundle — recent spans, the event
-log, metric + exemplar snapshots, and the environment fingerprint —
-next to the bench artifacts. :meth:`FlightRecorder.maybe_dump` is the
-debounced variant wired into :mod:`repro.obs.slo`: the first breached
-rule evaluation triggers a dump automatically, subsequent breaches
-within the debounce window do not re-dump. ``python -m repro.cli
-flight-dump`` triggers one on demand.
+Spans are not copied: the process tracer's ``roots`` are the only copy
+of finished span trees, and a dump reads the newest
+:data:`SPAN_CAPACITY` of them.
 
-Disabled-path cost is unchanged: the gate is checked before any buffer
-is touched, and with instrumentation off no root spans exist to record.
+:meth:`FlightRecorder.dump` writes the whole state as an
+``OBS_flightdump_*.json`` diagnostic bundle — recent span trees
+(request trees included), the event log, the shared document keys of
+:func:`repro.obs.export.document` — next to the bench artifacts.
+:meth:`FlightRecorder.maybe_dump` is the debounced variant wired into
+:mod:`repro.obs.slo`: the first breached rule evaluation triggers a dump
+automatically, subsequent breaches within the debounce window do not
+re-dump. ``python -m repro.cli flight-dump`` triggers one on demand.
+
+Disabled-path cost is unchanged: the gate is checked before the event
+ring is touched, and with instrumentation off no root spans exist.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import time
 
 from ._gate import GATE
 from .metrics import REGISTRY, MetricsRegistry
+from .trace import get_tracer
 
 __all__ = [
     "FlightRecorder",
@@ -45,8 +46,8 @@ __all__ = [
     "flight_event",
 ]
 
-#: Ring capacities: recent spans and events, sized to hold the
-#: interesting tail of a bench-scale replay without unbounded growth.
+#: Finished root spans a dump holds and events the ring keeps, sized to
+#: hold the interesting tail of a bench-scale replay.
 SPAN_CAPACITY = 256
 EVENT_CAPACITY = 512
 
@@ -55,11 +56,12 @@ DEBOUNCE_SECONDS = 30.0
 
 
 class FlightRecorder:
-    """Fixed-capacity recorder of recent spans, events and counter moves.
+    """Recorder of recent events and counter moves; dumps them with the
+    tracer's newest span trees.
 
-    The rings hold :data:`SPAN_CAPACITY` spans and :data:`EVENT_CAPACITY`
-    events; the oldest entries fall off when full. ``clock`` is the wall
-    clock used for event timestamps and dump debouncing, injectable so
+    The ring holds :data:`EVENT_CAPACITY` events; the oldest fall off
+    when full. ``clock`` is the wall clock used for event timestamps and
+    dump debouncing, injectable so
     tests control the debounce window deterministically. ``out_dir`` is
     the default directory for dump files (cwd while ``None``); the CLI
     points it at its ``--out`` directory so automatic breach dumps land
@@ -67,7 +69,6 @@ class FlightRecorder:
     """
 
     def __init__(self, clock=time.monotonic) -> None:
-        self._spans = collections.deque(maxlen=SPAN_CAPACITY)
         self._events = collections.deque(maxlen=EVENT_CAPACITY)
         self._lock = threading.Lock()
         self._counter_base: dict[str, float] = {}
@@ -77,33 +78,18 @@ class FlightRecorder:
         self.dump_count = 0
 
     # -- recording -------------------------------------------------------
-    def record_span(self, sp) -> None:
-        """Retain a completed root span (the tracer's root-sink hook).
-
-        Appends a reference, not a copy — deque appends are atomic and
-        completed spans are no longer mutated, so this is safe from any
-        recording thread and adds no serialization to the hot path.
-        """
-        self._spans.append(sp)
-
     def event(self, name: str, **attrs: object) -> None:
         """Append a discrete event (stamped with the recorder's clock)."""
         self._events.append({"name": name, "t": self.clock(), "attrs": attrs})
 
     def clear(self) -> None:
-        """Drop buffered spans/events and rebase counter deltas."""
+        """Drop buffered events and rebase counter deltas."""
         with self._lock:
-            self._spans.clear()
             self._events.clear()
             self._counter_base.clear()
             self._last_dump = None
 
     # -- introspection ---------------------------------------------------
-    @property
-    def spans(self) -> list:
-        """Buffered root spans, oldest first."""
-        return list(self._spans)
-
     @property
     def events(self) -> list[dict]:
         """Buffered events, oldest first."""
@@ -129,19 +115,20 @@ class FlightRecorder:
     ) -> pathlib.Path:
         """Write the diagnostic bundle; returns the file path.
 
-        The bundle is self-contained: recent span trees (request trees
+        The bundle is self-contained: the newest :data:`SPAN_CAPACITY`
+        finished roots of the process tracer, whole trees (request trees
         addressable by ``obs-report --request`` via ``--trace`` pointed
-        at the dump), the event log, full metric + exemplar snapshots,
-        counter deltas since the previous dump, and the environment
-        fingerprint so a dump from CI identifies the machine that
-        produced it.
+        at the dump), the event log, counter deltas since the previous
+        dump, and the shared keys of :func:`repro.obs.export.document`
+        (the environment fingerprint among them, so a dump from CI
+        identifies the machine that produced it).
         """
-        from .export import _jsonable, span_to_dict
-        from .record import environment_fingerprint
+        from .export import document, span_to_dict, to_jsonable
 
         registry = registry or REGISTRY
+        finished = [sp for sp in list(get_tracer().roots) if sp.t_end is not None]
+        spans = finished[-SPAN_CAPACITY:]
         with self._lock:
-            spans = list(self._spans)
             events = list(self._events)
             deltas = self.counter_deltas(registry)
             self._counter_base = {
@@ -151,21 +138,18 @@ class FlightRecorder:
             self.dump_count += 1
             n = self.dump_count
         doc = {
-            "obs": f"flightdump_{name}",
+            **document(f"flightdump_{name}", spans, registry),
             "kind": "flightdump",
             "reason": reason,
             "dump_index": n,
-            "env": environment_fingerprint(),
             "spans": [span_to_dict(sp) for sp in spans],
             "events": events,
             "counter_deltas": deltas,
-            "metrics": registry.snapshot(),
-            "exemplars": registry.exemplar_snapshot(),
         }
         directory = pathlib.Path(out_dir or self.out_dir or ".")
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"OBS_flightdump_{name}_{n:03d}.json"
-        path.write_text(json.dumps(_jsonable(doc), indent=2) + "\n")
+        path.write_text(json.dumps(to_jsonable(doc), indent=2) + "\n")
         return path
 
     def maybe_dump(
@@ -190,9 +174,8 @@ class FlightRecorder:
         return self.dump(name, reason=reason, registry=registry)
 
 
-#: Process-wide recorder; installed as the tracer's root sink by
-#: :mod:`repro.obs` at import. Replaceable for tests via
-#: :func:`set_flight_recorder`.
+#: Process-wide recorder (created on first use). Replaceable for tests
+#: via :func:`set_flight_recorder`.
 _RECORDER: FlightRecorder | None = None
 
 
@@ -205,17 +188,11 @@ def get_flight_recorder() -> FlightRecorder:
 
 
 def set_flight_recorder(recorder: FlightRecorder | None) -> FlightRecorder | None:
-    """Swap the process-wide recorder and re-wire the tracer root sink.
-
-    ``None`` uninstalls (the sink included). Returns the previous
-    recorder.
-    """
-    from . import trace
-
+    """Swap the process-wide recorder (``None`` uninstalls); returns the
+    previous one."""
     global _RECORDER
     prev = _RECORDER
     _RECORDER = recorder
-    trace.set_root_sink(None if recorder is None else recorder.record_span)
     return prev
 
 

@@ -206,8 +206,7 @@ def write_bench(
     the live tracer's flat summary). The series and the trace leave the
     results, so each raw sample is stored once, in ``record.series``.
     """
-    from ..experiments.common import to_jsonable
-    from .export import write_obs_json
+    from .export import to_jsonable, write_obs_json
 
     out = pathlib.Path(out)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,8 +17,7 @@ Builtin kinds:
 * ``span_coverage`` — the named child phases must cover at least
   ``min_coverage`` of the parent phase's wall time (the paper's
   sample+forward+backward decomposition must keep explaining iteration
-  time).
-* ``histogram_p99`` — p99 of any registry histogram <= ``threshold``.
+  time, on the wall clock).
 * ``per_shard_p99`` — worst per-shard p99 across every registry
   histogram matching ``prefix``/``suffix`` (the cluster's
   ``cluster.shard.<s>.latency_seconds`` family) <= ``threshold`` — one
@@ -132,7 +131,7 @@ def _eval_span_coverage(rule: SLORule, ctx: SLOContext) -> SLOResult:
         rule.params.get("children", ("trainer.sample", "trainer.forward", "trainer.backward"))
     )
     min_cov = float(rule.params.get("min_coverage", 0.95))
-    phases = aggregate(ctx.get_tracer().roots)
+    phases = aggregate(ctx.get_tracer().roots).get("wall", {})
     parent_stat = phases.get(parent)
     if parent_stat is None or parent_stat.wall_seconds <= 0:
         return SLOResult(
@@ -146,22 +145,6 @@ def _eval_span_coverage(rule: SLORule, ctx: SLOContext) -> SLOResult:
     return SLOResult(
         rule.name, rule.kind, cov, min_cov, cov >= min_cov,
         detail=f"{'+'.join(children)} / {parent}",
-    )
-
-
-def _eval_histogram_p99(rule: SLORule, ctx: SLOContext) -> SLOResult:
-    metric = str(rule.params["metric"])
-    threshold = float(rule.params["threshold"])
-    hist = ctx.get_registry().histograms.get(metric)
-    if hist is None or not len(hist):
-        return SLOResult(
-            rule.name, rule.kind, float("nan"), threshold, False,
-            detail=f"no samples under {metric!r}",
-        )
-    p99 = hist.percentile(99)
-    return SLOResult(
-        rule.name, rule.kind, p99, threshold, p99 <= threshold,
-        detail=f"p99 of {metric} ({len(hist)} samples)",
     )
 
 
@@ -209,7 +192,6 @@ def _eval_staleness_bound(rule: SLORule, ctx: SLOContext) -> SLOResult:
 _EVALUATORS: dict[str, Callable[[SLORule, SLOContext], SLOResult]] = {
     "serving_deadline_miss": _eval_serving_deadline_miss,
     "span_coverage": _eval_span_coverage,
-    "histogram_p99": _eval_histogram_p99,
     "per_shard_p99": _eval_per_shard_p99,
     "staleness_bound": _eval_staleness_bound,
 }

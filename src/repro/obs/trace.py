@@ -1,9 +1,13 @@
 """Hierarchical spans: the "where does the time go" half of ``repro.obs``.
 
-A span is one timed region of code with a name, wall-clock start/end and
-arbitrary key-value attributes (the modeled clock the paper's scaling
-figures run on is not kept on spans: :mod:`repro.experiments.repricing`
-prices a run's counters after it ends)::
+A span is one timed region of code with a name, a start/end, the clock
+those two times are read on, and arbitrary key-value attributes. Spans
+of a :class:`Tracer` are on the ``"wall"`` clock; the request trees of
+:mod:`repro.obs.context` are on the serving replays' ``"virtual"``
+clock. Aggregates and exports group by clock and never mix the two (the
+modeled clock the paper's scaling figures run on is not kept on spans:
+:mod:`repro.experiments.repricing` prices a run's counters after it
+ends)::
 
     from repro import obs
 
@@ -30,10 +34,8 @@ Three properties keep this usable on hot paths:
   span records the ident of the thread that opened it so the Chrome
   exporter can draw per-thread lanes.
 
-Completed *root* spans are additionally offered to a pluggable sink
-(:func:`set_root_sink`) — how the flight recorder
-(:mod:`repro.obs.flight`) sees finished span trees without the tracer
-importing it.
+``Tracer.roots`` is the only copy of recorded span trees: the exporters
+and the flight recorder (:mod:`repro.obs.flight`) all read it.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ __all__ = [
     "span",
     "get_tracer",
     "set_tracer",
-    "set_root_sink",
     "reset",
     "aggregate",
+    "covered_seconds",
     "walk",
 ]
 
@@ -62,14 +64,15 @@ class Span:
     """One timed region; also its own context manager.
 
     Attributes are plain instance fields (``__slots__``) so entering a
-    span costs one object plus two clock reads. ``tid`` is the ident of
-    the opening thread (``None`` for spans built with explicit times,
-    e.g. the virtual-clock request spans of
+    span costs one object plus two clock reads. ``clock`` names what
+    ``t_start`` / ``t_end`` are read on (``"wall"`` or ``"virtual"``).
+    ``tid`` is the ident of the opening thread (``None`` for spans built
+    with explicit times, e.g. the request spans of
     :mod:`repro.obs.context`).
     """
 
     __slots__ = (
-        "name", "t_start", "t_end", "attrs", "children",
+        "name", "t_start", "t_end", "clock", "attrs", "children",
         "_tracer", "tid",
     )
 
@@ -77,12 +80,16 @@ class Span:
         self,
         name: str,
         t_start: float,
-        tracer: "Tracer | None",
+        clock: str,
+        *,
+        t_end: float | None = None,
+        tracer: "Tracer | None" = None,
         tid: int | None = None,
     ) -> None:
         self.name = name
         self.t_start = t_start
-        self.t_end: float | None = None
+        self.t_end = t_end
+        self.clock = clock
         self.attrs: dict[str, object] = {}
         self.children: list[Span] = []
         self._tracer = tracer
@@ -107,13 +114,23 @@ class Span:
     # -- derived quantities --------------------------------------------
     @property
     def duration(self) -> float:
-        """Wall seconds between enter and exit (0.0 while still open)."""
+        """Seconds on the span's clock between start and end (0.0 while
+        still open)."""
         return 0.0 if self.t_end is None else self.t_end - self.t_start
 
     @property
     def self_seconds(self) -> float:
-        """Duration minus the time spent inside child spans."""
-        return self.duration - sum(c.duration for c in self.children)
+        """Duration minus the part of it the children's intervals cover.
+
+        The union, not the sum: concurrent children (a request's shard
+        fan-out, its hedged duplicates) overlap, and their sum can
+        exceed the parent's duration. Clamped at 0.0 against the rounding
+        of a union that covers the whole span.
+        """
+        if self.t_end is None:
+            return 0.0
+        spans = [(c.t_start, c.t_end) for c in self.children if c.t_end is not None]
+        return max(0.0, self.duration - covered_seconds(spans, self.t_start, self.t_end))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -139,25 +156,9 @@ class _NoopSpan:
 
 NOOP_SPAN = _NoopSpan()
 
-#: Completed-root sink (installed by :mod:`repro.obs.flight`); called
-#: with each root span the moment it finishes. Process-wide on purpose:
-#: the flight recorder should see roots from every tracer.
-_ROOT_SINK = None
-
-
-def set_root_sink(sink) -> None:
-    """Install ``sink(span)`` to observe completed root spans.
-
-    ``None`` uninstalls. The sink runs on whatever thread finished the
-    root, so it must be thread-safe (the flight recorder's ring buffer
-    appends are).
-    """
-    global _ROOT_SINK
-    _ROOT_SINK = sink
-
 
 class Tracer:
-    """Collects a forest of spans on one injected clock.
+    """Collects a forest of ``"wall"`` spans on one injected clock.
 
     Parameters
     ----------
@@ -188,7 +189,7 @@ class Tracer:
 
     def span(self, name: str, **attrs: object) -> Span:
         """Open a span as a child of this thread's active span."""
-        sp = Span(name, self.clock(), self, tid=threading.get_ident())
+        sp = Span(name, self.clock(), "wall", tracer=self, tid=threading.get_ident())
         if attrs:
             sp.attrs.update(attrs)
         stack = self._stack
@@ -207,12 +208,10 @@ class Tracer:
         :mod:`repro.obs.context` land here: they are constructed with
         explicit timestamps rather than through the stack, but export,
         aggregation and the flight recorder treat them like any other
-        root.
+        root, on their own clock.
         """
         with self._roots_lock:
             self.roots.append(sp)
-        if _ROOT_SINK is not None and sp.t_end is not None:
-            _ROOT_SINK(sp)
         return sp
 
     def _finish(self, sp: Span) -> None:
@@ -236,8 +235,6 @@ class Tracer:
             from . import metrics as obs_metrics
 
             obs_metrics.inc("obs.spans.leaked", leaked)
-        if not stack and _ROOT_SINK is not None:
-            _ROOT_SINK(sp)
 
     def current(self) -> Span | None:
         """This thread's innermost open span, or None outside any span."""
@@ -291,6 +288,19 @@ def walk(sp: Span):
         yield from walk(child)
 
 
+def covered_seconds(intervals, t0: float, t1: float) -> float:
+    """Length of the union of ``(start, end)`` intervals within
+    ``[t0, t1]``: overlapping intervals count once."""
+    covered = 0.0
+    cursor = t0
+    for lo, hi in sorted(intervals):
+        lo, hi = max(lo, cursor), min(hi, t1)
+        if hi > lo:
+            covered += hi - lo
+            cursor = hi
+    return covered
+
+
 @dataclass
 class PhaseStat:
     """Aggregated view of every span sharing one name."""
@@ -309,20 +319,23 @@ class PhaseStat:
         }
 
 
-def aggregate(spans) -> dict[str, PhaseStat]:
-    """Per-name totals over a span forest, in first-seen order.
+def aggregate(spans) -> dict[str, dict[str, PhaseStat]]:
+    """Per-clock, per-name totals over a span forest, in first-seen order.
 
-    ``wall_seconds`` sums full durations (a child's time is also inside
-    its parent's total — the tree view); ``self_seconds`` sums time not
-    attributed to any child span, so self times sum to total traced time
-    without double counting.
+    ``{clock: {name: PhaseStat}}``: seconds on different clocks are never
+    summed together. ``wall_seconds`` sums full durations on the group's
+    clock (a child's time is also inside its parent's total — the tree
+    view); ``self_seconds`` sums time no child span covers, so within
+    one clock self times sum to total traced time without double
+    counting.
     """
-    out: dict[str, PhaseStat] = {}
+    out: dict[str, dict[str, PhaseStat]] = {}
     for root in spans:
         for sp in walk(root):
-            stat = out.get(sp.name)
+            group = out.setdefault(sp.clock, {})
+            stat = group.get(sp.name)
             if stat is None:
-                stat = out[sp.name] = PhaseStat(sp.name)
+                stat = group[sp.name] = PhaseStat(sp.name)
             stat.count += 1
             stat.wall_seconds += sp.duration
             stat.self_seconds += sp.self_seconds

@@ -16,8 +16,8 @@ from repro.obs.context import (
     render_request_tree,
     request_ids,
 )
-from repro.obs.export import span_to_dict
-from repro.obs.trace import Tracer
+from repro.obs.export import span_from_dict, span_to_dict
+from repro.obs.trace import Tracer, covered_seconds
 
 from .conftest import installed
 
@@ -98,9 +98,9 @@ class TestForestQueries:
                 RequestContext(f"req-{i:06d}", 0.0).finish(1.0)
         found = find_request(tr.roots, "req-000002")
         assert found is tr.roots[1]
-        exported = [span_to_dict(r) for r in tr.roots]
+        exported = [span_from_dict(span_to_dict(r)) for r in tr.roots]
         found_d = find_request(exported, "req-000002")
-        assert found_d["attrs"]["request_id"] == "req-000002"
+        assert found_d.attrs["request_id"] == "req-000002"
         assert find_request(exported, "req-999999") is None
 
     def test_request_ids_in_recording_order(self, fake_clock):
@@ -152,9 +152,9 @@ class TestCriticalPath:
     def test_works_on_exported_dicts(self):
         ctx = _hedged_request()
         ctx.root.t_end = 5.0
-        d = span_to_dict(ctx.root)
+        d = span_from_dict(span_to_dict(ctx.root))
         assert critical_path_coverage(d) == pytest.approx(1.0)
-        assert [n["name"] for n in critical_path(d)][0] == "request"
+        assert [n.name for n in critical_path(d)][0] == "request"
 
 
 class TestRender:
@@ -171,8 +171,27 @@ class TestRender:
         ctx = _hedged_request()
         ctx.root.t_end = 5.0
         live = render_request_tree(ctx.root)
-        post = render_request_tree(span_to_dict(ctx.root))
+        post = render_request_tree(span_from_dict(span_to_dict(ctx.root)))
         assert live == post
+
+
+class TestSelfSeconds:
+    def test_hedged_request_self_time_is_the_uncovered_part(self):
+        """A subrequest whose lost and hedged dispatches overlap: self
+        time is the duration minus the union of the children's
+        intervals, never negative (their summed durations, 9 + 2, exceed
+        the subrequest's 5)."""
+        ctx = _hedged_request()
+        ctx.root.t_end = 5.0
+        sub = ctx.root.children[1]
+        union = covered_seconds([(c.t_start, c.t_end) for c in sub.children], 0.0, 5.0)
+        assert union == 5.0
+        assert sub.self_seconds == sub.duration - union == 0.0
+        # The route span is instantaneous; the subrequest covers [0, 5].
+        assert ctx.root.self_seconds == 0.0
+        for sp in (ctx.root, sub, *sub.children):
+            assert sp.self_seconds >= 0.0
+        assert all(sp.clock == "virtual" for sp in (ctx.root, sub, *sub.children))
 
 
 class TestServingIntegration:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from repro import obs
 from repro.cli import main
@@ -16,6 +17,7 @@ from repro.obs import export, metrics
 from repro.obs.export import (
     load_trace,
     render_report,
+    span_from_dict,
     span_to_dict,
     to_chrome_trace,
     trace_document,
@@ -44,6 +46,27 @@ class TestSpanToDict:
         assert d["attrs"] == {"n": 10}
         assert [c["name"] for c in d["children"]] == ["work"]
 
+    def test_array_and_set_attrs_export(self):
+        """A numpy array attribute exports as a list and a set as one,
+        through the one converter every document uses."""
+        tr = Tracer(clock=FakeClock())
+        with tr.span("s") as sp:
+            sp.set(rows=np.array([1, 2]), shards={1}, n=np.int64(3))
+        d = span_to_dict(tr.roots[0])
+        assert d["attrs"] == {"rows": [1, 2], "shards": [1], "n": 3}
+        json.dumps(d)
+
+    def test_from_dict_inverts_to_dict(self):
+        tr = _small_trace()
+        back = span_from_dict(json.loads(json.dumps(span_to_dict(tr.roots[0]))))
+        assert span_to_dict(back) == span_to_dict(tr.roots[0])
+        assert back.clock == "wall" and back.children[0].name == "work"
+
+    def test_a_clockless_span_reads_as_wall(self):
+        d = span_to_dict(_small_trace().roots[0])
+        del d["clock"]
+        assert span_from_dict(d).clock == "wall"
+
     def test_non_finite_attrs_become_null(self):
         tr = Tracer(clock=FakeClock())
         with tr.span("s") as sp:
@@ -59,8 +82,9 @@ class TestTraceDocument:
         with installed(_small_trace()):
             doc = trace_document("demo")
         assert doc["obs"] == "demo"
-        assert set(doc["phases"]) == {"iter", "work"}
-        assert set(doc["phases"]["iter"]) == {"count", "wall_seconds", "self_seconds"}
+        assert set(doc["phases"]) == {"wall"}
+        assert set(doc["phases"]["wall"]) == {"iter", "work"}
+        assert set(doc["phases"]["wall"]["iter"]) == {"count", "wall_seconds", "self_seconds"}
         assert doc["metrics"]["counters"] == {"ops": 4.0}
         assert [s["name"] for s in doc["spans"]] == ["iter"]
 
@@ -135,6 +159,27 @@ class TestChromeTrace:
         events = to_chrome_trace(tr.roots)
         assert {e["tid"] for e in events} == {0}
 
+    def test_each_clock_has_its_own_t0(self):
+        """Wall spans (perf-counter epoch) and virtual request spans
+        (replay epoch) each start at ts 0 in their own process."""
+        from repro.obs.context import RequestContext
+
+        tr = Tracer(clock=FakeClock(step=1.0))
+        tr.clock.t = 5000.0
+        with installed(tr):
+            with tr.span("cluster.batch"):
+                pass
+            ctx = RequestContext("req-000001", 2.0)
+            ctx.child("cluster.dispatch", 2.5, t_end=3.0)
+            ctx.finish(3.0)
+        events = to_chrome_trace(tr.roots)
+        by_name = {e["name"]: e for e in events}
+        assert by_name["cluster.batch"]["ts"] == 0.0
+        assert by_name["request"]["ts"] == 0.0
+        assert by_name["cluster.dispatch"]["ts"] == 0.5 * 1e6
+        assert by_name["cluster.batch"]["pid"] != by_name["request"]["pid"]
+        assert by_name["request"]["pid"] == by_name["cluster.dispatch"]["pid"]
+
 
 class TestFileRoundtrips:
     def test_obs_json_flat_and_sorted(self, tmp_path):
@@ -146,7 +191,7 @@ class TestFileRoundtrips:
         doc = load_trace(path)
         assert doc["obs"] == "demo"
         assert "spans" not in doc  # flat summary, no tree
-        assert doc["phases"]["iter"]["count"] == 1.0
+        assert doc["phases"]["wall"]["iter"]["count"] == 1.0
         assert list(doc["metrics"]["counters"]) == ["a", "z"]
 
     def test_global_default_arguments(self, tmp_path):
@@ -156,7 +201,7 @@ class TestFileRoundtrips:
             with obs.span("g"):
                 metrics.inc("touched")
         doc = export.trace_document("global")
-        assert "g" in doc["phases"]
+        assert "g" in doc["phases"]["wall"]
         assert doc["metrics"]["counters"]["touched"] == 1.0
         path = export.write_obs_json(tmp_path / "OBS_global.json", "global")
         assert load_trace(path)["obs"] == "global"
@@ -232,15 +277,54 @@ class TestRenderReport:
     def test_self_time_percentages_sum_to_100(self):
         with installed(_small_trace()):
             doc = trace_document("demo")
-        total_self = sum(p["self_seconds"] for p in doc["phases"].values())
-        shares = [
-            100.0 * p["self_seconds"] / total_self for p in doc["phases"].values()
-        ]
+        phases = doc["phases"]["wall"]
+        total_self = sum(p["self_seconds"] for p in phases.values())
+        shares = [100.0 * p["self_seconds"] / total_self for p in phases.values()]
         assert sum(shares) == 100.0
 
     def test_empty_document(self):
         text = render_report({"obs": "empty", "phases": {}})
         assert "no spans recorded" in text
+
+    def test_training_and_hedged_replay_one_table_per_clock(self):
+        """A training iteration (wall) and a hedged cluster replay
+        (virtual request trees beside wall batch spans) in one document:
+        the wall table holds no virtual span, no phase has negative self
+        time, and each table's shares sum to 100."""
+        from repro.experiments import serving
+
+        emb = serving.mixture_embeddings(256, 8, seed=0)
+        server, trace = serving.hedging_scenario(emb, num_queries=120, seed=0)
+        with obs.enabled():
+            with obs.span("trainer.iteration"):
+                with obs.span("trainer.forward"):
+                    pass
+            server.serve_trace(trace)
+        doc = trace_document("mixed")
+        assert set(doc["phases"]) == {"wall", "virtual"}
+        virtual = set(doc["phases"]["virtual"])
+        assert {"request", "cluster.subrequest", "cluster.dispatch"} <= virtual
+        assert not virtual & set(doc["phases"]["wall"])
+        assert "trainer.iteration" in doc["phases"]["wall"]
+        for clock in ("wall", "virtual"):
+            for p in doc["phases"][clock].values():
+                assert p["self_seconds"] >= 0.0
+
+        text = render_report(doc)
+        tables = {}
+        for block in text.split("\n\n"):
+            title, header, _, *rows = block.splitlines()
+            if title.startswith("obs report: mixed ("):
+                clock = title[len("obs report: mixed (") : -len(" clock)")]
+                columns = [c.strip() for c in header.split("|")]
+                tables[clock] = [
+                    dict(zip(columns, (c.strip() for c in row.split("|")))) for row in rows
+                ]
+        assert set(tables) == {"wall", "virtual"}
+        assert {row["phase"] for row in tables["wall"]} == set(doc["phases"]["wall"])
+        for clock, rows in tables.items():
+            assert all(float(row["self_s"]) >= 0.0 for row in rows)
+            assert sum(float(row[f"{clock}_%"]) for row in rows) == pytest.approx(100.0, abs=0.1)
 
 
 class TestKernelWindow:

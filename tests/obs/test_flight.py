@@ -1,4 +1,5 @@
-"""Flight recorder: ring buffers, root-sink capture, dumps, debounce."""
+"""Flight recorder: the event ring, the span trees a dump reads from the
+process tracer, dumps, debounce."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .conftest import FakeClock, installed
 
 @pytest.fixture
 def recorder(tmp_path, fake_clock):
-    """A small recorder installed as the process sink; restored after."""
+    """A small recorder installed as the process recorder; restored after."""
     rec = FlightRecorder(clock=fake_clock)
     rec.out_dir = tmp_path
     prev = flight.set_flight_recorder(rec)
@@ -27,16 +28,23 @@ def recorder(tmp_path, fake_clock):
 
 
 def _root(name: str, t0: float = 0.0, t1: float = 1.0) -> Span:
-    sp = Span(name, t0, None)
-    sp.t_end = t1
-    return sp
+    return Span(name, t0, "wall", t_end=t1)
+
+
+def _dumped_spans(recorder) -> list[dict]:
+    """The ``spans`` of a fresh dump of ``recorder``."""
+    path = recorder.dump("spans", registry=MetricsRegistry())
+    return json.loads(path.read_text())["spans"]
 
 
 class TestRings:
-    def test_span_ring_keeps_the_newest(self, recorder):
-        for i in range(flight.SPAN_CAPACITY + 2):
-            recorder.record_span(_root(f"s{i}"))
-        names = [sp.name for sp in recorder.spans]
+    def test_span_ring_keeps_the_newest(self, recorder, fake_clock):
+        """A dump holds the newest SPAN_CAPACITY finished roots of the
+        process tracer, oldest first."""
+        with installed(Tracer(clock=fake_clock)) as tr:
+            for i in range(flight.SPAN_CAPACITY + 2):
+                tr.add_root(_root(f"s{i}"))
+            names = [sp["name"] for sp in _dumped_spans(recorder)]
         assert len(names) == flight.SPAN_CAPACITY
         assert names[0] == "s2" and names[-1] == f"s{flight.SPAN_CAPACITY + 1}"
 
@@ -54,32 +62,43 @@ class TestRings:
         assert ts == sorted(ts) and ts[0] < ts[1]
 
     def test_clear_empties_everything(self, recorder):
-        recorder.record_span(_root("s"))
+        reg = MetricsRegistry()
+        reg.counter("a").add(3)
         recorder.event("e")
+        recorder.dump("before", registry=reg)  # rebases the deltas
         recorder.clear()
-        assert recorder.spans == [] and recorder.events == []
+        assert recorder.events == []
+        assert recorder.counter_deltas(reg) == {"a": 3.0}
 
 
 class TestRootSinkCapture:
+    """What a dump captures from the process tracer's roots, the only
+    copy of finished span trees."""
+
     def test_tracer_roots_land_in_the_ring(self, recorder, fake_clock):
-        tr = Tracer(clock=fake_clock)
-        with tr.span("outer"):
-            with tr.span("inner"):
-                pass
-        assert [sp.name for sp in recorder.spans] == ["outer"]
-        # The whole tree is retained, not just the root.
-        assert [c.name for c in recorder.spans[0].children] == ["inner"]
+        with installed(Tracer(clock=fake_clock)) as tr:
+            with tr.span("outer"):
+                with tr.span("inner"):
+                    pass
+            spans = _dumped_spans(recorder)
+        assert [sp["name"] for sp in spans] == ["outer"]
+        # The whole tree is dumped, not just the root.
+        assert [c["name"] for c in spans[0]["children"]] == ["inner"]
+        assert spans[0]["clock"] == "wall"
 
     def test_request_trees_land_via_add_root(self, recorder, fake_clock):
         ctx = RequestContext("req-000001", 0.0)
         with installed(Tracer(clock=fake_clock)):
             ctx.finish(1.0)
-        assert [sp.name for sp in recorder.spans] == ["request"]
+            spans = _dumped_spans(recorder)
+        assert [sp["name"] for sp in spans] == ["request"]
+        assert spans[0]["clock"] == "virtual"
 
     def test_open_roots_added_explicitly_are_not_recorded(self, recorder, fake_clock):
-        tr = Tracer(clock=fake_clock)
-        tr.add_root(Span("open", 0.0, None))  # t_end is None
-        assert recorder.spans == []
+        with installed(Tracer(clock=fake_clock)) as tr:
+            tr.add_root(Span("open", 0.0, "wall"))  # t_end is None
+            tr.span("still-open")  # entered, never exited
+            assert _dumped_spans(recorder) == []
 
     def test_flight_event_is_gate_guarded(self, recorder):
         flight_event("hidden", x=1)
@@ -112,11 +131,14 @@ class TestDump:
         reg.counter("serve.shed").add(4)
         reg.histogram("lat").record(0.5)
         reg.histogram("lat").record_exemplar(0.5, "req-000001")
-        recorder.record_span(_root("request"))
         recorder.event("cluster.hedge_fired", shard=1)
-        path = recorder.dump("unit", reason="because", registry=reg)
+        with installed(Tracer()) as tr:
+            tr.add_root(_root("request"))
+            path = recorder.dump("unit", reason="because", registry=reg)
         assert path == tmp_path / "OBS_flightdump_unit_001.json"
         doc = json.loads(path.read_text())
+        assert {"obs", "env", "phases", "metrics", "exemplars", "kernel_classes"} <= set(doc)
+        assert doc["phases"]["wall"]["request"]["count"] == 1.0
         assert doc["kind"] == "flightdump"
         assert doc["reason"] == "because"
         assert doc["dump_index"] == 1
@@ -148,11 +170,11 @@ class TestBreachTriggeredDump:
         from repro.obs.slo import SLOContext, SLORule, evaluate
 
         reg = MetricsRegistry()
-        reg.histogram("lat").extend([1.0] * 10)  # p99 = 1.0 >> 0.001
+        reg.histogram("lat").extend([1.0] * 10)  # max = 1.0 >> 0.001
         rule = SLORule(
             name="impossible",
-            kind="histogram_p99",
-            params={"metric": "lat", "threshold": 0.001},
+            kind="staleness_bound",
+            params={"metric": "lat", "bound": 0.001},
         )
         ctx = SLOContext(registry=reg)
         results = evaluate([rule], ctx)
@@ -175,8 +197,8 @@ class TestBreachTriggeredDump:
         reg.histogram("lat").extend([0.001] * 10)
         rule = SLORule(
             name="fine",
-            kind="histogram_p99",
-            params={"metric": "lat", "threshold": 1.0},
+            kind="staleness_bound",
+            params={"metric": "lat", "bound": 1.0},
         )
         results = evaluate([rule], SLOContext(registry=reg))
         assert results[0].ok
@@ -198,5 +220,5 @@ class TestDisabledPath:
         )
         trace = zipf_trace(30, 128, skew=1.1, rate=1000.0, k=5, rng=rng)
         server.serve_trace(trace)  # gate off
-        assert recorder.spans == []
+        assert _dumped_spans(recorder) == []
         assert recorder.events == []

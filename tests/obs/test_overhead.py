@@ -86,8 +86,8 @@ class TestEnabledRecorderBudget:
         BLAS noise on shared runners: measure (a) the obs-disabled
         replay wall time and (b) the per-request cost of everything the
         enabled path adds — a RequestContext tree (id, queue + service
-        children, finish through the tracer into the flight recorder's
-        root sink) plus the latency sample and its exemplar offer — then
+        children, finish into the tracer's roots, which flight dumps
+        read) plus the latency sample and its exemplar offer — then
         assert the per-request cost across every served request stays
         under 5% of the replay.
         """

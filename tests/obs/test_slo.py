@@ -101,22 +101,6 @@ class TestSpanCoverage:
         assert not res.ok
 
 
-class TestHistogramP99:
-    def test_threshold_comparison(self):
-        reg = MetricsRegistry()
-        reg.histogram("t_s").extend(np.linspace(0.001, 0.100, 100))
-        rule = SLORule(
-            name="p99", kind="histogram_p99", params={"metric": "t_s", "threshold": 0.2}
-        )
-        (res,) = evaluate([rule], SLOContext(registry=reg))
-        assert res.ok
-        tight = SLORule(
-            name="p99", kind="histogram_p99", params={"metric": "t_s", "threshold": 0.05}
-        )
-        (res,) = evaluate([tight], SLOContext(registry=reg))
-        assert not res.ok
-
-
 class TestEvaluate:
     def test_breach_counters_written(self):
         reg = MetricsRegistry()
@@ -126,8 +110,8 @@ class TestEvaluate:
             ),  # breaches: no samples
             SLORule(
                 name="b",
-                kind="histogram_p99",
-                params={"metric": "none", "threshold": 1.0},
+                kind="staleness_bound",
+                params={"metric": "none", "bound": 1.0},
             ),  # breaches: no samples
         ]
         evaluate(rules, SLOContext(registry=reg))

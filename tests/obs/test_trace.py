@@ -276,7 +276,7 @@ class TestAggregate:
             with tr.span("iter"):
                 with tr.span("work"):
                     pass
-        stats = aggregate(tr.roots)
+        stats = aggregate(tr.roots)["wall"]
         assert stats["iter"].count == 3
         assert stats["work"].count == 3
         # each iter spans 3 ticks, each work 1 tick

@@ -9,7 +9,10 @@ its validator, early stopping, three sampler knobs ``TrainConfig``
 forwarded at their defaults, a delegating bench-JSON alias, the
 learning-rate schedules, the GCN layer's ``concat`` switch and the
 second bench writer (``BenchReporter``, ``write_bench_json``,
-``add_samples``, ``from_registry``). This AST
+``add_samples``, ``from_registry``), and, for one span model, the
+tracer's root sink with the flight recorder's span ring it fed, the
+dual span/dict accessors, the second JSON converter and the
+``histogram_p99`` SLO kind no rule set named. This AST
 scan of ``src/repro`` fails when one is defined, imported, re-exported,
 read or passed again, and when a second roofline grows anywhere but
 ``kernels/roofline.py``.
@@ -132,6 +135,8 @@ DELETED_NAMES = {
     "default_backend", "TOTALS", "reset_totals", "adjacency_cache_stats",
     "input_aggregate_stats", "_ADJACENCY_STATS", "_INPUT_AGGREGATE_STATS",
     "MAX_FLOP_DRIFT", "expected_flops", "_eval_flop_drift",
+    "set_root_sink", "_ROOT_SINK", "record_span", "_walk_any", "_jsonable",
+    "_eval_histogram_p99",
 }
 DELETED_MODULES = (
     "analysis/roofline.py", "graphs/io.py", "graphs/validate.py", "nn/schedule.py",
