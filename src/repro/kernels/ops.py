@@ -17,17 +17,12 @@ and the serving indexes. A call is one straight line:
 4. report its exact flop count, modeled bytes and wall time —
    per shape class — to :mod:`repro.kernels.accounting`.
 
-:func:`gemm_pair` runs two independent GEMMs — a GCN layer's neighbor
-and self branch products — at once: the first on one worker thread, the
-second on the caller; :func:`gemm` runs one wide product's two row
-halves at once the same way, the second half on the worker. Either runs
-on two threads only when each product (each half) is at least
-:data:`PAIR_MIN_FLOPS`, OpenBLAS runs one thread per call (read from the
-library itself by :func:`blas_threads`), the process may use two cores
-and the worker is free; otherwise it is the serial call. Every product
-is the same single-threaded BLAS kernel summing the same ``k`` terms in
-the same order for each output row either way, so the results are the
-same bits.
+:func:`gemm_pair` runs a GCN layer's two independent branch products
+at once, the first on the process's one second-core worker thread, and
+:func:`gemm` runs one wide product's two row halves the same way — only
+while that worker is free (:func:`_claim_worker`). Each product or half
+is the same single-threaded BLAS call either way, so the bits hold. The
+worker also runs any closure handed to :func:`run_off_core`.
 
 Every function is *bit-identical* to the raw numpy expression it
 replaced (``a @ b``, gather + ``add.reduceat``, ...), which is what
@@ -44,6 +39,7 @@ import os
 import queue
 import threading
 import time
+from concurrent.futures import Future
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -59,6 +55,7 @@ from .sparse import adjacency_matrix, segment_sum
 __all__ = [
     "gemm",
     "gemm_pair",
+    "run_off_core",
     "gemm_accumulate",
     "spmm",
     "spmm_adjoint",
@@ -174,19 +171,21 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-class _PairWorker:
-    """The one thread that runs the first product of a concurrent pair,
-    or the second row half of a split :func:`gemm`.
+class _Worker:
+    """The process's one second-core thread. It runs the first product of
+    a concurrent pair, the second row half of a split :func:`gemm`, and
+    every closure handed to :func:`run_off_core`, in the order they come.
 
-    Started on first use; it only writes into the caller's ``out`` and
-    reports the product's wall seconds or its exception. ``busy`` is
-    held for one pair or one split product, so a second thread calling
-    :func:`gemm_pair` or :func:`gemm` meanwhile runs serially instead of
-    queueing behind it.
+    Started on first use and kept off the submitter's core. A product's
+    seconds or error go to the pair's result queue (:meth:`join`), a
+    closure's to its own :class:`~concurrent.futures.Future`. While a pair
+    or a split holds ``busy``, or ``closures`` holds a closure queued or
+    running, a wide product runs serially.
     """
 
     def __init__(self) -> None:
         self.busy = threading.Lock()
+        self.closures: set[Future] = set()
         self._tasks: queue.SimpleQueue = queue.SimpleQueue()
         self._results: queue.SimpleQueue = queue.SimpleQueue()
         self._thread: Optional[threading.Thread] = None
@@ -194,23 +193,41 @@ class _PairWorker:
 
     def _run(self) -> None:
         while True:
-            a, b, out = self._tasks.get()
+            fn, future = self._tasks.get()
+            if future is not None and not future.set_running_or_notify_cancel():
+                continue  # a closure cancelled while queued
             t0 = _perf_counter()
             try:
-                np.matmul(a, b, out=out)
-            except BaseException as exc:  # handed to the caller
-                self._results.put(exc)
+                value, failed = fn(), False
+            except BaseException as exc:  # handed to the submitter
+                value, failed = exc, True
+            if future is None:  # a product: its wall seconds or its error, for join()
+                self._results.put(value if failed else _perf_counter() - t0)
             else:
-                self._results.put(_perf_counter() - t0)
+                self.closures.discard(future)  # the core is free before it wakes
+                (future.set_exception if failed else future.set_result)(value)
 
-    def submit(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    def _put(self, fn, future: Optional[Future]) -> None:
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self._run, name="gemm-pair", daemon=True
+                target=self._run, name="second-core", daemon=True
             )
             self._thread.start()
         self._keep_off_the_callers_core()
-        self._tasks.put((a, b, out))
+        self._tasks.put((fn, future))
+
+    def submit(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        self._put(functools.partial(np.matmul, a, b, out=out), None)
+
+    def run(self, fn) -> Future:
+        """Run ``fn()`` here after everything submitted before; its future.
+        While it is queued or running, every wide product runs serially."""
+        future: Future = Future()
+        future.add_done_callback(self.closures.discard)  # a cancelled one too
+        with self.busy:  # a product that claimed the worker saw no closure
+            self.closures.add(future)
+            self._put(fn, future)
+        return future
 
     def _keep_off_the_callers_core(self) -> None:
         """Let the worker run on any usable core but the caller's.
@@ -244,20 +261,24 @@ class _PairWorker:
         return result
 
 
-_PAIR_WORKER = _PairWorker()
+_WORKER = _Worker()
 # A forked child inherits the worker's state but not its thread.
-os.register_at_fork(after_in_child=_PAIR_WORKER.__init__)
+os.register_at_fork(after_in_child=_WORKER.__init__)
+
+
+run_off_core = _WORKER.run  # the second core, for any bit-identical closure
 
 
 def _claim_worker() -> bool:
     """Whether a wide product may run on two threads now: OpenBLAS runs
     one thread per call, two cores are usable and the worker is free.
-    On ``True`` the caller holds ``_PAIR_WORKER.busy`` and releases it."""
-    return (
-        blas_threads() == 1
-        and _usable_cores() >= 2
-        and _PAIR_WORKER.busy.acquire(blocking=False)
-    )
+    On ``True`` the caller holds ``_WORKER.busy`` and releases it."""
+    if blas_threads() != 1 or _usable_cores() < 2 or not _WORKER.busy.acquire(blocking=False):
+        return False
+    if _WORKER.closures:  # a closure has the core
+        _WORKER.busy.release()
+        return False
+    return True
 
 
 def _split_claimed(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray]) -> bool:
@@ -276,7 +297,7 @@ def _gemm_halves(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray]) -> np.
     """``a @ b`` as two row halves at once, the second on the worker; the
     caller has claimed it. Plain ``np.matmul`` on both sides: the one
     product is metered by :func:`gemm`."""
-    worker = _PAIR_WORKER
+    worker = _WORKER
     try:
         m, n = a.shape[0], b.shape[1]
         result = out if out is not None else np.empty((m, n), np.result_type(a, b))
@@ -310,7 +331,7 @@ def gemm_pair(
     the shape class :func:`gemm` would have given it. Otherwise this is
     ``gemm(a1, b1, out=out1), gemm(a2, b2, out=out2)``.
     """
-    worker = _PAIR_WORKER
+    worker = _WORKER
     # a.size * b.shape[-1] is m * k * n; the serial path leaves the
     # validation to gemm, so a small pair pays for it once.
     if (

@@ -78,14 +78,19 @@ def span_to_dict(sp: Span) -> dict:
 
 
 def span_from_dict(d: dict) -> Span:
-    """Inverse of :func:`span_to_dict`; a span exported before spans
-    stated their clock reads as ``"wall"``."""
-    sp = Span(
-        d["name"], d["t_start"], d.get("clock", "wall"), t_end=d.get("t_end"), tid=d.get("tid")
-    )
+    """Inverse of :func:`span_to_dict`. A span exported before spans
+    stated their clock reads as ``"wall"`` if it has a thread id and as
+    ``"virtual"`` if not, the mark a request tree carried then."""
+    tid = d.get("tid")
+    clock = d.get("clock") or ("virtual" if tid is None else "wall")
+    sp = Span(d["name"], d["t_start"], clock, t_end=d.get("t_end"), tid=tid)
     sp.attrs = dict(d.get("attrs") or {})
     sp.children = [span_from_dict(c) for c in d.get("children", [])]
     return sp
+
+
+def _phases(roots: list[Span]) -> dict:
+    return {c: {k: v.as_dict() for k, v in s.items()} for c, s in aggregate(roots).items()}
 
 
 def document(name: str, roots: list[Span], registry: MetricsRegistry | None = None) -> dict:
@@ -104,10 +109,7 @@ def document(name: str, roots: list[Span], registry: MetricsRegistry | None = No
     return to_jsonable({
         "obs": name,
         "env": environment_fingerprint(),
-        "phases": {
-            clock: {k: v.as_dict() for k, v in stats.items()}
-            for clock, stats in aggregate(roots).items()
-        },
+        "phases": _phases(roots),
         "metrics": registry.snapshot(),
         "exemplars": registry.exemplar_snapshot(),
         "kernel_classes": kernel_accounting.per_class_snapshot(),
@@ -228,12 +230,13 @@ def render_report(doc: dict) -> str:
     child span covers), so the column sums to ~100 without double
     counting nested or concurrent spans; ``per_call_ms`` is the mean
     duration per span. Below them come the counters, the per-op kernel
-    work of :func:`kernel_rollup` and the upsert histograms. A document
-    written before spans stated their clock holds one flat ``phases``
-    map and reads as wall; one written while spans still carried a
-    modeled clock holds a per-phase modeled-time field too, not read.
+    work of :func:`kernel_rollup` and the upsert histograms. Older
+    documents read too: phases from the spans of a dump that has none,
+    one flat map as wall, a ``wall_seconds`` total as ``seconds``.
     """
-    phases = doc.get("phases", {})
+    phases = doc.get("phases")
+    if phases is None:
+        phases = _phases(doc.get("spans", []))
     if not phases:
         return f"obs report: {doc.get('obs', '?')}\n(no spans recorded)"
     if any("count" in p for p in phases.values()):
@@ -246,7 +249,8 @@ def render_report(doc: dict) -> str:
         rows = []
         for phase_name, p in stats.items():
             count = p.get("count", 0.0)
-            seconds, self_s = p.get("wall_seconds", 0.0), p.get("self_seconds", 0.0)
+            seconds = p.get("seconds", p.get("wall_seconds", 0.0))
+            self_s = p.get("self_seconds", 0.0)
             rows.append(
                 {
                     "phase": phase_name,

@@ -133,15 +133,13 @@ def _eval_span_coverage(rule: SLORule, ctx: SLOContext) -> SLOResult:
     min_cov = float(rule.params.get("min_coverage", 0.95))
     phases = aggregate(ctx.get_tracer().roots).get("wall", {})
     parent_stat = phases.get(parent)
-    if parent_stat is None or parent_stat.wall_seconds <= 0:
+    if parent_stat is None or parent_stat.seconds <= 0:
         return SLOResult(
             rule.name, rule.kind, float("nan"), min_cov, False,
             detail=f"no {parent!r} spans recorded",
         )
-    covered = sum(
-        phases[c].wall_seconds for c in children if c in phases
-    )
-    cov = covered / parent_stat.wall_seconds
+    covered = sum(phases[c].seconds for c in children if c in phases)
+    cov = covered / parent_stat.seconds
     return SLOResult(
         rule.name, rule.kind, cov, min_cov, cov >= min_cov,
         detail=f"{'+'.join(children)} / {parent}",

@@ -307,14 +307,14 @@ class PhaseStat:
 
     name: str
     count: int = 0
-    wall_seconds: float = 0.0
+    seconds: float = 0.0  # on the spans' own clock
     self_seconds: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
         """JSON-ready form (all values as floats)."""
         return {
             "count": float(self.count),
-            "wall_seconds": self.wall_seconds,
+            "seconds": self.seconds,
             "self_seconds": self.self_seconds,
         }
 
@@ -323,7 +323,7 @@ def aggregate(spans) -> dict[str, dict[str, PhaseStat]]:
     """Per-clock, per-name totals over a span forest, in first-seen order.
 
     ``{clock: {name: PhaseStat}}``: seconds on different clocks are never
-    summed together. ``wall_seconds`` sums full durations on the group's
+    summed together. ``seconds`` sums full durations on the group's
     clock (a child's time is also inside its parent's total — the tree
     view); ``self_seconds`` sums time no child span covers, so within
     one clock self times sum to total traced time without double
@@ -337,6 +337,6 @@ def aggregate(spans) -> dict[str, dict[str, PhaseStat]]:
             if stat is None:
                 stat = group[sp.name] = PhaseStat(sp.name)
             stat.count += 1
-            stat.wall_seconds += sp.duration
+            stat.seconds += sp.duration
             stat.self_seconds += sp.self_seconds
     return out

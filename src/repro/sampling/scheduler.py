@@ -10,13 +10,14 @@ sampling and GraphSAINT's pre-sampled subgraph pools. ``depth=0`` is the
 synchronous case of the same pool: nothing is in flight and
 :meth:`SubgraphPool.get` runs the next submission inline.
 
-The thread does not overlap sampling with training.
-``tools/prefetch_modes.py`` on a 2-core host (OpenBLAS on one thread,
-medians of 3 seeds x 4 rounds of 40 iterations) measured ms per
+The thread does not overlap sampling with training: woken by the
+trainer, it is placed on the trainer's core (60 iterations of the
+``amazon_saint_prefetch`` recipe sampled 62 of 62 subgraphs there), so
+the two time-share one core; a process producer is the ROADMAP's open
+item. ``tools/prefetch_modes.py`` on a 2-core host (OpenBLAS on one
+thread, medians of 3 seeds x 4 rounds of 40 iterations), ms per
 iteration, inline / thread / two-worker process pool: 15.1 / 17.0 /
-10.3 on the ``ppi_small`` recipe and 24.5 / 22.9 / 24.6 on
-``amazon_saint_prefetch``, where the thread won on two seeds and lost
-on one.
+10.3 on ``ppi_small`` and 24.5 / 22.9 / 24.6 on ``amazon_saint_prefetch``.
 
 Seeding is a pure function of ``(seed, submission index)``: submission
 ``i`` always samples from

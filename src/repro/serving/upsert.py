@@ -13,29 +13,29 @@ the new, and the per-shard generation bump in
 :class:`~repro.serving.cache.GenerationalCache` kills exactly the cached
 results that touched the refreshed shard.
 
-Slabs are computed ahead of the replay on one ``slab-upsert`` worker
-thread (the trainer side of the split, overlapping the replay on
-another core), at most two in flight. Slab content is deterministic all
-the same — slab ``j`` always derives its noise from the ``j``-th child
-of one :class:`numpy.random.SeedSequence`, the same scheme as
-:class:`repro.sampling.scheduler.SubgraphPool`, and the one worker
-computes slabs in order — so the thread moves wall-clock time, never
-results. The default ``refresh_fn`` is a drift random walk standing in
-for continued training; pass your own (e.g. one that re-runs
-``compute_embeddings`` on a trainer checkpoint) to stream real model
-output.
+Slabs are computed ahead of the replay, at most two in flight, on the
+process's one second-core worker (:func:`repro.kernels.ops.run_off_core`),
+beside the replay thread. Slab ``j`` derives its noise from the ``j``-th
+child of one :class:`numpy.random.SeedSequence`, as
+:class:`repro.sampling.scheduler.SubgraphPool` seeds, and the worker runs
+slabs in order, so it moves wall-clock time, never results. The default
+``refresh_fn`` is a drift random walk standing in for continued
+training; pass your own (e.g. one that re-runs ``compute_embeddings`` on
+a trainer checkpoint) to stream real model output.
 """
 
 from __future__ import annotations
 
 import collections
-from concurrent.futures import Future, ThreadPoolExecutor
+import functools
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
 import numpy as np
 
+from ..kernels.ops import run_off_core
 from ..obs import is_enabled as obs_enabled
 from ..obs import metrics as obs_metrics
 
@@ -95,8 +95,8 @@ class SlabUpsertProducer:
         ``(shard, round, current_rows, rng) -> new_rows``, a new array
         the slab takes over; defaults to :func:`drift_refresh`.
 
-    The worker starts at the first :meth:`peek_time` (the replay's first
-    event) and exits after the last slab, or on :meth:`close`.
+    Slabs are submitted from the first :meth:`peek_time` (the replay's
+    first event) until the last one, or :meth:`close`.
     """
 
     def __init__(
@@ -130,8 +130,6 @@ class SlabUpsertProducer:
         self._next = 0  # next slab index to submit
         self._emitted = 0  # next slab index to hand out
         self._ready: collections.deque[Future] = collections.deque()  # 2 at most
-        self._executor: ThreadPoolExecutor | None = None
-        self._closed = False
 
     # -- producers -----------------------------------------------------
     def _compute(self, j: int) -> UpsertSlab:
@@ -159,25 +157,16 @@ class SlabUpsertProducer:
 
     def _fill(self) -> None:
         while self._next < self.total and len(self._ready) < 2:
-            self._ready.append(self._executor.submit(self._compute, self._next))
+            self._ready.append(run_off_core(functools.partial(self._compute, self._next)))
             self._next += 1
-            if self._next == self.total:
-                # The worker exits once it has computed the last slab.
-                self._executor.shutdown(wait=False)
 
     # -- consumer ------------------------------------------------------
-    @property
-    def remaining(self) -> int:
-        """Slabs not yet handed out."""
-        return self.total - self._emitted
-
     def peek_time(self) -> float | None:
         """Virtual production time of the next slab (None when drained or
-        closed). The first call starts the worker thread."""
-        if self._closed or self._emitted >= self.total:
+        closed). The first call submits the first two slabs."""
+        if self._emitted >= self.total:
             return None
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(1, thread_name_prefix="slab-upsert")
+        if self._next == 0:
             self._fill()
         return self.start + self._emitted * self.interval
 
@@ -199,13 +188,12 @@ class SlabUpsertProducer:
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Stop the worker thread; slabs not yet handed out are dropped
-        (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
+        """Drop the slabs not yet handed out: those not started never run,
+        and a running one is waited for (idempotent)."""
+        self._emitted = self.total  # nothing more is handed out
+        for slab in self._ready:
+            slab.cancel()
+        wait(self._ready)
 
     def __enter__(self) -> "SlabUpsertProducer":
         return self

@@ -121,7 +121,7 @@ def gemm_pair_mode(monkeypatch):
     from repro.kernels import ops
 
     submitted = _Submissions()
-    worker = ops._PAIR_WORKER
+    worker = ops._WORKER
     real_submit = worker.submit
 
     def counted_submit(a, b, out):

@@ -141,7 +141,7 @@ class TestGemmPair:
     def test_a_busy_worker_means_a_serial_pair(self, rng, gemm_pair_mode):
         a1, b1, a2, b2 = self._operands(rng, *WIDE[0])
         submitted = gemm_pair_mode(1)
-        with kernel_ops._PAIR_WORKER.busy:  # another thread's pair
+        with kernel_ops._WORKER.busy:  # another thread's pair
             first, _ = kernel_ops.gemm_pair(a1, b1, None, a2, b2, None)
         assert submitted == [] and submitted.halves == []
         np.testing.assert_array_equal(first, a1 @ b1)
@@ -300,7 +300,7 @@ class TestGemmHalves:
     def test_a_busy_worker_means_a_serial_product(self, rng, gemm_pair_mode):
         a, b = self._operands(rng, *HALVED[0])
         submitted = gemm_pair_mode(1)
-        with kernel_ops._PAIR_WORKER.busy:  # another thread's pair or split
+        with kernel_ops._WORKER.busy:  # another thread's pair or split
             result = kernel_ops.gemm(a, b)
         assert submitted.halves == []
         np.testing.assert_array_equal(result, a @ b)
@@ -318,7 +318,7 @@ class TestGemmHalves:
     def test_worker_error_reaches_the_caller(self, rng, gemm_pair_mode, monkeypatch):
         a, b = self._operands(rng, *HALVED[0])
         submitted = gemm_pair_mode(1)
-        worker = kernel_ops._PAIR_WORKER
+        worker = kernel_ops._WORKER
         counted = worker.submit
         # the worker's half fails (matmul rejects the out shape); the
         # caller's half does not
@@ -339,7 +339,7 @@ class TestGemmHalves:
         if kernel_ops._cpu_query() is None or len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs sched_getcpu, thread affinity and two usable cores")
         a, b = self._operands(rng, *HALVED[0])
-        worker = kernel_ops._PAIR_WORKER
+        worker = kernel_ops._WORKER
         worker._off_core = None  # as if the caller's core had changed
         gemm_pair_mode(1)
         kernel_ops.gemm(a, b)
@@ -388,7 +388,88 @@ class TestGemmHalves:
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
         assert submitted.halves  # the worker ran some of the halves
-        assert not kernel_ops._PAIR_WORKER.busy.locked()
+        assert not kernel_ops._WORKER.busy.locked()
+
+
+@pytest.mark.usefixtures("blas_one_thread")
+class TestOffCoreClosures:
+    """The second-core worker also runs closures (the upsert slab
+    producer's), each reporting through its own future, and a wide
+    product never queues behind one."""
+
+    def test_a_closure_runs_off_the_submitters_core(self):
+        import os
+
+        query = kernel_ops._cpu_query()
+        if query is None or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs sched_getcpu, thread affinity and two usable cores")
+        checked = 0
+        for _ in range(20):
+            before = query()
+            ran_on = kernel_ops.run_off_core(query)
+            if query() == before:  # the submitter stayed on one core
+                checked += 1
+                assert ran_on.result(timeout=30) != before
+        assert checked
+
+    def test_a_wide_gemm_never_waits_behind_a_closure(self, rng, gemm_pair_mode):
+        import threading
+
+        a, b = rng.standard_normal((512, 512)), rng.standard_normal((512, 256))  # 2^26
+        c = rng.standard_normal((512, 256))
+        submitted = gemm_pair_mode(1)
+        started, release = threading.Event(), threading.Event()
+        running = kernel_ops.run_off_core(lambda: (started.set(), release.wait(60)))
+        queued = kernel_ops.run_off_core(lambda: "queued")
+        results = []
+
+        def caller():
+            results.append(kernel_ops.gemm(a, b))
+            results.extend(kernel_ops.gemm_pair(a, b, None, a, c, None))
+
+        try:
+            assert started.wait(30)
+            thread = threading.Thread(target=caller)
+            thread.start()
+            thread.join(timeout=30)  # a product queued behind the hold would wait 60 s
+            assert not thread.is_alive()
+        finally:
+            release.set()
+        assert submitted == [] and submitted.halves == []  # the core was taken
+        for got, want in zip(results, (a @ b, a @ b, a @ c)):
+            assert got.tobytes() == want.tobytes()
+        assert queued.result(timeout=30) == "queued"
+        running.result(timeout=30)
+        # the closures are done: the worker takes the next half again
+        assert kernel_ops.gemm(a, b).tobytes() == (a @ b).tobytes()
+        assert submitted.halves == [(256, 512, 256)]
+
+    def test_a_closure_error_reaches_only_its_future(self, rng, gemm_pair_mode):
+        a, b = rng.standard_normal((512, 512)), rng.standard_normal((512, 256))
+
+        def fails():
+            raise ValueError("slab")
+
+        with pytest.raises(ValueError, match="slab"):
+            kernel_ops.run_off_core(fails).result(timeout=30)
+        submitted = gemm_pair_mode(1)
+        assert kernel_ops.gemm(a, b).tobytes() == (a @ b).tobytes()
+        assert submitted.halves == [(256, 512, 256)]
+
+    def test_a_cancelled_closure_frees_the_worker(self, rng, gemm_pair_mode):
+        import threading
+
+        release = threading.Event()
+        hold = kernel_ops.run_off_core(lambda: release.wait(60))
+        dropped = kernel_ops.run_off_core(lambda: "never")
+        assert dropped.cancel()
+        release.set()
+        hold.result(timeout=30)
+        assert not kernel_ops._WORKER.closures
+        a, b = rng.standard_normal((512, 512)), rng.standard_normal((512, 256))
+        submitted = gemm_pair_mode(1)
+        assert kernel_ops.gemm(a, b).tobytes() == (a @ b).tobytes()
+        assert submitted.halves == [(256, 512, 256)]
 
 
 class TestGemmAccumulate:

@@ -84,7 +84,7 @@ class TestTraceDocument:
         assert doc["obs"] == "demo"
         assert set(doc["phases"]) == {"wall"}
         assert set(doc["phases"]["wall"]) == {"iter", "work"}
-        assert set(doc["phases"]["wall"]["iter"]) == {"count", "wall_seconds", "self_seconds"}
+        assert set(doc["phases"]["wall"]["iter"]) == {"count", "seconds", "self_seconds"}
         assert doc["metrics"]["counters"] == {"ops": 4.0}
         assert [s["name"] for s in doc["spans"]] == ["iter"]
 
@@ -326,6 +326,45 @@ class TestRenderReport:
             assert all(float(row["self_s"]) >= 0.0 for row in rows)
             assert sum(float(row[f"{clock}_%"]) for row in rows) == pytest.approx(100.0, abs=0.1)
 
+
+    def test_a_phase_total_under_the_old_key_still_reads(self):
+        with installed(_small_trace()):
+            doc = trace_document("demo")
+        old = json.loads(json.dumps(doc))
+        for p in old["phases"]["wall"].values():
+            p["wall_seconds"] = p.pop("seconds")
+        assert "wall_seconds" not in json.dumps(doc)
+        assert render_report(old) == render_report(doc)
+
+    def test_a_dump_without_phases_is_reported_from_its_spans(self, tmp_path):
+        """A flight dump in the shape written before ``phases`` joined it:
+        no ``phases``, no ``clock`` on any span, a request tree marked
+        only by its missing thread id. The report aggregates the spans
+        ``load_trace`` rebuilds, one table per clock, as for a new one."""
+        from repro.experiments import serving
+
+        emb = serving.mixture_embeddings(256, 8, seed=0)
+        server, trace = serving.hedging_scenario(emb, num_queries=60, seed=0)
+        with obs.enabled():
+            with obs.span("trainer.iteration"):
+                with obs.span("trainer.forward"):
+                    pass
+            server.serve_trace(trace)
+        doc = trace_document("dump")
+
+        def clockless(span):
+            return {**{k: v for k, v in span.items() if k != "clock"},
+                    "children": [clockless(c) for c in span["children"]]}
+
+        old = {k: v for k, v in doc.items() if k != "phases"}
+        old["spans"] = [clockless(s) for s in doc["spans"]]
+        path = tmp_path / "OBS_flightdump_old_001.json"
+        path.write_text(json.dumps(old))
+        text = render_report(load_trace(path))
+        assert "no spans recorded" not in text
+        assert "obs report: dump (wall clock)" in text
+        assert "obs report: dump (virtual clock)" in text
+        assert text == render_report(doc)
 
 class TestKernelWindow:
     """A document's kernel work covers its spans' window: ``obs.reset()``

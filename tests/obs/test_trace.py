@@ -280,7 +280,7 @@ class TestAggregate:
         assert stats["iter"].count == 3
         assert stats["work"].count == 3
         # each iter spans 3 ticks, each work 1 tick
-        assert stats["iter"].wall_seconds == pytest.approx(9.0)
-        assert stats["work"].wall_seconds == pytest.approx(3.0)
+        assert stats["iter"].seconds == pytest.approx(9.0)
+        assert stats["work"].seconds == pytest.approx(3.0)
         assert stats["iter"].self_seconds == pytest.approx(6.0)
         assert stats["iter"].as_dict()["count"] == 3.0

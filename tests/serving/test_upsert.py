@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.kernels.ops import run_off_core
 from repro.obs import metrics as obs_metrics
 from repro.serving.upsert import SlabUpsertProducer, UpsertSlab, drift_refresh
 
@@ -40,10 +41,8 @@ class TestSchedule:
         emb, assignment = _setup()
         prod = SlabUpsertProducer(emb, assignment, interval=1.0, rounds=1)
         assert prod.peek_time() == 0.0
-        assert prod.remaining == 4
         first = prod.pending(now=1.5)  # slabs at t=0 and t=1
         assert [s.shard for s in first] == [0, 1]
-        assert prod.remaining == 2
         assert prod.peek_time() == 2.0
         assert prod.pending(now=1.99) == []
         rest = prod.pending(now=10.0)
@@ -157,12 +156,18 @@ class TestValidation:
         prod.close()
 
 
-def _workers() -> set[threading.Thread]:
-    return {t for t in threading.enumerate() if t.name.startswith("slab-upsert")}
+def _drain_worker() -> None:
+    """Wait until every closure submitted so far has run: the second-core
+    worker runs closures in submission order."""
+    run_off_core(lambda: None).result(timeout=30)
 
 
 class TestWorkerLifecycle:
-    def _counting(self):
+    """Slabs run on the process's one second-core worker, at most two
+    ahead of the replay, from the first peek until the last slab or
+    ``close()``."""
+
+    def _counting(self, rounds=3):
         emb, assignment = _setup()
         calls = []
         refresh = drift_refresh()
@@ -171,43 +176,59 @@ class TestWorkerLifecycle:
             calls.append((shard, rnd))
             return refresh(shard, rnd, rows, rng)
 
-        return emb, assignment, counted, calls
+        prod = SlabUpsertProducer(emb, assignment, rounds=rounds, refresh_fn=counted)
+        return prod, calls
 
     def test_nothing_runs_before_the_first_peek(self):
-        emb, assignment, counted, calls = self._counting()
-        before = _workers()
-        prod = SlabUpsertProducer(emb, assignment, rounds=2, refresh_fn=counted)
-        assert calls == [] and not _workers() - before
+        prod, calls = self._counting()
+        _drain_worker()
+        assert calls == []
         assert prod.peek_time() == 0.0
-        [worker] = _workers() - before
+        _drain_worker()
+        assert len(calls) == 2  # the first two slabs, computed ahead
         prod.close()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
 
-    def test_worker_exits_after_the_last_slab(self):
-        emb, assignment, counted, calls = self._counting()
-        before = _workers()
-        prod = SlabUpsertProducer(emb, assignment, rounds=2, refresh_fn=counted)
-        first = prod.pending(0.0)
-        [worker] = _workers() - before
-        rest = prod.pending(1e9)
-        assert len(first) + len(rest) == prod.total == len(calls)
-        worker.join(timeout=10)
-        assert not worker.is_alive()
+    def test_at_most_two_slabs_ahead(self):
+        prod, calls = self._counting()
+        for handed_out in range(1, prod.total + 1):
+            assert len(prod.pending(float(handed_out - 1))) == 1
+            _drain_worker()
+            assert len(calls) == min(handed_out + 2, prod.total)
         assert prod.peek_time() is None
 
-    def test_close_mid_stream_stops_the_worker(self):
-        emb, assignment, counted, calls = self._counting()
-        before = _workers()
-        prod = SlabUpsertProducer(emb, assignment, rounds=3, refresh_fn=counted)
-        assert len(prod.pending(1.0)) == 2
-        [worker] = _workers() - before
-        prod.close()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert len(calls) <= 4  # two handed out, at most two computed ahead
+    def test_close_drops_the_slabs_not_started(self):
+        prod, calls = self._counting()
+        started, release = threading.Event(), threading.Event()
+        run_off_core(lambda: (started.set(), release.wait(30)))  # holds the worker
+        try:
+            assert started.wait(30)
+            assert prod.peek_time() == 0.0  # two slabs queued behind the hold
+            prod.close()
+        finally:
+            release.set()
+        _drain_worker()
+        assert calls == []
         assert prod.peek_time() is None
         assert prod.pending(1e9) == []
+
+    def test_no_refresh_after_close_mid_stream(self):
+        prod, calls = self._counting()
+        assert len(prod.pending(1.0)) == 2
+        prod.close()  # waits for a slab already running
+        ran = len(calls)
+        _drain_worker()
+        assert len(calls) == ran <= 4  # two handed out, at most two ahead
+        assert prod.pending(1e9) == []
+
+    def test_no_thread_per_producer(self):
+        prod, _ = self._counting(rounds=1)
+        prod.pending(1e9)  # the worker has started
+        before = set(threading.enumerate())
+        for seed in range(3):
+            emb, assignment = _setup(seed=seed)
+            with SlabUpsertProducer(emb, assignment, rounds=2, seed=seed) as other:
+                assert len(other.pending(1e9)) == other.total
+        assert set(threading.enumerate()) <= before
 
 
 class TestObs:
